@@ -5,7 +5,6 @@
 //! repro [--k N] [--seed S] [--out DIR] [--metrics-json] [--metrics-text]
 //!       [--trace-out FILE] [--trace-spans FILE] [-v] [--quiet]
 //!       [--fleet-devices N] [--fleet-workers W]
-//!       [--queue heap|wheel|boxed] [--cross-per-packet] [--multiplex M]
 //!       [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //!       [--partition i/k] [--fleet-halt-after N]
 //!       [--push-to ADDR] [--push-every N]
@@ -93,9 +92,6 @@ struct Options {
     trace_spans: Option<PathBuf>,
     fleet_devices: u64,
     fleet_workers: Option<usize>,
-    queue: simcore::QueueKind,
-    cross_per_packet: bool,
-    multiplex: Option<u64>,
     checkpoint: Option<PathBuf>,
     checkpoint_every: u64,
     resume: Option<PathBuf>,
@@ -136,9 +132,6 @@ fn parse_args() -> Options {
         trace_spans: None,
         fleet_devices: 10_000,
         fleet_workers: None,
-        queue: simcore::QueueKind::default(),
-        cross_per_packet: false,
-        multiplex: None,
         checkpoint: None,
         checkpoint_every: 64,
         resume: None,
@@ -191,21 +184,6 @@ fn parse_args() -> Options {
                     args.next()
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--fleet-workers needs a number")),
-                )
-            }
-            "--queue" => {
-                opts.queue = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--queue needs 'heap', 'wheel', or 'boxed'"))
-            }
-            "--cross-per-packet" => opts.cross_per_packet = true,
-            "--multiplex" => {
-                opts.multiplex = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| die("--multiplex needs a positive device count")),
                 )
             }
             "--checkpoint" => {
@@ -326,8 +304,6 @@ fn parse_args() -> Options {
                      [--metrics-json] [--metrics-text] \
                      [--trace-out FILE] [--trace-spans FILE] [-v] [--quiet] \
                      [--fleet-devices N] [--fleet-workers W] \
-                     [--queue heap|wheel|boxed] [--cross-per-packet] \
-                     [--multiplex M] \
                      [--checkpoint FILE] [--checkpoint-every N] \
                      [--resume FILE] [--partition i/k] [--fleet-halt-after N] \
                      [--push-to ADDR] [--push-every N] \
@@ -345,18 +321,6 @@ fn parse_args() -> Options {
                      --trace-spans FILE  write the same spans as JSON-lines\n\
                      --fleet-devices N   fleet campaign population (default 10000)\n\
                      --fleet-workers W   worker threads (default: CPU count)\n\
-                     --queue heap|wheel|boxed  event-queue backend for fleet and\n\
-                     \u{20}                    profile runs (default wheel; 'boxed' is\n\
-                     \u{20}                    the pre-arena per-event-allocation oracle;\n\
-                     \u{20}                    all backends produce byte-identical\n\
-                     \u{20}                    campaign JSON)\n\
-                     --cross-per-packet  drive cross-traffic blasters with one\n\
-                     \u{20}                    timer dispatch per packet (the reference\n\
-                     \u{20}                    oracle) instead of the default batched\n\
-                     \u{20}                    fast path; campaign JSON is identical\n\
-                     --multiplex M       interleave M devices per worker claim\n\
-                     \u{20}                    by next-event time (default: one\n\
-                     \u{20}                    device at a time; JSON is identical)\n\
                      --checkpoint FILE   write an atomic fleet resume checkpoint\n\
                      \u{20}                    every --checkpoint-every devices (default 64)\n\
                      --resume FILE       resume a killed fleet campaign from its\n\
@@ -602,9 +566,6 @@ fn run_fleet_partition(opts: &Options, spec: &fleet::CampaignSpec, workers: usiz
                 }),
             }
         }),
-        queue: opts.queue,
-        cross_per_packet: opts.cross_per_packet,
-        multiplex: opts.multiplex,
         ..fleet::RunOptions::default()
     };
     let (collector, stats) = fleet::run_partition_opts(spec, workers, i, k, &run_opts);
@@ -894,18 +855,11 @@ fn run_profile(opts: &Options) {
         .unwrap_or_else(fleet::available_parallelism);
     let spec = fleet::CampaignSpec::heterogeneous(opts.seed, opts.fleet_devices);
     info!(
-        "profiling fleet campaign: {} devices × {} probes on {workers} workers \
-         ({} queue, multiplex {}) ...",
-        spec.devices,
-        spec.probes_per_device,
-        opts.queue,
-        opts.multiplex.unwrap_or(1)
+        "profiling fleet campaign: {} devices × {} probes on {workers} workers ...",
+        spec.devices, spec.probes_per_device
     );
     let run_opts = fleet::RunOptions {
         profiler: obs::Profiler::new(),
-        queue: opts.queue,
-        cross_per_packet: opts.cross_per_packet,
-        multiplex: opts.multiplex,
         ..fleet::RunOptions::default()
     };
     let (report, mut stats) = fleet::run_campaign_opts(&spec, workers, &run_opts);
@@ -962,7 +916,7 @@ fn read_bench(path: &Path) -> Vec<(String, f64)> {
 }
 
 /// Compare candidate bench medians against the committed baseline. The
-/// `obs_tracer_*`, `obs_prof_*`, `simcore_queue_*`,
+/// `obs_tracer_*`, `obs_prof_*`, `simcore_queue_push_pop`,
 /// `simcore_dispatch_*`, and `netem_crosstraffic_*` scenarios gate
 /// (they are tight, allocation-free inner loops whose cost is what the
 /// tracer, profiler, scheduler, and dispatch budgets promised);
@@ -982,7 +936,7 @@ fn run_bench_gate(opts: &Options) {
     let candidate = read_bench(&candidate_path);
     info!(
         "bench-gate: {} vs baseline {} (factor {}x on obs_tracer_* / obs_prof_* / \
-         simcore_queue_* / simcore_dispatch_* / netem_crosstraffic_*; \
+         simcore_queue_push_pop / simcore_dispatch_* / netem_crosstraffic_*; \
          *_allocs rows gate absolutely)",
         candidate_path.display(),
         opts.bench_baseline.display(),
@@ -1005,7 +959,7 @@ fn run_bench_gate(opts: &Options) {
         };
         let gated = name.starts_with("obs_tracer_")
             || name.starts_with("obs_prof_")
-            || name.starts_with("simcore_queue_")
+            || name == "simcore_queue_push_pop"
             || name.starts_with("simcore_dispatch_")
             || name.starts_with("netem_crosstraffic_");
         // `_allocs` rows are absolute counters, not timings: no factor.
@@ -1254,9 +1208,6 @@ fn main() {
                 every: opts.checkpoint_every,
             }),
             halt_after_devices: opts.fleet_halt_after,
-            queue: opts.queue,
-            cross_per_packet: opts.cross_per_packet,
-            multiplex: opts.multiplex,
             ..fleet::RunOptions::default()
         };
 
@@ -1405,44 +1356,25 @@ fn main() {
             let spec = fleet::CampaignSpec::heterogeneous(BENCH_SEED, 8).with_probes(2);
             fleet::run_campaign(&spec, 2)
         });
-        h.bench("fleet_campaign_8dev_mux4", || {
-            let spec = fleet::CampaignSpec::heterogeneous(BENCH_SEED, 8).with_probes(2);
-            let run = fleet::RunOptions {
-                multiplex: Some(4),
-                ..fleet::RunOptions::default()
-            };
-            fleet::run_campaign_opts(&spec, 2, &run)
-        });
-        // The scheduler's raw push/pop cost, heap vs. wheel: bursts of
-        // 64 timers with mixed sub-window offsets, fully drained each
-        // iteration. `base` advances monotonically across iterations so
-        // the wheel exercises its real cursor-advance path instead of
-        // the behind-cursor fast path.
+        // The scheduler's raw push/pop cost: bursts of 64 timers with
+        // mixed offsets, fully drained each iteration, at a base time
+        // that advances monotonically across iterations.
         {
-            use simcore::sched::{EventQueue, HeapQueue, WheelQueue};
-            fn queue_churn<Q: EventQueue<u64>>(q: &mut Q, base: &mut u64) -> u64 {
+            let mut q: simcore::sched::HeapQueue<u64> = simcore::sched::HeapQueue::new();
+            let mut base = 0u64;
+            h.bench("simcore_queue_push_pop", || {
                 let mut acc = 0u64;
                 for i in 0..64u64 {
                     q.push(
-                        simcore::SimTime::from_nanos(*base + i * 3_000 + (i % 7) * 11),
+                        simcore::SimTime::from_nanos(base + i * 3_000 + (i % 7) * 11),
                         i,
                     );
                 }
                 while let Some((t, v)) = q.pop() {
                     acc ^= t.as_nanos().wrapping_add(v);
                 }
-                *base += 64 * 3_000;
+                base += 64 * 3_000;
                 acc
-            }
-            let mut heap_q: HeapQueue<u64> = HeapQueue::new();
-            let mut heap_base = 0u64;
-            h.bench("simcore_queue_push_pop_heap", || {
-                queue_churn(&mut heap_q, &mut heap_base)
-            });
-            let mut wheel_q: WheelQueue<u64> = WheelQueue::new();
-            let mut wheel_base = 0u64;
-            h.bench("simcore_queue_push_pop_wheel", || {
-                queue_churn(&mut wheel_q, &mut wheel_base)
             });
         }
         // The dispatch hot path through the public engine API: one
@@ -1488,12 +1420,12 @@ fn main() {
             for i in 0..16 {
                 sim.inject(a, b, simcore::SimTime::from_micros(i), 0);
             }
-            // Warm past the wheel's first coarse-level lap (~1.07 s) so
-            // the measured window is genuinely steady state. The alloc
-            // window runs *before* the timed bench: the bench's
-            // iteration count is wall-time-budgeted and so varies per
-            // machine, while the alloc count over a fixed window of a
-            // deterministic sim is exactly reproducible.
+            // Warm up as the zero-alloc test does, so the heap, the
+            // arena and the node state have reached their high-water
+            // marks. The alloc window runs *before* the timed bench: the
+            // bench's iteration count is wall-time-budgeted and so varies
+            // per machine, while the alloc count over a fixed window of
+            // a deterministic sim is exactly reproducible.
             sim.run_until(simcore::SimTime::from_millis(1_120));
             let (a0, _) = obs::prof::thread_alloc_counts();
             for _ in 0..10_000 {
@@ -1529,19 +1461,16 @@ fn main() {
                 wire::Ip::new(10, 0, 0, 2),
                 wire::Ip::new(10, 0, 0, 1),
                 simcore::SimTime::from_secs(3_600),
-            )
-            .batched();
+            );
             let blaster = Box::new(netem::UdpBlasterNode::new(7, cfg, sink));
             sim.add_node(blaster);
-            // This workload needs a longer warm-up than the dispatch
-            // scenario: its 4.704 ms emission grid aliases against the
-            // wheel's coarse-level slot boundaries, so boundary-crossing
-            // buckets keep growing past pooled capacity for the first
-            // few simulated seconds. 6 s is past the amortisation knee;
-            // the fixed 10 000-step window after it is deterministically
-            // allocation-free (and runs before the wall-time-budgeted
-            // bench for the same reproducibility reason as above).
-            sim.run_until(simcore::SimTime::from_secs(6));
+            // One emission period (4.704 ms) already holds the
+            // steady in-flight population; a 1 s warm-up leaves a wide
+            // margin. The fixed 10 000-step window after it is
+            // deterministically allocation-free (and runs before the
+            // wall-time-budgeted bench for the same reproducibility
+            // reason as above).
+            sim.run_until(simcore::SimTime::from_secs(1));
             let (a0, _) = obs::prof::thread_alloc_counts();
             for _ in 0..10_000 {
                 sim.step();

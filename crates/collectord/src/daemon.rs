@@ -150,6 +150,10 @@ impl Daemon {
         // forever: bound every read and write.
         let _ = stream.set_read_timeout(Some(self.ingest_timeout));
         let _ = stream.set_write_timeout(Some(self.ingest_timeout));
+        // Each reply frame goes out as two writes (length prefix, then
+        // payload). With Nagle on, the payload waits for the client's
+        // delayed ACK of the prefix — ~40 ms on every push.
+        let _ = stream.set_nodelay(true);
         loop {
             let payload = match read_frame(&mut stream) {
                 Ok(p) => p,

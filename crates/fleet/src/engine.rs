@@ -5,19 +5,12 @@
 //!
 //! Memory is bounded end to end by an explicit backpressure window: a
 //! worker may not *start* device `i` until the collector has absorbed
-//! device `i − window` (`window = (2·workers + 4) · M`, where `M` is
-//! the [`RunOptions::multiplex`] group size, 1 by default), so the
-//! reorder buffer holds at most `window` partials even when per-device
+//! device `i − window` (`window = 2·workers + 4`), so the reorder
+//! buffer holds at most `window` partials even when per-device
 //! runtimes are wildly heterogeneous (lognormal path RTTs,
 //! cross-traffic strata). The channel bound additionally keeps
 //! finished-but-unmerged partials from piling up when the collector
 //! itself lags.
-//!
-//! With `multiplex = Some(M)`, workers claim *groups* of `M`
-//! contiguous device indices and run them through
-//! [`crate::multiplex::run_group`] — M cheap simulations interleaved
-//! by next-event time on one thread — which amortises claim/send
-//! overhead while leaving the campaign JSON byte-identical.
 //!
 //! The same inner loop powers three entry points that all produce
 //! byte-identical JSON:
@@ -36,10 +29,9 @@ use std::time::Instant;
 
 use obs::{Json, ToJson};
 
-use crate::multiplex;
 use crate::profile::{CampaignProfile, StratumCost};
 use crate::report::{CampaignReport, CampaignStateError, Collector};
-use crate::shard::{run_device_opts, DevicePartial, ShardOptions};
+use crate::shard::{run_device_prof, DevicePartial};
 use crate::spec::CampaignSpec;
 
 /// Wall-clock throughput of one engine run. Kept out of the campaign
@@ -171,24 +163,6 @@ pub struct RunOptions {
     /// disabled profiler costs one branch per guard and keeps the
     /// campaign JSON byte-identical to an uninstrumented build.
     pub profiler: obs::Profiler,
-    /// Event-queue backend for every device simulation. All backends
-    /// produce byte-identical campaign JSON (the scheduler contract);
-    /// the timer wheel (default) is the fast one.
-    pub queue: simcore::QueueKind,
-    /// Drive every cross-traffic datagram off its own timer instead of
-    /// the batched per-period fast path. The campaign JSON is
-    /// byte-identical either way (asserted by the fleet equivalence
-    /// tests and CI); the per-packet path exists as the reference
-    /// oracle and costs ~an order of magnitude more engine events on
-    /// congested strata.
-    pub cross_per_packet: bool,
-    /// Run `M` devices per worker claim, interleaved by next-event
-    /// time (`None`/`Some(1)` = one device per claim). Multiplexing
-    /// amortises per-device claim/send overhead for cheap devices; the
-    /// campaign JSON stays byte-identical either way. The
-    /// backpressure window and channel bound scale by `M`, so
-    /// collector memory stays `O(workers · M)`.
-    pub multiplex: Option<u64>,
 }
 
 /// Atomically persist `doc` at `path`: write to a sibling `.tmp` file,
@@ -228,21 +202,13 @@ fn run_range(
 ) -> (Collector, RunStats, bool) {
     let workers = workers.max(1);
     let start_index = collector.next_index();
-    // Devices per worker claim (1 = classic per-device dispatch; >1 =
-    // the multiplexed group driver). Window and channel scale with the
-    // group size so a whole group always fits in flight.
-    let group = opts.multiplex.unwrap_or(1).max(1);
-    let window = ((workers as u64) * 2 + 4) * group;
+    let window = (workers as u64) * 2 + 4;
     let next = AtomicU64::new(start_index);
     let absorbed = AtomicU64::new(start_index);
     let stop = AtomicBool::new(false);
-    let shard_opts = ShardOptions {
-        queue: opts.queue,
-        cross_per_packet: opts.cross_per_packet,
-    };
     // Small bound: enough to decouple workers from the collector's
-    // merge cost, small enough that memory stays O(workers · group).
-    let (tx, rx) = mpsc::sync_channel::<DevicePartial>(workers * 2 * group as usize);
+    // merge cost, small enough that memory stays O(workers).
+    let (tx, rx) = mpsc::sync_channel::<DevicePartial>(workers * 2);
     let start = Instant::now();
     let mut reorder_peak = 0usize;
     let mut probes_run = 0u64;
@@ -291,60 +257,40 @@ fn run_range(
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
-                    let i = next.fetch_add(group, Ordering::Relaxed);
+                    let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= end {
                         break;
                     }
-                    let hi = (i + group).min(end);
                     // Backpressure window: stay within `window` devices of
                     // the collector so the reorder buffer is bounded even
                     // when a slow low-index device holds up absorption.
-                    // The whole claim [i, hi) must fit.
-                    if hi > absorbed.load(Ordering::Acquire) + window {
+                    if i >= absorbed.load(Ordering::Acquire) + window {
                         let _bp = prof.phase("backpressure");
-                        while hi > absorbed.load(Ordering::Acquire) + window {
+                        while i >= absorbed.load(Ordering::Acquire) + window {
                             if stop.load(Ordering::Relaxed) {
                                 return;
                             }
                             std::thread::yield_now();
                         }
                     }
-                    if group == 1 {
-                        let t0 = if prof.is_enabled() {
-                            Some(Instant::now())
-                        } else {
-                            None
-                        };
-                        let partial = {
-                            let _rd = prof.phase("run_device");
-                            run_device_opts(spec, i, &prof, shard_opts)
-                        };
-                        if let Some(t0) = t0 {
-                            stratum_ns[partial.class]
-                                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                            stratum_devices[partial.class].fetch_add(1, Ordering::Relaxed);
-                        }
-                        per_worker[w].fetch_add(1, Ordering::Relaxed);
-                        let _tx = prof.phase("send");
-                        if tx.send(partial).is_err() {
-                            break;
-                        }
+                    let t0 = if prof.is_enabled() {
+                        Some(Instant::now())
                     } else {
-                        let batch = {
-                            let _rd = prof.phase("run_group");
-                            multiplex::run_group(spec, i..hi, &prof, shard_opts)
-                        };
-                        for (partial, ns) in batch {
-                            if prof.is_enabled() {
-                                stratum_ns[partial.class].fetch_add(ns, Ordering::Relaxed);
-                                stratum_devices[partial.class].fetch_add(1, Ordering::Relaxed);
-                            }
-                            per_worker[w].fetch_add(1, Ordering::Relaxed);
-                            let _tx = prof.phase("send");
-                            if tx.send(partial).is_err() {
-                                return;
-                            }
-                        }
+                        None
+                    };
+                    let partial = {
+                        let _rd = prof.phase("run_device");
+                        run_device_prof(spec, i, &prof)
+                    };
+                    if let Some(t0) = t0 {
+                        stratum_ns[partial.class]
+                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        stratum_devices[partial.class].fetch_add(1, Ordering::Relaxed);
+                    }
+                    per_worker[w].fetch_add(1, Ordering::Relaxed);
+                    let _tx = prof.phase("send");
+                    if tx.send(partial).is_err() {
+                        break;
                     }
                 }
             });

@@ -39,7 +39,6 @@
 #![deny(missing_docs)]
 
 pub mod engine;
-pub mod multiplex;
 pub mod profile;
 pub mod report;
 pub mod shard;
@@ -55,9 +54,7 @@ pub use report::{
     merge_partials, CampaignReport, CampaignStateError, Collector, StratumReport,
     CAMPAIGN_STATE_FORMAT, CAMPAIGN_STATE_VERSION,
 };
-pub use shard::{
-    run_device, run_device_opts, run_device_prof, run_device_with, DevicePartial, ShardOptions,
-};
+pub use shard::{run_device, run_device_prof, DevicePartial};
 pub use spec::{
     splitmix64, CalibrationSweep, CampaignSpec, DeviceClass, DiurnalSchedule, Radio, RttDist, Tool,
 };

@@ -7,11 +7,12 @@
 //! vectors leave the shard — campaign memory is independent of the
 //! probe count.
 
+use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::QuantileSketch;
 use measure::{PingApp, PingConfig, RecordSet, RttRecord};
 use obs::Registry;
-use phone::RuntimeKind;
-use simcore::{LatencyDist, QueueKind, SimDuration, SimTime};
+use phone::{PhoneNode, RuntimeKind};
+use simcore::{LatencyDist, SimDuration, SimTime};
 use testbed::{addr, breakdowns, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
 
 use crate::spec::{CampaignSpec, Radio, Tool};
@@ -73,36 +74,6 @@ fn harvest(
     }
 }
 
-/// Drop metrics that measure the *engine host* rather than the modelled
-/// network: the whole `sim.*` family (wall-clock time in the event
-/// loop, events processed, timers set/cancelled). Everything left in
-/// the snapshot is a pure function of the device seed *and the modelled
-/// behaviour alone*, which is what makes the merged campaign JSON
-/// byte-identical across queue backends and across the per-packet vs
-/// batched cross-traffic paths — those change how many engine events a
-/// run costs, never what the network does.
-fn strip_engine_metrics(snap: &mut obs::Snapshot) {
-    snap.counters.retain(|(name, _)| !name.starts_with("sim."));
-    snap.gauges.retain(|(name, _)| !name.starts_with("sim."));
-    snap.histograms.retain(|h| !h.name.starts_with("sim."));
-}
-
-/// Per-shard execution knobs, threaded from
-/// [`crate::RunOptions`] down to every device simulation. None of them
-/// affect the campaign JSON (that is the point — they trade host cost
-/// for nothing observable).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardOptions {
-    /// Event-queue backend (wheel by default; all backends produce
-    /// byte-identical partials).
-    pub queue: QueueKind,
-    /// `true` drives every cross-traffic datagram off its own timer
-    /// (the reference path); `false` (default) uses the batched fast
-    /// path — one timer per gap period — which emits the identical
-    /// packet stream with an order of magnitude fewer engine events.
-    pub cross_per_packet: bool,
-}
-
 fn empty_partial(index: u64, class: usize) -> DevicePartial {
     DevicePartial {
         index,
@@ -130,264 +101,154 @@ pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
 /// harvest + sketch/snapshot fold). The partial returned is
 /// byte-identical whether `prof` is enabled or disabled — profiling
 /// observes the host, never the simulation.
+///
+/// The device registry carries the model layers and the app, never the
+/// engine's `sim.*` metrics: everything in the snapshot is a pure
+/// function of the device seed and the modelled behaviour.
 pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) -> DevicePartial {
-    run_device_with(spec, index, prof, QueueKind::default())
+    let class_idx = spec.class_of(index);
+    let class = &spec.classes[class_idx];
+    let mut partial = empty_partial(index, class_idx);
+    let seed = spec.device_seed(index);
+    let k = spec.probes_per_device;
+    let horizon = SimTime::ZERO + spec.horizon;
+    let setup = prof.phase("setup");
+
+    let mut profile = class.profile.clone();
+    if let Some(ticks) = class.sdio_idletime {
+        profile.bus.idletime = ticks;
+    }
+    if let Some(tip) = class.tip_ms {
+        profile.psm_timeout = LatencyDist::fixed(tip);
+    }
+    // Population knobs drawn once per device, all pure in (spec, index):
+    // its path RTT from the stratum's distribution, whether its
+    // time-of-day puts it in the diurnal busy window, and its §4.2.2
+    // (dpre, db) calibration grid point.
+    let path_rtt_ms = spec.path_rtt_of(index);
+    let cross_traffic = spec.cross_traffic_of(index);
+    let calibration = spec.calibration_of(index);
+    let calibrate = |am: &mut AcuteMonConfig| {
+        if let Some((dpre_ms, db_ms)) = calibration {
+            am.dpre = SimDuration::from_ms_f64(dpre_ms);
+            am.db = SimDuration::from_ms_f64(db_ms);
+        }
+    };
+    let reg = Registry::new();
+    // Assigned after the run in each arm; it outlives the arm so the
+    // testbed's teardown and the snapshot count as `fold` too.
+    let fold;
+
+    match class.radio {
+        Radio::Wifi => {
+            let mut cfg = TestbedConfig::new(seed, profile, path_rtt_ms);
+            // One lossless sniffer: full dn coverage at minimum cost.
+            cfg.sniffers = 1;
+            cfg.sniffer_loss = 0.0;
+            // Campaign analysis only ever queries probe packets, so
+            // the sniffer skips cross-traffic data frames — on a
+            // congested device that is one delivery per blaster
+            // datagram it no longer pays for.
+            cfg.sniffer_capture_cross = false;
+            cfg.listen_interval_override = class.listen_interval;
+            if let Some(ms) = class.beacon_interval_ms {
+                cfg = cfg.with_beacon_interval(SimDuration::from_ms_f64(ms));
+            }
+            if let Some(plan) = class.faults.clone() {
+                cfg = cfg.with_wifi_faults(plan.with_seed(spec.fault_seed(index)));
+            }
+            if cross_traffic {
+                cfg.cross_traffic = true;
+                // Busy the whole session: the schedule models *which*
+                // devices contend, not an in-session on/off pattern.
+                cfg.cross_stop = horizon;
+            }
+            let mut tb = Testbed::build(cfg);
+            tb.attach_metrics(&reg);
+            tb.sim.set_profiler(prof);
+            let mut am = AcuteMonConfig::new(addr::SERVER, k);
+            calibrate(&mut am);
+            if class.faults.is_some() {
+                // Lossy stratum: bounded retries with a short timeout,
+                // as the fault sweep does.
+                am = am
+                    .with_retries(3)
+                    .with_retry_backoff(SimDuration::from_millis(30));
+                am.probe_timeout = SimDuration::from_millis(300);
+            }
+            let ping = PingConfig::new(addr::SERVER, k, SimDuration::from_secs(1));
+            let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
+            let app = install_tool(phone, class.tool, am, ping, &reg);
+            drop(setup);
+            {
+                let _des = prof.phase("des");
+                tb.run_until(horizon);
+            }
+            fold = prof.phase("fold");
+            let capture = tb.capture_index();
+            let records = tool_records(tb.phone_node(), class.tool, app);
+            let bds = breakdowns(&records, tb.phone_node().ledger(), &capture);
+            harvest(&mut partial, &records, Some(&bds));
+        }
+        Radio::Lte | Radio::Umts => {
+            let mut cfg = match class.radio {
+                Radio::Lte => CellTestbedConfig::lte(seed, profile, path_rtt_ms),
+                _ => CellTestbedConfig::umts(seed, profile, path_rtt_ms),
+            };
+            if let Some(plan) = class.faults.clone() {
+                cfg = cfg.with_bearer_faults(plan.with_seed(spec.fault_seed(index)));
+            }
+            let mut am = cfg.acutemon_profile(k);
+            calibrate(&mut am);
+            let mut tb = CellTestbed::build(cfg);
+            tb.sim.set_profiler(prof);
+            let ping = PingConfig::new(tb.server_ip(), k, SimDuration::from_secs(1));
+            let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
+            let app = install_tool(phone, class.tool, am, ping, &reg);
+            drop(setup);
+            {
+                let _des = prof.phase("des");
+                tb.run_until(horizon);
+            }
+            fold = prof.phase("fold");
+            let records = tool_records(tb.sim.node::<PhoneNode>(tb.phone), class.tool, app);
+            // No sniffers on the bearer: dn/overhead stay empty.
+            harvest(&mut partial, &records, None);
+        }
+    }
+    partial.obs = reg.snapshot();
+    drop(fold);
+    partial
 }
 
-/// [`run_device_prof`] with an explicit event-queue backend. The
-/// partial is byte-identical across backends (the scheduler contract —
-/// see ARCHITECTURE.md § Scheduler).
-pub fn run_device_with(
-    spec: &CampaignSpec,
-    index: u64,
-    prof: &obs::Profiler,
-    queue: QueueKind,
-) -> DevicePartial {
-    run_device_opts(
-        spec,
-        index,
-        prof,
-        ShardOptions {
-            queue,
-            ..ShardOptions::default()
-        },
-    )
-}
-
-/// [`run_device_prof`] with full [`ShardOptions`]. The partial is
-/// byte-identical across every option combination.
-pub fn run_device_opts(
-    spec: &CampaignSpec,
-    index: u64,
-    prof: &obs::Profiler,
-    opts: ShardOptions,
-) -> DevicePartial {
-    let mut sim = DeviceSim::new(spec, index, prof, opts);
-    sim.run_until(SimTime::ZERO + spec.horizon);
-    sim.finish()
-}
-
-/// Which testbed flavour a [`DeviceSim`] drives.
-enum Rig {
-    Wifi(Testbed),
-    Cell(CellTestbed),
-}
-
-/// One device's simulation, resumable in slices of simulated time.
-///
-/// This is [`run_device`] split into its phases so the multiplex
-/// driver can interleave many cheap devices on one worker:
-/// construction is the `setup` profiler phase, each [`run_until`]
-/// slice is a `des` phase, and [`finish`] advances to the horizon and
-/// folds the `fold` phase. Because the engine's `run_until` advances
-/// telemetry by exact deltas, a device run in any sequence of slices
-/// produces a [`DevicePartial`] byte-identical to a single
-/// full-horizon run.
-///
-/// [`run_until`]: DeviceSim::run_until
-/// [`finish`]: DeviceSim::finish
-pub(crate) struct DeviceSim {
-    rig: Rig,
-    app: usize,
+/// Install the stratum's measurement tool on `phone` and attach its
+/// telemetry to `reg`; returns the app index.
+fn install_tool(
+    phone: &mut PhoneNode,
     tool: Tool,
-    reg: Registry,
-    partial: DevicePartial,
-    horizon: SimTime,
-    prof: obs::Profiler,
+    am: AcuteMonConfig,
+    ping: PingConfig,
+    reg: &Registry,
+) -> usize {
+    match tool {
+        Tool::AcuteMon => {
+            let idx = phone.install_app(Box::new(AcuteMonApp::new(am)), RuntimeKind::Native);
+            phone.app_mut::<AcuteMonApp>(idx).attach_metrics(reg);
+            idx
+        }
+        Tool::SparsePing => {
+            let idx = phone.install_app(Box::new(PingApp::new(ping)), RuntimeKind::Native);
+            phone.app_mut::<PingApp>(idx).attach_metrics(reg);
+            idx
+        }
+    }
 }
 
-impl DeviceSim {
-    /// Build the testbed and app for device `index` (the `setup`
-    /// profiler phase).
-    pub(crate) fn new(
-        spec: &CampaignSpec,
-        index: u64,
-        prof: &obs::Profiler,
-        opts: ShardOptions,
-    ) -> DeviceSim {
-        let class_idx = spec.class_of(index);
-        let class = &spec.classes[class_idx];
-        let partial = empty_partial(index, class_idx);
-        let seed = spec.device_seed(index);
-        let k = spec.probes_per_device;
-        let _setup = prof.phase("setup");
-
-        let mut profile = class.profile.clone();
-        if let Some(ticks) = class.sdio_idletime {
-            profile.bus.idletime = ticks;
-        }
-        if let Some(tip) = class.tip_ms {
-            profile.psm_timeout = LatencyDist::fixed(tip);
-        }
-        // Population knobs drawn once per device, all pure in (spec, index):
-        // its path RTT from the stratum's distribution, whether its
-        // time-of-day puts it in the diurnal busy window, and its §4.2.2
-        // (dpre, db) calibration grid point.
-        let path_rtt_ms = spec.path_rtt_of(index);
-        let cross_traffic = spec.cross_traffic_of(index);
-        let calibration = spec.calibration_of(index);
-        let reg = Registry::new();
-
-        let (rig, app) = match class.radio {
-            Radio::Wifi => {
-                let mut cfg = TestbedConfig::new(seed, profile, path_rtt_ms).with_queue(opts.queue);
-                // One lossless sniffer: full dn coverage at minimum cost.
-                cfg.sniffers = 1;
-                cfg.sniffer_loss = 0.0;
-                // Campaign analysis only ever queries probe packets, so
-                // the sniffer skips cross-traffic data frames — on a
-                // congested device that is one delivery per blaster
-                // datagram it no longer pays for.
-                cfg.sniffer_capture_cross = false;
-                cfg.cross_per_packet = opts.cross_per_packet;
-                cfg.listen_interval_override = class.listen_interval;
-                if let Some(ms) = class.beacon_interval_ms {
-                    cfg = cfg.with_beacon_interval(SimDuration::from_ms_f64(ms));
-                }
-                if let Some(plan) = class.faults.clone() {
-                    cfg = cfg.with_wifi_faults(plan.with_seed(spec.fault_seed(index)));
-                }
-                if cross_traffic {
-                    cfg.cross_traffic = true;
-                    // Busy the whole session: the schedule models *which*
-                    // devices contend, not an in-session on/off pattern.
-                    cfg.cross_stop = SimTime::ZERO + spec.horizon;
-                }
-                let mut tb = Testbed::build(cfg);
-                tb.attach_metrics(&reg);
-                tb.sim.set_profiler(prof);
-                let app = match class.tool {
-                    Tool::AcuteMon => {
-                        let mut am = acutemon::AcuteMonConfig::new(addr::SERVER, k);
-                        if let Some((dpre_ms, db_ms)) = calibration {
-                            am.dpre = SimDuration::from_ms_f64(dpre_ms);
-                            am.db = SimDuration::from_ms_f64(db_ms);
-                        }
-                        if class.faults.is_some() {
-                            // Lossy stratum: bounded retries with a short
-                            // timeout, as the fault sweep does.
-                            am = am
-                                .with_retries(3)
-                                .with_retry_backoff(SimDuration::from_millis(30));
-                            am.probe_timeout = SimDuration::from_millis(300);
-                        }
-                        let idx = tb.install_app(
-                            Box::new(acutemon::AcuteMonApp::new(am)),
-                            RuntimeKind::Native,
-                        );
-                        tb.app_mut::<acutemon::AcuteMonApp>(idx)
-                            .attach_metrics(&reg);
-                        idx
-                    }
-                    Tool::SparsePing => {
-                        let cfg = PingConfig::new(addr::SERVER, k, SimDuration::from_secs(1));
-                        let idx = tb.install_app(Box::new(PingApp::new(cfg)), RuntimeKind::Native);
-                        tb.app_mut::<PingApp>(idx).attach_metrics(&reg);
-                        idx
-                    }
-                };
-                (Rig::Wifi(tb), app)
-            }
-            Radio::Lte | Radio::Umts => {
-                let mut cfg = match class.radio {
-                    Radio::Lte => CellTestbedConfig::lte(seed, profile, path_rtt_ms),
-                    _ => CellTestbedConfig::umts(seed, profile, path_rtt_ms),
-                };
-                cfg = cfg.with_queue(opts.queue);
-                if let Some(plan) = class.faults.clone() {
-                    cfg = cfg.with_bearer_faults(plan.with_seed(spec.fault_seed(index)));
-                }
-                let mut am_cfg = cfg.acutemon_profile(k);
-                if let Some((dpre_ms, db_ms)) = calibration {
-                    am_cfg.dpre = SimDuration::from_ms_f64(dpre_ms);
-                    am_cfg.db = SimDuration::from_ms_f64(db_ms);
-                }
-                let mut tb = CellTestbed::build(cfg);
-                tb.sim.set_metrics(&reg);
-                tb.sim.set_profiler(prof);
-                let app = match class.tool {
-                    Tool::AcuteMon => {
-                        let idx = tb.install_app(
-                            Box::new(acutemon::AcuteMonApp::new(am_cfg)),
-                            RuntimeKind::Native,
-                        );
-                        tb.sim
-                            .node_mut::<phone::PhoneNode>(tb.phone)
-                            .app_mut::<acutemon::AcuteMonApp>(idx)
-                            .attach_metrics(&reg);
-                        idx
-                    }
-                    Tool::SparsePing => {
-                        let ping = PingConfig::new(tb.server_ip(), k, SimDuration::from_secs(1));
-                        let idx = tb.install_app(Box::new(PingApp::new(ping)), RuntimeKind::Native);
-                        tb.sim
-                            .node_mut::<phone::PhoneNode>(tb.phone)
-                            .app_mut::<PingApp>(idx)
-                            .attach_metrics(&reg);
-                        idx
-                    }
-                };
-                (Rig::Cell(tb), app)
-            }
-        };
-        DeviceSim {
-            rig,
-            app,
-            tool: class.tool,
-            reg,
-            partial,
-            horizon: SimTime::ZERO + spec.horizon,
-            prof: prof.clone(),
-        }
-    }
-
-    /// Timestamp of this device's next pending event, if any.
-    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
-        match &mut self.rig {
-            Rig::Wifi(tb) => tb.sim.peek_time(),
-            Rig::Cell(tb) => tb.sim.peek_time(),
-        }
-    }
-
-    /// Run every event up to `deadline` (clamped to the horizon) and
-    /// advance the clock there.
-    pub(crate) fn run_until(&mut self, deadline: SimTime) {
-        let deadline = deadline.min(self.horizon);
-        let _des = self.prof.phase("des");
-        match &mut self.rig {
-            Rig::Wifi(tb) => tb.run_until(deadline),
-            Rig::Cell(tb) => tb.run_until(deadline),
-        }
-    }
-
-    /// Advance to the horizon, harvest the records, and fold the
-    /// device's partial (the `fold` profiler phase).
-    pub(crate) fn finish(mut self) -> DevicePartial {
-        self.run_until(self.horizon);
-        let _fold = self.prof.phase("fold");
-        let mut partial = self.partial;
-        match self.rig {
-            Rig::Wifi(tb) => {
-                let capture = tb.capture_index();
-                let records: Vec<RttRecord> = match self.tool {
-                    Tool::AcuteMon => tb.app::<acutemon::AcuteMonApp>(self.app).records.clone(),
-                    Tool::SparsePing => tb.app::<PingApp>(self.app).records.clone(),
-                };
-                let bds = breakdowns(&records, tb.phone_node().ledger(), &capture);
-                harvest(&mut partial, &records, Some(&bds));
-            }
-            Rig::Cell(tb) => {
-                let records: Vec<RttRecord> = match self.tool {
-                    Tool::AcuteMon => tb.app::<acutemon::AcuteMonApp>(self.app).records.clone(),
-                    Tool::SparsePing => tb.app::<PingApp>(self.app).records.clone(),
-                };
-                // No sniffers on the bearer: dn/overhead stay empty.
-                harvest(&mut partial, &records, None);
-            }
-        }
-        partial.obs = self.reg.snapshot();
-        strip_engine_metrics(&mut partial.obs);
-        partial
+/// The probe records the tool at `app` collected.
+fn tool_records(phone: &PhoneNode, tool: Tool, app: usize) -> Vec<RttRecord> {
+    match tool {
+        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).records.clone(),
+        Tool::SparsePing => phone.app::<PingApp>(app).records.clone(),
     }
 }
 

@@ -4,14 +4,9 @@
 //!    partials (not just synthetic streams — those live in `am_stats`);
 //! 2. the merged campaign JSON is byte-identical for 1 vs. 8 workers;
 //! 3. collector memory stays bounded by in-flight work, independent of
-//!    probe count;
-//! 4. neither the event-queue backend (heap vs. timer wheel vs. the
-//!    boxed-payload oracle) nor device multiplexing leaks into the
-//!    campaign JSON;
-//! 5. the batched cross-traffic fast path produces the same campaign
-//!    JSON as the per-packet reference path.
+//!    probe count.
 
-use fleet::{run_campaign, run_campaign_opts, run_device, CampaignSpec, RunOptions};
+use fleet::{run_campaign, run_device, CampaignSpec};
 use obs::ToJson;
 
 /// xorshift64* — a tiny deterministic shuffler for the property tests.
@@ -96,104 +91,6 @@ fn campaign_json_is_byte_identical_for_1_vs_8_workers() {
     // And the report actually has content to disagree about.
     assert!(one.du_all.len() >= 80, "du_all {}", one.du_all.len());
     assert!(!one.obs.is_empty());
-}
-
-#[test]
-fn campaign_json_is_byte_identical_across_queue_backends() {
-    // A 200-device heterogeneous fleet (every stratum: WiFi + cellular,
-    // AcuteMon + sparse ping, faulty + clean) run once on the
-    // BinaryHeap scheduler and once on the timer wheel. The scheduler
-    // contract (ARCHITECTURE.md § Scheduler) says the two pop events in
-    // exactly the same (at, seq) order — so every sketch, counter, and
-    // reservoir in the merged report must agree byte for byte.
-    let spec = CampaignSpec::heterogeneous(2016, 200).with_probes(1);
-    let heap = RunOptions {
-        queue: simcore::QueueKind::Heap,
-        ..RunOptions::default()
-    };
-    let wheel = RunOptions {
-        queue: simcore::QueueKind::Wheel,
-        ..RunOptions::default()
-    };
-    let (a, _) = run_campaign_opts(&spec, 1, &heap);
-    let (b, _) = run_campaign_opts(&spec, 4, &wheel);
-    assert_eq!(
-        a.expect("no halt").to_json().to_string_pretty(),
-        b.expect("no halt").to_json().to_string_pretty(),
-        "queue backend leaked into the merged report"
-    );
-}
-
-#[test]
-fn campaign_json_is_byte_identical_for_boxed_oracle() {
-    // The boxed-payload queue re-boxes every event on push and unboxes
-    // it on pop — the allocation pattern the arena discipline deleted.
-    // It exists purely as an oracle: same (at, seq) pop order, so the
-    // same campaign bytes.
-    let spec = CampaignSpec::heterogeneous(2016, 64).with_probes(1);
-    let wheel = RunOptions::default();
-    let boxed = RunOptions {
-        queue: simcore::QueueKind::Boxed,
-        ..RunOptions::default()
-    };
-    let (a, _) = run_campaign_opts(&spec, 2, &wheel);
-    let (b, _) = run_campaign_opts(&spec, 2, &boxed);
-    assert_eq!(
-        a.expect("no halt").to_json().to_string_pretty(),
-        b.expect("no halt").to_json().to_string_pretty(),
-        "boxed oracle diverged from the arena path"
-    );
-}
-
-#[test]
-fn campaign_json_is_byte_identical_for_batched_cross_traffic() {
-    // A 200-device fleet whose diurnal schedule puts a slice of the
-    // population under cross traffic, run once with the per-packet
-    // reference blaster and once with the batched fast path. The
-    // batched path emits the identical packet stream with far fewer
-    // engine events, so the merged report must agree byte for byte.
-    let spec = CampaignSpec::heterogeneous(2016, 200).with_probes(1);
-    let busy = (0..spec.devices)
-        .filter(|&i| spec.cross_traffic_of(i))
-        .count();
-    assert!(busy > 0, "population has no cross-traffic devices");
-    let per_packet = RunOptions {
-        cross_per_packet: true,
-        ..RunOptions::default()
-    };
-    let batched = RunOptions::default(); // batched is the default
-    let (a, _) = run_campaign_opts(&spec, 2, &per_packet);
-    let (b, _) = run_campaign_opts(&spec, 2, &batched);
-    assert_eq!(
-        a.expect("no halt").to_json().to_string_pretty(),
-        b.expect("no halt").to_json().to_string_pretty(),
-        "batched cross traffic leaked into the merged report ({busy} busy devices)"
-    );
-}
-
-#[test]
-fn multiplexed_campaign_report_is_byte_identical() {
-    // Per-device dispatch vs. groups of 8 devices interleaved on each
-    // worker by next-event time: the same bytes must come out, and the
-    // reorder buffer must respect the M-scaled backpressure window.
-    let spec = CampaignSpec::heterogeneous(41, 48).with_probes(1);
-    let (plain, _) = run_campaign(&spec, 2);
-    let opts = RunOptions {
-        multiplex: Some(8),
-        ..RunOptions::default()
-    };
-    let (muxed, stats) = run_campaign_opts(&spec, 2, &opts);
-    assert_eq!(
-        plain.to_json().to_string_pretty(),
-        muxed.expect("no halt").to_json().to_string_pretty(),
-        "multiplexing leaked into the merged report"
-    );
-    let window = (2 * 2 + 4) * 8;
-    assert!(
-        stats.reorder_peak <= window,
-        "reorder peak {} exceeds the multiplex window {window}",
-        stats.reorder_peak
-    );
 }
 
 #[test]

@@ -29,16 +29,6 @@ pub struct LoadConfig {
     pub start: SimTime,
     /// When to stop.
     pub stop: SimTime,
-    /// Emission scheduling: `true` drives every datagram off its own
-    /// per-flow timer (one timer dispatch per packet — the reference
-    /// path); `false` uses the batched fast path, where a single timer
-    /// fires once per gap period and schedules the whole period's
-    /// datagrams (all flows) at their exact per-packet instants via
-    /// `send_at`. Packet ids, emission times, and emission order are
-    /// identical; the batched path just spends one timer dispatch per
-    /// period instead of one per packet. Campaign byte-identity between
-    /// the two is asserted by the fleet equivalence tests and CI.
-    pub per_packet: bool,
 }
 
 impl LoadConfig {
@@ -54,20 +44,19 @@ impl LoadConfig {
             payload: 1470,
             start: SimTime::ZERO,
             stop,
-            per_packet: true,
         }
-    }
-
-    /// Switch to the batched emission fast path (see
-    /// [`LoadConfig::per_packet`]).
-    pub fn batched(mut self) -> LoadConfig {
-        self.per_packet = false;
-        self
     }
 }
 
 /// The blaster node: emits `Msg::Wire` packets to its NIC (`via`, usually
 /// a CAM-mode `phy80211::StaMacNode`) on a CBR schedule per flow.
+///
+/// Emission is batched: a single timer fires once per gap period and
+/// schedules the whole period's datagrams (all flows) at their exact
+/// per-packet instants via `send_at`. Packet ids, emission times and
+/// emission order are those of one timer per datagram — the unit tests
+/// pin that against a per-packet reference emitter — at one timer
+/// dispatch per period instead of one per packet.
 pub struct UdpBlasterNode {
     cfg: LoadConfig,
     via: NodeId,
@@ -103,7 +92,7 @@ impl UdpBlasterNode {
     /// across one gap so the aggregate is a smooth CBR rather than
     /// synchronized bursts). Offsets are distinct, so two flows never
     /// emit at the same nanosecond — which is what lets the batched
-    /// path reproduce the per-packet emission order exactly.
+    /// emission reproduce the per-packet emission order exactly.
     fn offset(&self, flow: u32) -> SimDuration {
         SimDuration::from_nanos(
             self.gap().as_nanos() * u64::from(flow) / u64::from(self.cfg.flows.max(1)),
@@ -126,16 +115,10 @@ impl UdpBlasterNode {
         }
     }
 
-    fn emit(&mut self, ctx: &mut Ctx<'_, Msg>, flow: u32) {
-        let packet = self.next_packet(flow);
-        ctx.send(self.via, SimDuration::ZERO, Msg::Wire(packet));
-    }
-
-    /// Batched fast path: called once per gap period at the period
-    /// start; schedules every flow's datagram for this period at its
-    /// exact per-packet instant. Flow offsets ascend, so ids are
-    /// assigned in emission-time order — the same id↔packet mapping
-    /// the per-packet path produces.
+    /// Called once per gap period at the period start; schedules every
+    /// flow's datagram for this period at its exact per-packet instant.
+    /// Flow offsets ascend, so ids are assigned in emission-time order —
+    /// the same id↔packet mapping one timer per datagram produces.
     fn emit_period(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let period_start = ctx.now();
         for flow in 0..self.cfg.flows {
@@ -151,17 +134,9 @@ impl UdpBlasterNode {
 
 impl Node<Msg> for UdpBlasterNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.cfg.per_packet {
-            for flow in 0..self.cfg.flows {
-                let first = self.cfg.start + self.offset(flow);
-                let delay = first.saturating_since(ctx.now());
-                ctx.set_timer(delay, u64::from(flow));
-            }
-        } else {
-            // Batched: one timer per gap period, firing at period start.
-            let delay = self.cfg.start.saturating_since(ctx.now());
-            ctx.set_timer(delay, 0);
-        }
+        // One timer per gap period, firing at period start.
+        let delay = self.cfg.start.saturating_since(ctx.now());
+        ctx.set_timer(delay, 0);
     }
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {
@@ -173,11 +148,7 @@ impl Node<Msg> for UdpBlasterNode {
             return;
         }
         let gap = self.gap();
-        if self.cfg.per_packet {
-            self.emit(ctx, tag as u32);
-        } else {
-            self.emit_period(ctx);
-        }
+        self.emit_period(ctx);
         ctx.set_timer(gap, tag);
     }
 }
@@ -250,6 +221,32 @@ mod tests {
         assert!(c.n > 0);
     }
 
+    /// The reference emitter: every datagram off its own per-flow timer
+    /// (one timer dispatch per packet), built from the blaster's own
+    /// gap, offsets and packet factory.
+    struct PerPacketBlaster(UdpBlasterNode);
+
+    impl Node<Msg> for PerPacketBlaster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            for flow in 0..self.0.cfg.flows {
+                let first = self.0.cfg.start + self.0.offset(flow);
+                let delay = first.saturating_since(ctx.now());
+                ctx.set_timer(delay, u64::from(flow));
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: NodeId, _msg: Msg) {}
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, tag: u64) {
+            if ctx.now() >= self.0.cfg.stop {
+                return;
+            }
+            let packet = self.0.next_packet(tag as u32);
+            ctx.send(self.0.via, SimDuration::ZERO, Msg::Wire(packet));
+            ctx.set_timer(self.0.gap(), tag);
+        }
+    }
+
     /// Record of everything a sink can observe about an emission.
     fn observed(per_packet: bool, start_ms: u64, stop_ms: u64) -> Vec<(SimTime, u64, u16, u64)> {
         struct Recorder {
@@ -275,15 +272,19 @@ mod tests {
             SimTime::from_millis(stop_ms),
         );
         cfg.start = SimTime::from_millis(start_ms);
-        cfg.per_packet = per_packet;
-        sim.add_node(Box::new(UdpBlasterNode::new(60, cfg, sink)));
+        let blaster = UdpBlasterNode::new(60, cfg, sink);
+        if per_packet {
+            sim.add_node(Box::new(PerPacketBlaster(blaster)));
+        } else {
+            sim.add_node(Box::new(blaster));
+        }
         sim.run_until(SimTime::from_secs(10));
         sim.node::<Recorder>(sink).seen.clone()
     }
 
     #[test]
     fn batched_emissions_are_identical_to_per_packet() {
-        // The batched path must reproduce the per-packet emission
+        // Batched emission must reproduce the per-packet emission
         // process exactly: same instants, same packet ids, same flow
         // (src port) order — including around start/stop edges.
         for (start_ms, stop_ms) in [(0, 200), (50, 103), (7, 8)] {

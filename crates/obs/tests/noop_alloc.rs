@@ -3,36 +3,17 @@
 //! path, so instrumentation can stay unconditionally compiled in.
 //!
 //! A counting global allocator makes the check direct: run the hot-path
-//! operations and assert the allocation counter did not move.
+//! operations and assert the allocation counter did not move. The
+//! counts are per thread (`obs::prof::thread_alloc_counts`), so tests
+//! running in parallel on other threads cannot leak into them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use obs::prof::{thread_alloc_counts, CountingAlloc};
 
 #[global_allocator]
 static A: CountingAlloc = CountingAlloc;
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    thread_alloc_counts().0
 }
 
 #[test]

@@ -29,8 +29,7 @@
 //!   immediately but leaves the slot tombstoned until the queue record
 //!   that owns it surfaces in pop order. Exactly one record per slot is
 //!   ever in flight, so the scheduler never needs to search for a
-//!   cancelled record — it reaps tombstones as they reach the front, at
-//!   the same point in both queue backends.
+//!   cancelled record — it reaps tombstones as they reach the front.
 //!
 //! Ownership rule of thumb: the **arena owns payloads, handles name
 //! them**. A handle is a claim ticket, not a reference — holding one

@@ -15,7 +15,7 @@ use std::any::Any;
 use obs::{Counter, Gauge, Registry};
 
 use crate::rng::DetRng;
-use crate::sched::{EventHandle, EventQueue, Queue, QueueKind};
+use crate::sched::{EventHandle, HeapQueue};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Trace;
 
@@ -119,7 +119,7 @@ enum Entry<M> {
 
 struct Inner<M> {
     now: SimTime,
-    queue: Queue<Entry<M>>,
+    queue: HeapQueue<Entry<M>>,
     rng: DetRng,
     trace: Trace,
     tracer: obs::Tracer,
@@ -244,22 +244,13 @@ pub struct Sim<M> {
 }
 
 impl<M: 'static> Sim<M> {
-    /// Create an empty simulation with the given RNG seed and the
-    /// default event-queue backend ([`QueueKind::Wheel`]).
+    /// Create an empty simulation with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Sim::new_with_queue(seed, QueueKind::default())
-    }
-
-    /// Create an empty simulation with an explicit event-queue
-    /// backend. Both backends pop in identical `(at, seq)` order, so
-    /// runs are byte-identical across backends; `Wheel` is O(1)
-    /// amortized where `Heap` pays O(log n) per operation.
-    pub fn new_with_queue(seed: u64, queue: QueueKind) -> Self {
         Sim {
             nodes: Vec::new(),
             inner: Inner {
                 now: SimTime::ZERO,
-                queue: Queue::new(queue),
+                queue: HeapQueue::new(),
                 rng: DetRng::new(seed),
                 trace: Trace::disabled(),
                 tracer: obs::Tracer::disabled(),
@@ -271,11 +262,6 @@ impl<M: 'static> Sim<M> {
             },
             started: false,
         }
-    }
-
-    /// Which event-queue backend this simulation runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.inner.queue.kind()
     }
 
     /// Install a trace sink (replacing the default disabled one).
@@ -509,8 +495,7 @@ impl<M: 'static> Sim<M> {
     }
 
     /// Timestamp of the next live (non-cancelled) event. Reaps any
-    /// tombstoned timers off the front so the peek is accurate in
-    /// either backend.
+    /// tombstoned timers off the front so the peek is accurate.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.inner.queue.peek_time()
     }

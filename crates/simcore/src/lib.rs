@@ -10,10 +10,8 @@
 //!   drift, total ordering, bit-identical reruns.
 //! * **Deterministic event list** ([`Sim`]): ties at equal timestamps break
 //!   by insertion sequence.
-//! * **Interchangeable event-queue backends** ([`QueueKind`]): a
-//!   hierarchical timer wheel (default, O(1) amortized), the reference
-//!   binary heap, and a boxed-payload oracle, all popping in
-//!   byte-identical `(at, seq)` order — see [`sched`].
+//! * **One event queue** ([`sched::HeapQueue`]): a binary heap of
+//!   `(at, seq, handle)` records popping in strict `(at, seq)` order.
 //! * **Arena-resident payloads** ([`arena`]): event payloads live inline
 //!   in generational slots; the dispatch hot path moves `Copy` records
 //!   and handles, never boxes, and allocates nothing at steady state.
@@ -58,6 +56,5 @@ mod trace;
 pub use arena::{EventArena, EventHandle};
 pub use engine::{AsAny, Ctx, Node, NodeId, Sim, TimerId};
 pub use rng::{DetRng, LatencyDist};
-pub use sched::QueueKind;
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEvent};

@@ -1,114 +1,26 @@
 //! # sched — the event-scheduling core
 //!
-//! Interchangeable future-event-list backends behind one
-//! [`EventQueue`] trait, all storing payloads in the generational
-//! [`EventArena`] (see [`crate::arena`]):
+//! One future-event list, [`HeapQueue`]: a `BinaryHeap` of 24-byte
+//! `(at, seq, handle)` records over the generational [`EventArena`]
+//! that holds the payloads (see [`crate::arena`]).
 //!
-//! * [`HeapQueue`] — the classic `BinaryHeap` min-(at, seq) ordering,
-//!   kept as the reference implementation and parity oracle.
-//! * [`WheelQueue`] — a hierarchical timer wheel (4 levels × 64 slots,
-//!   2¹² ns = 4.096 µs granularity, `BTreeMap` overflow for far-future
-//!   events) with O(1) amortized push and pop.
-//! * [`BoxedQueue`] — the heap oracle with every payload heap-boxed:
-//!   the pre-arena representation, kept as a **test-only oracle** so
-//!   the zero-allocation dispatch path can be proven byte-identical to
-//!   the boxed path it replaced.
-//!
-//! All backends implement the **same ordering contract**: events pop
-//! in strictly ascending `(at, seq)` order, where `seq` is the global
-//! insertion sequence number. Cancelled events are tombstoned in the
-//! arena and reaped lazily when their record surfaces, at the same
-//! point in the pop order in every backend, so queue-depth telemetry
-//! and every campaign JSON byte downstream are backend-independent.
-//! See ARCHITECTURE.md § Scheduler for the ordering argument.
+//! **Ordering contract**: events pop in strictly ascending `(at, seq)`
+//! order, where `seq` is the global insertion sequence number, so ties
+//! at equal timestamps pop first-in first-out. Cancelled events are
+//! tombstoned in the arena and reaped lazily when their record reaches
+//! the front, so queue-depth telemetry and every campaign JSON byte
+//! downstream depend only on the push/pop/cancel sequence. See
+//! ARCHITECTURE.md § The scheduler for why one heap is the right queue
+//! for fresh, shallow per-device simulations.
 
-use std::collections::{BTreeMap, BinaryHeap};
-use std::str::FromStr;
+use std::collections::BinaryHeap;
 
 pub use crate::arena::{EventArena, EventHandle};
 use crate::time::SimTime;
 
-/// Which future-event-list backend a simulation uses.
-///
-/// Every backend produces byte-identical pop order (and therefore
-/// byte-identical campaign JSON); `Wheel` is the default because its
-/// push/pop are O(1) amortized instead of O(log n).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// `BinaryHeap` min-heap on `(at, seq)` — the reference backend.
-    Heap,
-    /// Hierarchical timer wheel with far-future overflow — the fast
-    /// backend, default since parity with the heap is property-tested.
-    #[default]
-    Wheel,
-    /// The heap oracle with heap-boxed payloads — the pre-arena
-    /// representation, kept so tests (and `repro profile`) can compare
-    /// the allocation-free dispatch path against the boxed path it
-    /// replaced. Never the right choice outside that comparison.
-    Boxed,
-}
-
-impl FromStr for QueueKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" => Ok(QueueKind::Heap),
-            "wheel" => Ok(QueueKind::Wheel),
-            "boxed" => Ok(QueueKind::Boxed),
-            other => Err(format!(
-                "unknown queue backend {other:?} (heap|wheel|boxed)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Wheel => "wheel",
-            QueueKind::Boxed => "boxed",
-        })
-    }
-}
-
-/// The future-event-list contract shared by both backends.
-///
-/// Ordering: `pop` yields events in ascending `(at, seq)` where `seq`
-/// is the insertion order; tombstoned (cancelled) events are reaped —
-/// removed without being returned — exactly when their record reaches
-/// the front. `len` counts records still in the structure, including
-/// tombstones not yet reaped, matching what the heap's raw length
-/// reported historically (the `sim.queue_depth` gauges depend on it).
-pub trait EventQueue<T> {
-    /// Schedule `payload` at `at`; later pushes at the same `at` pop
-    /// later. Returns a handle usable with [`EventQueue::cancel`].
-    fn push(&mut self, at: SimTime, payload: T) -> EventHandle;
-
-    /// Remove and return the earliest live event, reaping any
-    /// tombstones that precede it.
-    fn pop(&mut self) -> Option<(SimTime, T)>;
-
-    /// Timestamp of the earliest live event, reaping any tombstones
-    /// that precede it.
-    fn peek_time(&mut self) -> Option<SimTime>;
-
-    /// Tombstone a pending event. Returns `true` if it was live
-    /// (stale handles and double-cancels return `false`).
-    fn cancel(&mut self, h: EventHandle) -> bool;
-
-    /// Records in the structure, including unreaped tombstones.
-    fn len(&self) -> usize;
-
-    /// Whether the structure holds no records at all.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// A queue record: everything ordering needs, payload left in the
-/// arena. `Copy`, 24 bytes — moving one between wheel levels is a
-/// memcpy, not an allocation.
+/// arena. `Copy`, 24 bytes — sifting one through the heap is a memcpy,
+/// not an allocation.
 #[derive(Clone, Copy)]
 struct Rec {
     at: SimTime,
@@ -122,31 +34,30 @@ impl Rec {
     }
 }
 
-/// Reference backend: `BinaryHeap` min-ordered on `(at, seq)`.
-pub struct HeapQueue<T> {
-    heap: BinaryHeap<HeapRec>,
-    arena: EventArena<T>,
-    seq: u64,
-}
-
-/// Newtype so the max-`BinaryHeap` orders as a min-heap on `(at, seq)`.
-struct HeapRec(Rec);
-
-impl PartialEq for HeapRec {
+impl PartialEq for Rec {
     fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
+        self.key() == other.key()
     }
 }
-impl Eq for HeapRec {}
-impl PartialOrd for HeapRec {
+impl Eq for Rec {}
+impl PartialOrd for Rec {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapRec {
+/// Reversed so the max-`BinaryHeap` orders as a min-heap on `(at, seq)`.
+impl Ord for Rec {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.key().cmp(&self.0.key())
+        other.key().cmp(&self.key())
     }
+}
+
+/// The future event list: a `BinaryHeap` min-ordered on `(at, seq)`,
+/// payloads inline in an [`EventArena`].
+pub struct HeapQueue<T> {
+    heap: BinaryHeap<Rec>,
+    arena: EventArena<T>,
+    seq: u64,
 }
 
 impl<T> Default for HeapQueue<T> {
@@ -156,7 +67,7 @@ impl<T> Default for HeapQueue<T> {
 }
 
 impl<T> HeapQueue<T> {
-    /// An empty heap-backed queue.
+    /// An empty queue.
     pub fn new() -> HeapQueue<T> {
         HeapQueue {
             heap: BinaryHeap::new(),
@@ -164,19 +75,21 @@ impl<T> HeapQueue<T> {
             seq: 0,
         }
     }
-}
 
-impl<T> EventQueue<T> for HeapQueue<T> {
-    fn push(&mut self, at: SimTime, payload: T) -> EventHandle {
+    /// Schedule `payload` at `at`; later pushes at the same `at` pop
+    /// later. Returns a handle usable with [`HeapQueue::cancel`].
+    pub fn push(&mut self, at: SimTime, payload: T) -> EventHandle {
         let handle = self.arena.insert(payload);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(HeapRec(Rec { at, seq, handle }));
+        self.heap.push(Rec { at, seq, handle });
         handle
     }
 
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some(HeapRec(rec)) = self.heap.pop() {
+    /// Remove and return the earliest live event, reaping any
+    /// tombstones that precede it.
+    pub fn pop(&mut self) -> Option<(SimTime, T)> {
+        while let Some(rec) = self.heap.pop() {
             if let Some(payload) = self.arena.take(rec.handle) {
                 return Some((rec.at, payload));
             }
@@ -184,401 +97,34 @@ impl<T> EventQueue<T> for HeapQueue<T> {
         None
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(HeapRec(rec)) = self.heap.peek() {
+    /// Timestamp of the earliest live event, reaping any tombstones
+    /// that precede it.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(rec) = self.heap.peek() {
             if self.arena.is_live(rec.handle) {
                 return Some(rec.at);
             }
-            let HeapRec(rec) = self.heap.pop().expect("peeked entry exists");
+            let rec = self.heap.pop().expect("peeked entry exists");
             self.arena.take(rec.handle);
         }
         None
     }
 
-    fn cancel(&mut self, h: EventHandle) -> bool {
+    /// Tombstone a pending event. Returns `true` if it was live
+    /// (stale handles and double-cancels return `false`).
+    pub fn cancel(&mut self, h: EventHandle) -> bool {
         self.arena.cancel(h)
     }
 
-    fn len(&self) -> usize {
+    /// Records in the heap, including tombstones not yet reaped (the
+    /// `sim.queue_depth` gauges report this).
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
-}
 
-/// The boxed-payload oracle: [`HeapQueue`] with every payload behind a
-/// `Box` — one heap allocation on push, one free on pop, exactly the
-/// per-event cost profile the inline arena eliminated.
-///
-/// This backend exists to keep the old representation *runnable*: the
-/// byte-identity tests run the same campaign through [`WheelQueue`]
-/// (payloads inline in the arena) and `BoxedQueue` and assert the JSON
-/// matches, proving the arena changed where payloads live and nothing
-/// else. `repro profile --queue boxed` uses it to measure what
-/// per-event boxing costs.
-pub struct BoxedQueue<T> {
-    inner: HeapQueue<Box<T>>,
-}
-
-impl<T> Default for BoxedQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BoxedQueue<T> {
-    /// An empty boxed-payload queue.
-    pub fn new() -> BoxedQueue<T> {
-        BoxedQueue {
-            inner: HeapQueue::new(),
-        }
-    }
-}
-
-impl<T> EventQueue<T> for BoxedQueue<T> {
-    fn push(&mut self, at: SimTime, payload: T) -> EventHandle {
-        self.inner.push(at, Box::new(payload))
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.inner.pop().map(|(at, boxed)| (at, *boxed))
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.inner.peek_time()
-    }
-
-    fn cancel(&mut self, h: EventHandle) -> bool {
-        self.inner.cancel(h)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-/// log2 of the slot count per wheel level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels. Level `l` spans `64^(l+1)` ticks; four levels cover
-/// `64^4` ticks ≈ 68.7 s of simulated time at 4.096 µs granularity.
-const LEVELS: usize = 4;
-/// log2 of the tick granularity in nanoseconds: one tick = 4.096 µs.
-/// Fine enough that sub-tick delays (SDIO bus sleeps are ≥ tens of µs)
-/// rarely share a bucket; coarse enough that a 12 s device horizon
-/// fits in the wheel without touching overflow.
-const GRAN_BITS: u32 = 12;
-
-struct Level {
-    slots: Vec<Vec<Rec>>,
-    /// Bit `s` set ⇔ `slots[s]` non-empty.
-    occupied: u64,
-    /// Emptied bucket `Vec`s from this level, recycled into this
-    /// level's cold slots.
-    ///
-    /// The cursor walks 64 buckets per level and a full lap of the
-    /// coarser levels takes seconds to minutes of simulated time, so
-    /// "warm every bucket once" is not a realistic warm-up. Instead,
-    /// capacity follows the records: a drained bucket's `Vec` parks
-    /// here and the next cold slot on the same level adopts it. Pools
-    /// are per-level because bucket populations are level-homogeneous
-    /// (a coarse bucket covers a 64× longer window and holds ~64× the
-    /// records); one shared pool would keep handing fine-level
-    /// capacities to coarse buckets, which then regrow. With per-level
-    /// recycling a bounded in-flight population stops allocating once
-    /// each touched level's pool reaches its high-water capacity — the
-    /// zero-allocation steady-state contract (see [`crate::arena`]).
-    spare: Vec<Vec<Rec>>,
-}
-
-impl Level {
-    fn new() -> Level {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-            spare: Vec::new(),
-        }
-    }
-}
-
-/// Where the next batch of due records comes from during a refill.
-enum Source {
-    Level(usize, usize),
-    Overflow,
-}
-
-/// Hierarchical-timer-wheel backend.
-///
-/// Records with tick `<= cur_tick` live in `current`, a drain buffer
-/// sorted **descending** by `(at, seq)` so the minimum pops from the
-/// end. Records further out hash into the finest level whose aligned
-/// window contains both the record and the cursor; anything past the
-/// top level's window goes to the `overflow` map keyed by tick.
-/// Refill advances `cur_tick` to the earliest occupied bucket and
-/// cascades coarse buckets down until the due records sit in
-/// `current` — see ARCHITECTURE.md § Scheduler for why this
-/// reproduces exact global `(at, seq)` order.
-pub struct WheelQueue<T> {
-    levels: Vec<Level>,
-    overflow: BTreeMap<u64, Vec<Rec>>,
-    /// Due records (tick `<= cur_tick`), sorted descending by key.
-    current: Vec<Rec>,
-    cur_tick: u64,
-    arena: EventArena<T>,
-    seq: u64,
-    /// Records in the structure (incl. tombstones), kept in lockstep
-    /// with `HeapQueue::len` so depth gauges agree byte-for-byte.
-    len: usize,
-}
-
-impl<T> Default for WheelQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> WheelQueue<T> {
-    /// An empty wheel-backed queue with its cursor at time zero.
-    pub fn new() -> WheelQueue<T> {
-        WheelQueue {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: BTreeMap::new(),
-            current: Vec::new(),
-            cur_tick: 0,
-            arena: EventArena::new(),
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    fn insert_current(&mut self, rec: Rec) {
-        let key = rec.key();
-        let idx = self.current.partition_point(|r| r.key() > key);
-        self.current.insert(idx, rec);
-    }
-
-    /// Place a record in the structure according to the cursor.
-    fn insert_rec(&mut self, rec: Rec) {
-        let tick = rec.at.as_nanos() >> GRAN_BITS;
-        if tick <= self.cur_tick {
-            self.insert_current(rec);
-            return;
-        }
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            let parent_shift = SLOT_BITS * (l as u32 + 1);
-            if tick >> parent_shift == self.cur_tick >> parent_shift {
-                let slot = ((tick >> (SLOT_BITS * l as u32)) & (SLOTS as u64 - 1)) as usize;
-                let bucket = &mut level.slots[slot];
-                // Cold slot: adopt a recycled bucket so steady-state
-                // traffic reuses warm capacity instead of allocating.
-                if bucket.capacity() == 0 {
-                    if let Some(pooled) = level.spare.pop() {
-                        *bucket = pooled;
-                    }
-                }
-                bucket.push(rec);
-                level.occupied |= 1 << slot;
-                return;
-            }
-        }
-        self.overflow.entry(tick).or_default().push(rec);
-    }
-
-    /// The earliest candidate batch across levels and overflow:
-    /// `(window-start tick clamped to the cursor, source)`. Ties
-    /// prefer coarser sources so coarse batches cascade down before a
-    /// fine bucket at the same time drains.
-    fn scan_best(&self) -> Option<(u64, Source)> {
-        let mut best: Option<(u64, Source)> = None;
-        for (l, level) in self.levels.iter().enumerate() {
-            if level.occupied == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * l as u32;
-            let base = self.cur_tick >> shift;
-            let cur_slot = (base & (SLOTS as u64 - 1)) as u32;
-            // Rotate so bit d of `rot` means "slot cur_slot + d".
-            let rot = level.occupied.rotate_right(cur_slot);
-            let d = rot.trailing_zeros() as u64;
-            let slot = ((u64::from(cur_slot) + d) & (SLOTS as u64 - 1)) as usize;
-            let cand = ((base + d) << shift).max(self.cur_tick);
-            if best.as_ref().is_none_or(|(b, _)| cand <= *b) {
-                best = Some((cand, Source::Level(l, slot)));
-            }
-        }
-        if let Some((tick, _)) = self.overflow.first_key_value() {
-            let cand = (*tick).max(self.cur_tick);
-            if best.as_ref().is_none_or(|(b, _)| cand <= *b) {
-                best = Some((cand, Source::Overflow));
-            }
-        }
-        best
-    }
-
-    /// Move records into `current` until it holds every record at the
-    /// earliest pending tick (they may be split across levels and
-    /// overflow, and must merge before popping so `seq` order holds
-    /// within the tick). Returns whether any record is available.
-    fn refill(&mut self) -> bool {
-        loop {
-            let Some((cand, source)) = self.scan_best() else {
-                return !self.current.is_empty();
-            };
-            if !self.current.is_empty() && cand > self.cur_tick {
-                // Everything still shelved is strictly after the
-                // records already in `current`.
-                return true;
-            }
-            self.cur_tick = cand;
-            match source {
-                Source::Level(0, slot) => {
-                    // Due now: drain the whole bucket into `current`
-                    // and park its capacity in the recycling pool.
-                    let mut batch = std::mem::take(&mut self.levels[0].slots[slot]);
-                    self.levels[0].occupied &= !(1 << slot);
-                    self.current.append(&mut batch);
-                    self.levels[0].spare.push(batch);
-                    self.current
-                        .sort_unstable_by_key(|r| std::cmp::Reverse(r.key()));
-                }
-                Source::Level(l, slot) => {
-                    // Cascade: with the cursor inside this bucket's
-                    // window, every record re-hashes at least one
-                    // level finer (or into `current`).
-                    let mut batch = std::mem::take(&mut self.levels[l].slots[slot]);
-                    self.levels[l].occupied &= !(1 << slot);
-                    for rec in batch.drain(..) {
-                        self.insert_rec(rec);
-                    }
-                    self.levels[l].spare.push(batch);
-                }
-                Source::Overflow => {
-                    let (_, batch) = self.overflow.pop_first().expect("scanned entry exists");
-                    for rec in batch {
-                        self.insert_rec(rec);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T> EventQueue<T> for WheelQueue<T> {
-    fn push(&mut self, at: SimTime, payload: T) -> EventHandle {
-        let handle = self.arena.insert(payload);
-        let seq = self.seq;
-        self.seq += 1;
-        self.insert_rec(Rec { at, seq, handle });
-        self.len += 1;
-        handle
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        loop {
-            if self.current.is_empty() && !self.refill() {
-                return None;
-            }
-            let rec = self.current.pop().expect("refill produced a record");
-            self.len -= 1;
-            if let Some(payload) = self.arena.take(rec.handle) {
-                return Some((rec.at, payload));
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        loop {
-            if self.current.is_empty() && !self.refill() {
-                return None;
-            }
-            let rec = *self.current.last().expect("refill produced a record");
-            if self.arena.is_live(rec.handle) {
-                return Some(rec.at);
-            }
-            self.current.pop();
-            self.len -= 1;
-            self.arena.take(rec.handle);
-        }
-    }
-
-    fn cancel(&mut self, h: EventHandle) -> bool {
-        self.arena.cancel(h)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Enum dispatch over the backends so the engine's hot path is a
-/// match, not a vtable call.
-pub enum Queue<T> {
-    /// Heap-backed (reference ordering).
-    Heap(HeapQueue<T>),
-    /// Wheel-backed (default).
-    Wheel(WheelQueue<T>),
-    /// Boxed-payload oracle (test-only comparisons).
-    Boxed(BoxedQueue<T>),
-}
-
-impl<T> Queue<T> {
-    /// Construct the chosen backend, empty.
-    pub fn new(kind: QueueKind) -> Queue<T> {
-        match kind {
-            QueueKind::Heap => Queue::Heap(HeapQueue::new()),
-            QueueKind::Wheel => Queue::Wheel(WheelQueue::new()),
-            QueueKind::Boxed => Queue::Boxed(BoxedQueue::new()),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            Queue::Heap(_) => QueueKind::Heap,
-            Queue::Wheel(_) => QueueKind::Wheel,
-            Queue::Boxed(_) => QueueKind::Boxed,
-        }
-    }
-}
-
-impl<T> EventQueue<T> for Queue<T> {
-    fn push(&mut self, at: SimTime, payload: T) -> EventHandle {
-        match self {
-            Queue::Heap(q) => q.push(at, payload),
-            Queue::Wheel(q) => q.push(at, payload),
-            Queue::Boxed(q) => q.push(at, payload),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, T)> {
-        match self {
-            Queue::Heap(q) => q.pop(),
-            Queue::Wheel(q) => q.pop(),
-            Queue::Boxed(q) => q.pop(),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            Queue::Heap(q) => q.peek_time(),
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Boxed(q) => q.peek_time(),
-        }
-    }
-
-    fn cancel(&mut self, h: EventHandle) -> bool {
-        match self {
-            Queue::Heap(q) => q.cancel(h),
-            Queue::Wheel(q) => q.cancel(h),
-            Queue::Boxed(q) => q.cancel(h),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Queue::Heap(q) => q.len(),
-            Queue::Wheel(q) => q.len(),
-            Queue::Boxed(q) => q.len(),
-        }
+    /// Whether the heap holds no records at all.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 }
 
@@ -590,7 +136,7 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    fn drain<Q: EventQueue<u64>>(q: &mut Q) -> Vec<(u64, u64)> {
+    fn drain(q: &mut HeapQueue<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some((at, v)) = q.pop() {
             out.push((at.as_nanos(), v));
@@ -599,117 +145,49 @@ mod tests {
     }
 
     #[test]
-    fn wheel_pops_in_at_seq_order_across_levels() {
-        let mut q: WheelQueue<u64> = WheelQueue::new();
-        // One event per level span plus overflow, inserted far-first.
-        let spans = [
-            90_000_000_000, // overflow (> 68.7 s)
-            3_000_000_000,  // level 3
-            200_000_000,    // level 2
-            1_000_000,      // level 1
-            10_000,         // level 0
-        ];
-        for (i, ns) in spans.iter().enumerate() {
-            q.push(nanos(*ns), i as u64);
-        }
-        let got = drain(&mut q);
-        let ats: Vec<u64> = got.iter().map(|(at, _)| *at).collect();
-        let mut sorted = ats.clone();
-        sorted.sort_unstable();
-        assert_eq!(ats, sorted);
-        assert_eq!(
-            got.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![4, 3, 2, 1, 0]
-        );
-    }
-
-    #[test]
-    fn wheel_merges_same_tick_across_structures_by_seq() {
-        let mut q: WheelQueue<u64> = WheelQueue::new();
-        // seq 0 lands in overflow (cursor at 0), then advancing the
-        // cursor re-homes later inserts at the same time into levels;
-        // the pops must still interleave by seq.
-        let far = 80_000_000_000u64;
-        q.push(nanos(far), 0);
-        q.push(nanos(100), 1);
-        assert_eq!(q.pop().map(|(_, v)| v), Some(1));
-        // Cursor is now near 100ns; `far` is still overflow. Push the
-        // same `far` instant again — it lands in overflow too — and a
-        // nearby one that shares the final tick via the wheel path.
-        q.push(nanos(far + 1), 2);
-        q.push(nanos(far), 3);
-        let got = drain(&mut q);
-        assert_eq!(
-            got.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![0, 3, 2]
-        );
-    }
-
-    #[test]
     fn same_at_ties_break_by_insertion_order() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Boxed] {
-            let mut q: Queue<u64> = Queue::new(kind);
-            for i in 0..32u64 {
-                q.push(nanos(5_000), i);
-            }
-            let got = drain(&mut q);
-            assert_eq!(
-                got.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-                (0..32).collect::<Vec<_>>(),
-                "{kind} backend broke FIFO ties"
-            );
+        let mut q: HeapQueue<u64> = HeapQueue::new();
+        for i in 0..32u64 {
+            q.push(nanos(5_000), i);
         }
+        let got = drain(&mut q);
+        assert_eq!(
+            got.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
+            (0..32).collect::<Vec<_>>(),
+            "FIFO ties broken"
+        );
     }
 
     #[test]
-    fn cancel_reaps_lazily_and_len_matches_heap_semantics() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Boxed] {
-            let mut q: Queue<u64> = Queue::new(kind);
-            let _a = q.push(nanos(1_000), 0);
-            let b = q.push(nanos(2_000), 1);
-            let _c = q.push(nanos(3_000), 2);
-            assert!(q.cancel(b));
-            assert!(!q.cancel(b));
-            // Tombstone still counted until its record surfaces.
-            assert_eq!(q.len(), 3, "{kind}");
-            assert_eq!(q.pop().map(|(_, v)| v), Some(0));
-            assert_eq!(q.len(), 2, "{kind}");
-            // Popping past the tombstone reaps it.
-            assert_eq!(q.pop().map(|(_, v)| v), Some(2));
-            assert_eq!(q.len(), 0, "{kind}");
-            assert_eq!(q.pop(), None);
-        }
+    fn cancel_reaps_lazily_and_len_counts_tombstones() {
+        let mut q: HeapQueue<u64> = HeapQueue::new();
+        let _a = q.push(nanos(1_000), 0);
+        let b = q.push(nanos(2_000), 1);
+        let _c = q.push(nanos(3_000), 2);
+        assert!(q.cancel(b));
+        assert!(!q.cancel(b));
+        // Tombstone still counted until its record surfaces.
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().map(|(_, v)| v), Some(0));
+        assert_eq!(q.len(), 2);
+        // Popping past the tombstone reaps it.
+        assert_eq!(q.pop().map(|(_, v)| v), Some(2));
+        assert_eq!(q.len(), 0);
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn peek_reaps_leading_tombstones() {
-        for kind in [QueueKind::Heap, QueueKind::Wheel, QueueKind::Boxed] {
-            let mut q: Queue<u64> = Queue::new(kind);
-            let a = q.push(nanos(1_000), 0);
-            q.push(nanos(2_000), 1);
-            assert!(q.cancel(a));
-            assert_eq!(q.peek_time(), Some(nanos(2_000)), "{kind}");
-            assert_eq!(q.len(), 1, "{kind}");
-        }
+        let mut q: HeapQueue<u64> = HeapQueue::new();
+        let a = q.push(nanos(1_000), 0);
+        q.push(nanos(2_000), 1);
+        assert!(q.cancel(a));
+        assert_eq!(q.peek_time(), Some(nanos(2_000)));
+        assert_eq!(q.len(), 1);
     }
 
-    #[test]
-    fn wheel_handles_pushes_behind_the_cursor() {
-        let mut q: WheelQueue<u64> = WheelQueue::new();
-        q.push(nanos(50_000_000), 0);
-        assert_eq!(q.pop().map(|(_, v)| v), Some(0));
-        // Cursor advanced; a push at an earlier instant must still
-        // pop (the engine clamps to `now`, but the queue tolerates
-        // any timestamp).
-        q.push(nanos(10), 1);
-        q.push(nanos(5), 2);
-        let got = drain(&mut q);
-        assert_eq!(got.iter().map(|(_, v)| *v).collect::<Vec<_>>(), vec![2, 1]);
-    }
-
-    /// Deterministic xorshift for the in-module randomized parity
-    /// check (the heavier campaign-grade parity lives in
-    /// `tests/queue_parity.rs`).
+    /// Deterministic xorshift for the randomized model check.
     struct XorShift(u64);
     impl XorShift {
         fn next(&mut self) -> u64 {
@@ -722,19 +200,64 @@ mod tests {
         }
     }
 
+    /// The ordering contract written the obvious way: every record in
+    /// a `Vec` sorted descending by `(at, seq)` so the minimum sits at
+    /// the end; cancelled records stay (and count toward `len`) until
+    /// they reach the end, exactly like the heap's tombstones.
+    #[derive(Default)]
+    struct SortedModel {
+        /// `(at, seq, value, cancelled)`, descending by `(at, seq)`.
+        recs: Vec<(u64, u64, u64, bool)>,
+        seq: u64,
+    }
+
+    impl SortedModel {
+        fn push(&mut self, at: u64, v: u64) -> u64 {
+            let seq = self.seq;
+            self.seq += 1;
+            let idx = self.recs.partition_point(|r| (r.0, r.1) > (at, seq));
+            self.recs.insert(idx, (at, seq, v, false));
+            seq
+        }
+
+        fn reap(&mut self) {
+            while self.recs.last().is_some_and(|r| r.3) {
+                self.recs.pop();
+            }
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64)> {
+            self.reap();
+            self.recs.pop().map(|(at, _, v, _)| (at, v))
+        }
+
+        fn peek_time(&mut self) -> Option<u64> {
+            self.reap();
+            self.recs.last().map(|r| r.0)
+        }
+
+        fn cancel(&mut self, seq: u64) -> bool {
+            match self.recs.iter_mut().find(|r| r.1 == seq && !r.3) {
+                Some(r) => {
+                    r.3 = true;
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
     #[test]
-    fn randomized_parity_with_heap() {
+    fn randomized_against_sorted_vec_model() {
         for seed in 1..=8u64 {
             let mut rng = XorShift(0x9E3779B97F4A7C15 ^ seed);
-            let mut heap: HeapQueue<u64> = HeapQueue::new();
-            let mut wheel: WheelQueue<u64> = WheelQueue::new();
-            let mut handles: Vec<(EventHandle, EventHandle)> = Vec::new();
+            let mut q: HeapQueue<u64> = HeapQueue::new();
+            let mut model = SortedModel::default();
+            let mut handles: Vec<(EventHandle, u64)> = Vec::new();
             let mut now = 0u64;
-            let mut popped_h = Vec::new();
-            let mut popped_w = Vec::new();
             for step in 0..4_000u64 {
                 match rng.next() % 10 {
-                    // Push with a mix of near, far, tie and overflow delays.
+                    // Push with a mix of tie, near, far and > 60 s delays.
                     0..=5 => {
                         let delay = match rng.next() % 5 {
                             0 => 0,
@@ -743,35 +266,37 @@ mod tests {
                             3 => rng.next() % 2_000_000_000,
                             _ => 60_000_000_000 + rng.next() % 60_000_000_000,
                         };
-                        let h = heap.push(nanos(now + delay), step);
-                        let w = wheel.push(nanos(now + delay), step);
-                        handles.push((h, w));
+                        let h = q.push(nanos(now + delay), step);
+                        handles.push((h, model.push(now + delay, step)));
                     }
                     6..=7 => {
-                        assert_eq!(heap.peek_time(), wheel.peek_time(), "seed {seed}");
-                        if let Some((at, v)) = heap.pop() {
-                            now = at.as_nanos();
-                            popped_h.push((at, v));
-                            popped_w.push(wheel.pop().expect("wheel has the event too"));
-                        } else {
-                            assert!(wheel.pop().is_none());
+                        assert_eq!(
+                            q.peek_time().map(SimTime::as_nanos),
+                            model.peek_time(),
+                            "seed {seed} step {step}"
+                        );
+                        let got = q.pop().map(|(at, v)| (at.as_nanos(), v));
+                        assert_eq!(got, model.pop(), "seed {seed} step {step}");
+                        if let Some((at, _)) = got {
+                            now = at;
                         }
                     }
                     _ => {
                         if !handles.is_empty() {
-                            let (h, w) = handles[(rng.next() % handles.len() as u64) as usize];
-                            assert_eq!(heap.cancel(h), wheel.cancel(w), "seed {seed}");
+                            let (h, seq) = handles[(rng.next() % handles.len() as u64) as usize];
+                            assert_eq!(q.cancel(h), model.cancel(seq), "seed {seed} step {step}");
                         }
                     }
                 }
-                assert_eq!(heap.len(), wheel.len(), "seed {seed} step {step}");
+                assert_eq!(q.len(), model.recs.len(), "seed {seed} step {step}");
             }
-            while let Some((at, v)) = heap.pop() {
-                popped_h.push((at, v));
-                popped_w.push(wheel.pop().expect("wheel drains with heap"));
+            loop {
+                let got = q.pop().map(|(at, v)| (at.as_nanos(), v));
+                assert_eq!(got, model.pop(), "seed {seed} drain");
+                if got.is_none() {
+                    break;
+                }
             }
-            assert!(wheel.pop().is_none());
-            assert_eq!(popped_h, popped_w, "seed {seed}");
         }
     }
 }

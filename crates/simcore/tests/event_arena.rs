@@ -1,9 +1,9 @@
 //! Event-arena lifecycle guarantees, measured under the real global
 //! allocator: slot reuse after free, generational stale-handle
 //! rejection (at the arena and through the engine's `TimerId`), and a
-//! zero-allocation steady state for both queue backends.
+//! zero-allocation steady state for the event queue.
 
-use simcore::sched::{EventArena, EventQueue, HeapQueue, WheelQueue};
+use simcore::sched::{EventArena, HeapQueue};
 use simcore::{Ctx, Node, NodeId, Sim, SimDuration, SimTime};
 
 #[global_allocator]
@@ -63,22 +63,13 @@ fn stale_timer_handle_cannot_cancel_a_reused_slot() {
     assert_eq!(reg.snapshot().counter("sim.timers_set"), Some(2));
 }
 
-/// One churn cycle: push a burst with mixed sub-window delays, cancel
-/// a third of them, drain everything. Returns the new base time.
-/// `scratch` is caller-owned so the cycle itself performs no
-/// allocations once its capacity is warm.
-fn churn<Q: EventQueue<u64>>(
-    q: &mut Q,
-    base: u64,
-    scratch: &mut Vec<simcore::sched::EventHandle>,
-) -> u64 {
+/// One churn cycle: push a burst with mixed delays, cancel a third of
+/// them, drain everything. Returns the new base time. `scratch` is
+/// caller-owned so the cycle itself performs no allocations once its
+/// capacity is warm.
+fn churn(q: &mut HeapQueue<u64>, base: u64, scratch: &mut Vec<simcore::sched::EventHandle>) -> u64 {
     scratch.clear();
     for i in 0..32u64 {
-        // One event per 4.096 µs tick (plus sub-tick jitter), 32 ticks
-        // per cycle. The stride below keeps the whole schedule exactly
-        // tick-periodic, so after one full level-2 revolution of
-        // warmup every wheel bucket the steady state can touch has
-        // already seen its worst-case occupancy.
         let at = base + i * 4_096 + (i % 5) * 61;
         scratch.push(q.push(SimTime::from_nanos(at), i));
     }
@@ -90,38 +81,25 @@ fn churn<Q: EventQueue<u64>>(
     base + 32 * 4_096
 }
 
-fn assert_zero_alloc_steady_state<Q: EventQueue<u64>>(q: &mut Q, label: &str) {
-    // Warm up: grow arena, free list, and queue buckets to the
-    // workload's high-water mark. For the wheel this must sweep the
-    // full level-0/1/2 slot rings — the 32-tick cycle stride makes the
-    // slot pattern periodic every 8192 cycles (one level-2 revolution,
-    // 1.07 s simulated), and 10 000 warmup cycles cover a whole
-    // period, so measured cycles are phase-identical to warmed ones.
+#[test]
+fn queue_steady_state_allocates_nothing() {
+    // Warm up: the first cycle grows the heap, the arena and its free
+    // list to the workload's high-water mark; every later cycle has the
+    // same in-flight population and reuses that capacity.
+    let mut q: HeapQueue<u64> = HeapQueue::new();
     let mut scratch = Vec::new();
     let mut base = 0u64;
-    for _ in 0..10_000 {
-        base = churn(q, base, &mut scratch);
+    for _ in 0..16 {
+        base = churn(&mut q, base, &mut scratch);
     }
     let (allocs_before, bytes_before) = obs::prof::thread_alloc_counts();
     for _ in 0..200 {
-        base = churn(q, base, &mut scratch);
+        base = churn(&mut q, base, &mut scratch);
     }
     let (allocs_after, bytes_after) = obs::prof::thread_alloc_counts();
     assert_eq!(
         (allocs_after - allocs_before, bytes_after - bytes_before),
         (0, 0),
-        "{label}: steady-state churn (6400 pushes, 2200 cancels, 6400 pops) must not allocate",
+        "steady-state churn (6400 pushes, 2200 cancels, 6400 pops) must not allocate",
     );
-}
-
-#[test]
-fn heap_queue_steady_state_allocates_nothing() {
-    let mut q: HeapQueue<u64> = HeapQueue::new();
-    assert_zero_alloc_steady_state(&mut q, "heap");
-}
-
-#[test]
-fn wheel_queue_steady_state_allocates_nothing() {
-    let mut q: WheelQueue<u64> = WheelQueue::new();
-    assert_zero_alloc_steady_state(&mut q, "wheel");
 }

@@ -39,9 +39,6 @@ pub struct CellTestbedConfig {
     /// both directions, applied after RRC accounting so lost uplinks
     /// still warm the radio.
     pub bearer_faults: Option<FaultPlan>,
-    /// Event-queue backend for the simulation (wheel by default; both
-    /// backends produce byte-identical runs).
-    pub queue: simcore::QueueKind,
 }
 
 impl CellTestbedConfig {
@@ -53,7 +50,6 @@ impl CellTestbedConfig {
             cell: CellConfig::lte(cell_addr::GATEWAY),
             core_rtt_ms,
             bearer_faults: None,
-            queue: simcore::QueueKind::default(),
         }
     }
 
@@ -65,14 +61,7 @@ impl CellTestbedConfig {
             cell: CellConfig::umts(cell_addr::GATEWAY),
             core_rtt_ms,
             bearer_faults: None,
-            queue: simcore::QueueKind::default(),
         }
-    }
-
-    /// Builder: select the event-queue backend.
-    pub fn with_queue(mut self, queue: simcore::QueueKind) -> CellTestbedConfig {
-        self.queue = queue;
-        self
     }
 
     /// Builder: inject `plan` on the radio bearer.
@@ -106,7 +95,7 @@ pub struct CellTestbed {
 impl CellTestbed {
     /// Build the testbed.
     pub fn build(cfg: CellTestbedConfig) -> CellTestbed {
-        let mut sim = Sim::new_with_queue(cfg.seed, cfg.queue);
+        let mut sim = Sim::new(cfg.seed);
         let server = sim.add_node(Box::new(ServerNode::new(
             100,
             ServerConfig::standard(cell_addr::SERVER),

@@ -67,6 +67,7 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
         TelemetryTool::SlowPing => SimTime::from_secs(u64::from(k) + 10),
     };
     let mut tb = Testbed::build(TestbedConfig::new(seed, phone::nexus5(), rtt_ms));
+    tb.sim.set_metrics(reg);
     tb.attach_metrics(reg);
     let idx = match tool {
         TelemetryTool::AcuteMon => {

@@ -82,6 +82,7 @@ impl WaterfallRun {
 pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> WaterfallRun {
     let horizon = SimTime::from_secs(u64::from(k) + 10);
     let mut tb = Testbed::build(TestbedConfig::new(seed, phone::nexus5(), rtt_ms));
+    tb.sim.set_metrics(reg);
     tb.attach_metrics(reg);
     tb.attach_tracer(tracer);
     let idx = tb.install_app(

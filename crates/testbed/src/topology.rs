@@ -52,13 +52,6 @@ pub struct TestbedConfig {
     pub cross_traffic: bool,
     /// When the cross traffic stops (ignored unless enabled).
     pub cross_stop: SimTime,
-    /// Cross-traffic emission scheduling: `true` (default) drives every
-    /// datagram off its own timer; `false` selects the batched fast path
-    /// (one timer per gap period scheduling the whole period's datagrams
-    /// at their exact per-packet instants — see
-    /// [`netem::LoadConfig::per_packet`]). The two produce byte-identical
-    /// campaigns; the batched path just dispatches far fewer events.
-    pub cross_per_packet: bool,
     /// Whether sniffers capture cross-traffic data frames. The paper's
     /// sniffers do (default `true`); fleet campaigns, whose analysis only
     /// ever queries probe packets, turn this off so a congested channel
@@ -95,9 +88,6 @@ pub struct TestbedConfig {
     /// Override the AP beacon interval (None = the 802.11 default of
     /// 102.4 ms). Fleet campaigns sweep this across device populations.
     pub beacon_interval_override: Option<SimDuration>,
-    /// Event-queue backend for the simulation (wheel by default; both
-    /// backends produce byte-identical runs).
-    pub queue: simcore::QueueKind,
 }
 
 impl TestbedConfig {
@@ -109,7 +99,6 @@ impl TestbedConfig {
             emulated_rtt: SimDuration::from_millis(emulated_rtt_ms),
             cross_traffic: false,
             cross_stop: SimTime::from_secs(3600),
-            cross_per_packet: true,
             sniffer_capture_cross: true,
             bus_sleep: true,
             psm_override: None,
@@ -122,14 +111,7 @@ impl TestbedConfig {
             server_link_faults: None,
             wifi_faults: None,
             beacon_interval_override: None,
-            queue: simcore::QueueKind::default(),
         }
-    }
-
-    /// Builder: select the event-queue backend.
-    pub fn with_queue(mut self, queue: simcore::QueueKind) -> Self {
-        self.queue = queue;
-        self
     }
 
     /// Builder: override the AP beacon interval.
@@ -172,13 +154,6 @@ impl TestbedConfig {
     pub fn with_cross_traffic(mut self, stop: SimTime) -> Self {
         self.cross_traffic = true;
         self.cross_stop = stop;
-        self
-    }
-
-    /// Builder: emit cross traffic through the batched fast path (see
-    /// [`TestbedConfig::cross_per_packet`]).
-    pub fn with_batched_cross_traffic(mut self) -> Self {
-        self.cross_per_packet = false;
         self
     }
 
@@ -233,7 +208,7 @@ impl Testbed {
     /// Build the testbed. Install apps with [`Testbed::install_app`]
     /// before running.
     pub fn build(cfg: TestbedConfig) -> Testbed {
-        let mut sim = Sim::new_with_queue(cfg.seed, cfg.queue);
+        let mut sim = Sim::new(cfg.seed);
 
         // Beacon phase: uniform over the beacon cycle, from the seed.
         let beacon_interval = cfg
@@ -356,11 +331,8 @@ impl Testbed {
                 .attach_station(load_sta, LOAD_MAC, false);
             sim.node_mut::<ApNode>(ap)
                 .associate(LOAD_MAC, addr::LOAD_GEN);
-            let mut load_cfg =
+            let load_cfg =
                 LoadConfig::paper_cross_traffic(addr::LOAD_GEN, addr::LOAD_SERVER, cfg.cross_stop);
-            if !cfg.cross_per_packet {
-                load_cfg = load_cfg.batched();
-            }
             let b = sim.add_node(Box::new(UdpBlasterNode::new(140, load_cfg, load_sta)));
             sim.node_mut::<StaMacNode>(load_sta).set_host(b);
             Some(b)
@@ -400,15 +372,14 @@ impl Testbed {
             .install_app(app, runtime)
     }
 
-    /// Register telemetry for every layer of the testbed in `reg`: the
-    /// simulator engine (`sim.*`), the phone's host bus (`phone.sdio.*`),
-    /// the station and AP MACs (`phy.sta.*`, `phy.ap.*`), the netem link
-    /// (`netem.link.server.*`) and the measurement server
-    /// (`netem.server.*`). Apps attach their own metrics via
-    /// [`Testbed::app_mut`]. Call before running; with no call every
-    /// metric is a disabled no-op.
+    /// Register telemetry for every model layer of the testbed in `reg`:
+    /// the phone's host bus (`phone.sdio.*`), the station and AP MACs
+    /// (`phy.sta.*`, `phy.ap.*`), the netem link (`netem.link.server.*`)
+    /// and the measurement server (`netem.server.*`). Apps attach their
+    /// own metrics via [`Testbed::app_mut`]; the simulator engine's
+    /// `sim.*` metrics attach separately via `tb.sim.set_metrics`. Call
+    /// before running; with no call every metric is a disabled no-op.
     pub fn attach_metrics(&mut self, reg: &obs::Registry) {
-        self.sim.set_metrics(reg);
         self.sim
             .node_mut::<PhoneNode>(self.phone)
             .core_mut()
@@ -586,41 +557,6 @@ mod tests {
         let mbps = sink.stats.udp_discarded_bytes as f64 * 8.0 / 1e6;
         assert!(mbps > 5.0, "goodput={mbps}");
         assert!(mbps < 22.0, "goodput={mbps}");
-    }
-
-    #[test]
-    fn batched_cross_traffic_is_byte_identical() {
-        // The batched blaster must leave every observable of a congested
-        // run untouched: probe delays, blaster emission count, and the
-        // bytes the load server absorbs.
-        fn run(batched: bool) -> (Vec<f64>, u64, u64) {
-            let mut cfg = TestbedConfig::new(11, phone::nexus5(), 30)
-                .with_cross_traffic(SimTime::from_secs(2));
-            if batched {
-                cfg = cfg.with_batched_cross_traffic();
-            }
-            let mut tb = Testbed::build(cfg);
-            let app = tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
-                    addr::SERVER,
-                    10,
-                    SimDuration::from_millis(100),
-                ))),
-                RuntimeKind::Native,
-            );
-            tb.run_until(SimTime::from_secs(3));
-            let sent = tb.sim.node::<UdpBlasterNode>(tb.blaster.unwrap()).sent;
-            let bytes = tb
-                .sim
-                .node::<ServerNode>(tb.load_server)
-                .stats
-                .udp_discarded_bytes;
-            (tb.app::<PingApp>(app).records.du(), sent, bytes)
-        }
-        let reference = run(false);
-        let batched = run(true);
-        assert!(reference.1 > 1000, "blaster barely ran: {}", reference.1);
-        assert_eq!(reference, batched, "batched cross traffic diverged");
     }
 
     #[test]
