@@ -82,7 +82,7 @@ impl Daemon {
         self
     }
 
-    /// Flush the full ingest state (merged prefix, buffered slices, a
+    /// Flush the full ingest state (merged collector, pending slices, a
     /// rendered `snapshot.json`) to the journal — the SIGTERM/SIGINT
     /// shutdown path. A no-op without a store.
     pub fn flush(&self) -> Result<(), StoreError> {

@@ -137,7 +137,7 @@ code {{ background: #f4f4f8; padding: 0 .25rem; border-radius: 3px; }}
 <body>
 <h1>collectord — campaign seed {seed}, {devices} devices × {k} probes</h1>
 <p class="meta">spec fingerprint <code>{fp:016x}</code> ·
-{absorbed} absorbed gap-free ({apct:.1}%) · {viewed} in view ({vpct:.1}%) ·
+{absorbed} absorbed ({apct:.1}%) · {viewed} in view ({vpct:.1}%) ·
 {rate} devices/s · ETA {eta} ·
 state: <strong>{state}</strong> · auto-refreshes every 2&nbsp;s</p>
 <div class="bar"><div style="width:{vpct:.2}%"></div></div>

@@ -1,5 +1,5 @@
-//! The ingest state machine: cumulative shard partials in, a gap-free
-//! merged campaign out.
+//! The ingest state machine: cumulative shard partials in, one merged
+//! campaign out.
 //!
 //! Shards push *cumulative* state — each push for a given
 //! `range_start` supersedes the previous one — so the protocol is
@@ -9,17 +9,21 @@
 //! * a reordered older cumulative push is [`PushOutcome::Stale`] and
 //!   dropped,
 //! * a push for a slice that collides with a different shard's slice is
-//!   a typed [`IngestError::Overlap`] rejection.
+//!   a typed [`IngestError::Overlap`] rejection,
+//! * a push whose state cannot merge with what is held (a renamed
+//!   stratum, a histogram with other bounds, a sketch of another
+//!   accuracy) is a typed [`IngestError::BadState`] rejection.
 //!
-//! Only **final** slices (`final: true`, the shard's range complete)
-//! fold into the merged collector, and only in device-index order —
-//! the same fingerprint-validated [`fleet::Collector::absorb_state`]
-//! algebra `repro fleet-merge` uses — so once every partition lands,
-//! [`Ingest::snapshot_pretty`] is byte-identical to the one-shot merge
-//! and to an uninterrupted single-process run. Mid-campaign, a *view*
-//! overlays the buffered (non-final or out-of-order) slices on the
-//! merged prefix so `/snapshot` and the dashboard always show current
-//! totals.
+//! A **final** slice (`final: true`, the shard's range complete) folds
+//! into the merged collector the moment it arrives, in whatever order
+//! the finals land — through the same [`fleet::Collector::absorb_state`]
+//! that `repro fleet-merge` uses. Every merge is exact, so once every
+//! partition has landed [`Ingest::snapshot_pretty`] is byte-identical to
+//! the one-shot merge and to an uninterrupted single-process run.
+//! Non-final slices wait in a pending map only so that a newer push for
+//! the same slice can replace them; the live *view* folds them onto the
+//! merged collector so `/snapshot` and the dashboard always show
+//! current totals.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -74,22 +78,18 @@ impl ShardInfo {
     }
 }
 
-struct Pending {
-    collector: Collector,
-    done: bool,
-}
-
 /// The daemon's campaign state. One `Ingest` per expected campaign;
 /// pushes are validated against the campaign's
 /// [`CampaignSpec::fingerprint`] before anything is merged.
 pub struct Ingest {
     spec: CampaignSpec,
-    /// Gap-free merged prefix: only final slices, in device order.
+    /// Every final slice folded so far, in arrival order.
     merged: Collector,
-    /// `(range_start, devices)` of every final slice already folded.
+    /// `(range_start, devices)` of every folded final slice, sorted by
+    /// start: the ledger behind duplicate, stale and overlap answers.
     absorbed: Vec<(u64, u64)>,
-    /// Buffered cumulative slices keyed by `range_start`.
-    pending: BTreeMap<u64, Pending>,
+    /// Non-final cumulative slices keyed by `range_start`.
+    pending: BTreeMap<u64, Collector>,
     /// Per-shard-label bookkeeping.
     shards: BTreeMap<String, ShardInfo>,
     /// Optional on-disk journal: accepted pushes persist here *before*
@@ -122,39 +122,21 @@ impl Ingest {
     }
 
     /// An ingest journaling to (and recovered from) `store`. Whatever
-    /// the journal holds for `spec` — the merged prefix, its
-    /// absorbed-slice ledger, buffered slices — is restored first;
-    /// contiguous final slices that became foldable are compacted
-    /// immediately. Every subsequent accepted push is persisted before
-    /// it is acked.
+    /// the journal holds for `spec` — the merged collector, its ledger
+    /// of folded slices, the pending slices — is restored first. Every
+    /// subsequent accepted push is persisted before it is acked.
     pub fn with_store(spec: CampaignSpec, store: Store) -> Result<Ingest, StoreError> {
         let recovered = store.recover(&spec)?;
-        let merged = recovered.merged.unwrap_or_else(|| Collector::new(&spec));
-        let mut pending = BTreeMap::new();
-        for s in recovered.slices {
-            pending.insert(
-                s.start,
-                Pending {
-                    collector: s.collector,
-                    done: s.done,
-                },
-            );
-        }
-        let mut ingest = Ingest {
+        Ok(Ingest {
+            merged: recovered.merged.unwrap_or_else(|| Collector::new(&spec)),
             spec,
-            merged,
             absorbed: recovered.absorbed,
-            pending,
+            pending: recovered.slices,
             shards: BTreeMap::new(),
             store: Some(store),
             recovery: Some(recovered.info),
             dirty: false,
-        };
-        // Buffered finals that are contiguous with the restored prefix
-        // fold now, exactly as they would have on the next push.
-        let folded = ingest.drain();
-        ingest.persist(None, &folded)?;
-        Ok(ingest)
+        })
     }
 
     /// Recovery provenance, when this ingest was restored from a
@@ -163,44 +145,39 @@ impl Ingest {
         self.recovery.as_ref()
     }
 
-    /// Persist the journal side of one accepted push (or of recovery
-    /// compaction, with `pushed_start = None`): the merged prefix when
-    /// the frontier advanced, the pushed slice if it is still buffered,
-    /// and the removal of every slice file the drain folded.
-    fn persist(&self, pushed_start: Option<u64>, folded: &[u64]) -> Result<(), StoreError> {
+    /// Persist the journal side of one accepted push for the slice at
+    /// `start`: a pending slice rewrites its slice file; a folded final
+    /// rewrites `merged.json` (state and ledger), then drops the slice
+    /// file its non-final predecessor may have left.
+    fn persist(&self, start: u64) -> Result<(), StoreError> {
         let Some(store) = &self.store else {
             return Ok(());
         };
-        if !folded.is_empty() {
-            store.write_merged(&self.merged, &self.absorbed)?;
-        }
-        if let Some(start) = pushed_start {
-            if let Some(p) = self.pending.get(&start) {
-                store.write_slice(&p.collector, p.done)?;
+        match self.pending.get(&start) {
+            Some(slice) => store.write_slice(slice),
+            None => {
+                store.write_merged(&self.merged, &self.absorbed)?;
+                store.remove_slice(start)
             }
         }
-        for &s in folded {
-            store.remove_slice(s)?;
-        }
-        Ok(())
     }
 
     /// Rewrite the whole journal from in-memory state — the recovery
     /// path for a previously failed incremental write. Slice files for
     /// slices that folded since are left behind; restart-recovery
-    /// discards anything behind the merged frontier anyway.
+    /// discards every slice file whose start is in the ledger anyway.
     fn resync_store(&mut self) -> Result<(), StoreError> {
         if let Some(store) = &self.store {
             store.write_merged(&self.merged, &self.absorbed)?;
-            for p in self.pending.values() {
-                store.write_slice(&p.collector, p.done)?;
+            for slice in self.pending.values() {
+                store.write_slice(slice)?;
             }
         }
         self.dirty = false;
         Ok(())
     }
 
-    /// Flush everything to the journal (merged prefix, every buffered
+    /// Flush everything to the journal (merged collector, every pending
     /// slice, and a rendered `snapshot.json`) — the SIGTERM/SIGINT
     /// shutdown path. A no-op without a store.
     pub fn flush_to_store(&self) -> Result<(), StoreError> {
@@ -208,8 +185,8 @@ impl Ingest {
             return Ok(());
         };
         store.write_merged(&self.merged, &self.absorbed)?;
-        for p in self.pending.values() {
-            store.write_slice(&p.collector, p.done)?;
+        for slice in self.pending.values() {
+            store.write_slice(slice)?;
         }
         store.write_raw("snapshot.json", &self.snapshot_pretty())?;
         Ok(())
@@ -220,22 +197,22 @@ impl Ingest {
         &self.spec
     }
 
-    /// Devices folded into the gap-free merged prefix.
+    /// Devices in the folded final slices, whatever order they came in.
     pub fn devices_absorbed(&self) -> u64 {
         self.merged.devices_seen()
     }
 
-    /// Devices in the live view: merged prefix plus buffered slices.
+    /// Devices in the live view: folded finals plus pending slices.
     pub fn devices_view(&self) -> u64 {
         self.merged.devices_seen()
             + self
                 .pending
                 .values()
-                .map(|p| p.collector.devices_seen())
+                .map(Collector::devices_seen)
                 .sum::<u64>()
     }
 
-    /// Whether the whole population has been absorbed gap-free.
+    /// Whether final slices covering the whole population have folded.
     pub fn complete(&self) -> bool {
         self.merged.devices_seen() == self.spec.devices
     }
@@ -245,9 +222,9 @@ impl Ingest {
         &self.shards
     }
 
-    /// Ingest one push: validate, buffer or fold, and answer. `bytes`
-    /// is the frame payload size (bookkeeping only). Rejected pushes
-    /// leave every piece of campaign state untouched.
+    /// Ingest one push: validate, fold or hold, and answer. `bytes` is
+    /// the frame payload size (bookkeeping only). Rejected pushes leave
+    /// every piece of campaign state, and the journal, untouched.
     pub fn push(
         &mut self,
         shard: &str,
@@ -266,6 +243,12 @@ impl Ingest {
         let c = Collector::from_state_json(state).map_err(|e| IngestError::BadState(e.0))?;
         c.verify_spec(&self.spec)
             .map_err(|e| IngestError::SpecMismatch(e.0))?;
+        // Everything the view folds together must merge: check against
+        // each held collector now, so no later fold can fail.
+        for held in std::iter::once(&self.merged).chain(self.pending.values()) {
+            held.check_mergeable(&c)
+                .map_err(|e| IngestError::BadState(e.0))?;
+        }
         let (start, count) = (c.range_start(), c.devices_seen());
         let end = start + count;
         if end > self.spec.devices {
@@ -278,25 +261,15 @@ impl Ingest {
 
         let outcome = self.classify_and_store(start, count, c, done)?;
         if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
-            let folded = self.drain();
             // Durability before acknowledgement: if the journal cannot
             // hold the push, the shard gets a retryable `storage` error
             // and re-sends its cumulative state later.
-            if let Err(e) = self.persist(Some(start), &folded) {
+            if let Err(e) = self.persist(start) {
                 self.dirty = true;
                 return Err(IngestError::Storage(e.to_string()));
             }
         }
         self.note_shard(shard, start, count, done, bytes);
-
-        // `Absorbed` only if the drain actually advanced past this
-        // slice; a buffered-behind-a-gap final stays `Buffered`.
-        let outcome = match outcome {
-            PushOutcome::Buffered if self.merged.next_index() >= end && count > 0 => {
-                PushOutcome::Absorbed
-            }
-            o => o,
-        };
         Ok(Ack {
             outcome,
             devices_absorbed: self.devices_absorbed(),
@@ -305,9 +278,8 @@ impl Ingest {
         })
     }
 
-    /// Decide what to do with a validated slice and stash it if it is
-    /// new. Returns `Buffered` for anything that may drain, or the
-    /// idempotent outcomes.
+    /// Decide what to do with a validated slice: fold a new final, hold
+    /// a newer non-final, or answer with an idempotent outcome.
     fn classify_and_store(
         &mut self,
         start: u64,
@@ -315,96 +287,59 @@ impl Ingest {
         c: Collector,
         done: bool,
     ) -> Result<PushOutcome, IngestError> {
-        // Slices at or behind the merged frontier: either a re-send of
-        // a folded final (idempotent) or a genuine collision.
-        if start < self.merged.next_index() {
-            if let Some(&(_, folded)) = self.absorbed.iter().find(|&&(s, _)| s == start) {
-                if count <= folded {
-                    return Ok(if count == folded && done {
-                        PushOutcome::Duplicate
-                    } else {
-                        PushOutcome::Stale
-                    });
-                }
-                // Claims more devices than the final slice we folded —
-                // two shards disagree about this range.
-                return Err(IngestError::Overlap {
-                    start,
-                    devices: count,
-                });
+        let overlap = Err(IngestError::Overlap {
+            start,
+            devices: count,
+        });
+        // Against the folded finals: a re-send of one is idempotent,
+        // anything else that touches one collides.
+        let at = self.absorbed.partition_point(|&(s, _)| s < start);
+        if let Some(&(s, folded)) = self.absorbed.get(at) {
+            if s == start {
+                return match count.cmp(&folded) {
+                    std::cmp::Ordering::Equal if done => Ok(PushOutcome::Duplicate),
+                    std::cmp::Ordering::Greater => overlap,
+                    _ => Ok(PushOutcome::Stale),
+                };
             }
-            return Err(IngestError::Overlap {
-                start,
-                devices: count,
-            });
+            if start + count > s {
+                return overlap;
+            }
         }
-
-        // Collision checks against buffered neighbours (other shards'
-        // slices are disjoint; same-start pushes supersede each other).
+        if at > 0 {
+            let (s, n) = self.absorbed[at - 1];
+            if s + n > start {
+                return overlap;
+            }
+        }
+        // Against the pending neighbours on both sides (a same-start
+        // push supersedes rather than collides).
         if let Some((&ps, prev)) = self.pending.range(..start).next_back() {
-            if ps + prev.collector.devices_seen() > start {
-                return Err(IngestError::Overlap {
-                    start,
-                    devices: count,
-                });
+            if ps + prev.devices_seen() > start {
+                return overlap;
             }
         }
         if let Some((&ns, _)) = self.pending.range(start + 1..).next() {
             if start + count > ns {
-                return Err(IngestError::Overlap {
-                    start,
-                    devices: count,
-                });
+                return overlap;
             }
         }
 
-        match self.pending.get(&start) {
-            Some(prev) if count < prev.collector.devices_seen() => Ok(PushOutcome::Stale),
-            Some(prev) if count == prev.collector.devices_seen() => {
-                // Same coverage: keep the final flag if either push had
-                // it (a reordered non-final after the final must not
-                // un-finalize the slice).
-                let keep_done = prev.done || done;
-                self.pending.insert(
-                    start,
-                    Pending {
-                        collector: c,
-                        done: keep_done,
-                    },
-                );
-                Ok(if done {
-                    PushOutcome::Duplicate
-                } else {
-                    PushOutcome::Stale
-                })
-            }
-            _ => {
-                self.pending.insert(start, Pending { collector: c, done });
-                Ok(PushOutcome::Buffered)
-            }
+        let held = self.pending.get(&start).map_or(0, Collector::devices_seen);
+        if count < held || (count == held && !done) {
+            return Ok(PushOutcome::Stale);
         }
-    }
-
-    /// Fold every contiguous final slice at the merged frontier.
-    /// Returns the `range_start` of each slice folded, so the journal
-    /// can compact them (rewrite `merged.json`, drop their slice
-    /// files).
-    fn drain(&mut self) -> Vec<u64> {
-        let mut folded = Vec::new();
-        while let Some(p) = self.pending.get(&self.merged.next_index()) {
-            if !p.done {
-                break;
-            }
-            let start = self.merged.next_index();
-            let p = self.pending.remove(&start).expect("checked above");
-            let count = p.collector.devices_seen();
+        if done {
             self.merged
-                .absorb_state(&p.collector)
-                .expect("contiguous final slice always folds");
-            self.absorbed.push((start, count));
-            folded.push(start);
+                .absorb_state(&c)
+                .map_err(|e| IngestError::BadState(e.0))?;
+            self.absorbed.insert(at, (start, count));
+            self.pending.remove(&start);
+            Ok(PushOutcome::Absorbed)
+        } else {
+            self.pending.insert(start, c);
+            Ok(PushOutcome::Buffered)
         }
-        folded
     }
 
     fn note_shard(&mut self, shard: &str, start: u64, count: u64, done: bool, bytes: u64) {
@@ -474,17 +409,15 @@ impl Ingest {
         Some(remaining as f64 / rate)
     }
 
-    /// The live view: the merged prefix plus every buffered slice, in
-    /// device order. Exact in every count/sketch/histogram; only the
-    /// registry sample reservoirs can differ from a gap-free run while
-    /// gaps remain (see [`Collector::absorb_state_for_view`]). Once
-    /// [`Ingest::complete`], the view *is* the merged collector.
+    /// The live view: the merged collector plus every pending slice,
+    /// folded with [`Collector::absorb_state`]. Exact in every number;
+    /// once [`Ingest::complete`], the view serializes exactly like the
+    /// merged collector.
     pub fn view(&self) -> Collector {
-        let mut v = Collector::from_state_json(&self.merged.state_json())
-            .expect("collector state round-trips");
-        for p in self.pending.values() {
-            v.absorb_state_for_view(&p.collector)
-                .expect("buffered slices are validated disjoint");
+        let mut v = Collector::new(&self.spec);
+        for held in std::iter::once(&self.merged).chain(self.pending.values()) {
+            v.absorb_state(held)
+                .expect("held slices were checked mergeable when pushed");
         }
         v
     }

@@ -45,7 +45,7 @@ pub enum IngestError {
         devices: u64,
     },
     /// The state's device slice overlaps a slice already absorbed or
-    /// buffered from a different shard.
+    /// pending from a different shard.
     Overlap {
         /// First device index of the pushed slice.
         start: u64,
@@ -117,10 +117,10 @@ impl std::error::Error for IngestError {}
 /// What the daemon did with an accepted push.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
-    /// The slice (and possibly queued successors) folded into the
-    /// merged campaign state.
+    /// The final slice folded into the merged campaign state.
     Absorbed,
-    /// The slice is buffered until the slices before it land.
+    /// The non-final slice is held, until a newer push for the same
+    /// slice (or its final) replaces it.
     Buffered,
     /// The exact slice was already ingested — idempotent no-op.
     Duplicate,
@@ -146,9 +146,9 @@ impl PushOutcome {
 pub struct Ack {
     /// What happened to the pushed slice.
     pub outcome: PushOutcome,
-    /// Devices folded into the merged (gap-free, byte-exact) state.
+    /// Devices in the final slices folded into the merged state.
     pub devices_absorbed: u64,
-    /// Devices in the live view (merged + buffered slices).
+    /// Devices in the live view (merged + pending slices).
     pub devices_view: u64,
     /// Whether the whole campaign population has been absorbed.
     pub complete: bool,

@@ -3,27 +3,27 @@
 //!
 //! The store keeps one directory (`--state-dir`) holding:
 //!
-//! * `merged.json` — the gap-free merged prefix, wrapped in a
-//!   versioned header that also records the `(range_start, devices)`
-//!   list of every final slice already folded (so a re-sent final is
+//! * `merged.json` — every folded final slice, wrapped in a versioned
+//!   header that also records the ledger: the `(range_start, devices)`
+//!   of every folded slice, sorted by start (so a re-sent final is
 //!   still classified as a duplicate, not an overlap, after a
-//!   restart). The embedded `state` document is the PR-5
-//!   `acutemon-fleet-campaign-state` format, unchanged.
-//! * `slice-<start>.json` — one file per buffered cumulative slice,
-//!   wrapped with the same header plus the slice's `final` flag. A
-//!   newer cumulative push for the same `range_start` atomically
-//!   replaces the file; folding a slice into the merged prefix
-//!   *compacts* it (writes `merged.json`, then deletes the slice
-//!   file).
+//!   restart). The embedded `state` document is the
+//!   `acutemon-fleet-campaign-state` format.
+//! * `slice-<start>.json` — one file per pending (non-final)
+//!   cumulative slice, wrapped with the same header. A newer cumulative
+//!   push for the same `range_start` atomically replaces the file; the
+//!   slice's final push *compacts* it (writes `merged.json`, then
+//!   deletes the slice file).
 //!
 //! Every write goes through [`fleet::atomic_write_json`] — write
 //! `.tmp`, fsync, rename — and the daemon persists **before acking**,
 //! so an acked push is a durable push. Crash ordering is safe at every
 //! point: a kill between writing `merged.json` and deleting a folded
-//! slice file leaves a slice behind the merged frontier, which
-//! recovery detects (the header's `range_start` is behind the merged
-//! `next_index`) and discards.
+//! slice's file leaves a slice file whose `range_start` is in the
+//! ledger, which recovery recognizes as a finished compaction and
+//! discards.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use fleet::{CampaignSpec, Collector};
@@ -82,14 +82,14 @@ impl From<std::io::Error> for StoreError {
 /// fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInfo {
-    /// Devices restored into the gap-free merged prefix.
+    /// Devices restored into the merged collector.
     pub merged_devices: u64,
     /// Final slices that had already been folded before the restart.
     pub absorbed_slices: u64,
-    /// Buffered slices restored from `slice-*.json` files.
+    /// Pending slices restored from `slice-*.json` files.
     pub slices_loaded: u64,
     /// Stale slice files discarded (already compacted into the merged
-    /// prefix before the crash; the delete never happened).
+    /// collector before the crash; the delete never happened).
     pub slices_discarded: u64,
 }
 
@@ -110,26 +110,17 @@ impl RecoveryInfo {
     }
 }
 
-/// One buffered slice recovered from disk.
-pub struct RecoveredSlice {
-    /// First device index of the slice.
-    pub start: u64,
-    /// Whether the shard had declared the slice complete.
-    pub done: bool,
-    /// The restored cumulative collector state.
-    pub collector: Collector,
-}
-
-/// Everything recovery found, before the ingest state machine folds it
-/// back together.
+/// Everything recovery found, for the ingest state machine to resume
+/// from.
 #[derive(Default)]
 pub struct Recovered {
-    /// The merged prefix, when `merged.json` existed.
+    /// The merged collector, when `merged.json` existed.
     pub merged: Option<Collector>,
-    /// `(range_start, devices)` of every final slice already folded.
+    /// `(range_start, devices)` of every final slice already folded,
+    /// sorted by start.
     pub absorbed: Vec<(u64, u64)>,
-    /// Buffered slices, any order.
-    pub slices: Vec<RecoveredSlice>,
+    /// Pending (non-final) slices keyed by `range_start`.
+    pub slices: BTreeMap<u64, Collector>,
     /// Provenance counters for `/status`.
     pub info: RecoveryInfo,
 }
@@ -169,8 +160,8 @@ impl Store {
         doc
     }
 
-    /// Atomically persist the merged prefix and its absorbed-slice
-    /// ledger.
+    /// Atomically persist the merged collector and its ledger of folded
+    /// slices.
     pub fn write_merged(
         &self,
         merged: &Collector,
@@ -190,12 +181,11 @@ impl Store {
         Ok(())
     }
 
-    /// Atomically persist one buffered cumulative slice (replacing any
+    /// Atomically persist one pending cumulative slice (replacing any
     /// previous push for the same `range_start`).
-    pub fn write_slice(&self, slice: &Collector, done: bool) -> Result<(), StoreError> {
+    pub fn write_slice(&self, slice: &Collector) -> Result<(), StoreError> {
         let mut doc = self.header(INGEST_SLICE_FORMAT, slice.fingerprint());
         doc.set("range_start", slice.range_start());
-        doc.set("final", done);
         doc.set("state", slice.state_json());
         fleet::atomic_write_json(&self.slice_path(slice.range_start()), &doc)?;
         Ok(())
@@ -229,10 +219,11 @@ impl Store {
     }
 
     /// Load everything the journal holds for `spec`, validating every
-    /// file's format, version, and campaign fingerprint. Stale slice
-    /// files (compacted before a crash deleted them) are discarded and
-    /// counted; anything unparseable is a hard [`StoreError::Corrupt`]
-    /// — recovery never silently drops campaign data.
+    /// file's format, version, and campaign fingerprint. Slice files
+    /// whose start is in the ledger (compacted before a crash deleted
+    /// them) are discarded and counted; anything unparseable is a hard
+    /// [`StoreError::Corrupt`] — recovery never silently drops campaign
+    /// data.
     pub fn recover(&self, spec: &CampaignSpec) -> Result<Recovered, StoreError> {
         let mut out = Recovered::default();
         let merged_path = self.merged_path();
@@ -277,12 +268,12 @@ impl Store {
                     }
                 }
             }
+            out.absorbed.sort_unstable();
             out.info.merged_devices = merged.devices_seen();
             out.info.absorbed_slices = out.absorbed.len() as u64;
             out.merged = Some(merged);
         }
 
-        let frontier = out.merged.as_ref().map(Collector::next_index).unwrap_or(0);
         let mut slice_paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
@@ -295,7 +286,6 @@ impl Store {
         for path in slice_paths {
             let doc = self.read_doc(&path)?;
             self.check_header(&path, &doc, INGEST_SLICE_FORMAT, spec)?;
-            let done = matches!(doc.get("final"), Some(Json::Bool(true)));
             let state = doc.get("state").ok_or_else(|| StoreError::Corrupt {
                 path: path.clone(),
                 message: "missing `state` field".to_string(),
@@ -308,7 +298,11 @@ impl Store {
                 .verify_spec(spec)
                 .map_err(|e| StoreError::SpecMismatch(e.0))?;
             let start = collector.range_start();
-            if start < frontier {
+            if out
+                .absorbed
+                .binary_search_by_key(&start, |&(s, _)| s)
+                .is_ok()
+            {
                 // Compacted into merged.json before the crash; only the
                 // delete was lost. Finish the compaction now.
                 self.remove_slice(start)?;
@@ -316,11 +310,7 @@ impl Store {
                 continue;
             }
             out.info.slices_loaded += 1;
-            out.slices.push(RecoveredSlice {
-                start,
-                done,
-                collector,
-            });
+            out.slices.insert(start, collector);
         }
         Ok(out)
     }
@@ -410,19 +400,31 @@ mod tests {
 
     #[test]
     fn stale_slice_behind_the_frontier_is_discarded() {
+        // The folded slice is the *second* partition, not at device 0:
+        // its leftover slice file is recognized by the ledger entry for
+        // its start.
         let spec = CampaignSpec::heterogeneous(5, 12).with_probes(1);
         let dir = tmpdir("stale");
         let store = Store::open(&dir).unwrap();
-        let (c0, _) = fleet::run_partition(&spec, 1, 0, 2);
-        store.write_merged(&c0, &[(0, c0.devices_seen())]).unwrap();
-        // The same slice also exists as a slice file — as if the crash
-        // landed between compaction's write and its delete.
-        store.write_slice(&c0, true).unwrap();
+        let (c1, _) = fleet::run_partition(&spec, 1, 1, 2);
+        let mut merged = fleet::Collector::new(&spec);
+        merged.absorb_state(&c1).unwrap();
+        store.write_merged(&merged, &[(6, 6)]).unwrap();
+        // Its last non-final push is still on disk — as if the crash
+        // landed between compaction's write and its delete — beside a
+        // genuinely pending slice of partition 0.
+        let mut half = fleet::Collector::new_range(&spec, 6);
+        half.absorb(&fleet::run_device(&spec, 6));
+        store.write_slice(&half).unwrap();
+        let mut pending = fleet::Collector::new_range(&spec, 0);
+        pending.absorb(&fleet::run_device(&spec, 0));
+        store.write_slice(&pending).unwrap();
         let rec = store.recover(&spec).unwrap();
         assert_eq!(rec.info.slices_discarded, 1);
-        assert_eq!(rec.info.slices_loaded, 0);
-        assert!(rec.slices.is_empty());
-        assert!(!dir.join("slice-0.json").exists(), "finished the delete");
+        assert_eq!(rec.info.slices_loaded, 1);
+        assert_eq!(rec.slices.keys().copied().collect::<Vec<_>>(), vec![0]);
+        assert!(!dir.join("slice-6.json").exists(), "finished the delete");
+        assert!(dir.join("slice-0.json").exists(), "pending slice kept");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -433,7 +435,7 @@ mod tests {
         let dir = tmpdir("mismatch");
         let store = Store::open(&dir).unwrap();
         let (c, _) = fleet::run_partition(&spec, 1, 0, 2);
-        store.write_slice(&c, false).unwrap();
+        store.write_slice(&c).unwrap();
         assert!(matches!(
             store.recover(&other),
             Err(StoreError::SpecMismatch(_))

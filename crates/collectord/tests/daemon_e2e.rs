@@ -50,14 +50,16 @@ fn two_partition_push_yields_byte_identical_snapshot() {
     assert!(status.contains("200"), "{status}");
     assert_eq!(body, "ok\n");
 
-    // Push partition 1/2 first (out of order), then 0/2.
+    // Push partition 1/2 first (out of order), then 0/2. The final
+    // folds on arrival, gap before it or not.
     let (c1, _) = run_partition(&spec, 2, 1, 2);
     let mut client = PushClient::connect(&push_addr, "1/2").unwrap();
     let ack = client.push(&c1, true).unwrap();
-    assert_eq!(ack.outcome, PushOutcome::Buffered);
+    assert_eq!(ack.outcome, PushOutcome::Absorbed);
+    assert_eq!(ack.devices_absorbed, 20);
     assert!(!ack.complete);
 
-    // Mid-campaign, /snapshot already reflects the buffered slice.
+    // Mid-campaign, /snapshot already reflects the folded slice.
     let (_, body) = get(&http_addr, "/snapshot");
     assert!(body.contains("\"devices\": 20"), "view covers 1/2: {body}");
 

@@ -1,13 +1,14 @@
 //! Ingest-order guarantees: the daemon's snapshot must be
 //! byte-identical to a single-process `fleet.json` no matter how
 //! partitions arrive — interleaved, re-sent, duplicated, or fully
-//! reversed — and every adversarial push (wrong campaign, overlapping
-//! or out-of-bounds slices) must be rejected with a typed error that
-//! leaves campaign state untouched.
+//! reversed — final slices fold the moment they arrive, and every
+//! adversarial push (wrong campaign, overlapping or out-of-bounds
+//! slices, state that cannot merge) must be rejected with a typed error
+//! that leaves campaign state and the journal untouched.
 
-use collectord::{Ingest, IngestError, PushOutcome};
+use collectord::{Ingest, IngestError, PushOutcome, Store};
 use fleet::{run_campaign, run_device, CampaignSpec, Collector};
-use obs::{Json, ToJson};
+use obs::{Json, QuantileSketch, ToJson};
 
 fn spec() -> CampaignSpec {
     CampaignSpec::heterogeneous(42, 60).with_probes(2)
@@ -38,15 +39,10 @@ fn reversed_final_partitions_merge_byte_identical() {
         let ack = ingest
             .push(shard, &slice_state(&spec, *start, *end), true, 0)
             .unwrap();
-        if n + 1 < slices.len() {
-            assert_eq!(ack.outcome, PushOutcome::Buffered, "slice {start}..{end}");
-            assert!(!ack.complete);
-        } else {
-            // The 0/3 slice unblocks the whole buffered chain.
-            assert_eq!(ack.outcome, PushOutcome::Absorbed);
-            assert!(ack.complete);
-            assert_eq!(ack.devices_absorbed, spec.devices);
-        }
+        // Every final folds on arrival, gap or no gap.
+        assert_eq!(ack.outcome, PushOutcome::Absorbed, "slice {start}..{end}");
+        assert_eq!(ack.devices_absorbed, 20 * (n as u64 + 1));
+        assert_eq!(ack.complete, n + 1 == slices.len());
     }
     assert_eq!(ingest.snapshot_pretty(), expected_json(&spec));
 }
@@ -79,7 +75,8 @@ fn interleaved_cumulative_pushes_converge_to_single_process_bytes() {
         PushOutcome::Buffered
     );
     let ack = ingest.push("1/2", &b(60), true, 0).unwrap();
-    assert_eq!(ack.outcome, PushOutcome::Buffered, "final but gapped");
+    assert_eq!(ack.outcome, PushOutcome::Absorbed, "final but gapped");
+    assert_eq!(ack.devices_absorbed, 30);
     assert_eq!(ack.devices_view, 50);
 
     let ack = ingest.push("0/2", &a(30), true, 0).unwrap();
@@ -216,6 +213,103 @@ fn overlapping_and_out_of_bounds_slices_are_rejected() {
         .unwrap();
     assert!(ack.complete);
     assert_eq!(ingest.snapshot_pretty(), expected_json(&spec));
+}
+
+#[test]
+fn slice_overlapping_a_final_folded_out_of_order_is_rejected() {
+    let spec = spec();
+    let mut ingest = Ingest::new(spec.clone());
+    let ack = ingest
+        .push("2/3", &slice_state(&spec, 40, 60), true, 0)
+        .unwrap();
+    assert_eq!(ack.outcome, PushOutcome::Absorbed);
+    // Starting inside the folded final, and reaching into it from
+    // behind: both collide, final or not.
+    let err = ingest
+        .push("rogue", &slice_state(&spec, 50, 60), true, 0)
+        .unwrap_err();
+    assert_eq!(err.code(), "overlap");
+    let err = ingest
+        .push("rogue", &slice_state(&spec, 35, 45), false, 0)
+        .unwrap_err();
+    assert_eq!(err.code(), "overlap");
+    assert_eq!(ingest.devices_view(), 20);
+    // Up to the folded slice's start is fine.
+    let ack = ingest
+        .push("1/3", &slice_state(&spec, 20, 40), false, 0)
+        .unwrap();
+    assert_eq!(ack.outcome, PushOutcome::Buffered);
+}
+
+/// A push that passes the campaign check but cannot merge with what the
+/// daemon holds is a typed `bad-state` — before anything is stored or
+/// journaled, so the view and every later `/snapshot` stay intact.
+#[test]
+fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
+    let spec = spec();
+    let dir = std::env::temp_dir().join(format!("ingest-unmergeable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut ingest = Ingest::with_store(spec.clone(), Store::open(&dir).unwrap()).unwrap();
+    ingest
+        .push("0/3", &slice_state(&spec, 0, 20), true, 0)
+        .unwrap();
+    ingest
+        .push("2/3", &slice_state(&spec, 40, 50), false, 0)
+        .unwrap();
+    let view = ingest.devices_view();
+    let snapshot = ingest.snapshot_pretty();
+    let journal = std::fs::read_to_string(dir.join("merged.json")).unwrap();
+
+    // Each edit hits the first match: stratum 0's name and its `du`
+    // sketch (strata precede everything else), and every histogram's
+    // first bound.
+    let good = slice_state(&spec, 20, 40).to_string();
+    let gamma = |alpha| {
+        QuantileSketch::with_alpha(alpha)
+            .state_json()
+            .get("gamma")
+            .unwrap()
+            .to_string()
+    };
+    let tampered = [
+        (
+            "stratum name mismatch",
+            good.replacen(&format!("\"{}\"", spec.classes[0].name), "\"renamed\"", 1),
+        ),
+        ("accuracy", good.replacen(&gamma(0.005), &gamma(0.02), 1)),
+        (
+            "different bounds",
+            good.replace("\"bounds\":[0.25,", "\"bounds\":[0.125,"),
+        ),
+    ];
+    for (why, doc) in &tampered {
+        assert_ne!(doc, &good, "{why}: the edit must apply");
+        for done in [false, true] {
+            let err = ingest
+                .push("1/3", &Json::parse(doc).unwrap(), done, 0)
+                .unwrap_err();
+            assert_eq!(err.code(), "bad-state", "{why}, final {done}: {err:?}");
+            assert!(err.to_string().contains(why), "{err}");
+            assert_eq!(ingest.devices_view(), view, "{why}");
+            assert_eq!(ingest.snapshot_pretty(), snapshot, "{why}");
+        }
+    }
+    assert!(!dir.join("slice-20.json").exists(), "nothing journaled");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("merged.json")).unwrap(),
+        journal
+    );
+
+    // The untampered slice still lands, and the campaign converges.
+    ingest
+        .push("1/3", &Json::parse(&good).unwrap(), true, 0)
+        .unwrap();
+    let ack = ingest
+        .push("2/3", &slice_state(&spec, 40, 60), true, 0)
+        .unwrap();
+    assert!(ack.complete);
+    assert_eq!(ingest.snapshot_pretty(), expected_json(&spec));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Devices/sec derives from consecutive push deltas, the ~zero-Δt and

@@ -58,14 +58,14 @@ fn kill_and_restart_recovers_to_byte_identical_snapshot() {
     let expected = expected.to_json().to_string_pretty();
     let dir = tmpdir("kill-restart");
 
-    // Daemon #1: an out-of-order final (buffered behind the gap at 0)
-    // and a mid-run non-final half of slice 0.
+    // Daemon #1: an out-of-order final (folded on arrival, with the
+    // gap at 0 still open) and a mid-run non-final half of slice 0.
     let (daemon1, push1, _http1) = start_daemon(spec.clone(), &dir);
     let (c1, _) = run_partition(&spec, 2, 1, 2);
     let mut client = PushClient::connect(&push1, "1/2").unwrap();
     assert_eq!(
         client.push(&c1, true).unwrap().outcome,
-        PushOutcome::Buffered
+        PushOutcome::Absorbed
     );
     let mut c0_half = fleet::Collector::new_range(&spec, 0);
     for i in 0..10 {
@@ -87,13 +87,13 @@ fn kill_and_restart_recovers_to_byte_identical_snapshot() {
     // Recovery provenance is visible to operators.
     let (_, health) = get(&http2, "/healthz");
     assert!(health.starts_with("ok\n"), "{health}");
-    assert!(health.contains("recovered merged_devices=0"), "{health}");
+    assert!(health.contains("recovered merged_devices=20"), "{health}");
     let (_, status) = get(&http2, "/status");
     let doc = obs::Json::parse(&status).unwrap();
     let rec = doc.get("recovery").expect("recovery object on /status");
     assert_eq!(
         rec.get("slices_loaded").and_then(obs::Json::as_f64),
-        Some(2.0),
+        Some(1.0),
         "{status}"
     );
 
@@ -128,8 +128,8 @@ fn kill_and_restart_recovers_to_byte_identical_snapshot() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A second kill after the frontier advanced: the merged prefix and its
-/// absorbed-slice ledger recover, so a shard blindly re-sending its
+/// A second kill after a final folded: the merged collector and its
+/// ledger of folded slices recover, so a shard blindly re-sending its
 /// folded final (it never saw the ack) still gets the idempotent
 /// answer.
 #[test]
@@ -174,9 +174,9 @@ fn absorbed_ledger_survives_restart() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The journal's file lifecycle: buffered slices live as
-/// `slice-<start>.json`, folding compacts them into `merged.json` and
-/// deletes the slice files, and the shutdown flush leaves a rendered
+/// The journal's file lifecycle: pending (non-final) slices live as
+/// `slice-<start>.json`, a final folds into `merged.json` on arrival and
+/// deletes its slice's file, and the shutdown flush leaves a rendered
 /// `snapshot.json` behind.
 #[test]
 fn compaction_and_flush_file_lifecycle() {
@@ -185,20 +185,29 @@ fn compaction_and_flush_file_lifecycle() {
     let store = Store::open(&dir).unwrap();
     let mut ingest = Ingest::with_store(spec.clone(), store).unwrap();
 
-    // An out-of-order final buffers: slice file exists, no merged yet.
-    let (c1, _) = run_partition(&spec, 2, 1, 2);
-    ingest.push("1/2", &c1.state_json(), true, 0).unwrap();
+    // A non-final push is pending: its slice file exists, no merged yet.
+    let mut c1_half = fleet::Collector::new_range(&spec, 20);
+    for i in 20..30 {
+        c1_half.absorb(&fleet::run_device(&spec, i));
+    }
+    ingest.push("1/2", &c1_half.state_json(), false, 0).unwrap();
     assert!(dir.join("slice-20.json").exists());
     assert!(!dir.join("merged.json").exists());
 
-    // The gap fills: both slices fold, merged.json appears, slice
-    // files are compacted away.
+    // Its final folds on arrival, gap at 0 or not: merged.json appears
+    // and the slice file is compacted away.
+    let (c1, _) = run_partition(&spec, 2, 1, 2);
+    ingest.push("1/2", &c1.state_json(), true, 0).unwrap();
+    assert!(dir.join("merged.json").exists());
+    assert!(!dir.join("slice-20.json").exists(), "compacted");
+
     let (c0, _) = run_partition(&spec, 2, 0, 2);
     let ack = ingest.push("0/2", &c0.state_json(), true, 0).unwrap();
     assert!(ack.complete);
-    assert!(dir.join("merged.json").exists());
-    assert!(!dir.join("slice-0.json").exists(), "compacted");
-    assert!(!dir.join("slice-20.json").exists(), "compacted");
+    assert!(
+        !dir.join("slice-0.json").exists(),
+        "a final never leaves one"
+    );
 
     // The shutdown flush renders the final snapshot next to the
     // journal, byte-identical to what /snapshot would serve.

@@ -301,9 +301,10 @@ fn run_range(
 
         prof.set_thread_label("collector");
         let collect_root = prof.phase("collect");
-        // In-order absorption through a reorder buffer, so the merged
-        // registry (order-sensitive sample reservoirs) is independent
-        // of completion order.
+        // In-order absorption through a reorder buffer. The merged state
+        // would come out the same in any order; the buffer is there so
+        // every checkpoint and progress push describes a contiguous
+        // device prefix `[start_index, expect)`.
         let mut pending: BTreeMap<u64, DevicePartial> = BTreeMap::new();
         let mut expect = start_index;
         loop {

@@ -14,9 +14,10 @@
 //! streams a [`DevicePartial`] — mergeable sketches and an [`obs`]
 //! snapshot, never raw samples — over a bounded channel into a
 //! [`Collector`]. Device seeds derive from
-//! `(campaign_seed, device_index)`, and the collector absorbs partials
-//! in device-index order, so the merged [`CampaignReport`] JSON is
-//! byte-identical regardless of worker count or completion order.
+//! `(campaign_seed, device_index)`, and every piece of collector state
+//! merges exactly (integer sketch internals), so the merged
+//! [`CampaignReport`] JSON is byte-identical regardless of worker count
+//! or completion order.
 //!
 //! The same determinism extends across *processes*: the collector's
 //! full state round-trips through the versioned campaign-state JSON

@@ -1,8 +1,8 @@
 //! Campaign reports and the versioned campaign-state format behind
 //! resume checkpoints and cross-process partial reports.
 //!
-//! A [`Collector`] folds [`DevicePartial`]s in device-index order. Its
-//! full state — per-stratum sketches, population sketches, the merged
+//! A [`Collector`] folds [`DevicePartial`]s in any order. Its full
+//! state — per-stratum sketches, population sketches, the merged
 //! telemetry registry, and the device range it covers — serializes to
 //! the versioned `acutemon-fleet-campaign-state` JSON document
 //! ([`Collector::state_json`]). That one format serves both halves of
@@ -18,10 +18,10 @@
 //!   slices back together and [`Collector::finish`] yields the same
 //!   bytes a single process would have produced.
 //!
-//! Both rely on every piece of folded state being *exactly* mergeable
-//! (integer sketch internals, integer-nanosecond registry sums) plus
-//! contiguity checks so the order-sensitive leftovers (the first-N
-//! sample reservoirs) see the same absorption order either way.
+//! Both rely on every piece of folded state being *exactly* mergeable:
+//! sketches with integer internals and integer-nanosecond sums, in the
+//! strata and in every registry histogram. Absorption order therefore
+//! never changes a byte.
 
 use am_stats::QuantileSketch;
 use obs::{Json, Registry, Snapshot, ToJson};
@@ -100,14 +100,13 @@ pub struct CampaignReport {
     /// Population-wide overhead sketch (WiFi strata).
     pub overhead_all: QuantileSketch,
     /// The campaign telemetry registry: every per-device registry
-    /// merged, in device-index order.
+    /// merged.
     pub obs: obs::Snapshot,
 }
 
-/// Streaming collector: absorbs [`DevicePartial`]s **in device-index
-/// order** and maintains only mergeable state (sketches, counters, one
-/// registry) — memory is O(strata + metric names), independent of
-/// device and probe counts.
+/// Streaming collector: absorbs [`DevicePartial`]s and maintains only
+/// mergeable state (sketches, counters, one registry) — memory is
+/// O(strata + metric names), independent of device and probe counts.
 pub struct Collector {
     strata: Vec<StratumReport>,
     du_all: QuantileSketch,
@@ -157,10 +156,10 @@ impl Collector {
         }
     }
 
-    /// Absorb one device partial. Callers must feed partials in
-    /// device-index order (the engine's reorder buffer guarantees it):
-    /// the sketch merges are order-independent, but the registry's
-    /// first-N sample reservoirs are not.
+    /// Absorb one device partial. Every merge is exact integer
+    /// addition, so absorption order does not change a byte of the
+    /// state; [`Collector::next_index`] assumes a contiguous prefix,
+    /// which is why the engine still absorbs in device order.
     pub fn absorb(&mut self, p: &DevicePartial) {
         let s = &mut self.strata[p.class];
         s.devices += 1;
@@ -325,7 +324,7 @@ impl Collector {
                 let s = j.get(k).ok_or_else(|| {
                     CampaignStateError(format!("stratum {i}: missing sketch `{k}`"))
                 })?;
-                QuantileSketch::from_state_json(s)
+                campaign_sketch(s)
                     .map_err(|e| CampaignStateError(format!("stratum {i} sketch `{k}`: {}", e.0)))
             };
             let weight = field("weight")?;
@@ -352,8 +351,7 @@ impl Collector {
             let s = state
                 .get(k)
                 .ok_or_else(|| CampaignStateError(format!("missing sketch `{k}`")))?;
-            QuantileSketch::from_state_json(s)
-                .map_err(|e| CampaignStateError(format!("sketch `{k}`: {}", e.0)))
+            campaign_sketch(s).map_err(|e| CampaignStateError(format!("sketch `{k}`: {}", e.0)))
         };
         let du_all = top_sketch("du_all")?;
         let overhead_all = top_sketch("overhead_all")?;
@@ -376,80 +374,44 @@ impl Collector {
         })
     }
 
-    /// Fold another collector's state into this one. `other` must cover
-    /// the device range immediately after this collector's
-    /// ([`Collector::next_index`]): contiguity is what keeps the
-    /// order-sensitive registry sample reservoirs identical to a
-    /// single-process run.
-    pub fn absorb_state(&mut self, other: &Collector) -> Result<(), CampaignStateError> {
+    /// Check that [`Collector::absorb_state`] would accept `other`
+    /// without changing anything: same campaign (seed and fingerprint),
+    /// the same strata by name, and registry histograms whose bounds
+    /// agree by name. Device ranges are the caller's business — only it
+    /// knows whether the inputs must tile a population.
+    pub fn check_mergeable(&self, other: &Collector) -> Result<(), CampaignStateError> {
         if other.fingerprint != self.fingerprint || other.seed != self.seed {
             return Err(CampaignStateError(
                 "cannot merge partials from different campaign specs".to_string(),
             ));
-        }
-        if other.range_start != self.next_index() {
-            return Err(CampaignStateError(format!(
-                "partial starting at device {} is not contiguous with merged range ending at {}",
-                other.range_start,
-                self.next_index()
-            )));
         }
         if other.strata.len() != self.strata.len() {
             return Err(CampaignStateError(
                 "partials disagree on stratum count".to_string(),
             ));
         }
-        for (s, o) in self.strata.iter_mut().zip(&other.strata) {
-            if s.name != o.name {
-                return Err(CampaignStateError(format!(
-                    "stratum name mismatch: `{}` vs `{}`",
-                    s.name, o.name
-                )));
-            }
-            s.devices += o.devices;
-            s.probes_sent += o.probes_sent;
-            s.probes_completed += o.probes_completed;
-            s.retries += o.retries;
-            s.du.merge(&o.du);
-            s.dn.merge(&o.dn);
-            s.overhead.merge(&o.overhead);
+        if let Some((s, o)) = self
+            .strata
+            .iter()
+            .zip(&other.strata)
+            .find(|(s, o)| s.name != o.name)
+        {
+            return Err(CampaignStateError(format!(
+                "stratum name mismatch: `{}` vs `{}`",
+                s.name, o.name
+            )));
         }
-        self.du_all.merge(&other.du_all);
-        self.overhead_all.merge(&other.overhead_all);
-        self.registry.merge_snapshot(&other.registry.snapshot());
-        self.devices_seen += other.devices_seen;
+        self.registry.check_merge(&other.registry.snapshot())?;
         Ok(())
     }
 
-    /// Fold another collector's state into this one *for a live view*,
-    /// tolerating gaps: unlike [`Collector::absorb_state`], `other` may
-    /// start anywhere at or past this collector's
-    /// [`Collector::next_index`]. All counter/sketch/histogram algebra
-    /// is order- and gap-independent, so every number in the view is
-    /// exact; the one caveat is the registry's first-N sample
-    /// reservoirs, which may retain different raw samples than a
-    /// gap-free absorption would. The collector daemon uses this for
-    /// mid-campaign `/snapshot`s — the *final* snapshot (all partitions
-    /// landed) always comes from the gap-free [`Collector::absorb_state`]
-    /// path and is byte-identical to a single-process run.
-    pub fn absorb_state_for_view(&mut self, other: &Collector) -> Result<(), CampaignStateError> {
-        if other.fingerprint != self.fingerprint || other.seed != self.seed {
-            return Err(CampaignStateError(
-                "cannot merge partials from different campaign specs".to_string(),
-            ));
-        }
-        if other.range_start < self.next_index() {
-            return Err(CampaignStateError(format!(
-                "view partial starting at device {} overlaps merged range ending at {}",
-                other.range_start,
-                self.next_index()
-            )));
-        }
-        if other.strata.len() != self.strata.len() {
-            return Err(CampaignStateError(
-                "partials disagree on stratum count".to_string(),
-            ));
-        }
+    /// Fold another collector's state into this one, in any order: every
+    /// merge is exact, so the result does not depend on which state
+    /// arrived first. Everything is checked
+    /// ([`Collector::check_mergeable`]) before anything changes, so an
+    /// error leaves this collector as it was.
+    pub fn absorb_state(&mut self, other: &Collector) -> Result<(), CampaignStateError> {
+        self.check_mergeable(other)?;
         for (s, o) in self.strata.iter_mut().zip(&other.strata) {
             s.devices += o.devices;
             s.probes_sent += o.probes_sent;
@@ -462,11 +424,6 @@ impl Collector {
         self.du_all.merge(&other.du_all);
         self.overhead_all.merge(&other.overhead_all);
         self.registry.merge_snapshot(&other.registry.snapshot());
-        // Count only devices actually absorbed; gap devices haven't run.
-        // Disjointness of successive view slices is the caller's
-        // responsibility (the daemon's pending map is keyed and
-        // validated by range), which the range_start check above
-        // backstops for the contiguous prefix.
         self.devices_seen += other.devices_seen;
         Ok(())
     }
@@ -505,10 +462,11 @@ impl Collector {
 /// the single-process [`CampaignReport`].
 ///
 /// Each element is the parsed JSON of one `repro fleet --partition i/k`
-/// output. Partials may arrive in any order (they are sorted by
-/// `range_start`), but together they must tile `0..spec.devices`
-/// contiguously, carry `spec`'s fingerprint, and overlap nowhere —
-/// anything else is an error, not a silent partial answer.
+/// output. Partials may arrive in any order, but sorted by
+/// `range_start` they must tile `0..spec.devices`: the first starts at
+/// 0, each starts where the previous one ended, and together they cover
+/// the population. They must also carry `spec`'s fingerprint. Anything
+/// else is an error, not a silent partial answer.
 ///
 /// ```
 /// use fleet::{merge_partials, run_campaign, run_partition, CampaignSpec};
@@ -543,24 +501,41 @@ pub fn merge_partials(
         collectors.push(c);
     }
     collectors.sort_by_key(|c| c.range_start());
-    let mut merged = collectors.remove(0);
-    if merged.range_start() != 0 {
-        return Err(CampaignStateError(format!(
-            "first partial starts at device {} instead of 0",
-            merged.range_start()
-        )));
-    }
+    let mut end = 0;
     for c in &collectors {
-        merged.absorb_state(c)?;
+        if c.range_start() != end {
+            return Err(CampaignStateError(format!(
+                "partial starting at device {} does not continue the tiling at device {end} \
+                 (a gap or an overlap)",
+                c.range_start()
+            )));
+        }
+        end = c.next_index();
     }
-    if merged.devices_seen() != spec.devices {
+    if end != spec.devices {
         return Err(CampaignStateError(format!(
-            "merged partials cover {} devices but the spec has {}",
-            merged.devices_seen(),
+            "merged partials cover {end} devices but the spec has {}",
             spec.devices
         )));
     }
+    let mut merged = Collector::new(spec);
+    for c in &collectors {
+        merged.absorb_state(c)?;
+    }
     Ok(merged.finish())
+}
+
+/// A sketch from a campaign-state document. Every campaign sketch is
+/// built with the default accuracy, so any other accuracy is rejected
+/// here, before a merge could trip over it.
+fn campaign_sketch(state: &Json) -> Result<QuantileSketch, CampaignStateError> {
+    let s = QuantileSketch::from_state_json(state)?;
+    if !s.mergeable_with(&QuantileSketch::new()) {
+        return Err(CampaignStateError(
+            "sketch accuracy is not the campaign default".to_string(),
+        ));
+    }
+    Ok(s)
 }
 
 fn fmt_q(s: &QuantileSketch, p: f64) -> String {

@@ -1,12 +1,14 @@
 //! Campaign determinism, stated as properties:
 //!
-//! 1. the sketch merge algebra is order-independent over *real* device
-//!    partials (not just synthetic streams — those live in `am_stats`);
+//! 1. the merge algebra is order-independent over *real* device
+//!    partials (not just synthetic streams — those live in `obs`): the
+//!    `du` sketch and the whole [`Collector`] state, registry
+//!    histograms included, come out byte-identical in any order;
 //! 2. the merged campaign JSON is byte-identical for 1 vs. 8 workers;
 //! 3. collector memory stays bounded by in-flight work, independent of
 //!    probe count.
 
-use fleet::{run_campaign, run_device, CampaignSpec};
+use fleet::{run_campaign, run_device, CampaignSpec, Collector};
 use obs::ToJson;
 
 /// xorshift64* — a tiny deterministic shuffler for the property tests.
@@ -44,18 +46,42 @@ fn sketch_merge_is_order_independent_over_real_partials() {
         }
         acc.to_json().to_string_pretty()
     };
+    // The same for the collector's full state — every stratum sketch,
+    // counter and registry histogram.
+    let collect = |order: &[usize]| {
+        let mut c = Collector::new(&spec);
+        for &i in order {
+            c.absorb(&partials[i]);
+        }
+        c.state_json().to_string_pretty()
+    };
     let forward: Vec<usize> = (0..partials.len()).collect();
     let reference = merge_flat(&forward);
+    let reference_state = collect(&forward);
+    assert!(
+        reference_state.contains("\"sketch\""),
+        "registry histograms present"
+    );
 
     let mut reversed = forward.clone();
     reversed.reverse();
     assert_eq!(merge_flat(&reversed), reference, "reverse order diverged");
+    assert_eq!(
+        collect(&reversed),
+        reference_state,
+        "reverse collector diverged"
+    );
 
     let mut rng = Shuffler(0xD1CE);
     for round in 0..5 {
         let mut order = forward.clone();
         rng.shuffle(&mut order);
         assert_eq!(merge_flat(&order), reference, "shuffle {round} diverged");
+        assert_eq!(
+            collect(&order),
+            reference_state,
+            "collector shuffle {round} diverged"
+        );
     }
 
     // Tree reduction: ((0+1)+(2+3))+… — associativity, not just

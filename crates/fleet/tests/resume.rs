@@ -126,14 +126,45 @@ fn merge_rejects_wrong_spec_gaps_and_overlaps() {
 
     // Missing a slice → not contiguous.
     let gappy: Vec<Json> = vec![parts[0].clone(), parts[2].clone(), parts[3].clone()];
-    assert!(merge_partials(&spec, &gappy).is_err());
+    let e = merge_partials(&spec, &gappy).unwrap_err();
+    assert!(e.0.contains("gap or an overlap"), "{e}");
 
     // Duplicate slice → overlap.
     let dupe: Vec<Json> = vec![parts[0].clone(), parts[1].clone(), parts[1].clone()];
-    assert!(merge_partials(&spec, &dupe).is_err());
+    let e = merge_partials(&spec, &dupe).unwrap_err();
+    assert!(e.0.contains("gap or an overlap"), "{e}");
 
     // Not starting at device 0.
     assert!(merge_partials(&spec, &parts[1..]).is_err());
+    // Tiling but short of the population.
+    let e = merge_partials(&spec, &parts[..3]).unwrap_err();
+    assert!(e.0.contains("cover"), "{e}");
+
+    // A partial whose *last* stratum was renamed is a typed error, and
+    // `absorb_state` checks it before folding the strata ahead of it.
+    let last = spec.classes.last().unwrap().name;
+    let renamed = Json::parse(&parts[1].to_string().replacen(
+        &format!("\"{last}\""),
+        "\"renamed\"",
+        1,
+    ))
+    .unwrap();
+    let e = merge_partials(
+        &spec,
+        &[
+            parts[0].clone(),
+            renamed.clone(),
+            parts[2].clone(),
+            parts[3].clone(),
+        ],
+    )
+    .unwrap_err();
+    assert!(e.0.contains("stratum name mismatch"), "{e}");
+    let mut merged = fleet::Collector::from_state_json(&parts[0]).unwrap();
+    let before = merged.state_json().to_string();
+    let renamed = fleet::Collector::from_state_json(&renamed).unwrap();
+    assert!(merged.absorb_state(&renamed).is_err());
+    assert_eq!(merged.state_json().to_string(), before, "nothing folded");
 }
 
 #[test]

@@ -87,9 +87,9 @@ pub fn prometheus(snap: &Snapshot) -> String {
                 escape_label_value(&bound.to_string())
             );
         }
-        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(out, "{n}_sum {}", h.sum);
-        let _ = writeln!(out, "{n}_count {}", h.count);
+        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count());
+        let _ = writeln!(out, "{n}_sum {}", h.sum());
+        let _ = writeln!(out, "{n}_count {}", h.count());
     }
     out
 }

@@ -4,10 +4,12 @@
 //! layers (SDIO bus sleep, 802.11 adaptive PSM, runtime overhead). This
 //! crate gives every layer a cheap way to report what it sees:
 //!
-//! - [`metrics::Registry`] — counters, gauges, and fixed-bucket
-//!   histograms behind a clonable handle that is a strict no-op when
-//!   disabled (a disabled registry allocates nothing and every operation
-//!   is a branch on `None`).
+//! - [`metrics::Registry`] — counters, gauges, and histograms behind a
+//!   clonable handle that is a strict no-op when disabled (a disabled
+//!   registry allocates nothing and every operation is a branch on
+//!   `None`).
+//! - [`sketch::QuantileSketch`] — the mergeable, censoring-aware quantile
+//!   sketch behind every histogram and every fleet campaign statistic.
 //! - [`span::SpanTimer`] — scoped wall-clock timers that record into a
 //!   histogram on drop.
 //! - [`events::EventStream`] — the bounded, category-filtered event
@@ -43,6 +45,7 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod prof;
+pub mod sketch;
 pub mod span;
 pub mod trace;
 
@@ -53,6 +56,7 @@ pub use metrics::{
     SNAPSHOT_STATE_VERSION,
 };
 pub use prof::{MergedNode, ProfNode, ProfPhase, ProfSnapshot, ProfSpan, Profiler, ThreadProf};
+pub use sketch::{QuantileSketch, SketchStateError};
 pub use span::SpanTimer;
 pub use trace::{
     build_trace_tree, render_waterfall, AttrValue, SamplePolicy, SamplingStats, SpanId, SpanNode,

@@ -1,23 +1,23 @@
-//! Counters, gauges, and fixed-bucket histograms behind a [`Registry`].
+//! Counters, gauges, and histograms behind a [`Registry`].
 //!
 //! A `Registry` is a cheap clonable handle. `Registry::disabled()` costs
 //! nothing: every metric handle it vends is `None` inside and every
 //! operation is a single branch. An enabled registry interns metrics by
 //! name in `BTreeMap`s, so snapshots are deterministically ordered and
 //! two requests for the same name share one underlying cell.
+//!
+//! A histogram keeps fixed buckets (for the Prometheus exposition) and
+//! a [`QuantileSketch`] of every observation (for the count, exact sum,
+//! min, max and quantiles). Both merge by integer addition, so merging
+//! snapshots is exactly associative and commutative.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::{Json, ToJson};
+use crate::sketch::QuantileSketch;
 use crate::span::SpanTimer;
-
-/// Cap on raw samples retained per histogram for exact quantiles. The
-/// reservoir is first-N (deterministic); past the cap only the bucket
-/// counts keep growing and `sample_overflow` records how many raw values
-/// were not retained.
-pub const SAMPLE_CAP: usize = 4096;
 
 /// Default bucket upper bounds for millisecond-scale latencies, spanning
 /// sub-ms kernel costs up to multi-second PSM stalls.
@@ -104,17 +104,18 @@ impl Registry {
 
     /// Merge a [`Snapshot`] (typically taken from a per-shard registry)
     /// into this registry: counters and gauges add, histograms add
-    /// bucket-wise (created with the snapshot's bounds when absent),
-    /// retained raw samples append up to [`SAMPLE_CAP`] with the spill
-    /// counted in `sample_overflow`. No-op on a disabled registry.
+    /// bucket-wise and merge their sketches (created with the snapshot's
+    /// bounds when absent). No-op on a disabled registry.
     ///
-    /// Counter/gauge/bucket arithmetic — histogram sums included, via
-    /// their integer-nanosecond accumulators — is exact integer
-    /// addition, so merged totals are independent of merge order and
-    /// grouping. The one order-sensitive piece of state is the first-N
-    /// sample reservoir: callers that need bit-identical output (the
-    /// fleet collector) must merge in a fixed order so the same samples
-    /// are retained.
+    /// Every piece of state merges by exact integer addition (histogram
+    /// sums via their integer-nanosecond accumulators), so the result is
+    /// independent of merge order and grouping: absorbing the same
+    /// snapshots in any order yields the same bytes.
+    ///
+    /// # Panics
+    ///
+    /// If a histogram in `snap` has different bounds than the one of the
+    /// same name already held; [`Registry::check_merge`] tells first.
     pub fn merge_snapshot(&self, snap: &Snapshot) {
         let Some(inner) = &self.0 else { return };
         let mut g = inner.lock().unwrap();
@@ -138,6 +139,26 @@ impl Registry {
                 .clone();
             cell.lock().unwrap().merge(hs);
         }
+    }
+
+    /// Whether [`Registry::merge_snapshot`] would accept `snap`: every
+    /// histogram it shares a name with must have the same bounds.
+    /// Read-only, so a caller can validate foreign state before it
+    /// changes anything.
+    pub fn check_merge(&self, snap: &Snapshot) -> Result<(), SnapshotStateError> {
+        let Some(inner) = &self.0 else { return Ok(()) };
+        let g = inner.lock().unwrap();
+        for hs in &snap.histograms {
+            if let Some(cell) = g.hists.get(&hs.name) {
+                if cell.lock().unwrap().bounds != hs.bounds {
+                    return Err(SnapshotStateError(format!(
+                        "histogram `{}` has different bounds than the one held",
+                        hs.name
+                    )));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// A deterministic, name-sorted snapshot of every metric.
@@ -219,17 +240,9 @@ struct HistInner {
     /// `buckets[i]` counts observations `<= bounds[i]`; the final slot
     /// is the overflow bucket (`> bounds.last()`).
     buckets: Vec<u64>,
-    count: u64,
-    /// Sum of observations in integer nanoseconds (observations are
-    /// millisecond-scale f64s). Integer addition is exactly associative
-    /// and commutative, so merged registries agree bit-for-bit however
-    /// the merges were grouped — the property the fleet checkpoint /
-    /// partial-report formats rely on.
-    sum_ns: i128,
-    min: f64,
-    max: f64,
-    samples: Vec<f64>,
-    sample_overflow: u64,
+    /// Every observation: the count, the integer-nanosecond sum, min,
+    /// max and quantiles all come from here.
+    sketch: QuantileSketch,
 }
 
 impl HistInner {
@@ -241,12 +254,7 @@ impl HistInner {
         HistInner {
             bounds: bounds.to_vec(),
             buckets: vec![0; bounds.len() + 1],
-            count: 0,
-            sum_ns: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            samples: Vec::new(),
-            sample_overflow: 0,
+            sketch: QuantileSketch::new(),
         }
     }
 
@@ -257,15 +265,7 @@ impl HistInner {
             .position(|&b| v <= b)
             .unwrap_or(self.bounds.len());
         self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum_ns += (v * 1e6).round() as i128;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        if self.samples.len() < SAMPLE_CAP {
-            self.samples.push(v);
-        } else {
-            self.sample_overflow += 1;
-        }
+        self.sketch.observe(v);
     }
 
     fn merge(&mut self, snap: &HistogramSnapshot) {
@@ -276,15 +276,7 @@ impl HistInner {
         for (a, b) in self.buckets.iter_mut().zip(&snap.buckets) {
             *a += b;
         }
-        self.count += snap.count;
-        self.sum_ns += snap.sum_ns;
-        if snap.count > 0 {
-            self.min = self.min.min(snap.min);
-            self.max = self.max.max(snap.max);
-        }
-        let take = snap.samples.len().min(SAMPLE_CAP - self.samples.len());
-        self.samples.extend_from_slice(&snap.samples[..take]);
-        self.sample_overflow += snap.sample_overflow + (snap.samples.len() - take) as u64;
+        self.sketch.merge(&snap.sketch);
     }
 
     fn snapshot(&self, name: &str) -> HistogramSnapshot {
@@ -292,13 +284,7 @@ impl HistInner {
             name: name.to_string(),
             bounds: self.bounds.clone(),
             buckets: self.buckets.clone(),
-            count: self.count,
-            sum: self.sum_ns as f64 / 1e6,
-            sum_ns: self.sum_ns,
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
-            samples: self.samples.clone(),
-            sample_overflow: self.sample_overflow,
+            sketch: self.sketch.clone(),
         }
     }
 }
@@ -323,7 +309,9 @@ impl Histogram {
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.lock().unwrap().count)
+        self.0
+            .as_ref()
+            .map_or(0, |h| h.lock().unwrap().sketch.count())
     }
 }
 
@@ -337,62 +325,56 @@ pub struct HistogramSnapshot {
     /// `buckets[i]` counts observations `<= bounds[i]`; the final slot is
     /// the overflow bucket.
     pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations (derived from [`sum_ns`](Self::sum_ns), so it
-    /// is identical under any merge grouping).
-    pub sum: f64,
-    /// The exact sum accumulator, integer nanoseconds. Merges add these,
-    /// never the float `sum`, which keeps registry merging exactly
-    /// associative and commutative.
-    pub sum_ns: i128,
-    /// Smallest observation (0 when `count == 0`).
-    pub min: f64,
-    /// Largest observation (0 when `count == 0`).
-    pub max: f64,
-    /// First-N raw samples (deterministic reservoir, cap [`SAMPLE_CAP`]).
-    pub samples: Vec<f64>,
-    /// Observations beyond the sample cap (bucket counts still include
-    /// them; quantiles from `samples` become approximate).
-    pub sample_overflow: u64,
+    /// Every observation, merged exactly: the source of the count, sum,
+    /// min, max and quantiles below.
+    pub sketch: QuantileSketch,
 }
 
 impl HistogramSnapshot {
+    /// Total observations.
+    pub fn count(&self) -> u64 {
+        self.sketch.count()
+    }
+
+    /// Sum of observations, from the sketch's integer-nanosecond
+    /// accumulator (so it is identical under any merge grouping).
+    pub fn sum(&self) -> f64 {
+        self.sketch.sum_ns() as f64 / 1e6
+    }
+
+    /// Smallest observation (0 when empty).
+    pub fn min(&self) -> f64 {
+        self.sketch.min().unwrap_or(0.0)
+    }
+
+    /// Largest observation (0 when empty).
+    pub fn max(&self) -> f64 {
+        self.sketch.max().unwrap_or(0.0)
+    }
+
     /// Mean observation (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
+        self.sketch.mean()
     }
 
-    /// Quantile from the retained raw samples (linear interpolation,
-    /// R type-7 — same convention as `am_stats::quantile`). Exact while
-    /// `sample_overflow == 0`.
+    /// Nearest-rank quantile over every observation, within the
+    /// sketch's relative accuracy ([`crate::sketch::DEFAULT_ALPHA`]);
+    /// 0 when empty.
     pub fn quantile(&self, p: f64) -> f64 {
-        let mut xs = self.samples.clone();
-        if xs.is_empty() {
-            return 0.0;
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let h = p.clamp(0.0, 1.0) * (xs.len() - 1) as f64;
-        let lo = h.floor() as usize;
-        let hi = h.ceil() as usize;
-        xs[lo] + (xs[hi] - xs[lo]) * (h - lo as f64)
+        self.sketch.quantile(p).unwrap_or(0.0)
     }
 
-    /// Median from the retained samples.
+    /// Median.
     pub fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
-    /// 95th percentile from the retained samples.
+    /// 95th percentile.
     pub fn p95(&self) -> f64 {
         self.quantile(0.95)
     }
 
-    /// 99th percentile from the retained samples.
+    /// 99th percentile.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
@@ -402,17 +384,16 @@ impl ToJson for HistogramSnapshot {
     fn to_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("name", &self.name);
-        obj.set("count", self.count);
-        obj.set("sum", self.sum);
-        obj.set("min", self.min);
-        obj.set("max", self.max);
+        obj.set("count", self.count());
+        obj.set("sum", self.sum());
+        obj.set("min", self.min());
+        obj.set("max", self.max());
         obj.set("mean", self.mean());
         obj.set("p50", self.p50());
         obj.set("p95", self.p95());
         obj.set("p99", self.p99());
         obj.set("bounds", &self.bounds);
         obj.set("buckets", &self.buckets);
-        obj.set("sample_overflow", self.sample_overflow);
         obj
     }
 }
@@ -454,8 +435,10 @@ impl Snapshot {
 }
 
 /// Version tag written into [`Snapshot::state_json`] payloads;
-/// [`Snapshot::from_state_json`] rejects anything newer.
-pub const SNAPSHOT_STATE_VERSION: u64 = 1;
+/// [`Snapshot::from_state_json`] reads this version only. Version 2
+/// carries each histogram's sketch; version 1 carried a first-N sample
+/// reservoir that cannot be turned into one.
+pub const SNAPSHOT_STATE_VERSION: u64 = 2;
 
 /// A failure to reconstruct a [`Snapshot`] from its serialized state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -471,12 +454,11 @@ impl std::error::Error for SnapshotStateError {}
 
 impl Snapshot {
     /// Serialize the **full** snapshot state — unlike [`ToJson`], which
-    /// emits a summary view (derived quantiles, no raw samples) — so the
-    /// snapshot can be reconstructed exactly by
-    /// [`Snapshot::from_state_json`] and merged into a fresh
-    /// [`Registry`] without losing a bit. Histogram `sum_ns`
-    /// accumulators travel as decimal strings (JSON numbers are doubles,
-    /// `i128` is not).
+    /// emits a summary view (derived quantiles) — so the snapshot can be
+    /// reconstructed exactly by [`Snapshot::from_state_json`] and merged
+    /// into a fresh [`Registry`] without losing a bit. Each histogram
+    /// carries its bounds, buckets and
+    /// [`QuantileSketch::state_json`].
     ///
     /// This is the payload the fleet campaign checkpoint and
     /// partial-report formats embed: restore + continue must equal an
@@ -496,12 +478,7 @@ impl Snapshot {
             obj.set("name", &h.name);
             obj.set("bounds", &h.bounds);
             obj.set("buckets", &h.buckets);
-            obj.set("count", h.count);
-            obj.set("sum_ns", h.sum_ns.to_string());
-            obj.set("min", h.min);
-            obj.set("max", h.max);
-            obj.set("samples", &h.samples);
-            obj.set("sample_overflow", h.sample_overflow);
+            obj.set("sketch", h.sketch.state_json());
             hists.push(obj);
         }
         let mut obj = Json::object();
@@ -514,17 +491,21 @@ impl Snapshot {
 
     /// Reconstruct a snapshot from [`Snapshot::state_json`] output. The
     /// round trip is exact: merging the result into a registry produces
-    /// the same state as merging the original.
+    /// the same state as merging the original. Anything a registry could
+    /// not have produced — another version, unsorted or repeated
+    /// histogram names, bounds that do not ascend, buckets that disagree
+    /// with the sketch, a sketch of another accuracy — is an error, so
+    /// merging the result never panics.
     pub fn from_state_json(state: &Json) -> Result<Snapshot, SnapshotStateError> {
         let err = |msg: &str| SnapshotStateError(msg.to_string());
         let version = state
             .get("version")
             .and_then(Json::as_f64)
             .ok_or_else(|| err("missing version"))? as u64;
-        if version > SNAPSHOT_STATE_VERSION {
+        if version != SNAPSHOT_STATE_VERSION {
             return Err(SnapshotStateError(format!(
-                "snapshot state version {version} is newer than supported \
-                 {SNAPSHOT_STATE_VERSION}"
+                "snapshot state version {version} is not supported (expected \
+                 {SNAPSHOT_STATE_VERSION})"
             )));
         }
         let entries = |key: &str| -> Result<&[(String, Json)], SnapshotStateError> {
@@ -553,42 +534,43 @@ impl Snapshot {
                 })
                 .collect()
         };
-        let num = |h: &Json, key: &str| -> Result<f64, SnapshotStateError> {
-            h.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| SnapshotStateError(format!("missing {key}")))
-        };
         for h in state
             .get("histograms")
             .and_then(Json::as_arr)
             .ok_or_else(|| err("missing histograms array"))?
         {
-            let sum_ns = h
-                .get("sum_ns")
+            let name = h
+                .get("name")
                 .and_then(Json::as_str)
-                .ok_or_else(|| err("missing sum_ns"))?
-                .parse::<i128>()
-                .map_err(|e| SnapshotStateError(format!("bad sum_ns: {e}")))?;
+                .ok_or_else(|| err("missing histogram name"))?
+                .to_string();
+            let bad = |msg: &str| SnapshotStateError(format!("histogram `{name}`: {msg}"));
+            if snap.histograms.last().is_some_and(|prev| prev.name >= name) {
+                return Err(bad("histogram names must be sorted and unique"));
+            }
             let bounds = floats(h, "bounds")?;
+            if !bounds.windows(2).all(|w| w[0] < w[1]) {
+                return Err(bad("bounds must be strictly ascending"));
+            }
             let buckets: Vec<u64> = floats(h, "buckets")?.iter().map(|&v| v as u64).collect();
             if buckets.len() != bounds.len() + 1 {
-                return Err(err("bucket count must be bounds + 1"));
+                return Err(bad("bucket count must be bounds + 1"));
+            }
+            let sketch = QuantileSketch::from_state_json(
+                h.get("sketch").ok_or_else(|| bad("missing sketch"))?,
+            )
+            .map_err(|e| bad(&e.0))?;
+            if !sketch.mergeable_with(&QuantileSketch::new()) {
+                return Err(bad("sketch accuracy is not the default"));
+            }
+            if buckets.iter().sum::<u64>() != sketch.count() {
+                return Err(bad("bucket counts disagree with the sketch"));
             }
             snap.histograms.push(HistogramSnapshot {
-                name: h
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| err("missing histogram name"))?
-                    .to_string(),
+                name,
                 bounds,
                 buckets,
-                count: num(h, "count")? as u64,
-                sum: sum_ns as f64 / 1e6,
-                sum_ns,
-                min: num(h, "min")?,
-                max: num(h, "max")?,
-                samples: floats(h, "samples")?,
-                sample_overflow: num(h, "sample_overflow")? as u64,
+                sketch,
             });
         }
         Ok(snap)
@@ -620,6 +602,7 @@ impl ToJson for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::DEFAULT_ALPHA;
 
     #[test]
     fn disabled_registry_is_a_noop() {
@@ -657,9 +640,9 @@ mod tests {
         let hs = snap.histogram("h").unwrap();
         // <=1: {0.5, 1.0}; <=10: {1.0001, 10.0}; >10: {11.0}
         assert_eq!(hs.buckets, vec![2, 2, 1]);
-        assert_eq!(hs.count, 5);
-        assert_eq!(hs.min, 0.5);
-        assert_eq!(hs.max, 11.0);
+        assert_eq!(hs.count(), 5);
+        assert_eq!(hs.min(), 0.5);
+        assert_eq!(hs.max(), 11.0);
     }
 
     #[test]
@@ -674,18 +657,35 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_match_r7() {
+    fn quantiles_track_the_whole_population() {
+        // Far past the 4,096 observations a first-N reservoir would keep
+        // (it reported p50 2,048.5 and p99 4,055.05 here).
         let r = Registry::new();
         let h = r.histogram("q", &[100.0]);
-        for v in 1..=100 {
+        for v in 1..=10_000 {
             h.observe(v as f64);
         }
         let snap = r.snapshot();
         let hs = snap.histogram("q").unwrap();
-        assert!((hs.p50() - 50.5).abs() < 1e-9);
-        assert!((hs.quantile(0.0) - 1.0).abs() < 1e-9);
-        assert!((hs.quantile(1.0) - 100.0).abs() < 1e-9);
-        assert!((hs.p95() - 95.05).abs() < 1e-9);
+        for (got, rank) in [(hs.p50(), 5_000.0), (hs.p99(), 9_900.0)] {
+            // Nearest rank, within the sketch's relative accuracy plus
+            // one rank either way.
+            let (lo, hi) = (rank - 1.0, rank + 1.0);
+            assert!(
+                got >= lo * (1.0 - DEFAULT_ALPHA) && got <= hi * (1.0 + DEFAULT_ALPHA),
+                "{got} vs rank {rank}"
+            );
+        }
+        assert!((hs.quantile(0.0) - 1.0).abs() <= DEFAULT_ALPHA);
+        assert!(hs.quantile(1.0) <= 10_000.0, "clamped to the exact max");
+        assert!(hs.quantile(1.0) >= 10_000.0 * (1.0 - DEFAULT_ALPHA));
+        assert_eq!(hs.count(), 10_000);
+        assert_eq!(hs.sum(), 50_005_000.0);
+        // An empty histogram still reports zeros.
+        r.histogram("empty", &[1.0]);
+        let empty = r.snapshot();
+        let e = empty.histogram("empty").unwrap();
+        assert_eq!((e.p50(), e.p99(), e.min(), e.max()), (0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]
@@ -746,32 +746,8 @@ mod tests {
         assert_eq!(a.counter("c"), b.counter("c"));
         let (ha, hb) = (a.histogram("h").unwrap(), b.histogram("h").unwrap());
         assert_eq!(ha.buckets, hb.buckets);
-        assert_eq!(ha.count, hb.count);
-        assert_eq!(ha.sum, hb.sum);
-        assert_eq!(ha.min, hb.min);
-        assert_eq!(ha.max, hb.max);
-    }
-
-    #[test]
-    fn merge_snapshot_caps_samples_and_tracks_spill() {
-        let shard = Registry::new();
-        let h = shard.histogram("big", &[1e9]);
-        for v in 0..SAMPLE_CAP {
-            h.observe(v as f64);
-        }
-        let snap = shard.snapshot();
-        let merged = Registry::new();
-        merged.merge_snapshot(&snap);
-        merged.merge_snapshot(&snap);
-        let out = merged.snapshot();
-        let hs = out.histogram("big").unwrap();
-        assert_eq!(hs.samples.len(), SAMPLE_CAP);
-        assert_eq!(hs.sample_overflow, SAMPLE_CAP as u64);
-        assert_eq!(hs.count, 2 * SAMPLE_CAP as u64);
-        // Disabled registries ignore merges entirely.
-        let off = Registry::disabled();
-        off.merge_snapshot(&snap);
-        assert!(off.snapshot().is_empty());
+        assert_eq!(ha.sketch, hb.sketch);
+        assert_eq!(a.state_json().to_string(), b.state_json().to_string());
     }
 
     #[test]
@@ -791,8 +767,7 @@ mod tests {
         assert_eq!(restored.gauges, snap.gauges);
         assert_eq!(restored.histograms.len(), snap.histograms.len());
         let (a, b) = (&restored.histograms[0], &snap.histograms[0]);
-        assert_eq!(a.sum_ns, b.sum_ns);
-        assert_eq!(a.samples, b.samples);
+        assert_eq!(a.sketch, b.sketch);
         assert_eq!(
             restored.to_json().to_string_pretty(),
             snap.to_json().to_string_pretty()
@@ -816,6 +791,41 @@ mod tests {
         state.set("version", (SNAPSHOT_STATE_VERSION + 1) as f64);
         assert!(Snapshot::from_state_json(&state).is_err());
         assert!(Snapshot::from_state_json(&Json::object()).is_err());
+        // A version-1 document (first-N raw samples, no sketch) is a
+        // typed error, not a silently empty histogram.
+        let mut v1 = snap.state_json();
+        v1.set("version", 1u64);
+        let e = Snapshot::from_state_json(&v1).unwrap_err();
+        assert!(e.0.contains("version 1"), "{e}");
+    }
+
+    #[test]
+    fn snapshot_state_rejects_what_no_registry_holds() {
+        let r = Registry::new();
+        r.histogram("a", &[1.0, 10.0]).observe(2.0);
+        r.histogram("b", &[1.0]).observe(0.5);
+        let good = r.snapshot().state_json();
+        let tamper = |f: &dyn Fn(&mut Vec<Json>)| {
+            let mut doc = good.clone();
+            let mut hists = doc.get("histograms").unwrap().as_arr().unwrap().to_vec();
+            f(&mut hists);
+            doc.set("histograms", Json::Arr(hists));
+            Snapshot::from_state_json(&doc).unwrap_err().0
+        };
+        let e = tamper(&|h| h.swap(0, 1));
+        assert!(e.contains("sorted and unique"), "{e}");
+        let e = tamper(&|h| h[1] = h[0].clone());
+        assert!(e.contains("sorted and unique"), "{e}");
+        let e = tamper(&|h| h[0].set("bounds", vec![10.0, 1.0]));
+        assert!(e.contains("ascending"), "{e}");
+        let e = tamper(&|h| h[0].set("buckets", vec![0u64, 2, 0]));
+        assert!(e.contains("disagree"), "{e}");
+        let e = tamper(&|h| {
+            let mut sk = QuantileSketch::with_alpha(0.02);
+            sk.observe(2.0);
+            h[0].set("sketch", sk.state_json());
+        });
+        assert!(e.contains("accuracy"), "{e}");
     }
 
     #[test]
@@ -854,22 +864,8 @@ mod tests {
         );
         let (a, b) = (grouped_left.snapshot(), grouped_right.snapshot());
         assert_eq!(
-            a.histogram("h").unwrap().sum_ns,
-            b.histogram("h").unwrap().sum_ns
+            a.histogram("h").unwrap().sketch.sum_ns(),
+            b.histogram("h").unwrap().sketch.sum_ns()
         );
-    }
-
-    #[test]
-    fn sample_reservoir_caps_and_counts_overflow() {
-        let r = Registry::new();
-        let h = r.histogram("cap", &[1e9]);
-        for v in 0..(SAMPLE_CAP + 10) {
-            h.observe(v as f64);
-        }
-        let snap = r.snapshot();
-        let hs = snap.histogram("cap").unwrap();
-        assert_eq!(hs.samples.len(), SAMPLE_CAP);
-        assert_eq!(hs.sample_overflow, 10);
-        assert_eq!(hs.count, (SAMPLE_CAP + 10) as u64);
     }
 }

@@ -63,8 +63,8 @@ mod tests {
         }
         let snap = r.snapshot();
         let h = snap.histogram("work.ms").unwrap();
-        assert_eq!(h.count, 1);
-        assert!(h.max >= 0.0);
+        assert_eq!(h.count(), 1);
+        assert!(h.max() >= 0.0);
     }
 
     #[test]
@@ -79,8 +79,8 @@ mod tests {
         let outer_ms = outer.stop().unwrap();
         assert!(outer_ms >= inner_ms);
         let snap = r.snapshot();
-        assert_eq!(snap.histogram("outer.ms").unwrap().count, 1);
-        assert_eq!(snap.histogram("inner.ms").unwrap().count, 1);
+        assert_eq!(snap.histogram("outer.ms").unwrap().count(), 1);
+        assert_eq!(snap.histogram("inner.ms").unwrap().count(), 1);
     }
 
     #[test]

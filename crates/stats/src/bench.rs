@@ -2,14 +2,16 @@
 //!
 //! The workspace builds offline, so instead of an external bench
 //! framework the timing loop is [`Harness`]: adaptive iteration counts,
-//! per-iteration samples recorded into an `obs` histogram, and a
-//! min/p50/mean summary per benchmark. The `am-bench` crate's suites use
+//! per-iteration samples kept in full, and a min/p50/mean summary per
+//! benchmark. The `am-bench` crate's suites use
 //! it under `cargo bench`; the `repro bench-snapshot` mode uses it to
 //! write machine-readable medians.
 
 use std::time::{Duration, Instant};
 
 use obs::ToJson;
+
+use crate::quantile::quantile;
 
 pub use std::hint::black_box;
 
@@ -39,9 +41,8 @@ pub struct BenchResult {
 ///
 /// Each benchmark warms up once, then runs iterations until `budget`
 /// wall time is spent (at least `min_iters`, at most `max_iters`),
-/// recording per-iteration latency into an `obs` histogram so the
-/// summary quantiles come from the same machinery the telemetry layer
-/// uses.
+/// keeping every per-iteration latency, so the median is the R type-7
+/// [`quantile`] of the samples themselves.
 pub struct Harness {
     suite: String,
     budget: Duration,
@@ -72,28 +73,21 @@ impl Harness {
     /// Time `f`, recording one [`BenchResult`].
     pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
         black_box(f()); // warm-up (also faults in lazy state)
-        let reg = obs::Registry::new();
-        let hist = reg.histogram(
-            name,
-            &[1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6],
-        );
+        let mut samples_ns = Vec::with_capacity(self.max_iters as usize);
         let started = Instant::now();
-        let mut iters = 0u32;
-        while iters < self.min_iters || (started.elapsed() < self.budget && iters < self.max_iters)
+        while samples_ns.len() < self.min_iters as usize
+            || (started.elapsed() < self.budget && samples_ns.len() < self.max_iters as usize)
         {
             let t = Instant::now();
             black_box(f());
-            hist.observe(t.elapsed().as_secs_f64() * 1e3);
-            iters += 1;
+            samples_ns.push(t.elapsed().as_nanos() as f64);
         }
-        let snap = reg.snapshot();
-        let h = snap.histogram(name).expect("bench histogram");
         self.results.push(BenchResult {
             name: name.to_string(),
-            iters: h.count,
-            min_ns: h.min * 1e6,
-            p50_ns: h.p50() * 1e6,
-            mean_ns: h.mean() * 1e6,
+            iters: samples_ns.len() as u64,
+            min_ns: samples_ns.iter().copied().fold(f64::INFINITY, f64::min),
+            p50_ns: quantile(&samples_ns, 0.5).expect("at least one iteration"),
+            mean_ns: samples_ns.iter().sum::<f64>() / samples_ns.len() as f64,
         });
     }
 

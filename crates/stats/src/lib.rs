@@ -10,10 +10,10 @@
 //! * [`quantile`]/[`median`]: R type-7 percentiles;
 //! * [`CensoredSample`]: loss-aware quantiles over right-censored probes
 //!   (timeouts count toward the denominator instead of being dropped);
-//! * [`QuantileSketch`]/[`MergeHist`]: mergeable streaming sketches with
-//!   exactly associative/commutative `merge()` for population-scale
-//!   (fleet) aggregation — memory bounded by the value range, censoring
-//!   handled per [`CensoredSample`];
+//! * [`QuantileSketch`]: the mergeable streaming sketch (defined in
+//!   `obs`, re-exported here) with an exactly associative/commutative
+//!   `merge()` for population-scale (fleet) aggregation — memory bounded
+//!   by the value range, censoring handled per [`CensoredSample`];
 //! * [`render`]: ASCII tables, box-plot strips, and CDF plots for the
 //!   terminal-based experiment runners;
 //! * [`mod@bench`]: the offline wall-clock benchmark harness shared by
@@ -25,7 +25,6 @@ pub mod bench;
 mod boxplot;
 mod censored;
 mod ecdf;
-mod hist;
 mod quantile;
 pub mod render;
 mod sketch;
@@ -34,10 +33,9 @@ mod summary;
 pub use boxplot::BoxStats;
 pub use censored::CensoredSample;
 pub use ecdf::Ecdf;
-pub use hist::{hist_percentiles, HistPercentiles};
 pub use quantile::{median, quantile, quantile_sorted};
 pub use render::{render_boxplots, render_cdfs, Table};
 pub use sketch::{
-    MergeHist, QuantileSketch, SketchStateError, DEFAULT_ALPHA, MIN_VALUE_MS, SKETCH_STATE_VERSION,
+    QuantileSketch, SketchStateError, DEFAULT_ALPHA, MIN_VALUE_MS, SKETCH_STATE_VERSION,
 };
 pub use summary::{t_quantile_975, Summary};

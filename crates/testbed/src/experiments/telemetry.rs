@@ -124,8 +124,8 @@ mod tests {
         // between probes and mid-RTT, so each probe pays two promotions —
         // request out, response in — and every one is a histogram sample.
         let wake = snap.histogram("phone.sdio.wake_latency_ms").expect("hist");
-        assert_eq!(wake.count, snap.counter("phone.sdio.wakeups").unwrap());
-        assert_eq!(wake.count, 2 * u64::from(k));
+        assert_eq!(wake.count(), snap.counter("phone.sdio.wakeups").unwrap());
+        assert_eq!(wake.count(), 2 * u64::from(k));
         // The uplink promotion lands in ∆dk−v: every probe shows it.
         assert_eq!(r.probes_with_dk_v_above(5.0), k as usize);
         // Per-sample promotion cost matches Table 3's Broadcom numbers.
@@ -139,8 +139,8 @@ mod tests {
         // buffers every response and the STA retrieves each with a
         // PS-Poll; the downlink promotion shows up in ∆dv−n.
         let buf = snap.histogram("phy.ap.ps_buffer_wait_ms").expect("hist");
-        assert_eq!(buf.count, snap.counter("phy.ap.ps_buffered").unwrap());
-        assert_eq!(buf.count, u64::from(k));
+        assert_eq!(buf.count(), snap.counter("phy.ap.ps_buffered").unwrap());
+        assert_eq!(buf.count(), u64::from(k));
         assert_eq!(snap.counter("phy.sta.ps_polls"), Some(u64::from(k)));
         assert_eq!(r.probes_with_dv_n_above(5.0), k as usize);
         // Buffered-for durations are bounded by the beacon cycle plus the
@@ -170,7 +170,7 @@ mod tests {
         assert_eq!(
             snap.histogram("phy.ap.ps_buffer_wait_ms")
                 .expect("hist")
-                .count,
+                .count(),
             0
         );
         // ...and after the warm-up, probes find the bus already awake.

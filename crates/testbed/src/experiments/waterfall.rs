@@ -179,12 +179,12 @@ mod tests {
             .histogram("phone.sdio.wake_latency_ms")
             .expect("hist");
         let (wake_ms, wake_n) = r.span_total_ms("sdio_wake");
-        assert_eq!(wake_n, wake.count);
+        assert_eq!(wake_n, wake.count());
         assert_eq!(wake_n, 2 * u64::from(k));
         assert!(
-            (wake_ms - wake.sum).abs() < 1e-6,
+            (wake_ms - wake.sum()).abs() < 1e-6,
             "sdio_wake spans {wake_ms} ms vs histogram {} ms",
-            wake.sum
+            wake.sum()
         );
 
         // PSM: one `ap_buffer` span per beacon-buffered response.
@@ -193,12 +193,12 @@ mod tests {
             .histogram("phy.ap.ps_buffer_wait_ms")
             .expect("hist");
         let (buf_ms, buf_n) = r.span_total_ms("ap_buffer");
-        assert_eq!(buf_n, buf.count);
+        assert_eq!(buf_n, buf.count());
         assert_eq!(buf_n, u64::from(k));
         assert!(
-            (buf_ms - buf.sum).abs() < 1e-6,
+            (buf_ms - buf.sum()).abs() < 1e-6,
             "ap_buffer spans {buf_ms} ms vs histogram {} ms",
-            buf.sum
+            buf.sum()
         );
     }
 
