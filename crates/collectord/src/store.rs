@@ -15,13 +15,13 @@
 //!   slice's final push *compacts* it (writes `merged.json`, then
 //!   deletes the slice file).
 //!
-//! Every write goes through [`fleet::atomic_write_json`] — write
-//! `.tmp`, fsync, rename — and the daemon persists **before acking**,
-//! so an acked push is a durable push. Crash ordering is safe at every
-//! point: a kill between writing `merged.json` and deleting a folded
-//! slice's file leaves a slice file whose `range_start` is in the
-//! ledger, which recovery recognizes as a finished compaction and
-//! discards.
+//! Every write goes through [`fleet::atomic_write`] — write `.tmp`,
+//! fsync, rename, fsync the directory — and the daemon persists
+//! **before acking**, so an acked push is a durable push. Crash
+//! ordering is safe at every point: a kill between writing
+//! `merged.json` and deleting a folded slice's file leaves a slice file
+//! whose `range_start` is in the ledger, which recovery recognizes as a
+//! finished compaction and discards.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -177,7 +177,7 @@ impl Store {
         }
         doc.set("absorbed", ledger);
         doc.set("state", merged.state_json());
-        fleet::atomic_write_json(&self.merged_path(), &doc)?;
+        fleet::atomic_write(&self.merged_path(), doc.to_string_pretty().as_bytes())?;
         Ok(())
     }
 
@@ -187,24 +187,19 @@ impl Store {
         let mut doc = self.header(INGEST_SLICE_FORMAT, slice.fingerprint());
         doc.set("range_start", slice.range_start());
         doc.set("state", slice.state_json());
-        fleet::atomic_write_json(&self.slice_path(slice.range_start()), &doc)?;
+        fleet::atomic_write(
+            &self.slice_path(slice.range_start()),
+            doc.to_string_pretty().as_bytes(),
+        )?;
         Ok(())
     }
 
     /// Atomically write an arbitrary rendered document (e.g. the final
     /// `snapshot.json` the shutdown flush leaves behind) into the state
-    /// directory, with the same `.tmp` → fsync → rename discipline as
-    /// the journal files.
+    /// directory, through the same [`fleet::atomic_write`] as the
+    /// journal files.
     pub fn write_raw(&self, name: &str, body: &str) -> Result<(), StoreError> {
-        use std::io::Write;
-        let path = self.dir.join(name);
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
+        fleet::atomic_write(&self.dir.join(name), body.as_bytes())?;
         Ok(())
     }
 

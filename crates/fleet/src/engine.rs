@@ -1,16 +1,26 @@
 //! The campaign engine: a fixed pool of OS worker threads pulling
 //! device indices off a shared atomic counter, streaming
-//! [`DevicePartial`]s over a *bounded* channel into an in-order
-//! collector.
+//! [`DevicePartial`]s over a *bounded* channel into one collector.
 //!
-//! Memory is bounded end to end by an explicit backpressure window: a
-//! worker may not *start* device `i` until the collector has absorbed
-//! device `i − window` (`window = 2·workers + 4`), so the reorder
-//! buffer holds at most `window` partials even when per-device
-//! runtimes are wildly heterogeneous (lognormal path RTTs,
-//! cross-traffic strata). The channel bound additionally keeps
-//! finished-but-unmerged partials from piling up when the collector
-//! itself lags.
+//! Every merge commutes, so device order matters only where something
+//! reads the collector: a checkpoint, a progress push, or the halt hook.
+//! The engine splits its range into *segments* at those points
+//! (multiples of [`CheckpointPolicy::every`] and [`ProgressSink::every`]
+//! counted from the range start, the halt point, and the range end). A
+//! partial whose index falls in the head (oldest open) segment folds as
+//! soon as it arrives; only partials past the head segment wait in a
+//! reorder buffer. When the head segment completes, its checkpoint,
+//! progress call or halt fires, so every reader sees exactly the
+//! contiguous prefix `[start, boundary)`. A run with no reader is one
+//! segment: nothing is held and no worker waits.
+//!
+//! Memory is bounded by an explicit backpressure window: a worker may
+//! not *start* device `i` until `i` is within `window = 2·workers + 4`
+//! devices of the head segment's end, so the reorder buffer holds at
+//! most `window` partials even when per-device runtimes are wildly
+//! heterogeneous (lognormal path RTTs, cross-traffic strata). The
+//! channel bound additionally keeps finished-but-unmerged partials from
+//! piling up when the collector itself lags.
 //!
 //! The same inner loop powers three entry points that all produce
 //! byte-identical JSON:
@@ -47,7 +57,9 @@ pub struct RunStats {
     pub devices: u64,
     /// Probes sent by the devices this run simulated.
     pub probes: u64,
-    /// High-water mark of the collector's reorder buffer.
+    /// High-water mark of the reorder buffer: partials held because
+    /// they arrived past the head segment. Always 0 for a run with no
+    /// checkpoint, progress sink or halt hook.
     pub reorder_peak: usize,
     /// The run's self-profile, present when
     /// [`RunOptions::profiler`] was enabled.
@@ -69,10 +81,11 @@ impl RunStats {
 /// Periodic atomic checkpointing for [`run_campaign_opts`] and
 /// [`resume_campaign`].
 ///
-/// Every `every` absorbed devices the collector's full state
-/// ([`Collector::state_json`]) is written to `path` via a
-/// write-temp-then-rename, so a kill at any instant leaves either the
-/// previous checkpoint or the new one — never a torn file.
+/// Each time the first `k·every` devices of the run's range have all
+/// been absorbed, the collector's full state
+/// ([`Collector::state_json`]) is written to `path` via
+/// [`atomic_write`], so a kill or an OS crash at any instant leaves
+/// either the previous checkpoint or the new one — never a torn file.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Destination file (conventionally `campaign.resume.json`).
@@ -82,8 +95,9 @@ pub struct CheckpointPolicy {
 }
 
 /// A streaming progress hook for [`RunOptions`]: the engine calls `f`
-/// with the collector's cumulative state every `every` absorbed devices
-/// and once more when the range completes (`done = true`).
+/// with the collector's cumulative state each time the first `k·every`
+/// devices of the range have all been absorbed, and once more when the
+/// range completes (`done = true`).
 ///
 /// This is how a `--push-to` shard feeds the collector daemon while it
 /// runs: each call serializes [`Collector::state_json`] and ships it as
@@ -119,7 +133,7 @@ pub struct Progress {
     pub elapsed: std::time::Duration,
     /// Worker threads driving the run.
     pub workers: usize,
-    /// Reorder-buffer depth at the time of the call.
+    /// Partials held past the head segment at the time of the call.
     pub queue_depth: usize,
     /// Devices completed per worker thread, spawn order.
     pub per_worker_devices: Vec<u64>,
@@ -165,26 +179,32 @@ pub struct RunOptions {
     pub profiler: obs::Profiler,
 }
 
-/// Atomically persist `doc` at `path`: write to a sibling `.tmp` file,
-/// fsync, then rename over the destination. A kill — or a power cut,
-/// thanks to the fsync — at any instant leaves either the previous
-/// file or the new one, never a torn in-between. This is the
-/// durability discipline behind resume checkpoints; the collector
-/// daemon's ingest journal reuses it verbatim.
-pub fn atomic_write_json(path: &std::path::Path, doc: &Json) -> std::io::Result<()> {
+/// Atomically persist `bytes` at `path`: write to a sibling `.tmp`
+/// file, fsync it, rename it over the destination, then fsync the
+/// parent directory so the rename itself is durable. A kill — or an OS
+/// crash, thanks to the two fsyncs — at any instant leaves either the
+/// previous file or the new one, never a torn in-between. This is the
+/// durability discipline behind resume checkpoints, the collector
+/// daemon's ingest journal and its shutdown `snapshot.json`.
+pub fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write as _;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(doc.to_string_pretty().as_bytes())?;
+    f.write_all(bytes)?;
     f.sync_all()?;
     drop(f);
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn write_checkpoint(cp: &CheckpointPolicy, state: &Json) {
-    if let Err(e) = atomic_write_json(&cp.path, state) {
+    if let Err(e) = atomic_write(&cp.path, state.to_string_pretty().as_bytes()) {
         panic!("failed to write checkpoint {}: {e}", cp.path.display());
     }
 }
@@ -203,8 +223,23 @@ fn run_range(
     let workers = workers.max(1);
     let start_index = collector.next_index();
     let window = (workers as u64) * 2 + 4;
+    let cp_every = opts.checkpoint.as_ref().map(|cp| cp.every);
+    let ps_every = opts.progress.as_ref().map(|ps| ps.every);
+    // A halt hook of 0 still absorbs one device, as it always has.
+    let halt_at = opts.halt_after_devices.map(|h| start_index + h.max(1));
+    // The first point after `at` where something reads the collector:
+    // the end of the segment that starts at `at`.
+    let segment_end = |at: u64| -> u64 {
+        let done = at - start_index;
+        let grid = [cp_every, ps_every]
+            .into_iter()
+            .flatten()
+            .filter(|&every| every > 0)
+            .map(|every| start_index + (done / every + 1) * every);
+        grid.chain(halt_at.filter(|&h| h > at)).fold(end, u64::min)
+    };
     let next = AtomicU64::new(start_index);
-    let absorbed = AtomicU64::new(start_index);
+    let head_end = AtomicU64::new(segment_end(start_index));
     let stop = AtomicBool::new(false);
     // Small bound: enough to decouple workers from the collector's
     // merge cost, small enough that memory stays O(workers).
@@ -244,7 +279,7 @@ fn run_range(
         for w in 0..workers {
             let tx = tx.clone();
             let next = &next;
-            let absorbed = &absorbed;
+            let head_end = &head_end;
             let stop = &stop;
             let prof = prof.clone();
             let per_worker = &per_worker;
@@ -262,11 +297,13 @@ fn run_range(
                         break;
                     }
                     // Backpressure window: stay within `window` devices of
-                    // the collector so the reorder buffer is bounded even
-                    // when a slow low-index device holds up absorption.
-                    if i >= absorbed.load(Ordering::Acquire) + window {
+                    // the head segment's end so the reorder buffer is
+                    // bounded even when a slow device holds that segment
+                    // open. A run with no reader is one segment ending
+                    // at `end`, so this never waits.
+                    if i >= head_end.load(Ordering::Acquire) + window {
                         let _bp = prof.phase("backpressure");
-                        while i >= absorbed.load(Ordering::Acquire) + window {
+                        while i >= head_end.load(Ordering::Acquire) + window {
                             if stop.load(Ordering::Relaxed) {
                                 return;
                             }
@@ -301,12 +338,14 @@ fn run_range(
 
         prof.set_thread_label("collector");
         let collect_root = prof.phase("collect");
-        // In-order absorption through a reorder buffer. The merged state
-        // would come out the same in any order; the buffer is there so
-        // every checkpoint and progress push describes a contiguous
-        // device prefix `[start_index, expect)`.
+        // Partials of the head segment `[.., seg_end)` fold on arrival;
+        // later ones wait in `pending` until their segment becomes the
+        // head. A segment is complete when `seg_left` reaches 0, and
+        // only then does the collector hold exactly `[start_index,
+        // seg_end)` for the checkpoint, progress call or halt due there.
         let mut pending: BTreeMap<u64, DevicePartial> = BTreeMap::new();
-        let mut expect = start_index;
+        let mut seg_end = head_end.load(Ordering::Relaxed);
+        let mut seg_left = seg_end - start_index;
         loop {
             let received = {
                 let _rw = prof.phase("recv_wait");
@@ -314,32 +353,44 @@ fn run_range(
             };
             let Ok(p) = received else { break };
             let _ab = prof.phase("absorb");
-            pending.insert(p.index, p);
-            reorder_peak = reorder_peak.max(pending.len());
-            while let Some(p) = pending.remove(&expect) {
-                collector.absorb(&p);
-                probes_run += p.probes_sent;
-                expect += 1;
-                absorbed.store(expect, Ordering::Release);
+            if p.index >= seg_end {
+                pending.insert(p.index, p);
+                reorder_peak = reorder_peak.max(pending.len());
+                continue;
+            }
+            collector.absorb(&p);
+            probes_run += p.probes_sent;
+            seg_left -= 1;
+            while seg_left == 0 {
+                let done = seg_end - start_index;
                 if let Some(cp) = &opts.checkpoint {
-                    let done = expect - start_index;
                     if cp.every > 0 && done.is_multiple_of(cp.every) {
                         let _cp = prof.phase("checkpoint");
                         write_checkpoint(cp, &collector.state_json());
                     }
                 }
                 if let Some(ps) = &opts.progress {
-                    let done = expect - start_index;
-                    if ps.every > 0 && done.is_multiple_of(ps.every) && expect < end {
+                    if ps.every > 0 && done.is_multiple_of(ps.every) && seg_end < end {
                         let _pg = prof.phase("progress");
-                        (ps.f)(&collector, &progress_meta(pending.len(), expect), false);
+                        (ps.f)(&collector, &progress_meta(pending.len(), seg_end), false);
                     }
                 }
-                if let Some(h) = opts.halt_after_devices {
-                    if expect - start_index >= h {
-                        halted = true;
+                halted = halt_at == Some(seg_end);
+                if halted || seg_end == end {
+                    break;
+                }
+                let next_end = segment_end(seg_end);
+                seg_left = next_end - seg_end;
+                seg_end = next_end;
+                head_end.store(seg_end, Ordering::Release);
+                while let Some(held) = pending.first_entry() {
+                    if *held.key() >= seg_end {
                         break;
                     }
+                    let p = held.remove();
+                    collector.absorb(&p);
+                    probes_run += p.probes_sent;
+                    seg_left -= 1;
                 }
             }
             if halted {
@@ -358,7 +409,12 @@ fn run_range(
                 "lost device partials: {:?}",
                 pending.keys().collect::<Vec<_>>()
             );
-            assert_eq!(expect, end, "absorption stopped early at device {expect}");
+            assert_eq!(
+                collector.next_index(),
+                end,
+                "absorption stopped early at device {}",
+                collector.next_index()
+            );
         }
     });
 
@@ -618,12 +674,9 @@ mod tests {
         assert_eq!(report.strata.iter().map(|s| s.devices).sum::<u64>(), 24);
         assert!(!report.du_all.is_empty());
         assert!(stats.probes > 0);
-        // The reorder buffer stayed within the backpressure window.
-        assert!(
-            stats.reorder_peak <= 4 * 2 + 4,
-            "peak {}",
-            stats.reorder_peak
-        );
+        // With no checkpoint, progress sink or halt the range is one
+        // segment: every partial folds on arrival and none is held.
+        assert_eq!(stats.reorder_peak, 0);
     }
 
     #[test]
@@ -640,13 +693,16 @@ mod tests {
     #[test]
     fn halted_run_reports_no_campaign() {
         let spec = CampaignSpec::heterogeneous(13, 16).with_probes(1);
-        let opts = RunOptions {
-            halt_after_devices: Some(5),
-            ..RunOptions::default()
-        };
-        let (report, stats) = run_campaign_opts(&spec, 3, &opts);
-        assert!(report.is_none());
-        assert_eq!(stats.devices, 5);
+        // A halt hook of 0 still absorbs one device.
+        for (halt, absorbed) in [(5, 5), (0, 1)] {
+            let opts = RunOptions {
+                halt_after_devices: Some(halt),
+                ..RunOptions::default()
+            };
+            let (report, stats) = run_campaign_opts(&spec, 3, &opts);
+            assert!(report.is_none());
+            assert_eq!(stats.devices, absorbed);
+        }
     }
 
     #[test]
@@ -710,6 +766,22 @@ mod tests {
         assert!(last.devices_per_sec() > 0.0);
         let phases: Vec<&str> = last.phase_self_ns.iter().map(|(n, _)| n.as_str()).collect();
         assert!(phases.contains(&"des"), "{phases:?}");
+    }
+
+    #[test]
+    fn atomic_write_replaces_the_file_and_leaves_no_tmp() {
+        let dir = std::env::temp_dir().join(format!("fleet-atomic-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.json");
+        atomic_write(&path, b"old, and longer than the new bytes").unwrap();
+        atomic_write(&path, b"new").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["state.json"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

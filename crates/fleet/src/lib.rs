@@ -46,7 +46,7 @@ pub mod shard;
 pub mod spec;
 
 pub use engine::{
-    atomic_write_json, available_parallelism, partition_range, render_scaling, resume_campaign,
+    atomic_write, available_parallelism, partition_range, render_scaling, resume_campaign,
     run_campaign, run_campaign_opts, run_partition, run_partition_opts, scaling_table,
     CheckpointPolicy, Progress, ProgressFn, ProgressSink, RunOptions, RunStats, ScalingRow,
 };

@@ -3,9 +3,10 @@
 //!
 //! When [`crate::RunOptions::profiler`] is enabled, the engine labels
 //! every worker thread, wraps its whole loop in a `worker` root phase
-//! (with `run_device` → `setup`/`des`/`fold` children, `backpressure`
-//! for window stalls, `send` for channel handoff) and the collector
-//! loop in a `collect` root (`recv_wait`/`absorb`/`checkpoint`/
+//! (with `run_device` → `setup`/`des`/`fold` children, `send` for
+//! channel handoff, and `backpressure` for window stalls, which appear
+//! only in runs with a checkpoint, progress sink or halt hook) and the
+//! collector loop in a `collect` root (`recv_wait`/`absorb`/`checkpoint`/
 //! `progress` children). The run then returns a [`CampaignProfile`]:
 //! the cross-thread phase tree, an attribution ratio against the
 //! thread-time budget, and per-stratum device costs.

@@ -158,8 +158,10 @@ impl Collector {
 
     /// Absorb one device partial. Every merge is exact integer
     /// addition, so absorption order does not change a byte of the
-    /// state; [`Collector::next_index`] assumes a contiguous prefix,
-    /// which is why the engine still absorbs in device order.
+    /// state, and the engine folds partials as they arrive.
+    /// [`Collector::next_index`] assumes a contiguous prefix, so the
+    /// engine reads it (and checkpoints or pushes the state) only at a
+    /// segment end, once every device before it has been absorbed.
     pub fn absorb(&mut self, p: &DevicePartial) {
         let s = &mut self.strata[p.class];
         s.devices += 1;

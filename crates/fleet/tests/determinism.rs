@@ -6,9 +6,14 @@
 //!    histograms included, come out byte-identical in any order;
 //! 2. the merged campaign JSON is byte-identical for 1 vs. 8 workers;
 //! 3. collector memory stays bounded by in-flight work, independent of
-//!    probe count.
+//!    probe count: an unobserved run holds no partial, an observed one
+//!    at most the backpressure window.
 
-use fleet::{run_campaign, run_device, CampaignSpec, Collector};
+use std::sync::Arc;
+
+use fleet::{
+    run_campaign, run_campaign_opts, run_device, CampaignSpec, Collector, ProgressSink, RunOptions,
+};
 use obs::ToJson;
 
 /// xorshift64* — a tiny deterministic shuffler for the property tests.
@@ -121,14 +126,32 @@ fn campaign_json_is_byte_identical_for_1_vs_8_workers() {
 
 #[test]
 fn collector_memory_is_bounded_by_inflight_work() {
-    // Probe count scales the per-device work, not the campaign state:
-    // the reorder buffer's high-water mark depends only on workers and
-    // channel capacity.
+    // Probe count scales the per-device work, not the campaign state.
+    // With no reader the range is one segment, so every partial folds
+    // on arrival at any worker count. A progress call every device
+    // splits it into one-device segments; then partials past the head
+    // wait, but a worker starts no device beyond the backpressure
+    // window, so at most `window` of them are held.
     let small = CampaignSpec::heterogeneous(3, 24).with_probes(1);
     let big = CampaignSpec::heterogeneous(3, 24).with_probes(4);
-    let (_, s) = run_campaign(&small, 4);
-    let (_, b) = run_campaign(&big, 4);
-    let bound = 4 + 4 * 2; // workers + channel capacity
-    assert!(s.reorder_peak <= bound, "small peak {}", s.reorder_peak);
-    assert!(b.reorder_peak <= bound, "big peak {}", b.reorder_peak);
+    let observed = RunOptions {
+        progress: Some(ProgressSink {
+            every: 1,
+            f: Arc::new(|_, _, _| {}),
+        }),
+        ..RunOptions::default()
+    };
+    for spec in [&small, &big] {
+        for workers in [1, 2, 4] {
+            let (_, plain) = run_campaign(spec, workers);
+            assert_eq!(plain.reorder_peak, 0, "{workers} workers, unobserved");
+            let (_, seen) = run_campaign_opts(spec, workers, &observed);
+            let window = 2 * workers + 4;
+            assert!(
+                seen.reorder_peak <= window,
+                "{workers} workers, observed: peak {} > window {window}",
+                seen.reorder_peak
+            );
+        }
+    }
 }

@@ -5,9 +5,13 @@
 //! text (serialize → parse → restore), exactly like the files the
 //! `repro` binary writes.
 
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
+
 use fleet::{
-    merge_partials, resume_campaign, run_campaign, run_campaign_opts, run_partition, CampaignSpec,
-    CheckpointPolicy, RunOptions,
+    merge_partials, partition_range, resume_campaign, run_campaign, run_campaign_opts, run_device,
+    run_partition, run_partition_opts, CampaignSpec, CheckpointPolicy, Collector, ProgressSink,
+    RunOptions,
 };
 use obs::{Json, ToJson};
 
@@ -19,44 +23,223 @@ fn pretty(report: &fleet::CampaignReport) -> String {
     report.to_json().to_string_pretty()
 }
 
-/// Kill the campaign after every possible device count, resume from the
-/// checkpoint file the killed run left behind, and demand the final
-/// report bytes never change.
+/// The device-order reference: for every `done`, the serialized state
+/// of a collector that absorbed `run_device(spec, start..start + done)`
+/// in order.
+fn prefix_states(spec: &CampaignSpec, start: u64, end: u64) -> Vec<String> {
+    let mut collector = Collector::new_range(spec, start);
+    let mut states = vec![collector.state_json().to_string_pretty()];
+    for i in start..end {
+        collector.absorb(&run_device(spec, i));
+        states.push(collector.state_json().to_string_pretty());
+    }
+    states
+}
+
+/// Progress calls recorded as `(devices_done, state, done, checkpoint
+/// file as the call saw it)`.
+type Calls = Arc<Mutex<Vec<(u64, String, bool, Option<String>)>>>;
+
+/// A progress sink every `every` devices that records each call,
+/// reading the `checkpoint` file (when given) at the time of the call.
+fn recording_sink(every: u64, checkpoint: Option<PathBuf>) -> (ProgressSink, Calls) {
+    let calls: Calls = Arc::default();
+    let sink_calls = calls.clone();
+    let sink = ProgressSink {
+        every,
+        f: Arc::new(move |c, meta, done| {
+            sink_calls.lock().unwrap().push((
+                meta.devices_done,
+                c.state_json().to_string_pretty(),
+                done,
+                checkpoint
+                    .as_ref()
+                    .and_then(|p| std::fs::read_to_string(p).ok()),
+            ));
+        }),
+    };
+    (sink, calls)
+}
+
+/// `(workers, checkpoint every, progress every, halt)` for 1, 2 and 4
+/// workers, checkpoints every 1, 3 or 7 devices, progress every 2 or 5,
+/// and every halt point on neither grid (with `every` = 1 every point
+/// is a checkpoint point, so there the halt is only off the progress
+/// grid).
+fn off_grid_halts(devices: u64) -> Vec<(usize, u64, u64, u64)> {
+    let mut cases = Vec::new();
+    for workers in [1, 2, 4] {
+        for cp_every in [1u64, 3, 7] {
+            for ps_every in [2u64, 5] {
+                cases.extend(
+                    (1..devices)
+                        .filter(|h| h % ps_every != 0 && (cp_every == 1 || h % cp_every != 0))
+                        .map(|h| (workers, cp_every, ps_every, h)),
+                );
+            }
+        }
+    }
+    cases
+}
+
+/// Kill the campaign at halt points on neither the checkpoint nor the
+/// progress grid and resume from the checkpoint file the killed run
+/// left behind. Every progress call, every checkpoint file it can see,
+/// and the file left at the kill must hold exactly the in-order prefix
+/// `[0, done)`, however the threads were scheduled; the resumed report
+/// bytes must never change.
 #[test]
 fn resume_from_every_checkpoint_is_byte_identical() {
     let spec = spec();
     let (full, _) = run_campaign(&spec, 2);
     let full_json = pretty(&full);
+    let prefix = prefix_states(&spec, 0, spec.devices);
 
     let dir = std::env::temp_dir().join(format!("fleet-resume-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for halt in 1..spec.devices {
-        let cp = dir.join(format!("cp-{halt}.json"));
+    for (workers, cp_every, ps_every, halt) in off_grid_halts(spec.devices) {
+        let case = format!(
+            "{workers} workers, checkpoint every {cp_every}, progress every {ps_every}, \
+             halt {halt}"
+        );
+        let cp = dir.join(format!("cp-{workers}-{cp_every}-{ps_every}-{halt}.json"));
+        std::fs::remove_file(&cp).ok();
+        let (sink, calls) = recording_sink(ps_every, Some(cp.clone()));
         let opts = RunOptions {
             checkpoint: Some(CheckpointPolicy {
                 path: cp.clone(),
-                every: 1,
+                every: cp_every,
             }),
+            progress: Some(sink),
             halt_after_devices: Some(halt),
             ..RunOptions::default()
         };
-        let (report, stats) = run_campaign_opts(&spec, 3, &opts);
+        let (report, stats) = run_campaign_opts(&spec, workers, &opts);
         assert!(report.is_none(), "halted run must not produce a report");
         assert_eq!(stats.devices, halt);
 
+        // The file holds the latest checkpoint point at or before
+        // `done`, and does not exist before the first one.
+        let last_checkpoint = |done: u64| done / cp_every * cp_every;
+        let file_at = |done: u64| {
+            let at = last_checkpoint(done);
+            (at > 0).then(|| prefix[at as usize].clone())
+        };
+        // A halted run makes no final `done` call.
+        let calls = calls.lock().unwrap();
+        let points: Vec<(u64, bool)> = calls.iter().map(|c| (c.0, c.2)).collect();
+        let grid: Vec<(u64, bool)> = (1..=halt / ps_every)
+            .map(|k| (k * ps_every, false))
+            .collect();
+        assert_eq!(points, grid, "{case}");
+        for (done, state, _, file) in calls.iter() {
+            assert_eq!(*state, prefix[*done as usize], "{case}: progress at {done}");
+            assert_eq!(*file, file_at(*done), "{case}: checkpoint at {done}");
+        }
+        let left = std::fs::read_to_string(&cp).ok();
+        assert_eq!(left, file_at(halt), "{case}: checkpoint left at the kill");
+        let Some(body) = left else { continue };
+
         // Restore from the on-disk checkpoint, like `repro --resume`.
-        let state = Json::parse(&std::fs::read_to_string(&cp).unwrap()).unwrap();
-        let (resumed, stats) = resume_campaign(&spec, 2, &state, &RunOptions::default()).unwrap();
+        let state = Json::parse(&body).unwrap();
+        let (resumed, stats) =
+            resume_campaign(&spec, workers, &state, &RunOptions::default()).unwrap();
         assert_eq!(
             stats.devices,
-            spec.devices - halt,
-            "resume runs only the tail"
+            spec.devices - last_checkpoint(halt),
+            "{case}: resume runs only the tail"
         );
+        assert_eq!(pretty(&resumed.unwrap()), full_json, "{case}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A partition counts its progress grid from its own range start: every
+/// call, the final `done` one included, holds the in-order prefix of
+/// its slice.
+#[test]
+fn partition_progress_describes_prefixes_of_its_slice() {
+    let spec = spec();
+    let (start, end) = partition_range(spec.devices, 1, 2);
+    let prefix = prefix_states(&spec, start, end);
+    let len = end - start;
+    for workers in [1, 2, 4] {
+        let (sink, calls) = recording_sink(4, None);
+        let opts = RunOptions {
+            progress: Some(sink),
+            ..RunOptions::default()
+        };
+        let (collector, stats) = run_partition_opts(&spec, workers, 1, 2, &opts);
+        assert_eq!(stats.devices, len);
+        let calls = calls.lock().unwrap();
+        let points: Vec<(u64, bool)> = calls.iter().map(|c| (c.0, c.2)).collect();
+        let expected: Vec<(u64, bool)> = (4..len)
+            .step_by(4)
+            .map(|d| (d, false))
+            .chain([(len, true)])
+            .collect();
+        assert_eq!(points, expected, "{workers} workers");
+        for (done, state, ..) in calls.iter() {
+            assert_eq!(
+                *state, prefix[*done as usize],
+                "{workers} workers at {done}"
+            );
+        }
         assert_eq!(
-            pretty(&resumed.unwrap()),
-            full_json,
-            "killed at device {halt}"
+            collector.state_json().to_string_pretty(),
+            prefix[len as usize]
         );
+    }
+}
+
+/// A resumed run counts its checkpoint and progress grids from the
+/// device it resumes at. Run to completion, it still checkpoints at its
+/// last grid point and ends with one `done` call holding the whole
+/// campaign.
+#[test]
+fn observed_resume_counts_its_grids_from_the_resume_point() {
+    let spec = spec();
+    let prefix = prefix_states(&spec, 0, spec.devices);
+    let (full, _) = run_campaign(&spec, 1);
+    let resume_at = 7;
+    let dir = std::env::temp_dir().join(format!("fleet-resume3-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for workers in [1, 2, 4] {
+        let cp = dir.join(format!("cp-{workers}.json"));
+        let (sink, calls) = recording_sink(2, None);
+        let opts = RunOptions {
+            checkpoint: Some(CheckpointPolicy {
+                path: cp.clone(),
+                every: 3,
+            }),
+            progress: Some(sink),
+            ..RunOptions::default()
+        };
+        let state = Json::parse(&prefix[resume_at]).unwrap();
+        let (report, stats) = resume_campaign(&spec, workers, &state, &opts).unwrap();
+        assert_eq!(pretty(&report.unwrap()), pretty(&full), "{workers} workers");
+        // 11 devices from device 7: progress after 2, 4, .., 10 of them
+        // and a final call after 11; the last checkpoint after 9.
+        assert_eq!(stats.devices, 11);
+        let calls = calls.lock().unwrap();
+        let points: Vec<(u64, bool)> = calls.iter().map(|c| (c.0, c.2)).collect();
+        let expected = [
+            (2, false),
+            (4, false),
+            (6, false),
+            (8, false),
+            (10, false),
+            (11, true),
+        ];
+        assert_eq!(points, expected, "{workers} workers");
+        for (done, state, ..) in calls.iter() {
+            assert_eq!(
+                *state,
+                prefix[resume_at + *done as usize],
+                "{workers} workers at {done}"
+            );
+        }
+        assert_eq!(std::fs::read_to_string(&cp).unwrap(), prefix[resume_at + 9]);
     }
     std::fs::remove_dir_all(&dir).ok();
 }

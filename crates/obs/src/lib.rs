@@ -10,8 +10,6 @@
 //!   `None`).
 //! - [`sketch::QuantileSketch`] — the mergeable, censoring-aware quantile
 //!   sketch behind every histogram and every fleet campaign statistic.
-//! - [`span::SpanTimer`] — scoped wall-clock timers that record into a
-//!   histogram on drop.
 //! - [`events::EventStream`] — the bounded, category-filtered event
 //!   buffer that backs `simcore::Trace` (categories, filtering, and the
 //!   drop counter live here).
@@ -46,7 +44,6 @@ pub mod log;
 pub mod metrics;
 pub mod prof;
 pub mod sketch;
-pub mod span;
 pub mod trace;
 
 pub use events::EventStream;
@@ -57,7 +54,6 @@ pub use metrics::{
 };
 pub use prof::{MergedNode, ProfNode, ProfPhase, ProfSnapshot, ProfSpan, Profiler, ThreadProf};
 pub use sketch::{QuantileSketch, SketchStateError};
-pub use span::SpanTimer;
 pub use trace::{
     build_trace_tree, render_waterfall, AttrValue, SamplePolicy, SamplingStats, SpanId, SpanNode,
     SpanRecord, TraceCtx, TraceId, Tracer,

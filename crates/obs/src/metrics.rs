@@ -17,7 +17,6 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::{Json, ToJson};
 use crate::sketch::QuantileSketch;
-use crate::span::SpanTimer;
 
 /// Default bucket upper bounds for millisecond-scale latencies, spanning
 /// sub-ms kernel costs up to multi-second PSM stalls.
@@ -94,12 +93,6 @@ impl Registry {
     /// Get or create a histogram with [`default_ms_buckets`].
     pub fn histogram_ms(&self, name: &str) -> Histogram {
         self.histogram(name, &default_ms_buckets())
-    }
-
-    /// Start a wall-clock span recording into histogram `name` (in ms)
-    /// when dropped.
-    pub fn span(&self, name: &str) -> SpanTimer {
-        SpanTimer::start(self.histogram_ms(name))
     }
 
     /// Merge a [`Snapshot`] (typically taken from a per-shard registry)
@@ -294,12 +287,6 @@ impl HistInner {
 pub struct Histogram(Option<Arc<Mutex<HistInner>>>);
 
 impl Histogram {
-    /// Whether this handle records anywhere (false for handles vended
-    /// by a disabled registry).
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Record one observation.
     pub fn observe(&self, v: f64) {
         if let Some(h) = &self.0 {
