@@ -25,7 +25,7 @@
 //! traced session and renders per-probe span waterfalls; `--trace-out`
 //! additionally writes the spans as Chrome `trace_event` JSON (loadable
 //! in `chrome://tracing` / Perfetto) and `--trace-spans` as JSON-lines.
-//! `bench-snapshot` (not part of `all`) runs the am-bench harness at a
+//! `bench-snapshot` (not part of `all`) runs the `am_stats::bench` harness at a
 //! reduced budget and writes `BENCH_2.json` with median ns per scenario;
 //! `bench-gate` compares a fresh snapshot against the committed baseline
 //! and exits non-zero when the tracer's enabled-path budget regresses.

@@ -22,8 +22,9 @@
 //!   `range-out-of-bounds`, …) → fail immediately; every retry would be
 //!   rejected identically.
 //!
-//! Backoff is the PR-3 retry shape — `base × 2^(attempt−1)` capped,
-//! plus `uniform(0, backoff/2)` jitter — driven by
+//! Backoff is [`am_stats::backoff`], the retry shape AcuteMon's probe
+//! retries use too — `base × 2^(attempt−1)` capped, plus
+//! `uniform(0, backoff/2)` jitter — with the jitter drawn by
 //! [`fleet::splitmix64`] from a caller-provided seed, so two runs of
 //! the same campaign sleep the same schedule.
 
@@ -73,12 +74,15 @@ impl RetryPolicy {
     /// rng state through. Pure — same `(policy, attempt, rng)` in, same
     /// `(delay, rng)` out — so retry schedules are reproducible.
     pub fn delay(&self, attempt: u32, rng: u64) -> (Duration, u64) {
-        let exp = attempt.saturating_sub(1).min(16);
-        let backoff = self.base.saturating_mul(1u32 << exp).min(self.cap);
         let rng = fleet::splitmix64(rng);
-        let half = (backoff.as_nanos() as u64 / 2).max(1);
-        let jitter = Duration::from_nanos(rng % half);
-        (backoff.saturating_add(jitter).min(self.cap), rng)
+        let u = (rng >> 11) as f64 / (1u64 << 53) as f64;
+        let secs = am_stats::backoff(
+            self.base.as_secs_f64(),
+            attempt,
+            u,
+            Some(self.cap.as_secs_f64()),
+        );
+        (Duration::from_secs_f64(secs), rng)
     }
 }
 

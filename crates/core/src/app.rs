@@ -1,334 +1,216 @@
-//! The AcuteMon app: background-traffic thread (BT) + measurement thread
-//! (MT), per Fig. 6 of the paper.
-//!
-//! * **BT**: sends one warm-up packet at `start`, then keep-awake
-//!   background packets every `db` for the duration of the measurement.
-//!   All carry TTL `warmup_ttl` (1 by default) so the first-hop gateway
-//!   drops them; the responses (ICMP Time Exceeded) are ignored.
-//! * **MT**: `dpre` after the warm-up packet, sends `K` probes
-//!   sequentially (each fired when the previous completes or times out) —
-//!   this is why a K=5 run over a 100 ms path costs only ~25 background
-//!   packets (§4.1).
+//! The simulated AcuteMon app: the [`Machine`] driven by the phone's app
+//! API. It puts the machine's sends on the simulated wire, maps its
+//! timers onto app timer tags and credits replies to probes by port or
+//! ICMP sequence number. Keep-awake packets carry TTL `warmup_ttl` (1 by
+//! default), so the first-hop gateway drops them.
 //!
 //! In the paper the MT is a pre-compiled native binary to avoid DVM
 //! overhead; install this app with [`phone::RuntimeKind::Native`] for the
 //! same effect.
 
+use std::ops::Deref;
+
+use obs::Registry;
 use phone::{App, AppCtx};
-use simcore::SimTime;
+use simcore::{SimDuration, SimTime};
 use wire::{IcmpKind, Packet, PacketTag, TcpFlags, L4};
 
 use crate::config::{AcuteMonConfig, ProbeKind};
-use measure::{ProbeError, ProbeMetrics, RttRecord};
-use obs::{Counter, Registry};
+use crate::machine::{Io, KeepAwake, Machine, Telemetry, Timer};
+
+/// ICMP ident and base source port: probe `n` leaves from `SESSION + n`.
+const SESSION: u16 = 0x7A00;
+/// Server ports of the TCP probe kinds and of UDP echo.
+const TARGET_PORT: u16 = 80;
+const ECHO_PORT: u16 = 7;
+/// Most probes one session can tell apart: probe indices ride in 16-bit
+/// ports and ICMP sequence numbers.
+const MAX_PROBES: u64 = 1 << 16;
 
 const TAG_MT_START: u32 = 1;
 const TAG_BG: u32 = 2;
 const TAG_TIMEOUT_BASE: u32 = 1000;
-/// Timer tags `TAG_RETRY_BASE + n` fire the scheduled resend of probe `n`
-/// after its backoff (disjoint from the timeout tag space).
-const TAG_RETRY_BASE: u32 = 0x4000_0000;
+const TAG_FIRE_BASE: u32 = 0x4000_0000;
 
-/// Background-traffic accounting (battery-cost proxy, §4.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BtStats {
-    /// Warm-up packets sent (normally 1).
-    pub warmup_sent: u64,
-    /// Background keep-awake packets sent.
-    pub background_sent: u64,
-    /// Fresh warm-ups sent to re-warm the path before a probe retry.
-    pub rewarms_sent: u64,
-}
-
-/// Telemetry handles for one AcuteMon session (`acutemon.*`).
-/// Defaults to disabled no-op handles.
-#[derive(Default)]
-struct AmMetrics {
-    probes: ProbeMetrics,
-    warmup_sent: Counter,
-    background_sent: Counter,
-}
-
-impl AmMetrics {
-    fn from_registry(reg: &Registry) -> AmMetrics {
-        AmMetrics {
-            probes: ProbeMetrics::from_registry(reg, "acutemon"),
-            warmup_sent: reg.counter("acutemon.warmup_sent"),
-            background_sent: reg.counter("acutemon.background_sent"),
-        }
-    }
-}
-
-/// The AcuteMon app.
+/// The AcuteMon app. It dereferences to its [`Machine`] for the records,
+/// BT accounting and finish time.
 pub struct AcuteMonApp {
     cfg: AcuteMonConfig,
-    /// Per-probe user-level records.
-    pub records: Vec<RttRecord>,
-    /// BT accounting.
-    pub bt: BtStats,
-    sent: u32,
-    bt_active: bool,
-    finished_at: Option<SimTime>,
-    metrics: AmMetrics,
+    machine: Machine,
 }
 
 impl AcuteMonApp {
     /// Create an AcuteMon session.
+    ///
+    /// # Panics
+    ///
+    /// Without a target, or if targets × `k` exceeds 65,536, the
+    /// port-encoding range.
     pub fn new(cfg: AcuteMonConfig) -> AcuteMonApp {
+        assert!(!cfg.targets.is_empty(), "AcuteMon needs a target");
+        let probes = cfg.targets.len() as u64 * u64::from(cfg.k);
+        assert!(
+            probes <= MAX_PROBES,
+            "{probes} probes exceed the port-encoding range ({MAX_PROBES})"
+        );
         AcuteMonApp {
+            machine: Machine::new(cfg.plan()),
             cfg,
-            records: Vec::new(),
-            bt: BtStats::default(),
-            sent: 0,
-            bt_active: false,
-            finished_at: None,
-            metrics: AmMetrics::default(),
         }
     }
 
     /// Register this session's telemetry (`measure.acutemon.*` probe
     /// counters plus `acutemon.{warmup,background}_sent`) in `reg`.
     pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = AmMetrics::from_registry(reg);
+        self.machine.attach(Telemetry {
+            sent: reg.counter("measure.acutemon.sent"),
+            received: reg.counter("measure.acutemon.received"),
+            failed: reg.counter("measure.acutemon.timeouts"),
+            retries: reg.counter("measure.acutemon.retries"),
+            rewarms: reg.counter("measure.acutemon.rewarms"),
+            rtt_ms: reg.histogram_ms("measure.acutemon.rtt_ms"),
+            warmup_sent: reg.counter("acutemon.warmup_sent"),
+            background_sent: reg.counter("acutemon.background_sent"),
+            ..Telemetry::default()
+        });
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &AcuteMonConfig {
-        &self.cfg
-    }
-
-    /// When the K-th probe completed (None while running).
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
-    }
-
-    fn src_port(&self, probe: u32) -> u16 {
-        self.cfg.session.wrapping_add(probe as u16)
-    }
-
-    fn send_background(&mut self, ctx: &mut AppCtx<'_, '_>, warmup: bool) {
-        ctx.send(
-            self.cfg.warmup_dst,
-            self.cfg.warmup_ttl,
-            L4::Udp {
-                src_port: self.cfg.session,
-                dst_port: 33434, // traceroute-style throwaway port
-            },
-            8,
-            if warmup {
-                PacketTag::WarmUp
-            } else {
-                PacketTag::Background
-            },
-        );
-        if warmup {
-            self.bt.warmup_sent += 1;
-            self.metrics.warmup_sent.inc();
-        } else {
-            self.bt.background_sent += 1;
-            self.metrics.background_sent.inc();
-        }
-    }
-
-    /// Send one warm-up packet ahead of a retry so the resent probe rides
-    /// an awake radio path (same TTL-limited shape as the BT's traffic).
-    fn send_rewarm(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        ctx.send(
-            self.cfg.warmup_dst,
-            self.cfg.warmup_ttl,
-            L4::Udp {
-                src_port: self.cfg.session,
-                dst_port: 33434,
-            },
-            8,
-            PacketTag::WarmUp,
-        );
-        self.bt.rewarms_sent += 1;
-        self.metrics.probes.on_rewarm();
-    }
-
-    /// Wire shape of probe `n` (identical across retries, so replies to
-    /// any attempt match the same record).
-    fn probe_l4(&self, n: u32) -> (L4, usize) {
-        let l4 = match self.cfg.probe {
-            ProbeKind::TcpConnect => L4::Tcp {
-                src_port: self.src_port(n),
-                dst_port: self.cfg.target_port,
-                flags: TcpFlags::SYN,
-                seq: 0x4000 + n,
-                ack: 0,
-            },
-            ProbeKind::TcpData => L4::Tcp {
-                src_port: self.src_port(n),
-                dst_port: self.cfg.target_port,
-                flags: TcpFlags::PSH | TcpFlags::ACK,
-                seq: 0x4000 + n,
-                ack: 1,
-            },
-            ProbeKind::Icmp => L4::Icmp {
-                kind: IcmpKind::EchoRequest,
-                ident: self.cfg.session,
-                seq: n as u16,
-            },
-            ProbeKind::Udp => L4::Udp {
-                src_port: self.src_port(n),
-                dst_port: 7,
-            },
+    /// The probe a reply answers, if it answers one already sent.
+    fn probe_for(&self, packet: &Packet) -> Option<u32> {
+        use ProbeKind::*;
+        let n = match (self.cfg.probe, packet.l4) {
+            (
+                TcpConnect | TcpData,
+                L4::Tcp {
+                    src_port: TARGET_PORT,
+                    dst_port,
+                    ..
+                },
+            )
+            | (
+                Udp,
+                L4::Udp {
+                    src_port: ECHO_PORT,
+                    dst_port,
+                },
+            ) => dst_port.wrapping_sub(SESSION),
+            (
+                Icmp,
+                L4::Icmp {
+                    kind: IcmpKind::EchoReply,
+                    ident: SESSION,
+                    seq,
+                },
+            ) => seq,
+            _ => return None,
         };
-        let payload = match self.cfg.probe {
-            ProbeKind::TcpData => 120, // HTTP GET
-            ProbeKind::Icmp => 56,
-            ProbeKind::Udp => 32,
-            ProbeKind::TcpConnect => 0,
+        (usize::from(n) < self.machine.records.len()).then_some(u32::from(n))
+    }
+}
+
+impl Deref for AcuteMonApp {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        &self.machine
+    }
+}
+
+/// The machine's [`Io`] on the simulated phone.
+struct Phone<'s, 'a, 'b> {
+    cfg: &'s AcuteMonConfig,
+    ctx: &'s mut AppCtx<'a, 'b>,
+}
+
+impl Io for Phone<'_, '_, '_> {
+    fn keep_awake(&mut self, kind: KeepAwake) -> bool {
+        let tag = match kind {
+            KeepAwake::Background => PacketTag::Background,
+            KeepAwake::WarmUp | KeepAwake::Rewarm => PacketTag::WarmUp,
         };
-        (l4, payload)
+        let l4 = L4::Udp {
+            src_port: SESSION,
+            dst_port: 33434, // traceroute-style throwaway port
+        };
+        self.ctx
+            .send(self.cfg.targets[0], self.cfg.warmup_ttl, l4, 8, tag);
+        true
     }
 
-    /// Put probe `n` on the wire and arm its timeout. Returns the packet id.
-    fn fire_probe(&mut self, ctx: &mut AppCtx<'_, '_>, n: u32) -> u64 {
-        let (l4, payload) = self.probe_l4(n);
-        let id = ctx.send(self.cfg.target, 64, l4, payload, PacketTag::Probe(n));
-        if let Some(tc) = ctx.tracer().packet_ctx(id) {
-            ctx.tracer().attr(tc.root, "tool", "acutemon");
+    /// Every attempt of probe `n` has the same wire shape, so a reply to
+    /// any attempt matches the same record.
+    fn probe(&mut self, n: u32, target: u32) -> u64 {
+        let src_port = SESSION.wrapping_add(n as u16);
+        let tcp = |flags, ack| L4::Tcp {
+            src_port,
+            dst_port: TARGET_PORT,
+            flags,
+            seq: 0x4000 + n,
+            ack,
+        };
+        let (l4, payload) = match self.cfg.probe {
+            ProbeKind::TcpConnect => (tcp(TcpFlags::SYN, 0), 0),
+            ProbeKind::TcpData => (tcp(TcpFlags::PSH | TcpFlags::ACK, 1), 120), // HTTP GET
+            ProbeKind::Icmp => (
+                L4::Icmp {
+                    kind: IcmpKind::EchoRequest,
+                    ident: SESSION,
+                    seq: n as u16,
+                },
+                56,
+            ),
+            ProbeKind::Udp => (
+                L4::Udp {
+                    src_port,
+                    dst_port: ECHO_PORT,
+                },
+                32,
+            ),
+        };
+        let dst = self.cfg.targets[target as usize];
+        let id = self.ctx.send(dst, 64, l4, payload, PacketTag::Probe(n));
+        if let Some(tc) = self.ctx.tracer().packet_ctx(id) {
+            self.ctx.tracer().attr(tc.root, "tool", "acutemon");
         }
-        self.metrics.probes.on_send();
-        ctx.set_timer(self.cfg.probe_timeout, TAG_TIMEOUT_BASE + n);
         id
     }
 
-    fn send_probe(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        let n = self.sent;
-        // `sent` must advance before the send: the RX demux (`probe_for`)
-        // only claims replies for idx < sent, and a zero-RTT path could
-        // answer within this same event.
-        self.sent += 1;
-        self.records.push(RttRecord::sent(n, 0, ctx.now()));
-        let now = ctx.now();
-        let id = self.fire_probe(ctx, n);
-        let rec = &mut self.records[n as usize];
-        rec.req_id = id;
-        rec.tou = now;
+    fn arm(&mut self, timer: Timer, after: SimDuration) {
+        let tag = match timer {
+            Timer::MtStart => TAG_MT_START,
+            Timer::Background => TAG_BG,
+            Timer::Timeout(n) => TAG_TIMEOUT_BASE + n,
+            Timer::Fire(n) => TAG_FIRE_BASE + n,
+        };
+        self.ctx.set_timer(after, tag);
     }
 
-    /// A probe timed out with retry budget left: schedule the resend
-    /// after an exponential backoff (+ deterministic jitter), re-warming
-    /// the path first so the retry doesn't pay the wake cost again.
-    fn schedule_retry(&mut self, ctx: &mut AppCtx<'_, '_>, probe: u32) {
-        let rec = self.records[probe as usize];
-        let attempt = rec.attempts; // 1-based: first retry backs off 1×
-        let base_ms = self.cfg.retry_backoff.as_ms_f64();
-        let backoff_ms = base_ms * f64::from(1u32 << (attempt - 1).min(16));
-        let jitter_ms = ctx.rng().uniform(0.0, backoff_ms * 0.5);
-        let mut delay = simcore::SimDuration::from_ms_f64(backoff_ms + jitter_ms);
-        let rewarm_lead = self.cfg.effective_rewarm_dpre();
-        if self.cfg.rewarm_on_retry {
-            // The fresh warm-up needs its lead time to take effect before
-            // the resend, exactly like the initial warm-up choreography.
-            // On cellular bearers the lead covers the RRC promotion
-            // delay, which dwarfs the WiFi-scale `dpre`.
-            delay = delay.max(rewarm_lead);
-            self.send_rewarm(ctx);
-        }
-        self.metrics.probes.on_retry();
-        let now = ctx.now();
-        let tracer = ctx.tracer();
-        if let Some(tc) = tracer.packet_ctx(rec.req_id) {
-            // Make the recovery visible in the waterfall: a `retry` span
-            // covering the backoff window (and a `rewarm` marker) under
-            // the lost attempt's trace.
-            let span = tracer.span(
-                tc.trace,
-                Some(tc.root),
-                "retry",
-                "fault",
-                now.as_nanos(),
-                (now + delay).as_nanos(),
-            );
-            tracer.attr(span, "attempt", attempt + 1);
-            if self.cfg.rewarm_on_retry {
-                let rw = tracer.span(
-                    tc.trace,
-                    Some(tc.root),
-                    "rewarm",
-                    "fault",
-                    now.as_nanos(),
-                    (now + rewarm_lead).as_nanos(),
-                );
-                tracer.attr(rw, "probe", probe);
-            }
-        }
-        ctx.set_timer(delay, TAG_RETRY_BASE + probe);
-    }
-
-    /// The backoff elapsed: resend probe `n` (unless a late reply already
-    /// closed it).
-    fn resend_probe(&mut self, ctx: &mut AppCtx<'_, '_>, probe: u32) {
-        if self
-            .records
-            .get(probe as usize)
-            .is_none_or(|r| r.tiu.is_some())
-        {
-            return;
-        }
-        let now = ctx.now();
-        let id = self.fire_probe(ctx, probe);
-        let rec = &mut self.records[probe as usize];
-        rec.req_id = id;
-        rec.tou = now;
-        rec.attempts += 1;
-    }
-
-    fn advance_mt(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        if self.sent < self.cfg.k {
-            self.send_probe(ctx);
-        } else if self.finished_at.is_none() {
-            self.finished_at = Some(ctx.now());
-            self.bt_active = false; // stop the BT: measurement is over
+    /// Recovery spans hang off the failed attempt's trace.
+    fn span(
+        &mut self,
+        name: &'static str,
+        req_id: u64,
+        start: SimTime,
+        end: SimTime,
+        (key, value): (&'static str, u32),
+    ) {
+        let tracer = self.ctx.tracer();
+        if let Some(tc) = tracer.packet_ctx(req_id) {
+            let (start, end) = (start.as_nanos(), end.as_nanos());
+            let id = tracer.span(tc.trace, Some(tc.root), name, "fault", start, end);
+            tracer.attr(id, key, value);
         }
     }
 
-    fn probe_for(&self, packet: &Packet) -> Option<usize> {
-        match (self.cfg.probe, packet.l4) {
-            (
-                ProbeKind::TcpConnect | ProbeKind::TcpData,
-                L4::Tcp {
-                    src_port, dst_port, ..
-                },
-            ) => {
-                if src_port != self.cfg.target_port {
-                    return None;
-                }
-                let idx = dst_port.wrapping_sub(self.cfg.session) as u32;
-                (idx < self.sent).then_some(idx as usize)
-            }
-            (
-                ProbeKind::Icmp,
-                L4::Icmp {
-                    kind: IcmpKind::EchoReply,
-                    ident,
-                    seq,
-                },
-            ) => (ident == self.cfg.session && u32::from(seq) < self.sent).then_some(seq as usize),
-            (ProbeKind::Udp, L4::Udp { src_port, dst_port }) => {
-                if src_port != 7 {
-                    return None;
-                }
-                let idx = dst_port.wrapping_sub(self.cfg.session) as u32;
-                (idx < self.sent).then_some(idx as usize)
-            }
-            _ => None,
-        }
+    fn jitter(&mut self) -> f64 {
+        self.ctx.rng().unit()
     }
 }
 
 impl App for AcuteMonApp {
     fn on_start(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        let delay = self.cfg.start.saturating_since(ctx.now());
-        // The warm-up/BG machinery begins at `start`; reuse the BG timer
-        // with the convention that the first firing sends the warm-up.
-        self.bt_active = true;
-        ctx.set_timer(delay, TAG_BG);
-        ctx.set_timer(delay + self.cfg.dpre, TAG_MT_START);
+        let cfg = &self.cfg;
+        self.machine.start(&mut Phone { cfg, ctx });
     }
 
     fn wants(&self, packet: &Packet) -> bool {
@@ -336,79 +218,40 @@ impl App for AcuteMonApp {
     }
 
     fn on_packet(&mut self, ctx: &mut AppCtx<'_, '_>, packet: Packet) {
-        let Some(idx) = self.probe_for(&packet) else {
+        let Some(n) = self.probe_for(&packet) else {
             return;
         };
-        // For TcpConnect, accept SYN/ACK; for TcpData, PSH/ACK; anything
-        // else (stray RST) still closes the probe — its arrival is the
+        // Any reply closes its probe — for TcpConnect a SYN/ACK, for
+        // TcpData a PSH/ACK, even a stray RST: its arrival is the
         // user-level response time.
-        let rec = &mut self.records[idx];
-        if rec.tiu.is_some() {
-            return;
-        }
         let now = ctx.now();
-        rec.resp_id = Some(packet.id);
-        rec.tiu = Some(now);
-        let rtt = now.saturating_since(rec.tou).as_ms_f64();
-        rec.reported_ms = Some(rtt);
-        self.metrics.probes.on_reply(rtt);
-        if idx as u32 + 1 == self.sent {
-            // The latest outstanding probe completed: fire the next one.
-            self.advance_mt(ctx);
-        }
+        let cfg = &self.cfg;
+        self.machine
+            .reply(now, n, packet.id, None, &mut Phone { cfg, ctx });
     }
 
     fn on_timer(&mut self, ctx: &mut AppCtx<'_, '_>, tag: u32) {
-        match tag {
-            TAG_MT_START => self.advance_mt(ctx),
-            TAG_BG => {
-                if !self.bt_active {
-                    return;
-                }
-                let warmup = self.bt.warmup_sent == 0;
-                if !warmup && !self.cfg.background_enabled {
-                    return; // warm-up only (Fig. 9 comparison arm)
-                }
-                self.send_background(ctx, warmup);
-                ctx.set_timer(self.cfg.db, TAG_BG);
-            }
-            t if t >= TAG_RETRY_BASE => self.resend_probe(ctx, t - TAG_RETRY_BASE),
-            t if t >= TAG_TIMEOUT_BASE => {
-                let probe = t - TAG_TIMEOUT_BASE;
-                let Some(rec) = self.records.get(probe as usize) else {
-                    return;
-                };
-                if rec.tiu.is_some() || probe + 1 != self.sent {
-                    return; // answered in time (or a stale timer)
-                }
-                self.metrics.probes.on_timeout();
-                if rec.attempts <= self.cfg.max_retries {
-                    self.schedule_retry(ctx, probe);
-                    return;
-                }
-                // Budget exhausted (or retries disabled): record why and
-                // move on — the sample stays in the set as censored.
-                let attempts = rec.attempts;
-                self.records[probe as usize].error = Some(if attempts > 1 {
-                    ProbeError::Exhausted { attempts }
-                } else {
-                    ProbeError::Timeout
-                });
-                self.advance_mt(ctx);
-            }
-            _ => {}
-        }
+        let timer = match tag {
+            TAG_MT_START => Timer::MtStart,
+            TAG_BG => Timer::Background,
+            t if t >= TAG_FIRE_BASE => Timer::Fire(t - TAG_FIRE_BASE),
+            t if t >= TAG_TIMEOUT_BASE => Timer::Timeout(t - TAG_TIMEOUT_BASE),
+            _ => return,
+        };
+        let now = ctx.now();
+        let cfg = &self.cfg;
+        self.machine.timer(now, timer, &mut Phone { cfg, ctx });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use measure::RecordSet;
-    use netem::{LinkNode, LinkParams, ServerConfig, ServerNode};
+    use measure::{ProbeError, RecordSet};
+    use netem::{LinkNode, LinkParams, ServerConfig, ServerNode, SwitchNode};
     use phone::{PhoneNode, RuntimeKind};
-    use simcore::{Sim, SimDuration};
-    use wire::Msg;
+    use simcore::{Sim, SimTime};
+    use wire::{Ip, Msg};
 
     /// Phone ↔ link ↔ server, no WiFi: exercises BT/MT logic and the
     /// phone pipeline. (The full-testbed behaviour is verified in the
@@ -642,11 +485,95 @@ mod tests {
     }
 
     #[test]
-    fn delayed_start_respected() {
-        let cfg = AcuteMonConfig::new(phone::wired_ip(1), 2).starting_at(SimTime::from_secs(1));
-        let (mut sim, phone_id, app) = world(20, cfg);
-        sim.run_until(SimTime::from_secs(5));
-        let am = sim.node::<PhoneNode>(phone_id).app::<AcuteMonApp>(app);
-        assert!(am.records[0].tou >= SimTime::from_secs(1) + SimDuration::from_millis(20));
+    fn probe_count_is_bounded_by_the_port_encoding() {
+        let ip = phone::wired_ip(1);
+        let _ = AcuteMonApp::new(AcuteMonConfig::new(ip, 65_536));
+        let _ = AcuteMonApp::new(AcuteMonConfig::multi(vec![ip; 4], 16_384));
+        let over = std::panic::catch_unwind(|| AcuteMonApp::new(AcuteMonConfig::new(ip, 65_537)));
+        assert!(over.is_err(), "65,537 probes wrap their 16-bit ports");
+    }
+
+    const NEAR: Ip = Ip::new(10, 0, 0, 1);
+    const FAR: Ip = Ip::new(10, 0, 0, 2);
+
+    /// Phone → switch → {20 ms link → near server, 80 ms link → far}.
+    fn two_targets(k: u32) -> (Sim<Msg>, simcore::NodeId, usize) {
+        let mut sim = Sim::new(55);
+        let sw = sim.add_node(Box::new(SwitchNode::new(SimDuration::from_micros(20))));
+        let near = sim.add_node(Box::new(ServerNode::new(50, ServerConfig::standard(NEAR))));
+        let far = sim.add_node(Box::new(ServerNode::new(51, ServerConfig::standard(FAR))));
+        let l_near = sim.add_node(Box::new(LinkNode::new(LinkParams::delay_ms(10))));
+        let l_far = sim.add_node(Box::new(LinkNode::new(LinkParams::delay_ms(40))));
+        sim.node_mut::<LinkNode>(l_near).connect(sw, near);
+        sim.node_mut::<LinkNode>(l_far).connect(sw, far);
+        sim.node_mut::<SwitchNode>(sw).add_route(NEAR, l_near);
+        sim.node_mut::<SwitchNode>(sw).add_route(FAR, l_far);
+        let mut ph = PhoneNode::new(1, phone::nexus5(), phone::wlan_ip(100), sw);
+        let app = ph.install_app(
+            Box::new(AcuteMonApp::new(AcuteMonConfig::multi(vec![NEAR, FAR], k))),
+            RuntimeKind::Native,
+        );
+        let phone_id = sim.add_node(Box::new(ph));
+        // Responses route back to the phone.
+        sim.node_mut::<SwitchNode>(sw)
+            .add_route(phone::wlan_ip(100), phone_id);
+        (sim, phone_id, app)
+    }
+
+    #[test]
+    fn per_target_rtts_separate_cleanly() {
+        let (mut sim, phone_id, app) = two_targets(10);
+        sim.run_until(SimTime::from_secs(10));
+        let m = sim.node::<PhoneNode>(phone_id).app::<AcuteMonApp>(app);
+        assert!(m.finished_at().is_some());
+        let near = m.records_for(0);
+        let far = m.records_for(1);
+        assert_eq!(near.len(), 10);
+        assert_eq!(far.len(), 10);
+        assert!((near.completion() - 1.0).abs() < 1e-12);
+        assert!((far.completion() - 1.0).abs() < 1e-12);
+        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len() as f64;
+        let m_near = mean(near.du());
+        let m_far = mean(far.du());
+        assert!((m_near - 20.0).abs() < 5.0, "near {m_near}");
+        assert!((m_far - 80.0).abs() < 5.0, "far {m_far}");
+    }
+
+    #[test]
+    fn background_cost_is_shared_not_per_target() {
+        let (mut sim, phone_id, app) = two_targets(5);
+        sim.run_until(SimTime::from_secs(10));
+        let m = sim.node::<PhoneNode>(phone_id).app::<AcuteMonApp>(app);
+        assert_eq!(m.bt.warmup_sent, 1);
+        // Duration ≈ 5×20 + 5×80 ms = 500 ms → ~25 background packets,
+        // NOT 2× that.
+        let dur_ms = m.finished_at().unwrap().as_ms_f64();
+        let expect = dur_ms / 20.0;
+        let got = m.bt.background_sent as f64;
+        assert!(
+            (got - expect).abs() <= 4.0,
+            "bg {got} vs expected ~{expect}"
+        );
+    }
+
+    #[test]
+    fn probes_interleave_round_robin() {
+        let (mut sim, phone_id, app) = two_targets(4);
+        sim.run_until(SimTime::from_secs(10));
+        let m = sim.node::<PhoneNode>(phone_id).app::<AcuteMonApp>(app);
+        // Target 0's probe p is always sent before target 0's probe p+1,
+        // and between them a probe to target 1 happened.
+        let near = m.records_for(0);
+        let far = m.records_for(1);
+        for p in 0..3 {
+            assert!(near[p].tou < far[p].tou);
+            assert!(far[p].tou < near[p + 1].tou);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "port-encoding range")]
+    fn oversized_session_rejected() {
+        let _ = AcuteMonApp::new(AcuteMonConfig::multi(vec![NEAR; 100], 1000));
     }
 }

@@ -1,7 +1,9 @@
 //! AcuteMon configuration (§4.1).
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimDuration;
 use wire::Ip;
+
+use crate::machine::Plan;
 
 /// What the measurement thread sends (§4.1: "AcuteMon uses TCP control
 /// messages (TCP SYN/ACK packets) and TCP data packets (HTTP request and
@@ -21,14 +23,11 @@ pub enum ProbeKind {
 /// AcuteMon configuration.
 #[derive(Debug, Clone)]
 pub struct AcuteMonConfig {
-    /// The target server to measure.
-    pub target: Ip,
-    /// Target TCP port (for the TCP probe kinds).
-    pub target_port: u16,
-    /// Warm-up/background destination. Any routable address works: the
-    /// packets carry `warmup_ttl` and die at the first hop.
-    pub warmup_dst: Ip,
-    /// Number of probes `K`.
+    /// The servers to measure, probed round-robin (one for the paper's
+    /// single-server runs). The first also takes the warm-up/background
+    /// packets: they carry `warmup_ttl` and die at the first hop.
+    pub targets: Vec<Ip>,
+    /// Number of probes `K` per target.
     pub k: u32,
     /// Probe kind.
     pub probe: ProbeKind,
@@ -43,24 +42,17 @@ pub struct AcuteMonConfig {
     pub warmup_ttl: u8,
     /// Per-probe timeout (lost probes are recorded and skipped).
     pub probe_timeout: SimDuration,
-    /// When to begin the warm-up phase (simulation time).
-    pub start: SimTime,
-    /// ICMP ident / base source port discriminator for this session.
-    pub session: u16,
     /// Whether the BT sends background traffic after the warm-up packet.
     /// Fig. 9 disables this (with bus sleep also disabled) to show the
     /// background traffic itself is harmless.
     pub background_enabled: bool,
     /// Bounded retries per probe after a timeout (0 = the paper's
-    /// behaviour: record the loss and move on).
+    /// behaviour: record the loss and move on). Each retry is sent
+    /// behind a fresh warm-up, at least the re-warm lead after it.
     pub max_retries: u32,
     /// Base retry backoff; attempt `i` waits `retry_backoff × 2^(i−1)`
     /// plus deterministic jitter before resending.
     pub retry_backoff: SimDuration,
-    /// Send a fresh warm-up packet before each retry and hold the resend
-    /// at least `dpre`, so the retried probe rides a re-warmed radio path
-    /// instead of paying the wake cost again.
-    pub rewarm_on_retry: bool,
     /// Re-warm lead time used for *retries* instead of `dpre`, when set.
     /// On WiFi the two are the same (a few ms of `Tprom` either way), but
     /// on cellular a timed-out probe plus its backoff can outlast the RRC
@@ -74,22 +66,24 @@ impl AcuteMonConfig {
     /// The paper's defaults: TCP connect probes, `dpre = db = 20 ms`,
     /// TTL 1.
     pub fn new(target: Ip, k: u32) -> AcuteMonConfig {
+        AcuteMonConfig::multi(vec![target], k)
+    }
+
+    /// Paper defaults against several targets, `k` probes each (the
+    /// MopEye multi-server case): one BT keeps the phone awake for all of
+    /// them, so its cost is paid once, not per target.
+    pub fn multi(targets: Vec<Ip>, k: u32) -> AcuteMonConfig {
         AcuteMonConfig {
-            target,
-            target_port: 80,
-            warmup_dst: target,
+            targets,
             k,
             probe: ProbeKind::TcpConnect,
             dpre: SimDuration::from_millis(20),
             db: SimDuration::from_millis(20),
             warmup_ttl: 1,
             probe_timeout: SimDuration::from_secs(2),
-            start: SimTime::ZERO,
-            session: 0x7A00,
             background_enabled: true,
             max_retries: 0,
             retry_backoff: SimDuration::from_millis(50),
-            rewarm_on_retry: true,
             rewarm_dpre: None,
         }
     }
@@ -100,9 +94,23 @@ impl AcuteMonConfig {
         self.rewarm_dpre.unwrap_or(self.dpre)
     }
 
+    /// The timing the session's [`Machine`](crate::Machine) runs.
+    pub fn plan(&self) -> Plan {
+        Plan {
+            targets: self.targets.len() as u32,
+            k: self.k,
+            dpre: self.dpre,
+            db: self.db,
+            rewarm_lead: self.effective_rewarm_dpre(),
+            probe_timeout: self.probe_timeout,
+            background: self.background_enabled,
+            max_retries: self.max_retries,
+            retry_backoff: self.retry_backoff,
+        }
+    }
+
     /// Builder: allow up to `n` retries per probe (with exponential
-    /// backoff and re-warm, unless disabled via
-    /// [`AcuteMonConfig::without_rewarm`]).
+    /// backoff, each behind a fresh warm-up).
     pub fn with_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
@@ -111,13 +119,6 @@ impl AcuteMonConfig {
     /// Builder: set the base retry backoff.
     pub fn with_retry_backoff(mut self, backoff: SimDuration) -> Self {
         self.retry_backoff = backoff;
-        self
-    }
-
-    /// Builder: retry without sending a fresh warm-up first (isolates the
-    /// value of re-warming in ablations).
-    pub fn without_rewarm(mut self) -> Self {
-        self.rewarm_on_retry = false;
         self
     }
 
@@ -153,12 +154,6 @@ impl AcuteMonConfig {
         self.warmup_ttl = ttl;
         self
     }
-
-    /// Builder: start the measurement at `start`.
-    pub fn starting_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -173,6 +168,7 @@ mod tests {
         assert_eq!(c.warmup_ttl, 1);
         assert_eq!(c.k, 100);
         assert_eq!(c.probe, ProbeKind::TcpConnect);
+        assert_eq!(c.targets, vec![Ip::new(10, 0, 0, 1)]);
     }
 
     #[test]
@@ -180,25 +176,23 @@ mod tests {
         let c = AcuteMonConfig::new(Ip::new(10, 0, 0, 1), 5)
             .with_probe(ProbeKind::Icmp)
             .with_timing(SimDuration::from_millis(10), SimDuration::from_millis(40))
-            .with_warmup_ttl(64)
-            .starting_at(SimTime::from_secs(1));
+            .with_warmup_ttl(64);
         assert_eq!(c.probe, ProbeKind::Icmp);
         assert_eq!(c.db, SimDuration::from_millis(40));
         assert_eq!(c.warmup_ttl, 64);
-        assert_eq!(c.start, SimTime::from_secs(1));
     }
 
     #[test]
     fn retries_default_off() {
         let c = AcuteMonConfig::new(Ip::new(10, 0, 0, 1), 5);
         assert_eq!(c.max_retries, 0);
-        assert!(c.rewarm_on_retry);
+        assert_eq!(c.plan().rewarm_lead, c.dpre);
         let c = c
             .with_retries(3)
             .with_retry_backoff(SimDuration::from_millis(25))
-            .without_rewarm();
+            .with_rewarm_dpre(SimDuration::from_millis(300));
         assert_eq!(c.max_retries, 3);
         assert_eq!(c.retry_backoff, SimDuration::from_millis(25));
-        assert!(!c.rewarm_on_retry);
+        assert_eq!(c.plan().rewarm_lead, SimDuration::from_millis(300));
     }
 }

@@ -12,13 +12,17 @@
 //! * a **measurement thread** (native code, no DVM overhead) sends `K`
 //!   TCP probes sequentially.
 //!
-//! This crate provides the simulated app ([`AcuteMonApp`]) evaluated
-//! against the paper's numbers by the `testbed` crate, plus the two
-//! extensions the paper sketches: timeout **training**
-//! ([`TimeoutInferApp`]/[`estimate_tis`], §4.1 future work) and residual
-//! **calibration** ([`Calibration`], §4.2.2). A real-socket Linux
-//! implementation of the same algorithm lives in the `acutemon-live`
-//! crate.
+//! The algorithm lives once, as the sans-IO [`Machine`]: a driver feeds
+//! it start, timer, reply and send-error inputs and performs the sends,
+//! timer arms and spans it asks for. Multi-server measurement (MopEye)
+//! is a list of targets probed round-robin. This crate's driver is the
+//! simulated app ([`AcuteMonApp`]) evaluated against the paper's numbers
+//! by the `testbed` crate; the `acutemon-live` crate drives the same
+//! machine over real sockets. The crate also holds the two extensions
+//! the paper sketches: timeout **training** ([`TimeoutInferApp`]/
+//! [`estimate_tis`], §4.1 future work, and [`TrainedAcuteMonApp`], which
+//! runs the machine with the trained timing) and residual
+//! **calibration** ([`Calibration`], §4.2.2).
 //!
 //! ```
 //! use acutemon::{AcuteMonConfig, ProbeKind};
@@ -36,12 +40,12 @@ mod app;
 mod calibrate;
 mod config;
 mod infer;
-mod multi;
+mod machine;
 mod trained;
 
-pub use app::{AcuteMonApp, BtStats};
+pub use app::AcuteMonApp;
 pub use calibrate::Calibration;
 pub use config::{AcuteMonConfig, ProbeKind};
 pub use infer::{estimate_tis, GapSample, TimeoutEstimate, TimeoutInferApp, TimeoutInferConfig};
-pub use multi::{MultiAcuteMonApp, MultiTargetConfig};
-pub use trained::{TrainedAcuteMonApp, TrainedConfig, TrainedPhase};
+pub use machine::{BtStats, Io, KeepAwake, Machine, Plan, Telemetry, Timer, BT_ERROR_THRESHOLD};
+pub use trained::{TrainedAcuteMonApp, TrainedPhase};

@@ -9,9 +9,11 @@
 //! [`TrainedAcuteMonApp`] runs in two phases: **training** (the
 //! [`TimeoutInferApp`] gap sweep recovers the device's bus demotion
 //! timeout `Tis` from user-level RTT steps) and **measuring** (a regular
-//! [`AcuteMonApp`] configured with `db` derived from the estimate). If
-//! the sweep finds no wake step (a device with bus sleep disabled), a
-//! conservative fallback `db` is used.
+//! [`AcuteMonApp`], the [`Machine`](crate::Machine) with `dpre`/`db`
+//! derived from the estimate, started the moment training ends). The
+//! sweep stays outside the machine: it is a different algorithm, and
+//! `psm_explorer` runs it on its own. If the sweep finds no wake step (a
+//! device with bus sleep disabled), a conservative fallback `db` is used.
 //!
 //! Limitation, documented in DESIGN.md: the PSM timeout `Tip` is not
 //! observable from the app alone (it shows on the *response* path via the
@@ -26,32 +28,11 @@ use crate::app::AcuteMonApp;
 use crate::config::AcuteMonConfig;
 use crate::infer::{estimate_tis, TimeoutEstimate, TimeoutInferApp, TimeoutInferConfig};
 
-/// Configuration of a trained session.
-#[derive(Debug, Clone)]
-pub struct TrainedConfig {
-    /// Base measurement configuration; its `dpre`/`db` are replaced by
-    /// the training outcome.
-    pub base: AcuteMonConfig,
-    /// The training sweep (idle gaps and repetitions).
-    pub sweep: TimeoutInferConfig,
-    /// RTT step (ms) treated as a bus wake during estimation.
-    pub wake_threshold_ms: f64,
-    /// `db` used when no wake step is found, and the hard cap for the
-    /// derived value (stays below the smallest Table-4 `Tip`).
-    pub fallback_db: SimDuration,
-}
-
-impl TrainedConfig {
-    /// Standard training against `target`, then `k` probes.
-    pub fn new(target: wire::Ip, k: u32) -> TrainedConfig {
-        TrainedConfig {
-            base: AcuteMonConfig::new(target, k),
-            sweep: TimeoutInferConfig::standard(target),
-            wake_threshold_ms: 3.0,
-            fallback_db: SimDuration::from_millis(15),
-        }
-    }
-}
+/// RTT step (ms) treated as a bus wake during estimation.
+const WAKE_THRESHOLD_MS: f64 = 3.0;
+/// `db` used when no wake step is found, and a third of the cap on the
+/// derived value (stays below the smallest Table-4 `Tip`).
+const FALLBACK_DB: SimDuration = SimDuration::from_millis(15);
 
 /// Which phase the app is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +45,7 @@ pub enum TrainedPhase {
 
 /// The phased app.
 pub struct TrainedAcuteMonApp {
-    cfg: TrainedConfig,
-    phase: TrainedPhase,
+    base: AcuteMonConfig,
     infer: TimeoutInferApp,
     measure: Option<AcuteMonApp>,
     /// The training outcome (None while training, or if no step found).
@@ -77,12 +57,13 @@ pub struct TrainedAcuteMonApp {
 }
 
 impl TrainedAcuteMonApp {
-    /// Create a session.
-    pub fn new(cfg: TrainedConfig) -> TrainedAcuteMonApp {
-        let infer = TimeoutInferApp::new(cfg.sweep.clone());
+    /// Train against `base`'s first target with the standard gap sweep,
+    /// then measure with `base`, its `dpre`/`db` replaced by the training
+    /// outcome.
+    pub fn new(base: AcuteMonConfig) -> TrainedAcuteMonApp {
+        let infer = TimeoutInferApp::new(TimeoutInferConfig::standard(base.targets[0]));
         TrainedAcuteMonApp {
-            cfg,
-            phase: TrainedPhase::Training,
+            base,
             infer,
             measure: None,
             estimate: None,
@@ -93,7 +74,10 @@ impl TrainedAcuteMonApp {
 
     /// Current phase.
     pub fn phase(&self) -> TrainedPhase {
-        self.phase
+        match self.measure {
+            Some(_) => TrainedPhase::Measuring,
+            None => TrainedPhase::Training,
+        }
     }
 
     /// The measurement results (None until measuring starts).
@@ -101,42 +85,41 @@ impl TrainedAcuteMonApp {
         self.measure.as_ref()
     }
 
-    fn begin_measuring(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        self.estimate = estimate_tis(&self.infer.samples, self.cfg.wake_threshold_ms);
-        let db = match self.estimate {
+    /// The app that owns the session right now.
+    fn active(&mut self) -> &mut dyn App {
+        match &mut self.measure {
+            Some(m) => m,
+            None => &mut self.infer,
+        }
+    }
+
+    /// Once the sweep is done, derive the timing and start measuring.
+    fn begin_measuring_when_trained(&mut self, ctx: &mut AppCtx<'_, '_>) {
+        if self.measure.is_some() || !self.infer.done {
+            return;
+        }
+        self.estimate = estimate_tis(&self.infer.samples, WAKE_THRESHOLD_MS);
+        let (db, dpre) = match self.estimate {
             Some(est) => {
-                SimDuration::from_ms_f64(est.recommended_db_ms).min(self.cfg.fallback_db * 3)
+                // dpre must exceed the promotion delay, which the wake
+                // step bounds from below: 2× the median wake (RTT above
+                // the step minus the baseline), floored at the paper's
+                // empirical 20 ms.
+                let samples = self.infer.samples.iter();
+                let above: Vec<f64> = samples
+                    .filter(|s| s.gap_ms as f64 >= est.tis_ms)
+                    .map(|s| s.rtt_ms - est.baseline_ms)
+                    .collect();
+                let wake_ms = am_stats::median(&above).unwrap_or(10.0).max(1.0);
+                let db = SimDuration::from_ms_f64(est.recommended_db_ms);
+                let dpre = SimDuration::from_ms_f64((2.0 * wake_ms).max(20.0));
+                (db.min(FALLBACK_DB * 3), dpre)
             }
-            None => self.cfg.fallback_db,
+            None => (FALLBACK_DB, SimDuration::from_millis(20)),
         };
-        // dpre must exceed the promotion delay; the observed wake step
-        // bounds it from below. Use 2× the wake magnitude, floored at the
-        // paper's empirical 20 ms.
-        let dpre = match self.estimate {
-            Some(est) => {
-                let wake_ms = {
-                    // Median RTT above the step minus the baseline.
-                    let above: Vec<f64> = self
-                        .infer
-                        .samples
-                        .iter()
-                        .filter(|s| s.gap_ms as f64 >= est.tis_ms)
-                        .map(|s| s.rtt_ms - est.baseline_ms)
-                        .collect();
-                    am_stats::median(&above).unwrap_or(10.0).max(1.0)
-                };
-                SimDuration::from_ms_f64((2.0 * wake_ms).max(20.0))
-            }
-            None => SimDuration::from_millis(20),
-        };
-        let mut mcfg = self.cfg.base.clone();
-        mcfg.dpre = dpre;
-        mcfg.db = db;
-        mcfg.start = ctx.now();
+        let mut app = AcuteMonApp::new(self.base.clone().with_timing(dpre, db));
         self.derived_db = Some(db);
         self.trained_at = Some(ctx.now());
-        self.phase = TrainedPhase::Measuring;
-        let mut app = AcuteMonApp::new(mcfg);
         app.on_start(ctx);
         self.measure = Some(app);
     }
@@ -148,46 +131,20 @@ impl App for TrainedAcuteMonApp {
     }
 
     fn wants(&self, packet: &Packet) -> bool {
-        match self.phase {
-            TrainedPhase::Training => self.infer.wants(packet),
-            TrainedPhase::Measuring => self
-                .measure
-                .as_ref()
-                .map(|m| m.wants(packet))
-                .unwrap_or(false),
+        match &self.measure {
+            Some(m) => m.wants(packet),
+            None => self.infer.wants(packet),
         }
     }
 
     fn on_packet(&mut self, ctx: &mut AppCtx<'_, '_>, packet: Packet) {
-        match self.phase {
-            TrainedPhase::Training => {
-                self.infer.on_packet(ctx, packet);
-                if self.infer.done {
-                    self.begin_measuring(ctx);
-                }
-            }
-            TrainedPhase::Measuring => {
-                if let Some(m) = self.measure.as_mut() {
-                    m.on_packet(ctx, packet);
-                }
-            }
-        }
+        self.active().on_packet(ctx, packet);
+        self.begin_measuring_when_trained(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut AppCtx<'_, '_>, tag: u32) {
-        match self.phase {
-            TrainedPhase::Training => {
-                self.infer.on_timer(ctx, tag);
-                if self.infer.done {
-                    self.begin_measuring(ctx);
-                }
-            }
-            TrainedPhase::Measuring => {
-                if let Some(m) = self.measure.as_mut() {
-                    m.on_timer(ctx, tag);
-                }
-            }
-        }
+        self.active().on_timer(ctx, tag);
+        self.begin_measuring_when_trained(ctx);
     }
 }
 
@@ -210,7 +167,7 @@ mod tests {
         let mut ph = PhoneNode::new(1, profile, phone::wlan_ip(100), link);
         ph.core_mut().bus.set_sleep_enabled(sleep);
         let app = ph.install_app(
-            Box::new(TrainedAcuteMonApp::new(TrainedConfig::new(
+            Box::new(TrainedAcuteMonApp::new(AcuteMonConfig::new(
                 phone::wired_ip(1),
                 20,
             ))),

@@ -7,8 +7,6 @@
 //!              [--warmup-dst HOST:PORT] [--json]
 //!              [--metrics-json] [--metrics-text]
 //!              [--trace-out FILE] [--trace-spans FILE] [-v] [--quiet]
-//! acutemon-cli fleet [--devices N] [--workers W] [--seed S] [--k N]
-//!              [--out FILE] [--json] [-v] [--quiet]
 //! ```
 //!
 //! Defaults mirror the paper: K=100, dpre=db=20 ms, warm-up TTL 1 (the
@@ -20,11 +18,8 @@
 //! per-probe spans as Chrome `trace_event` JSON (loadable in
 //! `chrome://tracing` / Perfetto); `--trace-spans` writes the same spans
 //! as JSON-lines. Tracing is off — and costs nothing on the probe hot
-//! path — unless one of the two flags is given.
-//!
-//! The `fleet` subcommand runs a *simulated* sharded campaign (the
-//! `fleet` crate's heterogeneous population) instead of probing a real
-//! host — handy for sizing a measurement study before deploying it.
+//! path — unless one of the two flags is given. (Simulated campaigns are
+//! `repro fleet`'s job.)
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -57,88 +52,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn fleet_usage() -> ! {
-    error!(
-        "usage: acutemon-cli fleet [--devices N] [--workers W] [--seed S] [--k N]\n\
-         \x20                [--out FILE] [--json] [-v] [--quiet]\n\
-         \n\
-         Runs a simulated sharded measurement campaign over the fleet\n\
-         crate's heterogeneous device population and prints per-stratum\n\
-         du/dn/overhead quantiles. --out writes the merged report JSON\n\
-         (byte-identical for any --workers)."
-    );
-    std::process::exit(2);
-}
-
-fn run_fleet(args: &mut dyn Iterator<Item = String>) -> ! {
-    let mut devices = 500u64;
-    let mut workers: Option<usize> = None;
-    let mut seed = 2016u64;
-    let mut k = 6u32;
-    let mut out: Option<PathBuf> = None;
-    let mut json = false;
-    let mut quiet = false;
-    let mut verbosity = 0u8;
-    let next_num = |args: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            error!("acutemon-cli: {what} needs a number");
+/// The next argument as a number no larger than `max`; anything else
+/// exits 2 (a count that would wrap is rejected, not measured).
+fn next_num(args: &mut dyn Iterator<Item = String>, what: &str, max: u64) -> u64 {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n <= max)
+        .unwrap_or_else(|| {
+            error!("acutemon-cli: {what} needs a number no larger than {max}");
             std::process::exit(2);
         })
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--devices" => devices = next_num(args, "--devices"),
-            "--workers" => workers = Some(next_num(args, "--workers") as usize),
-            "--seed" => seed = next_num(args, "--seed"),
-            "--k" => k = next_num(args, "--k") as u32,
-            "--out" => {
-                out = Some(
-                    args.next()
-                        .map(PathBuf::from)
-                        .unwrap_or_else(|| fleet_usage()),
-                )
-            }
-            "--json" => json = true,
-            "--quiet" | "-q" => quiet = true,
-            "-v" | "--verbose" => verbosity += 1,
-            _ => fleet_usage(),
-        }
-    }
-    obs::log::init_from_flags(quiet, verbosity);
-    let workers = workers.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
-    let spec = fleet::CampaignSpec::heterogeneous(seed, devices).with_probes(k);
-    info!(
-        "fleet: {} devices × {} probes on {workers} workers ...",
-        spec.devices, spec.probes_per_device
-    );
-    let (report, stats) = fleet::run_campaign(&spec, workers);
-    let doc = {
-        use obs::ToJson;
-        report.to_json().to_string_pretty()
-    };
-    if json {
-        println!("{doc}");
-    } else {
-        println!("{}", report.render());
-        info!(
-            "throughput:  {:.1} devices/s, {:.1} probes/s ({:.2} s wall)",
-            stats.devices_per_sec(),
-            stats.probes_per_sec(),
-            stats.wall.as_secs_f64()
-        );
-    }
-    if let Some(p) = &out {
-        if let Err(e) = std::fs::write(p, doc) {
-            error!("acutemon-cli: write {}: {e}", p.display());
-            std::process::exit(1);
-        }
-        info!("report:      {}", p.display());
-    }
-    std::process::exit(0);
 }
 
 fn parse() -> Cli {
@@ -146,9 +69,6 @@ fn parse() -> Cli {
     let Some(target) = args.next() else { usage() };
     if target == "--help" || target == "-h" {
         usage();
-    }
-    if target == "fleet" {
-        run_fleet(&mut args);
     }
     let target: SocketAddr = target.parse().unwrap_or_else(|_| {
         error!("acutemon-cli: bad target address (need HOST:PORT)");
@@ -162,21 +82,16 @@ fn parse() -> Cli {
     let mut trace_spans = None;
     let mut quiet = false;
     let mut verbosity = 0u8;
-    let next_num = |args: &mut dyn Iterator<Item = String>, what: &str| -> u64 {
-        args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            error!("acutemon-cli: {what} needs a number");
-            std::process::exit(2);
-        })
+    let ms = |args: &mut dyn Iterator<Item = String>, what: &str| {
+        Duration::from_millis(next_num(args, what, u64::MAX))
     };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--k" => cfg.k = next_num(&mut args, "--k") as u32,
-            "--dpre" => cfg.dpre = Duration::from_millis(next_num(&mut args, "--dpre")),
-            "--db" => cfg.db = Duration::from_millis(next_num(&mut args, "--db")),
-            "--ttl" => cfg.warmup_ttl = next_num(&mut args, "--ttl") as u32,
-            "--timeout" => {
-                cfg.probe_timeout = Duration::from_millis(next_num(&mut args, "--timeout"))
-            }
+            "--k" => cfg.k = next_num(&mut args, "--k", u32::MAX.into()) as u32,
+            "--dpre" => cfg.dpre = ms(&mut args, "--dpre"),
+            "--db" => cfg.db = ms(&mut args, "--db"),
+            "--ttl" => cfg.warmup_ttl = next_num(&mut args, "--ttl", 255) as u32,
+            "--timeout" => cfg.probe_timeout = ms(&mut args, "--timeout"),
             "--probe" => match args.next().as_deref() {
                 Some("tcp") => cfg.probe = LiveProbe::TcpConnect,
                 Some("udp") => cfg.probe = LiveProbe::UdpEcho,

@@ -3,6 +3,9 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use acutemon::Plan;
+use simcore::SimDuration;
+
 /// What the measurement thread sends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiveProbe {
@@ -42,16 +45,9 @@ pub struct LiveConfig {
     /// the loss and move on, the paper's behaviour).
     pub max_retries: u32,
     /// Base retry backoff; attempt `i` waits `retry_backoff × 2^(i−1)`
-    /// plus deterministic jitter before resending.
+    /// plus deterministic jitter, and at least `dpre` behind the fresh
+    /// warm-up datagram sent ahead of it.
     pub retry_backoff: Duration,
-    /// Send a fresh warm-up datagram before each retry and hold the
-    /// resend at least `dpre`, so the retried probe rides a re-warmed
-    /// radio path instead of paying the wake cost again.
-    pub rewarm_on_retry: bool,
-    /// After this many *consecutive* background send errors the BT
-    /// reports itself degraded to the measurement loop (which then
-    /// re-warms on its own before every probe).
-    pub bt_error_threshold: u32,
 }
 
 impl LiveConfig {
@@ -70,8 +66,23 @@ impl LiveConfig {
             background_enabled: true,
             max_retries: 0,
             retry_backoff: Duration::from_millis(50),
-            rewarm_on_retry: true,
-            bt_error_threshold: 5,
+        }
+    }
+
+    /// The timing the session's [`Machine`](acutemon::Machine) runs: one
+    /// target, re-warmed `dpre` ahead of each retry.
+    pub(crate) fn plan(&self) -> Plan {
+        let sim = |d: Duration| SimDuration::from_nanos(d.as_nanos() as u64);
+        Plan {
+            targets: 1,
+            k: self.k,
+            dpre: sim(self.dpre),
+            db: sim(self.db),
+            rewarm_lead: sim(self.dpre),
+            probe_timeout: sim(self.probe_timeout),
+            background: self.background_enabled,
+            max_retries: self.max_retries,
+            retry_backoff: sim(self.retry_backoff),
         }
     }
 
@@ -84,18 +95,6 @@ impl LiveConfig {
     /// Builder: set the base retry backoff.
     pub fn with_retry_backoff(mut self, backoff: Duration) -> Self {
         self.retry_backoff = backoff;
-        self
-    }
-
-    /// Builder: retry without the fresh warm-up first.
-    pub fn without_rewarm(mut self) -> Self {
-        self.rewarm_on_retry = false;
-        self
-    }
-
-    /// Builder: set the BT consecutive-error degradation threshold.
-    pub fn with_bt_error_threshold(mut self, n: u32) -> Self {
-        self.bt_error_threshold = n;
         self
     }
 
@@ -140,8 +139,7 @@ mod tests {
         assert!(c.background_enabled);
         assert_eq!(c.warmup_dst.port(), 33434);
         assert_eq!(c.max_retries, 0, "retries are opt-in");
-        assert!(c.rewarm_on_retry);
-        assert_eq!(c.bt_error_threshold, 5);
+        assert_eq!(c.plan().rewarm_lead, SimDuration::from_millis(20));
     }
 
     #[test]
@@ -149,13 +147,10 @@ mod tests {
         let t: SocketAddr = "127.0.0.1:7".parse().unwrap();
         let c = LiveConfig::new(t, 5)
             .with_retries(3)
-            .with_retry_backoff(Duration::from_millis(25))
-            .with_bt_error_threshold(2)
-            .without_rewarm();
+            .with_retry_backoff(Duration::from_millis(25));
         assert_eq!(c.max_retries, 3);
         assert_eq!(c.retry_backoff, Duration::from_millis(25));
-        assert_eq!(c.bt_error_threshold, 2);
-        assert!(!c.rewarm_on_retry);
+        assert_eq!(c.plan().retry_backoff, SimDuration::from_millis(25));
     }
 
     #[test]

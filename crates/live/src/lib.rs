@@ -1,15 +1,18 @@
 //! # acutemon-live — AcuteMon over real sockets
 //!
 //! The artifact a downstream user can actually run: the paper's warm-up +
-//! background keep-awake measurement scheme (§4.1) implemented with
-//! `std::net` sockets on Linux, no root required.
+//! background keep-awake measurement scheme (§4.1) with `std::net`
+//! sockets on Linux, no root required. It drives the same sans-IO
+//! [`acutemon::Machine`] the simulator runs, so a simulated run and a
+//! live run differ only in the driver:
 //!
-//! * The **background thread** binds a UDP socket, sets its TTL (default
-//!   1 — datagrams die at the first-hop gateway and never load the
-//!   measured path), sends one warm-up datagram, sleeps `dpre`, then
-//!   keeps sending every `db`.
-//! * The **measurement loop** fires `K` sequential probes: fresh TCP
-//!   connects (RTT = connect latency) or UDP echoes.
+//! * the **session thread** owns the machine, fires its timers and sends
+//!   the warm-up and keep-awake datagrams from one UDP socket with TTL
+//!   `warmup_ttl` (default 1 — they die at the first-hop gateway and
+//!   never load the measured path);
+//! * an **I/O thread** runs each of the `K` sequential probes — a fresh
+//!   TCP connect (RTT = connect latency) or a UDP echo — so keep-awake
+//!   ticks keep firing through a probe's RTT.
 //!
 //! On a phone-grade device this prevents the SDIO-bus and 802.11-PSM
 //! demotions the paper demonstrates; on any device it also counters NIC
@@ -30,4 +33,4 @@ mod config;
 mod session;
 
 pub use config::{LiveConfig, LiveProbe};
-pub use session::{run, run_traced, run_with_registry, LiveBtStats, LiveReport, LiveSample};
+pub use session::{run, run_traced, LiveReport, LiveSample};

@@ -1,59 +1,27 @@
-//! The live measurement session: a background-traffic thread (BT) and a
-//! measurement loop (MT), exactly the Fig. 6 choreography of the paper,
-//! over real sockets.
+//! The live session: the [`Machine`] driven over real sockets.
+//!
+//! One thread owns the machine, fires its timers and sends the
+//! keep-awake datagrams from one TTL-limited UDP socket. An I/O thread
+//! runs each probe's blocking connect or echo, so BT ticks keep firing
+//! through a probe's RTT; the RTT is timed around the I/O call there. The
+//! call enforces the probe deadline itself (a blocking connect cannot be
+//! cancelled), so the machine's `Timeout` arms are dropped and a timed-out
+//! call comes back as a send error. `live.send_lateness_ms` records how
+//! late each send left: actual minus intended time (its timer's
+//! deadline, or the reply that released it).
 
 use std::io;
 use std::net::{TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use acutemon::{BtStats, Io, KeepAwake, Machine, Telemetry, Timer};
 use measure::ProbeError;
-use obs::{Registry, Tracer};
+use obs::{Histogram, Registry, SpanId, TraceId, Tracer};
+use simcore::{DetRng, SimDuration, SimTime};
 
 use crate::config::{LiveConfig, LiveProbe};
-
-/// Lock a mutex, recovering from poisoning: a panicked BT must not take
-/// the measurement report down with it — counters are plain integers and
-/// stay consistent under any interleaving.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Telemetry handles for a live session (`live.*`). Defaults to
-/// disabled no-op handles.
-#[derive(Default)]
-struct LiveMetrics {
-    probes_sent: obs::Counter,
-    probes_received: obs::Counter,
-    probe_errors: obs::Counter,
-    retries: obs::Counter,
-    rewarms: obs::Counter,
-    warmup_sent: obs::Counter,
-    background_sent: obs::Counter,
-    bt_rewarms: obs::Counter,
-    bt_degraded: obs::Counter,
-    rtt_ms: obs::Histogram,
-}
-
-impl LiveMetrics {
-    fn from_registry(reg: &Registry) -> LiveMetrics {
-        LiveMetrics {
-            probes_sent: reg.counter("live.probes_sent"),
-            probes_received: reg.counter("live.probes_received"),
-            probe_errors: reg.counter("live.probe_errors"),
-            retries: reg.counter("live.retries"),
-            rewarms: reg.counter("live.rewarms"),
-            warmup_sent: reg.counter("live.warmup_sent"),
-            background_sent: reg.counter("live.background_sent"),
-            bt_rewarms: reg.counter("live.bt_rewarms"),
-            bt_degraded: reg.counter("live.bt_degraded"),
-            rtt_ms: reg.histogram_ms("live.rtt_ms"),
-        }
-    }
-}
 
 /// One probe's outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,34 +36,13 @@ pub struct LiveSample {
     pub error: Option<ProbeError>,
 }
 
-/// Counters from the background thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LiveBtStats {
-    /// Warm-up datagrams sent (normally 1).
-    pub warmup_sent: u64,
-    /// Background datagrams sent.
-    pub background_sent: u64,
-    /// Send errors (e.g. ICMP errors surfaced on the UDP socket) — these
-    /// are expected with TTL=1 and are ignored, like the paper ignores
-    /// the responses.
-    pub send_errors: u64,
-    /// Keep-awake ticks the BT noticed it had missed (descheduled thread
-    /// or an error streak left the radio uncovered for > 3×`db`).
-    pub missed_ticks: u64,
-    /// Fresh warm-ups sent to recover from a missed-tick gap.
-    pub rewarms_sent: u64,
-    /// Whether the BT was degraded (≥ `bt_error_threshold` consecutive
-    /// send errors) when the run ended.
-    pub degraded: bool,
-}
-
 /// The result of a live run.
 #[derive(Debug, Clone)]
 pub struct LiveReport {
     /// Per-probe samples, in probe order.
     pub samples: Vec<LiveSample>,
-    /// Background accounting.
-    pub bt: LiveBtStats,
+    /// Keep-awake accounting and BT health.
+    pub bt: BtStats,
     /// Wall-clock duration of the measurement phase.
     pub elapsed: Duration,
 }
@@ -135,89 +82,8 @@ impl LiveReport {
     }
 }
 
-/// The background thread body: one warm-up datagram, then keep-awake
-/// datagrams every `db` until `stop` fires.
-///
-/// Self-healing: if the cadence slips by more than 3×`db` (the thread was
-/// descheduled, or sends kept erroring), the radio may have dozed — the
-/// next successful send is a fresh warm-up rather than a plain keep-awake
-/// tick, and it is counted as such. After `bt_error_threshold`
-/// consecutive send errors the shared `degraded` flag is raised so the
-/// measurement loop knows the keep-awake cover is gone; the first
-/// successful send clears it again.
-fn bt_loop(
-    cfg: LiveConfig,
-    stats: Arc<Mutex<LiveBtStats>>,
-    metrics: Arc<LiveMetrics>,
-    degraded: Arc<AtomicBool>,
-    stop: Receiver<()>,
-) -> io::Result<()> {
-    let socket = UdpSocket::bind("0.0.0.0:0")?;
-    socket.set_ttl(cfg.warmup_ttl)?;
-    let mut consecutive_errors: u32 = 0;
-    // Warm-up packet.
-    match socket.send_to(&[0u8; 8], cfg.warmup_dst) {
-        Ok(_) => {
-            lock(&stats).warmup_sent += 1;
-            metrics.warmup_sent.inc();
-        }
-        Err(_) => {
-            lock(&stats).send_errors += 1;
-            consecutive_errors += 1;
-        }
-    }
-    if !cfg.background_enabled {
-        // Warm-up only: wait for the stop signal so the session still
-        // controls our lifetime.
-        let _ = stop.recv();
-        return Ok(());
-    }
-    let mut last_sent = Instant::now();
-    loop {
-        // `recv_timeout` doubles as the db pacing clock.
-        match stop.recv_timeout(cfg.db) {
-            Ok(()) | Err(RecvTimeoutError::Disconnected) => return Ok(()),
-            Err(RecvTimeoutError::Timeout) => {}
-        }
-        let missed = last_sent.elapsed() > cfg.db * 3;
-        if missed {
-            lock(&stats).missed_ticks += 1;
-        }
-        match socket.send_to(&[0u8; 8], cfg.warmup_dst) {
-            Ok(_) => {
-                {
-                    let mut s = lock(&stats);
-                    if missed {
-                        // The gap exceeded the keep-awake guarantee: this
-                        // send is a re-warm, not a routine tick.
-                        s.rewarms_sent += 1;
-                        metrics.bt_rewarms.inc();
-                    } else {
-                        s.background_sent += 1;
-                        metrics.background_sent.inc();
-                    }
-                }
-                last_sent = Instant::now();
-                consecutive_errors = 0;
-                degraded.store(false, Ordering::Relaxed);
-            }
-            // With TTL=1 the kernel may surface the gateway's ICMP
-            // Time Exceeded as an error on the next send; that is
-            // exactly the by-design behaviour — count and go on.
-            Err(_) => {
-                lock(&stats).send_errors += 1;
-                consecutive_errors += 1;
-                if consecutive_errors >= cfg.bt_error_threshold
-                    && !degraded.swap(true, Ordering::Relaxed)
-                {
-                    metrics.bt_degraded.inc();
-                }
-            }
-        }
-    }
-}
-
-fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<f64, ProbeError> {
+/// One blocking probe attempt, timed around the I/O call itself.
+fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<Duration, ProbeError> {
     match cfg.probe {
         LiveProbe::TcpConnect => {
             let t0 = Instant::now();
@@ -225,7 +91,7 @@ fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<f64, ProbeError> {
                 Ok(stream) => {
                     let rtt = t0.elapsed();
                     drop(stream);
-                    Ok(rtt.as_secs_f64() * 1e3)
+                    Ok(rtt)
                 }
                 Err(e) if e.kind() == io::ErrorKind::TimedOut => Err(ProbeError::Timeout),
                 Err(e) => Err(ProbeError::Connect(e.kind())),
@@ -246,7 +112,7 @@ fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<f64, ProbeError> {
                 match socket.recv_from(&mut buf) {
                     Ok((n, from)) => {
                         if from == cfg.target && n >= 4 && buf[..4] == payload {
-                            return Ok(t0.elapsed().as_secs_f64() * 1e3);
+                            return Ok(t0.elapsed());
                         }
                         if t0.elapsed() >= cfg.probe_timeout {
                             return Err(ProbeError::Timeout);
@@ -268,209 +134,260 @@ fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<f64, ProbeError> {
     }
 }
 
-/// Wall-clock ns since the session epoch. Live spans use this as their
-/// timebase so a trace starts at t=0 like the simulated ones.
-fn since_ns(epoch: Instant) -> u64 {
-    epoch.elapsed().as_nanos() as u64
+/// A probe attempt the I/O thread finished: probe `n`, the I/O call's
+/// start and end, and its outcome.
+struct Done {
+    n: u32,
+    start: Instant,
+    end: Instant,
+    result: Result<Duration, ProbeError>,
 }
 
-/// Deterministic retry jitter in [0, 0.5): a hash of (probe, attempt) so
-/// replays of the same run shape are identical without an RNG dependency.
-fn retry_jitter(probe: u32, attempt: u32) -> f64 {
-    let h = u64::from(probe)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(u64::from(attempt).wrapping_mul(0x2545_F491_4F6C_DD1D));
-    (h % 512) as f64 / 1024.0
+fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
-/// One probe end-to-end: fire it, and on a retryable failure back off
-/// (exponentially, with deterministic jitter), re-warm the path, and try
-/// again up to `max_retries` times.
-///
-/// The whole recovery is one span tree: a `probe` root with one
-/// `tcp_connect`/`udp_echo` leaf per attempt, plus `rewarm`/`retry`
-/// spans (category `fault`) covering each backoff window. Unlike the
-/// simulated pipeline we cannot see inside the kernel from userland, so
-/// each leaf is that attempt's whole du — the waterfall still shows
-/// which probes stalled, by how much, and what it cost to recover them.
-fn run_probe(
-    cfg: &LiveConfig,
-    tracer: &Tracer,
+/// The machine's [`Io`] over real sockets, plus the timers its thread
+/// fires.
+struct Live<'a> {
+    cfg: &'a LiveConfig,
     epoch: Instant,
-    probe: u32,
-    metrics: &LiveMetrics,
-    rewarm: Option<&UdpSocket>,
-    bt_degraded: &AtomicBool,
-) -> LiveSample {
-    let tctx = tracer.is_enabled().then(|| {
-        let trace = tracer.begin_trace();
-        let root = tracer.start_span(trace, None, "probe", "live", since_ns(epoch));
-        tracer.attr(root, "probe", probe);
-        tracer.attr(root, "tool", "acutemon-cli");
-        (trace, root)
-    });
-    let leaf_name = match cfg.probe {
-        LiveProbe::TcpConnect => "tcp_connect",
-        LiveProbe::UdpEcho => "udp_echo",
-    };
-    // The BT lost its keep-awake cover: lead with our own warm-up so this
-    // probe doesn't pay the wake cost the BT was supposed to absorb.
-    if bt_degraded.load(Ordering::Relaxed) {
-        if let Some(sock) = rewarm {
-            if sock.send_to(&[0u8; 8], cfg.warmup_dst).is_ok() {
-                metrics.rewarms.inc();
-            }
-        }
+    /// The keep-awake socket (TTL `warmup_ttl`).
+    awake: UdpSocket,
+    /// Probe attempts for the I/O thread: probe `n`, and when it was due.
+    jobs: Sender<(u32, Instant)>,
+    timers: Vec<(Instant, Timer)>,
+    /// When the input being handled happened, and when it was due.
+    now: Instant,
+    intended: Instant,
+    lateness: Histogram,
+    /// Retry jitter; seeded, so a run shape replays its retry schedule.
+    rng: DetRng,
+    tracer: &'a Tracer,
+    /// The probe being traced: its index, trace and root span.
+    trace: Option<(u32, TraceId, SpanId)>,
+}
+
+impl Live<'_> {
+    fn sim(&self, t: Instant) -> SimTime {
+        SimTime::from_nanos(t.saturating_duration_since(self.epoch).as_nanos() as u64)
     }
-    let mut attempts: u32 = 0;
-    let sample = loop {
-        attempts += 1;
-        metrics.probes_sent.inc();
-        let io_start = since_ns(epoch);
-        let res = probe_once(cfg, probe);
-        let io_end = since_ns(epoch);
-        if let Some((trace, root)) = tctx {
-            let leaf = tracer.span(trace, Some(root), leaf_name, "net", io_start, io_end);
-            tracer.attr(leaf, "attempt", attempts);
-            match &res {
-                Ok(ms) => tracer.attr(leaf, "rtt_ms", *ms),
-                Err(e) => {
-                    tracer.attr(leaf, "lost", true);
-                    tracer.attr(leaf, "error", e.label());
-                }
-            }
-        }
-        match res {
-            Ok(ms) => {
-                metrics.probes_received.inc();
-                metrics.rtt_ms.observe(ms);
-                break LiveSample {
-                    probe,
-                    rtt_ms: Some(ms),
-                    attempts,
-                    error: None,
-                };
-            }
+
+    /// Record a finished attempt as a leaf under its probe's root span.
+    /// We cannot see inside the kernel from userland, so the leaf is the
+    /// attempt's whole du.
+    fn leaf(&self, done: &Done, attempt: u32) {
+        let Some((_, trace, root)) = self.trace else {
+            return;
+        };
+        let name = match self.cfg.probe {
+            LiveProbe::TcpConnect => "tcp_connect",
+            LiveProbe::UdpEcho => "udp_echo",
+        };
+        let (start, end) = (
+            self.sim(done.start).as_nanos(),
+            self.sim(done.end).as_nanos(),
+        );
+        let leaf = self.tracer.span(trace, Some(root), name, "net", start, end);
+        self.tracer.attr(leaf, "attempt", attempt);
+        match done.result {
+            Ok(rtt) => self.tracer.attr(leaf, "rtt_ms", ms(rtt)),
             Err(e) => {
-                metrics.probe_errors.inc();
-                if attempts > cfg.max_retries || !e.is_retryable() {
-                    break LiveSample {
-                        probe,
-                        rtt_ms: None,
-                        attempts,
-                        error: Some(if attempts > 1 {
-                            ProbeError::Exhausted { attempts }
-                        } else {
-                            e
-                        }),
-                    };
-                }
-                metrics.retries.inc();
-                let shift = (attempts - 1).min(10);
-                let mut delay = cfg.retry_backoff * (1u32 << shift);
-                delay += delay.mul_f64(retry_jitter(probe, attempts));
-                let retry_start = since_ns(epoch);
-                if cfg.rewarm_on_retry {
-                    if let Some(sock) = rewarm {
-                        if sock.send_to(&[0u8; 8], cfg.warmup_dst).is_ok() {
-                            metrics.rewarms.inc();
-                            if let Some((trace, root)) = tctx {
-                                let rw = tracer.span(
-                                    trace,
-                                    Some(root),
-                                    "rewarm",
-                                    "fault",
-                                    retry_start,
-                                    retry_start + cfg.dpre.as_nanos() as u64,
-                                );
-                                tracer.attr(rw, "probe", probe);
-                            }
-                        }
+                self.tracer.attr(leaf, "lost", true);
+                self.tracer.attr(leaf, "error", e.label());
+            }
+        }
+    }
+
+    /// Close the traced probe's root span at `end`.
+    fn end_trace(&mut self, end: SimTime) {
+        if let Some((_, _, root)) = self.trace.take() {
+            self.tracer.end_span(root, end.as_nanos());
+        }
+    }
+}
+
+impl Io for Live<'_> {
+    fn keep_awake(&mut self, _kind: KeepAwake) -> bool {
+        let at = Instant::now();
+        let sent = self.awake.send_to(&[0u8; 8], self.cfg.warmup_dst).is_ok();
+        self.lateness
+            .observe(ms(at.saturating_duration_since(self.intended)));
+        sent
+    }
+
+    /// Each probe is one span tree: a `probe` root with one
+    /// `tcp_connect`/`udp_echo` leaf per attempt, plus the machine's
+    /// `retry`/`rewarm` spans. A root ends when the next probe starts
+    /// (its predecessor's final attempt releases it) or the run ends.
+    fn probe(&mut self, n: u32, _target: u32) -> u64 {
+        if self.tracer.is_enabled() && self.trace.map(|t| t.0) != Some(n) {
+            let start = self.sim(self.now);
+            self.end_trace(start);
+            let trace = self.tracer.begin_trace();
+            let root = self
+                .tracer
+                .start_span(trace, None, "probe", "live", start.as_nanos());
+            self.tracer.attr(root, "probe", n);
+            self.tracer.attr(root, "tool", "acutemon-cli");
+            self.trace = Some((n, trace, root));
+        }
+        // The I/O thread lives until the session drops this sender.
+        let _ = self.jobs.send((n, self.intended));
+        0
+    }
+
+    fn arm(&mut self, timer: Timer, after: SimDuration) {
+        if !matches!(timer, Timer::Timeout(_)) {
+            let at = self.now + Duration::from_nanos(after.as_nanos());
+            self.timers.push((at, timer));
+        }
+    }
+
+    fn span(
+        &mut self,
+        name: &'static str,
+        _: u64,
+        start: SimTime,
+        end: SimTime,
+        (key, value): (&'static str, u32),
+    ) {
+        if let Some((_, trace, root)) = self.trace {
+            let (start, end) = (start.as_nanos(), end.as_nanos());
+            let id = self
+                .tracer
+                .span(trace, Some(root), name, "fault", start, end);
+            self.tracer.attr(id, key, value);
+        }
+    }
+
+    fn jitter(&mut self) -> f64 {
+        self.rng.unit()
+    }
+}
+
+/// Run a complete AcuteMon session over real sockets: warm up, wait
+/// `dpre`, fire `K` sequential probes with the BT ticking every `db`.
+pub fn run(cfg: LiveConfig) -> io::Result<LiveReport> {
+    run_traced(cfg, &Registry::disabled(), &Tracer::disabled())
+}
+
+/// Like [`run`], recording telemetry (`live.*`) into `reg` and per-probe
+/// spans into `tracer` (wall-clock ns since the session began). Pass
+/// [`Registry::disabled`] or [`Tracer::disabled`] for zero-cost no-ops.
+pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Result<LiveReport> {
+    let awake = UdpSocket::bind("0.0.0.0:0")?;
+    awake.set_ttl(cfg.warmup_ttl)?;
+    let lateness = reg.histogram_ms("live.send_lateness_ms");
+    let (jobs, job_rx) = channel::<(u32, Instant)>();
+    let (done_tx, done) = channel::<Done>();
+    let mut machine = Machine::new(cfg.plan());
+    machine.attach(Telemetry {
+        sent: reg.counter("live.probes_sent"),
+        received: reg.counter("live.probes_received"),
+        failed: reg.counter("live.probe_errors"),
+        retries: reg.counter("live.retries"),
+        rewarms: reg.counter("live.rewarms"),
+        rtt_ms: reg.histogram_ms("live.rtt_ms"),
+        warmup_sent: reg.counter("live.warmup_sent"),
+        background_sent: reg.counter("live.background_sent"),
+        degraded: reg.counter("live.bt_degraded"),
+    });
+    thread::scope(|scope| {
+        let (cfg, io_lateness) = (&cfg, lateness.clone());
+        thread::Builder::new()
+            .name("acutemon-io".into())
+            .spawn_scoped(scope, move || {
+                for (n, intended) in job_rx {
+                    let start = Instant::now();
+                    io_lateness.observe(ms(start.saturating_duration_since(intended)));
+                    let result = probe_once(cfg, n);
+                    let end = Instant::now();
+                    if done_tx
+                        .send(Done {
+                            n,
+                            start,
+                            end,
+                            result,
+                        })
+                        .is_err()
+                    {
+                        return;
                     }
-                    // The fresh warm-up needs `dpre` to take effect
-                    // before the resend, like the initial choreography.
-                    delay = delay.max(cfg.dpre);
                 }
-                thread::sleep(delay);
-                if let Some((trace, root)) = tctx {
-                    let sp = tracer.span(
-                        trace,
-                        Some(root),
-                        "retry",
-                        "fault",
-                        retry_start,
-                        since_ns(epoch),
-                    );
-                    tracer.attr(sp, "attempt", attempts + 1);
+            })?;
+        let epoch = Instant::now();
+        let mut live = Live {
+            cfg,
+            epoch,
+            awake,
+            jobs,
+            timers: Vec::new(),
+            now: epoch,
+            intended: epoch,
+            lateness,
+            rng: DetRng::new(0xAC07E),
+            tracer,
+            trace: None,
+        };
+        machine.start(&mut live);
+        while machine.finished_at().is_none() {
+            let next = live
+                .timers
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (at, _))| *at)
+                .map(|(i, &(at, _))| (i, at));
+            // A finished attempt is handled before a due timer, so a zero
+            // `db` cannot starve the probes.
+            let msg = match next {
+                Some((_, at)) => done.recv_timeout(at.saturating_duration_since(Instant::now())),
+                None => done.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match msg {
+                Ok(d) => {
+                    let attempt = machine.records.get(d.n as usize).map_or(0, |r| r.attempts);
+                    live.leaf(&d, attempt);
+                    (live.now, live.intended) = (d.end, d.end);
+                    let now = live.sim(d.end);
+                    match d.result {
+                        Ok(rtt) => {
+                            let rtt = SimDuration::from_nanos(rtt.as_nanos() as u64);
+                            machine.reply(now, d.n, 0, Some(rtt), &mut live);
+                        }
+                        Err(e) => machine.send_error(now, d.n, e, &mut live),
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    let (i, at) = next.expect("recv_timeout only times out with a timer armed");
+                    let (_, timer) = live.timers.swap_remove(i);
+                    (live.now, live.intended) = (Instant::now(), at);
+                    let now = live.sim(live.now);
+                    machine.timer(now, timer, &mut live);
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(io::Error::other("probe thread exited"));
                 }
             }
         }
-    };
-    if let Some((_, root)) = tctx {
-        tracer.end_span(root, since_ns(epoch));
-    }
-    sample
-}
-
-/// Run a complete AcuteMon session over real sockets: start the BT, wait
-/// `dpre`, fire `K` sequential probes, stop the BT.
-pub fn run(cfg: LiveConfig) -> io::Result<LiveReport> {
-    run_with_registry(cfg, &Registry::disabled())
-}
-
-/// Like [`run`], recording per-probe telemetry (`live.*`) into `reg`.
-pub fn run_with_registry(cfg: LiveConfig, reg: &Registry) -> io::Result<LiveReport> {
-    run_traced(cfg, reg, &Tracer::disabled())
-}
-
-/// Like [`run_with_registry`], additionally emitting per-probe spans into
-/// `tracer` (wall-clock ns since the measurement phase began). Pass
-/// [`Tracer::disabled`] for a zero-cost no-op.
-pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Result<LiveReport> {
-    let metrics = Arc::new(LiveMetrics::from_registry(reg));
-    let stats = Arc::new(Mutex::new(LiveBtStats::default()));
-    let degraded = Arc::new(AtomicBool::new(false));
-    let (stop_tx, stop_rx): (SyncSender<()>, Receiver<()>) = sync_channel(1);
-    let bt_cfg = cfg.clone();
-    let bt_stats = Arc::clone(&stats);
-    let bt_metrics = Arc::clone(&metrics);
-    let bt_degraded = Arc::clone(&degraded);
-    let bt = thread::Builder::new()
-        .name("acutemon-bt".into())
-        .spawn(move || bt_loop(bt_cfg, bt_stats, bt_metrics, bt_degraded, stop_rx))?;
-
-    // The MT's own warm-up socket, for re-warming ahead of retries (and
-    // for covering probes while the BT is degraded). Best-effort: if it
-    // can't be set up, retries simply go out un-warmed.
-    let rewarm_socket = UdpSocket::bind("0.0.0.0:0")
-        .and_then(|s| s.set_ttl(cfg.warmup_ttl).map(|()| s))
-        .ok();
-
-    thread::sleep(cfg.dpre);
-    let t_start = Instant::now();
-    let mut samples = Vec::with_capacity(cfg.k as usize);
-    for probe in 0..cfg.k {
-        samples.push(run_probe(
-            &cfg,
-            tracer,
-            t_start,
-            probe,
-            &metrics,
-            rewarm_socket.as_ref(),
-            &degraded,
-        ));
-    }
-    let elapsed = t_start.elapsed();
-
-    let _ = stop_tx.send(());
-    bt.join()
-        .map_err(|_| io::Error::other("background thread panicked"))??;
-    let mut bt_stats = *lock(&stats);
-    bt_stats.degraded = degraded.load(Ordering::Relaxed);
-    Ok(LiveReport {
-        samples,
-        bt: bt_stats,
-        elapsed,
+        let finished = machine.finished_at().unwrap_or(SimTime::ZERO);
+        live.end_trace(finished);
+        Ok(LiveReport {
+            samples: machine
+                .records
+                .iter()
+                .map(|r| LiveSample {
+                    probe: r.probe,
+                    rtt_ms: r.reported_ms,
+                    attempts: r.attempts,
+                    error: r.error,
+                })
+                .collect(),
+            bt: machine.bt,
+            elapsed: Duration::from_nanos(finished.as_nanos()).saturating_sub(cfg.dpre),
+        })
+        // `live` drops here, closing the job queue: the I/O thread exits
+        // and the scope joins it.
     })
 }
 
@@ -479,6 +396,7 @@ mod tests {
     use super::*;
     use std::net::{SocketAddr, TcpListener};
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// A loopback TCP acceptor that accepts and drops connections.
     fn tcp_server() -> (SocketAddr, Arc<AtomicBool>) {
@@ -748,8 +666,7 @@ mod tests {
             ..LiveConfig::new(addr, 5)
         }
         .with_probe(LiveProbe::UdpEcho)
-        .with_timing(Duration::from_millis(2), Duration::from_millis(1))
-        .with_bt_error_threshold(3);
+        .with_timing(Duration::from_millis(2), Duration::from_millis(1));
         let report = run(cfg).expect("run");
         stop.store(true, Ordering::Relaxed);
         assert!(

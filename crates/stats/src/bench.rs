@@ -3,17 +3,15 @@
 //! The workspace builds offline, so instead of an external bench
 //! framework the timing loop is [`Harness`]: adaptive iteration counts,
 //! per-iteration samples kept in full, and a min/p50/mean summary per
-//! benchmark. The `am-bench` crate's suites use
-//! it under `cargo bench`; the `repro bench-snapshot` mode uses it to
-//! write machine-readable medians.
+//! benchmark. The `repro bench-snapshot` mode uses it to write
+//! machine-readable medians.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use obs::ToJson;
 
 use crate::quantile::quantile;
-
-pub use std::hint::black_box;
 
 /// Probe budget used per bench iteration — small enough to take many
 /// samples, large enough to exercise every code path.

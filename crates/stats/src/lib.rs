@@ -16,11 +16,14 @@
 //!   by the value range, censoring handled per [`CensoredSample`];
 //! * [`render`]: ASCII tables, box-plot strips, and CDF plots for the
 //!   terminal-based experiment runners;
-//! * [`mod@bench`]: the offline wall-clock benchmark harness shared by
-//!   `cargo bench` and `repro bench-snapshot`.
+//! * [`backoff`]: the capped exponential retry backoff, with
+//!   caller-supplied jitter, that every retrying component shares;
+//! * [`mod@bench`]: the offline wall-clock benchmark harness behind
+//!   `repro bench-snapshot`.
 
 #![deny(missing_docs)]
 
+mod backoff;
 pub mod bench;
 mod boxplot;
 mod censored;
@@ -30,6 +33,7 @@ pub mod render;
 mod sketch;
 mod summary;
 
+pub use backoff::backoff;
 pub use boxplot::BoxStats;
 pub use censored::CensoredSample;
 pub use ecdf::Ecdf;

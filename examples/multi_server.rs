@@ -6,7 +6,7 @@
 //! cargo run --release --example multi_server
 //! ```
 
-use acutemon::{MultiAcuteMonApp, MultiTargetConfig};
+use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::Summary;
 use measure::RecordSet;
 use netem::{LinkNode, LinkParams, ServerConfig, ServerNode, SwitchNode};
@@ -35,7 +35,7 @@ fn main() {
     }
     let mut ph = PhoneNode::new(1, phone::nexus5(), phone::wlan_ip(100), sw);
     let app = ph.install_app(
-        Box::new(MultiAcuteMonApp::new(MultiTargetConfig::new(
+        Box::new(AcuteMonApp::new(AcuteMonConfig::multi(
             targets.iter().map(|t| t.0).collect(),
             30,
         ))),
@@ -46,7 +46,7 @@ fn main() {
         .add_route(phone::wlan_ip(100), phone_id);
     sim.run_until(SimTime::from_secs(30));
 
-    let m = sim.node::<PhoneNode>(phone_id).app::<MultiAcuteMonApp>(app);
+    let m = sim.node::<PhoneNode>(phone_id).app::<AcuteMonApp>(app);
     println!("One phone, one background thread, three servers:\n");
     for (i, (ip, rtt, name)) in targets.iter().enumerate() {
         let recs = m.records_for(i);

@@ -175,10 +175,10 @@ fn fig8_ordering_end_to_end() {
 /// cleanly with the derived timing.
 #[test]
 fn trained_acutemon_full_testbed() {
-    use acutemon::{TrainedAcuteMonApp, TrainedConfig, TrainedPhase};
+    use acutemon::{TrainedAcuteMonApp, TrainedPhase};
     let mut tb = Testbed::build(TestbedConfig::new(71, phone::nexus5(), 25));
     let app = tb.install_app(
-        Box::new(TrainedAcuteMonApp::new(TrainedConfig::new(
+        Box::new(TrainedAcuteMonApp::new(AcuteMonConfig::new(
             addr::SERVER,
             20,
         ))),
@@ -203,10 +203,10 @@ fn trained_acutemon_full_testbed() {
 /// distance; both come back clean under one background thread.
 #[test]
 fn multi_target_full_testbed() {
-    use acutemon::{MultiAcuteMonApp, MultiTargetConfig};
+    use acutemon::{AcuteMonApp, AcuteMonConfig};
     let mut tb = Testbed::build(TestbedConfig::new(72, phone::nexus4(), 40));
     let app = tb.install_app(
-        Box::new(MultiAcuteMonApp::new(MultiTargetConfig::new(
+        Box::new(AcuteMonApp::new(AcuteMonConfig::multi(
             vec![addr::SERVER, addr::LOAD_SERVER],
             15,
         ))),
@@ -215,7 +215,7 @@ fn multi_target_full_testbed() {
     tb.run_until(SimTime::from_secs(20));
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let m = phone_node.app::<MultiAcuteMonApp>(app);
+    let m = phone_node.app::<AcuteMonApp>(app);
     assert!(m.finished_at().is_some());
     // The measurement server sits behind the 40 ms netem link; the load
     // server hangs straight off the switch.
