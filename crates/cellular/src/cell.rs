@@ -229,6 +229,10 @@ impl CellNode {
 }
 
 impl Node<Msg> for CellNode {
+    fn layer(&self) -> &'static str {
+        "cell"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         let Msg::Wire(packet) = msg else {
             debug_assert!(false, "cell node got non-wire message");

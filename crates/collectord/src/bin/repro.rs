@@ -361,11 +361,14 @@ fn parse_args() -> Options {
                      \n\
                      profile runs a self-profiled fleet campaign\n\
                      (--seed/--fleet-devices/--fleet-workers), prints the\n\
-                     per-phase / per-stratum attribution table, writes\n\
-                     profile.json, profile.folded (flamegraph folded\n\
-                     stacks) and profile_trace.json (chrome://tracing),\n\
-                     and fails if less than 95% of the thread-time budget\n\
-                     is attributed to named phases.\n\
+                     per-phase / per-layer / per-stratum attribution table,\n\
+                     writes profile.json, profile.folded (flamegraph folded\n\
+                     stacks) and profile_trace.json (chrome://tracing), and\n\
+                     fails if less than 95% of the thread-time budget is\n\
+                     attributed to named phases. It runs the campaign 3\n\
+                     times profiled and 3 times not, alternating, and also\n\
+                     fails if the median profiled/unprofiled wall ratio of\n\
+                     the pairs is above 1.3.\n\
                      \n\
                      fleet and bench-snapshot run only when named explicitly\n\
                      (not under 'all'); fleet writes fleet.json, bench-snapshot\n\
@@ -844,26 +847,56 @@ fn run_chaos(opts: &Options) -> ! {
     std::process::exit(0);
 }
 
+/// Profiled/unprofiled campaign pairs behind `repro profile`'s
+/// overhead ratio.
+const OVERHEAD_PAIRS: usize = 3;
+/// The most a profiled campaign may cost, as a multiple of the same
+/// campaign unprofiled.
+const MAX_PROFILER_OVERHEAD: f64 = 1.3;
+
 /// Run a self-profiled fleet campaign and report where the engine's
 /// wall-clock time and allocations went. Exits non-zero when less than
 /// 95% of the thread-time budget lands in named phases — the
 /// profiler's own accounting has to stay honest before its numbers
-/// mean anything.
+/// mean anything — or when profiling makes the campaign more than
+/// [`MAX_PROFILER_OVERHEAD`] times slower: the median ratio of
+/// [`OVERHEAD_PAIRS`] profiled/unprofiled pairs, alternating which side
+/// runs first so drift in host speed hits both.
 fn run_profile(opts: &Options) {
     let workers = opts
         .fleet_workers
         .unwrap_or_else(fleet::available_parallelism);
     let spec = fleet::CampaignSpec::heterogeneous(opts.seed, opts.fleet_devices);
     info!(
-        "profiling fleet campaign: {} devices × {} probes on {workers} workers ...",
+        "profiling fleet campaign: {} devices × {} probes on {workers} workers, \
+         {OVERHEAD_PAIRS} profiled/unprofiled pairs ...",
         spec.devices, spec.probes_per_device
     );
-    let run_opts = fleet::RunOptions {
-        profiler: obs::Profiler::new(),
-        ..fleet::RunOptions::default()
+    let run = |profiler: obs::Profiler| {
+        let run_opts = fleet::RunOptions {
+            profiler,
+            ..fleet::RunOptions::default()
+        };
+        let (report, stats) = fleet::run_campaign_opts(&spec, workers, &run_opts);
+        assert!(report.is_some(), "no halt hook configured");
+        stats
     };
-    let (report, mut stats) = fleet::run_campaign_opts(&spec, workers, &run_opts);
-    assert!(report.is_some(), "no halt hook configured");
+    let mut ratios = Vec::with_capacity(OVERHEAD_PAIRS);
+    let mut profiled = None;
+    for pair in 0..OVERHEAD_PAIRS {
+        let unprofiled = || run(obs::Profiler::disabled()).wall.as_secs_f64();
+        // Odd pairs run the unprofiled side first.
+        let early = (pair % 2 == 1).then(unprofiled);
+        let stats = run(obs::Profiler::new());
+        let off = early.unwrap_or_else(unprofiled);
+        let on = stats.wall.as_secs_f64();
+        info!("profile: pair {pair}: profiled {on:.3} s, unprofiled {off:.3} s");
+        ratios.push(on / off);
+        profiled = Some(stats);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let overhead = ratios[OVERHEAD_PAIRS / 2];
+    let mut stats = profiled.expect("at least one pair ran");
     let profile = stats.profile.take().expect("profiler was enabled");
     println!("\n{}", profile.render());
     println!(
@@ -892,6 +925,14 @@ fn run_profile(opts: &Options) {
         "profile: {:.1}% of the thread-time budget attributed.",
         100.0 * frac
     );
+    println!("profiler overhead: {overhead:.2}× (median of {OVERHEAD_PAIRS} alternating pairs)");
+    if overhead > MAX_PROFILER_OVERHEAD {
+        error!(
+            "profile: profiling made the campaign {overhead:.2}× slower \
+             (allowed <= {MAX_PROFILER_OVERHEAD}×)"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Read a `BENCH_*.json` snapshot into `(name, p50_ns)` pairs.

@@ -7,9 +7,12 @@
 //! channel handoff, and `backpressure` for window stalls, which appear
 //! only in runs with a checkpoint, progress sink or halt hook) and the
 //! collector loop in a `collect` root (`recv_wait`/`absorb`/`checkpoint`/
-//! `progress` children). The run then returns a [`CampaignProfile`]:
-//! the cross-thread phase tree, an attribution ratio against the
-//! thread-time budget, and per-stratum device costs.
+//! `progress` children). Under `des`, each device's simulator records
+//! one `sim.dispatch` aggregate whose calls are its events, split into
+//! one child per Fig.-1 layer (`simcore::Sim::set_profiler`). The run
+//! then returns a [`CampaignProfile`]: the cross-thread phase tree, an
+//! attribution ratio against the thread-time budget, and per-stratum
+//! device costs.
 //!
 //! None of this ever enters the campaign *report* — the report is
 //! deterministic, the clock is not (same rule as
@@ -87,10 +90,13 @@ impl CampaignProfile {
     /// `(unattributed)` gap row, then per-stratum device costs.
     ///
     /// The `allocs/call` column is the arena discipline's regression
-    /// canary: for the per-event phases (`sim.dispatch`, `sim.push`) a
-    /// call is one engine event, so any steady-state heap traffic on
-    /// the dispatch hot path shows up here as a non-zero per-event
-    /// rate.
+    /// canary: `sim.dispatch`'s calls are engine events and its
+    /// allocations the handlers', split into one row per Fig.-1 layer
+    /// whose calls are the events that layer handled, so any
+    /// steady-state heap traffic on the dispatch hot path shows up as a
+    /// non-zero per-event rate on the layer that made it. The layer
+    /// rows' time is sampled (every 64th call, scaled by 64); the
+    /// queue's own cost is `des` self time.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let budget = self.budget_ns().max(1);

@@ -97,7 +97,8 @@ pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
 
 /// [`run_device`] with self-profiling: wall-clock cost splits into
 /// `setup` (testbed + app construction), `des` (the discrete-event run,
-/// under which simcore's `sim.*` phases nest), and `fold` (record
+/// under which simcore records its per-layer `sim.dispatch` totals),
+/// and `fold` (record
 /// harvest + sketch/snapshot fold). The partial returned is
 /// byte-identical whether `prof` is enabled or disabled — profiling
 /// observes the host, never the simulation.

@@ -129,6 +129,10 @@ impl Ping2Prober {
 }
 
 impl Node<Msg> for Ping2Prober {
+    fn layer(&self) -> &'static str {
+        "measure.ping2"
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.start_pair(ctx);
     }

@@ -161,6 +161,10 @@ impl LinkNode {
 }
 
 impl Node<Msg> for LinkNode {
+    fn layer(&self) -> &'static str {
+        "netem.link"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         let Msg::Wire(packet) = msg else {
             debug_assert!(false, "link got non-wire message");

@@ -133,6 +133,10 @@ impl UdpBlasterNode {
 }
 
 impl Node<Msg> for UdpBlasterNode {
+    fn layer(&self) -> &'static str {
+        "netem.load"
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         // One timer per gap period, firing at period start.
         let delay = self.cfg.start.saturating_since(ctx.now());

@@ -13,8 +13,6 @@
 //! Per \[24\] (cited in §2.1), server-side turnaround for TCP data packets
 //! is microsecond-level; the model uses a small processing distribution.
 
-use std::collections::HashSet;
-
 use crate::fault::{trace_drop, FaultPlan, FaultState, FaultVerdict};
 use obs::{Counter, Registry};
 use simcore::{Ctx, LatencyDist, Node, NodeId};
@@ -45,9 +43,10 @@ pub struct ServerConfig {
     /// The server's IP address.
     pub ip: Ip,
     /// TCP ports answered with SYN/ACK (and PSH/ACK for data probes).
-    pub tcp_listen: HashSet<u16>,
+    /// A few ports, so a scanned `Vec`.
+    pub tcp_listen: Vec<u16>,
     /// UDP ports echoed back; other UDP is silently discarded.
-    pub udp_echo: HashSet<u16>,
+    pub udp_echo: Vec<u16>,
     /// Server processing time, ms.
     pub processing: LatencyDist,
     /// Payload size of the HTTP-style response to a data probe.
@@ -59,8 +58,8 @@ impl ServerConfig {
     pub fn standard(ip: Ip) -> ServerConfig {
         ServerConfig {
             ip,
-            tcp_listen: [80u16, 8080].into_iter().collect(),
-            udp_echo: [7u16].into_iter().collect(),
+            tcp_listen: vec![80, 8080],
+            udp_echo: vec![7],
             processing: LatencyDist::normal(0.08, 0.03, 0.02, 0.25),
             http_response_len: 220,
         }
@@ -186,6 +185,10 @@ impl ServerNode {
 }
 
 impl Node<Msg> for ServerNode {
+    fn layer(&self) -> &'static str {
+        "netem.server"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         let Msg::Wire(packet) = msg else {
             debug_assert!(false, "server got non-wire message");

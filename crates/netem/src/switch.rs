@@ -1,8 +1,6 @@
 //! A wired switch/IP forwarder: routes packets to the node registered for
 //! their destination address (the testbed's Fig. 2 switch).
 
-use std::collections::HashMap;
-
 use crate::fault::{trace_drop, FaultPlan, FaultState, FaultVerdict};
 use obs::Registry;
 use simcore::{Ctx, Node, NodeId, SimDuration};
@@ -10,7 +8,8 @@ use wire::{Ip, Msg};
 
 /// The switch node.
 pub struct SwitchNode {
-    routes: HashMap<Ip, NodeId>,
+    /// `(address, port)` pairs, scanned: a testbed routes a handful.
+    routes: Vec<(Ip, NodeId)>,
     latency: SimDuration,
     /// Injected faults applied to every forwarded packet, if any.
     fault: Option<FaultState>,
@@ -24,7 +23,7 @@ impl SwitchNode {
     /// Create a switch with a per-hop forwarding latency.
     pub fn new(latency: SimDuration) -> SwitchNode {
         SwitchNode {
-            routes: HashMap::new(),
+            routes: Vec::new(),
             latency,
             fault: None,
             dropped_no_route: 0,
@@ -34,9 +33,12 @@ impl SwitchNode {
 
     /// Route packets destined to `ip` out of the port to `node`. Several
     /// addresses may share a port (e.g. the whole WLAN subnet behind the
-    /// AP).
+    /// AP). A second route for `ip` replaces the first.
     pub fn add_route(&mut self, ip: Ip, node: NodeId) {
-        self.routes.insert(ip, node);
+        match self.routes.iter_mut().find(|(a, _)| *a == ip) {
+            Some((_, port)) => *port = node,
+            None => self.routes.push((ip, node)),
+        }
     }
 
     /// Install a fault plan applied to every forwarded packet (replacing
@@ -55,12 +57,16 @@ impl SwitchNode {
 }
 
 impl Node<Msg> for SwitchNode {
+    fn layer(&self) -> &'static str {
+        "netem.switch"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         let Msg::Wire(packet) = msg else {
             debug_assert!(false, "switch got non-wire message");
             return;
         };
-        let Some(&out) = self.routes.get(&packet.dst) else {
+        let Some(&(_, out)) = self.routes.iter().find(|(ip, _)| *ip == packet.dst) else {
             self.dropped_no_route += 1;
             return;
         };

@@ -52,7 +52,9 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SnapshotStateError,
     SNAPSHOT_STATE_VERSION,
 };
-pub use prof::{MergedNode, ProfNode, ProfPhase, ProfSnapshot, ProfSpan, Profiler, ThreadProf};
+pub use prof::{
+    MergedNode, PhaseCost, ProfNode, ProfPhase, ProfSnapshot, ProfSpan, Profiler, ThreadProf,
+};
 pub use sketch::{QuantileSketch, SketchStateError};
 pub use trace::{
     build_trace_tree, render_waterfall, AttrValue, SamplePolicy, SamplingStats, SpanId, SpanNode,

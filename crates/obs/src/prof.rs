@@ -28,6 +28,12 @@
 //! * records a bounded per-thread timeline of closed spans for Chrome
 //!   `trace_event` export via [`crate::export::chrome_trace`].
 //!
+//! Work too fine-grained for a guard per call — the simulator's event
+//! dispatch — is counted by its owner and handed over in one
+//! [`Profiler::record`] call: an aggregate node with its calls, time
+//! and allocations, nested under the caller's open phase like a guard
+//! would be.
+//!
 //! Exporters: [`ProfSnapshot::folded`] (flamegraph-compatible folded
 //! stacks), [`ProfSnapshot::chrome_spans`] (feed to
 //! [`crate::export::chrome_trace`]), and [`ProfSnapshot::merged`]
@@ -140,6 +146,27 @@ impl NodeStat {
             child_alloc_bytes: 0,
         }
     }
+
+    fn add(&mut self, cost: PhaseCost) {
+        self.calls += cost.calls;
+        self.total_ns += cost.ns;
+        self.allocs += cost.allocs;
+        self.alloc_bytes += cost.bytes;
+    }
+}
+
+/// The cost of an aggregate phase handed to [`Profiler::record`]:
+/// what a guard would have measured over `calls` entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseCost {
+    /// Entries the aggregate stands for.
+    pub calls: u64,
+    /// Wall nanoseconds, summed over the entries.
+    pub ns: u64,
+    /// Heap allocations made inside the entries.
+    pub allocs: u64,
+    /// Heap bytes allocated inside the entries.
+    pub bytes: u64,
 }
 
 struct Frame {
@@ -379,6 +406,44 @@ impl Profiler {
             slot,
             depth,
         }))
+    }
+
+    /// Record an aggregate phase without a guard: `name` becomes a
+    /// closed child of this thread's innermost open phase (a root when
+    /// none is open) carrying `cost`, with each of `children` as its
+    /// own leaf child. The open phase counts `cost` as child cost, so
+    /// its self time and allocations exclude it, and `name`'s self is
+    /// `cost` minus the children's. Repeated records under the same
+    /// path accumulate like repeated guards. Aggregates have no start
+    /// or end, so they add nothing to the timeline. No-op when
+    /// disabled.
+    pub fn record<I>(&self, name: &'static str, cost: PhaseCost, children: I)
+    where
+        I: IntoIterator<Item = (&'static str, PhaseCost)>,
+    {
+        let Some(shared) = &self.0 else {
+            return;
+        };
+        let Some(slot) = shared.thread_slot() else {
+            return;
+        };
+        let mut st = slot.state.lock().unwrap();
+        let parent = st.stack.last().map(|f| f.node).unwrap_or(ROOT);
+        let node = st.intern(parent, name);
+        st.nodes[node as usize].add(cost);
+        for (child_name, child) in children {
+            let id = st.intern(node, child_name);
+            st.nodes[id as usize].add(child);
+            let n = &mut st.nodes[node as usize];
+            n.child_ns += child.ns;
+            n.child_allocs += child.allocs;
+            n.child_alloc_bytes += child.bytes;
+        }
+        if let Some(open) = st.stack.last_mut() {
+            open.child_ns += cost.ns;
+            open.child_allocs += cost.allocs;
+            open.child_bytes += cost.bytes;
+        }
     }
 
     /// Label this thread in snapshots/exports (e.g. `worker-3`). No-op
@@ -1010,6 +1075,46 @@ mod tests {
         let json = crate::export::chrome_trace(&spans).to_string();
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"prof\""));
+    }
+
+    #[test]
+    fn recorded_aggregate_nests_under_open_phase() {
+        let cost = |calls, ns, allocs| PhaseCost {
+            calls,
+            ns,
+            allocs,
+            bytes: 8 * allocs,
+        };
+        let p = Profiler::new();
+        {
+            let _outer = p.phase("des");
+            spin(Duration::from_millis(2));
+            for _ in 0..2 {
+                p.record(
+                    "dispatch",
+                    cost(10, 1_000, 3),
+                    [("x", cost(6, 700, 3)), ("y", cost(4, 300, 0))],
+                );
+            }
+        }
+        let t = &p.snapshot().threads[0];
+        let des = node(t, &["des"]);
+        let dispatch = node(t, &["des", "dispatch"]);
+        let x = node(t, &["des", "dispatch", "x"]);
+        assert_eq!(des.calls, 1);
+        assert_eq!(des.self_ns, des.total_ns - 2_000);
+        assert_eq!((dispatch.calls, dispatch.total_ns), (20, 2_000));
+        assert_eq!((dispatch.self_ns, dispatch.self_allocs), (0, 0));
+        assert_eq!((dispatch.allocs, dispatch.alloc_bytes), (6, 48));
+        assert_eq!((x.calls, x.total_ns, x.self_allocs), (12, 1_400, 6));
+        assert_eq!(node(t, &["des", "dispatch", "y"]).calls, 8);
+        // Recorded with nothing open, the aggregate is a root.
+        p.record("loose", cost(1, 5, 0), []);
+        assert_eq!(node(&p.snapshot().threads[0], &["loose"]).total_ns, 5);
+        // A disabled profiler ignores records.
+        let off = Profiler::disabled();
+        off.record("loose", cost(1, 5, 0), []);
+        assert_eq!(off.snapshot(), ProfSnapshot::default());
     }
 
     #[test]

@@ -343,6 +343,10 @@ impl PhoneNode {
 }
 
 impl Node<Msg> for PhoneNode {
+    fn layer(&self) -> &'static str {
+        "phone"
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         for idx in 0..self.apps.len() {
             self.with_app(ctx, idx, |app, actx| app.on_start(actx));

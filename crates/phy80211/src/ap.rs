@@ -8,7 +8,7 @@
 //! what makes AcuteMon's TTL=1 warm-up packets die here instead of loading
 //! the measured path (§4.1).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use obs::{Counter, Histogram, Registry};
 use simcore::{Ctx, Node, NodeId, SimDuration, SimTime};
@@ -120,8 +120,10 @@ pub struct ApNode {
     cfg: ApConfig,
     medium: NodeId,
     wired: NodeId,
-    stations: HashMap<Mac, StaEntry>,
-    ip_to_mac: HashMap<Ip, Mac>,
+    /// Associated stations and the addresses routed to them. A BSS
+    /// holds a handful of stations, so both are scanned `Vec`s.
+    stations: Vec<(Mac, StaEntry)>,
+    ip_to_mac: Vec<(Ip, Mac)>,
     frame_ids: PacketIdGen,
     pkt_ids: PacketIdGen,
     in_flight: usize,
@@ -141,8 +143,8 @@ impl ApNode {
             cfg,
             medium,
             wired,
-            stations: HashMap::new(),
-            ip_to_mac: HashMap::new(),
+            stations: Vec::new(),
+            ip_to_mac: Vec::new(),
             frame_ids: PacketIdGen::new(source),
             pkt_ids: PacketIdGen::new(source + 1),
             in_flight: 0,
@@ -159,35 +161,54 @@ impl ApNode {
     }
 
     /// Associate a station: its MAC joins the BSS and `ip` routes to it.
+    /// Re-associating a MAC or address replaces its old entry.
     pub fn associate(&mut self, mac: Mac, ip: Ip) {
-        self.stations.insert(mac, StaEntry::default());
-        self.ip_to_mac.insert(ip, mac);
+        self.join(mac, ip, StaEntry::default());
     }
 
     /// Associate a station that negotiated U-APSD: buffered downlink is
     /// released by its uplink triggers (a service period), not PS-Polls.
     pub fn associate_uapsd(&mut self, mac: Mac, ip: Ip) {
-        self.stations.insert(
-            mac,
-            StaEntry {
-                uapsd: true,
-                ..StaEntry::default()
-            },
-        );
-        self.ip_to_mac.insert(ip, mac);
+        let entry = StaEntry {
+            uapsd: true,
+            ..StaEntry::default()
+        };
+        self.join(mac, ip, entry);
+    }
+
+    fn join(&mut self, mac: Mac, ip: Ip, entry: StaEntry) {
+        match self.station_mut(mac) {
+            Some(old) => *old = entry,
+            None => self.stations.push((mac, entry)),
+        }
+        match self.ip_to_mac.iter_mut().find(|(a, _)| *a == ip) {
+            Some((_, old)) => *old = mac,
+            None => self.ip_to_mac.push((ip, mac)),
+        }
+    }
+
+    fn station(&self, mac: Mac) -> Option<&StaEntry> {
+        self.stations
+            .iter()
+            .find(|(m, _)| *m == mac)
+            .map(|(_, e)| e)
+    }
+
+    fn station_mut(&mut self, mac: Mac) -> Option<&mut StaEntry> {
+        self.stations
+            .iter_mut()
+            .find(|(m, _)| *m == mac)
+            .map(|(_, e)| e)
     }
 
     /// Whether the AP currently believes `mac` is dozing.
     pub fn is_dozing(&self, mac: Mac) -> bool {
-        self.stations.get(&mac).map(|s| s.dozing).unwrap_or(false)
+        self.station(mac).is_some_and(|s| s.dozing)
     }
 
     /// Number of packets buffered for `mac`.
     pub fn buffered_for(&self, mac: Mac) -> usize {
-        self.stations
-            .get(&mac)
-            .map(|s| s.buffered.len())
-            .unwrap_or(0)
+        self.station(mac).map_or(0, |s| s.buffered.len())
     }
 
     fn tx_data(&mut self, ctx: &mut Ctx<'_, Msg>, dst: Mac, packet: Packet) {
@@ -202,16 +223,15 @@ impl ApNode {
     }
 
     fn downlink(&mut self, ctx: &mut Ctx<'_, Msg>, packet: Packet) {
-        let Some(&mac) = self.ip_to_mac.get(&packet.dst) else {
+        let Some(&(_, mac)) = self.ip_to_mac.iter().find(|(ip, _)| *ip == packet.dst) else {
             self.stats.dropped_no_route += 1;
             self.metrics.dropped.inc();
             return;
         };
-        let dozing = self.stations.get(&mac).map(|s| s.dozing).unwrap_or(false);
-        if dozing {
+        if self.is_dozing(mac) {
             let cap = self.cfg.ps_buffer_cap;
             let now = ctx.now();
-            let entry = self.stations.get_mut(&mac).expect("associated");
+            let entry = self.station_mut(mac).expect("associated");
             if entry.buffered.len() >= cap {
                 self.stats.dropped_ps_full += 1;
                 self.metrics.dropped.inc();
@@ -231,7 +251,7 @@ impl ApNode {
     }
 
     fn set_dozing(&mut self, ctx: &mut Ctx<'_, Msg>, mac: Mac, dozing: bool) {
-        let became_awake = match self.stations.get_mut(&mac) {
+        let became_awake = match self.station_mut(mac) {
             Some(entry) if entry.dozing != dozing => {
                 entry.dozing = dozing;
                 if ctx.trace_enabled("ap") {
@@ -254,7 +274,7 @@ impl ApNode {
         // so `tx_data` can borrow freely): no allocation at steady state.
         let mut drained = std::mem::take(&mut self.flush_scratch);
         drained.clear();
-        if let Some(e) = self.stations.get_mut(&mac) {
+        if let Some(e) = self.station_mut(mac) {
             drained.extend(e.buffered.drain(..));
         }
         let now = ctx.now();
@@ -322,6 +342,10 @@ impl ApNode {
 }
 
 impl Node<Msg> for ApNode {
+    fn layer(&self) -> &'static str {
+        "phy.ap"
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.set_timer(self.cfg.beacon_offset, TAG_BEACON);
     }

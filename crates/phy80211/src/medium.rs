@@ -277,20 +277,21 @@ impl MediumNode {
     }
 
     /// Pick the contention winner: uniformly random among backlogged
-    /// senders (a fair-DCF approximation).
+    /// senders (a fair-DCF approximation). Counts, then walks to the
+    /// pick, so a contention round allocates nothing.
     fn select_winner(&mut self, ctx: &mut Ctx<'_, Msg>) -> Option<PendingTx> {
-        let backlogged: Vec<usize> = self
-            .queues
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, q))| !q.is_empty())
-            .map(|(i, _)| i)
-            .collect();
-        if backlogged.is_empty() {
+        let backlogged = self.queues.iter().filter(|(_, q)| !q.is_empty()).count();
+        if backlogged == 0 {
             return None;
         }
-        let pick = backlogged[ctx.rng().index(backlogged.len())];
-        self.queues[pick].1.pop_front()
+        let pick = ctx.rng().index(backlogged);
+        let (_, queue) = self
+            .queues
+            .iter_mut()
+            .filter(|(_, q)| !q.is_empty())
+            .nth(pick)
+            .expect("pick is below the backlogged count");
+        queue.pop_front()
     }
 
     fn maybe_defer(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -429,6 +430,10 @@ impl MediumNode {
 }
 
 impl Node<Msg> for MediumNode {
+    fn layer(&self) -> &'static str {
+        "phy.medium"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::MediumTx(frame) => self.enqueue(ctx, from, frame),

@@ -264,6 +264,10 @@ impl StaMacNode {
 }
 
 impl Node<Msg> for StaMacNode {
+    fn layer(&self) -> &'static str {
+        "phy.sta"
+    }
+
     fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
         self.state_since = ctx.now();
         self.poke_activity(ctx);

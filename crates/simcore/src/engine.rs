@@ -11,8 +11,10 @@
 //! instantiates it with `wire::Msg`.
 
 use std::any::Any;
+use std::sync::OnceLock;
+use std::time::Instant;
 
-use obs::{Counter, Gauge, Registry};
+use obs::{Counter, Gauge, PhaseCost, Registry};
 
 use crate::rng::DetRng;
 use crate::sched::{EventHandle, HeapQueue};
@@ -110,11 +112,165 @@ pub trait Node<M>: AsAny {
     /// A timer set via [`Ctx::set_timer`] has fired. `tag` is the caller's
     /// discriminator.
     fn on_timer(&mut self, _ctx: &mut Ctx<'_, M>, _tag: u64) {}
+
+    /// The Fig.-1 layer this node models (`phone`, `phy.medium`,
+    /// `netem.link`, ...): the row its handler calls land in when a
+    /// profiler is installed (see [`Sim::set_profiler`]).
+    fn layer(&self) -> &'static str {
+        "other"
+    }
 }
 
 enum Entry<M> {
     Msg { from: NodeId, to: NodeId, msg: M },
     Timer { node: NodeId, tag: u64 },
+}
+
+impl<M> Entry<M> {
+    /// The node whose handler this event calls.
+    fn target(&self) -> NodeId {
+        match self {
+            Entry::Msg { to, .. } => *to,
+            Entry::Timer { node, .. } => *node,
+        }
+    }
+
+    fn deliver(self, node: &mut dyn Node<M>, ctx: &mut Ctx<'_, M>) {
+        match self {
+            Entry::Msg { from, msg, .. } => node.on_message(ctx, from, msg),
+            Entry::Timer { tag, .. } => node.on_timer(ctx, tag),
+        }
+    }
+}
+
+/// Handler calls between two timed ones. A constant: the profiler's
+/// on/off state is its only switch.
+const SAMPLE_EVERY: u64 = 64;
+
+/// What timing an empty interval reads on this host, in ns: the median
+/// of 63 back-to-back clock reads, measured once per process. Timed
+/// calls subtract it, so the clock's own cost stays out of the layers.
+fn clock_floor_ns() -> u64 {
+    static FLOOR: OnceLock<u64> = OnceLock::new();
+    *FLOOR.get_or_init(|| {
+        let mut reads = [0u64; 63];
+        for r in &mut reads {
+            let start = Instant::now();
+            *r = start.elapsed().as_nanos() as u64;
+        }
+        reads.sort_unstable();
+        reads[reads.len() / 2]
+    })
+}
+
+/// One layer's handler calls since the last [`Ledger::flush`].
+struct LayerCost {
+    name: &'static str,
+    calls: u64,
+    allocs: u64,
+    bytes: u64,
+    /// Summed wall nanoseconds of this layer's timed calls.
+    sampled_ns: u64,
+}
+
+/// Per-layer dispatch totals, kept only while an enabled profiler is
+/// installed. Every handler call counts its event and the allocations
+/// it made on this thread under its node's layer; every
+/// [`SAMPLE_EVERY`]th call is timed, so a layer's time is its timed
+/// calls' sum times [`SAMPLE_EVERY`]. The first call of a run, which
+/// finds every cache cold, is never timed. Nothing here feeds back into
+/// the simulation.
+struct Ledger {
+    prof: obs::Profiler,
+    clock_floor_ns: u64,
+    /// Handler calls so far; picks the timed ones.
+    tick: u64,
+    /// Each node's index into `layers`, filled on its first dispatch.
+    node_layer: Vec<Option<usize>>,
+    layers: Vec<LayerCost>,
+}
+
+impl Ledger {
+    fn new(prof: obs::Profiler) -> Ledger {
+        Ledger {
+            prof,
+            clock_floor_ns: clock_floor_ns(),
+            tick: 0,
+            node_layer: Vec::new(),
+            layers: Vec::new(),
+        }
+    }
+
+    /// Deliver `entry` to `node`, charging the call to its layer.
+    fn deliver<M>(&mut self, entry: Entry<M>, node: &mut dyn Node<M>, ctx: &mut Ctx<'_, M>) {
+        let slot = match self.node_layer.get(ctx.me.0) {
+            Some(&Some(slot)) => slot,
+            _ => self.intern(ctx.me, node.layer()),
+        };
+        self.tick += 1;
+        let cost = &mut self.layers[slot];
+        let (allocs, bytes) = obs::prof::thread_alloc_counts();
+        if self.tick.is_multiple_of(SAMPLE_EVERY) {
+            let start = Instant::now();
+            entry.deliver(node, ctx);
+            let ns = start.elapsed().as_nanos() as u64;
+            cost.sampled_ns += ns.saturating_sub(self.clock_floor_ns);
+        } else {
+            entry.deliver(node, ctx);
+        }
+        let (allocs_after, bytes_after) = obs::prof::thread_alloc_counts();
+        cost.calls += 1;
+        cost.allocs += allocs_after - allocs;
+        cost.bytes += bytes_after - bytes;
+    }
+
+    fn intern(&mut self, id: NodeId, name: &'static str) -> usize {
+        let slot = match self.layers.iter().position(|l| l.name == name) {
+            Some(slot) => slot,
+            None => {
+                self.layers.push(LayerCost {
+                    name,
+                    calls: 0,
+                    allocs: 0,
+                    bytes: 0,
+                    sampled_ns: 0,
+                });
+                self.layers.len() - 1
+            }
+        };
+        if self.node_layer.len() <= id.0 {
+            self.node_layer.resize(id.0 + 1, None);
+        }
+        self.node_layer[id.0] = Some(slot);
+        slot
+    }
+
+    /// Record the totals since the last flush as one `sim.dispatch`
+    /// aggregate, one child per layer, under the caller's open phase;
+    /// then start counting afresh.
+    fn flush(&mut self) {
+        let cost = |l: &LayerCost| PhaseCost {
+            calls: l.calls,
+            ns: l.sampled_ns * SAMPLE_EVERY,
+            allocs: l.allocs,
+            bytes: l.bytes,
+        };
+        let mut total = PhaseCost::default();
+        for c in self.layers.iter().map(cost) {
+            total.calls += c.calls;
+            total.ns += c.ns;
+            total.allocs += c.allocs;
+            total.bytes += c.bytes;
+        }
+        if total.calls > 0 {
+            let layers = self.layers.iter().filter(|l| l.calls > 0);
+            self.prof
+                .record("sim.dispatch", total, layers.map(|l| (l.name, cost(l))));
+        }
+        for l in &mut self.layers {
+            (l.calls, l.allocs, l.bytes, l.sampled_ns) = (0, 0, 0, 0);
+        }
+    }
 }
 
 struct Inner<M> {
@@ -126,13 +282,11 @@ struct Inner<M> {
     stop: bool,
     events_processed: u64,
     metrics: SimMetrics,
-    prof: obs::Profiler,
     queue_peak: usize,
 }
 
 impl<M> Inner<M> {
     fn push(&mut self, at: SimTime, entry: Entry<M>) -> EventHandle {
-        let _p = self.prof.phase("sim.push");
         let handle = self.queue.push(at, entry);
         let depth = self.queue.len();
         self.metrics.queue_depth.set(depth as i64);
@@ -200,7 +354,6 @@ impl<'a, M> Ctx<'a, M> {
     /// already-cancelled timer is a no-op (the generational handle has
     /// gone stale by then).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        let _p = self.inner.prof.phase("sim.timer_cancel");
         if self.inner.queue.cancel(EventHandle::from_bits(id.0)) {
             self.inner.metrics.timers_cancelled.inc();
         }
@@ -240,6 +393,8 @@ impl<'a, M> Ctx<'a, M> {
 pub struct Sim<M> {
     nodes: Vec<Option<Box<dyn Node<M>>>>,
     inner: Inner<M>,
+    /// Present only while an enabled profiler is installed.
+    ledger: Option<Ledger>,
     started: bool,
 }
 
@@ -257,9 +412,9 @@ impl<M: 'static> Sim<M> {
                 stop: false,
                 events_processed: 0,
                 metrics: SimMetrics::default(),
-                prof: obs::Profiler::disabled(),
                 queue_peak: 0,
             },
+            ledger: None,
             started: false,
         }
     }
@@ -294,12 +449,17 @@ impl<M: 'static> Sim<M> {
     }
 
     /// Install a self-profiler (replacing the default disabled one).
-    /// The engine's hot paths then attribute wall-clock cost to
-    /// `sim.push` / `sim.pop` / `sim.dispatch` / `sim.timer_cancel`
-    /// phases, nested under whatever phase the caller has open. With
-    /// the default disabled profiler every guard is a free no-op.
+    /// While it is enabled, every handler call counts its event and
+    /// its allocations under its node's [`Node::layer`], and one call
+    /// in 64 is timed. At the end of each [`Sim::run_until`] and
+    /// [`Sim::run_until_idle`] the totals land in the profiler as one
+    /// `sim.dispatch` phase (calls = events dispatched) under the
+    /// caller's open phase, with one child per layer whose time is its
+    /// timed calls scaled by 64. The queue's own cost stays in the
+    /// caller's phase. Without an enabled profiler dispatch pays one
+    /// branch; profiling never changes what the run does.
     pub fn set_profiler(&mut self, prof: &obs::Profiler) {
-        self.inner.prof = prof.clone();
+        self.ledger = prof.is_enabled().then(|| Ledger::new(prof.clone()));
     }
 
     /// Add a node; returns its id. Ids are assigned sequentially.
@@ -381,20 +541,12 @@ impl<M: 'static> Sim<M> {
         }
         // The queue reaps cancelled (tombstoned) events internally, so
         // a successful pop is always a live event.
-        let popped = {
-            let _p = self.inner.prof.phase("sim.pop");
-            self.inner.queue.pop()
-        };
-        let Some((at, entry)) = popped else {
+        let Some((at, entry)) = self.inner.queue.pop() else {
             return false;
         };
         debug_assert!(at >= self.inner.now, "event from the past");
         self.advance_to(at);
-        let _p = self.inner.prof.phase("sim.dispatch");
-        match entry {
-            Entry::Timer { node, tag } => self.dispatch_timer(node, tag),
-            Entry::Msg { from, to, msg } => self.dispatch_message(from, to, msg),
-        }
+        self.dispatch(entry);
         !self.inner.stop
     }
 
@@ -411,34 +563,27 @@ impl<M: 'static> Sim<M> {
             .set(self.inner.queue.len() as i64);
     }
 
-    fn dispatch_message(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let Some(slot) = self.nodes.get_mut(to.0) else {
-            panic!("message to unknown node {to:?}");
-        };
-        let mut node = slot.take().expect("reentrant dispatch");
-        {
-            let mut ctx = Ctx {
-                inner: &mut self.inner,
-                me: to,
-            };
-            node.on_message(&mut ctx, from, msg);
-        }
-        self.nodes[to.0] = Some(node);
-    }
-
-    fn dispatch_timer(&mut self, id: NodeId, tag: u64) {
+    fn dispatch(&mut self, entry: Entry<M>) {
+        let id = entry.target();
         let Some(slot) = self.nodes.get_mut(id.0) else {
-            panic!("timer for unknown node {id:?}");
+            panic!("event for unknown node {id:?}");
         };
         let mut node = slot.take().expect("reentrant dispatch");
-        {
-            let mut ctx = Ctx {
-                inner: &mut self.inner,
-                me: id,
-            };
-            node.on_timer(&mut ctx, tag);
+        let mut ctx = Ctx {
+            inner: &mut self.inner,
+            me: id,
+        };
+        match &mut self.ledger {
+            None => entry.deliver(&mut *node, &mut ctx),
+            Some(ledger) => ledger.deliver(entry, &mut *node, &mut ctx),
         }
         self.nodes[id.0] = Some(node);
+    }
+
+    fn flush_ledger(&mut self) {
+        if let Some(ledger) = &mut self.ledger {
+            ledger.flush();
+        }
     }
 
     /// Run until the event list drains, a node calls [`Ctx::stop`], or
@@ -456,6 +601,7 @@ impl<M: 'static> Sim<M> {
             .metrics
             .wall_ns
             .add(wall.elapsed().as_nanos() as u64);
+        self.flush_ledger();
         self.inner.events_processed - start
     }
 
@@ -486,6 +632,7 @@ impl<M: 'static> Sim<M> {
             .metrics
             .wall_ns
             .add(wall.elapsed().as_nanos() as u64);
+        self.flush_ledger();
     }
 
     /// Run for `dur` of simulated time from the current clock.
@@ -784,30 +931,61 @@ mod tests {
     }
 
     #[test]
-    fn profiler_attributes_event_loop_phases() {
+    fn profiler_records_dispatch_per_layer() {
+        /// Sets and cancels timers on each message; labelled as a layer.
         struct TimerJuggler;
         impl Node<u32> for TimerJuggler {
             fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _: NodeId, _: u32) {
-                let keep = ctx.set_timer(SimDuration::from_millis(1), 1);
+                let _keep = ctx.set_timer(SimDuration::from_millis(1), 1);
                 let kill = ctx.set_timer(SimDuration::from_millis(2), 2);
                 ctx.cancel_timer(kill);
-                let _ = keep;
+            }
+            fn layer(&self) -> &'static str {
+                "juggler"
             }
         }
         let prof = obs::Profiler::new();
         let mut sim = Sim::new(0);
         sim.set_profiler(&prof);
-        let n = sim.add_node(Box::new(TimerJuggler));
-        sim.inject(n, n, SimTime::from_millis(1), 0);
-        sim.run_until_idle(100);
-        let snap = prof.snapshot();
-        let flat: Vec<&str> = snap.flat_self_ns().iter().map(|(n, _)| *n).collect();
-        for want in ["sim.push", "sim.pop", "sim.dispatch", "sim.timer_cancel"] {
-            assert!(flat.contains(&want), "missing phase {want}: {flat:?}");
+        let j = sim.add_node(Box::new(TimerJuggler));
+        let rec = sim.add_node(Box::new(Recorder { got: vec![] }));
+        for i in 0..100 {
+            sim.inject(rec, j, SimTime::from_millis(i), 0);
+            sim.inject(j, rec, SimTime::from_millis(i), 0);
         }
-        // The timer set/cancel happened during dispatch, so those
-        // phases nest under sim.dispatch in the folded view.
-        assert!(snap.folded().contains("sim.dispatch;sim.push"));
-        assert!(snap.folded().contains("sim.dispatch;sim.timer_cancel"));
+        {
+            let _des = prof.phase("des");
+            sim.run_until(SimTime::from_millis(50));
+            sim.run_until_idle(1_000);
+        }
+        let snap = prof.snapshot();
+        let t = &snap.threads[0];
+        let calls = |name: &str| -> u64 {
+            t.nodes
+                .iter()
+                .filter(|n| n.name == name)
+                .map(|n| n.calls)
+                .sum()
+        };
+        // 200 messages plus 100 juggler timers; the two runs' records
+        // fold into one node under the open phase.
+        assert_eq!(sim.events_processed(), 300);
+        assert_eq!(calls("sim.dispatch"), 300);
+        assert_eq!(calls("juggler"), 200);
+        assert_eq!(calls("other"), 100);
+        let folded = snap.folded();
+        assert!(folded.contains("des;sim.dispatch;juggler"), "{folded}");
+        // The removed per-event guards leave no phases behind.
+        for gone in ["sim.push", "sim.pop", "sim.timer_cancel"] {
+            assert_eq!(calls(gone), 0, "{gone} in {folded}");
+        }
+        // A sim with a disabled profiler records nothing.
+        let off = obs::Profiler::disabled();
+        let mut quiet = Sim::new(0);
+        quiet.set_profiler(&off);
+        let n = quiet.add_node(Box::new(TimerJuggler));
+        quiet.inject(n, n, SimTime::ZERO, 0);
+        quiet.run_until_idle(10);
+        assert_eq!(off.snapshot(), obs::ProfSnapshot::default());
     }
 }

@@ -8,7 +8,9 @@
 //! order, where `seq` is the global insertion sequence number, so ties
 //! at equal timestamps pop first-in first-out. Cancelled events are
 //! tombstoned in the arena and reaped lazily when their record reaches
-//! the front, so queue-depth telemetry and every campaign JSON byte
+//! the front, or all at once when a cancel leaves the heap at least
+//! [`COMPACT_MIN`] records deep with more tombstones than live events.
+//! Either way queue-depth telemetry and every campaign JSON byte
 //! downstream depend only on the push/pop/cancel sequence. See
 //! ARCHITECTURE.md § The scheduler for why one heap is the right queue
 //! for fresh, shallow per-device simulations.
@@ -17,6 +19,10 @@ use std::collections::BinaryHeap;
 
 pub use crate::arena::{EventArena, EventHandle};
 use crate::time::SimTime;
+
+/// Heap depth below which [`HeapQueue::cancel`] never compacts: a
+/// shallow heap's tombstones surface soon enough on their own.
+pub const COMPACT_MIN: usize = 64;
 
 /// A queue record: everything ordering needs, payload left in the
 /// arena. `Copy`, 24 bytes — sifting one through the heap is a memcpy,
@@ -111,13 +117,30 @@ impl<T> HeapQueue<T> {
     }
 
     /// Tombstone a pending event. Returns `true` if it was live
-    /// (stale handles and double-cancels return `false`).
+    /// (stale handles and double-cancels return `false`). When the
+    /// heap holds at least [`COMPACT_MIN`] records and tombstones
+    /// outnumber live events, every tombstone is reaped at once, so a
+    /// cancel-heavy workload keeps the heap within twice its live
+    /// events. Pop order is unchanged: it depends only on `(at, seq)`.
     pub fn cancel(&mut self, h: EventHandle) -> bool {
-        self.arena.cancel(h)
+        if !self.arena.cancel(h) {
+            return false;
+        }
+        let live = self.arena.live();
+        if self.heap.len() >= COMPACT_MIN && self.heap.len() - live > live {
+            let arena = &mut self.arena;
+            self.heap.retain(|rec| {
+                arena.is_live(rec.handle) || {
+                    arena.take(rec.handle);
+                    false
+                }
+            });
+        }
+        true
     }
 
-    /// Records in the heap, including tombstones not yet reaped (the
-    /// `sim.queue_depth` gauges report this).
+    /// Records in the heap, including tombstones not yet reaped or
+    /// compacted (the `sim.queue_depth` gauges report this).
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -298,5 +321,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Mostly cancels, so the heap crosses [`COMPACT_MIN`] with
+    /// tombstones in the majority: compaction must keep the pop order
+    /// of the sorted model, and every cancel that tombstones an event
+    /// must leave at most `max(63, 2·live)` records.
+    #[test]
+    fn cancel_heavy_compaction_keeps_order_and_bounds_depth() {
+        let mut compactions = 0;
+        for seed in 1..=8u64 {
+            let mut rng = XorShift(0xD1B54A32D192ED03 ^ seed);
+            let mut q: HeapQueue<u64> = HeapQueue::new();
+            let mut model = SortedModel::default();
+            let mut pending: Vec<(EventHandle, u64)> = Vec::new();
+            let mut now = 0u64;
+            for step in 0..6_000u64 {
+                match rng.next() % 10 {
+                    0..=4 => {
+                        let at = now + rng.next() % 5_000_000;
+                        let h = q.push(nanos(at), step);
+                        pending.push((h, model.push(at, step)));
+                    }
+                    5 => {
+                        let got = q.pop().map(|(at, v)| (at.as_nanos(), v));
+                        assert_eq!(got, model.pop(), "seed {seed} step {step}");
+                        if let Some((at, _)) = got {
+                            now = at;
+                        }
+                    }
+                    _ => {
+                        if pending.is_empty() {
+                            continue;
+                        }
+                        let i = (rng.next() % pending.len() as u64) as usize;
+                        let (h, seq) = pending.swap_remove(i);
+                        let before = q.len();
+                        let cancelled = q.cancel(h);
+                        assert_eq!(cancelled, model.cancel(seq), "seed {seed} step {step}");
+                        if !cancelled {
+                            // Already popped: a stale handle touches nothing.
+                            assert_eq!(q.len(), before);
+                            continue;
+                        }
+                        let live = model.recs.iter().filter(|r| !r.3).count();
+                        if q.len() < before {
+                            compactions += 1;
+                            assert_eq!(q.len(), live, "compaction reaps every tombstone");
+                        }
+                        assert!(
+                            q.len() <= (2 * live).max(COMPACT_MIN - 1),
+                            "seed {seed} step {step}: {} records for {live} live",
+                            q.len()
+                        );
+                    }
+                }
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_nanos),
+                    model.peek_time(),
+                    "seed {seed} step {step}"
+                );
+            }
+            loop {
+                let got = q.pop().map(|(at, v)| (at.as_nanos(), v));
+                assert_eq!(got, model.pop(), "seed {seed} drain");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+        assert!(compactions > 0, "the workload never compacted");
     }
 }

@@ -91,6 +91,10 @@ impl SnifferNode {
 }
 
 impl Node<Msg> for SnifferNode {
+    fn layer(&self) -> &'static str {
+        "sniffer"
+    }
+
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         if let Msg::AirRx(frame) = msg {
             if self.loss_prob > 0.0 && ctx.rng().chance(self.loss_prob) {

@@ -1,0 +1,118 @@
+//! The engine's per-layer dispatch ledger on profiled testbed runs.
+//!
+//! With an enabled profiler installed, every `run_until` records one
+//! `sim.dispatch` phase under the caller's open phase whose calls are
+//! the events dispatched, split into one child per Fig.-1 layer.
+
+use measure::{PingApp, PingConfig};
+use obs::{ProfSnapshot, Profiler};
+use phone::RuntimeKind;
+use simcore::{SimDuration, SimTime};
+use testbed::{addr, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
+
+/// `sim.dispatch` calls and each layer child's `(name, calls)`.
+fn dispatch_rows(snap: &ProfSnapshot) -> (u64, Vec<(&'static str, u64)>) {
+    let mut events = 0;
+    let mut layers: Vec<(&'static str, u64)> = Vec::new();
+    for t in &snap.threads {
+        for (i, n) in t.nodes.iter().enumerate() {
+            if n.name != "sim.dispatch" {
+                continue;
+            }
+            events += n.calls;
+            for child in t.nodes.iter().filter(|c| c.parent == Some(i)) {
+                match layers.iter_mut().find(|(name, _)| *name == child.name) {
+                    Some((_, calls)) => *calls += child.calls,
+                    None => layers.push((child.name, child.calls)),
+                }
+            }
+        }
+    }
+    (events, layers)
+}
+
+fn ping(k: u32) -> Box<PingApp> {
+    Box::new(PingApp::new(PingConfig::new(
+        addr::SERVER,
+        k,
+        SimDuration::from_millis(200),
+    )))
+}
+
+/// A profiled WiFi testbed run; returns the profile and the events
+/// dispatched inside the `des` phase.
+fn profiled_wifi(cfg: TestbedConfig, until: SimTime) -> (ProfSnapshot, u64) {
+    let prof = Profiler::new();
+    let mut tb = Testbed::build(cfg);
+    tb.sim.set_profiler(&prof);
+    tb.install_app(ping(5), RuntimeKind::Native);
+    let before = tb.sim.events_processed();
+    {
+        let _des = prof.phase("des");
+        tb.run_until(SimTime::from_millis(700));
+        tb.run_until(until);
+    }
+    (prof.snapshot(), tb.sim.events_processed() - before)
+}
+
+#[test]
+fn dispatch_calls_equal_events_dispatched() {
+    let cfg = TestbedConfig::new(3, phone::nexus5(), 40);
+    let (snap, dispatched) = profiled_wifi(cfg, SimTime::from_secs(2));
+    let (events, layers) = dispatch_rows(&snap);
+    assert!(dispatched > 100, "too few events: {dispatched}");
+    assert_eq!(events, dispatched);
+    assert_eq!(layers.iter().map(|(_, c)| c).sum::<u64>(), dispatched);
+    // Both runs fold into the one node under the open phase.
+    assert!(snap.folded().contains("des;sim.dispatch;phy.medium"));
+}
+
+#[test]
+fn wifi_cross_traffic_reports_every_wifi_layer() {
+    let cfg = TestbedConfig::new(4, phone::nexus5(), 40).with_cross_traffic(SimTime::from_secs(2));
+    let (snap, _) = profiled_wifi(cfg, SimTime::from_secs(2));
+    let (_, layers) = dispatch_rows(&snap);
+    for want in [
+        "phone",
+        "phy.sta",
+        "phy.medium",
+        "phy.ap",
+        "netem.switch",
+        "netem.link",
+        "netem.server",
+        "netem.load",
+        "sniffer",
+    ] {
+        assert!(
+            layers
+                .iter()
+                .any(|(name, calls)| *name == want && *calls > 0),
+            "no {want} row in {layers:?}"
+        );
+    }
+}
+
+#[test]
+fn cellular_testbed_reports_cell() {
+    let cfg = CellTestbedConfig::lte(6, phone::nexus5(), 40);
+    let prof = Profiler::new();
+    let mut tb = CellTestbed::build(cfg);
+    tb.sim.set_profiler(&prof);
+    tb.install_app(
+        Box::new(PingApp::new(PingConfig::new(
+            tb.server_ip(),
+            3,
+            SimDuration::from_millis(500),
+        ))),
+        RuntimeKind::Native,
+    );
+    tb.run_until(SimTime::from_secs(3));
+    let (events, layers) = dispatch_rows(&prof.snapshot());
+    assert_eq!(events, tb.sim.events_processed());
+    for want in ["cell", "phone", "netem.link", "netem.server"] {
+        assert!(
+            layers.iter().any(|(name, _)| *name == want),
+            "no {want} row in {layers:?}"
+        );
+    }
+}
