@@ -24,8 +24,6 @@ pub struct CellConfig {
     pub dl_base: LatencyDist,
     /// Gateway address (source of ICMP errors).
     pub gateway_ip: Ip,
-    /// Emit ICMP Time Exceeded for TTL-expired uplink packets.
-    pub icmp_ttl_exceeded: bool,
 }
 
 impl CellConfig {
@@ -36,7 +34,6 @@ impl CellConfig {
             ul_base: LatencyDist::normal(6.0, 2.0, 2.0, 15.0),
             dl_base: LatencyDist::normal(6.0, 2.0, 2.0, 15.0),
             gateway_ip,
-            icmp_ttl_exceeded: true,
         }
     }
 
@@ -47,7 +44,6 @@ impl CellConfig {
             ul_base: LatencyDist::normal(25.0, 6.0, 10.0, 50.0),
             dl_base: LatencyDist::normal(25.0, 6.0, 10.0, 50.0),
             gateway_ip,
-            icmp_ttl_exceeded: true,
         }
     }
 }
@@ -172,30 +168,28 @@ impl CellNode {
         packet.ttl = packet.ttl.saturating_sub(1);
         if packet.ttl == 0 {
             self.stats.dropped_ttl += 1;
-            if self.cfg.icmp_ttl_exceeded {
-                let icmp = Packet {
-                    id: self.ids.next_id(),
-                    src: self.cfg.gateway_ip,
-                    dst: packet.src,
-                    ttl: 64,
-                    l4: L4::Icmp {
-                        kind: IcmpKind::TimeExceeded,
-                        ident: 0,
-                        seq: 0,
-                    },
-                    payload_len: 28,
-                    tag: PacketTag::Other,
-                };
-                self.stats.icmp_generated += 1;
-                // The error comes back down the bearer after the uplink
-                // has completed (the radio is awake by then).
-                let dl_base = self.cfg.dl_base.sample(&mut self.rng);
-                ctx.send(
-                    self.host,
-                    wake + base + extra_delay + dl_base,
-                    Msg::Wire(icmp),
-                );
-            }
+            let icmp = Packet {
+                id: self.ids.next_id(),
+                src: self.cfg.gateway_ip,
+                dst: packet.src,
+                ttl: 64,
+                l4: L4::Icmp {
+                    kind: IcmpKind::TimeExceeded,
+                    ident: 0,
+                    seq: 0,
+                },
+                payload_len: 28,
+                tag: PacketTag::Other,
+            };
+            self.stats.icmp_generated += 1;
+            // The error comes back down the bearer after the uplink
+            // has completed (the radio is awake by then).
+            let dl_base = self.cfg.dl_base.sample(&mut self.rng);
+            ctx.send(
+                self.host,
+                wake + base + extra_delay + dl_base,
+                Msg::Wire(icmp),
+            );
             return;
         }
         for i in 0..copies {

@@ -1526,9 +1526,8 @@ fn main() {
             });
             h.bench("netem_crosstraffic_batch", || sim.step());
         }
-        // The tracer's enabled-path cost, next to the no-op guard in
-        // crates/obs/tests/noop_alloc.rs: a 3-span probe workload with
-        // sampling on (kept) and off (sampled out).
+        // The tracer's enabled-path cost, next to the allocation bounds
+        // in crates/obs/tests/noop_alloc.rs: a 3-span probe workload.
         h.bench("obs_tracer_enabled_probe", || {
             let t = Tracer::new();
             let trace = t.begin_trace();
@@ -1538,18 +1537,10 @@ fn main() {
             t.end_span(root, 1_000_000);
             t.spans().len()
         });
-        h.bench("obs_tracer_sampled_out_probe", || {
-            let t = Tracer::with_policy(obs::SamplePolicy::one_in(u64::MAX));
-            let _ = t.begin_trace(); // probe 0 is always sampled in; burn it
-            let trace = t.begin_trace();
-            let root = t.start_span(trace, None, "probe", "app", 0);
-            t.end_span(root, 1_000_000);
-            t.sampling_stats().sampled_out
-        });
-        // The profiler's guard cost, mirroring the tracer pair: a
-        // 3-deep phase chain with the profiler on (interned, timed)
-        // and off (one branch per guard). Profilers built outside the
-        // closure so the bench measures guards, not setup.
+        // The profiler's guard cost: a 3-deep phase chain with the
+        // profiler on (interned, timed) and off (one branch per guard).
+        // Profilers built outside the closure so the bench measures
+        // guards, not setup.
         let prof_on = obs::Profiler::new();
         {
             // Warm the intern table + timeline so the steady state is

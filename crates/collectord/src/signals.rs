@@ -51,8 +51,3 @@ pub fn install() {
 pub fn terminated() -> bool {
     TERMINATED.load(Ordering::Relaxed)
 }
-
-/// Reset the flag — test support only (signals are process-global).
-pub fn reset_for_test() {
-    TERMINATED.store(false, Ordering::Relaxed);
-}

@@ -89,11 +89,6 @@ impl Ping2Prober {
         self.metrics = crate::metrics::ProbeMetrics::from_registry(reg, "ping2");
     }
 
-    /// Re-point the wired next hop.
-    pub fn set_via(&mut self, via: NodeId) {
-        self.via = via;
-    }
-
     fn send_ping(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u16) {
         let p = Packet {
             id: self.ids.next_id(),

@@ -214,12 +214,6 @@ impl FaultPlan {
         }
     }
 
-    /// Builder: set the loss model explicitly.
-    pub fn with_loss(mut self, loss: LossModel) -> Self {
-        self.loss = loss;
-        self
-    }
-
     /// Builder: reorder a fraction `prob` of packets by holding them back
     /// `extra_ms`.
     pub fn with_reordering(mut self, prob: f64, extra_ms: f64) -> Self {

@@ -76,11 +76,6 @@ impl UdpBlasterNode {
         }
     }
 
-    /// Re-point the NIC (wiring order helper).
-    pub fn set_via(&mut self, via: NodeId) {
-        self.via = via;
-    }
-
     fn gap(&self) -> SimDuration {
         // Per-flow inter-packet gap for the configured CBR.
         let bits = self.cfg.payload as f64 * 8.0;

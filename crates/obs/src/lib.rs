@@ -10,9 +10,6 @@
 //!   `None`).
 //! - [`sketch::QuantileSketch`] — the mergeable, censoring-aware quantile
 //!   sketch behind every histogram and every fleet campaign statistic.
-//! - [`events::EventStream`] — the bounded, category-filtered event
-//!   buffer that backs `simcore::Trace` (categories, filtering, and the
-//!   drop counter live here).
 //! - [`trace::Tracer`] — per-probe causal spans with parent/child
 //!   links and typed attributes; finished traces render as waterfalls
 //!   and export as Chrome `trace_event` JSON.
@@ -27,6 +24,12 @@
 //!   with a `#[derive(ToJson)]` macro, used by exporters and by the
 //!   experiment binaries in place of external serializers.
 //!
+//! Each question about a run has one record. Where a probe's delay went
+//! is its spans; what each layer counted is the registry; what the host
+//! paid is the profiler. What went over the air (the sniffer captures)
+//! and when a packet crossed each driver hook (the phone's timestamp
+//! ledger) live with the models that see them, outside this crate.
+//!
 //! The crate is deliberately dependency-free (besides its own derive
 //! macro): it must build in fully offline environments and be safe to
 //! pull into every other crate in the workspace.
@@ -37,7 +40,6 @@
 // inside this crate's own tests.
 extern crate self as obs;
 
-pub mod events;
 pub mod export;
 pub mod json;
 pub mod log;
@@ -46,7 +48,6 @@ pub mod prof;
 pub mod sketch;
 pub mod trace;
 
-pub use events::EventStream;
 pub use json::{Json, JsonParseError, ToJson};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SnapshotStateError,
@@ -57,8 +58,8 @@ pub use prof::{
 };
 pub use sketch::{QuantileSketch, SketchStateError};
 pub use trace::{
-    build_trace_tree, render_waterfall, AttrValue, SamplePolicy, SamplingStats, SpanId, SpanNode,
-    SpanRecord, TraceCtx, TraceId, Tracer,
+    build_trace_tree, render_waterfall, AttrValue, SpanId, SpanNode, SpanRecord, TraceCtx, TraceId,
+    Tracer,
 };
 
 /// Derive `ToJson` for a struct with named fields or a unit-variant enum.

@@ -156,79 +156,6 @@ impl ToJson for SpanRecord {
     }
 }
 
-/// Which probes an enabled [`Tracer`] records — the knob that keeps
-/// tracing affordable for million-probe fleet runs.
-///
-/// Two independent filters compose:
-///
-/// * **1-in-N head sampling** (`one_in_n`): decided at
-///   [`Tracer::begin_trace`]. A sampled-out probe gets `TraceId(0)`, and
-///   every subsequent operation on that trace — spans, attrs, packet
-///   bindings — is the same zero-allocation no-op as on a disabled
-///   tracer (pinned by the counting-allocator test suite).
-/// * **tail retention by root duration** (`min_root_ms`): applied when a
-///   trace's *root* span closes. Probes faster than the threshold have
-///   their spans discarded wholesale, so only the slow outliers worth
-///   explaining are kept. (The spans exist until the root closes — the
-///   duration isn't knowable earlier — so this bounds *retained* memory,
-///   not transient work.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SamplePolicy {
-    /// Record every Nth probe (0 and 1 both mean "all").
-    pub one_in_n: u64,
-    /// Keep only traces whose root span lasted at least this many ms
-    /// (0 = keep everything).
-    pub min_root_ms: f64,
-}
-
-impl SamplePolicy {
-    /// Record everything (the [`Tracer::new`] default).
-    pub const ALL: SamplePolicy = SamplePolicy {
-        one_in_n: 1,
-        min_root_ms: 0.0,
-    };
-
-    /// Head-sample 1 in `n` probes.
-    pub fn one_in(n: u64) -> SamplePolicy {
-        SamplePolicy {
-            one_in_n: n.max(1),
-            min_root_ms: 0.0,
-        }
-    }
-
-    /// Keep only probes whose root span is at least `ms` long.
-    pub fn slower_than_ms(ms: f64) -> SamplePolicy {
-        SamplePolicy {
-            one_in_n: 1,
-            min_root_ms: ms.max(0.0),
-        }
-    }
-
-    /// Add a root-duration retention threshold to this policy.
-    pub fn with_min_root_ms(mut self, ms: f64) -> SamplePolicy {
-        self.min_root_ms = ms.max(0.0);
-        self
-    }
-}
-
-impl Default for SamplePolicy {
-    fn default() -> SamplePolicy {
-        SamplePolicy::ALL
-    }
-}
-
-/// How the sampling policy has filtered traces so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SamplingStats {
-    /// Traces head-sampled out at `begin_trace` (never allocated).
-    pub sampled_out: u64,
-    /// Traces recorded then discarded because the root closed under
-    /// `min_root_ms`.
-    pub dropped_fast: u64,
-    /// Traces currently retained (recorded minus `dropped_fast`).
-    pub retained: u64,
-}
-
 /// The trace context that travels with one probe: its trace id and root
 /// span. Small and `Copy` so it can be mapped per packet id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,43 +170,11 @@ pub struct TraceCtx {
 struct TracerInner {
     next_span: u64,
     next_trace: u64,
-    policy: SamplePolicy,
-    /// Probes seen by `begin_trace` (sampled in or out).
-    trace_seq: u64,
-    sampled_out: u64,
-    dropped_fast: u64,
     spans: Vec<SpanRecord>,
     /// span id → index into `spans`, for `end_span`/`attr`.
     index: HashMap<u64, usize>,
     /// packet id → trace context, the causal propagation channel.
     by_packet: HashMap<u64, TraceCtx>,
-}
-
-impl TracerInner {
-    fn new(policy: SamplePolicy) -> TracerInner {
-        TracerInner {
-            next_span: 1,
-            next_trace: 1,
-            policy,
-            trace_seq: 0,
-            sampled_out: 0,
-            dropped_fast: 0,
-            spans: Vec::new(),
-            index: HashMap::new(),
-            by_packet: HashMap::new(),
-        }
-    }
-
-    /// Discard every span and packet binding of `trace` (tail filter).
-    fn drop_trace(&mut self, trace: TraceId) {
-        self.spans.retain(|s| s.trace != trace);
-        self.index.clear();
-        for (idx, s) in self.spans.iter().enumerate() {
-            self.index.insert(s.id.0, idx);
-        }
-        self.by_packet.retain(|_, ctx| ctx.trace != trace);
-        self.dropped_fast += 1;
-    }
 }
 
 /// A handle to a span store. Clones share the same store; the default
@@ -290,12 +185,11 @@ pub struct Tracer(Option<Arc<Mutex<TracerInner>>>);
 impl Tracer {
     /// An enabled tracer with an empty span store, recording everything.
     pub fn new() -> Tracer {
-        Tracer::with_policy(SamplePolicy::ALL)
-    }
-
-    /// An enabled tracer recording only the probes `policy` selects.
-    pub fn with_policy(policy: SamplePolicy) -> Tracer {
-        Tracer(Some(Arc::new(Mutex::new(TracerInner::new(policy)))))
+        Tracer(Some(Arc::new(Mutex::new(TracerInner {
+            next_span: 1,
+            next_trace: 1,
+            ..TracerInner::default()
+        }))))
     }
 
     /// A disabled tracer: all operations are free no-ops.
@@ -308,28 +202,18 @@ impl Tracer {
         self.0.is_some()
     }
 
-    /// Allocate a new trace id. Returns `TraceId(0)` when disabled *or*
-    /// when the sampling policy drops this probe — all later operations
-    /// on trace 0 are zero-allocation no-ops, so callers need no
-    /// sampling awareness.
+    /// Allocate a new trace id (`TraceId(0)` when disabled).
     pub fn begin_trace(&self) -> TraceId {
         let Some(inner) = &self.0 else {
             return TraceId(0);
         };
         let mut g = inner.lock().unwrap();
-        let seq = g.trace_seq;
-        g.trace_seq += 1;
-        if g.policy.one_in_n > 1 && seq % g.policy.one_in_n != 0 {
-            g.sampled_out += 1;
-            return TraceId(0);
-        }
         let id = g.next_trace;
         g.next_trace += 1;
         TraceId(id)
     }
 
-    /// Open a span at `start_ns` (`SpanId::NONE` when disabled or when
-    /// `trace` is the sampled-out sentinel `TraceId(0)`).
+    /// Open a span at `start_ns` (`SpanId::NONE` when disabled).
     pub fn start_span(
         &self,
         trace: TraceId,
@@ -341,9 +225,6 @@ impl Tracer {
         let Some(inner) = &self.0 else {
             return SpanId::NONE;
         };
-        if trace.0 == 0 {
-            return SpanId::NONE;
-        }
         let mut g = inner.lock().unwrap();
         let id = SpanId(g.next_span);
         g.next_span += 1;
@@ -363,25 +244,14 @@ impl Tracer {
     }
 
     /// Close span `id` at `end_ns`. Unknown or already-closed spans are
-    /// left alone. When the policy has a `min_root_ms` threshold and
-    /// `id` is a *root* span that closed faster than it, the whole trace
-    /// is discarded (tail retention).
+    /// left alone.
     pub fn end_span(&self, id: SpanId, end_ns: u64) {
         let Some(inner) = &self.0 else { return };
         let mut g = inner.lock().unwrap();
         let Some(&idx) = g.index.get(&id.0) else {
             return;
         };
-        let min_ns = (g.policy.min_root_ms * 1e6) as u64;
-        let span = &mut g.spans[idx];
-        if span.end_ns.is_some() {
-            return;
-        }
-        span.end_ns = Some(end_ns);
-        if span.parent.is_none() && min_ns > 0 && end_ns.saturating_sub(span.start_ns) < min_ns {
-            let trace = span.trace;
-            g.drop_trace(trace);
-        }
+        g.spans[idx].end_ns.get_or_insert(end_ns);
     }
 
     /// Record a complete span in one call.
@@ -411,14 +281,9 @@ impl Tracer {
     }
 
     /// Associate packet `pkt_id` with a trace context, so downstream
-    /// nodes holding only the packet can attribute spans. Sampled-out
-    /// contexts (trace 0) are not stored — lookups on them miss, keeping
-    /// the whole downstream path allocation-free.
+    /// nodes holding only the packet can attribute spans.
     pub fn bind_packet(&self, pkt_id: u64, ctx: TraceCtx) {
         let Some(inner) = &self.0 else { return };
-        if ctx.trace.0 == 0 {
-            return;
-        }
         inner.lock().unwrap().by_packet.insert(pkt_id, ctx);
     }
 
@@ -434,29 +299,6 @@ impl Tracer {
         let mut g = inner.lock().unwrap();
         if let Some(ctx) = g.by_packet.get(&from).copied() {
             g.by_packet.insert(to, ctx);
-        }
-    }
-
-    /// The active sampling policy ([`SamplePolicy::ALL`] when disabled).
-    pub fn policy(&self) -> SamplePolicy {
-        match &self.0 {
-            Some(inner) => inner.lock().unwrap().policy,
-            None => SamplePolicy::ALL,
-        }
-    }
-
-    /// How sampling has filtered traces so far (all zero when disabled).
-    pub fn sampling_stats(&self) -> SamplingStats {
-        match &self.0 {
-            Some(inner) => {
-                let g = inner.lock().unwrap();
-                SamplingStats {
-                    sampled_out: g.sampled_out,
-                    dropped_fast: g.dropped_fast,
-                    retained: (g.next_trace - 1).saturating_sub(g.dropped_fast),
-                }
-            }
-            None => SamplingStats::default(),
         }
     }
 
@@ -768,126 +610,6 @@ mod tests {
         assert!(text.contains('-'), "gap bars use '-'");
         // Header reports the total.
         assert!(text.contains("10.000 ms total"), "{text}");
-    }
-
-    /// Run one full probe's worth of tracing against `t`, starting from
-    /// an already-allocated trace id.
-    fn probe_workload(t: &Tracer, tr: TraceId, pkt: u64) {
-        let root = t.start_span(tr, None, "probe", "app", 0);
-        t.attr(root, "probe", 1u32);
-        t.bind_packet(pkt, TraceCtx { trace: tr, root });
-        let k = t.start_span(tr, Some(root), "kernel_tx", "kernel", 0);
-        t.end_span(k, 100);
-        if let Some(ctx) = t.packet_ctx(pkt) {
-            t.span(ctx.trace, Some(ctx.root), "sdio_wake", "driver", 100, 500);
-        }
-        t.rebind_packet(pkt, pkt + 1);
-        t.end_span(root, 1000);
-    }
-
-    #[test]
-    fn one_in_n_sampling_records_every_nth_probe() {
-        let t = Tracer::with_policy(SamplePolicy::one_in(4));
-        let mut recorded = 0;
-        for i in 0..16u64 {
-            let tr = t.begin_trace();
-            if i % 4 == 0 {
-                assert_ne!(tr.0, 0, "probe {i} should be sampled in");
-                recorded += 1;
-            } else {
-                assert_eq!(tr.0, 0, "probe {i} should be sampled out");
-            }
-            probe_workload(&t, tr, 1000 + 2 * i);
-        }
-        assert_eq!(recorded, 4);
-        let stats = t.sampling_stats();
-        assert_eq!(stats.sampled_out, 12);
-        assert_eq!(stats.retained, 4);
-        assert_eq!(stats.dropped_fast, 0);
-        // Only sampled-in probes left spans behind (4 spans each: root +
-        // kernel_tx + sdio_wake, with the rebind making packet_ctx hit).
-        assert_eq!(t.trace_ids().len(), 4);
-        assert_eq!(t.spans().len(), 12);
-        // Sampled-out packets never got bindings.
-        assert_eq!(t.packet_ctx(1000 + 2), None);
-    }
-
-    #[test]
-    fn sampled_out_trace_is_inert_on_an_enabled_tracer() {
-        let t = Tracer::with_policy(SamplePolicy::one_in(2));
-        let _first = t.begin_trace(); // sampled in
-        let tr = t.begin_trace(); // sampled out
-        assert_eq!(tr, TraceId(0));
-        let id = t.start_span(tr, None, "probe", "app", 0);
-        assert_eq!(id, SpanId::NONE);
-        t.end_span(id, 10);
-        t.attr(id, "k", 1u32);
-        t.bind_packet(
-            7,
-            TraceCtx {
-                trace: tr,
-                root: id,
-            },
-        );
-        assert_eq!(t.packet_ctx(7), None);
-        assert!(t.spans().is_empty(), "no spans from the sampled-out trace");
-    }
-
-    #[test]
-    fn min_root_duration_drops_fast_traces_keeps_slow() {
-        // Keep only probes slower than 1 ms.
-        let t = Tracer::with_policy(SamplePolicy::slower_than_ms(1.0));
-        // Fast probe: 0.5 ms root — recorded, then discarded at close.
-        let fast = t.begin_trace();
-        let root = t.start_span(fast, None, "probe", "app", 0);
-        t.span(fast, Some(root), "kernel_tx", "kernel", 0, 100_000);
-        t.bind_packet(1, TraceCtx { trace: fast, root });
-        t.end_span(root, 500_000);
-        // Slow probe: 5 ms root — retained with its children.
-        let slow = t.begin_trace();
-        let root = t.start_span(slow, None, "probe", "app", 0);
-        t.span(slow, Some(root), "sdio_wake", "driver", 0, 4_000_000);
-        t.end_span(root, 5_000_000);
-        let spans = t.spans();
-        assert!(spans.iter().all(|s| s.trace == slow), "{spans:?}");
-        assert_eq!(spans.len(), 2);
-        assert_eq!(t.packet_ctx(1), None, "fast trace bindings dropped too");
-        let stats = t.sampling_stats();
-        assert_eq!(stats.dropped_fast, 1);
-        assert_eq!(stats.retained, 1);
-        // The survivors still form a proper tree.
-        let tree = build_trace_tree(&t.spans(), slow).unwrap();
-        assert_eq!(tree.children.len(), 1);
-    }
-
-    #[test]
-    fn threshold_applies_to_roots_not_children() {
-        let t = Tracer::with_policy(SamplePolicy::slower_than_ms(1.0));
-        let tr = t.begin_trace();
-        let root = t.start_span(tr, None, "probe", "app", 0);
-        // A 0.01 ms child closing must NOT trigger the tail filter.
-        t.span(tr, Some(root), "tiny", "kernel", 0, 10_000);
-        t.end_span(root, 2_000_000);
-        assert_eq!(t.spans().len(), 2);
-        assert_eq!(t.sampling_stats().dropped_fast, 0);
-    }
-
-    #[test]
-    fn head_and_tail_filters_compose() {
-        let t = Tracer::with_policy(SamplePolicy::one_in(2).with_min_root_ms(1.0));
-        for i in 0..8u64 {
-            let tr = t.begin_trace();
-            let root = t.start_span(tr, None, "probe", "app", 0);
-            // Alternate fast (0.1 ms) and slow (3 ms) among sampled-in.
-            let end = if i % 4 == 0 { 100_000 } else { 3_000_000 };
-            t.end_span(root, end);
-        }
-        // 8 probes: 4 sampled in (i = 0,2,4,6); of those i=0,4 are fast.
-        let stats = t.sampling_stats();
-        assert_eq!(stats.sampled_out, 4);
-        assert_eq!(stats.dropped_fast, 2);
-        assert_eq!(stats.retained, 2);
-        assert_eq!(t.spans().len(), 2);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl<'a, 'b> AppCtx<'a, 'b> {
         self.sim.now()
     }
 
-    /// The phone's IP address.
-    pub fn my_ip(&self) -> Ip {
-        self.core.ip
-    }
-
     /// The phone profile (for tools that adapt to the device).
     pub fn profile(&self) -> &PhoneProfile {
         &self.core.profile
@@ -143,11 +138,6 @@ impl<'a, 'b> AppCtx<'a, 'b> {
     pub fn set_timer(&mut self, delay: SimDuration, tag: u32) {
         let encoded = APP_TIMER_BASE | ((self.app_idx as u64) << 32) | u64::from(tag);
         self.sim.set_timer(delay, encoded);
-    }
-
-    /// Trace hook (category `"app"`).
-    pub fn trace(&mut self, detail: String) {
-        self.sim.trace("app", detail);
     }
 
     /// The causal span tracer (disabled unless the sim was given one).

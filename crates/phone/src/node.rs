@@ -213,9 +213,6 @@ impl PhoneNode {
         let base = self.core.profile.bus.tx_base.sample(ctx.rng());
         let total = wake + base;
         self.core.bus.touch(now, now + total);
-        if asleep && ctx.trace_enabled("sdio") {
-            ctx.trace("sdio", format!("tx wake {} for pkt {}", wake, packet.id));
-        }
         // The sdio_wake span covers the whole driver op when it found the
         // bus asleep — the same `ready_at − now` interval the
         // `phone.sdio.wake_latency_ms` histogram observes in
@@ -255,9 +252,6 @@ impl PhoneNode {
         let base = self.core.profile.bus.rx_base.sample(ctx.rng());
         let total = wake + base;
         self.core.bus.touch(now, now + total);
-        if asleep && ctx.trace_enabled("sdio") {
-            ctx.trace("sdio", format!("rx wake {} for pkt {}", wake, packet.id));
-        }
         // As in `driver_tx`: the asleep case is one `sdio_wake` span with
         // exactly the histogram-observed duration.
         let name = if asleep { "sdio_wake" } else { "driver_rx" };

@@ -60,8 +60,6 @@ pub struct ApConfig {
     /// Downlink queue cap: packets in flight towards the medium before
     /// drop-tail (models the AP's interface queue under congestion).
     pub downlink_cap: usize,
-    /// Whether the gateway emits ICMP Time Exceeded when TTL hits zero.
-    pub icmp_ttl_exceeded: bool,
     /// Internal forwarding latency between the radio and the wired port.
     pub forward_latency: SimDuration,
 }
@@ -75,7 +73,6 @@ impl Default for ApConfig {
             beacon_offset: SimDuration::from_millis(13),
             ps_buffer_cap: 64,
             downlink_cap: 64,
-            icmp_ttl_exceeded: true,
             forward_latency: SimDuration::from_micros(200),
         }
     }
@@ -239,9 +236,6 @@ impl ApNode {
                 entry.buffered.push_back((now, packet));
                 self.stats.ps_buffered += 1;
                 self.metrics.ps_buffered.inc();
-                if ctx.trace_enabled("ap") {
-                    ctx.trace("ap", format!("buffered pkt {} for dozing {mac}", packet.id));
-                }
             }
         } else {
             self.stats.forwarded_down += 1;
@@ -254,9 +248,6 @@ impl ApNode {
         let became_awake = match self.station_mut(mac) {
             Some(entry) if entry.dozing != dozing => {
                 entry.dozing = dozing;
-                if ctx.trace_enabled("ap") {
-                    ctx.trace("ap", format!("{mac} pm={dozing}"));
-                }
                 !dozing
             }
             _ => false,
@@ -303,36 +294,30 @@ impl ApNode {
         self.flush_scratch = drained;
     }
 
-    fn gateway_uplink(&mut self, ctx: &mut Ctx<'_, Msg>, mut packet: Packet, from_mac: Mac) {
+    fn gateway_uplink(&mut self, ctx: &mut Ctx<'_, Msg>, mut packet: Packet) {
         // First-hop router: decrement TTL.
         packet.ttl = packet.ttl.saturating_sub(1);
         if packet.ttl == 0 {
             self.stats.dropped_ttl += 1;
             self.metrics.dropped.inc();
-            if ctx.trace_enabled("ap") {
-                ctx.trace("ap", format!("TTL expired for pkt {}", packet.id));
-            }
-            if self.cfg.icmp_ttl_exceeded {
-                // RFC 792: time exceeded back to the sender. This goes
-                // through the normal downlink path (and is itself subject
-                // to PSM buffering).
-                let icmp = Packet {
-                    id: self.pkt_ids.next_id(),
-                    src: self.cfg.lan_ip,
-                    dst: packet.src,
-                    ttl: 64,
-                    l4: L4::Icmp {
-                        kind: IcmpKind::TimeExceeded,
-                        ident: 0,
-                        seq: 0,
-                    },
-                    payload_len: 28,
-                    tag: PacketTag::Other,
-                };
-                self.stats.icmp_generated += 1;
-                self.downlink(ctx, icmp);
-            }
-            let _ = from_mac;
+            // RFC 792: time exceeded back to the sender. This goes
+            // through the normal downlink path (and is itself subject to
+            // PSM buffering).
+            let icmp = Packet {
+                id: self.pkt_ids.next_id(),
+                src: self.cfg.lan_ip,
+                dst: packet.src,
+                ttl: 64,
+                l4: L4::Icmp {
+                    kind: IcmpKind::TimeExceeded,
+                    ident: 0,
+                    seq: 0,
+                },
+                payload_len: 28,
+                tag: PacketTag::Other,
+            };
+            self.stats.icmp_generated += 1;
+            self.downlink(ctx, icmp);
             return;
         }
         self.stats.forwarded_up += 1;
@@ -359,7 +344,7 @@ impl Node<Msg> for ApNode {
                 match frame.kind {
                     FrameKind::Data { packet, pm } => {
                         self.set_dozing(ctx, frame.src, pm);
-                        self.gateway_uplink(ctx, packet, frame.src);
+                        self.gateway_uplink(ctx, packet);
                     }
                     FrameKind::NullData { pm } => {
                         self.set_dozing(ctx, frame.src, pm);

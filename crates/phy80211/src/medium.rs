@@ -337,13 +337,6 @@ impl MediumNode {
             ctx.set_timer(frame_air, TAG_COLLISION_END);
         } else if collide {
             self.stats.collisions += 1;
-            if ctx.trace_enabled("medium") {
-                let tx = self.in_service.as_ref().expect("frame");
-                ctx.trace(
-                    "medium",
-                    format!("collision frame={} retries={}", tx.frame.id, tx.retries),
-                );
-            }
             ctx.set_timer(frame_air, TAG_COLLISION_END);
         } else {
             ctx.set_timer(frame_air, TAG_TX_END);
@@ -353,12 +346,6 @@ impl MediumNode {
     fn finish_tx(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let tx = self.in_service.take().expect("busy without frame");
         self.stats.delivered += 1;
-        if ctx.trace_enabled("medium") {
-            ctx.trace(
-                "medium",
-                format!("delivered frame={} from n{}", tx.frame.id, tx.from.index()),
-            );
-        }
         // Post-MAC injected faults: data frames may be eaten, duplicated,
         // or delayed *after* the channel exchange succeeded, so the
         // transmitter always sees TxDone below. Management frames

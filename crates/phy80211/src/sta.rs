@@ -169,9 +169,6 @@ impl StaMacNode {
             self.stats.wakeups += 1;
             self.metrics.wakeups.inc();
         }
-        if ctx.trace_enabled("psm") {
-            ctx.trace("psm", format!("{} -> {next:?}", self.mac));
-        }
         self.state = next;
         self.state_since = ctx.now();
         if next == PowerState::Doze {

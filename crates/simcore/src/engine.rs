@@ -19,7 +19,6 @@ use obs::{Counter, Gauge, PhaseCost, Registry};
 use crate::rng::DetRng;
 use crate::sched::{EventHandle, HeapQueue};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Telemetry handles for the engine's hot path. All handles come from one
 /// [`Registry`]; with the default (disabled) registry every update is a
@@ -63,14 +62,10 @@ impl SimMetrics {
 pub struct NodeId(usize);
 
 impl NodeId {
-    /// Build from a raw index. Used by tests and by trace rendering.
+    /// Build from a raw index (tests use it to name a node without a
+    /// [`Sim`]).
     pub const fn from_index(i: usize) -> NodeId {
         NodeId(i)
-    }
-
-    /// The raw index.
-    pub const fn index(self) -> usize {
-        self.0
     }
 }
 
@@ -277,7 +272,6 @@ struct Inner<M> {
     now: SimTime,
     queue: HeapQueue<Entry<M>>,
     rng: DetRng,
-    trace: Trace,
     tracer: obs::Tracer,
     stop: bool,
     events_processed: u64,
@@ -365,18 +359,6 @@ impl<'a, M> Ctx<'a, M> {
         &mut self.inner.rng
     }
 
-    /// Whether tracing is on for `category` (check before formatting).
-    pub fn trace_enabled(&self, category: &'static str) -> bool {
-        self.inner.trace.enabled(category)
-    }
-
-    /// Record a trace event.
-    pub fn trace(&mut self, category: &'static str, detail: String) {
-        let now = self.inner.now;
-        let me = self.me;
-        self.inner.trace.record(now, me, category, detail);
-    }
-
     /// The causal span tracer (disabled unless [`Sim::set_tracer`] was
     /// called — every operation on a disabled tracer is a free no-op).
     pub fn tracer(&self) -> &obs::Tracer {
@@ -407,7 +389,6 @@ impl<M: 'static> Sim<M> {
                 now: SimTime::ZERO,
                 queue: HeapQueue::new(),
                 rng: DetRng::new(seed),
-                trace: Trace::disabled(),
                 tracer: obs::Tracer::disabled(),
                 stop: false,
                 events_processed: 0,
@@ -419,21 +400,11 @@ impl<M: 'static> Sim<M> {
         }
     }
 
-    /// Install a trace sink (replacing the default disabled one).
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.inner.trace = trace;
-    }
-
     /// Attach engine telemetry (`sim.*` counters and gauges) to a
     /// registry. With no call, or a disabled registry, every update in
     /// the hot path is a no-op.
     pub fn set_metrics(&mut self, registry: &Registry) {
         self.inner.metrics = SimMetrics::from_registry(registry);
-    }
-
-    /// The trace sink.
-    pub fn trace(&self) -> &Trace {
-        &self.inner.trace
     }
 
     /// Install a causal span tracer (replacing the default disabled
@@ -633,12 +604,6 @@ impl<M: 'static> Sim<M> {
             .wall_ns
             .add(wall.elapsed().as_nanos() as u64);
         self.flush_ledger();
-    }
-
-    /// Run for `dur` of simulated time from the current clock.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let deadline = self.inner.now + dur;
-        self.run_until(deadline);
     }
 
     /// Timestamp of the next live (non-cancelled) event. Reaps any

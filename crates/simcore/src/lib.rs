@@ -21,7 +21,9 @@
 //!   resets are O(1).
 //! * **Seeded randomness** ([`DetRng`], [`LatencyDist`]): every stochastic
 //!   model parameter is an explicit distribution.
-//! * **Structured tracing** ([`Trace`]): category-filtered, bounded.
+//! * **Causal span tracing** ([`Sim::set_tracer`]): nodes reach one
+//!   shared [`obs::Tracer`] through [`Ctx::tracer`]; the default handle
+//!   is disabled and every operation on it is a no-op.
 //!
 //! The engine is message-type generic; the rest of the workspace uses
 //! `wire::Msg`. The examples in the module tests use plain integers.
@@ -51,10 +53,8 @@ mod engine;
 mod rng;
 pub mod sched;
 mod time;
-mod trace;
 
 pub use arena::{EventArena, EventHandle};
 pub use engine::{AsAny, Ctx, Node, NodeId, Sim, TimerId};
 pub use rng::{DetRng, LatencyDist};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};

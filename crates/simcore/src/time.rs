@@ -128,11 +128,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Duration as fractional microseconds, for reporting.
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Duration as fractional seconds, for reporting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -157,13 +157,6 @@ impl TestbedConfig {
         self
     }
 
-    /// Builder: stop sniffers from capturing cross-traffic data frames
-    /// (see [`TestbedConfig::sniffer_capture_cross`]).
-    pub fn without_sniffer_cross_capture(mut self) -> Self {
-        self.sniffer_capture_cross = false;
-        self
-    }
-
     /// Builder: disable the phone's bus sleep feature.
     pub fn without_bus_sleep(mut self) -> Self {
         self.bus_sleep = false;

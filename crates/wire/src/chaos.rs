@@ -109,16 +109,6 @@ impl<S> ChaosStream<S> {
         self.bytes_written
     }
 
-    /// The wrapped transport, unwrapping the chaos layer.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// A shared reference to the wrapped transport.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     fn stall(&self, before: u64, transferred: u64) {
         if let Some((every, dur)) = self.plan.stall_every {
             if every > 0 && before / every != (before + transferred) / every {

@@ -8,6 +8,7 @@ use measure::{PingApp, PingConfig, RecordSet};
 use phone::PhoneNode;
 use simcore::{SimDuration, SimTime};
 use testbed::{addr, breakdowns, series, Testbed, TestbedConfig};
+use wire::{FrameKind, PacketTag};
 
 /// §1's headline: "the overall median delay overheads can be kept within
 /// 3 ms, regardless of the actual network delay" — checked for every
@@ -248,4 +249,62 @@ fn whole_testbed_is_deterministic() {
     };
     assert_eq!(run(77), run(77));
     assert_ne!(run(77), run(78));
+}
+
+/// Fig. 6's choreography as the `timeline` example prints it, read from
+/// the records the paper used: the warm-up alone pays the SDIO wake
+/// (driver-hook ledger), its frame is on the air, the gateway drops every
+/// TTL-1 keep-awake packet, and after the last probe the phone announces
+/// its doze with a PM=1 null-data frame (sniffer captures).
+#[test]
+fn timeline_facts_come_from_ledger_and_sniffers() {
+    let mut tb = Testbed::build(TestbedConfig::new(12, phone::samsung_grand(), 40));
+    let app = tb.install_app(
+        Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, 8))),
+        phone::RuntimeKind::Native,
+    );
+    tb.run_until(SimTime::from_secs(3));
+    let index = tb.capture_index();
+    let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
+    let am = phone_node.app::<AcuteMonApp>(app);
+
+    let dvsend = |id: u64| phone_node.ledger().get(id).and_then(|s| s.dvsend_ms());
+    let warmup_id = index
+        .captures()
+        .iter()
+        .find_map(|c| match c.frame.kind {
+            FrameKind::Data { packet, .. } if packet.tag == PacketTag::WarmUp => Some(packet.id),
+            _ => None,
+        })
+        .expect("the warm-up frame is captured");
+    let wake = dvsend(warmup_id).unwrap();
+    assert!(wake > 1.0, "warm-up dvsend {wake:.3} ms: no bus wake");
+    for rec in &am.records {
+        let d = dvsend(rec.req_id).unwrap();
+        assert!(d < 1.0, "probe {} dvsend {d:.3} ms", rec.probe);
+    }
+
+    assert_eq!(
+        tb.ap_node().stats.dropped_ttl,
+        am.bt.warmup_sent + am.bt.background_sent
+    );
+
+    let last_null = index
+        .captures()
+        .iter()
+        .rev()
+        .find(|c| {
+            c.frame.src == tb.sta_node().mac && matches!(c.frame.kind, FrameKind::NullData { .. })
+        })
+        .expect("the phone sent a null-data frame");
+    assert_eq!(last_null.frame.kind, FrameKind::NullData { pm: true });
+    let last_tiu = am
+        .records
+        .last()
+        .and_then(|r| r.tiu)
+        .expect("last probe done");
+    assert!(
+        last_null.at > last_tiu,
+        "doze announced before the last probe returned"
+    );
 }
