@@ -16,6 +16,10 @@
 //!        fleet-merge|collectord|chaos|profile|bench-snapshot|bench-gate|all]...
 //! ```
 //!
+//! `--k` (probes per configuration, default 100) must lie in 1..=65 536,
+//! the probes one session's 16-bit ports and sequence numbers can tell
+//! apart; any other value exits 2.
+//!
 //! Each experiment prints its table/figure to stdout and writes the raw
 //! result as JSON under `--out` (default `results/`). The `telemetry`
 //! experiment runs instrumented sessions and emits the workspace metrics
@@ -159,7 +163,13 @@ fn parse_args() -> Options {
                 opts.k = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--k needs a number"))
+                    .filter(|&k| (1..=testbed::MAX_PROBES).contains(&u64::from(k)))
+                    .unwrap_or_else(|| {
+                        die(&format!(
+                            "--k needs a probe count from 1 to {}",
+                            testbed::MAX_PROBES
+                        ))
+                    })
             }
             "--seed" => {
                 opts.seed = args

@@ -1,8 +1,8 @@
 //! The simulated AcuteMon app: the [`Machine`] driven by the phone's app
 //! API. It puts the machine's sends on the simulated wire, maps its
-//! timers onto app timer tags and credits replies to probes by port or
-//! ICMP sequence number. Keep-awake packets carry TTL `warmup_ttl` (1 by
-//! default), so the first-hop gateway drops them.
+//! timers onto app timer tags and credits replies to probes, both
+//! through [`measure::ProbeWire`]. Keep-awake packets carry TTL
+//! `warmup_ttl` (1 by default), so the first-hop gateway drops them.
 //!
 //! In the paper the MT is a pre-compiled native binary to avoid DVM
 //! overhead; install this app with [`phone::RuntimeKind::Native`] for the
@@ -10,22 +10,17 @@
 
 use std::ops::Deref;
 
+use measure::{ProbeKind, ProbeWire, ECHO_PORT, HTTP_PORT, MAX_PROBES};
 use obs::Registry;
 use phone::{App, AppCtx};
 use simcore::{SimDuration, SimTime};
-use wire::{IcmpKind, Packet, PacketTag, TcpFlags, L4};
+use wire::{Packet, PacketTag, L4};
 
-use crate::config::{AcuteMonConfig, ProbeKind};
+use crate::config::AcuteMonConfig;
 use crate::machine::{Io, KeepAwake, Machine, Telemetry, Timer};
 
 /// ICMP ident and base source port: probe `n` leaves from `SESSION + n`.
 const SESSION: u16 = 0x7A00;
-/// Server ports of the TCP probe kinds and of UDP echo.
-const TARGET_PORT: u16 = 80;
-const ECHO_PORT: u16 = 7;
-/// Most probes one session can tell apart: probe indices ride in 16-bit
-/// ports and ICMP sequence numbers.
-const MAX_PROBES: u64 = 1 << 16;
 
 const TAG_MT_START: u32 = 1;
 const TAG_BG: u32 = 2;
@@ -36,6 +31,7 @@ const TAG_FIRE_BASE: u32 = 0x4000_0000;
 /// BT accounting and finish time.
 pub struct AcuteMonApp {
     cfg: AcuteMonConfig,
+    wire: ProbeWire,
     machine: Machine,
 }
 
@@ -53,8 +49,18 @@ impl AcuteMonApp {
             probes <= MAX_PROBES,
             "{probes} probes exceed the port-encoding range ({MAX_PROBES})"
         );
+        // TCP probes go to the HTTP port, UDP ones to echo.
+        let port = match cfg.probe {
+            ProbeKind::Udp => ECHO_PORT,
+            _ => HTTP_PORT,
+        };
         AcuteMonApp {
             machine: Machine::new(cfg.plan()),
+            wire: ProbeWire {
+                kind: cfg.probe,
+                port,
+                session: SESSION,
+            },
             cfg,
         }
     }
@@ -77,34 +83,8 @@ impl AcuteMonApp {
 
     /// The probe a reply answers, if it answers one already sent.
     fn probe_for(&self, packet: &Packet) -> Option<u32> {
-        use ProbeKind::*;
-        let n = match (self.cfg.probe, packet.l4) {
-            (
-                TcpConnect | TcpData,
-                L4::Tcp {
-                    src_port: TARGET_PORT,
-                    dst_port,
-                    ..
-                },
-            )
-            | (
-                Udp,
-                L4::Udp {
-                    src_port: ECHO_PORT,
-                    dst_port,
-                },
-            ) => dst_port.wrapping_sub(SESSION),
-            (
-                Icmp,
-                L4::Icmp {
-                    kind: IcmpKind::EchoReply,
-                    ident: SESSION,
-                    seq,
-                },
-            ) => seq,
-            _ => return None,
-        };
-        (usize::from(n) < self.machine.records.len()).then_some(u32::from(n))
+        let sent = self.machine.records.len() as u32;
+        self.wire.probe_of(packet, sent)
     }
 }
 
@@ -119,6 +99,7 @@ impl Deref for AcuteMonApp {
 /// The machine's [`Io`] on the simulated phone.
 struct Phone<'s, 'a, 'b> {
     cfg: &'s AcuteMonConfig,
+    wire: ProbeWire,
     ctx: &'s mut AppCtx<'a, 'b>,
 }
 
@@ -140,33 +121,7 @@ impl Io for Phone<'_, '_, '_> {
     /// Every attempt of probe `n` has the same wire shape, so a reply to
     /// any attempt matches the same record.
     fn probe(&mut self, n: u32, target: u32) -> u64 {
-        let src_port = SESSION.wrapping_add(n as u16);
-        let tcp = |flags, ack| L4::Tcp {
-            src_port,
-            dst_port: TARGET_PORT,
-            flags,
-            seq: 0x4000 + n,
-            ack,
-        };
-        let (l4, payload) = match self.cfg.probe {
-            ProbeKind::TcpConnect => (tcp(TcpFlags::SYN, 0), 0),
-            ProbeKind::TcpData => (tcp(TcpFlags::PSH | TcpFlags::ACK, 1), 120), // HTTP GET
-            ProbeKind::Icmp => (
-                L4::Icmp {
-                    kind: IcmpKind::EchoRequest,
-                    ident: SESSION,
-                    seq: n as u16,
-                },
-                56,
-            ),
-            ProbeKind::Udp => (
-                L4::Udp {
-                    src_port,
-                    dst_port: ECHO_PORT,
-                },
-                32,
-            ),
-        };
+        let (l4, payload) = self.wire.request(n);
         let dst = self.cfg.targets[target as usize];
         let id = self.ctx.send(dst, 64, l4, payload, PacketTag::Probe(n));
         if let Some(tc) = self.ctx.tracer().packet_ctx(id) {
@@ -209,8 +164,8 @@ impl Io for Phone<'_, '_, '_> {
 
 impl App for AcuteMonApp {
     fn on_start(&mut self, ctx: &mut AppCtx<'_, '_>) {
-        let cfg = &self.cfg;
-        self.machine.start(&mut Phone { cfg, ctx });
+        let (cfg, wire) = (&self.cfg, self.wire);
+        self.machine.start(&mut Phone { cfg, wire, ctx });
     }
 
     fn wants(&self, packet: &Packet) -> bool {
@@ -225,9 +180,9 @@ impl App for AcuteMonApp {
         // TcpData a PSH/ACK, even a stray RST: its arrival is the
         // user-level response time.
         let now = ctx.now();
-        let cfg = &self.cfg;
+        let (cfg, wire) = (&self.cfg, self.wire);
         self.machine
-            .reply(now, n, packet.id, None, &mut Phone { cfg, ctx });
+            .reply(now, n, packet.id, None, &mut Phone { cfg, wire, ctx });
     }
 
     fn on_timer(&mut self, ctx: &mut AppCtx<'_, '_>, tag: u32) {
@@ -239,8 +194,9 @@ impl App for AcuteMonApp {
             _ => return,
         };
         let now = ctx.now();
-        let cfg = &self.cfg;
-        self.machine.timer(now, timer, &mut Phone { cfg, ctx });
+        let (cfg, wire) = (&self.cfg, self.wire);
+        self.machine
+            .timer(now, timer, &mut Phone { cfg, wire, ctx });
     }
 }
 

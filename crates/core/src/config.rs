@@ -1,24 +1,10 @@
 //! AcuteMon configuration (§4.1).
 
+use measure::ProbeKind;
 use simcore::SimDuration;
 use wire::Ip;
 
 use crate::machine::Plan;
-
-/// What the measurement thread sends (§4.1: "AcuteMon uses TCP control
-/// messages (TCP SYN/ACK packets) and TCP data packets (HTTP request and
-/// response)… easily extended to UDP and ICMP").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeKind {
-    /// TCP control messages: SYN → SYN/ACK.
-    TcpConnect,
-    /// TCP data packets: HTTP request → HTTP response.
-    TcpData,
-    /// ICMP echo.
-    Icmp,
-    /// UDP echo.
-    Udp,
-}
 
 /// AcuteMon configuration.
 #[derive(Debug, Clone)]

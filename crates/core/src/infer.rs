@@ -12,9 +12,18 @@
 //! view (or server cooperation) and is measured by the testbed's Table-4
 //! experiment instead.
 
+use measure::{ProbeKind, ProbeWire};
 use phone::{App, AppCtx};
 use simcore::SimDuration;
-use wire::{IcmpKind, Ip, Packet, PacketTag, L4};
+use wire::{Ip, Packet, PacketTag};
+
+/// Training echoes: ICMP under their own ident, so they never claim a
+/// measurement session's replies.
+const WIRE: ProbeWire = ProbeWire {
+    kind: ProbeKind::Icmp,
+    port: 0,
+    session: 0x1F00,
+};
 
 /// Configuration for the training run.
 #[derive(Debug, Clone)]
@@ -25,8 +34,6 @@ pub struct TimeoutInferConfig {
     pub gaps_ms: Vec<u64>,
     /// Probes per gap.
     pub reps: u32,
-    /// ICMP ident for this session.
-    pub session: u16,
 }
 
 impl TimeoutInferConfig {
@@ -36,7 +43,6 @@ impl TimeoutInferConfig {
             target,
             gaps_ms: vec![10, 20, 30, 40, 45, 55, 60, 70, 90, 120],
             reps: 8,
-            session: 0x1F00,
         }
     }
 }
@@ -59,7 +65,8 @@ pub struct TimeoutInferApp {
     pub samples: Vec<GapSample>,
     /// Iteration cursor: `iter = gap_idx * reps + rep`.
     iter: u32,
-    seq: u16,
+    /// Echoes sent so far; the next one is echo number `sent`.
+    sent: u32,
     phase: Phase,
     probe_sent_at: Option<simcore::SimTime>,
     /// Set once the sweep is complete.
@@ -83,7 +90,7 @@ impl TimeoutInferApp {
             cfg,
             samples: Vec::new(),
             iter: 0,
-            seq: 0,
+            sent: 0,
             phase: Phase::Priming,
             probe_sent_at: None,
             done: false,
@@ -99,21 +106,11 @@ impl TimeoutInferApp {
         self.cfg.gaps_ms.get(idx).copied()
     }
 
-    fn send_echo(&mut self, ctx: &mut AppCtx<'_, '_>) -> u16 {
-        let seq = self.seq;
-        self.seq += 1;
-        ctx.send(
-            self.cfg.target,
-            64,
-            L4::Icmp {
-                kind: IcmpKind::EchoRequest,
-                ident: self.cfg.session,
-                seq,
-            },
-            56,
-            PacketTag::Probe(u32::from(seq)),
-        );
-        seq
+    fn send_echo(&mut self, ctx: &mut AppCtx<'_, '_>) {
+        let (l4, payload) = WIRE.request(self.sent);
+        let tag = PacketTag::Probe(self.sent);
+        ctx.send(self.cfg.target, 64, l4, payload, tag);
+        self.sent += 1;
     }
 
     fn start_iteration(&mut self, ctx: &mut AppCtx<'_, '_>) {
@@ -132,14 +129,7 @@ impl App for TimeoutInferApp {
     }
 
     fn wants(&self, packet: &Packet) -> bool {
-        matches!(
-            packet.l4,
-            L4::Icmp {
-                kind: IcmpKind::EchoReply,
-                ident,
-                ..
-            } if ident == self.cfg.session
-        )
+        WIRE.probe_of(packet, self.sent).is_some()
     }
 
     fn on_packet(&mut self, ctx: &mut AppCtx<'_, '_>, _packet: Packet) {

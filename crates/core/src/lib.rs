@@ -18,7 +18,9 @@
 //! is a list of targets probed round-robin. This crate's driver is the
 //! simulated app ([`AcuteMonApp`]) evaluated against the paper's numbers
 //! by the `testbed` crate; the `acutemon-live` crate drives the same
-//! machine over real sockets. The crate also holds the two extensions
+//! machine over real sockets. The simulated app builds its probes and
+//! matches its replies through [`measure::ProbeWire`], the one wire the
+//! baselines use too ([`ProbeKind`] is re-exported from there). The crate also holds the two extensions
 //! the paper sketches: timeout **training** ([`TimeoutInferApp`]/
 //! [`estimate_tis`], §4.1 future work, and [`TrainedAcuteMonApp`], which
 //! runs the machine with the trained timing) and residual
@@ -45,7 +47,8 @@ mod trained;
 
 pub use app::AcuteMonApp;
 pub use calibrate::Calibration;
-pub use config::{AcuteMonConfig, ProbeKind};
+pub use config::AcuteMonConfig;
 pub use infer::{estimate_tis, GapSample, TimeoutEstimate, TimeoutInferApp, TimeoutInferConfig};
 pub use machine::{BtStats, Io, KeepAwake, Machine, Plan, Telemetry, Timer, BT_ERROR_THRESHOLD};
+pub use measure::ProbeKind;
 pub use trained::{TrainedAcuteMonApp, TrainedPhase};

@@ -9,7 +9,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::QuantileSketch;
-use measure::{PingApp, PingConfig, RecordSet, RttRecord};
+use measure::{Baseline, BaselineApp, RecordSet, RttRecord};
 use obs::Registry;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{LatencyDist, SimDuration, SimTime};
@@ -177,9 +177,8 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                     .with_retry_backoff(SimDuration::from_millis(30));
                 am.probe_timeout = SimDuration::from_millis(300);
             }
-            let ping = PingConfig::new(addr::SERVER, k, SimDuration::from_secs(1));
             let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
-            let app = install_tool(phone, class.tool, am, ping, &reg);
+            let app = install_tool(phone, class.tool, am, &reg);
             drop(setup);
             {
                 let _des = prof.phase("des");
@@ -203,9 +202,8 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             calibrate(&mut am);
             let mut tb = CellTestbed::build(cfg);
             tb.sim.set_profiler(prof);
-            let ping = PingConfig::new(tb.server_ip(), k, SimDuration::from_secs(1));
             let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
-            let app = install_tool(phone, class.tool, am, ping, &reg);
+            let app = install_tool(phone, class.tool, am, &reg);
             drop(setup);
             {
                 let _des = prof.phase("des");
@@ -223,14 +221,9 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
 }
 
 /// Install the stratum's measurement tool on `phone` and attach its
-/// telemetry to `reg`; returns the app index.
-fn install_tool(
-    phone: &mut PhoneNode,
-    tool: Tool,
-    am: AcuteMonConfig,
-    ping: PingConfig,
-    reg: &Registry,
-) -> usize {
+/// telemetry to `reg`; returns the app index. Sparse ping probes AcuteMon's
+/// target `k` times at ping's default 1 s interval.
+fn install_tool(phone: &mut PhoneNode, tool: Tool, am: AcuteMonConfig, reg: &Registry) -> usize {
     match tool {
         Tool::AcuteMon => {
             let idx = phone.install_app(Box::new(AcuteMonApp::new(am)), RuntimeKind::Native);
@@ -238,8 +231,10 @@ fn install_tool(
             idx
         }
         Tool::SparsePing => {
-            let idx = phone.install_app(Box::new(PingApp::new(ping)), RuntimeKind::Native);
-            phone.app_mut::<PingApp>(idx).attach_metrics(reg);
+            let second = SimDuration::from_secs(1);
+            let ping = BaselineApp::new(Baseline::Ping, am.targets[0], am.k, second);
+            let idx = phone.install_app(Box::new(ping), RuntimeKind::Native);
+            phone.app_mut::<BaselineApp>(idx).attach_metrics(reg);
             idx
         }
     }
@@ -249,7 +244,7 @@ fn install_tool(
 fn tool_records(phone: &PhoneNode, tool: Tool, app: usize) -> Vec<RttRecord> {
     match tool {
         Tool::AcuteMon => phone.app::<AcuteMonApp>(app).records.clone(),
-        Tool::SparsePing => phone.app::<PingApp>(app).records.clone(),
+        Tool::SparsePing => phone.app::<BaselineApp>(app).records.clone(),
     }
 }
 

@@ -2,16 +2,14 @@
 //!
 //! The probe tools the paper runs and compares against (§3.1, §4.3):
 //!
-//! * [`PingApp`]: ICMP ping as run from `adb shell`, with configurable
-//!   interval (10 ms vs the 1 s default drives the whole root-cause
-//!   analysis of §3) and the integer-rounding reporting quirk that
-//!   produces the negative ∆du−k of Fig. 3;
-//! * [`HttpingApp`]: httping \[18\] — per-probe TCP connect RTT at 1 s
-//!   intervals;
-//! * [`JavaPingApp`]: MobiPerf's `InetAddress` method — TCP control
-//!   messages from a Dalvik app;
-//! * [`MobiperfHttpApp`]: MobiPerf's `HttpURLConnection` method —
-//!   handshake RTT followed by a real GET;
+//! * [`BaselineApp`]: one interval-driven prober whose [`Baseline`]
+//!   presets are ping as run from `adb shell` (with the integer-rounding
+//!   quirk that produces the negative ∆du−k of Fig. 3), httping \[18\],
+//!   MobiPerf's Java ping and MobiPerf's `HttpURLConnection` method. A
+//!   10 ms vs the 1 s default interval drives the whole root-cause
+//!   analysis of §3;
+//! * [`ProbeWire`]: the one encoding of probe `n` on the wire, and of
+//!   which probe a reply answers, shared with AcuteMon;
 //! * [`Ping2Prober`]: the server-side double-ping of Sui et al. \[34\],
 //!   kept for the ablation showing it cannot fix long paths.
 //!
@@ -20,22 +18,18 @@
 
 #![warn(missing_docs)]
 
+mod baseline;
 mod error;
-mod httping;
-mod javaping;
 mod metrics;
-mod mobiperf_http;
-mod ping;
 mod ping2;
+mod probe;
 mod record;
 #[cfg(test)]
 mod testutil;
 
+pub use baseline::{Baseline, BaselineApp};
 pub use error::ProbeError;
-pub use httping::{HttpingApp, HttpingConfig};
-pub use javaping::{JavaPingApp, JavaPingConfig};
 pub use metrics::ProbeMetrics;
-pub use mobiperf_http::{MobiperfHttpApp, MobiperfHttpConfig};
-pub use ping::{PingApp, PingConfig};
 pub use ping2::{Ping2Config, Ping2Prober, Ping2Record};
+pub use probe::{ProbeKind, ProbeWire, ECHO_PORT, HTTP_PORT, MAX_PROBES};
 pub use record::{ping_report_quirk, RecordSet, RttRecord};

@@ -11,10 +11,10 @@
 //! RNG stream — adding a fault plan to one link never perturbs the draws
 //! of any other component.
 //!
-//! The plan is consumed by [`LinkNode`](crate::LinkNode),
-//! [`SwitchNode`](crate::SwitchNode), [`ServerNode`](crate::ServerNode)
-//! and (for post-MAC wireless loss) `phy80211::MediumNode`; the topology
-//! builders in `testbed` expose per-scenario knobs.
+//! The plan is consumed by [`LinkNode`](crate::LinkNode), by
+//! `phy80211::MediumNode` (post-MAC wireless loss) and by
+//! `cellular::CellNode` (the radio bearer); the topology builders in
+//! `testbed` expose per-scenario knobs.
 //!
 //! ```
 //! use netem::{FaultPlan, FaultState, FaultVerdict};
@@ -37,7 +37,7 @@ use wire::Msg;
 /// Emit a zero-length `lost` span under the packet's trace (if any), so
 /// injected drops show up in the span waterfall instead of vanishing
 /// silently. `layer` names the component that ate the packet ("link",
-/// "switch", "server", "medium").
+/// "medium", "bearer").
 pub fn trace_drop(ctx: &mut Ctx<'_, Msg>, packet_id: u64, layer: &'static str, reason: DropReason) {
     let now = ctx.now().as_nanos();
     let tracer = ctx.tracer();
@@ -136,7 +136,7 @@ impl FaultVerdict {
 }
 
 /// A declarative fault specification for one component (link direction,
-/// switch, server, or wireless medium). Everything is off by default;
+/// wireless medium or cellular bearer). Everything is off by default;
 /// build the faults you want with the `with_*` builders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {

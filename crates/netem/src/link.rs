@@ -45,16 +45,6 @@ pub struct LinkParams {
 }
 
 impl LinkParams {
-    /// An ideal (zero-delay, lossless) link.
-    pub fn ideal() -> LinkParams {
-        LinkParams {
-            delay: SimDuration::ZERO,
-            jitter_std_ms: 0.0,
-            loss: 0.0,
-            rate_mbps: None,
-        }
-    }
-
     /// A link adding `ms` of one-way delay (use `rtt/2` per side to
     /// emulate a symmetric path).
     pub fn delay_ms(ms: u64) -> LinkParams {

@@ -13,7 +13,6 @@
 //! Per \[24\] (cited in §2.1), server-side turnaround for TCP data packets
 //! is microsecond-level; the model uses a small processing distribution.
 
-use crate::fault::{trace_drop, FaultPlan, FaultState, FaultVerdict};
 use obs::{Counter, Registry};
 use simcore::{Ctx, LatencyDist, Node, NodeId};
 use wire::{IcmpKind, Ip, Msg, Packet, PacketIdGen, PacketTag, TcpFlags, L4};
@@ -90,10 +89,6 @@ pub struct ServerStats {
 pub struct ServerNode {
     cfg: ServerConfig,
     ids: PacketIdGen,
-    /// Injected faults applied to outgoing responses, if any (models a
-    /// dropped/duplicated reply, e.g. an overloaded responder or a lossy
-    /// server-side LAN).
-    fault: Option<FaultState>,
     /// Counters.
     pub stats: ServerStats,
     metrics: ServerMetrics,
@@ -105,7 +100,6 @@ impl ServerNode {
         ServerNode {
             cfg,
             ids: PacketIdGen::new(source),
-            fault: None,
             stats: ServerStats::default(),
             metrics: ServerMetrics::default(),
         }
@@ -117,20 +111,6 @@ impl ServerNode {
         self.metrics = ServerMetrics::from_registry(reg);
     }
 
-    /// Install a fault plan applied to outgoing responses (replacing any
-    /// previous one). The plan's own seed drives its verdicts.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.fault = plan.is_active().then(|| FaultState::new(plan));
-    }
-
-    /// Register the fault layer's counters as `fault.<label>.*` in `reg`.
-    /// Call after [`ServerNode::set_fault_plan`].
-    pub fn attach_fault_metrics(&mut self, reg: &Registry, label: &str) {
-        if let Some(fault) = &mut self.fault {
-            fault.attach_metrics(reg, label);
-        }
-    }
-
     fn reply_tag(req: &Packet) -> PacketTag {
         match req.tag {
             PacketTag::Probe(n) => PacketTag::ProbeReply(n),
@@ -140,26 +120,7 @@ impl ServerNode {
 
     fn respond(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, req: &Packet, l4: L4, len: usize) {
         let reply = req.reply(self.ids.next_id(), l4, len, Self::reply_tag(req));
-        let mut d = self.cfg.processing.sample(ctx.rng());
-        // The injected fault layer may drop, duplicate, or delay the reply.
-        let copies = match &mut self.fault {
-            Some(fault) => match fault.decide(0, ctx.now()) {
-                FaultVerdict::Drop(reason) => {
-                    // Account the turnaround first so the waterfall shows
-                    // the server answered and the reply was lost in flight.
-                    trace_drop(ctx, req.id, "server", reason);
-                    return;
-                }
-                FaultVerdict::Deliver {
-                    copies,
-                    extra_delay,
-                } => {
-                    d += extra_delay;
-                    copies
-                }
-            },
-            None => 1,
-        };
+        let d = self.cfg.processing.sample(ctx.rng());
         self.metrics.responses.inc();
         // Carry the probe's trace over to the reply packet id and account
         // the turnaround time as a `server` span.
@@ -178,9 +139,7 @@ impl ServerNode {
                 );
             }
         }
-        for _ in 0..copies {
-            ctx.send(to, d, Msg::Wire(reply));
-        }
+        ctx.send(to, d, Msg::Wire(reply));
     }
 }
 

@@ -1,8 +1,6 @@
 //! A wired switch/IP forwarder: routes packets to the node registered for
 //! their destination address (the testbed's Fig. 2 switch).
 
-use crate::fault::{trace_drop, FaultPlan, FaultState, FaultVerdict};
-use obs::Registry;
 use simcore::{Ctx, Node, NodeId, SimDuration};
 use wire::{Ip, Msg};
 
@@ -11,12 +9,8 @@ pub struct SwitchNode {
     /// `(address, port)` pairs, scanned: a testbed routes a handful.
     routes: Vec<(Ip, NodeId)>,
     latency: SimDuration,
-    /// Injected faults applied to every forwarded packet, if any.
-    fault: Option<FaultState>,
     /// Packets dropped for lack of a route.
     pub dropped_no_route: u64,
-    /// Packets dropped by the injected fault layer.
-    pub dropped_fault: u64,
 }
 
 impl SwitchNode {
@@ -25,9 +19,7 @@ impl SwitchNode {
         SwitchNode {
             routes: Vec::new(),
             latency,
-            fault: None,
             dropped_no_route: 0,
-            dropped_fault: 0,
         }
     }
 
@@ -38,20 +30,6 @@ impl SwitchNode {
         match self.routes.iter_mut().find(|(a, _)| *a == ip) {
             Some((_, port)) => *port = node,
             None => self.routes.push((ip, node)),
-        }
-    }
-
-    /// Install a fault plan applied to every forwarded packet (replacing
-    /// any previous one). The plan's own seed drives its verdicts.
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        self.fault = plan.is_active().then(|| FaultState::new(plan));
-    }
-
-    /// Register the fault layer's counters as `fault.<label>.*` in `reg`.
-    /// Call after [`SwitchNode::set_fault_plan`].
-    pub fn attach_fault_metrics(&mut self, reg: &Registry, label: &str) {
-        if let Some(fault) = &mut self.fault {
-            fault.attach_metrics(reg, label);
         }
     }
 }
@@ -70,23 +48,7 @@ impl Node<Msg> for SwitchNode {
             self.dropped_no_route += 1;
             return;
         };
-        let (copies, extra_delay) = match &mut self.fault {
-            Some(fault) => match fault.decide(0, ctx.now()) {
-                FaultVerdict::Drop(reason) => {
-                    self.dropped_fault += 1;
-                    trace_drop(ctx, packet.id, "switch", reason);
-                    return;
-                }
-                FaultVerdict::Deliver {
-                    copies,
-                    extra_delay,
-                } => (copies, extra_delay),
-            },
-            None => (1, SimDuration::ZERO),
-        };
-        for _ in 0..copies {
-            ctx.send(out, self.latency + extra_delay, Msg::Wire(packet));
-        }
+        ctx.send(out, self.latency, Msg::Wire(packet));
     }
 }
 

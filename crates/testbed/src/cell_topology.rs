@@ -153,22 +153,23 @@ impl CellTestbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use measure::{PingApp, PingConfig, RecordSet};
+    use measure::{Baseline, BaselineApp, RecordSet};
     use simcore::SimDuration;
 
     #[test]
     fn lte_ping_end_to_end() {
         let mut tb = CellTestbed::build(CellTestbedConfig::lte(1, phone::nexus5(), 40));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 cell_addr::SERVER,
                 5,
                 SimDuration::from_millis(200),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(10));
-        let ping = tb.app::<PingApp>(app);
+        let ping = tb.app::<BaselineApp>(app);
         assert!((ping.records.completion() - 1.0).abs() < 1e-12);
         let du = ping.records.du();
         // First probe pays the idle promotion; the rest ride connected.
@@ -232,15 +233,16 @@ mod tests {
     fn sparse_probes_pay_promotions() {
         let mut tb = CellTestbed::build(CellTestbedConfig::lte(2, phone::nexus5(), 40));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 cell_addr::SERVER,
                 4,
                 SimDuration::from_secs(15), // > 10 s idle timer
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(60));
-        let du = tb.app::<PingApp>(app).records.du();
+        let du = tb.app::<BaselineApp>(app).records.du();
         for (i, d) in du.iter().enumerate() {
             assert!(*d > 110.0, "probe {i} du {d}");
         }

@@ -9,7 +9,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::median;
-use measure::{Ping2Config, Ping2Prober, PingApp, PingConfig, RecordSet};
+use measure::{Baseline, BaselineApp, Ping2Config, Ping2Prober, RecordSet};
 use netem::ServerNode;
 use obs::ToJson;
 use phone::{PhoneNode, RuntimeKind};
@@ -167,18 +167,19 @@ pub fn static_psm(k: u32, seed: u64) -> Vec<PsmArm> {
             }
             let mut tb = Testbed::build(cfg);
             let app = tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     k,
                     SimDuration::from_millis(500),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
             tb.run_until(SimTime::from_secs(u64::from(k) / 2 + 10));
             let mut du = tb
                 .sim
                 .node::<PhoneNode>(tb.phone)
-                .app::<PingApp>(app)
+                .app::<BaselineApp>(app)
                 .records
                 .du();
             du.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
@@ -285,18 +286,19 @@ pub fn uapsd(k: u32, seed: u64) -> Vec<UapsdArm> {
             )
         } else {
             let app = tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     k,
                     SimDuration::from_secs(1),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
             tb.run_until(SimTime::from_secs(u64::from(k) + 10));
             (
                 tb.sim
                     .node::<PhoneNode>(tb.phone)
-                    .app::<PingApp>(app)
+                    .app::<BaselineApp>(app)
                     .records
                     .du(),
                 tb.sim.now(),
@@ -461,16 +463,17 @@ pub fn energy_cost(k: u32, seed: u64) -> Vec<EnergyArm> {
     {
         let mut tb = Testbed::build(TestbedConfig::new(seed ^ 0xE1, phone::nexus5(), rtt));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 addr::SERVER,
                 k,
                 SimDuration::from_millis(10),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(60));
         let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-        let ping = phone_node.app::<PingApp>(app);
+        let ping = phone_node.app::<BaselineApp>(app);
         let du = ping.records.du();
         let dur = ping
             .finished_at()
@@ -493,16 +496,17 @@ pub fn energy_cost(k: u32, seed: u64) -> Vec<EnergyArm> {
     {
         let mut tb = Testbed::build(TestbedConfig::new(seed ^ 0xE2, phone::nexus5(), rtt));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 addr::SERVER,
                 k,
                 SimDuration::from_secs(1),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(u64::from(k) + 10));
         let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-        let ping = phone_node.app::<PingApp>(app);
+        let ping = phone_node.app::<BaselineApp>(app);
         let du = ping.records.du();
         let dur = ping
             .finished_at()
@@ -554,15 +558,16 @@ pub fn cellular(k: u32, seed: u64) -> Vec<CellularArm> {
         // Arm 1: sparse ping (idle between probes).
         let mut tb = CellTestbed::build(mk(seed, phone::nexus5(), 40));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 cell_addr::SERVER,
                 k.min(12),
                 SimDuration::from_secs(20),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(20 * u64::from(k.min(12)) + 20));
-        let mut du = tb.app::<PingApp>(app).records.du();
+        let mut du = tb.app::<BaselineApp>(app).records.du();
         du.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let ul_wakes = tb
             .sim

@@ -6,10 +6,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::{render_cdfs, Ecdf};
-use measure::{
-    HttpingApp, HttpingConfig, JavaPingApp, JavaPingConfig, MobiperfHttpApp, MobiperfHttpConfig,
-    PingApp, PingConfig, RecordSet,
-};
+use measure::{Baseline, BaselineApp, RecordSet};
 use obs::ToJson;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -38,6 +35,17 @@ impl Tool {
             Tool::Ping => "ping",
             Tool::JavaPing => "Java ping",
             Tool::MobiperfHttp => "MobiPerf HTTP",
+        }
+    }
+
+    /// The baseline preset this curve runs (None for AcuteMon).
+    fn baseline(self) -> Option<Baseline> {
+        match self {
+            Tool::AcuteMon => None,
+            Tool::Httping => Some(Baseline::Httping),
+            Tool::Ping => Some(Baseline::Ping),
+            Tool::JavaPing => Some(Baseline::JavaPing),
+            Tool::MobiperfHttp => Some(Baseline::MobiperfHttp),
         }
     }
 }
@@ -70,45 +78,27 @@ pub fn run_tool(tool: Tool, cross: bool, k: u32, seed: u64) -> Curve {
         cfg = cfg.with_cross_traffic(horizon);
     }
     let mut tb = Testbed::build(cfg);
-    let second = SimDuration::from_secs(1);
-    let idx = match tool {
-        Tool::AcuteMon => tb.install_app(
+    let baseline = tool.baseline();
+    let idx = match baseline {
+        None => tb.install_app(
             Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, k))),
             RuntimeKind::Native,
         ),
-        Tool::Httping => tb.install_app(
-            Box::new(HttpingApp::new(HttpingConfig::new(addr::SERVER, k, second))),
-            RuntimeKind::Native,
-        ),
-        Tool::Ping => tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(addr::SERVER, k, second))),
-            RuntimeKind::Native,
-        ),
-        Tool::JavaPing => tb.install_app(
-            Box::new(JavaPingApp::new(JavaPingConfig::new(
+        Some(b) => tb.install_app(
+            Box::new(BaselineApp::new(
+                b,
                 addr::SERVER,
                 k,
-                second,
-            ))),
-            RuntimeKind::Dalvik,
-        ),
-        Tool::MobiperfHttp => tb.install_app(
-            Box::new(MobiperfHttpApp::new(MobiperfHttpConfig::new(
-                addr::SERVER,
-                k,
-                second,
-            ))),
-            RuntimeKind::Dalvik,
+                SimDuration::from_secs(1),
+            )),
+            b.runtime(),
         ),
     };
     tb.run_until(horizon);
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let mut samples = match tool {
-        Tool::AcuteMon => phone_node.app::<AcuteMonApp>(idx).records.reported(),
-        Tool::Httping => phone_node.app::<HttpingApp>(idx).records.reported(),
-        Tool::Ping => phone_node.app::<PingApp>(idx).records.reported(),
-        Tool::JavaPing => phone_node.app::<JavaPingApp>(idx).records.reported(),
-        Tool::MobiperfHttp => phone_node.app::<MobiperfHttpApp>(idx).records.reported(),
+    let mut samples = match baseline {
+        None => phone_node.app::<AcuteMonApp>(idx).records.reported(),
+        Some(_) => phone_node.app::<BaselineApp>(idx).records.reported(),
     };
     samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     Curve {

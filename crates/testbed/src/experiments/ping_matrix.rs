@@ -5,7 +5,7 @@
 //! and `∆du−k`).
 
 use am_stats::{render_boxplots, BoxStats, Table};
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::ToJson;
 use phone::{PhoneNode, PhoneProfile, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -38,11 +38,12 @@ pub fn run_ping(
     let phone_name = profile.name.to_string();
     let mut tb = Testbed::build(TestbedConfig::new(seed, profile, rtt_ms));
     let app = tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             k,
             SimDuration::from_millis(interval_ms),
-        ))),
+        )),
         RuntimeKind::Native,
     );
     // Duration: all probes + timeout slack.
@@ -52,7 +53,7 @@ pub fn run_ping(
     tb.run_until(horizon);
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let ping = phone_node.app::<PingApp>(app);
+    let ping = phone_node.app::<BaselineApp>(app);
     PingRun {
         phone: phone_name,
         rtt_ms,

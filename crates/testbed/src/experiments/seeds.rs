@@ -6,7 +6,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::{median, Summary};
-use measure::{PingApp, PingConfig, RecordSet};
+use measure::{Baseline, BaselineApp, RecordSet};
 use obs::ToJson;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -51,18 +51,19 @@ pub fn run(n_seeds: u64, k: u32) -> SeedSweep {
 
             let mut tb2 = Testbed::build(TestbedConfig::new(2000 + seed * 7, phone::nexus5(), rtt));
             let app2 = tb2.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     k,
                     SimDuration::from_secs(1),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
             tb2.run_until(SimTime::from_secs(u64::from(k) + 10));
             let ping_du = tb2
                 .sim
                 .node::<PhoneNode>(tb2.phone)
-                .app::<PingApp>(app2)
+                .app::<BaselineApp>(app2)
                 .records
                 .du();
 

@@ -6,7 +6,7 @@
 //! same two hook pairs.
 
 use am_stats::Table;
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::ToJson;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -62,11 +62,12 @@ pub fn run(k: u32, seed: u64) -> Table3 {
             cfg.bus_sleep = sleep;
             let mut tb = Testbed::build(cfg);
             tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     k,
                     SimDuration::from_millis(interval),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
             let horizon = SimTime::ZERO

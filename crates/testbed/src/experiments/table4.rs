@@ -10,7 +10,7 @@
 //! `L ≈ beacons_on_air × (1 − miss) / beacons_attended − 1`.
 
 use am_stats::{median, Table};
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::ToJson;
 use phone::PhoneProfile;
 use simcore::{SimDuration, SimTime};
@@ -53,11 +53,12 @@ pub fn measure_phone(profile: PhoneProfile, reps: u32, seed: u64) -> Table4Row {
     // demotes between probes.
     let gap_ms = (tip_max_ms as u64 + 200).max(700);
     tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             reps,
             SimDuration::from_millis(gap_ms),
-        ))),
+        )),
         phone::RuntimeKind::Native,
     );
     let probe_horizon =

@@ -8,7 +8,7 @@
 //! and PSM beacon buffering at the AP (`phy.ap.ps_buffer_wait_ms`).
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::{Registry, Snapshot};
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -80,14 +80,15 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
         }
         TelemetryTool::SlowPing => {
             let idx = tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     k,
                     SimDuration::from_secs(1),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
-            tb.app_mut::<PingApp>(idx).attach_metrics(reg);
+            tb.app_mut::<BaselineApp>(idx).attach_metrics(reg);
             idx
         }
     };
@@ -96,7 +97,7 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let records = match tool {
         TelemetryTool::AcuteMon => &phone_node.app::<AcuteMonApp>(idx).records,
-        TelemetryTool::SlowPing => &phone_node.app::<PingApp>(idx).records,
+        TelemetryTool::SlowPing => &phone_node.app::<BaselineApp>(idx).records,
     };
     let bds = breakdowns(records, phone_node.ledger(), &index);
     TelemetryRun {

@@ -9,7 +9,7 @@
 //! tests assert that partition, and that the `sdio_wake` / `ap_buffer`
 //! span totals equal the PR-1 histogram sums for the same run.
 
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::{build_trace_tree, AttrValue, Registry, Snapshot, SpanNode, SpanRecord, Tracer};
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
@@ -86,17 +86,18 @@ pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> W
     tb.attach_metrics(reg);
     tb.attach_tracer(tracer);
     let idx = tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             k,
             SimDuration::from_secs(1),
-        ))),
+        )),
         RuntimeKind::Native,
     );
     tb.run_until(horizon);
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let records = &phone_node.app::<PingApp>(idx).records;
+    let records = &phone_node.app::<BaselineApp>(idx).records;
     let bds = breakdowns(records, phone_node.ledger(), &index);
 
     let spans = tracer.spans();

@@ -33,5 +33,8 @@ pub mod metrics;
 mod topology;
 
 pub use cell_topology::{cell_addr, CellTestbed, CellTestbedConfig};
+/// The most probes one session can tell apart, so the largest `k` an
+/// experiment accepts.
+pub use measure::MAX_PROBES;
 pub use metrics::{breakdowns, series, ProbeBreakdown};
 pub use topology::{addr, Testbed, TestbedConfig};

@@ -468,21 +468,22 @@ impl Testbed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use measure::{PingApp, PingConfig, RecordSet};
+    use measure::{Baseline, BaselineApp, RecordSet};
 
     #[test]
     fn testbed_end_to_end_ping() {
         let mut tb = Testbed::build(TestbedConfig::new(1, phone::nexus5(), 30));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 addr::SERVER,
                 10,
                 SimDuration::from_millis(10),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(5));
-        let ping = tb.app::<PingApp>(app);
+        let ping = tb.app::<BaselineApp>(app);
         assert_eq!(ping.records.len(), 10);
         assert!(
             (ping.records.completion() - 1.0).abs() < 1e-12,
@@ -497,16 +498,17 @@ mod tests {
     fn sniffers_see_probes_and_dn_is_close_to_emulated() {
         let mut tb = Testbed::build(TestbedConfig::new(2, phone::nexus5(), 50));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 addr::SERVER,
                 10,
                 SimDuration::from_millis(10),
-            ))),
+            )),
             RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(5));
         let index = tb.capture_index();
-        let ping = tb.app::<PingApp>(app);
+        let ping = tb.app::<BaselineApp>(app);
         let mut dns = Vec::new();
         for r in &ping.records {
             if let Some(resp) = r.resp_id {
@@ -525,15 +527,16 @@ mod tests {
         fn run() -> Vec<f64> {
             let mut tb = Testbed::build(TestbedConfig::new(7, phone::nexus4(), 30));
             let app = tb.install_app(
-                Box::new(PingApp::new(PingConfig::new(
+                Box::new(BaselineApp::new(
+                    Baseline::Ping,
                     addr::SERVER,
                     5,
                     SimDuration::from_millis(100),
-                ))),
+                )),
                 RuntimeKind::Native,
             );
             tb.run_until(SimTime::from_secs(3));
-            tb.app::<PingApp>(app).records.du()
+            tb.app::<BaselineApp>(app).records.du()
         }
         assert_eq!(run(), run());
     }

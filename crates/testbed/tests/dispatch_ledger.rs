@@ -4,7 +4,7 @@
 //! `sim.dispatch` phase under the caller's open phase whose calls are
 //! the events dispatched, split into one child per Fig.-1 layer.
 
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use obs::{ProfSnapshot, Profiler};
 use phone::RuntimeKind;
 use simcore::{SimDuration, SimTime};
@@ -31,12 +31,13 @@ fn dispatch_rows(snap: &ProfSnapshot) -> (u64, Vec<(&'static str, u64)>) {
     (events, layers)
 }
 
-fn ping(k: u32) -> Box<PingApp> {
-    Box::new(PingApp::new(PingConfig::new(
+fn ping(k: u32) -> Box<BaselineApp> {
+    Box::new(BaselineApp::new(
+        Baseline::Ping,
         addr::SERVER,
         k,
         SimDuration::from_millis(200),
-    )))
+    ))
 }
 
 /// A profiled WiFi testbed run; returns the profile and the events
@@ -99,11 +100,12 @@ fn cellular_testbed_reports_cell() {
     let mut tb = CellTestbed::build(cfg);
     tb.sim.set_profiler(&prof);
     tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             tb.server_ip(),
             3,
             SimDuration::from_millis(500),
-        ))),
+        )),
         RuntimeKind::Native,
     );
     tb.run_until(SimTime::from_secs(3));

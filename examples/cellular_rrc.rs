@@ -10,7 +10,7 @@
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::Summary;
 use cellular::CellNode;
-use measure::{PingApp, PingConfig, RecordSet};
+use measure::{Baseline, BaselineApp, RecordSet};
 use simcore::{SimDuration, SimTime};
 use testbed::{cell_addr, CellTestbed, CellTestbedConfig};
 
@@ -28,15 +28,16 @@ fn main() {
         // Sparse ping: every 20 s, past the RRC idle timer.
         let mut tb = CellTestbed::build(mk(1, phone::nexus5(), CORE_RTT_MS));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 cell_addr::SERVER,
                 8,
                 SimDuration::from_secs(20),
-            ))),
+            )),
             phone::RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(200));
-        let du = tb.app::<PingApp>(app).records.du();
+        let du = tb.app::<BaselineApp>(app).records.du();
         let cell = tb.sim.node::<CellNode>(tb.cell);
         println!(
             "  ping @20s:  {}   ({} RRC promotions paid)",
@@ -47,15 +48,16 @@ fn main() {
         // Dense ping: every 1 s — stays connected, only DRX shows.
         let mut tb = CellTestbed::build(mk(2, phone::nexus5(), CORE_RTT_MS));
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 cell_addr::SERVER,
                 30,
                 SimDuration::from_secs(1),
-            ))),
+            )),
             phone::RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(60));
-        let du = tb.app::<PingApp>(app).records.du();
+        let du = tb.app::<BaselineApp>(app).records.du();
         println!("  ping @1s:   {}", Summary::of(&du).unwrap().cell());
 
         // AcuteMon: the background traffic pins the bearer in the

@@ -9,7 +9,7 @@
 //! cargo run --release --example multi_layer_breakdown
 //! ```
 
-use measure::{PingApp, PingConfig};
+use measure::{Baseline, BaselineApp};
 use phone::PhoneNode;
 use simcore::{SimDuration, SimTime};
 use testbed::{addr, breakdowns, Testbed, TestbedConfig};
@@ -18,18 +18,19 @@ fn main() {
     const K: u32 = 10;
     let mut tb = Testbed::build(TestbedConfig::new(7, phone::nexus5(), 60));
     let app = tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             K,
             SimDuration::from_secs(1),
-        ))),
+        )),
         phone::RuntimeKind::Native,
     );
     tb.run_until(SimTime::from_secs(u64::from(K) + 5));
 
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let ping = phone_node.app::<PingApp>(app);
+    let ping = phone_node.app::<BaselineApp>(app);
     let bds = breakdowns(&ping.records, phone_node.ledger(), &index);
 
     println!("Nexus 5, 60 ms emulated path, ping at 1 s interval");

@@ -9,7 +9,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::Summary;
-use measure::{PingApp, PingConfig, RecordSet};
+use measure::{Baseline, BaselineApp, RecordSet};
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 use testbed::{addr, breakdowns, series, Testbed, TestbedConfig};
@@ -21,16 +21,17 @@ fn main() {
     // --- Naive measurement: ping at its default 1 s interval. -----------
     let mut tb = Testbed::build(TestbedConfig::new(42, phone::nexus5(), RTT_MS));
     let ping = tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             K,
             SimDuration::from_secs(1),
-        ))),
+        )),
         RuntimeKind::Native,
     );
     tb.run_until(SimTime::from_secs(u64::from(K) + 5));
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let ping_du = phone_node.app::<PingApp>(ping).records.du();
+    let ping_du = phone_node.app::<BaselineApp>(ping).records.du();
     let ping_sum = Summary::of(&ping_du).expect("ping samples");
 
     // --- AcuteMon on the same path. --------------------------------------

@@ -4,7 +4,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig, Calibration};
 use am_stats::{median, Ecdf};
-use measure::{PingApp, PingConfig, RecordSet};
+use measure::{Baseline, BaselineApp, RecordSet};
 use phone::PhoneNode;
 use simcore::{SimDuration, SimTime};
 use testbed::{addr, breakdowns, series, Testbed, TestbedConfig};
@@ -57,18 +57,19 @@ fn sdio_sleep_is_the_internal_culprit() {
         cfg.bus_sleep = bus_sleep;
         let mut tb = Testbed::build(cfg);
         let app = tb.install_app(
-            Box::new(PingApp::new(PingConfig::new(
+            Box::new(BaselineApp::new(
+                Baseline::Ping,
                 addr::SERVER,
                 20,
                 SimDuration::from_millis(interval_ms),
-            ))),
+            )),
             phone::RuntimeKind::Native,
         );
         tb.run_until(SimTime::from_secs(30));
         let du = tb
             .sim
             .node::<PhoneNode>(tb.phone)
-            .app::<PingApp>(app)
+            .app::<BaselineApp>(app)
             .records
             .du();
         median(&du).expect("du")
@@ -91,17 +92,18 @@ fn sdio_sleep_is_the_internal_culprit() {
 fn psm_buffers_responses_at_the_ap() {
     let mut tb = Testbed::build(TestbedConfig::new(32, phone::nexus4(), 60));
     let app = tb.install_app(
-        Box::new(PingApp::new(PingConfig::new(
+        Box::new(BaselineApp::new(
+            Baseline::Ping,
             addr::SERVER,
             20,
             SimDuration::from_secs(1),
-        ))),
+        )),
         phone::RuntimeKind::Native,
     );
     tb.run_until(SimTime::from_secs(30));
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
-    let ping = phone_node.app::<PingApp>(app);
+    let ping = phone_node.app::<BaselineApp>(app);
     let bds = breakdowns(&ping.records, phone_node.ledger(), &index);
     let dn = series(&bds, |b| b.dn);
     let med = median(&dn).expect("dn");
@@ -169,6 +171,60 @@ fn fig8_ordering_end_to_end() {
         m(&hp),
         m(&jp)
     );
+}
+
+/// One phone runs AcuteMon and all four baselines against one server at
+/// once. Each session's replies reach that session alone: every probe
+/// completes, and no reply is credited to two sessions.
+#[test]
+fn five_sessions_share_one_phone_without_stealing_replies() {
+    let mut tb = Testbed::build(TestbedConfig::new(73, phone::nexus5(), 30));
+    let k = 20;
+    let am = tb.install_app(
+        Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, k))),
+        phone::RuntimeKind::Native,
+    );
+    let tools = [
+        Baseline::Ping,
+        Baseline::Httping,
+        Baseline::JavaPing,
+        Baseline::MobiperfHttp,
+    ];
+    let interval = SimDuration::from_millis(100);
+    let apps: Vec<usize> = tools
+        .iter()
+        .map(|&tool| {
+            let app = BaselineApp::new(tool, addr::SERVER, k, interval);
+            tb.install_app(Box::new(app), tool.runtime())
+        })
+        .collect();
+    tb.run_until(SimTime::from_secs(10));
+    let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
+    let mut sessions = vec![(
+        "AcuteMon".to_string(),
+        &phone_node.app::<AcuteMonApp>(am).records,
+    )];
+    for (tool, &app) in tools.iter().zip(&apps) {
+        let records = &phone_node.app::<BaselineApp>(app).records;
+        sessions.push((format!("{tool:?}"), records));
+    }
+    let mut owner = std::collections::HashMap::new();
+    for (name, records) in &sessions {
+        assert_eq!(records.len(), k as usize, "{name} sent every probe");
+        assert!(
+            (records.completion() - 1.0).abs() < 1e-12,
+            "{name} completion {}",
+            records.completion()
+        );
+        for rec in records.iter() {
+            let resp = rec.resp_id.expect("completed");
+            if let Some(other) = owner.insert(resp, name) {
+                panic!("reply {resp} credited to both {other} and {name}");
+            }
+        }
+    }
+    let mobiperf = phone_node.app::<BaselineApp>(apps[3]);
+    assert_eq!(mobiperf.http_responses, u64::from(k), "every GET answered");
 }
 
 /// The self-training app works through the full WiFi testbed too: it
