@@ -34,8 +34,12 @@ use crate::spec::CampaignSpec;
 pub const CAMPAIGN_STATE_FORMAT: &str = "acutemon-fleet-campaign-state";
 
 /// Version of the campaign-state JSON schema;
-/// [`Collector::from_state_json`] rejects anything newer.
-pub const CAMPAIGN_STATE_VERSION: u64 = 1;
+/// [`Collector::from_state_json`] reads this version only. In version 2
+/// each device's telemetry covers its measurement session, because the
+/// device's run stops when its tool finishes. Version 1 telemetry ran on
+/// to the horizon, so folding it into version-2 state would make a
+/// report that neither version writes.
+pub const CAMPAIGN_STATE_VERSION: u64 = 2;
 
 /// A failure to restore, validate, or merge serialized campaign state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,9 +300,10 @@ impl Collector {
             return Err(err("not a campaign-state document (bad `format`)"));
         }
         let version = obj_u64(state, "version")?;
-        if version > CAMPAIGN_STATE_VERSION {
+        if version != CAMPAIGN_STATE_VERSION {
             return Err(CampaignStateError(format!(
-                "campaign-state version {version} is newer than supported {CAMPAIGN_STATE_VERSION}"
+                "campaign-state version {version} is not supported (expected \
+                 {CAMPAIGN_STATE_VERSION})"
             )));
         }
         let seed: u64 = obj_str(state, "seed")?

@@ -1,8 +1,9 @@
 //! Per-device simulation shards.
 //!
 //! [`run_device`] builds the full testbed for one device of a
-//! [`CampaignSpec`], runs its measurement session, and boils the result
-//! down to a [`DevicePartial`]: three mergeable [`QuantileSketch`]es
+//! [`CampaignSpec`], runs it until its measurement tool finishes (at
+//! most [`CampaignSpec::horizon`]), and boils the result down to a
+//! [`DevicePartial`]: three mergeable [`QuantileSketch`]es
 //! (`du`, `dn`, overhead) plus an [`obs`] snapshot. No raw sample
 //! vectors leave the shard — campaign memory is independent of the
 //! probe count.
@@ -88,7 +89,8 @@ fn empty_partial(index: u64, class: usize) -> DevicePartial {
     }
 }
 
-/// Run device `index` of `spec` to completion and return its partial.
+/// Run device `index` of `spec` until its tool finishes its session
+/// and return its partial.
 /// Pure in `(spec, index)`: the same pair always produces the same
 /// partial, on any worker thread.
 pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
@@ -182,7 +184,10 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             drop(setup);
             {
                 let _des = prof.phase("des");
-                tb.run_until(horizon);
+                let phone = tb.phone;
+                tb.sim.run_until_or(horizon, |sim| {
+                    tool_finished(sim.node(phone), class.tool, app)
+                });
             }
             fold = prof.phase("fold");
             let capture = tb.capture_index();
@@ -207,7 +212,10 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             drop(setup);
             {
                 let _des = prof.phase("des");
-                tb.run_until(horizon);
+                let phone = tb.phone;
+                tb.sim.run_until_or(horizon, |sim| {
+                    tool_finished(sim.node(phone), class.tool, app)
+                });
             }
             fold = prof.phase("fold");
             let records = tool_records(tb.sim.node::<PhoneNode>(tb.phone), class.tool, app);
@@ -237,6 +245,15 @@ fn install_tool(phone: &mut PhoneNode, tool: Tool, am: AcuteMonConfig, reg: &Reg
             phone.app_mut::<BaselineApp>(idx).attach_metrics(reg);
             idx
         }
+    }
+}
+
+/// Whether the tool at `app` has finished its session. Its records and
+/// its probes' air times are final then, so the device's run can stop.
+fn tool_finished(phone: &PhoneNode, tool: Tool, app: usize) -> bool {
+    match tool {
+        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).finished_at().is_some(),
+        Tool::SparsePing => phone.app::<BaselineApp>(app).finished_at().is_some(),
     }
 }
 

@@ -288,7 +288,10 @@ pub struct CampaignSpec {
     pub devices: u64,
     /// Probes per device (`K`).
     pub probes_per_device: u32,
-    /// Per-device simulated horizon.
+    /// The latest a device's session may run. Each device's simulation
+    /// stops when its measurement tool finishes, so the horizon only
+    /// cuts short a session that has not finished by then (and ends
+    /// busy-window cross traffic).
     pub horizon: SimDuration,
     /// The strata (must be non-empty, total weight > 0).
     pub classes: Vec<DeviceClass>,
@@ -325,7 +328,7 @@ impl CampaignSpec {
         self
     }
 
-    /// Builder: per-device simulated horizon.
+    /// Builder: the latest a device's session may run.
     pub fn with_horizon(mut self, horizon: SimDuration) -> Self {
         self.horizon = horizon;
         self

@@ -366,3 +366,36 @@ fn resume_rejects_partition_partials_and_foreign_state() {
         fleet::Collector::from_state_json(&Json::parse("{\"format\":\"nope\"}").unwrap()).is_err()
     );
 }
+
+#[test]
+fn campaign_state_of_another_version_is_refused() {
+    let spec = spec();
+    let (head, _) = run_partition(&spec, 1, 0, 2);
+    let state = head.state_json();
+    assert_eq!(
+        state.get("version").and_then(Json::as_f64),
+        Some(fleet::CAMPAIGN_STATE_VERSION as f64)
+    );
+    assert!(fleet::Collector::from_state_json(&state).is_ok());
+    // Version 1 state ran each device on to the horizon; it is refused
+    // by name rather than through a nested error.
+    for version in [1, fleet::CAMPAIGN_STATE_VERSION + 1] {
+        let mut other = state.clone();
+        other.set("version", Json::Num(version as f64));
+        let err = match fleet::Collector::from_state_json(&other) {
+            Err(err) => err,
+            Ok(_) => panic!("version {version} accepted"),
+        };
+        assert_eq!(
+            err,
+            fleet::CampaignStateError(format!(
+                "campaign-state version {version} is not supported (expected {})",
+                fleet::CAMPAIGN_STATE_VERSION
+            ))
+        );
+        let err = resume_campaign(&spec, 1, &other, &RunOptions::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.0.contains(&format!("version {version}")), "{err}");
+    }
+}

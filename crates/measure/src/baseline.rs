@@ -151,7 +151,9 @@ impl BaselineApp {
         self.metrics = ProbeMetrics::from_registry(reg, self.preset.name);
     }
 
-    /// When the last probe completed or timed out (None while running).
+    /// When the session finished (None while running): at the answer
+    /// that completes every probe, or 3 s after the last probe was
+    /// sent. `records` no longer change after it.
     pub fn finished_at(&self) -> Option<SimTime> {
         self.finished_at
     }
@@ -205,7 +207,9 @@ impl App for BaselineApp {
             self.http_responses += 1; // the GET's response
             return;
         }
-        if !self.answers(&packet) {
+        // Records are final once the session has finished: an answer
+        // after the deadline leaves its probe lost.
+        if self.finished_at.is_some() || !self.answers(&packet) {
             return;
         }
         let now = ctx.now();
@@ -239,6 +243,9 @@ impl App for BaselineApp {
         match tag {
             TAG_SEND => self.send_probe(ctx),
             TAG_DEADLINE if self.finished_at.is_none() => {
+                for _ in self.records.iter().filter(|r| !r.completed()) {
+                    self.metrics.on_timeout();
+                }
                 self.finished_at = Some(ctx.now());
             }
             _ => {}
@@ -255,6 +262,18 @@ mod tests {
     fn install(w: &mut TestWorld, tool: Baseline, count: u32, interval: SimDuration) -> usize {
         let app = BaselineApp::new(tool, phone::wired_ip(1), count, interval);
         w.install(Box::new(app), tool.runtime())
+    }
+
+    /// [`install`] with the session's telemetry registered in `reg`.
+    fn install_observed(
+        w: &mut TestWorld,
+        count: u32,
+        interval: SimDuration,
+        reg: &obs::Registry,
+    ) -> usize {
+        let mut app = BaselineApp::new(Baseline::Ping, phone::wired_ip(1), count, interval);
+        app.attach_metrics(reg);
+        w.install(Box::new(app), RuntimeKind::Native)
     }
 
     #[test]
@@ -305,6 +324,46 @@ mod tests {
         assert_eq!(ping.records.len(), 5);
         assert_eq!(ping.records.completion(), 0.0);
         assert!(ping.finished_at().is_some());
+    }
+
+    #[test]
+    fn an_answer_after_the_deadline_leaves_its_probe_lost() {
+        // A 4 s path: the one answer reaches the phone a second after
+        // the session's 3 s deadline.
+        let mut w = TestWorld::new(15, EchoWire::delay_ms(4_000));
+        let reg = obs::Registry::new();
+        let app = install_observed(&mut w, 1, SimDuration::from_secs(1), &reg);
+        w.run_secs(10);
+        let ping = w.app::<BaselineApp>(app);
+        let rec = &ping.records[0];
+        assert_eq!(ping.finished_at(), Some(rec.tou + DEADLINE));
+        assert!(!rec.completed(), "late answer recorded at {:?}", rec.tiu);
+        assert_eq!((rec.resp_id, rec.reported_ms), (None, None));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("measure.ping.received"), Some(0));
+        assert_eq!(snap.counter("measure.ping.timeouts"), Some(1));
+    }
+
+    #[test]
+    fn each_lost_probe_counts_one_timeout() {
+        let reg = obs::Registry::new();
+        let mut w = TestWorld::new(16, EchoWire::blackhole());
+        install_observed(&mut w, 5, SimDuration::from_millis(100), &reg);
+        w.run_secs(20);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("measure.ping.sent"), Some(5));
+        assert_eq!(snap.counter("measure.ping.timeouts"), Some(5));
+        for gone in ["measure.ping.retries", "measure.ping.rewarms"] {
+            assert_eq!(snap.counter(gone), None, "{gone}");
+        }
+        // An answered session counts none.
+        let reg = obs::Registry::new();
+        let mut w = TestWorld::new(17, EchoWire::delay_ms(30));
+        install_observed(&mut w, 5, SimDuration::from_millis(100), &reg);
+        w.run_secs(20);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("measure.ping.received"), Some(5));
+        assert_eq!(snap.counter("measure.ping.timeouts"), Some(0));
     }
 
     #[test]

@@ -14,22 +14,17 @@ pub struct ProbeMetrics {
     sent: Counter,
     received: Counter,
     timeouts: Counter,
-    retries: Counter,
-    rewarms: Counter,
     rtt_ms: Histogram,
 }
 
 impl ProbeMetrics {
-    /// Register
-    /// `measure.<tool>.{sent,received,timeouts,retries,rewarms,rtt_ms}`
-    /// in `reg`.
+    /// Register `measure.<tool>.{sent,received,timeouts,rtt_ms}` in
+    /// `reg`.
     pub fn from_registry(reg: &Registry, tool: &str) -> ProbeMetrics {
         ProbeMetrics {
             sent: reg.counter(&format!("measure.{tool}.sent")),
             received: reg.counter(&format!("measure.{tool}.received")),
             timeouts: reg.counter(&format!("measure.{tool}.timeouts")),
-            retries: reg.counter(&format!("measure.{tool}.retries")),
-            rewarms: reg.counter(&format!("measure.{tool}.rewarms")),
             rtt_ms: reg.histogram_ms(&format!("measure.{tool}.rtt_ms")),
         }
     }
@@ -45,18 +40,8 @@ impl ProbeMetrics {
         self.rtt_ms.observe(rtt_ms);
     }
 
-    /// A probe attempt hit its deadline with no reply.
+    /// A probe was still unanswered when its session's deadline passed.
     pub fn on_timeout(&self) {
         self.timeouts.inc();
-    }
-
-    /// A timed-out probe was re-sent.
-    pub fn on_retry(&self) {
-        self.retries.inc();
-    }
-
-    /// A fresh warm-up packet was sent to re-warm a dozed radio path.
-    pub fn on_rewarm(&self) {
-        self.rewarms.inc();
     }
 }

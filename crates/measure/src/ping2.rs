@@ -67,7 +67,6 @@ pub struct Ping2Prober {
     /// pair, odd = second.
     outstanding: std::collections::HashMap<u16, SimTime>,
     sent_pairs: u32,
-    metrics: crate::metrics::ProbeMetrics,
 }
 
 impl Ping2Prober {
@@ -80,13 +79,7 @@ impl Ping2Prober {
             records: Vec::new(),
             outstanding: std::collections::HashMap::new(),
             sent_pairs: 0,
-            metrics: crate::metrics::ProbeMetrics::default(),
         }
-    }
-
-    /// Register this prober's telemetry as `measure.ping2.*` in `reg`.
-    pub fn attach_metrics(&mut self, reg: &obs::Registry) {
-        self.metrics = crate::metrics::ProbeMetrics::from_registry(reg, "ping2");
     }
 
     fn send_ping(&mut self, ctx: &mut Ctx<'_, Msg>, seq: u16) {
@@ -104,7 +97,6 @@ impl Ping2Prober {
             tag: PacketTag::Probe(u32::from(seq)),
         };
         self.outstanding.insert(seq, ctx.now());
-        self.metrics.on_send();
         ctx.send(self.via, SimDuration::ZERO, Msg::Wire(p));
     }
 
@@ -149,7 +141,6 @@ impl Node<Msg> for Ping2Prober {
             return;
         };
         let rtt = ctx.now().saturating_since(sent).as_ms_f64();
-        self.metrics.on_reply(rtt);
         let pair = (seq / 2) as usize;
         let second = seq % 2 == 1;
         if let Some(rec) = self.records.get_mut(pair) {

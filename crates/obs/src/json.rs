@@ -57,12 +57,13 @@ impl Json {
         Json::Arr(Vec::new())
     }
 
-    /// Set a key on an object (replaces an existing key). Panics if
-    /// `self` is not an object.
+    /// Set a key on an object (replaces an existing key). An owned
+    /// [`Json`] value moves in; it is not copied. Panics if `self` is not
+    /// an object.
     pub fn set(&mut self, key: &str, value: impl ToJson) {
         match self {
             Json::Obj(entries) => {
-                let v = value.to_json();
+                let v = value.into_json();
                 if let Some(e) = entries.iter_mut().find(|(k, _)| k == key) {
                     e.1 = v;
                 } else {
@@ -73,10 +74,11 @@ impl Json {
         }
     }
 
-    /// Push a value onto an array. Panics if `self` is not an array.
+    /// Push a value onto an array. An owned [`Json`] value moves in; it
+    /// is not copied. Panics if `self` is not an array.
     pub fn push(&mut self, value: impl ToJson) {
         match self {
-            Json::Arr(items) => items.push(value.to_json()),
+            Json::Arr(items) => items.push(value.into_json()),
             _ => panic!("Json::push on a non-array"),
         }
     }
@@ -467,11 +469,25 @@ impl<'a> Parser<'a> {
 pub trait ToJson {
     /// The [`Json`] representation of `self`.
     fn to_json(&self) -> Json;
+
+    /// [`ToJson::to_json`] of an owned value. Owned trees and strings
+    /// move into the result instead of being copied, so building a
+    /// document from its parts costs one allocation per node.
+    fn into_json(self) -> Json
+    where
+        Self: Sized,
+    {
+        self.to_json()
+    }
 }
 
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+
+    fn into_json(self) -> Json {
+        self
     }
 }
 
@@ -501,6 +517,10 @@ impl ToJson for str {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+
+    fn into_json(self) -> Json {
+        Json::Str(self)
     }
 }
 

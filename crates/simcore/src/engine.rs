@@ -422,13 +422,14 @@ impl<M: 'static> Sim<M> {
     /// Install a self-profiler (replacing the default disabled one).
     /// While it is enabled, every handler call counts its event and
     /// its allocations under its node's [`Node::layer`], and one call
-    /// in 64 is timed. At the end of each [`Sim::run_until`] and
-    /// [`Sim::run_until_idle`] the totals land in the profiler as one
-    /// `sim.dispatch` phase (calls = events dispatched) under the
-    /// caller's open phase, with one child per layer whose time is its
-    /// timed calls scaled by 64. The queue's own cost stays in the
-    /// caller's phase. Without an enabled profiler dispatch pays one
-    /// branch; profiling never changes what the run does.
+    /// in 64 is timed. At the end of each [`Sim::run_until_or`] (and so
+    /// [`Sim::run_until`]) and [`Sim::run_until_idle`] the totals land
+    /// in the profiler as one `sim.dispatch` phase (calls = events
+    /// dispatched) under the caller's open phase, with one child per
+    /// layer whose time is its timed calls scaled by 64. The queue's own
+    /// cost stays in the caller's phase. Without an enabled profiler
+    /// dispatch pays one branch; profiling never changes what the run
+    /// does.
     pub fn set_profiler(&mut self, prof: &obs::Profiler) {
         self.ledger = prof.is_enabled().then(|| Ledger::new(prof.clone()));
     }
@@ -579,10 +580,23 @@ impl<M: 'static> Sim<M> {
     /// Process every event with timestamp `<= deadline`, then advance the
     /// clock to exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_until_or(deadline, |_| false);
+    }
+
+    /// [`Sim::run_until`] that also stops as soon as `done` holds: it is
+    /// checked before the first event and after each one. Returns whether
+    /// `done` stopped the run; the clock then stays at the event that
+    /// made it hold instead of advancing to `deadline`.
+    pub fn run_until_or(&mut self, deadline: SimTime, mut done: impl FnMut(&Self) -> bool) -> bool {
         self.start_if_needed();
         let wall = std::time::Instant::now();
+        let mut stopped = false;
         loop {
             if self.inner.stop {
+                break;
+            }
+            if done(self) {
+                stopped = true;
                 break;
             }
             match self.peek_time() {
@@ -594,7 +608,7 @@ impl<M: 'static> Sim<M> {
                 _ => break,
             }
         }
-        if self.inner.now < deadline {
+        if !stopped && self.inner.now < deadline {
             let delta = deadline.saturating_since(self.inner.now);
             self.inner.now = deadline;
             self.inner.metrics.advance_ns.add(delta.as_nanos());
@@ -604,6 +618,7 @@ impl<M: 'static> Sim<M> {
             .wall_ns
             .add(wall.elapsed().as_nanos() as u64);
         self.flush_ledger();
+        stopped
     }
 
     /// Timestamp of the next live (non-cancelled) event. Reaps any
@@ -781,6 +796,40 @@ mod tests {
         );
         sim.run_until(SimTime::from_millis(20));
         assert_eq!(sim.node::<Recorder>(rec).got.len(), 2);
+    }
+
+    #[test]
+    fn run_until_or_stops_after_the_event_that_meets_the_condition() {
+        let prof = obs::Profiler::new();
+        let mut sim = Sim::new(0);
+        sim.set_profiler(&prof);
+        let rec = sim.add_node(Box::new(Recorder { got: vec![] }));
+        for i in 1..=5 {
+            sim.inject(rec, rec, SimTime::from_millis(i), i as u32);
+        }
+        let two_seen = |sim: &Sim<u32>| sim.node::<Recorder>(rec).got.len() >= 2;
+        {
+            let _des = prof.phase("des");
+            assert!(sim.run_until_or(SimTime::from_millis(100), two_seen));
+        }
+        // The clock stays at the second event, not the deadline, and
+        // the ledger flushed the two dispatches.
+        assert_eq!(sim.now(), SimTime::from_millis(2));
+        assert_eq!(sim.events_processed(), 2);
+        let calls: u64 = prof.snapshot().threads[0]
+            .nodes
+            .iter()
+            .filter(|n| n.name == "sim.dispatch")
+            .map(|n| n.calls)
+            .sum();
+        assert_eq!(calls, 2);
+        // Already met: nothing more runs. A condition that never holds
+        // runs to the deadline like `run_until`.
+        assert!(sim.run_until_or(SimTime::from_millis(100), two_seen));
+        assert_eq!(sim.events_processed(), 2);
+        assert!(!sim.run_until_or(SimTime::from_millis(100), |_| false));
+        assert_eq!(sim.events_processed(), 5);
+        assert_eq!(sim.now(), SimTime::from_millis(100));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use phone::Ledger;
 use sniffer::CaptureIndex;
 
 /// All per-layer RTTs and overheads for one probe, in ms.
-#[derive(Debug, Clone, Copy, ToJson)]
+#[derive(Debug, Clone, Copy, PartialEq, ToJson)]
 pub struct ProbeBreakdown {
     /// Probe index.
     pub probe: u32,
