@@ -145,11 +145,11 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
     match class.radio {
         Radio::Wifi => {
             let mut cfg = TestbedConfig::new(seed, profile, path_rtt_ms);
-            // One lossless sniffer: full dn coverage at minimum cost.
-            cfg.sniffers = 1;
+            // Lossless sniffers: full dn coverage, one capture delivery
+            // per frame and no loss draws.
             cfg.sniffer_loss = 0.0;
             // Campaign analysis only ever queries probe packets, so
-            // the sniffer skips cross-traffic data frames — on a
+            // the capture skips cross-traffic data frames — on a
             // congested device that is one delivery per blaster
             // datagram it no longer pays for.
             cfg.sniffer_capture_cross = false;
@@ -190,9 +190,8 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 });
             }
             fold = prof.phase("fold");
-            let capture = tb.capture_index();
             let records = tool_records(tb.phone_node(), class.tool, app);
-            let bds = breakdowns(&records, tb.phone_node().ledger(), &capture);
+            let bds = breakdowns(&records, tb.phone_node().ledger(), tb.capture_index());
             harvest(&mut partial, &records, Some(&bds));
         }
         Radio::Lte | Radio::Umts => {

@@ -67,7 +67,7 @@ struct Listener {
     /// and the medium skips those events entirely.
     feedback: bool,
     /// Whether cross-traffic data frames (`PacketTag::CrossTraffic`)
-    /// are delivered. Fleet sniffers opt out: the capture index never
+    /// are delivered. The fleet's capture opts out: its analysis never
     /// queries them, and at paper load they are ~97% of all frames.
     cross_traffic: bool,
 }

@@ -1,36 +1,33 @@
 //! # sniffer — the external wireless sniffers
 //!
 //! The paper estimates the network-level timestamps `ton`/`tin` with
-//! external wireless sniffers (three Intel-7260 desktops, §2.2). Here a
-//! [`SnifferNode`] attaches to the medium and records every frame with its
-//! on-air completion time; [`merge_captures`] combines multiple sniffers
-//! (deduplicating by frame id, keeping the earliest observation, exactly
-//! what the multi-sniffer testbed does to avoid capture losses); and
-//! [`CaptureIndex`] answers the analysis queries: when was packet X on the
-//! air, what is `dn` for a probe pair, and was there any PSM activity
-//! (PS-Polls, TIM-advertised buffering) during a window.
-//!
-//! Captures export to standard pcap via [`wire::PcapWriter`].
+//! external wireless sniffers (three Intel-7260 desktops, §2.2) and merges
+//! their captures, so one sniffer's losses are covered by the others. Here
+//! one [`CaptureNode`] attaches to the medium as a monitor and stands for
+//! all N sniffers (its vantage points): on each frame it draws every
+//! vantage point's capture loss, and stores a frame that any of them
+//! caught once, in on-air order. Its [`CaptureIndex`] answers the analysis
+//! queries: when was packet X on the air, what is `dn` for a probe pair,
+//! and were there PS-Polls during a window. [`CaptureIndex::to_pcap`]
+//! exports it as a standard pcap.
 //!
 //! ```
-//! use simcore::SimTime;
-//! use sniffer::{Capture, CaptureIndex, SnifferNode};
-//! use wire::{Frame, Ip, Mac, Packet, PacketTag, L4};
+//! use simcore::{Sim, SimTime};
+//! use sniffer::CaptureNode;
+//! use wire::{Frame, Ip, Mac, Msg, Packet, PacketTag, L4};
 //!
 //! let pkt = |id| Packet {
 //!     id, src: Ip::new(192, 168, 1, 100), dst: Ip::new(10, 0, 0, 1), ttl: 64,
 //!     l4: L4::Udp { src_port: 1, dst_port: 2 }, payload_len: 8, tag: PacketTag::Probe(0),
 //! };
-//! let mut s = SnifferNode::new("A");
-//! s.captures.push(Capture {
-//!     at: SimTime::from_millis(10),
-//!     frame: Frame::data(1, Mac::local(1), Mac::local(0), pkt(100), false),
-//! });
-//! s.captures.push(Capture {
-//!     at: SimTime::from_millis(40),
-//!     frame: Frame::data(2, Mac::local(0), Mac::local(1), pkt(200), false),
-//! });
-//! let idx = CaptureIndex::from_sniffers(&[&s]);
+//! let mut sim = Sim::new(0);
+//! let cap = sim.add_node(Box::new(CaptureNode::new(3, 0.0)));
+//! let req = Frame::data(1, Mac::local(1), Mac::local(0), pkt(100), false);
+//! let resp = Frame::data(2, Mac::local(0), Mac::local(1), pkt(200), false);
+//! sim.inject(cap, cap, SimTime::from_millis(10), Msg::AirRx(req));
+//! sim.inject(cap, cap, SimTime::from_millis(40), Msg::AirRx(resp));
+//! sim.run_until_idle(10);
+//! let idx = sim.node::<CaptureNode>(cap).index();
 //! assert_eq!(idx.dn_ms(100, 200), Some(30.0)); // the network-level RTT
 //! ```
 
@@ -50,109 +47,87 @@ pub struct Capture {
     pub frame: Frame,
 }
 
-/// A passive sniffer attached to the medium.
-pub struct SnifferNode {
-    /// Human label ("Sniffer A" …).
-    pub name: &'static str,
-    /// Everything heard, in arrival order.
-    pub captures: Vec<Capture>,
-    /// Independent per-frame capture-loss probability (real sniffers miss
-    /// frames; the testbed uses three sniffers to compensate).
-    pub loss_prob: f64,
+/// The testbed's sniffers as one monitor on the medium: `vantage_points`
+/// receivers, each missing a frame independently with probability
+/// `loss_prob`, whose captures merge as frames arrive.
+pub struct CaptureNode {
+    vantage_points: usize,
+    loss_prob: f64,
+    index: CaptureIndex,
 }
 
-impl SnifferNode {
-    /// A perfect sniffer.
-    pub fn new(name: &'static str) -> SnifferNode {
-        SnifferNode {
-            name,
-            captures: Vec::new(),
-            loss_prob: 0.0,
-        }
-    }
-
-    /// A lossy sniffer (for multi-sniffer merge tests/experiments).
-    pub fn lossy(name: &'static str, loss_prob: f64) -> SnifferNode {
-        SnifferNode {
-            name,
-            captures: Vec::new(),
+impl CaptureNode {
+    /// `vantage_points` sniffers with per-frame capture loss `loss_prob`
+    /// each (real sniffers miss frames; the paper uses three to
+    /// compensate).
+    pub fn new(vantage_points: usize, loss_prob: f64) -> CaptureNode {
+        CaptureNode {
+            vantage_points,
             loss_prob,
+            index: CaptureIndex::default(),
         }
     }
 
-    /// Export this sniffer's capture as a pcap byte stream.
-    pub fn to_pcap(&self) -> PcapWriter {
-        let mut w = PcapWriter::new();
-        for c in &self.captures {
-            w.record_frame(c.at, &c.frame);
-        }
-        w
+    /// Every frame some vantage point caught, once each.
+    pub fn index(&self) -> &CaptureIndex {
+        &self.index
     }
 }
 
-impl Node<Msg> for SnifferNode {
+impl Node<Msg> for CaptureNode {
     fn layer(&self) -> &'static str {
         "sniffer"
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, _from: NodeId, msg: Msg) {
         if let Msg::AirRx(frame) = msg {
-            if self.loss_prob > 0.0 && ctx.rng().chance(self.loss_prob) {
-                return;
+            // One loss draw per vantage point, in order, on every copy:
+            // the draws N sniffer nodes heard in turn would make. A
+            // lossless capture draws nothing.
+            let mut missed = 0;
+            for _ in 0..self.vantage_points {
+                if ctx.rng().chance(self.loss_prob) {
+                    missed += 1;
+                }
             }
-            self.captures.push(Capture {
-                at: ctx.now(),
-                frame,
-            });
+            if missed < self.vantage_points {
+                self.index.record(ctx.now(), frame);
+            }
         }
     }
 }
 
-/// Merge several sniffers' captures: dedup by frame id (earliest stamp
-/// wins), sorted by time.
-pub fn merge_captures(sniffers: &[&SnifferNode]) -> Vec<Capture> {
-    let mut best: HashMap<u64, Capture> = HashMap::new();
-    for s in sniffers {
-        for c in &s.captures {
-            best.entry(c.frame.id)
-                .and_modify(|old| {
-                    if c.at < old.at {
-                        *old = c.clone();
-                    }
-                })
-                .or_insert_with(|| c.clone());
-        }
-    }
-    let mut out: Vec<Capture> = best.into_values().collect();
-    out.sort_by_key(|c| (c.at, c.frame.id));
-    out
-}
-
-/// An index over merged captures answering the paper's analysis queries.
+/// The merged capture, answering the paper's analysis queries.
+#[derive(Debug, Default)]
 pub struct CaptureIndex {
+    /// Sorted by `(at, frame id)`, one entry per frame id.
     captures: Vec<Capture>,
     /// packet id → first time a data frame carrying it was on the air.
     air_time: HashMap<u64, SimTime>,
 }
 
 impl CaptureIndex {
-    /// Build from merged captures.
-    pub fn new(captures: Vec<Capture>) -> CaptureIndex {
-        let mut air_time = HashMap::new();
-        for c in &captures {
-            if let FrameKind::Data { packet, .. } = &c.frame.kind {
-                air_time.entry(packet.id).or_insert(c.at);
-            }
+    /// Store `frame`, caught at `at`, unless it is stored already. Frames
+    /// arrive in time order, and the medium delivers every copy of a
+    /// frame at one instant, so a stored copy can only sit among the
+    /// captures at `at`; those stay sorted by frame id.
+    fn record(&mut self, at: SimTime, frame: Frame) {
+        debug_assert!(self.captures.last().is_none_or(|c| c.at <= at));
+        let tie = self
+            .captures
+            .iter()
+            .rposition(|c| c.at < at)
+            .map_or(0, |i| i + 1);
+        let Err(i) = self.captures[tie..].binary_search_by_key(&frame.id, |c| c.frame.id) else {
+            return;
+        };
+        if let FrameKind::Data { packet, .. } = &frame.kind {
+            self.air_time.entry(packet.id).or_insert(at);
         }
-        CaptureIndex { captures, air_time }
+        self.captures.insert(tie + i, Capture { at, frame });
     }
 
-    /// Build directly from a set of sniffers.
-    pub fn from_sniffers(sniffers: &[&SnifferNode]) -> CaptureIndex {
-        CaptureIndex::new(merge_captures(sniffers))
-    }
-
-    /// The merged captures.
+    /// The merged captures, in on-air order.
     pub fn captures(&self) -> &[Capture] {
         &self.captures
     }
@@ -180,29 +155,20 @@ impl CaptureIndex {
             .count()
     }
 
-    /// Beacons whose TIM was non-empty in `[from, to]` (buffered traffic
-    /// advertised — another PSM signature).
-    pub fn tim_advertisements_between(&self, from: SimTime, to: SimTime) -> usize {
-        self.captures
-            .iter()
-            .filter(|c| c.at >= from && c.at <= to)
-            .filter(|c| matches!(&c.frame.kind, FrameKind::Beacon { tim } if !tim.is_empty()))
-            .count()
-    }
-
-    /// Count of data frames captured.
-    pub fn data_frames(&self) -> usize {
-        self.captures
-            .iter()
-            .filter(|c| matches!(c.frame.kind, FrameKind::Data { .. }))
-            .count()
+    /// The capture as a pcap byte stream, one record per frame.
+    pub fn to_pcap(&self) -> PcapWriter {
+        let mut w = PcapWriter::new();
+        for c in &self.captures {
+            w.record_frame(c.at, &c.frame);
+        }
+        w
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{Sim, SimDuration};
+    use simcore::{DetRng, Sim};
     use wire::{Ip, Mac, Packet, PacketTag, L4};
 
     fn pkt(id: u64) -> Packet {
@@ -224,97 +190,173 @@ mod tests {
         Frame::data(fid, Mac::local(1), Mac::local(0), pkt(pid), false)
     }
 
+    /// A lossless capture of `frames` delivered at their times.
+    fn captured(frames: Vec<(SimTime, Frame)>) -> CaptureIndex {
+        let mut sim = Sim::new(0);
+        let cap = sim.add_node(Box::new(CaptureNode::new(1, 0.0)));
+        for (at, frame) in frames {
+            sim.inject(cap, cap, at, Msg::AirRx(frame));
+        }
+        sim.run_until_idle(1_000);
+        std::mem::take(&mut sim.node_mut::<CaptureNode>(cap).index)
+    }
+
     #[test]
     fn sniffer_records_airrx_only() {
         let mut sim = Sim::new(0);
-        let s = sim.add_node(Box::new(SnifferNode::new("A")));
+        let s = sim.add_node(Box::new(CaptureNode::new(1, 0.0)));
         sim.inject(s, s, SimTime::from_millis(1), Msg::AirRx(data_frame(1, 10)));
         sim.inject(s, s, SimTime::from_millis(2), Msg::TxDone { frame_id: 1 });
         sim.run_until_idle(10);
-        let sn = sim.node::<SnifferNode>(s);
-        assert_eq!(sn.captures.len(), 1);
-        assert_eq!(sn.captures[0].at, SimTime::from_millis(1));
+        let captures = sim.node::<CaptureNode>(s).index().captures();
+        assert_eq!(captures.len(), 1);
+        assert_eq!(captures[0].at, SimTime::from_millis(1));
     }
 
+    /// Three vantage points at 50% loss, fed frames 0..200 (frame `fid`
+    /// at `fid × 10 µs`, frame 100 twice at one instant), next to a
+    /// `DetRng` replay of three `chance(0.5)` per delivery from the same
+    /// seed, in vantage order, duplicates included.
+    struct LossyRun {
+        /// Frame ids in delivery order.
+        deliveries: Vec<u64>,
+        /// Per delivery, which vantage points caught it, by the replay.
+        caught: Vec<[bool; 3]>,
+        /// What the capture stored.
+        stored: Vec<Capture>,
+        /// The engine's and the replay's next draw after the run.
+        next_draws: (u64, u64),
+    }
+
+    fn lossy_run() -> LossyRun {
+        const SEED: u64 = 3;
+        let mut sim = Sim::new(SEED);
+        let cap = sim.add_node(Box::new(CaptureNode::new(3, 0.5)));
+        let mut deliveries: Vec<u64> = (0..200).collect();
+        deliveries.insert(101, 100);
+        for &fid in &deliveries {
+            let at = SimTime::from_micros(fid * 10);
+            sim.inject(cap, cap, at, Msg::AirRx(data_frame(fid, 1000 + fid)));
+        }
+        sim.run_until_idle(1_000);
+        let mut replay = DetRng::new(SEED);
+        let caught = deliveries
+            .iter()
+            .map(|_| std::array::from_fn(|_| !replay.chance(0.5)))
+            .collect();
+        let stored = std::mem::take(&mut sim.node_mut::<CaptureNode>(cap).index).captures;
+        let next_draws = (sim.fork_rng(0).next_u64(), replay.fork(0).next_u64());
+        LossyRun {
+            deliveries,
+            caught,
+            stored,
+            next_draws,
+        }
+    }
+
+    /// Each vantage point misses frames on its own draw: the capture
+    /// stores exactly the frames the replay says some vantage point
+    /// caught, loses the rest, and 201 deliveries cost 603 draws.
     #[test]
-    fn merge_dedups_by_frame_id_keeping_earliest() {
-        let mut a = SnifferNode::new("A");
-        let mut b = SnifferNode::new("B");
-        a.captures.push(Capture {
-            at: SimTime::from_millis(5),
-            frame: data_frame(1, 10),
-        });
-        b.captures.push(Capture {
-            at: SimTime::from_millis(4),
-            frame: data_frame(1, 10),
-        });
-        b.captures.push(Capture {
-            at: SimTime::from_millis(9),
-            frame: data_frame(2, 11),
-        });
-        let merged = merge_captures(&[&a, &b]);
-        assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].at, SimTime::from_millis(4));
-        assert_eq!(merged[1].frame.id, 2);
+    fn lossy_sniffer_drops_some() {
+        let run = lossy_run();
+        let mut want: Vec<u64> = Vec::new();
+        for (&fid, caught) in run.deliveries.iter().zip(&run.caught) {
+            if caught.contains(&true) && want.last() != Some(&fid) {
+                want.push(fid);
+            }
+        }
+        let got: Vec<u64> = run.stored.iter().map(|c| c.frame.id).collect();
+        assert_eq!(got, want);
+        assert!(got.len() < 200, "nothing was lost");
+        assert_eq!(run.next_draws.0, run.next_draws.1);
     }
 
+    /// One vantage point's losses are covered by the others: a frame only
+    /// one of them caught is stored, and the capture holds more frames
+    /// than any single vantage point caught.
     #[test]
     fn merge_fills_capture_losses() {
-        // Sniffer A missed frame 2; B missed frame 1; merged has both.
-        let mut a = SnifferNode::new("A");
-        let mut b = SnifferNode::new("B");
-        a.captures.push(Capture {
-            at: SimTime::from_millis(1),
-            frame: data_frame(1, 10),
-        });
-        b.captures.push(Capture {
-            at: SimTime::from_millis(2),
-            frame: data_frame(2, 11),
-        });
-        let idx = CaptureIndex::from_sniffers(&[&a, &b]);
-        assert!(idx.air_time(10).is_some());
-        assert!(idx.air_time(11).is_some());
+        let run = lossy_run();
+        let stored = |fid: u64| run.stored.iter().any(|c| c.frame.id == fid);
+        let by_one: Vec<u64> = run
+            .deliveries
+            .iter()
+            .zip(&run.caught)
+            .filter(|(_, caught)| caught.iter().filter(|&&c| c).count() == 1)
+            .map(|(&fid, _)| fid)
+            .collect();
+        assert!(!by_one.is_empty(), "no frame caught by just one");
+        assert!(by_one.iter().all(|&fid| stored(fid)));
+        for v in 0..3 {
+            let mut single: Vec<u64> = run
+                .deliveries
+                .iter()
+                .zip(&run.caught)
+                .filter(|(_, caught)| caught[v])
+                .map(|(&fid, _)| fid)
+                .collect();
+            single.dedup();
+            assert!(run.stored.len() > single.len(), "vantage point {v}");
+        }
+    }
+
+    /// Frame 100, delivered twice at one instant, is stored once, at the
+    /// first copy's time, and its second copy still costs each vantage
+    /// point a draw.
+    #[test]
+    fn merge_dedups_by_frame_id_keeping_earliest() {
+        let run = lossy_run();
+        let copies = &run.caught[100..=101];
+        assert_eq!(run.deliveries[100..=101], [100, 100]);
+        assert!(copies.iter().all(|caught| caught.contains(&true)));
+        let at: Vec<SimTime> = run
+            .stored
+            .iter()
+            .filter(|c| c.frame.id == 100)
+            .map(|c| c.at)
+            .collect();
+        assert_eq!(at, [SimTime::from_micros(1_000)]);
+        assert_eq!(run.next_draws.0, run.next_draws.1);
+    }
+
+    #[test]
+    fn same_instant_frames_keep_frame_id_order() {
+        let t = SimTime::from_millis(3);
+        let idx = captured(vec![
+            (t, data_frame(9, 90)),
+            (t, data_frame(4, 40)),
+            (t, data_frame(9, 90)),
+            (SimTime::from_millis(1), data_frame(7, 70)),
+        ]);
+        let order: Vec<u64> = idx.captures().iter().map(|c| c.frame.id).collect();
+        assert_eq!(order, [7, 4, 9]);
     }
 
     #[test]
     fn dn_from_probe_pair() {
-        let mut a = SnifferNode::new("A");
-        a.captures.push(Capture {
-            at: SimTime::from_millis(10),
-            frame: data_frame(1, 100),
-        });
-        a.captures.push(Capture {
-            at: SimTime::from_micros(41_300),
-            frame: data_frame(2, 200),
-        });
-        let idx = CaptureIndex::from_sniffers(&[&a]);
+        let idx = captured(vec![
+            (SimTime::from_millis(10), data_frame(1, 100)),
+            (SimTime::from_micros(41_300), data_frame(2, 200)),
+        ]);
         assert!((idx.dn_ms(100, 200).unwrap() - 31.3).abs() < 1e-9);
         assert_eq!(idx.dn_ms(100, 999), None);
-        assert_eq!(idx.data_frames(), 2);
     }
 
     #[test]
     fn psm_signatures() {
-        let mut a = SnifferNode::new("A");
-        a.captures.push(Capture {
-            at: SimTime::from_millis(1),
-            frame: Frame::ps_poll(1, Mac::local(1), Mac::local(0)),
-        });
-        a.captures.push(Capture {
-            at: SimTime::from_millis(2),
-            frame: Frame::beacon(2, Mac::local(0), vec![Mac::local(1)]),
-        });
-        a.captures.push(Capture {
-            at: SimTime::from_millis(3),
-            frame: Frame::beacon(3, Mac::local(0), vec![]),
-        });
-        let idx = CaptureIndex::new(merge_captures(&[&a]));
+        let idx = captured(vec![
+            (
+                SimTime::from_millis(1),
+                Frame::ps_poll(1, Mac::local(1), Mac::local(0)),
+            ),
+            (
+                SimTime::from_millis(2),
+                Frame::beacon(2, Mac::local(0), vec![Mac::local(1)]),
+            ),
+        ]);
         assert_eq!(
             idx.ps_polls_between(SimTime::ZERO, SimTime::from_millis(5)),
-            1
-        );
-        assert_eq!(
-            idx.tim_advertisements_between(SimTime::ZERO, SimTime::from_millis(5)),
             1
         );
         assert_eq!(
@@ -324,32 +366,13 @@ mod tests {
     }
 
     #[test]
-    fn lossy_sniffer_drops_some() {
-        let mut sim = Sim::new(3);
-        let s = sim.add_node(Box::new(SnifferNode::lossy("L", 0.5)));
-        for i in 0..200 {
-            sim.inject(
-                s,
-                s,
-                SimTime::from_micros(i * 10),
-                Msg::AirRx(data_frame(i, 1000 + i)),
-            );
-        }
-        sim.run_until_idle(1000);
-        let n = sim.node::<SnifferNode>(s).captures.len();
-        assert!((60..140).contains(&n), "n={n}");
-    }
-
-    #[test]
     fn pcap_export_has_all_records() {
-        let mut a = SnifferNode::new("A");
-        for i in 0..5 {
-            a.captures.push(Capture {
-                at: SimTime::from_millis(i),
-                frame: data_frame(i, 100 + i),
-            });
-        }
-        let w = a.to_pcap();
+        let idx = captured(
+            (0..5)
+                .map(|i| (SimTime::from_millis(i), data_frame(i, 100 + i)))
+                .collect(),
+        );
+        let w = idx.to_pcap();
         assert_eq!(w.count(), 5);
         assert!(w.to_bytes().len() > 24);
     }
@@ -358,17 +381,10 @@ mod tests {
     fn air_time_uses_first_observation() {
         // Same packet id in two frames (e.g. a MAC retry would re-air it):
         // the first on-air time is the one that defines ton.
-        let mut a = SnifferNode::new("A");
-        a.captures.push(Capture {
-            at: SimTime::from_millis(2),
-            frame: data_frame(1, 10),
-        });
-        a.captures.push(Capture {
-            at: SimTime::from_millis(4),
-            frame: data_frame(2, 10),
-        });
-        let idx = CaptureIndex::new(merge_captures(&[&a]));
+        let idx = captured(vec![
+            (SimTime::from_millis(2), data_frame(1, 10)),
+            (SimTime::from_millis(4), data_frame(2, 10)),
+        ]);
         assert_eq!(idx.air_time(10), Some(SimTime::from_millis(2)));
-        let _ = SimDuration::ZERO;
     }
 }

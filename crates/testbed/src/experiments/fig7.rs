@@ -48,7 +48,7 @@ pub fn run_entry(profile: PhoneProfile, rtt_ms: u64, k: u32, seed: u64) -> Fig7E
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let am = phone_node.app::<AcuteMonApp>(app);
-    let bds = breakdowns(&am.records, phone_node.ledger(), &index);
+    let bds = breakdowns(&am.records, phone_node.ledger(), index);
     let du_k = series(&bds, |b| b.du_k());
     let dk_n = series(&bds, |b| b.dk_n());
     Fig7Entry {

@@ -58,7 +58,7 @@ pub fn run_ping(
         phone: phone_name,
         rtt_ms,
         interval_ms,
-        breakdowns: breakdowns(&ping.records, phone_node.ledger(), &index),
+        breakdowns: breakdowns(&ping.records, phone_node.ledger(), index),
     }
 }
 

@@ -68,7 +68,7 @@ pub fn measure_phone(profile: PhoneProfile, reps: u32, seed: u64) -> Table4Row {
     let idle_tail = SimDuration::from_secs(20);
     tb.run_until(SimTime::ZERO + probe_horizon + idle_tail);
 
-    // Tip samples from the merged captures.
+    // Tip samples from the capture.
     let index = tb.capture_index();
     let phone_mac = wire::Mac::local(1);
     let mut last_data: Option<SimTime> = None;

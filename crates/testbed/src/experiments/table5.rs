@@ -51,7 +51,7 @@ pub fn run_cell(profile: PhoneProfile, rtt_ms: u64, k: u32, seed: u64) -> Table5
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let am = phone_node.app::<AcuteMonApp>(app);
-    let bds = breakdowns(&am.records, phone_node.ledger(), &index);
+    let bds = breakdowns(&am.records, phone_node.ledger(), index);
     let dn = series(&bds, |b| b.dn);
     let start = am.records.first().map(|r| r.tou).unwrap_or(SimTime::ZERO);
     let end = am.finished_at().unwrap_or_else(|| tb.sim.now());

@@ -99,7 +99,7 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
         TelemetryTool::AcuteMon => &phone_node.app::<AcuteMonApp>(idx).records,
         TelemetryTool::SlowPing => &phone_node.app::<BaselineApp>(idx).records,
     };
-    let bds = breakdowns(records, phone_node.ledger(), &index);
+    let bds = breakdowns(records, phone_node.ledger(), index);
     TelemetryRun {
         breakdowns: bds,
         snapshot: reg.snapshot(),

@@ -98,7 +98,7 @@ pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> W
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let records = &phone_node.app::<BaselineApp>(idx).records;
-    let bds = breakdowns(records, phone_node.ledger(), &index);
+    let bds = breakdowns(records, phone_node.ledger(), index);
 
     let spans = tracer.spans();
     let mut waterfalls = Vec::new();

@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn join_handles_lost_probes() {
         let ledger = Ledger::new();
-        let index = CaptureIndex::new(vec![]);
+        let index = CaptureIndex::default();
         let records = vec![RttRecord::sent(0, 1, SimTime::ZERO)];
         let bds = breakdowns(&records, &ledger, &index);
         assert_eq!(bds.len(), 1);

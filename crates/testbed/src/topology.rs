@@ -3,12 +3,13 @@
 //! ```text
 //!  phone ── StaMac ──╮                          ╭── link(netem) ── measurement server
 //!  load gen ─ StaMac ─┼── medium ── AP ── switch ┤
-//!  sniffers A/B/C ────╯   (802.11g)  (gateway)   ╰── load server
+//!  capture (A/B/C) ───╯   (802.11g)  (gateway)   ╰── load server
 //! ```
 //!
 //! The AP is the first-hop gateway (TTL handling), the switch routes the
 //! wired segment, and the netem link in front of the measurement server
-//! emulates the controlled path length (the paper's `tc` delays).
+//! emulates the controlled path length (the paper's `tc` delays). The
+//! paper's three sniffers are one monitor holding three vantage points.
 
 use netem::{
     FaultPlan, LinkNode, LinkParams, LoadConfig, ServerConfig, ServerNode, SwitchNode,
@@ -17,7 +18,7 @@ use netem::{
 use phone::{App, PhoneNode, PhoneProfile, RuntimeKind};
 use phy80211::{ApConfig, ApNode, MediumConfig, MediumNode, PsmPolicy, StaConfig, StaMacNode};
 use simcore::{NodeId, Sim, SimDuration, SimTime};
-use sniffer::{CaptureIndex, SnifferNode};
+use sniffer::{CaptureIndex, CaptureNode};
 use wire::{Mac, Msg};
 
 /// Addresses used by the standard testbed.
@@ -52,10 +53,11 @@ pub struct TestbedConfig {
     pub cross_traffic: bool,
     /// When the cross traffic stops (ignored unless enabled).
     pub cross_stop: SimTime,
-    /// Whether sniffers capture cross-traffic data frames. The paper's
-    /// sniffers do (default `true`); fleet campaigns, whose analysis only
-    /// ever queries probe packets, turn this off so a congested channel
-    /// does not cost three sniffer deliveries per blaster datagram.
+    /// Whether the sniffers capture cross-traffic data frames. The
+    /// paper's sniffers do (default `true`); fleet campaigns, whose
+    /// analysis only ever queries probe packets, turn this off so a
+    /// congested channel does not cost a capture delivery per blaster
+    /// datagram.
     pub sniffer_capture_cross: bool,
     /// Whether the phone's host-bus sleep feature is enabled (Table 3 and
     /// Fig. 9 disable it, as the paper does by patching the driver).
@@ -65,7 +67,8 @@ pub struct TestbedConfig {
     pub psm_override: Option<PsmPolicy>,
     /// Override the listen interval (None = the profile's actual value).
     pub listen_interval_override: Option<u32>,
-    /// Number of sniffers (the paper uses three).
+    /// Number of sniffers (the paper uses three): the vantage points of
+    /// the one capture node. With none, nothing is captured.
     pub sniffers: usize,
     /// Per-sniffer independent capture-loss probability.
     pub sniffer_loss: f64,
@@ -184,8 +187,9 @@ pub struct Testbed {
     pub server: NodeId,
     /// The load server.
     pub load_server: NodeId,
-    /// The sniffers.
-    pub sniffers: Vec<NodeId>,
+    /// The capture node holding every sniffer (attached to the medium
+    /// only when the config has sniffers).
+    pub capture: NodeId,
     /// The cross-traffic blaster (if enabled).
     pub blaster: Option<NodeId>,
     /// The beacon offset chosen for this run.
@@ -262,17 +266,11 @@ impl Testbed {
         sim.node_mut::<MediumNode>(medium)
             .attach_station(ap, AP_MAC, true);
 
-        // Sniffers.
-        let names = ["Sniffer A", "Sniffer B", "Sniffer C", "Sniffer D"];
-        let mut sniffers = Vec::new();
-        for i in 0..cfg.sniffers {
-            let s = sim.add_node(Box::new(SnifferNode::lossy(
-                names[i % names.len()],
-                cfg.sniffer_loss,
-            )));
+        // The sniffers: one monitor, one delivery per frame.
+        let capture = sim.add_node(Box::new(CaptureNode::new(cfg.sniffers, cfg.sniffer_loss)));
+        if cfg.sniffers > 0 {
             sim.node_mut::<MediumNode>(medium)
-                .attach_monitor(s, cfg.sniffer_capture_cross);
-            sniffers.push(s);
+                .attach_monitor(capture, cfg.sniffer_capture_cross);
         }
 
         // The phone and its station MAC.
@@ -352,7 +350,7 @@ impl Testbed {
             server_link,
             server,
             load_server,
-            sniffers,
+            capture,
             blaster,
             beacon_offset,
         }
@@ -425,14 +423,9 @@ impl Testbed {
         self.phone_node().app::<T>(idx)
     }
 
-    /// Merge all sniffers into an analysis index.
-    pub fn capture_index(&self) -> CaptureIndex {
-        let sniffs: Vec<&SnifferNode> = self
-            .sniffers
-            .iter()
-            .map(|&s| self.sim.node::<SnifferNode>(s))
-            .collect();
-        CaptureIndex::from_sniffers(&sniffs)
+    /// Every frame the sniffers caught, once each, in on-air order.
+    pub fn capture_index(&self) -> &CaptureIndex {
+        self.sim.node::<CaptureNode>(self.capture).index()
     }
 
     /// Attach a ping2-style wired prober (Sui et al. \[34\]) at

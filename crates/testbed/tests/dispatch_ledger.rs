@@ -7,6 +7,7 @@
 use measure::{Baseline, BaselineApp};
 use obs::{ProfSnapshot, Profiler};
 use phone::RuntimeKind;
+use phy80211::MediumNode;
 use simcore::{SimDuration, SimTime};
 use testbed::{addr, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
 
@@ -40,9 +41,9 @@ fn ping(k: u32) -> Box<BaselineApp> {
     ))
 }
 
-/// A profiled WiFi testbed run; returns the profile and the events
-/// dispatched inside the `des` phase.
-fn profiled_wifi(cfg: TestbedConfig, until: SimTime) -> (ProfSnapshot, u64) {
+/// A profiled WiFi testbed run; returns the profile, the events
+/// dispatched inside the `des` phase and the testbed.
+fn profiled_wifi(cfg: TestbedConfig, until: SimTime) -> (ProfSnapshot, u64, Testbed) {
     let prof = Profiler::new();
     let mut tb = Testbed::build(cfg);
     tb.sim.set_profiler(&prof);
@@ -53,13 +54,14 @@ fn profiled_wifi(cfg: TestbedConfig, until: SimTime) -> (ProfSnapshot, u64) {
         tb.run_until(SimTime::from_millis(700));
         tb.run_until(until);
     }
-    (prof.snapshot(), tb.sim.events_processed() - before)
+    let dispatched = tb.sim.events_processed() - before;
+    (prof.snapshot(), dispatched, tb)
 }
 
 #[test]
 fn dispatch_calls_equal_events_dispatched() {
     let cfg = TestbedConfig::new(3, phone::nexus5(), 40);
-    let (snap, dispatched) = profiled_wifi(cfg, SimTime::from_secs(2));
+    let (snap, dispatched, _) = profiled_wifi(cfg, SimTime::from_secs(2));
     let (events, layers) = dispatch_rows(&snap);
     assert!(dispatched > 100, "too few events: {dispatched}");
     assert_eq!(events, dispatched);
@@ -69,9 +71,23 @@ fn dispatch_calls_equal_events_dispatched() {
 }
 
 #[test]
+fn the_sniffers_cost_one_delivery_per_frame() {
+    // Three vantage points, one capture node: the sniffer layer is
+    // called once for each frame the medium delivers.
+    let cfg = TestbedConfig::new(3, phone::nexus5(), 40);
+    assert_eq!(cfg.sniffers, 3);
+    let (snap, _, tb) = profiled_wifi(cfg, SimTime::from_secs(2));
+    let (_, layers) = dispatch_rows(&snap);
+    let sniffer = layers.iter().find(|(name, _)| *name == "sniffer");
+    let delivered = tb.sim.node::<MediumNode>(tb.medium).stats.delivered;
+    assert!(delivered > 10, "too few frames: {delivered}");
+    assert_eq!(sniffer.map(|&(_, calls)| calls), Some(delivered));
+}
+
+#[test]
 fn wifi_cross_traffic_reports_every_wifi_layer() {
     let cfg = TestbedConfig::new(4, phone::nexus5(), 40).with_cross_traffic(SimTime::from_secs(2));
-    let (snap, _) = profiled_wifi(cfg, SimTime::from_secs(2));
+    let (snap, _, _) = profiled_wifi(cfg, SimTime::from_secs(2));
     let (_, layers) = dispatch_rows(&snap);
     for want in [
         "phone",

@@ -31,7 +31,7 @@ fn main() {
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let ping = phone_node.app::<BaselineApp>(app);
-    let bds = breakdowns(&ping.records, phone_node.ledger(), &index);
+    let bds = breakdowns(&ping.records, phone_node.ledger(), index);
 
     println!("Nexus 5, 60 ms emulated path, ping at 1 s interval");
     println!("(Tis = 50 ms: every probe pays the TX bus wake, and the reply");

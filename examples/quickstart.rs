@@ -46,7 +46,7 @@ fn main() {
     let am_app = phone_node2.app::<AcuteMonApp>(am);
     let am_du = am_app.records.du();
     let am_sum = Summary::of(&am_du).expect("acutemon samples");
-    let bds = breakdowns(&am_app.records, phone_node2.ledger(), &index);
+    let bds = breakdowns(&am_app.records, phone_node2.ledger(), index);
     let dn = series(&bds, |b| b.dn);
     let dn_sum = Summary::of(&dn).expect("dn samples");
 

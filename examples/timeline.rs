@@ -1,7 +1,7 @@
 //! Fig. 6 as an executable document: run AcuteMon and print the
 //! choreography — warm-up, SDIO wake, background cadence, PSM doze —
 //! from the records the paper itself reads: the phone's driver-hook
-//! ledger (Table 3), the sniffers' captures (Table 4's PM bits) and the
+//! ledger (Table 3), the sniffer capture (Table 4's PM bits) and the
 //! tool's own probe records.
 //!
 //! ```sh

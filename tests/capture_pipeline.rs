@@ -1,12 +1,12 @@
-//! Integration tests for the capture/analysis pipeline: sniffer merge,
-//! pcap export validity, and cross-layer timestamp consistency.
+//! Integration tests for the capture/analysis pipeline: the merged
+//! sniffer capture, pcap export validity, and cross-layer timestamp
+//! consistency.
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use phone::PhoneNode;
 use simcore::SimTime;
-use sniffer::{merge_captures, SnifferNode};
 use testbed::{addr, Testbed, TestbedConfig};
-use wire::{codec, FrameKind, PcapWriter};
+use wire::{codec, FrameKind};
 
 fn run_testbed() -> Testbed {
     let mut tb = Testbed::build(TestbedConfig::new(5, phone::nexus5(), 40));
@@ -18,19 +18,12 @@ fn run_testbed() -> Testbed {
     tb
 }
 
-/// Three lossy sniffers merged recover (nearly) every frame, and every
-/// frame appears exactly once.
+/// The three lossy sniffers' capture holds every frame exactly once, in
+/// on-air order.
 #[test]
 fn multi_sniffer_merge_recovers_losses() {
     let tb = run_testbed();
-    let sniffs: Vec<&SnifferNode> = tb
-        .sniffers
-        .iter()
-        .map(|&s| tb.sim.node::<SnifferNode>(s))
-        .collect();
-    let merged = merge_captures(&sniffs);
-    let best_single = sniffs.iter().map(|s| s.captures.len()).max().unwrap();
-    assert!(merged.len() >= best_single, "merge lost frames");
+    let merged = tb.capture_index().captures();
     // No duplicate frame ids.
     let mut ids: Vec<u64> = merged.iter().map(|c| c.frame.id).collect();
     let n = ids.len();
@@ -48,14 +41,9 @@ fn multi_sniffer_merge_recovers_losses() {
 #[test]
 fn pcap_bytes_are_valid_ipv4() {
     let tb = run_testbed();
-    let sniffs: Vec<&SnifferNode> = tb
-        .sniffers
-        .iter()
-        .map(|&s| tb.sim.node::<SnifferNode>(s))
-        .collect();
-    let merged = merge_captures(&sniffs);
+    let capture = tb.capture_index();
     let mut checked = 0;
-    for c in &merged {
+    for c in capture.captures() {
         if let FrameKind::Data { packet, .. } = &c.frame.kind {
             let bytes = codec::encode(packet);
             let decoded = codec::decode(&bytes).expect("capture decodes");
@@ -68,13 +56,10 @@ fn pcap_bytes_are_valid_ipv4() {
     assert!(checked > 20, "only {checked} data frames checked");
 
     // And the full pcap writes and starts with the classic magic.
-    let mut w = PcapWriter::new();
-    for c in &merged {
-        w.record_frame(c.at, &c.frame);
-    }
+    let w = capture.to_pcap();
     let bytes = w.to_bytes();
     assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
-    assert_eq!(w.count(), merged.len());
+    assert_eq!(w.count(), capture.captures().len());
 }
 
 /// Cross-layer timestamp sanity: for every completed probe,

@@ -35,7 +35,7 @@ fn headline_median_overhead_within_3ms_for_all_phones() {
                 (am.records.completion() - 1.0).abs() < 1e-12,
                 "{name} at {rtt}ms lost probes"
             );
-            let bds = breakdowns(&am.records, phone_node.ledger(), &index);
+            let bds = breakdowns(&am.records, phone_node.ledger(), index);
             let total = series(&bds, |b| b.total());
             let med = median(&total).expect("overhead samples");
             assert!(
@@ -104,7 +104,7 @@ fn psm_buffers_responses_at_the_ap() {
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let ping = phone_node.app::<BaselineApp>(app);
-    let bds = breakdowns(&ping.records, phone_node.ledger(), &index);
+    let bds = breakdowns(&ping.records, phone_node.ledger(), index);
     let dn = series(&bds, |b| b.dn);
     let med = median(&dn).expect("dn");
     // Inflated well beyond the emulated 60 ms...

@@ -1,6 +1,6 @@
 //! A measurement session is final when its tool reports `finished_at`:
 //! running on to the horizon changes neither the tool's records nor the
-//! per-probe breakdowns joined from the phone ledger and the sniffers.
+//! per-probe breakdowns joined from the phone ledger and the capture.
 //! That is what lets a fleet device's simulation stop at its tool's
 //! finish instead of at the campaign horizon.
 
@@ -9,7 +9,7 @@ use measure::{Baseline, BaselineApp, RecordSet, RttRecord};
 use netem::FaultPlan;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{NodeId, Sim, SimDuration, SimTime};
-use sniffer::{CaptureIndex, SnifferNode};
+use sniffer::{CaptureIndex, CaptureNode};
 use testbed::{
     addr, breakdowns, CellTestbed, CellTestbedConfig, ProbeBreakdown, Testbed, TestbedConfig,
 };
@@ -45,12 +45,12 @@ fn finished_at(phone: &PhoneNode, tool: Tool, app: usize) -> Option<SimTime> {
     }
 }
 
-/// The tool's records and their breakdowns. `sniffers` is empty on a
-/// cellular testbed, whose breakdowns then carry no `dn`.
+/// The tool's records and their breakdowns. A cellular testbed has no
+/// `capture`, and its breakdowns then carry no `dn`.
 fn session(
     sim: &Sim<Msg>,
     phone: NodeId,
-    sniffers: &[NodeId],
+    capture: Option<NodeId>,
     tool: Tool,
     app: usize,
 ) -> (Vec<RttRecord>, Vec<ProbeBreakdown>) {
@@ -59,12 +59,9 @@ fn session(
         Tool::AcuteMon => phone.app::<AcuteMonApp>(app).records.clone(),
         Tool::Ping => phone.app::<BaselineApp>(app).records.clone(),
     };
-    let sniffers: Vec<&SnifferNode> = sniffers.iter().map(|&s| sim.node(s)).collect();
-    let bds = breakdowns(
-        &records,
-        phone.ledger(),
-        &CaptureIndex::from_sniffers(&sniffers),
-    );
+    let none = CaptureIndex::default();
+    let index = capture.map_or(&none, |c| sim.node::<CaptureNode>(c).index());
+    let bds = breakdowns(&records, phone.ledger(), index);
     (records, bds)
 }
 
@@ -74,7 +71,7 @@ fn session(
 fn assert_final_at_finish(
     sim: &mut Sim<Msg>,
     phone: NodeId,
-    sniffers: &[NodeId],
+    capture: Option<NodeId>,
     tool: Tool,
     app: usize,
 ) -> Vec<RttRecord> {
@@ -82,14 +79,14 @@ fn assert_final_at_finish(
         finished_at(sim.node(phone), tool, app).is_some()
     });
     assert!(stopped, "{tool:?} did not finish by the horizon");
-    let at_finish = session(sim, phone, sniffers, tool, app);
+    let at_finish = session(sim, phone, capture, tool, app);
     let events = sim.events_processed();
     sim.run_until(HORIZON);
     assert!(
         sim.events_processed() > events,
         "nothing ran after the finish"
     );
-    assert_eq!(session(sim, phone, sniffers, tool, app), at_finish);
+    assert_eq!(session(sim, phone, capture, tool, app), at_finish);
     at_finish.0
 }
 
@@ -97,8 +94,9 @@ fn assert_final_at_finish(
 fn wifi(cfg: TestbedConfig, tool: Tool, am: AcuteMonConfig) -> Vec<RttRecord> {
     let mut tb = Testbed::build(cfg);
     let app = install(tb.sim.node_mut(tb.phone), tool, am);
-    let records = assert_final_at_finish(&mut tb.sim, tb.phone, &tb.sniffers, tool, app);
-    let bds = session(&tb.sim, tb.phone, &tb.sniffers, tool, app).1;
+    let capture = Some(tb.capture);
+    let records = assert_final_at_finish(&mut tb.sim, tb.phone, capture, tool, app);
+    let bds = session(&tb.sim, tb.phone, capture, tool, app).1;
     assert!(
         bds.iter().any(|b| b.dn.is_some()),
         "the sniffers saw no probe"
@@ -154,7 +152,7 @@ fn cellular(cfg: CellTestbedConfig, tool: Tool) {
     let am = cfg.acutemon_profile(K);
     let mut tb = CellTestbed::build(cfg);
     let app = install(tb.sim.node_mut(tb.phone), tool, am);
-    let records = assert_final_at_finish(&mut tb.sim, tb.phone, &[], tool, app);
+    let records = assert_final_at_finish(&mut tb.sim, tb.phone, None, tool, app);
     assert_eq!(records.completion(), 1.0, "{tool:?}");
 }
 
