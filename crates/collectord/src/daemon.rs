@@ -453,7 +453,7 @@ impl Daemon {
         if !telemetered.is_empty() {
             let _ = writeln!(
                 out,
-                "# HELP collectord_shard_queue_depth reorder-buffer depth self-reported by the shard"
+                "# HELP collectord_shard_queue_depth devices held past the head segment, self-reported by the shard"
             );
             let _ = writeln!(out, "# TYPE collectord_shard_queue_depth gauge");
             for (label, t) in &telemetered {

@@ -1,25 +1,29 @@
 //! The campaign engine: a fixed pool of OS worker threads pulling
-//! device indices off a shared atomic counter, streaming
-//! [`DevicePartial`]s over a *bounded* channel into one collector.
+//! device indices off a shared atomic counter, each folding the devices
+//! it runs into a [`Collector`] of its own, and handing those states
+//! over a *bounded* channel to one collector thread.
 //!
 //! Every merge commutes, so device order matters only where something
 //! reads the collector: a checkpoint, a progress push, or the halt hook.
 //! The engine splits its range into *segments* at those points
 //! (multiples of [`CheckpointPolicy::every`] and [`ProgressSink::every`]
 //! counted from the range start, the halt point, and the range end). A
-//! partial whose index falls in the head (oldest open) segment folds as
-//! soon as it arrives; only partials past the head segment wait in a
-//! reorder buffer. When the head segment completes, its checkpoint,
+//! worker folds its devices into a state tagged with the end of their
+//! segment, and hands it over when it claims a device of a later segment
+//! (before any wait) or leaves its loop. The collector absorbs the head
+//! (oldest open) segment's states on arrival and merges a later
+//! segment's into one held state until that segment becomes the head.
+//! When the head segment's device count is complete, its checkpoint,
 //! progress call or halt fires, so every reader sees exactly the
 //! contiguous prefix `[start, boundary)`. A run with no reader is one
-//! segment: nothing is held and no worker waits.
+//! segment: each worker hands over once, and no worker waits.
 //!
 //! Memory is bounded by an explicit backpressure window: a worker may
 //! not *start* device `i` until `i` is within `window = 2·workers + 4`
-//! devices of the head segment's end, so the reorder buffer holds at
-//! most `window` partials even when per-device runtimes are wildly
+//! devices of the head segment's end, so the held states cover at most
+//! `window` devices even when per-device runtimes are wildly
 //! heterogeneous (lognormal path RTTs, cross-traffic strata). The
-//! channel bound additionally keeps finished-but-unmerged partials from
+//! channel bound additionally keeps finished-but-unmerged states from
 //! piling up when the collector itself lags.
 //!
 //! The same inner loop powers three entry points that all produce
@@ -41,7 +45,7 @@ use obs::{Json, ToJson};
 
 use crate::profile::{CampaignProfile, StratumCost};
 use crate::report::{CampaignReport, CampaignStateError, Collector};
-use crate::shard::{run_device_prof, DevicePartial};
+use crate::shard::run_device_prof;
 use crate::spec::CampaignSpec;
 
 /// Wall-clock throughput of one engine run. Kept out of the campaign
@@ -57,9 +61,10 @@ pub struct RunStats {
     pub devices: u64,
     /// Probes sent by the devices this run simulated.
     pub probes: u64,
-    /// High-water mark of the reorder buffer: partials held because
-    /// they arrived past the head segment. Always 0 for a run with no
-    /// checkpoint, progress sink or halt hook.
+    /// High-water mark of the devices held past the head segment: run
+    /// and handed over, but not yet absorbed because an earlier segment
+    /// is still open. Always 0 for a run with no checkpoint, progress
+    /// sink or halt hook.
     pub reorder_peak: usize,
     /// The run's self-profile, present when
     /// [`RunOptions::profiler`] was enabled.
@@ -103,8 +108,10 @@ pub struct CheckpointPolicy {
 /// runs: each call serializes [`Collector::state_json`] and ships it as
 /// a cumulative partial, the final call marked `done` so the daemon
 /// knows the shard's slice is complete. The hook runs on the collector
-/// thread, between absorptions — it sees a consistent, contiguous
-/// prefix of the shard's range every time.
+/// thread once every worker's state for the devices before its point
+/// has been absorbed — it sees a consistent, contiguous prefix of the
+/// shard's range every time. Each point ends a segment, so a finer
+/// `every` costs the workers one more hand-off each per call.
 #[derive(Clone)]
 pub struct ProgressSink {
     /// Devices between progress calls (must be ≥ 1).
@@ -119,10 +126,10 @@ pub struct ProgressSink {
 pub type ProgressFn = std::sync::Arc<dyn Fn(&Collector, &Progress, bool) + Send + Sync>;
 
 /// Live engine telemetry handed to every [`ProgressSink`] call —
-/// throughput, per-worker progress, the reorder-buffer depth, and the
-/// self-profiler's phase split. Unlike the collector state, none of
-/// this is deterministic; it rides *next to* the campaign data, never
-/// inside it.
+/// throughput, per-worker progress, the devices held past the head
+/// segment, and the self-profiler's phase split. Unlike the collector
+/// state, none of this is deterministic; it rides *next to* the
+/// campaign data, never inside it.
 #[derive(Debug, Clone, Default)]
 pub struct Progress {
     /// Devices absorbed by this run so far.
@@ -133,7 +140,8 @@ pub struct Progress {
     pub elapsed: std::time::Duration,
     /// Worker threads driving the run.
     pub workers: usize,
-    /// Partials held past the head segment at the time of the call.
+    /// Devices held past the head segment at the time of the call:
+    /// run and handed over, waiting for an earlier segment to complete.
     pub queue_depth: usize,
     /// Devices completed per worker thread, spawn order.
     pub per_worker_devices: Vec<u64>,
@@ -222,14 +230,15 @@ fn run_range(
 ) -> (Collector, RunStats, bool) {
     let workers = workers.max(1);
     let start_index = collector.next_index();
+    let probes_before = collector.probes_sent();
     let window = (workers as u64) * 2 + 4;
     let cp_every = opts.checkpoint.as_ref().map(|cp| cp.every);
     let ps_every = opts.progress.as_ref().map(|ps| ps.every);
     // A halt hook of 0 still absorbs one device, as it always has.
     let halt_at = opts.halt_after_devices.map(|h| start_index + h.max(1));
     // The first point after `at` where something reads the collector:
-    // the end of the segment that starts at `at`.
-    let segment_end = |at: u64| -> u64 {
+    // the end of the segment that holds device `at`.
+    let segment_end = move |at: u64| -> u64 {
         let done = at - start_index;
         let grid = [cp_every, ps_every]
             .into_iter()
@@ -241,12 +250,14 @@ fn run_range(
     let next = AtomicU64::new(start_index);
     let head_end = AtomicU64::new(segment_end(start_index));
     let stop = AtomicBool::new(false);
+    // Each worker's states start from this one, so none re-hashes the
+    // spec.
+    let template = collector.empty_like();
     // Small bound: enough to decouple workers from the collector's
     // merge cost, small enough that memory stays O(workers).
-    let (tx, rx) = mpsc::sync_channel::<DevicePartial>(workers * 2);
+    let (tx, rx) = mpsc::sync_channel::<(u64, Collector)>(workers * 2);
     let start = Instant::now();
     let mut reorder_peak = 0usize;
-    let mut probes_run = 0u64;
     let mut halted = false;
     let prof = &opts.profiler;
     // Live progress accounting (one relaxed increment per device) and,
@@ -281,6 +292,7 @@ fn run_range(
             let next = &next;
             let head_end = &head_end;
             let stop = &stop;
+            let template = &template;
             let prof = prof.clone();
             let per_worker = &per_worker;
             let stratum_ns = &stratum_ns;
@@ -288,6 +300,16 @@ fn run_range(
             scope.spawn(move || {
                 prof.set_thread_label(&format!("worker-{w}"));
                 let _root = prof.phase("worker");
+                // The devices this worker ran in one segment, folded,
+                // tagged with that segment's end.
+                let mut held: Option<(u64, Collector)> = None;
+                let hand_off = |held: &mut Option<(u64, Collector)>| -> bool {
+                    let Some(state) = held.take() else {
+                        return true;
+                    };
+                    let _tx = prof.phase("send");
+                    tx.send(state).is_ok()
+                };
                 loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -296,8 +318,15 @@ fn run_range(
                     if i >= end {
                         break;
                     }
+                    let seg = segment_end(i);
+                    // A device of a later segment: hand the earlier one
+                    // over before any wait below, so a segment never
+                    // waits on a worker that is itself waiting.
+                    if held.as_ref().is_some_and(|(tag, _)| *tag != seg) && !hand_off(&mut held) {
+                        break;
+                    }
                     // Backpressure window: stay within `window` devices of
-                    // the head segment's end so the reorder buffer is
+                    // the head segment's end so the held states stay
                     // bounded even when a slow device holds that segment
                     // open. A run with no reader is one segment ending
                     // at `end`, so this never waits.
@@ -325,11 +354,12 @@ fn run_range(
                         stratum_devices[partial.class].fetch_add(1, Ordering::Relaxed);
                     }
                     per_worker[w].fetch_add(1, Ordering::Relaxed);
-                    let _tx = prof.phase("send");
-                    if tx.send(partial).is_err() {
-                        break;
-                    }
+                    let _ab = prof.phase("absorb");
+                    held.get_or_insert_with(|| (seg, template.empty_like()))
+                        .1
+                        .absorb(&partial);
                 }
+                hand_off(&mut held);
             });
         }
         // The workers hold the only remaining senders: `recv` below
@@ -338,29 +368,39 @@ fn run_range(
 
         prof.set_thread_label("collector");
         let collect_root = prof.phase("collect");
-        // Partials of the head segment `[.., seg_end)` fold on arrival;
-        // later ones wait in `pending` until their segment becomes the
-        // head. A segment is complete when `seg_left` reaches 0, and
-        // only then does the collector hold exactly `[start_index,
-        // seg_end)` for the checkpoint, progress call or halt due there.
-        let mut pending: BTreeMap<u64, DevicePartial> = BTreeMap::new();
+        // States of the head segment `[.., seg_end)` fold on arrival; a
+        // later segment's merge into one state in `pending` until that
+        // segment becomes the head. A segment is complete when
+        // `seg_left` reaches 0, and only then does the collector hold
+        // exactly `[start_index, seg_end)` for the checkpoint, progress
+        // call or halt due there.
+        let mut pending: BTreeMap<u64, Collector> = BTreeMap::new();
+        let mut pending_devices = 0usize;
         let mut seg_end = head_end.load(Ordering::Relaxed);
         let mut seg_left = seg_end - start_index;
+        let merge = |into: &mut Collector, state: &Collector| {
+            into.absorb_state(state)
+                .expect("a worker's state belongs to the run's campaign");
+        };
         loop {
             let received = {
                 let _rw = prof.phase("recv_wait");
                 rx.recv()
             };
-            let Ok(p) = received else { break };
+            let Ok((tag, state)) = received else { break };
             let _ab = prof.phase("absorb");
-            if p.index >= seg_end {
-                pending.insert(p.index, p);
-                reorder_peak = reorder_peak.max(pending.len());
+            if tag != seg_end {
+                pending_devices += state.devices_seen() as usize;
+                reorder_peak = reorder_peak.max(pending_devices);
+                if let Some(later) = pending.get_mut(&tag) {
+                    merge(later, &state);
+                } else {
+                    pending.insert(tag, state);
+                }
                 continue;
             }
-            collector.absorb(&p);
-            probes_run += p.probes_sent;
-            seg_left -= 1;
+            merge(&mut collector, &state);
+            seg_left -= state.devices_seen();
             while seg_left == 0 {
                 let done = seg_end - start_index;
                 if let Some(cp) = &opts.checkpoint {
@@ -372,7 +412,7 @@ fn run_range(
                 if let Some(ps) = &opts.progress {
                     if ps.every > 0 && done.is_multiple_of(ps.every) && seg_end < end {
                         let _pg = prof.phase("progress");
-                        (ps.f)(&collector, &progress_meta(pending.len(), seg_end), false);
+                        (ps.f)(&collector, &progress_meta(pending_devices, seg_end), false);
                     }
                 }
                 halted = halt_at == Some(seg_end);
@@ -383,14 +423,10 @@ fn run_range(
                 seg_left = next_end - seg_end;
                 seg_end = next_end;
                 head_end.store(seg_end, Ordering::Release);
-                while let Some(held) = pending.first_entry() {
-                    if *held.key() >= seg_end {
-                        break;
-                    }
-                    let p = held.remove();
-                    collector.absorb(&p);
-                    probes_run += p.probes_sent;
-                    seg_left -= 1;
+                if let Some(state) = pending.remove(&seg_end) {
+                    pending_devices -= state.devices_seen() as usize;
+                    merge(&mut collector, &state);
+                    seg_left -= state.devices_seen();
                 }
             }
             if halted {
@@ -400,13 +436,13 @@ fn run_range(
         }
         drop(collect_root);
         // Dropping the receiver unblocks any worker parked in `send`;
-        // discarded partials past the halt point are recomputed by the
+        // discarded devices past the halt point are recomputed by the
         // resumed run, exactly like after a real kill.
         drop(rx);
         if !halted {
             assert!(
                 pending.is_empty(),
-                "lost device partials: {:?}",
+                "lost segment states: {:?}",
                 pending.keys().collect::<Vec<_>>()
             );
             assert_eq!(
@@ -448,7 +484,7 @@ fn run_range(
         workers,
         wall,
         devices: collector.next_index() - start_index,
-        probes: probes_run,
+        probes: collector.probes_sent() - probes_before,
         reorder_peak,
         profile,
     };
@@ -675,7 +711,8 @@ mod tests {
         assert!(!report.du_all.is_empty());
         assert!(stats.probes > 0);
         // With no checkpoint, progress sink or halt the range is one
-        // segment: every partial folds on arrival and none is held.
+        // segment: each worker's state folds on arrival and no device
+        // is held.
         assert_eq!(stats.reorder_peak, 0);
     }
 
@@ -735,6 +772,50 @@ mod tests {
         // An unprofiled run carries no profile.
         let (_, stats) = run_campaign(&spec, 2);
         assert!(stats.profile.is_none());
+    }
+
+    /// Calls of phase `name` across the worker threads of a profile.
+    fn worker_calls(profile: &CampaignProfile, name: &str) -> u64 {
+        profile
+            .snapshot
+            .threads
+            .iter()
+            .filter(|t| t.label.starts_with("worker"))
+            .flat_map(|t| &t.nodes)
+            .filter(|n| n.name == name)
+            .map(|n| n.calls)
+            .sum()
+    }
+
+    #[test]
+    fn each_worker_hands_over_once_per_segment() {
+        let spec = CampaignSpec::heterogeneous(17, 24).with_probes(1);
+        let observed = ProgressSink {
+            every: 6,
+            f: std::sync::Arc::new(|_, _, _| {}),
+        };
+        // Unobserved, the range is one segment; a progress call every 6
+        // devices cuts it into four.
+        for (progress, segments) in [(None, 1), (Some(observed), 4)] {
+            for workers in [1, 2, 4] {
+                let opts = RunOptions {
+                    profiler: obs::Profiler::new(),
+                    progress: progress.clone(),
+                    ..RunOptions::default()
+                };
+                let (report, stats) = run_campaign_opts(&spec, workers, &opts);
+                assert_eq!(report.expect("completes").devices, 24);
+                let sends = worker_calls(&stats.profile.expect("profiled"), "send");
+                let most = (workers * segments) as u64;
+                assert!(
+                    (1..=most).contains(&sends),
+                    "{workers} workers, {segments} segments: {sends} hand-offs"
+                );
+                if workers == 1 {
+                    assert_eq!(sends, segments as u64);
+                }
+            }
+        }
     }
 
     #[test]

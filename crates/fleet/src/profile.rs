@@ -3,11 +3,13 @@
 //!
 //! When [`crate::RunOptions::profiler`] is enabled, the engine labels
 //! every worker thread, wraps its whole loop in a `worker` root phase
-//! (with `run_device` → `setup`/`des`/`fold` children, `send` for
-//! channel handoff, and `backpressure` for window stalls, which appear
-//! only in runs with a checkpoint, progress sink or halt hook) and the
-//! collector loop in a `collect` root (`recv_wait`/`absorb`/`checkpoint`/
-//! `progress` children). Under `des`, each device's simulator records
+//! (with `run_device` → `setup`/`des`/`fold` children, `absorb` for
+//! folding each device into the worker's own state, `send` for each
+//! hand-off of that state, and `backpressure` for window stalls, which
+//! appear only in runs with a checkpoint, progress sink or halt hook)
+//! and the collector loop in a `collect` root (`recv_wait`/`absorb`/
+//! `checkpoint`/`progress` children, one `recv_wait` and `absorb` per
+//! hand-off). Under `des`, each device's simulator records
 //! one `sim.dispatch` aggregate whose calls are its events, split into
 //! one child per Fig.-1 layer (`simcore::Sim::set_profiler`). The run
 //! then returns a [`CampaignProfile`]: the cross-thread phase tree, an

@@ -88,6 +88,22 @@ pub struct StratumReport {
     pub overhead: QuantileSketch,
 }
 
+impl StratumReport {
+    fn empty(name: String, weight: u32) -> StratumReport {
+        StratumReport {
+            name,
+            weight,
+            devices: 0,
+            probes_sent: 0,
+            probes_completed: 0,
+            retries: 0,
+            du: QuantileSketch::new(),
+            dn: QuantileSketch::new(),
+            overhead: QuantileSketch::new(),
+        }
+    }
+}
+
 /// The merged result of a whole campaign.
 #[derive(Debug, Clone, ToJson)]
 pub struct CampaignReport {
@@ -137,17 +153,7 @@ impl Collector {
             strata: spec
                 .classes
                 .iter()
-                .map(|c| StratumReport {
-                    name: c.name.to_string(),
-                    weight: c.weight,
-                    devices: 0,
-                    probes_sent: 0,
-                    probes_completed: 0,
-                    retries: 0,
-                    du: QuantileSketch::new(),
-                    dn: QuantileSketch::new(),
-                    overhead: QuantileSketch::new(),
-                })
+                .map(|c| StratumReport::empty(c.name.to_string(), c.weight))
                 .collect(),
             du_all: QuantileSketch::new(),
             overhead_all: QuantileSketch::new(),
@@ -160,12 +166,35 @@ impl Collector {
         }
     }
 
+    /// An empty collector of the same campaign: this one's seed,
+    /// fingerprint, probes per device, range start and strata, with
+    /// nothing absorbed. An engine worker folds the devices it runs into
+    /// one of these; copying the identity spares it
+    /// [`CampaignSpec::fingerprint`].
+    pub(crate) fn empty_like(&self) -> Collector {
+        Collector {
+            strata: self
+                .strata
+                .iter()
+                .map(|s| StratumReport::empty(s.name.clone(), s.weight))
+                .collect(),
+            du_all: QuantileSketch::new(),
+            overhead_all: QuantileSketch::new(),
+            registry: Registry::new(),
+            seed: self.seed,
+            devices_seen: 0,
+            probes_per_device: self.probes_per_device,
+            fingerprint: self.fingerprint,
+            range_start: self.range_start,
+        }
+    }
+
     /// Absorb one device partial. Every merge is exact integer
     /// addition, so absorption order does not change a byte of the
-    /// state, and the engine folds partials as they arrive.
-    /// [`Collector::next_index`] assumes a contiguous prefix, so the
-    /// engine reads it (and checkpoints or pushes the state) only at a
-    /// segment end, once every device before it has been absorbed.
+    /// state, and each engine worker folds the devices it runs as they
+    /// finish. [`Collector::next_index`] assumes a contiguous prefix, so
+    /// the engine reads it (and checkpoints or pushes the state) only at
+    /// a segment end, once every device before it has been absorbed.
     pub fn absorb(&mut self, p: &DevicePartial) {
         let s = &mut self.strata[p.class];
         s.devices += 1;
@@ -184,6 +213,11 @@ impl Collector {
     /// Devices absorbed so far.
     pub fn devices_seen(&self) -> u64 {
         self.devices_seen
+    }
+
+    /// Probes sent by every device absorbed so far.
+    pub(crate) fn probes_sent(&self) -> u64 {
+        self.strata.iter().map(|s| s.probes_sent).sum()
     }
 
     /// The campaign seed this collector was created for.

@@ -450,17 +450,25 @@ impl CampaignSpec {
     /// horizon, and every stratum knob), FNV-1a over the canonical debug
     /// rendering. Campaign checkpoints and partial reports embed it so a
     /// resume or merge against a *different* spec is rejected instead of
-    /// silently producing garbage.
+    /// silently producing garbage. The rendering streams into the hash
+    /// as it is formatted, never held as one string.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let canon = format!("fleet-spec-v1 {self:?}");
-        let mut h = FNV_OFFSET;
-        for b in canon.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
+        use std::fmt::Write as _;
+        /// FNV-1a over every byte written to it.
+        struct Fnv1a(u64);
+        impl std::fmt::Write for Fnv1a {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+                for b in s.bytes() {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(FNV_PRIME);
+                }
+                Ok(())
+            }
         }
-        h
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        write!(h, "fleet-spec-v1 {self:?}").expect("hashing never fails");
+        h.0
     }
 }
 
@@ -491,6 +499,16 @@ mod tests {
             let err = (n as f64 - expected).abs() / expected;
             assert!(err < 0.1, "{}: {n} vs {expected}", c.name);
         }
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Checkpoints, partials and collector journals carry this value:
+        // changing how it is computed must not change it.
+        assert_eq!(
+            CampaignSpec::heterogeneous(2016, 200).fingerprint(),
+            0x2ef4_a2ab_81b8_d297
+        );
     }
 
     #[test]

@@ -205,6 +205,12 @@ impl Json {
 }
 
 /// Compact single-line rendering (`.to_string()` comes from this).
+///
+/// The document renders into one `String` that is then copied into the
+/// formatter. Streaming the render through the formatter skips that
+/// copy but measured slower: 0.57–0.60 ms against 0.47–0.49 ms for the
+/// 55,821-byte push frame of a 12,000-device `fleet-mixed` campaign
+/// (2-vCPU Xeon).
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();

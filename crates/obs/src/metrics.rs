@@ -103,7 +103,9 @@ impl Registry {
     /// Every piece of state merges by exact integer addition (histogram
     /// sums via their integer-nanosecond accumulators), so the result is
     /// independent of merge order and grouping: absorbing the same
-    /// snapshots in any order yields the same bytes.
+    /// snapshots in any order yields the same bytes. A name already held
+    /// is looked up, not cloned, so merging a snapshot whose names are
+    /// all held allocates nothing (unless a sketch gains a bucket).
     ///
     /// # Panics
     ///
@@ -113,24 +115,28 @@ impl Registry {
         let Some(inner) = &self.0 else { return };
         let mut g = inner.lock().unwrap();
         for (name, v) in &snap.counters {
-            g.counters
-                .entry(name.clone())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .fetch_add(*v, Ordering::Relaxed);
+            if let Some(c) = g.counters.get(name) {
+                c.fetch_add(*v, Ordering::Relaxed);
+            } else {
+                g.counters
+                    .insert(name.clone(), Arc::new(AtomicU64::new(*v)));
+            }
         }
         for (name, v) in &snap.gauges {
-            g.gauges
-                .entry(name.clone())
-                .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-                .fetch_add(*v, Ordering::Relaxed);
+            if let Some(l) = g.gauges.get(name) {
+                l.fetch_add(*v, Ordering::Relaxed);
+            } else {
+                g.gauges.insert(name.clone(), Arc::new(AtomicI64::new(*v)));
+            }
         }
         for hs in &snap.histograms {
-            let cell = g
-                .hists
-                .entry(hs.name.clone())
-                .or_insert_with(|| Arc::new(Mutex::new(HistInner::new(&hs.bounds))))
-                .clone();
-            cell.lock().unwrap().merge(hs);
+            if let Some(cell) = g.hists.get(&hs.name) {
+                cell.lock().unwrap().merge(hs);
+            } else {
+                let mut h = HistInner::new(&hs.bounds);
+                h.merge(hs);
+                g.hists.insert(hs.name.clone(), Arc::new(Mutex::new(h)));
+            }
         }
     }
 

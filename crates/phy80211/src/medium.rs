@@ -93,7 +93,10 @@ impl Listener {
 /// Statistics the medium accumulates over a run.
 #[derive(Debug, Clone, Default)]
 pub struct MediumStats {
-    /// Frames delivered successfully.
+    /// Frames delivered: the channel exchange completed and the
+    /// post-MAC fault plan, if any, let the frame through. A frame the
+    /// plan duplicates counts once; one it eats counts in
+    /// [`MediumStats::dropped_fault`] instead.
     pub delivered: u64,
     /// Collision events.
     pub collisions: u64,
@@ -345,7 +348,6 @@ impl MediumNode {
 
     fn finish_tx(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let tx = self.in_service.take().expect("busy without frame");
-        self.stats.delivered += 1;
         // Post-MAC injected faults: data frames may be eaten, duplicated,
         // or delayed *after* the channel exchange succeeded, so the
         // transmitter always sees TxDone below. Management frames
@@ -368,6 +370,9 @@ impl MediumNode {
             },
             _ => (1, SimDuration::ZERO),
         };
+        if copies > 0 {
+            self.stats.delivered += 1;
+        }
         // The fan-out is the engine's hottest loop: `Frame` is `Copy`,
         // so each delivery is a flat write into the scheduler's arena —
         // no clone of the listener list, no per-listener heap traffic.

@@ -4,12 +4,16 @@
 //! `sim.dispatch` phase under the caller's open phase whose calls are
 //! the events dispatched, split into one child per Fig.-1 layer.
 
+use acutemon::{AcuteMonApp, AcuteMonConfig};
 use measure::{Baseline, BaselineApp};
+use netem::FaultPlan;
 use obs::{ProfSnapshot, Profiler};
 use phone::RuntimeKind;
 use phy80211::MediumNode;
 use simcore::{SimDuration, SimTime};
+use sniffer::CaptureNode;
 use testbed::{addr, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
+use wire::FrameKind;
 
 /// `sim.dispatch` calls and each layer child's `(name, calls)`.
 fn dispatch_rows(snap: &ProfSnapshot) -> (u64, Vec<(&'static str, u64)>) {
@@ -82,6 +86,45 @@ fn the_sniffers_cost_one_delivery_per_frame() {
     let delivered = tb.sim.node::<MediumNode>(tb.medium).stats.delivered;
     assert!(delivered > 10, "too few frames: {delivered}");
     assert_eq!(sniffer.map(|&(_, calls)| calls), Some(delivered));
+}
+
+#[test]
+fn frames_the_fault_plan_eats_are_not_delivered() {
+    // The lossy stratum's post-MAC plan eats data frames after their
+    // exchange completed: the capture never hears them, and the medium
+    // counts them as dropped by the fault, not as delivered.
+    let mut cfg = TestbedConfig::new(31, phone::nexus5(), 50)
+        .with_wifi_faults(FaultPlan::gilbert_elliott(0.08, 3.0).with_seed(31));
+    cfg.sniffer_loss = 0.0;
+    let prof = Profiler::new();
+    let mut tb = Testbed::build(cfg);
+    tb.sim.set_profiler(&prof);
+    tb.install_app(
+        Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, 20))),
+        RuntimeKind::Native,
+    );
+    {
+        let _des = prof.phase("des");
+        tb.run_until(SimTime::from_secs(5));
+    }
+    let (_, layers) = dispatch_rows(&prof.snapshot());
+    let deliveries = layers.iter().find(|(name, _)| *name == "sniffer");
+    let medium = tb.sim.node::<MediumNode>(tb.medium);
+    let st = &medium.stats;
+    let fault = medium.fault_stats().expect("a plan is installed");
+    assert!(st.dropped_fault > 0, "the plan ate no frame");
+    assert_eq!(fault.duplicated, 0);
+    // The lossless capture is delivered each delivered frame once.
+    assert_eq!(deliveries.map(|&(_, calls)| calls), Some(st.delivered));
+    let captures = tb.sim.node::<CaptureNode>(tb.capture).index().captures();
+    assert_eq!(captures.len() as u64, st.delivered);
+    // Every completed exchange is a management frame, which the plan
+    // exempts, or a data frame offered to the plan.
+    let management = captures
+        .iter()
+        .filter(|c| !matches!(c.frame.kind, FrameKind::Data { .. }))
+        .count() as u64;
+    assert_eq!(st.delivered + st.dropped_fault, management + fault.offered);
 }
 
 #[test]

@@ -2,12 +2,12 @@
 //!
 //! A fleet shard that streams partial campaign state to `collectord`
 //! can attach a [`ShardTelemetry`] document to each push: current
-//! throughput, per-worker rates, the reorder-buffer depth, and the
-//! engine's self-profiling phase split ([`obs::prof`]). The field is
-//! **optional and backward compatible** — old daemons ignore it, old
-//! clients simply never send it — and it never touches the campaign
-//! *state* payload, so the byte-identical determinism contract over
-//! merged reports is unaffected.
+//! throughput, per-worker rates, the devices held past the head
+//! segment, and the engine's self-profiling phase split
+//! ([`obs::prof`]). The field is **optional and backward compatible**
+//! — old daemons ignore it, old clients simply never send it — and it
+//! never touches the campaign *state* payload, so the byte-identical
+//! determinism contract over merged reports is unaffected.
 
 use obs::Json;
 
@@ -21,7 +21,8 @@ pub struct ShardTelemetry {
     pub workers: u64,
     /// Devices completed per worker thread, same order as spawned.
     pub per_worker_devices: Vec<u64>,
-    /// Depth of the collector-side reorder buffer at push time.
+    /// Devices held past the head segment at push time: run and
+    /// handed over, waiting for an earlier segment to complete.
     pub queue_depth: u64,
     /// Self-nanoseconds per engine phase (flat, cross-thread), sorted
     /// by descending cost. Empty when the shard runs unprofiled.
