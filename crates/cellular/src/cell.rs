@@ -108,14 +108,6 @@ impl CellNode {
         self.fault = plan.is_active().then(|| FaultState::new(plan));
     }
 
-    /// Register the bearer fault counters as `fault.<label>.*` in `reg`.
-    /// Call after [`CellNode::set_fault_plan`].
-    pub fn attach_fault_metrics(&mut self, reg: &obs::Registry, label: &str) {
-        if let Some(fault) = &mut self.fault {
-            fault.attach_metrics(reg, label);
-        }
-    }
-
     /// Bearer fault counters, if a plan is installed.
     pub fn fault_stats(&self) -> Option<netem::FaultStats> {
         self.fault.as_ref().map(|f| f.stats)

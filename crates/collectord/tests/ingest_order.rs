@@ -281,6 +281,12 @@ fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
             "different bounds",
             good.replace("\"bounds\":[0.25,", "\"bounds\":[0.125,"),
         ),
+        // A slice that claims 40 devices while its strata hold 20 would
+        // tile the campaign through device 60.
+        (
+            "`devices_seen` is 40 but the strata hold 20 devices",
+            good.replacen("\"devices_seen\":20,", "\"devices_seen\":40,", 1),
+        ),
     ];
     for (why, doc) in &tampered {
         assert_ne!(doc, &good, "{why}: the edit must apply");

@@ -11,16 +11,29 @@
 use std::ops::Deref;
 
 use measure::{ProbeKind, ProbeWire, ECHO_PORT, HTTP_PORT, MAX_PROBES};
-use obs::Registry;
+use obs::Snapshot;
 use phone::{App, AppCtx};
 use simcore::{SimDuration, SimTime};
 use wire::{Packet, PacketTag, L4};
 
 use crate::config::AcuteMonConfig;
-use crate::machine::{Io, KeepAwake, Machine, Telemetry, Timer};
+use crate::machine::{Io, KeepAwake, Machine, MetricNames, Timer};
 
 /// ICMP ident and base source port: probe `n` leaves from `SESSION + n`.
 const SESSION: u16 = 0x7A00;
+
+/// The simulated app's metric names.
+const METRICS: MetricNames = MetricNames {
+    sent: "measure.acutemon.sent",
+    received: "measure.acutemon.received",
+    failed: "measure.acutemon.timeouts",
+    retries: "measure.acutemon.retries",
+    rewarms: "measure.acutemon.rewarms",
+    rtt_ms: "measure.acutemon.rtt_ms",
+    warmup_sent: "acutemon.warmup_sent",
+    background_sent: "acutemon.background_sent",
+    degraded: None,
+};
 
 const TAG_MT_START: u32 = 1;
 const TAG_BG: u32 = 2;
@@ -65,20 +78,11 @@ impl AcuteMonApp {
         }
     }
 
-    /// Register this session's telemetry (`measure.acutemon.*` probe
-    /// counters plus `acutemon.{warmup,background}_sent`) in `reg`.
-    pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.machine.attach(Telemetry {
-            sent: reg.counter("measure.acutemon.sent"),
-            received: reg.counter("measure.acutemon.received"),
-            failed: reg.counter("measure.acutemon.timeouts"),
-            retries: reg.counter("measure.acutemon.retries"),
-            rewarms: reg.counter("measure.acutemon.rewarms"),
-            rtt_ms: reg.histogram_ms("measure.acutemon.rtt_ms"),
-            warmup_sent: reg.counter("acutemon.warmup_sent"),
-            background_sent: reg.counter("acutemon.background_sent"),
-            ..Telemetry::default()
-        });
+    /// Write this session's counts into `out`: the `measure.acutemon.*`
+    /// probe counters every simulated tool has, plus
+    /// `acutemon.{warmup,background}_sent`.
+    pub fn export(&self, out: &mut Snapshot) {
+        self.machine.export(&METRICS, out);
     }
 
     /// The probe a reply answers, if it answers one already sent.

@@ -49,6 +49,6 @@ pub use app::AcuteMonApp;
 pub use calibrate::Calibration;
 pub use config::AcuteMonConfig;
 pub use infer::{estimate_tis, GapSample, TimeoutEstimate, TimeoutInferApp, TimeoutInferConfig};
-pub use machine::{BtStats, Io, KeepAwake, Machine, Plan, Telemetry, Timer, BT_ERROR_THRESHOLD};
+pub use machine::{BtStats, Io, KeepAwake, Machine, MetricNames, Plan, Timer, BT_ERROR_THRESHOLD};
 pub use measure::ProbeKind;
 pub use trained::{TrainedAcuteMonApp, TrainedPhase};

@@ -17,7 +17,7 @@
 //!   budget lasts, behind a fresh re-warm and at least its lead later.
 
 use measure::{ProbeError, RttRecord};
-use obs::{Counter, Histogram};
+use obs::{Hist, Snapshot};
 use simcore::{SimDuration, SimTime};
 
 /// Consecutive failed keep-awake sends after which the BT is degraded.
@@ -112,30 +112,32 @@ pub struct BtStats {
     pub missed_ticks: u64,
     /// Whether the BT was degraded when the run ended.
     pub degraded: bool,
+    /// Times the BT became degraded.
+    pub degradations: u64,
 }
 
-/// Telemetry handles the machine updates. Each driver registers the
-/// ones it reports, under its own names; the rest stay disabled no-ops.
-#[derive(Debug, Clone, Default)]
-pub struct Telemetry {
+/// The metric names a driver publishes a session's counts under
+/// ([`Machine::export`]).
+#[derive(Debug, Clone, Copy)]
+pub struct MetricNames {
     /// Probe attempts sent.
-    pub sent: Counter,
+    pub sent: &'static str,
     /// Probes answered.
-    pub received: Counter,
+    pub received: &'static str,
     /// Probe attempts that failed (timed out or errored).
-    pub failed: Counter,
+    pub failed: &'static str,
     /// Retries scheduled.
-    pub retries: Counter,
+    pub retries: &'static str,
     /// Re-warms sent.
-    pub rewarms: Counter,
+    pub rewarms: &'static str,
     /// Reported RTT per answered probe, ms.
-    pub rtt_ms: Histogram,
+    pub rtt_ms: &'static str,
     /// Warm-ups sent.
-    pub warmup_sent: Counter,
+    pub warmup_sent: &'static str,
     /// Background packets sent.
-    pub background_sent: Counter,
-    /// Times the BT became degraded.
-    pub degraded: Counter,
+    pub background_sent: &'static str,
+    /// Times the BT became degraded, if the driver publishes it.
+    pub degraded: Option<&'static str>,
 }
 
 /// One AcuteMon session.
@@ -146,7 +148,9 @@ pub struct Machine {
     pub records: Vec<RttRecord>,
     /// BT accounting.
     pub bt: BtStats,
-    metrics: Telemetry,
+    /// Retries scheduled, each behind a re-warm (one a late reply made
+    /// unnecessary still counts).
+    pub retries: u64,
     /// The last good keep-awake send (`None` before one got through).
     last_awake: Option<SimTime>,
     /// Consecutive failed keep-awake sends.
@@ -161,16 +165,39 @@ impl Machine {
             plan,
             records: Vec::new(),
             bt: BtStats::default(),
-            metrics: Telemetry::default(),
+            retries: 0,
             last_awake: None,
             error_streak: 0,
             finished_at: None,
         }
     }
 
-    /// Report into `metrics` from now on.
-    pub fn attach(&mut self, metrics: Telemetry) {
-        self.metrics = metrics;
+    /// Write the session's counts into `out` under `names`, from the
+    /// records, the BT accounting and the retries: attempts sent,
+    /// probes answered and their reported RTTs, failed attempts (each
+    /// either retried or the error that ended its probe), retries,
+    /// re-warms, warm-ups, background sends and degradations.
+    pub fn export(&self, names: &MetricNames, out: &mut Snapshot) {
+        let mut rtt_ms = Hist::default();
+        let (mut sent, mut errors) = (0, 0);
+        for r in &self.records {
+            sent += u64::from(r.attempts);
+            errors += u64::from(r.error.is_some());
+            if let Some(ms) = r.reported_ms {
+                rtt_ms.observe(ms);
+            }
+        }
+        out.add_counter(names.sent, sent);
+        out.add_counter(names.received, rtt_ms.count());
+        out.add_counter(names.failed, self.retries + errors);
+        out.add_counter(names.retries, self.retries);
+        out.add_counter(names.rewarms, self.bt.rewarms_sent);
+        out.add_histogram(names.rtt_ms, rtt_ms);
+        out.add_counter(names.warmup_sent, self.bt.warmup_sent);
+        out.add_counter(names.background_sent, self.bt.background_sent);
+        if let Some(name) = names.degraded {
+            out.add_counter(name, self.bt.degradations);
+        }
     }
 
     /// When the last probe finished (None while running).
@@ -228,8 +255,6 @@ impl Machine {
         rec.tiu = Some(now);
         let ms = now.saturating_since(rec.tou).as_ms_f64();
         rec.reported_ms = Some(ms);
-        self.metrics.received.inc();
-        self.metrics.rtt_ms.observe(ms);
         if n as usize + 1 == self.records.len() {
             // The outstanding probe completed: fire the next one.
             self.advance(now, io);
@@ -248,7 +273,6 @@ impl Machine {
         else {
             return; // answered in time, or stale
         };
-        self.metrics.failed.inc();
         let attempts = rec.attempts;
         if error.is_retryable() && attempts <= self.plan.max_retries {
             self.retry(now, n, io);
@@ -285,17 +309,15 @@ impl Machine {
             self.error_streak += 1;
             if self.error_streak >= BT_ERROR_THRESHOLD && !self.bt.degraded {
                 self.bt.degraded = true;
-                self.metrics.degraded.inc();
+                self.bt.degradations += 1;
             }
             return false;
         }
-        let (count, counter) = match kind {
-            KeepAwake::WarmUp => (&mut self.bt.warmup_sent, &self.metrics.warmup_sent),
-            KeepAwake::Background => (&mut self.bt.background_sent, &self.metrics.background_sent),
-            KeepAwake::Rewarm => (&mut self.bt.rewarms_sent, &self.metrics.rewarms),
-        };
-        *count += 1;
-        counter.inc();
+        *match kind {
+            KeepAwake::WarmUp => &mut self.bt.warmup_sent,
+            KeepAwake::Background => &mut self.bt.background_sent,
+            KeepAwake::Rewarm => &mut self.bt.rewarms_sent,
+        } += 1;
         self.last_awake = Some(now);
         self.error_streak = 0;
         self.bt.degraded = false;
@@ -325,7 +347,6 @@ impl Machine {
     /// Put the next attempt of probe `n` on the wire and arm its deadline.
     fn fire(&mut self, now: SimTime, n: u32, io: &mut impl Io) {
         let id = io.probe(n, n % self.plan.targets);
-        self.metrics.sent.inc();
         io.arm(Timer::Timeout(n), self.plan.probe_timeout);
         let rec = &mut self.records[n as usize];
         (rec.req_id, rec.tou, rec.attempts) = (id, now, rec.attempts + 1);
@@ -340,7 +361,7 @@ impl Machine {
         let backoff = am_stats::backoff(self.plan.retry_backoff.as_ms_f64(), rec.attempts, u, None);
         let delay = SimDuration::from_ms_f64(backoff).max(lead);
         let rewarmed = self.keep_awake(now, KeepAwake::Rewarm, io);
-        self.metrics.retries.inc();
+        self.retries += 1;
         let (attempt, id) = (rec.attempts + 1, rec.req_id);
         io.span("retry", id, now, now + delay, ("attempt", attempt));
         if rewarmed {
@@ -439,6 +460,30 @@ mod tests {
     use KeepAwake::{Background, Rewarm, WarmUp};
     use Out::{Arm, Awake, Probe};
 
+    /// Every count a driver publishes, exported under short names, and
+    /// the RTT histogram's count and sum.
+    fn exported(m: &Machine) -> (Vec<(obs::MetricName, u64)>, (u64, f64)) {
+        let names = MetricNames {
+            sent: "sent",
+            received: "received",
+            failed: "failed",
+            retries: "retries",
+            rewarms: "rewarms",
+            rtt_ms: "rtt_ms",
+            warmup_sent: "warmup_sent",
+            background_sent: "background_sent",
+            degraded: Some("degraded"),
+        };
+        let mut snap = Snapshot::default();
+        m.export(&names, &mut snap);
+        let rtt = snap.histogram("rtt_ms").expect("rtt_ms");
+        (snap.counters.clone(), (rtt.count(), rtt.sum()))
+    }
+
+    fn counts(pairs: [(&'static str, u64); 8]) -> Vec<(obs::MetricName, u64)> {
+        pairs.iter().map(|&(n, v)| (n.into(), v)).collect()
+    }
+
     #[test]
     fn clean_run_of_three_probes() {
         let (mut m, mut io) = machine(1, 3, 0);
@@ -517,6 +562,20 @@ mod tests {
         );
         assert_eq!(m.bt.rewarms_sent, 2);
         assert_eq!(m.finished_at(), Some(at(280)));
+        // Two attempts failed and each was retried behind a re-warm.
+        let (counters, rtt) = exported(&m);
+        let expected = counts([
+            ("background_sent", 0),
+            ("degraded", 0),
+            ("failed", 2),
+            ("received", 1),
+            ("retries", 2),
+            ("rewarms", 2),
+            ("sent", 3),
+            ("warmup_sent", 0),
+        ]);
+        assert_eq!(counters, expected);
+        assert_eq!(rtt, (1, 15.0));
     }
 
     #[test]
@@ -576,6 +635,21 @@ mod tests {
         m.timer(at(110), Timer::Fire(1), &mut io);
         assert_eq!(io.take(), [Probe(1, 0), Arm(Timer::Timeout(1), 100)]);
         assert_eq!((m.records[1].attempts, m.records[1].tou), (1, at(110)));
+        // The BT degraded once; failed keep-awake sends count nowhere
+        // but `send_errors`, and probe 1 is still out.
+        let (counters, rtt) = exported(&m);
+        let expected = counts([
+            ("background_sent", 0),
+            ("degraded", 1),
+            ("failed", 0),
+            ("received", 1),
+            ("retries", 0),
+            ("rewarms", 0),
+            ("sent", 2),
+            ("warmup_sent", 1),
+        ]);
+        assert_eq!(counters, expected);
+        assert_eq!(rtt, (1, 70.0));
     }
 
     #[test]

@@ -388,6 +388,18 @@ impl Collector {
             });
         }
 
+        // `devices_seen` places the next device (`next_index`), so it
+        // must count exactly the devices the strata hold.
+        let in_strata = strata
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.devices));
+        if in_strata != Some(devices_seen) {
+            return Err(CampaignStateError(format!(
+                "field `devices_seen` is {devices_seen} but the strata hold {} devices",
+                in_strata.map_or_else(|| "more than 2^64".to_string(), |n| n.to_string())
+            )));
+        }
+
         let top_sketch = |k: &str| -> Result<QuantileSketch, CampaignStateError> {
             let s = state
                 .get(k)

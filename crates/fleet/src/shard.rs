@@ -11,7 +11,7 @@
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::QuantileSketch;
 use measure::{Baseline, BaselineApp, RecordSet, RttRecord};
-use obs::Registry;
+use obs::Snapshot;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{LatencyDist, SimDuration, SimTime};
 use testbed::{addr, breakdowns, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
@@ -38,7 +38,8 @@ pub struct DevicePartial {
     pub dn: QuantileSketch,
     /// Per-probe overhead `du − dn` sketch (WiFi strata only).
     pub overhead: QuantileSketch,
-    /// The device's telemetry registry, snapshotted.
+    /// What the device's layers and tool counted, exported after its
+    /// run.
     pub obs: obs::Snapshot,
 }
 
@@ -105,7 +106,7 @@ pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
 /// byte-identical whether `prof` is enabled or disabled — profiling
 /// observes the host, never the simulation.
 ///
-/// The device registry carries the model layers and the app, never the
+/// The exported counts cover the model layers and the tool, never the
 /// engine's `sim.*` metrics: everything in the snapshot is a pure
 /// function of the device seed and the modelled behaviour.
 pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) -> DevicePartial {
@@ -137,9 +138,8 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             am.db = SimDuration::from_ms_f64(db_ms);
         }
     };
-    let reg = Registry::new();
     // Assigned after the run in each arm; it outlives the arm so the
-    // testbed's teardown and the snapshot count as `fold` too.
+    // testbed's teardown counts as `fold` too.
     let fold;
 
     match class.radio {
@@ -167,7 +167,6 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 cfg.cross_stop = horizon;
             }
             let mut tb = Testbed::build(cfg);
-            tb.attach_metrics(&reg);
             tb.sim.set_profiler(prof);
             let mut am = AcuteMonConfig::new(addr::SERVER, k);
             calibrate(&mut am);
@@ -180,7 +179,7 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 am.probe_timeout = SimDuration::from_millis(300);
             }
             let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
-            let app = install_tool(phone, class.tool, am, &reg);
+            let app = install_tool(phone, class.tool, am);
             drop(setup);
             {
                 let _des = prof.phase("des");
@@ -190,6 +189,8 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 });
             }
             fold = prof.phase("fold");
+            tb.export(&mut partial.obs);
+            export_tool(tb.phone_node(), class.tool, app, &mut partial.obs);
             let records = tool_records(tb.phone_node(), class.tool, app);
             let bds = breakdowns(&records, tb.phone_node().ledger(), tb.capture_index());
             harvest(&mut partial, &records, Some(&bds));
@@ -207,7 +208,7 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             let mut tb = CellTestbed::build(cfg);
             tb.sim.set_profiler(prof);
             let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
-            let app = install_tool(phone, class.tool, am, &reg);
+            let app = install_tool(phone, class.tool, am);
             drop(setup);
             {
                 let _des = prof.phase("des");
@@ -217,33 +218,36 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 });
             }
             fold = prof.phase("fold");
-            let records = tool_records(tb.sim.node::<PhoneNode>(tb.phone), class.tool, app);
+            let phone = tb.sim.node::<PhoneNode>(tb.phone);
+            export_tool(phone, class.tool, app, &mut partial.obs);
+            let records = tool_records(phone, class.tool, app);
             // No sniffers on the bearer: dn/overhead stay empty.
             harvest(&mut partial, &records, None);
         }
     }
-    partial.obs = reg.snapshot();
     drop(fold);
     partial
 }
 
-/// Install the stratum's measurement tool on `phone` and attach its
-/// telemetry to `reg`; returns the app index. Sparse ping probes AcuteMon's
-/// target `k` times at ping's default 1 s interval.
-fn install_tool(phone: &mut PhoneNode, tool: Tool, am: AcuteMonConfig, reg: &Registry) -> usize {
+/// Install the stratum's measurement tool on `phone`; returns the app
+/// index. Sparse ping probes AcuteMon's target `k` times at ping's
+/// default 1 s interval.
+fn install_tool(phone: &mut PhoneNode, tool: Tool, am: AcuteMonConfig) -> usize {
     match tool {
-        Tool::AcuteMon => {
-            let idx = phone.install_app(Box::new(AcuteMonApp::new(am)), RuntimeKind::Native);
-            phone.app_mut::<AcuteMonApp>(idx).attach_metrics(reg);
-            idx
-        }
+        Tool::AcuteMon => phone.install_app(Box::new(AcuteMonApp::new(am)), RuntimeKind::Native),
         Tool::SparsePing => {
             let second = SimDuration::from_secs(1);
             let ping = BaselineApp::new(Baseline::Ping, am.targets[0], am.k, second);
-            let idx = phone.install_app(Box::new(ping), RuntimeKind::Native);
-            phone.app_mut::<BaselineApp>(idx).attach_metrics(reg);
-            idx
+            phone.install_app(Box::new(ping), RuntimeKind::Native)
         }
+    }
+}
+
+/// Write what the tool at `app` counted into `out`.
+fn export_tool(phone: &PhoneNode, tool: Tool, app: usize, out: &mut Snapshot) {
+    match tool {
+        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).export(out),
+        Tool::SparsePing => phone.app::<BaselineApp>(app).export(out),
     }
 }
 

@@ -7,7 +7,9 @@
 //! 2. the merged campaign JSON is byte-identical for 1 vs. 8 workers;
 //! 3. collector memory stays bounded by in-flight work, independent of
 //!    probe count: an unobserved run holds no partial, an observed one
-//!    at most the backpressure window.
+//!    at most the backpressure window;
+//! 4. the 200-device report is the committed `baselines/fleet-200.json`,
+//!    byte for byte, so no change moves a byte of it unnoticed.
 
 use std::sync::Arc;
 
@@ -154,4 +156,16 @@ fn collector_memory_is_bounded_by_inflight_work() {
             );
         }
     }
+}
+
+#[test]
+fn campaign_report_equals_the_committed_baseline() {
+    // What `repro fleet --fleet-devices 200 --fleet-workers 1` writes.
+    let (report, _) = run_campaign(&CampaignSpec::heterogeneous(2016, 200), 1);
+    let golden = include_str!("../../../baselines/fleet-200.json");
+    assert!(
+        report.to_json().to_string_pretty() == golden,
+        "fleet.json moved; regenerate baselines/fleet-200.json only for a change \
+         that moves campaign bytes on purpose"
+    );
 }

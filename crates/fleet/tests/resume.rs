@@ -351,6 +351,31 @@ fn merge_rejects_wrong_spec_gaps_and_overlaps() {
 }
 
 #[test]
+fn state_whose_device_count_disagrees_with_its_strata_is_refused() {
+    // Partition 0 of 2 covers devices 0..4. Claiming 8 would make it
+    // tile the whole campaign on its own.
+    let spec = CampaignSpec::heterogeneous(3, 8);
+    let (head, _) = run_partition(&spec, 1, 0, 2);
+    let mut state = head.state_json();
+    assert_eq!(state.get("devices_seen").and_then(Json::as_f64), Some(4.0));
+    state.set("devices_seen", Json::Num(8.0));
+    let e = match fleet::Collector::from_state_json(&state) {
+        Err(e) => e,
+        Ok(c) => panic!("accepted {} devices over 4 in strata", c.devices_seen()),
+    };
+    assert!(
+        e.0.contains("`devices_seen` is 8 but the strata hold 4 devices"),
+        "{e}"
+    );
+    let e = merge_partials(&spec, &[state]).unwrap_err();
+    assert!(
+        e.0.contains("partial 0") && e.0.contains("devices_seen"),
+        "{e}"
+    );
+    assert!(fleet::Collector::from_state_json(&head.state_json()).is_ok());
+}
+
+#[test]
 fn resume_rejects_partition_partials_and_foreign_state() {
     let spec = spec();
     let (tail, _) = run_partition(&spec, 1, 1, 2);

@@ -16,9 +16,9 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use acutemon::{BtStats, Io, KeepAwake, Machine, Telemetry, Timer};
+use acutemon::{BtStats, Io, KeepAwake, Machine, MetricNames, Timer};
 use measure::ProbeError;
-use obs::{Histogram, Registry, SpanId, TraceId, Tracer};
+use obs::{Histogram, Registry, Snapshot, SpanId, TraceId, Tracer};
 use simcore::{DetRng, SimDuration, SimTime};
 
 use crate::config::{LiveConfig, LiveProbe};
@@ -266,6 +266,19 @@ impl Io for Live<'_> {
     }
 }
 
+/// The live session's metric names.
+const METRICS: MetricNames = MetricNames {
+    sent: "live.probes_sent",
+    received: "live.probes_received",
+    failed: "live.probe_errors",
+    retries: "live.retries",
+    rewarms: "live.rewarms",
+    rtt_ms: "live.rtt_ms",
+    warmup_sent: "live.warmup_sent",
+    background_sent: "live.background_sent",
+    degraded: Some("live.bt_degraded"),
+};
+
 /// Run a complete AcuteMon session over real sockets: warm up, wait
 /// `dpre`, fire `K` sequential probes with the BT ticking every `db`.
 pub fn run(cfg: LiveConfig) -> io::Result<LiveReport> {
@@ -273,8 +286,10 @@ pub fn run(cfg: LiveConfig) -> io::Result<LiveReport> {
 }
 
 /// Like [`run`], recording telemetry (`live.*`) into `reg` and per-probe
-/// spans into `tracer` (wall-clock ns since the session began). Pass
-/// [`Registry::disabled`] or [`Tracer::disabled`] for zero-cost no-ops.
+/// spans into `tracer` (wall-clock ns since the session began). Send
+/// lateness is recorded as it happens; the session's counts are merged
+/// into `reg` when it ends. Pass [`Registry::disabled`] or
+/// [`Tracer::disabled`] for zero-cost no-ops.
 pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Result<LiveReport> {
     let awake = UdpSocket::bind("0.0.0.0:0")?;
     awake.set_ttl(cfg.warmup_ttl)?;
@@ -282,17 +297,6 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
     let (jobs, job_rx) = channel::<(u32, Instant)>();
     let (done_tx, done) = channel::<Done>();
     let mut machine = Machine::new(cfg.plan());
-    machine.attach(Telemetry {
-        sent: reg.counter("live.probes_sent"),
-        received: reg.counter("live.probes_received"),
-        failed: reg.counter("live.probe_errors"),
-        retries: reg.counter("live.retries"),
-        rewarms: reg.counter("live.rewarms"),
-        rtt_ms: reg.histogram_ms("live.rtt_ms"),
-        warmup_sent: reg.counter("live.warmup_sent"),
-        background_sent: reg.counter("live.background_sent"),
-        degraded: reg.counter("live.bt_degraded"),
-    });
     thread::scope(|scope| {
         let (cfg, io_lateness) = (&cfg, lateness.clone());
         thread::Builder::new()
@@ -372,6 +376,9 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
         }
         let finished = machine.finished_at().unwrap_or(SimTime::ZERO);
         live.end_trace(finished);
+        let mut counts = Snapshot::default();
+        machine.export(&METRICS, &mut counts);
+        reg.merge_snapshot(&counts);
         Ok(LiveReport {
             samples: machine
                 .records

@@ -8,11 +8,11 @@
 //! and PSM timeouts on every probe, while a 10 ms interval keeps the
 //! phone awake.
 
+use obs::{Hist, Snapshot};
 use phone::{App, AppCtx, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 use wire::{Ip, Packet, PacketTag, TcpFlags, L4};
 
-use crate::metrics::ProbeMetrics;
 use crate::probe::{ProbeKind, ProbeWire, ECHO_PORT, HTTP_PORT, MAX_PROBES};
 use crate::record::{ping_report_quirk, RttRecord};
 
@@ -120,7 +120,6 @@ pub struct BaselineApp {
     /// HTTP responses received (the GETs after MobiPerf's handshakes).
     pub http_responses: u64,
     finished_at: Option<SimTime>,
-    metrics: ProbeMetrics,
 }
 
 impl BaselineApp {
@@ -142,13 +141,28 @@ impl BaselineApp {
             records: Vec::new(),
             http_responses: 0,
             finished_at: None,
-            metrics: ProbeMetrics::default(),
         }
     }
 
-    /// Register this session's telemetry as `measure.<tool>.*` in `reg`.
-    pub fn attach_metrics(&mut self, reg: &obs::Registry) {
-        self.metrics = ProbeMetrics::from_registry(reg, self.preset.name);
+    /// Write this session's counts into `out` as `measure.<tool>.*`,
+    /// all from its records: probes `sent`, probes `received` and their
+    /// `rtt_ms` (the true `du`), and the `timeouts`, probes still
+    /// unanswered when the session's deadline ended it.
+    pub fn export(&self, out: &mut Snapshot) {
+        let tool = self.preset.name;
+        let mut rtt_ms = Hist::default();
+        for du in self.records.iter().filter_map(RttRecord::du_ms) {
+            rtt_ms.observe(du);
+        }
+        let received = rtt_ms.count();
+        let timeouts = match self.finished_at {
+            Some(_) => self.records.len() as u64 - received,
+            None => 0,
+        };
+        out.add_counter(format!("measure.{tool}.sent"), self.records.len() as u64);
+        out.add_counter(format!("measure.{tool}.received"), received);
+        out.add_counter(format!("measure.{tool}.timeouts"), timeouts);
+        out.add_histogram(format!("measure.{tool}.rtt_ms"), rtt_ms);
     }
 
     /// When the session finished (None while running): at the answer
@@ -169,7 +183,6 @@ impl BaselineApp {
         if let Some(tc) = ctx.tracer().packet_ctx(id) {
             ctx.tracer().attr(tc.root, "tool", self.preset.name);
         }
-        self.metrics.on_send();
         self.records.push(RttRecord::sent(n, id, ctx.now()));
         if self.sent() < self.count {
             ctx.set_timer(self.interval, TAG_SEND);
@@ -223,7 +236,6 @@ impl App for BaselineApp {
             } else {
                 du
             });
-            self.metrics.on_reply(du);
             if self.sent() == self.count && self.records.iter().all(|r| r.completed()) {
                 self.finished_at = Some(now);
             }
@@ -242,12 +254,7 @@ impl App for BaselineApp {
     fn on_timer(&mut self, ctx: &mut AppCtx<'_, '_>, tag: u32) {
         match tag {
             TAG_SEND => self.send_probe(ctx),
-            TAG_DEADLINE if self.finished_at.is_none() => {
-                for _ in self.records.iter().filter(|r| !r.completed()) {
-                    self.metrics.on_timeout();
-                }
-                self.finished_at = Some(ctx.now());
-            }
+            TAG_DEADLINE if self.finished_at.is_none() => self.finished_at = Some(ctx.now()),
             _ => {}
         }
     }
@@ -264,16 +271,11 @@ mod tests {
         w.install(Box::new(app), tool.runtime())
     }
 
-    /// [`install`] with the session's telemetry registered in `reg`.
-    fn install_observed(
-        w: &mut TestWorld,
-        count: u32,
-        interval: SimDuration,
-        reg: &obs::Registry,
-    ) -> usize {
-        let mut app = BaselineApp::new(Baseline::Ping, phone::wired_ip(1), count, interval);
-        app.attach_metrics(reg);
-        w.install(Box::new(app), RuntimeKind::Native)
+    /// The session's counts at `app`, exported after the run.
+    fn exported(w: &TestWorld, app: usize) -> Snapshot {
+        let mut snap = Snapshot::default();
+        w.app::<BaselineApp>(app).export(&mut snap);
+        snap
     }
 
     #[test]
@@ -331,37 +333,34 @@ mod tests {
         // A 4 s path: the one answer reaches the phone a second after
         // the session's 3 s deadline.
         let mut w = TestWorld::new(15, EchoWire::delay_ms(4_000));
-        let reg = obs::Registry::new();
-        let app = install_observed(&mut w, 1, SimDuration::from_secs(1), &reg);
+        let app = install(&mut w, Baseline::Ping, 1, SimDuration::from_secs(1));
         w.run_secs(10);
         let ping = w.app::<BaselineApp>(app);
         let rec = &ping.records[0];
         assert_eq!(ping.finished_at(), Some(rec.tou + DEADLINE));
         assert!(!rec.completed(), "late answer recorded at {:?}", rec.tiu);
         assert_eq!((rec.resp_id, rec.reported_ms), (None, None));
-        let snap = reg.snapshot();
+        let snap = exported(&w, app);
         assert_eq!(snap.counter("measure.ping.received"), Some(0));
         assert_eq!(snap.counter("measure.ping.timeouts"), Some(1));
     }
 
     #[test]
     fn each_lost_probe_counts_one_timeout() {
-        let reg = obs::Registry::new();
         let mut w = TestWorld::new(16, EchoWire::blackhole());
-        install_observed(&mut w, 5, SimDuration::from_millis(100), &reg);
+        let app = install(&mut w, Baseline::Ping, 5, SimDuration::from_millis(100));
         w.run_secs(20);
-        let snap = reg.snapshot();
+        let snap = exported(&w, app);
         assert_eq!(snap.counter("measure.ping.sent"), Some(5));
         assert_eq!(snap.counter("measure.ping.timeouts"), Some(5));
         for gone in ["measure.ping.retries", "measure.ping.rewarms"] {
             assert_eq!(snap.counter(gone), None, "{gone}");
         }
         // An answered session counts none.
-        let reg = obs::Registry::new();
         let mut w = TestWorld::new(17, EchoWire::delay_ms(30));
-        install_observed(&mut w, 5, SimDuration::from_millis(100), &reg);
+        let app = install(&mut w, Baseline::Ping, 5, SimDuration::from_millis(100));
         w.run_secs(20);
-        let snap = reg.snapshot();
+        let snap = exported(&w, app);
         assert_eq!(snap.counter("measure.ping.received"), Some(5));
         assert_eq!(snap.counter("measure.ping.timeouts"), Some(0));
     }

@@ -20,7 +20,6 @@
 
 mod baseline;
 mod error;
-mod metrics;
 mod ping2;
 mod probe;
 mod record;
@@ -29,7 +28,6 @@ mod testutil;
 
 pub use baseline::{Baseline, BaselineApp};
 pub use error::ProbeError;
-pub use metrics::ProbeMetrics;
 pub use ping2::{Ping2Config, Ping2Prober, Ping2Record};
 pub use probe::{ProbeKind, ProbeWire, ECHO_PORT, HTTP_PORT, MAX_PROBES};
 pub use record::{ping_report_quirk, RecordSet, RttRecord};

@@ -30,7 +30,7 @@
 //! }
 //! ```
 
-use obs::{Counter, Registry};
+use obs::Snapshot;
 use simcore::{Ctx, DetRng, SimDuration, SimTime};
 use wire::Msg;
 
@@ -256,8 +256,8 @@ impl FaultPlan {
     }
 }
 
-/// Counters a [`FaultState`] accumulates (also exported as `fault.*`
-/// metrics when [`FaultState::attach_metrics`] is called).
+/// Counters a [`FaultState`] accumulates ([`FaultStats::export`] writes
+/// them as `fault.<label>.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Packets offered to the fault process.
@@ -277,25 +277,14 @@ impl FaultStats {
     pub fn dropped(&self) -> u64 {
         self.dropped_loss + self.dropped_flap
     }
-}
 
-/// Telemetry handles (`fault.<label>.*`). Defaults to disabled no-ops.
-#[derive(Default)]
-struct FaultMetrics {
-    dropped_loss: Counter,
-    dropped_flap: Counter,
-    duplicated: Counter,
-    reordered: Counter,
-}
-
-impl FaultMetrics {
-    fn from_registry(reg: &Registry, label: &str) -> FaultMetrics {
-        FaultMetrics {
-            dropped_loss: reg.counter(&format!("fault.{label}.dropped_loss")),
-            dropped_flap: reg.counter(&format!("fault.{label}.dropped_flap")),
-            duplicated: reg.counter(&format!("fault.{label}.duplicated")),
-            reordered: reg.counter(&format!("fault.{label}.reordered")),
-        }
+    /// Write the drop, duplicate and reorder counts into `out` as
+    /// `fault.<label>.*`.
+    pub fn export(&self, label: &str, out: &mut Snapshot) {
+        out.add_counter(format!("fault.{label}.dropped_loss"), self.dropped_loss);
+        out.add_counter(format!("fault.{label}.dropped_flap"), self.dropped_flap);
+        out.add_counter(format!("fault.{label}.duplicated"), self.duplicated);
+        out.add_counter(format!("fault.{label}.reordered"), self.reordered);
     }
 }
 
@@ -314,7 +303,6 @@ pub struct FaultState {
     bad: [bool; FAULT_DIRS],
     /// Counters.
     pub stats: FaultStats,
-    metrics: FaultMetrics,
 }
 
 impl FaultState {
@@ -327,19 +315,12 @@ impl FaultState {
             rng,
             bad: [false; FAULT_DIRS],
             stats: FaultStats::default(),
-            metrics: FaultMetrics::default(),
         }
     }
 
     /// The plan this state runs.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Register `fault.<label>.*` counters in `reg`. Without this call
-    /// every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry, label: &str) {
-        self.metrics = FaultMetrics::from_registry(reg, label);
     }
 
     /// Whether `now` falls inside a flap window.
@@ -384,19 +365,16 @@ impl FaultState {
         self.stats.offered += 1;
         if self.in_flap(now) {
             self.stats.dropped_flap += 1;
-            self.metrics.dropped_flap.inc();
             return FaultVerdict::Drop(DropReason::Flap);
         }
         if self.loss_fires(dir) {
             self.stats.dropped_loss += 1;
-            self.metrics.dropped_loss.inc();
             return FaultVerdict::Drop(DropReason::Loss);
         }
         let dir = dir % FAULT_DIRS;
         let copies =
             if self.plan.duplicate_prob > 0.0 && self.rng[dir].chance(self.plan.duplicate_prob) {
                 self.stats.duplicated += 1;
-                self.metrics.duplicated.inc();
                 2
             } else {
                 1
@@ -404,7 +382,6 @@ impl FaultState {
         let mut extra_ms = 0.0;
         if self.plan.reorder_prob > 0.0 && self.rng[dir].chance(self.plan.reorder_prob) {
             self.stats.reordered += 1;
-            self.metrics.reordered.inc();
             extra_ms += self.plan.reorder_extra_ms;
         }
         if self.plan.jitter_std_ms > 0.0 {
@@ -593,12 +570,11 @@ mod tests {
 
     #[test]
     fn metrics_exported_under_label() {
-        let reg = Registry::new();
         let plan = FaultPlan::bernoulli(1.0).with_seed(1);
         let mut st = FaultState::new(&plan);
-        st.attach_metrics(&reg, "server");
         st.decide(0, SimTime::ZERO);
-        let snap = reg.snapshot();
+        let mut snap = Snapshot::default();
+        st.stats.export("server", &mut snap);
         assert_eq!(snap.counter("fault.server.dropped_loss"), Some(1));
     }
 }

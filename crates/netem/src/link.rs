@@ -4,30 +4,9 @@
 //! in front of the measurement server.
 
 use crate::fault::{trace_drop, FaultPlan, FaultState, FaultVerdict};
-use obs::{Counter, Gauge, Registry};
+use obs::Snapshot;
 use simcore::{Ctx, LatencyDist, Node, NodeId, SimDuration};
 use wire::Msg;
-
-/// Telemetry handles for one link (`netem.link.<label>.*`). Defaults to
-/// disabled no-op handles.
-#[derive(Default)]
-struct LinkMetrics {
-    forwarded: Counter,
-    lost: Counter,
-    /// Serialization backlog on the wire after the most recent enqueue,
-    /// µs (0 when the link is unlimited).
-    occupancy_us: Gauge,
-}
-
-impl LinkMetrics {
-    fn from_registry(reg: &Registry, label: &str) -> LinkMetrics {
-        LinkMetrics {
-            forwarded: reg.counter(&format!("netem.link.{label}.forwarded")),
-            lost: reg.counter(&format!("netem.link.{label}.lost")),
-            occupancy_us: reg.gauge(&format!("netem.link.{label}.occupancy_us")),
-        }
-    }
-}
 
 /// Link parameters.
 #[derive(Debug, Clone)]
@@ -70,6 +49,9 @@ pub struct LinkStats {
     pub forwarded: u64,
     /// Packets dropped by the loss process.
     pub lost: u64,
+    /// Serialization backlog on the wire after the most recent enqueue,
+    /// µs (0 when the link is unlimited).
+    pub occupancy_us: i64,
 }
 
 /// A two-sided wired link. Packets arriving from endpoint `a` exit at `b`
@@ -85,7 +67,6 @@ pub struct LinkNode {
     fault: Option<FaultState>,
     /// Counters.
     pub stats: LinkStats,
-    metrics: LinkMetrics,
 }
 
 impl LinkNode {
@@ -98,14 +79,16 @@ impl LinkNode {
             busy_until: [simcore::SimTime::ZERO; 2],
             fault: None,
             stats: LinkStats::default(),
-            metrics: LinkMetrics::default(),
         }
     }
 
-    /// Register this link's telemetry as `netem.link.<label>.*` in `reg`.
-    /// Without this call every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry, label: &str) {
-        self.metrics = LinkMetrics::from_registry(reg, label);
+    /// Write this link's counts into `out` as `netem.link.<label>.*`.
+    /// The fault layer's counts are [`LinkNode::fault_stats`].
+    pub fn export(&self, label: &str, out: &mut Snapshot) {
+        let s = &self.stats;
+        out.add_counter(format!("netem.link.{label}.forwarded"), s.forwarded);
+        out.add_counter(format!("netem.link.{label}.lost"), s.lost);
+        out.add_gauge(format!("netem.link.{label}.occupancy_us"), s.occupancy_us);
     }
 
     /// Install a fault plan (replacing any previous one). The plan's own
@@ -113,14 +96,6 @@ impl LinkNode {
     /// independent of the engine's shared RNG stream.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.fault = plan.is_active().then(|| FaultState::new(plan));
-    }
-
-    /// Register the fault layer's counters as `fault.<label>.*` in `reg`.
-    /// Call after [`LinkNode::set_fault_plan`].
-    pub fn attach_fault_metrics(&mut self, reg: &Registry, label: &str) {
-        if let Some(fault) = &mut self.fault {
-            fault.attach_metrics(reg, label);
-        }
     }
 
     /// Fault-layer counters, if a plan is installed.
@@ -173,7 +148,6 @@ impl Node<Msg> for LinkNode {
         let loss = self.params.loss;
         if loss > 0.0 && ctx.rng().chance(loss) {
             self.stats.lost += 1;
-            self.metrics.lost.inc();
             return;
         }
         // The injected fault layer sits behind the intrinsic loss model:
@@ -189,7 +163,6 @@ impl Node<Msg> for LinkNode {
         let (copies, extra_delay) = match verdict {
             FaultVerdict::Drop(reason) => {
                 self.stats.lost += 1;
-                self.metrics.lost.inc();
                 trace_drop(ctx, packet.id, "link", reason);
                 return;
             }
@@ -199,7 +172,6 @@ impl Node<Msg> for LinkNode {
             } => (copies, extra_delay),
         };
         self.stats.forwarded += 1;
-        self.metrics.forwarded.inc();
         let mut d = self.one_way(ctx) + extra_delay;
         if let Some(rate) = self.params.rate_mbps {
             // Serialization: the packet occupies the wire for size/rate
@@ -209,9 +181,7 @@ impl Node<Msg> for LinkNode {
             let start = self.busy_until[dir].max(now);
             self.busy_until[dir] = start + xmit;
             let backlog = self.busy_until[dir].saturating_since(now);
-            self.metrics
-                .occupancy_us
-                .set((backlog.as_nanos() / 1_000) as i64);
+            self.stats.occupancy_us = (backlog.as_nanos() / 1_000) as i64;
             d += backlog;
         }
         let tracer = ctx.tracer();

@@ -13,28 +13,9 @@
 //! Per \[24\] (cited in §2.1), server-side turnaround for TCP data packets
 //! is microsecond-level; the model uses a small processing distribution.
 
-use obs::{Counter, Registry};
+use obs::Snapshot;
 use simcore::{Ctx, LatencyDist, Node, NodeId};
 use wire::{IcmpKind, Ip, Msg, Packet, PacketIdGen, PacketTag, TcpFlags, L4};
-
-/// Telemetry handles for a server (`netem.server.*`). Defaults to
-/// disabled no-op handles.
-#[derive(Default)]
-struct ServerMetrics {
-    requests: Counter,
-    responses: Counter,
-    discarded: Counter,
-}
-
-impl ServerMetrics {
-    fn from_registry(reg: &Registry) -> ServerMetrics {
-        ServerMetrics {
-            requests: reg.counter("netem.server.requests"),
-            responses: reg.counter("netem.server.responses"),
-            discarded: reg.counter("netem.server.discarded"),
-        }
-    }
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -68,6 +49,8 @@ impl ServerConfig {
 /// Counters for a server.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
+    /// Packets addressed to the server.
+    pub requests: u64,
     /// ICMP echo replies sent.
     pub icmp_replies: u64,
     /// SYN/ACKs sent.
@@ -84,6 +67,13 @@ pub struct ServerStats {
     pub udp_discarded_bytes: u64,
 }
 
+impl ServerStats {
+    /// Replies sent, of every kind.
+    pub fn responses(&self) -> u64 {
+        self.icmp_replies + self.syn_acks + self.rsts + self.http_responses + self.udp_echoed
+    }
+}
+
 /// The server node. It answers on the wire to whatever node delivered the
 /// packet (its upstream switch/link).
 pub struct ServerNode {
@@ -91,7 +81,6 @@ pub struct ServerNode {
     ids: PacketIdGen,
     /// Counters.
     pub stats: ServerStats,
-    metrics: ServerMetrics,
 }
 
 impl ServerNode {
@@ -101,14 +90,15 @@ impl ServerNode {
             cfg,
             ids: PacketIdGen::new(source),
             stats: ServerStats::default(),
-            metrics: ServerMetrics::default(),
         }
     }
 
-    /// Register this server's telemetry (`netem.server.*`) in `reg`.
-    /// Without this call every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = ServerMetrics::from_registry(reg);
+    /// Write the server's counts into `out` as `netem.server.*`.
+    pub fn export(&self, out: &mut Snapshot) {
+        let s = &self.stats;
+        out.add_counter("netem.server.requests", s.requests);
+        out.add_counter("netem.server.responses", s.responses());
+        out.add_counter("netem.server.discarded", s.udp_discarded);
     }
 
     fn reply_tag(req: &Packet) -> PacketTag {
@@ -121,7 +111,6 @@ impl ServerNode {
     fn respond(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, req: &Packet, l4: L4, len: usize) {
         let reply = req.reply(self.ids.next_id(), l4, len, Self::reply_tag(req));
         let d = self.cfg.processing.sample(ctx.rng());
-        self.metrics.responses.inc();
         // Carry the probe's trace over to the reply packet id and account
         // the turnaround time as a `server` span.
         let tracer = ctx.tracer();
@@ -156,7 +145,7 @@ impl Node<Msg> for ServerNode {
         if packet.dst != self.cfg.ip {
             return; // not ours; a real host would drop silently
         }
-        self.metrics.requests.inc();
+        self.stats.requests += 1;
         match packet.l4 {
             L4::Icmp {
                 kind: IcmpKind::EchoRequest,
@@ -253,7 +242,6 @@ impl Node<Msg> for ServerNode {
                 } else {
                     self.stats.udp_discarded += 1;
                     self.stats.udp_discarded_bytes += packet.payload_len as u64;
-                    self.metrics.discarded.inc();
                 }
             }
         }

@@ -14,7 +14,7 @@ pub fn json_lines(snap: &Snapshot) -> String {
     for (name, v) in &snap.counters {
         let mut obj = Json::object();
         obj.set("type", "counter");
-        obj.set("name", name);
+        obj.set("name", &**name);
         obj.set("value", *v);
         out.push_str(&obj.to_string());
         out.push('\n');
@@ -22,17 +22,17 @@ pub fn json_lines(snap: &Snapshot) -> String {
     for (name, v) in &snap.gauges {
         let mut obj = Json::object();
         obj.set("type", "gauge");
-        obj.set("name", name);
+        obj.set("name", &**name);
         obj.set("value", *v);
         out.push_str(&obj.to_string());
         out.push('\n');
     }
-    for h in &snap.histograms {
+    for (name, h) in &snap.histograms {
         let mut obj = Json::object();
         obj.set("type", "histogram");
-        // HistogramSnapshot::to_json is an object; splice its fields in
-        // after the type tag.
-        if let Json::Obj(fields) = h.to_json() {
+        // The summary is an object; splice its fields in after the type
+        // tag.
+        if let Json::Obj(fields) = h.summary_json(name) {
             for (k, v) in fields {
                 obj.set(&k, v);
             }
@@ -69,9 +69,9 @@ pub fn prometheus(snap: &Snapshot) -> String {
         header(&mut out, &n, name, "gauge");
         let _ = writeln!(out, "{n} {v}");
     }
-    for h in &snap.histograms {
-        let n = sanitize(&h.name);
-        header(&mut out, &n, &h.name, "histogram");
+    for (name, h) in &snap.histograms {
+        let n = sanitize(name);
+        header(&mut out, &n, name, "histogram");
         let mut cum = 0u64;
         for (bound, count) in h.bounds.iter().zip(&h.buckets) {
             // Non-finite explicit bounds fold into the trailing +Inf

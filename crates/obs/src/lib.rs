@@ -4,10 +4,12 @@
 //! layers (SDIO bus sleep, 802.11 adaptive PSM, runtime overhead). This
 //! crate gives every layer a cheap way to report what it sees:
 //!
-//! - [`metrics::Registry`] — counters, gauges, and histograms behind a
-//!   clonable handle that is a strict no-op when disabled (a disabled
-//!   registry allocates nothing and every operation is a branch on
-//!   `None`).
+//! - [`metrics::Snapshot`] — the name-sorted counters, gauges and
+//!   [`metrics::Hist`] histograms a run's layers export when it is read,
+//!   and [`metrics::Registry`], which merges snapshots across runs and
+//!   vends handles for the few counts that have no layer record (a
+//!   disabled registry allocates nothing and every operation is a branch
+//!   on `None`).
 //! - [`sketch::QuantileSketch`] — the mergeable, censoring-aware quantile
 //!   sketch behind every histogram and every fleet campaign statistic.
 //! - [`trace::Tracer`] — per-probe causal spans with parent/child
@@ -25,8 +27,9 @@
 //!   experiment binaries in place of external serializers.
 //!
 //! Each question about a run has one record. Where a probe's delay went
-//! is its spans; what each layer counted is the registry; what the host
-//! paid is the profiler. What went over the air (the sniffer captures)
+//! is its spans; what each layer counted is that layer's own stats,
+//! exported to a snapshot when the run is read; what the host paid is
+//! the profiler. What went over the air (the sniffer captures)
 //! and when a packet crossed each driver hook (the phone's timestamp
 //! ledger) live with the models that see them, outside this crate.
 //!
@@ -50,7 +53,7 @@ pub mod trace;
 
 pub use json::{Json, JsonParseError, ToJson};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Registry, Snapshot, SnapshotStateError,
+    Counter, Gauge, Hist, Histogram, MetricName, Registry, Snapshot, SnapshotStateError,
     SNAPSHOT_STATE_VERSION,
 };
 pub use prof::{

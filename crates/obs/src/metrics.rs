@@ -1,16 +1,22 @@
-//! Counters, gauges, and histograms behind a [`Registry`].
+//! Counters, gauges, and histograms: a [`Snapshot`] of plain values,
+//! and a [`Registry`] of shared cells behind clonable handles.
 //!
-//! A `Registry` is a cheap clonable handle. `Registry::disabled()` costs
-//! nothing: every metric handle it vends is `None` inside and every
-//! operation is a single branch. An enabled registry interns metrics by
-//! name in `BTreeMap`s, so snapshots are deterministically ordered and
-//! two requests for the same name share one underlying cell.
+//! The model layers count into plain fields of their own and write them
+//! into a [`Snapshot`] when a run is read; a caller that aggregates runs
+//! merges those snapshots into a [`Registry`]. Handles from a registry
+//! are for counts that have no other home (a daemon's request counters,
+//! the live driver's send lateness). `Registry::disabled()` costs
+//! nothing: every handle it vends is `None` inside and every operation
+//! is a single branch. An enabled registry interns metrics by name in
+//! `BTreeMap`s, so snapshots are deterministically ordered and two
+//! requests for the same name share one underlying cell.
 //!
-//! A histogram keeps fixed buckets (for the Prometheus exposition) and
+//! A [`Hist`] keeps fixed buckets (for the Prometheus exposition) and
 //! a [`QuantileSketch`] of every observation (for the count, exact sum,
 //! min, max and quantiles). Both merge by integer addition, so merging
 //! snapshots is exactly associative and commutative.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -20,18 +26,15 @@ use crate::sketch::QuantileSketch;
 
 /// Default bucket upper bounds for millisecond-scale latencies, spanning
 /// sub-ms kernel costs up to multi-second PSM stalls.
-pub fn default_ms_buckets() -> Vec<f64> {
-    vec![
-        0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0,
-        5000.0,
-    ]
-}
+pub const DEFAULT_MS_BUCKETS: [f64; 15] = [
+    0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
+];
 
 #[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<AtomicU64>>,
     gauges: BTreeMap<String, Arc<AtomicI64>>,
-    hists: BTreeMap<String, Arc<Mutex<HistInner>>>,
+    hists: BTreeMap<String, Arc<Mutex<Hist>>>,
 }
 
 /// Handle to a metrics registry; `None` inside means disabled/no-op.
@@ -85,20 +88,20 @@ impl Registry {
             let mut g = inner.lock().unwrap();
             g.hists
                 .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(HistInner::new(bounds))))
+                .or_insert_with(|| Arc::new(Mutex::new(Hist::new(bounds))))
                 .clone()
         }))
     }
 
-    /// Get or create a histogram with [`default_ms_buckets`].
+    /// Get or create a histogram with [`DEFAULT_MS_BUCKETS`].
     pub fn histogram_ms(&self, name: &str) -> Histogram {
-        self.histogram(name, &default_ms_buckets())
+        self.histogram(name, &DEFAULT_MS_BUCKETS)
     }
 
-    /// Merge a [`Snapshot`] (typically taken from a per-shard registry)
-    /// into this registry: counters and gauges add, histograms add
-    /// bucket-wise and merge their sketches (created with the snapshot's
-    /// bounds when absent). No-op on a disabled registry.
+    /// Merge a [`Snapshot`] (a run's export, or another registry's
+    /// snapshot) into this registry: counters and gauges add, histograms
+    /// add bucket-wise and merge their sketches (created with the
+    /// snapshot's bounds when absent). No-op on a disabled registry.
     ///
     /// Every piece of state merges by exact integer addition (histogram
     /// sums via their integer-nanosecond accumulators), so the result is
@@ -115,27 +118,27 @@ impl Registry {
         let Some(inner) = &self.0 else { return };
         let mut g = inner.lock().unwrap();
         for (name, v) in &snap.counters {
-            if let Some(c) = g.counters.get(name) {
+            if let Some(c) = g.counters.get(&**name) {
                 c.fetch_add(*v, Ordering::Relaxed);
             } else {
                 g.counters
-                    .insert(name.clone(), Arc::new(AtomicU64::new(*v)));
+                    .insert(name.to_string(), Arc::new(AtomicU64::new(*v)));
             }
         }
         for (name, v) in &snap.gauges {
-            if let Some(l) = g.gauges.get(name) {
+            if let Some(l) = g.gauges.get(&**name) {
                 l.fetch_add(*v, Ordering::Relaxed);
             } else {
-                g.gauges.insert(name.clone(), Arc::new(AtomicI64::new(*v)));
+                g.gauges
+                    .insert(name.to_string(), Arc::new(AtomicI64::new(*v)));
             }
         }
-        for hs in &snap.histograms {
-            if let Some(cell) = g.hists.get(&hs.name) {
-                cell.lock().unwrap().merge(hs);
+        for (name, h) in &snap.histograms {
+            if let Some(cell) = g.hists.get(&**name) {
+                cell.lock().unwrap().merge(h);
             } else {
-                let mut h = HistInner::new(&hs.bounds);
-                h.merge(hs);
-                g.hists.insert(hs.name.clone(), Arc::new(Mutex::new(h)));
+                g.hists
+                    .insert(name.to_string(), Arc::new(Mutex::new(h.clone())));
             }
         }
     }
@@ -147,12 +150,11 @@ impl Registry {
     pub fn check_merge(&self, snap: &Snapshot) -> Result<(), SnapshotStateError> {
         let Some(inner) = &self.0 else { return Ok(()) };
         let g = inner.lock().unwrap();
-        for hs in &snap.histograms {
-            if let Some(cell) = g.hists.get(&hs.name) {
-                if cell.lock().unwrap().bounds != hs.bounds {
+        for (name, h) in &snap.histograms {
+            if let Some(cell) = g.hists.get(&**name) {
+                if cell.lock().unwrap().bounds != h.bounds {
                     return Err(SnapshotStateError(format!(
-                        "histogram `{}` has different bounds than the one held",
-                        hs.name
+                        "histogram `{name}` has different bounds than the one held"
                     )));
                 }
             }
@@ -166,14 +168,16 @@ impl Registry {
         if let Some(inner) = &self.0 {
             let g = inner.lock().unwrap();
             for (name, c) in &g.counters {
-                snap.counters
-                    .push((name.clone(), c.load(Ordering::Relaxed)));
+                let v = c.load(Ordering::Relaxed);
+                snap.counters.push((name.clone().into(), v));
             }
             for (name, v) in &g.gauges {
-                snap.gauges.push((name.clone(), v.load(Ordering::Relaxed)));
+                let v = v.load(Ordering::Relaxed);
+                snap.gauges.push((name.clone().into(), v));
             }
             for (name, h) in &g.hists {
-                snap.histograms.push(h.lock().unwrap().snapshot(name));
+                let h = h.lock().unwrap().clone();
+                snap.histograms.push((name.clone().into(), h));
             }
         }
         snap
@@ -233,31 +237,39 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
-struct HistInner {
-    bounds: Vec<f64>,
+/// A fixed-bucket histogram and a sketch of every observation: the one
+/// histogram implementation. A layer owns one as a plain value and
+/// exports it into a [`Snapshot`]; a [`Registry`] keeps one behind each
+/// [`Histogram`] handle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Hist {
+    /// Bucket upper bounds, strictly ascending.
+    pub(crate) bounds: Cow<'static, [f64]>,
     /// `buckets[i]` counts observations `<= bounds[i]`; the final slot
-    /// is the overflow bucket (`> bounds.last()`).
-    buckets: Vec<u64>,
-    /// Every observation: the count, the integer-nanosecond sum, min,
-    /// max and quantiles all come from here.
-    sketch: QuantileSketch,
+    /// is the overflow bucket (`> bounds.last()`). They sum to the
+    /// sketch's count.
+    pub(crate) buckets: Vec<u64>,
+    /// Every observation, merged exactly: the source of the count, sum,
+    /// min, max and quantiles below.
+    pub(crate) sketch: QuantileSketch,
 }
 
-impl HistInner {
-    fn new(bounds: &[f64]) -> HistInner {
+impl Hist {
+    /// An empty histogram with the given bucket upper bounds.
+    pub fn new(bounds: &[f64]) -> Hist {
         debug_assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
-        HistInner {
-            bounds: bounds.to_vec(),
+        Hist {
+            bounds: bounds.to_vec().into(),
             buckets: vec![0; bounds.len() + 1],
             sketch: QuantileSketch::new(),
         }
     }
 
-    fn observe(&mut self, v: f64) {
+    /// Record one observation.
+    pub fn observe(&mut self, v: f64) {
         let idx = self
             .bounds
             .iter()
@@ -267,63 +279,22 @@ impl HistInner {
         self.sketch.observe(v);
     }
 
-    fn merge(&mut self, snap: &HistogramSnapshot) {
+    /// Add `other`'s buckets and sketch to this one.
+    ///
+    /// # Panics
+    ///
+    /// If the bounds differ.
+    pub fn merge(&mut self, other: &Hist) {
         assert_eq!(
-            self.bounds, snap.bounds,
+            self.bounds, other.bounds,
             "merging histograms with mismatched bounds"
         );
-        for (a, b) in self.buckets.iter_mut().zip(&snap.buckets) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
-        self.sketch.merge(&snap.sketch);
+        self.sketch.merge(&other.sketch);
     }
 
-    fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        HistogramSnapshot {
-            name: name.to_string(),
-            bounds: self.bounds.clone(),
-            buckets: self.buckets.clone(),
-            sketch: self.sketch.clone(),
-        }
-    }
-}
-
-/// Fixed-bucket latency/size histogram.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Option<Arc<Mutex<HistInner>>>);
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, v: f64) {
-        if let Some(h) = &self.0 {
-            h.lock().unwrap().observe(v);
-        }
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |h| h.lock().unwrap().sketch.count())
-    }
-}
-
-/// Point-in-time state of one histogram.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Metric name.
-    pub name: String,
-    /// Bucket upper bounds, ascending.
-    pub bounds: Vec<f64>,
-    /// `buckets[i]` counts observations `<= bounds[i]`; the final slot is
-    /// the overflow bucket.
-    pub buckets: Vec<u64>,
-    /// Every observation, merged exactly: the source of the count, sum,
-    /// min, max and quantiles below.
-    pub sketch: QuantileSketch,
-}
-
-impl HistogramSnapshot {
     /// Total observations.
     pub fn count(&self) -> u64 {
         self.sketch.count()
@@ -371,12 +342,12 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-}
 
-impl ToJson for HistogramSnapshot {
-    fn to_json(&self) -> Json {
+    /// The summary view of histogram `name`: its count, sum, min, max,
+    /// mean, p50/p95/p99, bounds and buckets.
+    pub fn summary_json(&self, name: &str) -> Json {
         let mut obj = Json::object();
-        obj.set("name", &self.name);
+        obj.set("name", name);
         obj.set("count", self.count());
         obj.set("sum", self.sum());
         obj.set("min", self.min());
@@ -385,21 +356,72 @@ impl ToJson for HistogramSnapshot {
         obj.set("p50", self.p50());
         obj.set("p95", self.p95());
         obj.set("p99", self.p99());
-        obj.set("bounds", &self.bounds);
+        obj.set("bounds", &*self.bounds);
         obj.set("buckets", &self.buckets);
         obj
     }
 }
 
-/// Deterministic (name-sorted) view of a whole registry.
+impl Default for Hist {
+    /// An empty histogram with [`DEFAULT_MS_BUCKETS`].
+    fn default() -> Hist {
+        Hist {
+            bounds: Cow::Borrowed(&DEFAULT_MS_BUCKETS),
+            buckets: vec![0; DEFAULT_MS_BUCKETS.len() + 1],
+            sketch: QuantileSketch::new(),
+        }
+    }
+}
+
+/// Handle to a registry's histogram.
+#[derive(Debug, Clone, Default)]
+pub struct Histogram(Option<Arc<Mutex<Hist>>>);
+
+impl Histogram {
+    /// Record one observation.
+    pub fn observe(&self, v: f64) {
+        if let Some(h) = &self.0 {
+            h.lock().unwrap().observe(v);
+        }
+    }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.0.as_ref().map_or(0, |h| h.lock().unwrap().count())
+    }
+}
+
+/// A metric name: borrowed where the exporting layer's name is fixed,
+/// so exporting allocates no name it already knows.
+pub type MetricName = Cow<'static, str>;
+
+/// Deterministic (name-sorted) plain values of a set of metrics: what a
+/// run's layers export, what a [`Registry`] snapshots, what campaign
+/// state carries.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// `(name, value)` per counter, name-sorted.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(MetricName, u64)>,
     /// `(name, level)` per gauge, name-sorted.
-    pub gauges: Vec<(String, i64)>,
-    /// Per-histogram state, name-sorted.
-    pub histograms: Vec<HistogramSnapshot>,
+    pub gauges: Vec<(MetricName, i64)>,
+    /// `(name, histogram)` per histogram, name-sorted.
+    pub histograms: Vec<(MetricName, Hist)>,
+}
+
+/// Where `name` sits in the name-sorted `list`: `Ok` at its entry, `Err`
+/// where it would be inserted.
+fn find<T>(list: &[(MetricName, T)], name: &str) -> Result<usize, usize> {
+    list.binary_search_by(|(n, _)| (**n).cmp(name))
+}
+
+/// The value of `name` in the name-sorted `list`, inserted as 0 where it
+/// is missing.
+fn slot<T: Default>(list: &mut Vec<(MetricName, T)>, name: MetricName) -> &mut T {
+    let i = find(list, &name).unwrap_or_else(|i| {
+        list.insert(i, (name, T::default()));
+        i
+    });
+    &mut list[i].1
 }
 
 impl Snapshot {
@@ -417,13 +439,39 @@ impl Snapshot {
     }
 
     /// State of histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
+    pub fn histogram(&self, name: &str) -> Option<&Hist> {
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
     }
 
     /// Whether the snapshot holds no metrics at all.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+    }
+
+    /// Add `v` to counter `name`, creating it in name order.
+    pub fn add_counter(&mut self, name: impl Into<MetricName>, v: u64) {
+        *slot(&mut self.counters, name.into()) += v;
+    }
+
+    /// Add `v` to gauge `name`, creating it in name order.
+    pub fn add_gauge(&mut self, name: impl Into<MetricName>, v: i64) {
+        *slot(&mut self.gauges, name.into()) += v;
+    }
+
+    /// Merge `h` into histogram `name`, which it becomes when absent.
+    ///
+    /// # Panics
+    ///
+    /// If histogram `name` is held with other bounds.
+    pub fn add_histogram(&mut self, name: impl Into<MetricName>, h: Hist) {
+        let name = name.into();
+        match find(&self.histograms, &name) {
+            Ok(i) => self.histograms[i].1.merge(&h),
+            Err(i) => self.histograms.insert(i, (name, h)),
+        }
     }
 }
 
@@ -466,10 +514,10 @@ impl Snapshot {
             gauges.set(name, *v as f64);
         }
         let mut hists = Json::array();
-        for h in &self.histograms {
+        for (name, h) in &self.histograms {
             let mut obj = Json::object();
-            obj.set("name", &h.name);
-            obj.set("bounds", &h.bounds);
+            obj.set("name", &**name);
+            obj.set("bounds", &*h.bounds);
             obj.set("buckets", &h.buckets);
             obj.set("sketch", h.sketch.state_json());
             hists.push(obj);
@@ -485,16 +533,27 @@ impl Snapshot {
     /// Reconstruct a snapshot from [`Snapshot::state_json`] output. The
     /// round trip is exact: merging the result into a registry produces
     /// the same state as merging the original. Anything a registry could
-    /// not have produced — another version, unsorted or repeated
-    /// histogram names, bounds that do not ascend, buckets that disagree
-    /// with the sketch, a sketch of another accuracy — is an error, so
-    /// merging the result never panics.
+    /// not have produced — another version, a counter or bucket count
+    /// that is not a non-negative integer, a fractional gauge, unsorted
+    /// or repeated histogram names, bounds that do not ascend, buckets
+    /// that disagree with the sketch, a sketch of another accuracy — is
+    /// an error, so merging the result never panics.
     pub fn from_state_json(state: &Json) -> Result<Snapshot, SnapshotStateError> {
         let err = |msg: &str| SnapshotStateError(msg.to_string());
-        let version = state
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing version"))? as u64;
+        // Every count is a non-negative integer; a cast would quietly
+        // turn -5 into 0 and 2.5 into 2.
+        let count = |v: &Json, what: &str| -> Result<u64, SnapshotStateError> {
+            match v.as_f64() {
+                Some(v) if v.is_finite() && v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
+                _ => Err(SnapshotStateError(format!(
+                    "{what} is not a non-negative integer"
+                ))),
+            }
+        };
+        let version = count(
+            state.get("version").ok_or_else(|| err("missing version"))?,
+            "version",
+        )?;
         if version != SNAPSHOT_STATE_VERSION {
             return Err(SnapshotStateError(format!(
                 "snapshot state version {version} is not supported (expected \
@@ -509,24 +568,25 @@ impl Snapshot {
         };
         let mut snap = Snapshot::default();
         for (name, v) in entries("counters")? {
-            let v = v.as_f64().ok_or_else(|| err("counter not a number"))?;
-            snap.counters.push((name.clone(), v as u64));
+            let v = count(v, &format!("counter `{name}`"))?;
+            snap.counters.push((name.clone().into(), v));
         }
         for (name, v) in entries("gauges")? {
-            let v = v.as_f64().ok_or_else(|| err("gauge not a number"))?;
-            snap.gauges.push((name.clone(), v as i64));
+            let v = match v.as_f64() {
+                Some(v) if v.is_finite() && v.fract() == 0.0 => v as i64,
+                _ => {
+                    return Err(SnapshotStateError(format!(
+                        "gauge `{name}` is not an integer"
+                    )))
+                }
+            };
+            snap.gauges.push((name.clone().into(), v));
         }
-        let floats = |h: &Json, key: &str| -> Result<Vec<f64>, SnapshotStateError> {
+        fn array<'a>(h: &'a Json, key: &str) -> Result<&'a [Json], SnapshotStateError> {
             h.get(key)
                 .and_then(Json::as_arr)
-                .ok_or_else(|| SnapshotStateError(format!("missing {key} array")))?
-                .iter()
-                .map(|v| {
-                    v.as_f64()
-                        .ok_or_else(|| SnapshotStateError(format!("{key} entry not a number")))
-                })
-                .collect()
-        };
+                .ok_or_else(|| SnapshotStateError(format!("missing {key} array")))
+        }
         for h in state
             .get("histograms")
             .and_then(Json::as_arr)
@@ -538,14 +598,24 @@ impl Snapshot {
                 .ok_or_else(|| err("missing histogram name"))?
                 .to_string();
             let bad = |msg: &str| SnapshotStateError(format!("histogram `{name}`: {msg}"));
-            if snap.histograms.last().is_some_and(|prev| prev.name >= name) {
+            if snap
+                .histograms
+                .last()
+                .is_some_and(|(prev, _)| **prev >= *name)
+            {
                 return Err(bad("histogram names must be sorted and unique"));
             }
-            let bounds = floats(h, "bounds")?;
+            let bounds = array(h, "bounds")?
+                .iter()
+                .map(|v| v.as_f64().ok_or_else(|| bad("bounds entry not a number")))
+                .collect::<Result<Vec<f64>, _>>()?;
             if !bounds.windows(2).all(|w| w[0] < w[1]) {
                 return Err(bad("bounds must be strictly ascending"));
             }
-            let buckets: Vec<u64> = floats(h, "buckets")?.iter().map(|&v| v as u64).collect();
+            let buckets = array(h, "buckets")?
+                .iter()
+                .map(|v| count(v, &format!("histogram `{name}`: a bucket count")))
+                .collect::<Result<Vec<u64>, _>>()?;
             if buckets.len() != bounds.len() + 1 {
                 return Err(bad("bucket count must be bounds + 1"));
             }
@@ -559,12 +629,12 @@ impl Snapshot {
             if buckets.iter().sum::<u64>() != sketch.count() {
                 return Err(bad("bucket counts disagree with the sketch"));
             }
-            snap.histograms.push(HistogramSnapshot {
-                name,
-                bounds,
+            let hist = Hist {
+                bounds: bounds.into(),
                 buckets,
                 sketch,
-            });
+            };
+            snap.histograms.push((name.into(), hist));
         }
         Ok(snap)
     }
@@ -581,8 +651,8 @@ impl ToJson for Snapshot {
             gauges.set(name, *v);
         }
         let mut hists = Json::array();
-        for h in &self.histograms {
-            hists.push(h.to_json());
+        for (name, h) in &self.histograms {
+            hists.push(h.summary_json(name));
         }
         let mut obj = Json::object();
         obj.set("counters", counters);
@@ -645,7 +715,7 @@ mod tests {
         r.counter("alpha").inc();
         r.gauge("mid").set(1);
         let snap = r.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
     }
 
@@ -759,7 +829,7 @@ mod tests {
         assert_eq!(restored.counters, snap.counters);
         assert_eq!(restored.gauges, snap.gauges);
         assert_eq!(restored.histograms.len(), snap.histograms.len());
-        let (a, b) = (&restored.histograms[0], &snap.histograms[0]);
+        let (a, b) = (&restored.histograms[0].1, &snap.histograms[0].1);
         assert_eq!(a.sketch, b.sketch);
         assert_eq!(
             restored.to_json().to_string_pretty(),
@@ -797,6 +867,8 @@ mod tests {
         let r = Registry::new();
         r.histogram("a", &[1.0, 10.0]).observe(2.0);
         r.histogram("b", &[1.0]).observe(0.5);
+        r.counter("c").add(3);
+        r.gauge("g").set(-2);
         let good = r.snapshot().state_json();
         let tamper = |f: &dyn Fn(&mut Vec<Json>)| {
             let mut doc = good.clone();
@@ -819,6 +891,64 @@ mod tests {
             h[0].set("sketch", sk.state_json());
         });
         assert!(e.contains("accuracy"), "{e}");
+        // Bucket counts are non-negative integers: 0.5 + 0.5 sums to the
+        // sketch's count of 1 but no histogram counts half a sample.
+        let e = tamper(&|h| h[1].set("buckets", vec![0.5, 0.5]));
+        assert!(
+            e.contains("bucket count is not a non-negative integer"),
+            "{e}"
+        );
+        let e = tamper(&|h| h[1].set("buckets", vec![2.0, -1.0]));
+        assert!(
+            e.contains("bucket count is not a non-negative integer"),
+            "{e}"
+        );
+        // So are counters; a gauge is an integer of either sign.
+        let with = |key: &str, name: &str, v: f64| {
+            let mut doc = good.clone();
+            let mut section = doc.get(key).unwrap().clone();
+            section.set(name, v);
+            doc.set(key, section);
+            Snapshot::from_state_json(&doc)
+        };
+        // A cast would read these as 0, 2 and 1.
+        for v in [-5.0, 2.5] {
+            let e = with("counters", "c", v).unwrap_err();
+            assert!(
+                e.0.contains("counter `c` is not a non-negative integer"),
+                "{e}"
+            );
+        }
+        let e = with("gauges", "g", 1.75).unwrap_err();
+        assert!(e.0.contains("gauge `g` is not an integer"), "{e}");
+        // A negative gauge is a level, not an error.
+        assert_eq!(with("gauges", "g", -7.0).unwrap().gauge("g"), Some(-7));
+    }
+
+    #[test]
+    fn snapshot_exports_keep_names_sorted_and_add() {
+        let mut snap = Snapshot::default();
+        snap.add_counter("zeta", 1);
+        snap.add_counter("alpha", 2);
+        snap.add_counter("zeta", 4);
+        snap.add_gauge("g", -3);
+        let mut h = Hist::new(&[1.0, 10.0]);
+        h.observe(0.5);
+        snap.add_histogram("h", h.clone());
+        h.observe(20.0);
+        snap.add_histogram("h", h);
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| &**n).collect();
+        assert_eq!(names, ["alpha", "zeta"]);
+        assert_eq!(snap.counter("zeta"), Some(5));
+        assert_eq!(snap.gauge("g"), Some(-3));
+        assert_eq!(snap.histogram("h").unwrap().buckets, [2, 0, 1]);
+        // The same values through a registry read back identically.
+        let r = Registry::new();
+        r.merge_snapshot(&snap);
+        assert_eq!(
+            r.snapshot().state_json().to_string(),
+            snap.state_json().to_string()
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! *exactly* associative and commutative — not merely up to float
 //! rounding — so a collector may fold shard results in any order and
 //! still produce byte-identical output for any worker count. It backs
-//! every [`Histogram`](crate::Histogram) as well as the campaign
+//! every [`Hist`](crate::Hist) as well as the campaign
 //! report's per-stratum statistics. The property tests below check both
 //! laws on the full serialized state.
 

@@ -128,18 +128,6 @@ impl PhoneNode {
         app.as_any().downcast_ref::<T>().expect("app type mismatch")
     }
 
-    /// Mutable typed view of an installed app (e.g. to attach telemetry
-    /// before a run).
-    ///
-    /// # Panics
-    /// Panics if the index or type is wrong.
-    pub fn app_mut<T: 'static>(&mut self, idx: usize) -> &mut T {
-        let app: &mut dyn App = &mut **self.apps[idx].app.as_mut().expect("app in dispatch");
-        app.as_any_mut()
-            .downcast_mut::<T>()
-            .expect("app type mismatch")
-    }
-
     /// The phone's core state (ledger, bus, stats, profile).
     pub fn core(&self) -> &PhoneCore {
         &self.core

@@ -12,45 +12,26 @@
 //! activity clock so concurrent operations during the wake window don't
 //! sample a second wake. Awake time is accumulated for the energy proxy.
 
-use obs::{Counter, Histogram, Registry};
+use obs::{Hist, Snapshot};
 use simcore::{SimDuration, SimTime};
 
-/// Telemetry handles for the bus (`phone.sdio.*`). Defaults to disabled
-/// no-op handles.
-#[derive(Debug, Clone, Default)]
-struct BusMetrics {
-    wakeups: Counter,
-    demotions: Counter,
-    ops_awake: Counter,
-    ops_asleep: Counter,
-    /// Promotion (wake) latency paid by operations that found the bus
-    /// asleep, ms — the ∆dk−v driver cost of Table 3.
-    wake_latency_ms: Histogram,
-}
-
-impl BusMetrics {
-    fn from_registry(reg: &Registry) -> BusMetrics {
-        BusMetrics {
-            wakeups: reg.counter("phone.sdio.wakeups"),
-            demotions: reg.counter("phone.sdio.demotions"),
-            ops_awake: reg.counter("phone.sdio.ops_awake"),
-            ops_asleep: reg.counter("phone.sdio.ops_asleep"),
-            wake_latency_ms: reg.histogram_ms("phone.sdio.wake_latency_ms"),
-        }
-    }
-}
-
 /// Energy/usage counters for the bus.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusStats {
     /// Sleep → awake transitions.
     pub wakeups: u64,
+    /// Wakes after earlier activity: the bus had demoted (lazily) in
+    /// between.
+    pub demotions: u64,
     /// Operations served with the bus already awake.
     pub ops_awake: u64,
     /// Operations that had to wake the bus.
     pub ops_asleep: u64,
     /// Accumulated awake time in ns (energy proxy).
     pub awake_ns: u64,
+    /// Promotion (wake) latency paid by operations that found the bus
+    /// asleep, ms — the ∆dk−v driver cost of Table 3.
+    pub wake_latency_ms: Hist,
 }
 
 /// The host-bus sleep state machine.
@@ -66,7 +47,6 @@ pub struct SdioBus {
     ever_active: bool,
     /// Public counters.
     pub stats: BusStats,
-    metrics: BusMetrics,
 }
 
 impl SdioBus {
@@ -78,14 +58,17 @@ impl SdioBus {
             last_activity: SimTime::ZERO,
             ever_active: false,
             stats: BusStats::default(),
-            metrics: BusMetrics::default(),
         }
     }
 
-    /// Register this bus's telemetry (`phone.sdio.*`) in `reg`. Without
-    /// this call every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = BusMetrics::from_registry(reg);
+    /// Write the bus's counts into `out` as `phone.sdio.*`.
+    pub fn export(&self, out: &mut Snapshot) {
+        let s = &self.stats;
+        out.add_counter("phone.sdio.wakeups", s.wakeups);
+        out.add_counter("phone.sdio.demotions", s.demotions);
+        out.add_counter("phone.sdio.ops_awake", s.ops_awake);
+        out.add_counter("phone.sdio.ops_asleep", s.ops_asleep);
+        out.add_histogram("phone.sdio.wake_latency_ms", s.wake_latency_ms.clone());
     }
 
     /// The demotion timeout.
@@ -121,20 +104,17 @@ impl SdioBus {
         let was_asleep = !self.is_awake(now);
         if was_asleep {
             self.stats.wakeups += 1;
-            self.metrics.wakeups.inc();
-            self.metrics.ops_asleep.inc();
             if self.ever_active {
                 // Finding the bus asleep after activity means a demotion
                 // (lazy) happened in between.
-                self.metrics.demotions.inc();
+                self.stats.demotions += 1;
             }
-            self.metrics
+            self.stats
                 .wake_latency_ms
                 .observe(ready_at.saturating_since(now).as_nanos() as f64 / 1e6);
             self.stats.ops_asleep += 1;
         } else {
             self.stats.ops_awake += 1;
-            self.metrics.ops_awake.inc();
             if self.ever_active {
                 // Extend the awake account by the idle gap we stayed up
                 // (capped at Tis — beyond that we'd have slept).

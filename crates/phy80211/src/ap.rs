@@ -10,38 +10,11 @@
 
 use std::collections::VecDeque;
 
-use obs::{Counter, Histogram, Registry};
+use obs::{Hist, Snapshot};
 use simcore::{Ctx, Node, NodeId, SimDuration, SimTime};
 use wire::{Frame, FrameKind, IcmpKind, Ip, Mac, Msg, Packet, PacketIdGen, PacketTag, L4};
 
 const TAG_BEACON: u64 = 1;
-
-/// Telemetry handles for the AP (`phy.ap.*`). Defaults to disabled
-/// no-op handles.
-#[derive(Default)]
-struct ApMetrics {
-    beacons: Counter,
-    forwarded_up: Counter,
-    forwarded_down: Counter,
-    ps_buffered: Counter,
-    dropped: Counter,
-    /// Time each PS-buffered packet waited at the AP before release, ms.
-    /// This is the beacon-buffering half of ∆dv−n in the paper.
-    ps_buffer_wait_ms: Histogram,
-}
-
-impl ApMetrics {
-    fn from_registry(reg: &Registry) -> ApMetrics {
-        ApMetrics {
-            beacons: reg.counter("phy.ap.beacons"),
-            forwarded_up: reg.counter("phy.ap.forwarded_up"),
-            forwarded_down: reg.counter("phy.ap.forwarded_down"),
-            ps_buffered: reg.counter("phy.ap.ps_buffered"),
-            dropped: reg.counter("phy.ap.dropped"),
-            ps_buffer_wait_ms: reg.histogram_ms("phy.ap.ps_buffer_wait_ms"),
-        }
-    }
-}
 
 /// AP configuration.
 #[derive(Debug, Clone)]
@@ -110,6 +83,16 @@ pub struct ApStats {
     pub dropped_no_route: u64,
     /// ICMP Time Exceeded messages generated.
     pub icmp_generated: u64,
+    /// Time each PS-buffered packet waited at the AP before release, ms.
+    /// This is the beacon-buffering half of ∆dv−n in the paper.
+    pub ps_buffer_wait_ms: Hist,
+}
+
+impl ApStats {
+    /// Packets dropped, any reason.
+    pub fn dropped(&self) -> u64 {
+        self.dropped_ps_full + self.dropped_queue_full + self.dropped_ttl + self.dropped_no_route
+    }
 }
 
 /// The AP node.
@@ -129,7 +112,6 @@ pub struct ApNode {
     flush_scratch: Vec<(SimTime, Packet)>,
     /// Public counters.
     pub stats: ApStats,
-    metrics: ApMetrics,
 }
 
 impl ApNode {
@@ -147,14 +129,18 @@ impl ApNode {
             in_flight: 0,
             flush_scratch: Vec::new(),
             stats: ApStats::default(),
-            metrics: ApMetrics::default(),
         }
     }
 
-    /// Register this AP's telemetry (`phy.ap.*`) in `reg`. Without this
-    /// call every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = ApMetrics::from_registry(reg);
+    /// Write the AP's counts into `out` as `phy.ap.*`.
+    pub fn export(&self, out: &mut Snapshot) {
+        let s = &self.stats;
+        out.add_counter("phy.ap.beacons", s.beacons);
+        out.add_counter("phy.ap.forwarded_up", s.forwarded_up);
+        out.add_counter("phy.ap.forwarded_down", s.forwarded_down);
+        out.add_counter("phy.ap.ps_buffered", s.ps_buffered);
+        out.add_counter("phy.ap.dropped", s.dropped());
+        out.add_histogram("phy.ap.ps_buffer_wait_ms", s.ps_buffer_wait_ms.clone());
     }
 
     /// Associate a station: its MAC joins the BSS and `ip` routes to it.
@@ -211,7 +197,6 @@ impl ApNode {
     fn tx_data(&mut self, ctx: &mut Ctx<'_, Msg>, dst: Mac, packet: Packet) {
         if self.in_flight >= self.cfg.downlink_cap {
             self.stats.dropped_queue_full += 1;
-            self.metrics.dropped.inc();
             return;
         }
         self.in_flight += 1;
@@ -222,7 +207,6 @@ impl ApNode {
     fn downlink(&mut self, ctx: &mut Ctx<'_, Msg>, packet: Packet) {
         let Some(&(_, mac)) = self.ip_to_mac.iter().find(|(ip, _)| *ip == packet.dst) else {
             self.stats.dropped_no_route += 1;
-            self.metrics.dropped.inc();
             return;
         };
         if self.is_dozing(mac) {
@@ -231,15 +215,12 @@ impl ApNode {
             let entry = self.station_mut(mac).expect("associated");
             if entry.buffered.len() >= cap {
                 self.stats.dropped_ps_full += 1;
-                self.metrics.dropped.inc();
             } else {
                 entry.buffered.push_back((now, packet));
                 self.stats.ps_buffered += 1;
-                self.metrics.ps_buffered.inc();
             }
         } else {
             self.stats.forwarded_down += 1;
-            self.metrics.forwarded_down.inc();
             self.tx_data(ctx, mac, packet);
         }
     }
@@ -271,7 +252,7 @@ impl ApNode {
         let now = ctx.now();
         for &(enqueued, packet) in &drained {
             let waited_ms = now.saturating_since(enqueued).as_nanos() as f64 / 1e6;
-            self.metrics.ps_buffer_wait_ms.observe(waited_ms);
+            self.stats.ps_buffer_wait_ms.observe(waited_ms);
             // The span covers exactly the interval the histogram observes,
             // so per-trace `ap_buffer` totals reconcile with the metric.
             let tracer = ctx.tracer();
@@ -287,7 +268,6 @@ impl ApNode {
                 tracer.attr(span, "waited_ms", waited_ms);
             }
             self.stats.forwarded_down += 1;
-            self.metrics.forwarded_down.inc();
             self.tx_data(ctx, mac, packet);
         }
         drained.clear();
@@ -299,7 +279,6 @@ impl ApNode {
         packet.ttl = packet.ttl.saturating_sub(1);
         if packet.ttl == 0 {
             self.stats.dropped_ttl += 1;
-            self.metrics.dropped.inc();
             // RFC 792: time exceeded back to the sender. This goes
             // through the normal downlink path (and is itself subject to
             // PSM buffering).
@@ -321,7 +300,6 @@ impl ApNode {
             return;
         }
         self.stats.forwarded_up += 1;
-        self.metrics.forwarded_up.inc();
         ctx.send(self.wired, self.cfg.forward_latency, Msg::Wire(packet));
     }
 }
@@ -365,7 +343,6 @@ impl Node<Msg> for ApNode {
                 packet.ttl = packet.ttl.saturating_sub(1);
                 if packet.ttl == 0 {
                     self.stats.dropped_ttl += 1;
-                    self.metrics.dropped.inc();
                     return;
                 }
                 self.downlink(ctx, packet);
@@ -393,7 +370,6 @@ impl Node<Msg> for ApNode {
         let beacon = Frame::beacon(self.frame_ids.next_id(), self.cfg.mac, tim);
         ctx.send(self.medium, SimDuration::ZERO, Msg::MediumTx(beacon));
         self.stats.beacons += 1;
-        self.metrics.beacons.inc();
         ctx.set_timer(self.cfg.beacon_interval, TAG_BEACON);
     }
 }

@@ -20,7 +20,6 @@
 use std::collections::VecDeque;
 
 use netem::{FaultPlan, FaultState, FaultVerdict};
-use obs::Registry;
 use simcore::{Ctx, Node, NodeId, SimDuration};
 use wire::{Frame, FrameKind, Mac, Msg, PacketTag};
 
@@ -158,14 +157,6 @@ impl MediumNode {
     /// retry/re-warm can recover.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.fault = plan.is_active().then(|| FaultState::new(plan));
-    }
-
-    /// Register the fault layer's counters as `fault.<label>.*` in `reg`.
-    /// Call after [`MediumNode::set_fault_plan`].
-    pub fn attach_fault_metrics(&mut self, reg: &Registry, label: &str) {
-        if let Some(fault) = &mut self.fault {
-            fault.attach_metrics(reg, label);
-        }
     }
 
     /// Fault-layer counters, if a plan is installed.

@@ -15,7 +15,7 @@
 //!   received.
 //! * **static PSM**: doze immediately after every exchange (ablation).
 
-use obs::{Counter, Histogram, Registry};
+use obs::{Hist, Snapshot};
 use simcore::{Ctx, Node, NodeId, SimDuration, SimTime, TimerId};
 use wire::{Frame, FrameKind, Mac, Msg, Packet, PacketIdGen};
 
@@ -23,36 +23,6 @@ use crate::config::{PsmPolicy, StaConfig};
 
 const TAG_PSM_TIMEOUT: u64 = 1;
 const TAG_WAKE_TX: u64 = 2;
-
-/// Telemetry handles for one station (`phy.sta.*`). Defaults to
-/// disabled no-op handles.
-#[derive(Default)]
-struct StaMetrics {
-    data_tx: Counter,
-    data_rx: Counter,
-    ps_polls: Counter,
-    beacons_heard: Counter,
-    beacons_missed: Counter,
-    wakeups: Counter,
-    dozes: Counter,
-    /// Length of each completed CAM (awake) stint, ms.
-    cam_interval_ms: Histogram,
-}
-
-impl StaMetrics {
-    fn from_registry(reg: &Registry) -> StaMetrics {
-        StaMetrics {
-            data_tx: reg.counter("phy.sta.data_tx"),
-            data_rx: reg.counter("phy.sta.data_rx"),
-            ps_polls: reg.counter("phy.sta.ps_polls"),
-            beacons_heard: reg.counter("phy.sta.beacons_heard"),
-            beacons_missed: reg.counter("phy.sta.beacons_missed"),
-            wakeups: reg.counter("phy.sta.wakeups"),
-            dozes: reg.counter("phy.sta.dozes"),
-            cam_interval_ms: reg.histogram_ms("phy.sta.cam_interval_ms"),
-        }
-    }
-}
 
 /// Power state of the station.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +50,9 @@ pub struct StaStats {
     pub wakeups: u64,
     /// Total time spent in CAM, ns (energy proxy).
     pub cam_ns: u64,
+    /// Length of each completed CAM (awake) stint, ms; its count is the
+    /// number of CAM → doze transitions.
+    pub cam_interval_ms: Hist,
 }
 
 /// The station MAC node.
@@ -103,7 +76,6 @@ pub struct StaMacNode {
     ids: PacketIdGen,
     /// Public counters.
     pub stats: StaStats,
-    metrics: StaMetrics,
 }
 
 impl StaMacNode {
@@ -132,14 +104,20 @@ impl StaMacNode {
             waking: false,
             ids: PacketIdGen::new(source),
             stats: StaStats::default(),
-            metrics: StaMetrics::default(),
         }
     }
 
-    /// Register this station's telemetry (`phy.sta.*`) in `reg`.
-    /// Without this call every metric handle is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &Registry) {
-        self.metrics = StaMetrics::from_registry(reg);
+    /// Write this station's counts into `out` as `phy.sta.*`.
+    pub fn export(&self, out: &mut Snapshot) {
+        let s = &self.stats;
+        out.add_counter("phy.sta.data_tx", s.data_tx);
+        out.add_counter("phy.sta.data_rx", s.data_rx);
+        out.add_counter("phy.sta.ps_polls", s.ps_polls);
+        out.add_counter("phy.sta.beacons_heard", s.beacons_heard);
+        out.add_counter("phy.sta.beacons_missed", s.beacons_missed);
+        out.add_counter("phy.sta.wakeups", s.wakeups);
+        out.add_counter("phy.sta.dozes", s.cam_interval_ms.count());
+        out.add_histogram("phy.sta.cam_interval_ms", s.cam_interval_ms.clone());
     }
 
     /// Current power state.
@@ -160,14 +138,12 @@ impl StaMacNode {
         if self.state == PowerState::Cam {
             let stint = ctx.now().saturating_since(self.state_since);
             self.stats.cam_ns += stint.as_nanos();
-            self.metrics.dozes.inc();
-            self.metrics
+            self.stats
                 .cam_interval_ms
                 .observe(stint.as_nanos() as f64 / 1e6);
         }
         if next == PowerState::Cam {
             self.stats.wakeups += 1;
-            self.metrics.wakeups.inc();
         }
         self.state = next;
         self.state_since = ctx.now();
@@ -199,7 +175,6 @@ impl StaMacNode {
     fn transmit_data(&mut self, ctx: &mut Ctx<'_, Msg>, packet: Packet) {
         let frame = Frame::data(self.ids.next_id(), self.mac, self.ap, packet, false);
         self.stats.data_tx += 1;
-        self.metrics.data_tx.inc();
         ctx.send(self.medium, SimDuration::ZERO, Msg::MediumTx(frame));
         self.poke_activity(ctx);
     }
@@ -212,7 +187,6 @@ impl StaMacNode {
     fn send_ps_poll(&mut self, ctx: &mut Ctx<'_, Msg>) {
         let frame = Frame::ps_poll(self.ids.next_id(), self.mac, self.ap);
         self.stats.ps_polls += 1;
-        self.metrics.ps_polls.inc();
         ctx.send(self.medium, SimDuration::ZERO, Msg::MediumTx(frame));
     }
 
@@ -231,11 +205,9 @@ impl StaMacNode {
         // Even a due beacon can be missed (clock drift, deep sleep).
         if ctx.rng().chance(self.cfg.beacon_miss_prob) {
             self.stats.beacons_missed += 1;
-            self.metrics.beacons_missed.inc();
             return;
         }
         self.stats.beacons_heard += 1;
-        self.metrics.beacons_heard.inc();
         if self.cfg.uapsd {
             // U-APSD: no PS-Poll; deliveries ride our own triggers.
             return;
@@ -254,7 +226,6 @@ impl StaMacNode {
         // a race; accept and wake (receiving costs nothing extra here).
         self.set_state(ctx, PowerState::Cam);
         self.stats.data_rx += 1;
-        self.metrics.data_rx.inc();
         ctx.send(self.host, SimDuration::ZERO, Msg::Wire(packet));
         self.poke_activity(ctx);
     }

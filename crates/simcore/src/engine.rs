@@ -14,48 +14,11 @@ use std::any::Any;
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use obs::{Counter, Gauge, PhaseCost, Registry};
+use obs::{PhaseCost, Snapshot};
 
 use crate::rng::DetRng;
 use crate::sched::{EventHandle, HeapQueue};
 use crate::time::{SimDuration, SimTime};
-
-/// Telemetry handles for the engine's hot path. All handles come from one
-/// [`Registry`]; with the default (disabled) registry every update is a
-/// single branch on `None`.
-#[derive(Default)]
-struct SimMetrics {
-    /// `sim.events_processed` — dispatched messages + timer firings.
-    events: Counter,
-    /// `sim.queue_depth` — current future-event-list length.
-    queue_depth: Gauge,
-    /// `sim.queue_depth_peak` — high-water mark of the future event
-    /// list over the sim's lifetime (deterministic: a pure function of
-    /// the workload, unlike wall-clock telemetry).
-    queue_peak: Gauge,
-    /// `sim.advance_ns` — total simulated time advanced, in ns. Together
-    /// with `sim.wall_ns` this yields sim-time advance per wall-second.
-    advance_ns: Counter,
-    /// `sim.wall_ns` — wall-clock ns spent inside the run loops.
-    wall_ns: Counter,
-    /// `sim.timers_set` / `sim.timers_cancelled`.
-    timers_set: Counter,
-    timers_cancelled: Counter,
-}
-
-impl SimMetrics {
-    fn from_registry(reg: &Registry) -> SimMetrics {
-        SimMetrics {
-            events: reg.counter("sim.events_processed"),
-            queue_depth: reg.gauge("sim.queue_depth"),
-            queue_peak: reg.gauge("sim.queue_depth_peak"),
-            advance_ns: reg.counter("sim.advance_ns"),
-            wall_ns: reg.counter("sim.wall_ns"),
-            timers_set: reg.counter("sim.timers_set"),
-            timers_cancelled: reg.counter("sim.timers_cancelled"),
-        }
-    }
-}
 
 /// Identifier of a node inside a [`Sim`], assigned by [`Sim::add_node`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -275,19 +238,22 @@ struct Inner<M> {
     tracer: obs::Tracer,
     stop: bool,
     events_processed: u64,
-    metrics: SimMetrics,
+    /// Future-event-list length after the latest push or pop.
+    queue_depth: usize,
+    /// High-water mark of the future event list over the sim's lifetime
+    /// (deterministic: a pure function of the workload).
     queue_peak: usize,
+    timers_set: u64,
+    timers_cancelled: u64,
+    /// Wall-clock ns spent inside the run loops.
+    wall_ns: u64,
 }
 
 impl<M> Inner<M> {
     fn push(&mut self, at: SimTime, entry: Entry<M>) -> EventHandle {
         let handle = self.queue.push(at, entry);
-        let depth = self.queue.len();
-        self.metrics.queue_depth.set(depth as i64);
-        if depth > self.queue_peak {
-            self.queue_peak = depth;
-            self.metrics.queue_peak.set(depth as i64);
-        }
+        self.queue_depth = self.queue.len();
+        self.queue_peak = self.queue_peak.max(self.queue_depth);
         handle
     }
 }
@@ -340,7 +306,7 @@ impl<'a, M> Ctx<'a, M> {
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerId {
         let at = self.inner.now + delay;
         let handle = self.inner.push(at, Entry::Timer { node: self.me, tag });
-        self.inner.metrics.timers_set.inc();
+        self.inner.timers_set += 1;
         TimerId(handle.to_bits())
     }
 
@@ -349,7 +315,7 @@ impl<'a, M> Ctx<'a, M> {
     /// gone stale by then).
     pub fn cancel_timer(&mut self, id: TimerId) {
         if self.inner.queue.cancel(EventHandle::from_bits(id.0)) {
-            self.inner.metrics.timers_cancelled.inc();
+            self.inner.timers_cancelled += 1;
         }
     }
 
@@ -392,19 +358,32 @@ impl<M: 'static> Sim<M> {
                 tracer: obs::Tracer::disabled(),
                 stop: false,
                 events_processed: 0,
-                metrics: SimMetrics::default(),
+                queue_depth: 0,
                 queue_peak: 0,
+                timers_set: 0,
+                timers_cancelled: 0,
+                wall_ns: 0,
             },
             ledger: None,
             started: false,
         }
     }
 
-    /// Attach engine telemetry (`sim.*` counters and gauges) to a
-    /// registry. With no call, or a disabled registry, every update in
-    /// the hot path is a no-op.
-    pub fn set_metrics(&mut self, registry: &Registry) {
-        self.inner.metrics = SimMetrics::from_registry(registry);
+    /// Write the engine's counts into `out`: `sim.events_processed`,
+    /// `sim.timers_set`, `sim.timers_cancelled`, `sim.advance_ns` (the
+    /// simulated time advanced, ns), `sim.wall_ns` (host wall-clock ns
+    /// spent in the run loops; the one metric that differs between
+    /// identical runs), and the gauges `sim.queue_depth` (after the
+    /// latest push or pop) and `sim.queue_depth_peak`.
+    pub fn export(&self, out: &mut Snapshot) {
+        let inner = &self.inner;
+        out.add_counter("sim.advance_ns", inner.now.as_nanos());
+        out.add_counter("sim.events_processed", inner.events_processed);
+        out.add_counter("sim.timers_cancelled", inner.timers_cancelled);
+        out.add_counter("sim.timers_set", inner.timers_set);
+        out.add_counter("sim.wall_ns", inner.wall_ns);
+        out.add_gauge("sim.queue_depth", inner.queue_depth as i64);
+        out.add_gauge("sim.queue_depth_peak", inner.queue_peak as i64);
     }
 
     /// Install a causal span tracer (replacing the default disabled
@@ -524,15 +503,9 @@ impl<M: 'static> Sim<M> {
 
     /// Advance the clock to an event's timestamp and account for it.
     fn advance_to(&mut self, at: SimTime) {
-        let delta = at.saturating_since(self.inner.now);
         self.inner.now = at;
         self.inner.events_processed += 1;
-        self.inner.metrics.events.inc();
-        self.inner.metrics.advance_ns.add(delta.as_nanos());
-        self.inner
-            .metrics
-            .queue_depth
-            .set(self.inner.queue.len() as i64);
+        self.inner.queue_depth = self.inner.queue.len();
     }
 
     fn dispatch(&mut self, entry: Entry<M>) {
@@ -569,10 +542,7 @@ impl<M: 'static> Sim<M> {
                 break;
             }
         }
-        self.inner
-            .metrics
-            .wall_ns
-            .add(wall.elapsed().as_nanos() as u64);
+        self.inner.wall_ns += wall.elapsed().as_nanos() as u64;
         self.flush_ledger();
         self.inner.events_processed - start
     }
@@ -609,14 +579,9 @@ impl<M: 'static> Sim<M> {
             }
         }
         if !stopped && self.inner.now < deadline {
-            let delta = deadline.saturating_since(self.inner.now);
             self.inner.now = deadline;
-            self.inner.metrics.advance_ns.add(delta.as_nanos());
         }
-        self.inner
-            .metrics
-            .wall_ns
-            .add(wall.elapsed().as_nanos() as u64);
+        self.inner.wall_ns += wall.elapsed().as_nanos() as u64;
         self.flush_ledger();
         stopped
     }
@@ -927,15 +892,14 @@ mod tests {
 
     #[test]
     fn metrics_track_events_and_sim_advance() {
-        let reg = Registry::new();
         let mut sim = Sim::new(0);
-        sim.set_metrics(&reg);
         let rec = sim.add_node(Box::new(Recorder { got: vec![] }));
         for i in 0..5 {
             sim.inject(rec, rec, SimTime::from_millis(i), i as u32);
         }
         sim.run_until(SimTime::from_millis(10));
-        let snap = reg.snapshot();
+        let mut snap = Snapshot::default();
+        sim.export(&mut snap);
         assert_eq!(snap.counter("sim.events_processed"), Some(5));
         // 4ms of event-driven advance + 6ms idle advance to the deadline.
         assert_eq!(snap.counter("sim.advance_ns"), Some(10_000_000));

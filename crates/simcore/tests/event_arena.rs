@@ -49,18 +49,18 @@ fn stale_timer_handle_cannot_cancel_a_reused_slot() {
             }
         }
     }
-    let reg = obs::Registry::new();
     let mut sim = Sim::new(0);
-    sim.set_metrics(&reg);
     let n = sim.add_node(Box::new(Reuser {
         first: None,
         fired: vec![],
     }));
     sim.run_until(SimTime::from_millis(10));
     assert_eq!(sim.node::<Reuser>(n).fired, vec![1, 2]);
+    let mut snap = obs::Snapshot::default();
+    sim.export(&mut snap);
     // The stale cancel was rejected, so nothing was ever cancelled.
-    assert_eq!(reg.snapshot().counter("sim.timers_cancelled"), Some(0));
-    assert_eq!(reg.snapshot().counter("sim.timers_set"), Some(2));
+    assert_eq!(snap.counter("sim.timers_cancelled"), Some(0));
+    assert_eq!(snap.counter("sim.timers_set"), Some(2));
 }
 
 /// One churn cycle: push a burst with mixed delays, cancel a third of

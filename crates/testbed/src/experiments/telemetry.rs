@@ -1,5 +1,5 @@
-//! An instrumented AcuteMon-vs-ping session: the standard Fig. 2 testbed
-//! with a telemetry [`Registry`] attached to every layer.
+//! An instrumented AcuteMon-vs-ping session: the standard Fig. 2 testbed,
+//! with every layer's counts exported into a telemetry [`Registry`].
 //!
 //! This is the observability counterpart of the Table 3 / Fig. 3
 //! experiments: the same per-probe breakdowns (`∆dk−v`, `∆dv−n`), but
@@ -10,7 +10,7 @@
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use measure::{Baseline, BaselineApp};
 use obs::{Registry, Snapshot};
-use phone::{PhoneNode, RuntimeKind};
+use phone::{App, PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 
 use crate::metrics::{breakdowns, ProbeBreakdown};
@@ -55,7 +55,7 @@ impl TelemetryRun {
 }
 
 /// Run `k` probes of `tool` on a Nexus-5 testbed over a `rtt_ms` path,
-/// with every layer's telemetry registered in `reg`.
+/// then merge what every layer counted into `reg`.
 ///
 /// A path longer than the Nexus 5's `Tip` (≈ 205 ms, Table 4) dozes the
 /// STA mid-RTT, so slow probing exercises both inflation sources: SDIO
@@ -67,39 +67,36 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
         TelemetryTool::SlowPing => SimTime::from_secs(u64::from(k) + 10),
     };
     let mut tb = Testbed::build(TestbedConfig::new(seed, phone::nexus5(), rtt_ms));
-    tb.sim.set_metrics(reg);
-    tb.attach_metrics(reg);
-    let idx = match tool {
-        TelemetryTool::AcuteMon => {
-            let idx = tb.install_app(
-                Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, k))),
-                RuntimeKind::Native,
-            );
-            tb.app_mut::<AcuteMonApp>(idx).attach_metrics(reg);
-            idx
-        }
-        TelemetryTool::SlowPing => {
-            let idx = tb.install_app(
-                Box::new(BaselineApp::new(
-                    Baseline::Ping,
-                    addr::SERVER,
-                    k,
-                    SimDuration::from_secs(1),
-                )),
-                RuntimeKind::Native,
-            );
-            tb.app_mut::<BaselineApp>(idx).attach_metrics(reg);
-            idx
-        }
+    let app: Box<dyn App> = match tool {
+        TelemetryTool::AcuteMon => Box::new(AcuteMonApp::new(AcuteMonConfig::new(addr::SERVER, k))),
+        TelemetryTool::SlowPing => Box::new(BaselineApp::new(
+            Baseline::Ping,
+            addr::SERVER,
+            k,
+            SimDuration::from_secs(1),
+        )),
     };
+    let idx = tb.install_app(app, RuntimeKind::Native);
     tb.run_until(horizon);
+    let mut counts = Snapshot::default();
+    tb.sim.export(&mut counts);
+    tb.export(&mut counts);
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let records = match tool {
-        TelemetryTool::AcuteMon => &phone_node.app::<AcuteMonApp>(idx).records,
-        TelemetryTool::SlowPing => &phone_node.app::<BaselineApp>(idx).records,
+        TelemetryTool::AcuteMon => {
+            let app = phone_node.app::<AcuteMonApp>(idx);
+            app.export(&mut counts);
+            &app.records
+        }
+        TelemetryTool::SlowPing => {
+            let app = phone_node.app::<BaselineApp>(idx);
+            app.export(&mut counts);
+            &app.records
+        }
     };
     let bds = breakdowns(records, phone_node.ledger(), index);
+    reg.merge_snapshot(&counts);
     TelemetryRun {
         breakdowns: bds,
         snapshot: reg.snapshot(),

@@ -74,7 +74,8 @@ impl WaterfallRun {
 }
 
 /// Run `k` slow pings (1 s interval) on a Nexus-5 testbed over a
-/// `rtt_ms` path with both telemetry and tracing attached. The slow
+/// `rtt_ms` path with tracing attached, then merge what every layer
+/// counted into `reg`. The slow
 /// cadence over a long path triggers every inflation source the paper
 /// names — SDIO promotion on both crossings and PSM beacon buffering of
 /// each response — so every waterfall shows the full anatomy of
@@ -82,8 +83,6 @@ impl WaterfallRun {
 pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> WaterfallRun {
     let horizon = SimTime::from_secs(u64::from(k) + 10);
     let mut tb = Testbed::build(TestbedConfig::new(seed, phone::nexus5(), rtt_ms));
-    tb.sim.set_metrics(reg);
-    tb.attach_metrics(reg);
     tb.attach_tracer(tracer);
     let idx = tb.install_app(
         Box::new(BaselineApp::new(
@@ -95,6 +94,10 @@ pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> W
         RuntimeKind::Native,
     );
     tb.run_until(horizon);
+    let mut counts = Snapshot::default();
+    tb.sim.export(&mut counts);
+    tb.export(&mut counts);
+    reg.merge_snapshot(&counts);
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let records = &phone_node.app::<BaselineApp>(idx).records;

@@ -363,36 +363,27 @@ impl Testbed {
             .install_app(app, runtime)
     }
 
-    /// Register telemetry for every model layer of the testbed in `reg`:
+    /// Write the counts of every model layer of the testbed into `out`:
     /// the phone's host bus (`phone.sdio.*`), the station and AP MACs
-    /// (`phy.sta.*`, `phy.ap.*`), the netem link (`netem.link.server.*`)
-    /// and the measurement server (`netem.server.*`). Apps attach their
-    /// own metrics via [`Testbed::app_mut`]; the simulator engine's
-    /// `sim.*` metrics attach separately via `tb.sim.set_metrics`. Call
-    /// before running; with no call every metric is a disabled no-op.
-    pub fn attach_metrics(&mut self, reg: &obs::Registry) {
-        self.sim
-            .node_mut::<PhoneNode>(self.phone)
-            .core_mut()
-            .bus
-            .attach_metrics(reg);
-        self.sim
-            .node_mut::<StaMacNode>(self.sta)
-            .attach_metrics(reg);
-        self.sim.node_mut::<ApNode>(self.ap).attach_metrics(reg);
-        self.sim
-            .node_mut::<LinkNode>(self.server_link)
-            .attach_metrics(reg, "server");
-        self.sim
-            .node_mut::<ServerNode>(self.server)
-            .attach_metrics(reg);
-        // Fault layers (no-ops when no plan is installed).
-        self.sim
-            .node_mut::<LinkNode>(self.server_link)
-            .attach_fault_metrics(reg, "server_link");
-        self.sim
-            .node_mut::<MediumNode>(self.medium)
-            .attach_fault_metrics(reg, "wifi");
+    /// (`phy.sta.*`, `phy.ap.*`), the netem link (`netem.link.server.*`),
+    /// the measurement server (`netem.server.*`), and the fault layers
+    /// that have a plan (`fault.server_link.*`, `fault.wifi.*`). Apps
+    /// export their own counts via [`Testbed::phone_node`], and the
+    /// simulator engine its `sim.*` counts via `tb.sim.export`. Call
+    /// after running: the layers count whether or not anyone reads them.
+    pub fn export(&self, out: &mut obs::Snapshot) {
+        self.phone_node().core().bus.export(out);
+        self.sim.node::<StaMacNode>(self.sta).export(out);
+        self.sim.node::<ApNode>(self.ap).export(out);
+        let link = self.sim.node::<LinkNode>(self.server_link);
+        link.export("server", out);
+        self.sim.node::<ServerNode>(self.server).export(out);
+        if let Some(faults) = link.fault_stats() {
+            faults.export("server_link", out);
+        }
+        if let Some(faults) = self.sim.node::<MediumNode>(self.medium).fault_stats() {
+            faults.export("wifi", out);
+        }
     }
 
     /// Attach a causal span tracer to the simulator so every layer of the
@@ -401,11 +392,6 @@ impl Testbed {
     /// the pipeline's trace hooks are zero-cost no-ops.
     pub fn attach_tracer(&mut self, tracer: &obs::Tracer) {
         self.sim.set_tracer(tracer);
-    }
-
-    /// Mutable typed app view (e.g. to attach an app's telemetry).
-    pub fn app_mut<T: 'static>(&mut self, idx: usize) -> &mut T {
-        self.sim.node_mut::<PhoneNode>(self.phone).app_mut::<T>(idx)
     }
 
     /// Run until `t`.
