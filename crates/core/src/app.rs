@@ -202,6 +202,10 @@ impl App for AcuteMonApp {
         self.machine
             .timer(now, timer, &mut Phone { cfg, wire, ctx });
     }
+
+    fn finished_at(&self) -> Option<SimTime> {
+        self.machine.finished_at()
+    }
 }
 
 #[cfg(test)]

@@ -185,7 +185,7 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 let _des = prof.phase("des");
                 let phone = tb.phone;
                 tb.sim.run_until_or(horizon, |sim| {
-                    tool_finished(sim.node(phone), class.tool, app)
+                    sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
             fold = prof.phase("fold");
@@ -214,7 +214,7 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
                 let _des = prof.phase("des");
                 let phone = tb.phone;
                 tb.sim.run_until_or(horizon, |sim| {
-                    tool_finished(sim.node(phone), class.tool, app)
+                    sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
             fold = prof.phase("fold");
@@ -248,15 +248,6 @@ fn export_tool(phone: &PhoneNode, tool: Tool, app: usize, out: &mut Snapshot) {
     match tool {
         Tool::AcuteMon => phone.app::<AcuteMonApp>(app).export(out),
         Tool::SparsePing => phone.app::<BaselineApp>(app).export(out),
-    }
-}
-
-/// Whether the tool at `app` has finished its session. Its records and
-/// its probes' air times are final then, so the device's run can stop.
-fn tool_finished(phone: &PhoneNode, tool: Tool, app: usize) -> bool {
-    match tool {
-        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).finished_at().is_some(),
-        Tool::SparsePing => phone.app::<BaselineApp>(app).finished_at().is_some(),
     }
 }
 

@@ -165,13 +165,6 @@ impl BaselineApp {
         out.add_histogram(format!("measure.{tool}.rtt_ms"), rtt_ms);
     }
 
-    /// When the session finished (None while running): at the answer
-    /// that completes every probe, or 3 s after the last probe was
-    /// sent. `records` no longer change after it.
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
-    }
-
     fn sent(&self) -> u32 {
         self.records.len() as u32
     }
@@ -257,6 +250,12 @@ impl App for BaselineApp {
             TAG_DEADLINE if self.finished_at.is_none() => self.finished_at = Some(ctx.now()),
             _ => {}
         }
+    }
+
+    /// At the answer that completes every probe, or 3 s after the last
+    /// probe was sent.
+    fn finished_at(&self) -> Option<SimTime> {
+        self.finished_at
     }
 }
 

@@ -566,12 +566,27 @@ impl Snapshot {
                 _ => Err(SnapshotStateError(format!("missing {key} object"))),
             }
         };
+        // Every writer emits names sorted and unique, and `add_counter`
+        // and its kin binary-search on that order.
+        fn follows<T>(list: &[(MetricName, T)], name: &str) -> bool {
+            list.last().is_none_or(|(prev, _)| **prev < *name)
+        }
         let mut snap = Snapshot::default();
         for (name, v) in entries("counters")? {
+            if !follows(&snap.counters, name) {
+                return Err(SnapshotStateError(format!(
+                    "counter `{name}`: counter names must be sorted and unique"
+                )));
+            }
             let v = count(v, &format!("counter `{name}`"))?;
             snap.counters.push((name.clone().into(), v));
         }
         for (name, v) in entries("gauges")? {
+            if !follows(&snap.gauges, name) {
+                return Err(SnapshotStateError(format!(
+                    "gauge `{name}`: gauge names must be sorted and unique"
+                )));
+            }
             let v = match v.as_f64() {
                 Some(v) if v.is_finite() && v.fract() == 0.0 => v as i64,
                 _ => {
@@ -598,11 +613,7 @@ impl Snapshot {
                 .ok_or_else(|| err("missing histogram name"))?
                 .to_string();
             let bad = |msg: &str| SnapshotStateError(format!("histogram `{name}`: {msg}"));
-            if snap
-                .histograms
-                .last()
-                .is_some_and(|(prev, _)| **prev >= *name)
-            {
+            if !follows(&snap.histograms, &name) {
                 return Err(bad("histogram names must be sorted and unique"));
             }
             let bounds = array(h, "bounds")?
@@ -860,6 +871,48 @@ mod tests {
         v1.set("version", 1u64);
         let e = Snapshot::from_state_json(&v1).unwrap_err();
         assert!(e.0.contains("version 1"), "{e}");
+    }
+
+    /// Restore a state with these counter and gauge entries and no
+    /// histograms.
+    fn state(counters: &str, gauges: &str) -> Result<Snapshot, SnapshotStateError> {
+        let doc = format!(
+            r#"{{"version":2,"counters":{{{counters}}},"gauges":{{{gauges}}},"histograms":[]}}"#
+        );
+        Snapshot::from_state_json(&Json::parse(&doc).unwrap())
+    }
+
+    /// Counter and gauge names obey the histograms' rule: a duplicate
+    /// would restore as two entries and merge as their sum, and an
+    /// unsorted pair would break the binary search behind
+    /// `add_counter` and `add_gauge`.
+    #[test]
+    fn snapshot_state_rejects_duplicate_counter_and_gauge_names() {
+        assert!(state(r#""b":1,"c":2"#, r#""g":-1,"h":1"#).is_ok());
+        let e = state(r#""c":1,"c":2"#, "").unwrap_err().0;
+        assert!(
+            e.contains("counter `c`") && e.contains("sorted and unique"),
+            "{e}"
+        );
+        let e = state("", r#""g":1,"g":-1"#).unwrap_err().0;
+        assert!(
+            e.contains("gauge `g`") && e.contains("sorted and unique"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn snapshot_state_rejects_unsorted_counter_and_gauge_names() {
+        let e = state(r#""c":1,"b":2"#, "").unwrap_err().0;
+        assert!(
+            e.contains("counter `b`") && e.contains("sorted and unique"),
+            "{e}"
+        );
+        let e = state("", r#""h":1,"g":2"#).unwrap_err().0;
+        assert!(
+            e.contains("gauge `g`") && e.contains("sorted and unique"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct PhoneCore {
     pub ledger: Ledger,
     pub(crate) ids: PacketIdGen,
     pub(crate) next_token: u64,
-    pub(crate) pending: std::collections::HashMap<u64, crate::node::Pending>,
+    pub(crate) pending: simcore::IdMap<crate::node::Pending>,
     /// Whether the kernel answers ICMP echo requests itself (real Android
     /// kernels do; the ping2 baseline of Sui et al. depends on it).
     pub kernel_icmp_echo: bool,
@@ -162,4 +162,11 @@ pub trait App: simcore::AsAny {
 
     /// A timer set via [`AppCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut AppCtx<'_, '_>, _tag: u32) {}
+
+    /// When the app finished its measurement session, if it has: its
+    /// records no longer change after it, so a driver may end the run
+    /// there. An app with no session end never finishes (the default).
+    fn finished_at(&self) -> Option<SimTime> {
+        None
+    }
 }

@@ -14,9 +14,7 @@
 //! this ledger with sniffer captures (see the `sniffer` and `testbed`
 //! crates).
 
-use std::collections::HashMap;
-
-use simcore::SimTime;
+use simcore::{IdMap, SimTime};
 
 /// Per-packet stamps (all optional: a packet only crosses one direction).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -54,7 +52,7 @@ impl PacketStamps {
 /// The phone's timestamp ledger, keyed by packet id.
 #[derive(Debug, Default, Clone)]
 pub struct Ledger {
-    map: HashMap<u64, PacketStamps>,
+    map: IdMap<PacketStamps>,
 }
 
 macro_rules! setter {

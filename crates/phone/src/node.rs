@@ -12,11 +12,9 @@
 //!
 //! [`StaMacNode`]: phy80211::StaMacNode
 
-use std::collections::HashMap;
-
 #[cfg(test)]
 use simcore::SimTime;
-use simcore::{Ctx, Node, NodeId, SimDuration};
+use simcore::{Ctx, IdMap, Node, NodeId, SimDuration};
 use wire::{Ip, Msg, Packet, PacketIdGen};
 
 use crate::app::{App, AppCtx, PhoneCore, PhoneStats, APP_TIMER_BASE};
@@ -102,7 +100,7 @@ impl PhoneNode {
                 ledger: Ledger::new(),
                 ids: PacketIdGen::new(source),
                 next_token: 1,
-                pending: HashMap::new(),
+                pending: IdMap::default(),
                 kernel_icmp_echo: true,
                 stats: PhoneStats::default(),
             },
@@ -126,6 +124,18 @@ impl PhoneNode {
     pub fn app<T: 'static>(&self, idx: usize) -> &T {
         let app: &dyn App = &**self.apps[idx].app.as_ref().expect("app in dispatch");
         app.as_any().downcast_ref::<T>().expect("app type mismatch")
+    }
+
+    /// When the app at `idx` finished its session ([`App::finished_at`]).
+    ///
+    /// # Panics
+    /// Panics if the index is wrong.
+    pub fn finished_at(&self, idx: usize) -> Option<simcore::SimTime> {
+        self.apps[idx]
+            .app
+            .as_ref()
+            .expect("app in dispatch")
+            .finished_at()
     }
 
     /// The phone's core state (ledger, bus, stats, profile).

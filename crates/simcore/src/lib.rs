@@ -11,7 +11,11 @@
 //! * **Deterministic event list** ([`Sim`]): ties at equal timestamps break
 //!   by insertion sequence.
 //! * **One event queue** ([`sched::HeapQueue`]): a binary heap of
-//!   `(at, seq, handle)` records popping in strict `(at, seq)` order.
+//!   `(at, seq, handle)` records popping in strict `(at, seq)` order,
+//!   with a same-instant lane and a front slot that keep the next event
+//!   out of the heap.
+//! * **Id-keyed maps** ([`IdMap`]): the per-packet tables hash their
+//!   simulator-allocated `u64` keys with one multiply, not SipHash.
 //! * **Arena-resident payloads** ([`arena`]): event payloads live inline
 //!   in generational slots; the dispatch hot path moves `Copy` records
 //!   and handles, never boxes, and allocates nothing at steady state.
@@ -50,11 +54,13 @@
 
 pub mod arena;
 mod engine;
+mod idmap;
 mod rng;
 pub mod sched;
 mod time;
 
 pub use arena::{EventArena, EventHandle};
 pub use engine::{AsAny, Ctx, Node, NodeId, Sim, TimerId};
+pub use idmap::IdMap;
 pub use rng::{DetRng, LatencyDist};
 pub use time::{SimDuration, SimTime};

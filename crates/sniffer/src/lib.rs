@@ -33,9 +33,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
-use simcore::{Ctx, Node, NodeId, SimTime};
+use simcore::{Ctx, IdMap, Node, NodeId, SimTime};
 use wire::{Frame, FrameKind, Msg, PcapWriter};
 
 /// One captured frame.
@@ -103,7 +101,7 @@ pub struct CaptureIndex {
     /// Sorted by `(at, frame id)`, one entry per frame id.
     captures: Vec<Capture>,
     /// packet id → first time a data frame carrying it was on the air.
-    air_time: HashMap<u64, SimTime>,
+    air_time: IdMap<SimTime>,
 }
 
 impl CaptureIndex {

@@ -12,7 +12,7 @@ use am_stats::median;
 use measure::{Baseline, BaselineApp, Ping2Config, Ping2Prober, RecordSet};
 use netem::ServerNode;
 use obs::ToJson;
-use phone::{PhoneNode, RuntimeKind};
+use phone::{App, PhoneNode, RuntimeKind};
 use phy80211::PsmPolicy;
 use simcore::{LatencyDist, SimDuration, SimTime};
 

@@ -38,13 +38,6 @@ fn install(phone: &mut PhoneNode, tool: Tool, am: AcuteMonConfig) -> usize {
     }
 }
 
-fn finished_at(phone: &PhoneNode, tool: Tool, app: usize) -> Option<SimTime> {
-    match tool {
-        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).finished_at(),
-        Tool::Ping => phone.app::<BaselineApp>(app).finished_at(),
-    }
-}
-
 /// The tool's records and their breakdowns. A cellular testbed has no
 /// `capture`, and its breakdowns then carry no `dn`.
 fn session(
@@ -76,7 +69,7 @@ fn assert_final_at_finish(
     app: usize,
 ) -> Vec<RttRecord> {
     let stopped = sim.run_until_or(HORIZON, |sim| {
-        finished_at(sim.node(phone), tool, app).is_some()
+        sim.node::<PhoneNode>(phone).finished_at(app).is_some()
     });
     assert!(stopped, "{tool:?} did not finish by the horizon");
     let at_finish = session(sim, phone, capture, tool, app);
