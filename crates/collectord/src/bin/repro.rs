@@ -73,7 +73,7 @@
 
 use std::path::{Path, PathBuf};
 
-use obs::{error, info, warn, Registry, ToJson, Tracer};
+use obs::{error, info, warn, ToJson, Tracer};
 
 // Count allocations into the profiler's thread-local counters so
 // `repro profile` attributes heap traffic per phase. Pure counting on
@@ -1199,9 +1199,7 @@ fn main() {
             ("acutemon", telemetry::TelemetryTool::AcuteMon),
         ] {
             info!("running instrumented {label} session, 300 ms path ...");
-            let reg = Registry::new();
-            telemetry::run(tool, opts.k.min(30), opts.seed, 300, &reg);
-            let snap = reg.snapshot();
+            let snap = telemetry::run(tool, opts.k.min(30), opts.seed, 300).snapshot;
             let slug = label.replace(' ', "_");
             println!("\nTelemetry snapshot ({label}, Nexus 5, 300 ms path):");
             if opts.metrics_json {
@@ -1219,9 +1217,8 @@ fn main() {
     if wants("waterfall") {
         let k = opts.k.min(20);
         info!("running traced slow-ping session, k={k}, 300 ms path ...");
-        let reg = Registry::new();
         let tracer = Tracer::new();
-        let r = waterfall::run(k, opts.seed, 300, &reg, &tracer);
+        let r = waterfall::run(k, opts.seed, 300, &tracer);
         let report = r.render(60);
         // Show the first few probes; the full report goes to a file.
         let shown: Vec<&str> = report.split("\n\n").take(3).collect();
@@ -1389,19 +1386,10 @@ fn main() {
         h.bench("table3", || table3::run(BENCH_K, BENCH_SEED));
         h.bench("table5", || table5::run(BENCH_K, BENCH_SEED));
         h.bench("telemetry_slow_ping", || {
-            let reg = Registry::new();
-            telemetry::run(
-                telemetry::TelemetryTool::SlowPing,
-                BENCH_K,
-                BENCH_SEED,
-                300,
-                &reg,
-            )
+            telemetry::run(telemetry::TelemetryTool::SlowPing, BENCH_K, BENCH_SEED, 300)
         });
         h.bench("waterfall", || {
-            let reg = Registry::new();
-            let tracer = Tracer::new();
-            waterfall::run(BENCH_K, BENCH_SEED, 300, &reg, &tracer)
+            waterfall::run(BENCH_K, BENCH_SEED, 300, &Tracer::new())
         });
         h.bench("fleet_campaign_8dev", || {
             let spec = fleet::CampaignSpec::heterogeneous(BENCH_SEED, 8).with_probes(2);

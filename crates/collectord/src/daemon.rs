@@ -4,11 +4,11 @@
 //! [`Ingest`].
 
 use std::net::{TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fleet::CampaignSpec;
-use obs::{info, warn, Json, Registry};
+use obs::{info, warn, Hist, Json, Snapshot};
 use wire::framing::{read_frame, write_frame, FrameError};
 
 use crate::dashboard;
@@ -24,12 +24,14 @@ pub const DEFAULT_INGEST_TIMEOUT: Duration = Duration::from_secs(60);
 
 struct Inner {
     ingest: Mutex<Ingest>,
-    registry: Registry,
+    /// The daemon's own counts (pushes, rejections, timeouts, requests,
+    /// batch latency); what restates the ingest is read when rendered.
+    counts: Mutex<Snapshot>,
     started: Instant,
 }
 
 /// A running (or ready-to-run) collector daemon. Cheap to clone; all
-/// clones share the same campaign state and metrics registry.
+/// clones share the same campaign state and counts.
 #[derive(Clone)]
 pub struct Daemon {
     inner: Arc<Inner>,
@@ -50,26 +52,21 @@ impl Daemon {
     }
 
     fn from_ingest(ingest: Ingest) -> Daemon {
-        let registry = Registry::new();
-        registry
-            .gauge("collectord.devices.expected")
-            .set(ingest.spec().devices as i64);
-        if let Some(rec) = ingest.recovery() {
-            registry
-                .gauge("collectord.recovered.devices")
-                .set(rec.merged_devices as i64);
-            registry
-                .gauge("collectord.recovered.slices")
-                .set(rec.slices_loaded as i64);
-        }
         Daemon {
             inner: Arc::new(Inner {
                 ingest: Mutex::new(ingest),
-                registry,
+                counts: Mutex::new(Snapshot::default()),
                 started: Instant::now(),
             }),
             ingest_timeout: DEFAULT_INGEST_TIMEOUT,
         }
+    }
+
+    fn counts(&self) -> MutexGuard<'_, Snapshot> {
+        self.inner
+            .counts
+            .lock()
+            .expect("no thread panics while it holds the daemon counts")
     }
 
     /// Override the per-connection ingest read/write timeout
@@ -87,13 +84,6 @@ impl Daemon {
     /// shutdown path. A no-op without a store.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.inner.ingest.lock().unwrap().flush_to_store()
-    }
-
-    /// The daemon's own metrics registry (ingest counters, batch
-    /// latency, device gauges). Exported on `/metrics` alongside the
-    /// per-shard labelled series.
-    pub fn registry(&self) -> &Registry {
-        &self.inner.registry
     }
 
     /// Whether the whole campaign population has been absorbed.
@@ -144,7 +134,6 @@ impl Daemon {
     }
 
     fn handle_push_conn(&self, mut stream: TcpStream) {
-        let reg = &self.inner.registry;
         // A shard that stalls mid-frame (or a half-open connection that
         // will never send another byte) must not pin this thread
         // forever: bound every read and write.
@@ -167,19 +156,19 @@ impl Daemon {
                     // Tell the peer why before hanging up, best-effort
                     // (it may be long gone).
                     warn!("collectord: ingest connection timed out; dropping it");
-                    reg.counter("collectord.conn_timeout").inc();
+                    self.counts().add_counter("collectord.conn_timeout", 1);
                     let doc = error_doc(&IngestError::ConnTimeout);
                     let _ = write_frame(&mut stream, doc.to_string().as_bytes());
                     return;
                 }
                 Err(e) => {
                     warn!("collectord: dropping push connection: {e}");
-                    reg.counter("collectord.ingest.errors").inc();
+                    self.counts().add_counter("collectord.ingest.errors", 1);
                     return;
                 }
             };
-            reg.counter("collectord.ingest.bytes")
-                .add(payload.len() as u64);
+            self.counts()
+                .add_counter("collectord.ingest.bytes", payload.len() as u64);
             let reply = self.ingest_frame(&payload);
             if write_frame(&mut stream, reply.to_string().as_bytes()).is_err() {
                 return;
@@ -190,8 +179,7 @@ impl Daemon {
     /// Process one push frame and build the reply document. Split out
     /// from the socket loop so tests can drive it without a network.
     pub fn ingest_frame(&self, payload: &[u8]) -> Json {
-        let reg = &self.inner.registry;
-        reg.counter("collectord.ingest.pushes").inc();
+        self.counts().add_counter("collectord.ingest.pushes", 1);
         let started = Instant::now();
         let result: Result<_, IngestError> = (|| {
             let push = parse_push(payload)?;
@@ -204,28 +192,20 @@ impl Daemon {
         })();
         match result {
             Ok(ack) => {
-                reg.histogram_ms("collectord.ingest.batch_ms")
-                    .observe(started.elapsed().as_secs_f64() * 1e3);
-                match ack.outcome {
-                    PushOutcome::Duplicate | PushOutcome::Stale => {
-                        reg.counter("collectord.ingest.duplicates").inc()
-                    }
-                    _ => {}
-                }
-                reg.gauge("collectord.devices.absorbed")
-                    .set(ack.devices_absorbed as i64);
-                reg.gauge("collectord.devices.view")
-                    .set(ack.devices_view as i64);
-                if ack.complete {
-                    reg.gauge("collectord.campaign.complete").set(1);
+                let mut batch = Hist::default();
+                batch.observe(started.elapsed().as_secs_f64() * 1e3);
+                let mut counts = self.counts();
+                counts.add_histogram("collectord.ingest.batch_ms", batch);
+                if matches!(ack.outcome, PushOutcome::Duplicate | PushOutcome::Stale) {
+                    counts.add_counter("collectord.ingest.duplicates", 1);
                 }
                 ack_doc(&ack)
             }
             Err(e) => {
-                reg.counter("collectord.ingest.errors").inc();
-                reg.counter(&format!("collectord.ingest.rejected.{}", e.code()))
-                    .inc();
                 warn!("collectord: rejected push: {e}");
+                let mut counts = self.counts();
+                counts.add_counter("collectord.ingest.errors", 1);
+                counts.add_counter(format!("collectord.ingest.rejected.{}", e.code()), 1);
                 error_doc(&e)
             }
         }
@@ -235,10 +215,7 @@ impl Daemon {
         let Some(req) = read_request(&mut stream) else {
             return;
         };
-        self.inner
-            .registry
-            .counter("collectord.http.requests")
-            .inc();
+        self.counts().add_counter("collectord.http.requests", 1);
         if req.method != "GET" {
             let _ = respond(&mut stream, 405, "text/plain", "only GET is served\n");
             return;
@@ -348,15 +325,30 @@ impl Daemon {
     }
 
     /// The `/metrics` body: the obs Prometheus exporter over the
-    /// daemon registry, extended with per-shard labelled series
-    /// (ingest counters, devices, final flag, and heartbeat age for
-    /// stall detection).
+    /// daemon's counts and the gauges read from the ingest (devices
+    /// expected, absorbed and in view, completion, and what recovery
+    /// restored), extended with per-shard labelled series (ingest
+    /// counters, devices, final flag, and heartbeat age for stall
+    /// detection).
     pub fn metrics_text(&self) -> String {
         use obs::export::{escape_label_value, prometheus};
         use std::fmt::Write as _;
 
-        let mut out = prometheus(&self.inner.registry.snapshot());
+        let mut snap = self.counts().clone();
         let ingest = self.inner.ingest.lock().unwrap();
+        for (name, v) in [
+            ("collectord.devices.expected", ingest.spec().devices),
+            ("collectord.devices.absorbed", ingest.devices_absorbed()),
+            ("collectord.devices.view", ingest.devices_view()),
+            ("collectord.campaign.complete", ingest.complete().into()),
+        ] {
+            snap.add_gauge(name, v as i64);
+        }
+        if let Some(rec) = ingest.recovery() {
+            snap.add_gauge("collectord.recovered.devices", rec.merged_devices as i64);
+            snap.add_gauge("collectord.recovered.slices", rec.slices_loaded as i64);
+        }
+        let mut out = prometheus(&snap);
         let shards = shard_rows(&ingest);
         if shards.is_empty() {
             return out;

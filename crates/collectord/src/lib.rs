@@ -14,7 +14,7 @@
 //! | `/`         | self-contained HTML status dashboard |
 //! | `/snapshot` | live campaign JSON — byte-identical to a single-process `fleet.json` once all partitions land |
 //! | `/status`   | machine-readable progress + per-shard heartbeats |
-//! | `/metrics`  | Prometheus text exposition (daemon registry + per-shard labelled series) |
+//! | `/metrics`  | Prometheus text exposition (the daemon's own counts, ingest gauges, per-shard labelled series) |
 //! | `/healthz`  | liveness probe |
 //!
 //! Everything is `std`-only: hand-rolled HTTP ([`http`]), the obs JSON

@@ -287,6 +287,18 @@ fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
             "`devices_seen` is 40 but the strata hold 20 devices",
             good.replacen("\"devices_seen\":20,", "\"devices_seen\":40,", 1),
         ),
+        // No sketch holds a min above its max; held, it made every later
+        // quantile (so every `/snapshot`) panic.
+        ("sketch `du_all`: min", {
+            let mut doc = Json::parse(&good).unwrap();
+            let mut du_all = doc.get("du_all").unwrap().clone();
+            let field = |k| du_all.get(k).unwrap().clone();
+            let (min, max) = (field("min"), field("max"));
+            du_all.set("min", max);
+            du_all.set("max", min);
+            doc.set("du_all", du_all);
+            doc.to_string()
+        }),
     ];
     for (why, doc) in &tampered {
         assert_ne!(doc, &good, "{why}: the edit must apply");

@@ -98,7 +98,9 @@ impl CampaignProfile {
     /// steady-state heap traffic on the dispatch hot path shows up as a
     /// non-zero per-event rate on the layer that made it. The layer
     /// rows' time is sampled (every 64th call, scaled by 64); the
-    /// queue's own cost is `des` self time.
+    /// queue's own cost is `des` self time; the time cut to fit a
+    /// sampled total inside its phase is printed, so a preempted sample
+    /// shows.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let budget = self.budget_ns().max(1);
@@ -133,6 +135,10 @@ impl CampaignProfile {
             100.0 * self.attributed_fraction(),
             self.wall_ns as f64 / 1e9,
             self.threads,
+        ));
+        out.push_str(&format!(
+            "cut {:.3} s of sampled layer time that outweighed its phase\n",
+            self.snapshot.capped_ns() as f64 / 1e9,
         ));
         let costed: Vec<&StratumCost> = self.strata.iter().filter(|s| s.devices > 0).collect();
         if !costed.is_empty() {
@@ -171,6 +177,7 @@ impl ToJson for CampaignProfile {
         doc.set("attributed_ns", self.attributed_ns());
         doc.set("unattributed_ns", self.unattributed_ns());
         doc.set("attributed_fraction", self.attributed_fraction());
+        doc.set("capped_ns", self.snapshot.capped_ns());
         doc.set("strata", strata);
         doc.set("profile", self.snapshot.to_json());
         doc
@@ -225,6 +232,7 @@ mod tests {
         assert!(text.contains("worker"), "{text}");
         assert!(text.contains("  run_device"), "{text}");
         assert!(text.contains("(unattributed)"), "{text}");
+        assert!(text.contains("cut 0.000 s of sampled layer time"), "{text}");
         assert!(text.contains("wifi_psm"), "{text}");
         // Zero-device strata are omitted rather than rendered as NaN.
         assert!(!text.contains("idle"), "{text}");

@@ -3,7 +3,7 @@
 //!
 //! A [`Collector`] folds [`DevicePartial`]s in any order. Its full
 //! state — per-stratum sketches, population sketches, the merged
-//! telemetry registry, and the device range it covers — serializes to
+//! telemetry snapshot, and the device range it covers — serializes to
 //! the versioned `acutemon-fleet-campaign-state` JSON document
 //! ([`Collector::state_json`]). That one format serves both halves of
 //! the cross-process story:
@@ -20,11 +20,11 @@
 //!
 //! Both rely on every piece of folded state being *exactly* mergeable:
 //! sketches with integer internals and integer-nanosecond sums, in the
-//! strata and in every registry histogram. Absorption order therefore
+//! strata and in every telemetry histogram. Absorption order therefore
 //! never changes a byte.
 
 use am_stats::QuantileSketch;
-use obs::{Json, Registry, Snapshot, ToJson};
+use obs::{Json, Snapshot, ToJson};
 
 use crate::shard::DevicePartial;
 use crate::spec::CampaignSpec;
@@ -119,19 +119,19 @@ pub struct CampaignReport {
     pub du_all: QuantileSketch,
     /// Population-wide overhead sketch (WiFi strata).
     pub overhead_all: QuantileSketch,
-    /// The campaign telemetry registry: every per-device registry
-    /// merged.
+    /// The campaign telemetry: every device's snapshot merged.
     pub obs: obs::Snapshot,
 }
 
 /// Streaming collector: absorbs [`DevicePartial`]s and maintains only
-/// mergeable state (sketches, counters, one registry) — memory is
-/// O(strata + metric names), independent of device and probe counts.
+/// mergeable state (sketches, counters, one telemetry [`Snapshot`]
+/// every device's counts merge into) — memory is O(strata + metric
+/// names), independent of device and probe counts.
 pub struct Collector {
     strata: Vec<StratumReport>,
     du_all: QuantileSketch,
     overhead_all: QuantileSketch,
-    registry: Registry,
+    obs: Snapshot,
     seed: u64,
     devices_seen: u64,
     probes_per_device: u32,
@@ -157,7 +157,7 @@ impl Collector {
                 .collect(),
             du_all: QuantileSketch::new(),
             overhead_all: QuantileSketch::new(),
-            registry: Registry::new(),
+            obs: Snapshot::default(),
             seed: spec.seed,
             devices_seen: 0,
             probes_per_device: spec.probes_per_device,
@@ -180,7 +180,7 @@ impl Collector {
                 .collect(),
             du_all: QuantileSketch::new(),
             overhead_all: QuantileSketch::new(),
-            registry: Registry::new(),
+            obs: Snapshot::default(),
             seed: self.seed,
             devices_seen: 0,
             probes_per_device: self.probes_per_device,
@@ -206,7 +206,7 @@ impl Collector {
         s.overhead.merge(&p.overhead);
         self.du_all.merge(&p.du);
         self.overhead_all.merge(&p.overhead);
-        self.registry.merge_snapshot(&p.obs);
+        self.obs.merge(&p.obs);
         self.devices_seen += 1;
     }
 
@@ -301,7 +301,7 @@ impl Collector {
         out.set("strata", strata);
         out.set("du_all", self.du_all.state_json());
         out.set("overhead_all", self.overhead_all.state_json());
-        out.set("obs", self.registry.snapshot().state_json());
+        out.set("obs", self.obs.state_json());
         out
     }
 
@@ -409,16 +409,14 @@ impl Collector {
         let du_all = top_sketch("du_all")?;
         let overhead_all = top_sketch("overhead_all")?;
 
-        let snap_json = state.get("obs").ok_or_else(|| err("missing field `obs`"))?;
-        let snap = Snapshot::from_state_json(snap_json)?;
-        let registry = Registry::new();
-        registry.merge_snapshot(&snap);
+        let obs =
+            Snapshot::from_state_json(state.get("obs").ok_or_else(|| err("missing field `obs`"))?)?;
 
         Ok(Collector {
             strata,
             du_all,
             overhead_all,
-            registry,
+            obs,
             seed,
             devices_seen,
             probes_per_device: probes_per_device as u32,
@@ -429,7 +427,7 @@ impl Collector {
 
     /// Check that [`Collector::absorb_state`] would accept `other`
     /// without changing anything: same campaign (seed and fingerprint),
-    /// the same strata by name, and registry histograms whose bounds
+    /// the same strata by name, and telemetry histograms whose bounds
     /// agree by name. Device ranges are the caller's business — only it
     /// knows whether the inputs must tile a population.
     pub fn check_mergeable(&self, other: &Collector) -> Result<(), CampaignStateError> {
@@ -454,7 +452,7 @@ impl Collector {
                 s.name, o.name
             )));
         }
-        self.registry.check_merge(&other.registry.snapshot())?;
+        self.obs.check_merge(&other.obs)?;
         Ok(())
     }
 
@@ -476,7 +474,7 @@ impl Collector {
         }
         self.du_all.merge(&other.du_all);
         self.overhead_all.merge(&other.overhead_all);
-        self.registry.merge_snapshot(&other.registry.snapshot());
+        self.obs.merge(&other.obs);
         self.devices_seen += other.devices_seen;
         Ok(())
     }
@@ -493,7 +491,7 @@ impl Collector {
             strata: self.strata.clone(),
             du_all: self.du_all.clone(),
             overhead_all: self.overhead_all.clone(),
-            obs: self.registry.snapshot(),
+            obs: self.obs.clone(),
         }
     }
 
@@ -506,7 +504,7 @@ impl Collector {
             strata: self.strata,
             du_all: self.du_all,
             overhead_all: self.overhead_all,
-            obs: self.registry.snapshot(),
+            obs: self.obs,
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! 1. the merge algebra is order-independent over *real* device
 //!    partials (not just synthetic streams — those live in `obs`): the
-//!    `du` sketch and the whole [`Collector`] state, registry
+//!    `du` sketch and the whole [`Collector`] state, telemetry
 //!    histograms included, come out byte-identical in any order;
 //! 2. the merged campaign JSON is byte-identical for 1 vs. 8 workers;
 //! 3. collector memory stays bounded by in-flight work, independent of
@@ -54,7 +54,7 @@ fn sketch_merge_is_order_independent_over_real_partials() {
         acc.to_json().to_string_pretty()
     };
     // The same for the collector's full state — every stratum sketch,
-    // counter and registry histogram.
+    // counter and telemetry histogram.
     let collect = |order: &[usize]| {
         let mut c = Collector::new(&spec);
         for &i in order {
@@ -67,7 +67,7 @@ fn sketch_merge_is_order_independent_over_real_partials() {
     let reference_state = collect(&forward);
     assert!(
         reference_state.contains("\"sketch\""),
-        "registry histograms present"
+        "telemetry histograms present"
     );
 
     let mut reversed = forward.clone();

@@ -26,7 +26,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use acutemon_live::{run_traced, LiveConfig, LiveProbe};
-use obs::{error, info, Registry, Tracer};
+use obs::{error, info, Tracer};
 
 struct Cli {
     cfg: LiveConfig,
@@ -131,17 +131,12 @@ fn parse() -> Cli {
 
 fn main() {
     let cli = parse();
-    let registry = if cli.metrics_json || cli.metrics_text {
-        Registry::new()
-    } else {
-        Registry::disabled()
-    };
     let tracer = if cli.trace_out.is_some() || cli.trace_spans.is_some() {
         Tracer::new()
     } else {
         Tracer::disabled()
     };
-    let report = match run_traced(cli.cfg, &registry, &tracer) {
+    let report = match run_traced(cli.cfg, &tracer) {
         Ok(r) => r,
         Err(e) => {
             error!("acutemon-cli: {e}");
@@ -181,10 +176,10 @@ fn main() {
         info!("elapsed:     {:.1} ms", report.elapsed.as_secs_f64() * 1e3);
     }
     if cli.metrics_json {
-        print!("{}", obs::export::json_lines(&registry.snapshot()));
+        print!("{}", obs::export::json_lines(&report.counts));
     }
     if cli.metrics_text {
-        print!("{}", obs::export::prometheus(&registry.snapshot()));
+        print!("{}", obs::export::prometheus(&report.counts));
     }
     if cli.trace_out.is_some() || cli.trace_spans.is_some() {
         let spans = tracer.spans();

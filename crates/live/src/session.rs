@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use acutemon::{BtStats, Io, KeepAwake, Machine, MetricNames, Timer};
 use measure::ProbeError;
-use obs::{Histogram, Registry, Snapshot, SpanId, TraceId, Tracer};
+use obs::{Hist, Snapshot, SpanId, TraceId, Tracer};
 use simcore::{DetRng, SimDuration, SimTime};
 
 use crate::config::{LiveConfig, LiveProbe};
@@ -45,6 +45,10 @@ pub struct LiveReport {
     pub bt: BtStats,
     /// Wall-clock duration of the measurement phase.
     pub elapsed: Duration,
+    /// The session's counts (`live.*`): the machine's probe, retry and
+    /// keep-awake counters, its RTT histogram, and
+    /// `live.send_lateness_ms`.
+    pub counts: Snapshot,
 }
 
 impl LiveReport {
@@ -134,10 +138,11 @@ fn probe_once(cfg: &LiveConfig, probe: u32) -> Result<Duration, ProbeError> {
     }
 }
 
-/// A probe attempt the I/O thread finished: probe `n`, the I/O call's
-/// start and end, and its outcome.
+/// A probe attempt the I/O thread finished: probe `n`, how late its
+/// I/O call started, the call's start and end, and its outcome.
 struct Done {
     n: u32,
+    lateness: Duration,
     start: Instant,
     end: Instant,
     result: Result<Duration, ProbeError>,
@@ -160,7 +165,8 @@ struct Live<'a> {
     /// When the input being handled happened, and when it was due.
     now: Instant,
     intended: Instant,
-    lateness: Histogram,
+    /// How late each send left its intended time, ms.
+    lateness: Hist,
     /// Retry jitter; seeded, so a run shape replays its retry schedule.
     rng: DetRng,
     tracer: &'a Tracer,
@@ -282,34 +288,31 @@ const METRICS: MetricNames = MetricNames {
 /// Run a complete AcuteMon session over real sockets: warm up, wait
 /// `dpre`, fire `K` sequential probes with the BT ticking every `db`.
 pub fn run(cfg: LiveConfig) -> io::Result<LiveReport> {
-    run_traced(cfg, &Registry::disabled(), &Tracer::disabled())
+    run_traced(cfg, &Tracer::disabled())
 }
 
-/// Like [`run`], recording telemetry (`live.*`) into `reg` and per-probe
-/// spans into `tracer` (wall-clock ns since the session began). Send
-/// lateness is recorded as it happens; the session's counts are merged
-/// into `reg` when it ends. Pass [`Registry::disabled`] or
-/// [`Tracer::disabled`] for zero-cost no-ops.
-pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Result<LiveReport> {
+/// Like [`run`], recording per-probe spans into `tracer` (wall-clock ns
+/// since the session began; pass [`Tracer::disabled`] for a zero-cost
+/// no-op). Either way the report carries the session's counts.
+pub fn run_traced(cfg: LiveConfig, tracer: &Tracer) -> io::Result<LiveReport> {
     let awake = UdpSocket::bind("0.0.0.0:0")?;
     awake.set_ttl(cfg.warmup_ttl)?;
-    let lateness = reg.histogram_ms("live.send_lateness_ms");
     let (jobs, job_rx) = channel::<(u32, Instant)>();
     let (done_tx, done) = channel::<Done>();
     let mut machine = Machine::new(cfg.plan());
     thread::scope(|scope| {
-        let (cfg, io_lateness) = (&cfg, lateness.clone());
+        let cfg = &cfg;
         thread::Builder::new()
             .name("acutemon-io".into())
             .spawn_scoped(scope, move || {
                 for (n, intended) in job_rx {
                     let start = Instant::now();
-                    io_lateness.observe(ms(start.saturating_duration_since(intended)));
                     let result = probe_once(cfg, n);
                     let end = Instant::now();
                     if done_tx
                         .send(Done {
                             n,
+                            lateness: start.saturating_duration_since(intended),
                             start,
                             end,
                             result,
@@ -329,7 +332,7 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
             timers: Vec::new(),
             now: epoch,
             intended: epoch,
-            lateness,
+            lateness: Hist::default(),
             rng: DetRng::new(0xAC07E),
             tracer,
             trace: None,
@@ -350,6 +353,7 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
             };
             match msg {
                 Ok(d) => {
+                    live.lateness.observe(ms(d.lateness));
                     let attempt = machine.records.get(d.n as usize).map_or(0, |r| r.attempts);
                     live.leaf(&d, attempt);
                     (live.now, live.intended) = (d.end, d.end);
@@ -378,7 +382,7 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
         live.end_trace(finished);
         let mut counts = Snapshot::default();
         machine.export(&METRICS, &mut counts);
-        reg.merge_snapshot(&counts);
+        counts.add_histogram("live.send_lateness_ms", std::mem::take(&mut live.lateness));
         Ok(LiveReport {
             samples: machine
                 .records
@@ -392,6 +396,7 @@ pub fn run_traced(cfg: LiveConfig, reg: &Registry, tracer: &Tracer) -> io::Resul
                 .collect(),
             bt: machine.bt,
             elapsed: Duration::from_nanos(finished.as_nanos()).saturating_sub(cfg.dpre),
+            counts,
         })
         // `live` drops here, closing the job queue: the I/O thread exits
         // and the scope joins it.
@@ -499,7 +504,7 @@ mod tests {
             .with_timing(Duration::from_millis(2), Duration::from_millis(5))
             .with_warmup_ttl(8);
         let tracer = Tracer::new();
-        let report = run_traced(cfg, &Registry::disabled(), &tracer).expect("run");
+        let report = run_traced(cfg, &tracer).expect("run");
         stop.store(true, Ordering::Relaxed);
         let spans = tracer.spans();
         let traces = tracer.trace_ids();
@@ -599,7 +604,7 @@ mod tests {
         .with_retries(2)
         .with_retry_backoff(Duration::from_millis(5));
         let tracer = Tracer::new();
-        let report = run_traced(cfg, &Registry::disabled(), &tracer).expect("run");
+        let report = run_traced(cfg, &tracer).expect("run");
         stop.store(true, Ordering::Relaxed);
         assert_eq!(report.samples.len(), 4);
         assert!(
@@ -616,6 +621,13 @@ mod tests {
         assert!(report.samples.iter().all(|s| s.attempts == 2));
         assert!(report.samples.iter().all(|s| s.error.is_none()));
         assert_eq!(report.total_retries(), 4);
+        // The report's counts hold one lateness sample per send: each of
+        // the 8 attempts and each keep-awake the machine asked for.
+        let (counts, bt) = (&report.counts, &report.bt);
+        let keep_awake = bt.warmup_sent + bt.background_sent + bt.rewarms_sent + bt.send_errors;
+        let lateness = counts.histogram("live.send_lateness_ms").map(|h| h.count());
+        assert_eq!(lateness, Some(8 + keep_awake));
+        assert_eq!(counts.counter("live.retries"), Some(4));
         // The recovery is visible: retry + rewarm spans, and two attempt
         // leaves under each probe root.
         let spans = tracer.spans();

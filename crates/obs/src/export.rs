@@ -193,22 +193,30 @@ fn sanitize(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::metrics::Hist;
 
-    fn sample_registry() -> Registry {
-        let r = Registry::new();
-        r.counter("sim.events").add(42);
-        r.gauge("sim.queue_depth").set(7);
-        let h = r.histogram("phone.sdio.wake_latency_ms", &[1.0, 10.0, 100.0]);
+    fn sample_snapshot() -> Snapshot {
+        let mut s = Snapshot::default();
+        s.add_counter("sim.events", 42);
+        s.add_gauge("sim.queue_depth", 7);
+        let mut h = Hist::new(&[1.0, 10.0, 100.0]);
         h.observe(0.5);
         h.observe(12.0);
         h.observe(12.0);
-        r
+        s.add_histogram("phone.sdio.wake_latency_ms", h);
+        s
+    }
+
+    /// A snapshot holding these counters, each at its value.
+    fn counters(entries: &[(&'static str, u64)]) -> Snapshot {
+        let mut s = Snapshot::default();
+        entries.iter().for_each(|&(name, v)| s.add_counter(name, v));
+        s
     }
 
     #[test]
     fn json_lines_one_object_per_line() {
-        let text = json_lines(&sample_registry().snapshot());
+        let text = json_lines(&sample_snapshot());
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains(r#""type":"counter""#));
@@ -219,7 +227,7 @@ mod tests {
 
     #[test]
     fn prometheus_cumulative_buckets() {
-        let text = prometheus(&sample_registry().snapshot());
+        let text = prometheus(&sample_snapshot());
         assert!(text.contains("# HELP sim_events_total sim.events"));
         assert!(text.contains("# TYPE sim_events_total counter\nsim_events_total 42"));
         assert!(text.contains("# TYPE sim_queue_depth gauge\nsim_queue_depth 7"));
@@ -244,7 +252,7 @@ mod tests {
         // The full shape the text-format spec requires of a histogram
         // family: HELP + TYPE once, every `_bucket` with an `le`
         // label, a `+Inf` bucket equal to `_count`, and `_sum`.
-        let text = prometheus(&sample_registry().snapshot());
+        let text = prometheus(&sample_snapshot());
         let fam = "phone_sdio_wake_latency_ms";
         assert_eq!(text.matches(&format!("# TYPE {fam} histogram")).count(), 1);
         assert_eq!(text.matches(&format!("# HELP {fam} ")).count(), 1);
@@ -270,12 +278,13 @@ mod tests {
         // A histogram declared with an explicit infinite upper bound
         // must not render `le="inf"` — the overflow rolls into the
         // single canonical `+Inf` series.
-        let r = Registry::new();
-        let h = r.histogram("weird.bounds", &[1.0, f64::INFINITY]);
+        let mut h = Hist::new(&[1.0, f64::INFINITY]);
         h.observe(0.5);
         h.observe(100.0);
         h.observe(200.0);
-        let text = prometheus(&r.snapshot());
+        let mut s = Snapshot::default();
+        s.add_histogram("weird.bounds", h);
+        let text = prometheus(&s);
         assert!(!text.contains("le=\"inf\""), "{text}");
         assert!(!text.contains("le=\"NaN\""), "{text}");
         assert_eq!(text.matches("weird_bounds_bucket{le=\"+Inf\"}").count(), 1);
@@ -294,9 +303,7 @@ mod tests {
 
     #[test]
     fn prometheus_escapes_metric_names() {
-        let r = Registry::new();
-        r.counter("netem.link-a.b/c forwarded").inc();
-        let text = prometheus(&r.snapshot());
+        let text = prometheus(&counters(&[("netem.link-a.b/c forwarded", 1)]));
         assert!(
             text.contains("netem_link_a_b_c_forwarded_total 1"),
             "every non-alphanumeric character folds to '_': {text}"
@@ -305,10 +312,10 @@ mod tests {
 
     #[test]
     fn prometheus_counters_are_total_suffixed_once() {
-        let r = Registry::new();
-        r.counter("probes.sent").add(3);
-        r.counter("frames.dropped_total").add(2);
-        let text = prometheus(&r.snapshot());
+        let text = prometheus(&counters(&[
+            ("probes.sent", 3),
+            ("frames.dropped_total", 2),
+        ]));
         assert!(text.contains("probes_sent_total 3"), "{text}");
         // Idempotent: an already-suffixed name is not doubled.
         assert!(text.contains("frames_dropped_total 2"), "{text}");
@@ -319,10 +326,7 @@ mod tests {
     fn prometheus_emits_help_and_type_once_per_family() {
         // Two dotted names that sanitize to the same family must not
         // repeat the HELP/TYPE header.
-        let r = Registry::new();
-        r.counter("a.b").inc();
-        r.counter("a-b").inc();
-        let text = prometheus(&r.snapshot());
+        let text = prometheus(&counters(&[("a.b", 1), ("a-b", 1)]));
         assert_eq!(
             text.matches("# TYPE a_b_total counter").count(),
             1,
@@ -343,9 +347,7 @@ mod tests {
 
     #[test]
     fn json_lines_escapes_names() {
-        let r = Registry::new();
-        r.counter("weird\"name\n").inc();
-        let text = json_lines(&r.snapshot());
+        let text = json_lines(&counters(&[("weird\"name\n", 1)]));
         assert!(text.contains(r#""name":"weird\"name\n""#), "{text}");
         // Still exactly one line per metric despite the embedded newline
         // escape.
@@ -356,14 +358,15 @@ mod tests {
 
     #[test]
     fn empty_registry_exports_empty_output() {
-        let snap = Registry::new().snapshot();
+        let snap = Snapshot::default();
         assert!(snap.is_empty());
         assert_eq!(json_lines(&snap), "");
         assert_eq!(prometheus(&snap), "");
-        // A disabled registry's snapshot is also empty.
-        let snap = Registry::disabled().snapshot();
-        assert_eq!(json_lines(&snap), "");
-        assert_eq!(prometheus(&snap), "");
+        // So is what merging empty snapshots leaves.
+        let mut merged = Snapshot::default();
+        merged.merge(&snap);
+        assert_eq!(json_lines(&merged), "");
+        assert_eq!(prometheus(&merged), "");
     }
 
     #[test]

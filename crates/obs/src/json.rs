@@ -99,6 +99,15 @@ impl Json {
         }
     }
 
+    /// The value, if `self` is an integer of magnitude at most 2^53,
+    /// the largest a JSON number carries exactly.
+    pub(crate) fn as_exact_int(&self) -> Option<i64> {
+        let n = self
+            .as_f64()
+            .filter(|n| n.fract() == 0.0 && n.abs() <= 2f64.powi(53))?;
+        Some(n as i64)
+    }
+
     /// The string value, if `self` is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

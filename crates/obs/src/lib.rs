@@ -6,10 +6,8 @@
 //!
 //! - [`metrics::Snapshot`] — the name-sorted counters, gauges and
 //!   [`metrics::Hist`] histograms a run's layers export when it is read,
-//!   and [`metrics::Registry`], which merges snapshots across runs and
-//!   vends handles for the few counts that have no layer record (a
-//!   disabled registry allocates nothing and every operation is a branch
-//!   on `None`).
+//!   and the one place counts are held and merged across runs
+//!   ([`metrics::Snapshot::merge`]).
 //! - [`sketch::QuantileSketch`] — the mergeable, censoring-aware quantile
 //!   sketch behind every histogram and every fleet campaign statistic.
 //! - [`trace::Tracer`] — per-probe causal spans with parent/child
@@ -52,10 +50,7 @@ pub mod sketch;
 pub mod trace;
 
 pub use json::{Json, JsonParseError, ToJson};
-pub use metrics::{
-    Counter, Gauge, Hist, Histogram, MetricName, Registry, Snapshot, SnapshotStateError,
-    SNAPSHOT_STATE_VERSION,
-};
+pub use metrics::{Hist, MetricName, Snapshot, SnapshotStateError, SNAPSHOT_STATE_VERSION};
 pub use prof::{
     MergedNode, PhaseCost, ProfNode, ProfPhase, ProfSnapshot, ProfSpan, Profiler, ThreadProf,
 };

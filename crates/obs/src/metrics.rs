@@ -1,15 +1,12 @@
 //! Counters, gauges, and histograms: a [`Snapshot`] of plain values,
-//! and a [`Registry`] of shared cells behind clonable handles.
+//! the one place counts are held and merged.
 //!
 //! The model layers count into plain fields of their own and write them
-//! into a [`Snapshot`] when a run is read; a caller that aggregates runs
-//! merges those snapshots into a [`Registry`]. Handles from a registry
-//! are for counts that have no other home (a daemon's request counters,
-//! the live driver's send lateness). `Registry::disabled()` costs
-//! nothing: every handle it vends is `None` inside and every operation
-//! is a single branch. An enabled registry interns metrics by name in
-//! `BTreeMap`s, so snapshots are deterministically ordered and two
-//! requests for the same name share one underlying cell.
+//! into a [`Snapshot`] when a run is read. A caller that aggregates
+//! runs (a campaign collector, a daemon's own request counts) owns a
+//! snapshot and [`merge`](Snapshot::merge)s the others into it. Names
+//! are kept sorted, so every snapshot is deterministically ordered and
+//! a name is looked up by binary search.
 //!
 //! A [`Hist`] keeps fixed buckets (for the Prometheus exposition) and
 //! a [`QuantileSketch`] of every observation (for the count, exact sum,
@@ -17,9 +14,6 @@
 //! snapshots is exactly associative and commutative.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use crate::json::{Json, ToJson};
 use crate::sketch::QuantileSketch;
@@ -30,217 +24,9 @@ pub const DEFAULT_MS_BUCKETS: [f64; 15] = [
     0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
 ];
 
-#[derive(Default)]
-struct Inner {
-    counters: BTreeMap<String, Arc<AtomicU64>>,
-    gauges: BTreeMap<String, Arc<AtomicI64>>,
-    hists: BTreeMap<String, Arc<Mutex<Hist>>>,
-}
-
-/// Handle to a metrics registry; `None` inside means disabled/no-op.
-#[derive(Clone, Default)]
-pub struct Registry(Option<Arc<Mutex<Inner>>>);
-
-impl Registry {
-    /// An enabled registry.
-    pub fn new() -> Registry {
-        Registry(Some(Arc::new(Mutex::new(Inner::default()))))
-    }
-
-    /// A disabled registry: allocates nothing, every operation no-ops.
-    pub fn disabled() -> Registry {
-        Registry(None)
-    }
-
-    /// Whether this registry records anything (false for
-    /// [`Registry::disabled`]).
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Get or create a counter.
-    pub fn counter(&self, name: &str) -> Counter {
-        Counter(self.0.as_ref().map(|inner| {
-            let mut g = inner.lock().unwrap();
-            g.counters
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                .clone()
-        }))
-    }
-
-    /// Get or create a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.0.as_ref().map(|inner| {
-            let mut g = inner.lock().unwrap();
-            g.gauges
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-                .clone()
-        }))
-    }
-
-    /// Get or create a histogram with the given bucket upper bounds.
-    /// Bounds must be sorted ascending; an existing histogram keeps its
-    /// original bounds.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        Histogram(self.0.as_ref().map(|inner| {
-            let mut g = inner.lock().unwrap();
-            g.hists
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Mutex::new(Hist::new(bounds))))
-                .clone()
-        }))
-    }
-
-    /// Get or create a histogram with [`DEFAULT_MS_BUCKETS`].
-    pub fn histogram_ms(&self, name: &str) -> Histogram {
-        self.histogram(name, &DEFAULT_MS_BUCKETS)
-    }
-
-    /// Merge a [`Snapshot`] (a run's export, or another registry's
-    /// snapshot) into this registry: counters and gauges add, histograms
-    /// add bucket-wise and merge their sketches (created with the
-    /// snapshot's bounds when absent). No-op on a disabled registry.
-    ///
-    /// Every piece of state merges by exact integer addition (histogram
-    /// sums via their integer-nanosecond accumulators), so the result is
-    /// independent of merge order and grouping: absorbing the same
-    /// snapshots in any order yields the same bytes. A name already held
-    /// is looked up, not cloned, so merging a snapshot whose names are
-    /// all held allocates nothing (unless a sketch gains a bucket).
-    ///
-    /// # Panics
-    ///
-    /// If a histogram in `snap` has different bounds than the one of the
-    /// same name already held; [`Registry::check_merge`] tells first.
-    pub fn merge_snapshot(&self, snap: &Snapshot) {
-        let Some(inner) = &self.0 else { return };
-        let mut g = inner.lock().unwrap();
-        for (name, v) in &snap.counters {
-            if let Some(c) = g.counters.get(&**name) {
-                c.fetch_add(*v, Ordering::Relaxed);
-            } else {
-                g.counters
-                    .insert(name.to_string(), Arc::new(AtomicU64::new(*v)));
-            }
-        }
-        for (name, v) in &snap.gauges {
-            if let Some(l) = g.gauges.get(&**name) {
-                l.fetch_add(*v, Ordering::Relaxed);
-            } else {
-                g.gauges
-                    .insert(name.to_string(), Arc::new(AtomicI64::new(*v)));
-            }
-        }
-        for (name, h) in &snap.histograms {
-            if let Some(cell) = g.hists.get(&**name) {
-                cell.lock().unwrap().merge(h);
-            } else {
-                g.hists
-                    .insert(name.to_string(), Arc::new(Mutex::new(h.clone())));
-            }
-        }
-    }
-
-    /// Whether [`Registry::merge_snapshot`] would accept `snap`: every
-    /// histogram it shares a name with must have the same bounds.
-    /// Read-only, so a caller can validate foreign state before it
-    /// changes anything.
-    pub fn check_merge(&self, snap: &Snapshot) -> Result<(), SnapshotStateError> {
-        let Some(inner) = &self.0 else { return Ok(()) };
-        let g = inner.lock().unwrap();
-        for (name, h) in &snap.histograms {
-            if let Some(cell) = g.hists.get(&**name) {
-                if cell.lock().unwrap().bounds != h.bounds {
-                    return Err(SnapshotStateError(format!(
-                        "histogram `{name}` has different bounds than the one held"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// A deterministic, name-sorted snapshot of every metric.
-    pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot::default();
-        if let Some(inner) = &self.0 {
-            let g = inner.lock().unwrap();
-            for (name, c) in &g.counters {
-                let v = c.load(Ordering::Relaxed);
-                snap.counters.push((name.clone().into(), v));
-            }
-            for (name, v) in &g.gauges {
-                let v = v.load(Ordering::Relaxed);
-                snap.gauges.push((name.clone().into(), v));
-            }
-            for (name, h) in &g.hists {
-                let h = h.lock().unwrap().clone();
-                snap.histograms.push((name.clone().into(), h));
-            }
-        }
-        snap
-    }
-}
-
-/// Monotonic event counter.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Option<Arc<AtomicU64>>);
-
-impl Counter {
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        if let Some(c) = &self.0 {
-            c.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Current value (0 when vended by a disabled registry).
-    pub fn get(&self) -> u64 {
-        self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-}
-
-/// Instantaneous signed level (queue depth, dozing stations, ...).
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicI64>>);
-
-impl Gauge {
-    /// Set the level to `v`.
-    pub fn set(&self, v: i64) {
-        if let Some(g) = &self.0 {
-            g.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&self, n: i64) {
-        if let Some(g) = &self.0 {
-            g.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Lower the level by `n`.
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
-    }
-
-    /// Current level (0 when vended by a disabled registry).
-    pub fn get(&self) -> i64 {
-        self.0.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
-    }
-}
-
 /// A fixed-bucket histogram and a sketch of every observation: the one
 /// histogram implementation. A layer owns one as a plain value and
-/// exports it into a [`Snapshot`]; a [`Registry`] keeps one behind each
-/// [`Histogram`] handle.
+/// exports it into a [`Snapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hist {
     /// Bucket upper bounds, strictly ascending.
@@ -373,31 +159,13 @@ impl Default for Hist {
     }
 }
 
-/// Handle to a registry's histogram.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Option<Arc<Mutex<Hist>>>);
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, v: f64) {
-        if let Some(h) = &self.0 {
-            h.lock().unwrap().observe(v);
-        }
-    }
-
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.lock().unwrap().count())
-    }
-}
-
 /// A metric name: borrowed where the exporting layer's name is fixed,
 /// so exporting allocates no name it already knows.
 pub type MetricName = Cow<'static, str>;
 
 /// Deterministic (name-sorted) plain values of a set of metrics: what a
-/// run's layers export, what a [`Registry`] snapshots, what campaign
-/// state carries.
+/// run's layers export, what a campaign collector merges them into,
+/// what campaign state carries.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// `(name, value)` per counter, name-sorted.
@@ -424,26 +192,44 @@ fn slot<T: Default>(list: &mut Vec<(MetricName, T)>, name: MetricName) -> &mut T
     &mut list[i].1
 }
 
+/// Fold the name-sorted `src` into the name-sorted `dst` in one walk
+/// over both (a binary search per name cost six times as much): `add`
+/// merges a value into the one held under its name, and only a name
+/// `dst` lacks is cloned, in where it sorts.
+fn merge_sorted<T: Clone>(
+    dst: &mut Vec<(MetricName, T)>,
+    src: &[(MetricName, T)],
+    add: impl Fn(&mut T, &T),
+) {
+    let mut i = 0;
+    for (name, v) in src {
+        while dst.get(i).is_some_and(|(held, _)| **held < **name) {
+            i += 1;
+        }
+        match dst.get_mut(i) {
+            Some((held, mine)) if **held == **name => add(mine, v),
+            _ => dst.insert(i, (name.clone(), v.clone())),
+        }
+        i += 1;
+    }
+}
+
 impl Snapshot {
     /// Value of counter `name`, if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
+        find(&self.counters, name).ok().map(|i| self.counters[i].1)
     }
 
     /// Level of gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        find(&self.gauges, name).ok().map(|i| self.gauges[i].1)
     }
 
     /// State of histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&Hist> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
+        find(&self.histograms, name)
+            .ok()
+            .map(|i| &self.histograms[i].1)
     }
 
     /// Whether the snapshot holds no metrics at all.
@@ -473,6 +259,43 @@ impl Snapshot {
             Err(i) => self.histograms.insert(i, (name, h)),
         }
     }
+
+    /// Merge `other` (a run's export, or another aggregate) into this
+    /// snapshot: counters and gauges add, histograms add bucket-wise and
+    /// merge their sketches, and a name this snapshot lacks starts from
+    /// `other`'s value.
+    ///
+    /// Every merge is exact integer addition (histogram sums in integer
+    /// nanoseconds), so order and grouping never change a byte, and a
+    /// snapshot whose names are all held merges without allocating
+    /// (unless a sketch gains a bucket).
+    ///
+    /// # Panics
+    ///
+    /// If a histogram in `other` has different bounds than the one of
+    /// the same name held here; [`Snapshot::check_merge`] tells first.
+    pub fn merge(&mut self, other: &Snapshot) {
+        merge_sorted(&mut self.counters, &other.counters, |a, b| *a += b);
+        merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a += b);
+        merge_sorted(&mut self.histograms, &other.histograms, Hist::merge);
+    }
+
+    /// Whether [`Snapshot::merge`] would accept `other`: every histogram
+    /// it shares a name with must have the same bounds. Read-only, so a
+    /// caller can validate foreign state before it changes anything.
+    pub fn check_merge(&self, other: &Snapshot) -> Result<(), SnapshotStateError> {
+        for (name, h) in &other.histograms {
+            if self
+                .histogram(name)
+                .is_some_and(|held| held.bounds != h.bounds)
+            {
+                return Err(SnapshotStateError(format!(
+                    "histogram `{name}` has different bounds than the one held"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Version tag written into [`Snapshot::state_json`] payloads;
@@ -497,7 +320,7 @@ impl Snapshot {
     /// Serialize the **full** snapshot state — unlike [`ToJson`], which
     /// emits a summary view (derived quantiles) — so the snapshot can be
     /// reconstructed exactly by [`Snapshot::from_state_json`] and merged
-    /// into a fresh [`Registry`] without losing a bit. Each histogram
+    /// without losing a bit. Each histogram
     /// carries its bounds, buckets and
     /// [`QuantileSketch::state_json`].
     ///
@@ -531,24 +354,27 @@ impl Snapshot {
     }
 
     /// Reconstruct a snapshot from [`Snapshot::state_json`] output. The
-    /// round trip is exact: merging the result into a registry produces
-    /// the same state as merging the original. Anything a registry could
-    /// not have produced — another version, a counter or bucket count
-    /// that is not a non-negative integer, a fractional gauge, unsorted
-    /// or repeated histogram names, bounds that do not ascend, buckets
-    /// that disagree with the sketch, a sketch of another accuracy — is
-    /// an error, so merging the result never panics.
+    /// round trip is exact: merging the result produces the same state
+    /// as merging the original. Anything no run could have produced —
+    /// another version, a counter or bucket count that is not an
+    /// integer in 0..=2^53, a gauge that is not an integer of at most
+    /// that magnitude, unsorted or repeated names, bounds that do not
+    /// ascend, buckets that disagree with the sketch, a sketch of
+    /// another accuracy or one its own reader refuses — is an error, so
+    /// merging the result never panics.
     pub fn from_state_json(state: &Json) -> Result<Snapshot, SnapshotStateError> {
         let err = |msg: &str| SnapshotStateError(msg.to_string());
-        // Every count is a non-negative integer; a cast would quietly
-        // turn -5 into 0 and 2.5 into 2.
-        let count = |v: &Json, what: &str| -> Result<u64, SnapshotStateError> {
-            match v.as_f64() {
-                Some(v) if v.is_finite() && v >= 0.0 && v.fract() == 0.0 => Ok(v as u64),
-                _ => Err(SnapshotStateError(format!(
-                    "{what} is not a non-negative integer"
-                ))),
-            }
+        // Every count is a non-negative integer a JSON number carries
+        // exactly; a cast would quietly turn -5 into 0, 2.5 into 2 and
+        // 1e300 into `u64::MAX`.
+        let count = |v: &Json, what: &str| {
+            v.as_exact_int()
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| {
+                    SnapshotStateError(format!(
+                        "{what} is not a non-negative integer (at most 2^53)"
+                    ))
+                })
         };
         let version = count(
             state.get("version").ok_or_else(|| err("missing version"))?,
@@ -587,14 +413,9 @@ impl Snapshot {
                     "gauge `{name}`: gauge names must be sorted and unique"
                 )));
             }
-            let v = match v.as_f64() {
-                Some(v) if v.is_finite() && v.fract() == 0.0 => v as i64,
-                _ => {
-                    return Err(SnapshotStateError(format!(
-                        "gauge `{name}` is not an integer"
-                    )))
-                }
-            };
+            let v = v.as_exact_int().ok_or_else(|| {
+                SnapshotStateError(format!("gauge `{name}` is not an integer (at most 2^53)"))
+            })?;
             snap.gauges.push((name.clone().into(), v));
         }
         fn array<'a>(h: &'a Json, key: &str) -> Result<&'a [Json], SnapshotStateError> {
@@ -678,39 +499,20 @@ mod tests {
     use super::*;
     use crate::sketch::DEFAULT_ALPHA;
 
-    #[test]
-    fn disabled_registry_is_a_noop() {
-        let r = Registry::disabled();
-        let c = r.counter("x");
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 0);
-        let g = r.gauge("y");
-        g.set(5);
-        assert_eq!(g.get(), 0);
-        let h = r.histogram_ms("z");
-        h.observe(1.0);
-        assert_eq!(h.count(), 0);
-        assert!(r.snapshot().is_empty());
-    }
-
-    #[test]
-    fn same_name_shares_one_cell() {
-        let r = Registry::new();
-        r.counter("a").inc();
-        r.counter("a").add(2);
-        assert_eq!(r.counter("a").get(), 3);
-        assert_eq!(r.snapshot().counter("a"), Some(3));
+    /// Record `v` into histogram `name` of `snap`, created with `bounds`
+    /// when absent.
+    fn observe(snap: &mut Snapshot, name: &str, bounds: &[f64], v: f64) {
+        let mut h = Hist::new(bounds);
+        h.observe(v);
+        snap.add_histogram(name.to_string(), h);
     }
 
     #[test]
     fn bucket_boundaries_are_le() {
-        let r = Registry::new();
-        let h = r.histogram("h", &[1.0, 10.0]);
+        let mut snap = Snapshot::default();
         for v in [0.5, 1.0, 1.0001, 10.0, 11.0] {
-            h.observe(v);
+            observe(&mut snap, "h", &[1.0, 10.0], v);
         }
-        let snap = r.snapshot();
         let hs = snap.histogram("h").unwrap();
         // <=1: {0.5, 1.0}; <=10: {1.0001, 10.0}; >10: {11.0}
         assert_eq!(hs.buckets, vec![2, 2, 1]);
@@ -719,27 +521,38 @@ mod tests {
         assert_eq!(hs.max(), 11.0);
     }
 
+    /// A merge places each name it lacks where it falls between the
+    /// held ones and adds to the ones it holds.
     #[test]
     fn snapshot_is_name_sorted() {
-        let r = Registry::new();
-        r.counter("zeta").inc();
-        r.counter("alpha").inc();
-        r.gauge("mid").set(1);
-        let snap = r.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| &**n).collect();
-        assert_eq!(names, vec!["alpha", "zeta"]);
+        let mut snap = Snapshot::default();
+        let mut other = Snapshot::default();
+        for (name, v) in [("b", 1), ("zeta", 2)] {
+            snap.add_counter(name, v);
+        }
+        for (name, v) in [("alpha", 10), ("c", 20), ("zeta", 30), ("zz", 40)] {
+            other.add_counter(name, v);
+        }
+        snap.merge(&other);
+        let got: Vec<(&str, u64)> = snap.counters.iter().map(|(n, v)| (&**n, *v)).collect();
+        assert_eq!(
+            got,
+            [("alpha", 10), ("b", 1), ("c", 20), ("zeta", 32), ("zz", 40)]
+        );
+        assert!(got.iter().all(|&(n, v)| snap.counter(n) == Some(v)));
+        assert_eq!(snap.counter("d"), None);
     }
 
     #[test]
     fn quantiles_track_the_whole_population() {
         // Far past the 4,096 observations a first-N reservoir would keep
         // (it reported p50 2,048.5 and p99 4,055.05 here).
-        let r = Registry::new();
-        let h = r.histogram("q", &[100.0]);
+        let mut h = Hist::new(&[100.0]);
         for v in 1..=10_000 {
             h.observe(v as f64);
         }
-        let snap = r.snapshot();
+        let mut snap = Snapshot::default();
+        snap.add_histogram("q", h);
         let hs = snap.histogram("q").unwrap();
         for (got, rank) in [(hs.p50(), 5_000.0), (hs.p99(), 9_900.0)] {
             // Nearest rank, within the sketch's relative accuracy plus
@@ -756,67 +569,60 @@ mod tests {
         assert_eq!(hs.count(), 10_000);
         assert_eq!(hs.sum(), 50_005_000.0);
         // An empty histogram still reports zeros.
-        r.histogram("empty", &[1.0]);
-        let empty = r.snapshot();
-        let e = empty.histogram("empty").unwrap();
+        snap.add_histogram("empty", Hist::new(&[1.0]));
+        let e = snap.histogram("empty").unwrap();
         assert_eq!((e.p50(), e.p99(), e.min(), e.max()), (0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]
     fn merge_snapshot_equals_direct_ingest() {
-        // Two shard registries vs one registry fed everything: merged
+        // Two shard snapshots vs one snapshot fed everything: merged
         // snapshots must agree exactly (integer-valued observations so
         // even the float sums are exact).
-        let shard_a = Registry::new();
-        let shard_b = Registry::new();
-        let direct = Registry::new();
+        let mut shard_a = Snapshot::default();
+        let mut shard_b = Snapshot::default();
+        let mut direct = Snapshot::default();
         for v in [1u64, 3, 7] {
-            shard_a.counter("probes").add(v);
-            direct.counter("probes").add(v);
+            shard_a.add_counter("probes", v);
+            direct.add_counter("probes", v);
         }
-        shard_b.counter("probes").add(5);
-        direct.counter("probes").add(5);
-        shard_b.counter("only_b").inc();
-        direct.counter("only_b").inc();
-        shard_a.gauge("depth").add(4);
-        direct.gauge("depth").add(4);
+        shard_b.add_counter("probes", 5);
+        direct.add_counter("probes", 5);
+        shard_b.add_counter("only_b", 1);
+        direct.add_counter("only_b", 1);
+        shard_a.add_gauge("depth", 4);
+        direct.add_gauge("depth", 4);
         for v in [2.0f64, 8.0, 64.0] {
-            shard_a.histogram_ms("du_ms").observe(v);
-            direct.histogram_ms("du_ms").observe(v);
+            observe(&mut shard_a, "du_ms", &DEFAULT_MS_BUCKETS, v);
+            observe(&mut direct, "du_ms", &DEFAULT_MS_BUCKETS, v);
         }
-        shard_b.histogram_ms("du_ms").observe(16.0);
-        direct.histogram_ms("du_ms").observe(16.0);
+        observe(&mut shard_b, "du_ms", &DEFAULT_MS_BUCKETS, 16.0);
+        observe(&mut direct, "du_ms", &DEFAULT_MS_BUCKETS, 16.0);
 
-        let merged = Registry::new();
-        merged.merge_snapshot(&shard_a.snapshot());
-        merged.merge_snapshot(&shard_b.snapshot());
-        assert_eq!(
-            merged.snapshot().to_json().to_string(),
-            direct.snapshot().to_json().to_string()
-        );
+        let mut merged = Snapshot::default();
+        merged.merge(&shard_a);
+        merged.merge(&shard_b);
+        assert_eq!(merged.to_json().to_string(), direct.to_json().to_string());
     }
 
     #[test]
     fn merge_snapshot_is_order_independent_for_integer_state() {
-        let shards: Vec<Registry> = (0..4)
+        let snaps: Vec<Snapshot> = (0..4)
             .map(|i| {
-                let r = Registry::new();
-                r.counter("c").add(i + 1);
-                r.histogram("h", &[10.0, 100.0]).observe((3 * i + 1) as f64);
-                r
+                let mut s = Snapshot::default();
+                s.add_counter("c", i + 1);
+                observe(&mut s, "h", &[10.0, 100.0], (3 * i + 1) as f64);
+                s
             })
             .collect();
-        let snaps: Vec<Snapshot> = shards.iter().map(|r| r.snapshot()).collect();
-        let fwd = Registry::new();
+        let mut a = Snapshot::default();
         for s in &snaps {
-            fwd.merge_snapshot(s);
+            a.merge(s);
         }
-        let rev = Registry::new();
+        let mut b = Snapshot::default();
         for s in snaps.iter().rev() {
-            rev.merge_snapshot(s);
+            b.merge(s);
         }
-        let a = fwd.snapshot();
-        let b = rev.snapshot();
         assert_eq!(a.counter("c"), b.counter("c"));
         let (ha, hb) = (a.histogram("h").unwrap(), b.histogram("h").unwrap());
         assert_eq!(ha.buckets, hb.buckets);
@@ -826,14 +632,12 @@ mod tests {
 
     #[test]
     fn snapshot_state_round_trip_is_exact() {
-        let r = Registry::new();
-        r.counter("probes").add(41);
-        r.gauge("depth").set(-3);
-        let h = r.histogram_ms("du_ms");
+        let mut snap = Snapshot::default();
+        snap.add_counter("probes", 41);
+        snap.add_gauge("depth", -3);
         for v in [0.125, 7.25, 3001.5] {
-            h.observe(v);
+            observe(&mut snap, "du_ms", &DEFAULT_MS_BUCKETS, v);
         }
-        let snap = r.snapshot();
         let state = snap.state_json();
         let restored =
             Snapshot::from_state_json(&Json::parse(&state.to_string_pretty()).unwrap()).unwrap();
@@ -846,21 +650,21 @@ mod tests {
             restored.to_json().to_string_pretty(),
             snap.to_json().to_string_pretty()
         );
-        // Restoring into a fresh registry and continuing equals the
-        // uninterrupted registry exactly.
-        let resumed = Registry::new();
-        resumed.merge_snapshot(&restored);
-        resumed.histogram_ms("du_ms").observe(42.0);
-        h.observe(42.0);
+        // Restoring into a fresh snapshot and continuing equals the
+        // uninterrupted snapshot exactly.
+        let mut resumed = Snapshot::default();
+        resumed.merge(&restored);
+        observe(&mut resumed, "du_ms", &DEFAULT_MS_BUCKETS, 42.0);
+        observe(&mut snap, "du_ms", &DEFAULT_MS_BUCKETS, 42.0);
         assert_eq!(
-            resumed.snapshot().to_json().to_string_pretty(),
-            r.snapshot().to_json().to_string_pretty()
+            resumed.to_json().to_string_pretty(),
+            snap.to_json().to_string_pretty()
         );
     }
 
     #[test]
     fn snapshot_state_rejects_newer_versions() {
-        let snap = Registry::new().snapshot();
+        let snap = Snapshot::default();
         let mut state = snap.state_json();
         state.set("version", (SNAPSHOT_STATE_VERSION + 1) as f64);
         assert!(Snapshot::from_state_json(&state).is_err());
@@ -917,12 +721,12 @@ mod tests {
 
     #[test]
     fn snapshot_state_rejects_what_no_registry_holds() {
-        let r = Registry::new();
-        r.histogram("a", &[1.0, 10.0]).observe(2.0);
-        r.histogram("b", &[1.0]).observe(0.5);
-        r.counter("c").add(3);
-        r.gauge("g").set(-2);
-        let good = r.snapshot().state_json();
+        let mut snap = Snapshot::default();
+        observe(&mut snap, "a", &[1.0, 10.0], 2.0);
+        observe(&mut snap, "b", &[1.0], 0.5);
+        snap.add_counter("c", 3);
+        snap.add_gauge("g", -2);
+        let good = snap.state_json();
         let tamper = |f: &dyn Fn(&mut Vec<Json>)| {
             let mut doc = good.clone();
             let mut hists = doc.get("histograms").unwrap().as_arr().unwrap().to_vec();
@@ -964,16 +768,25 @@ mod tests {
             doc.set(key, section);
             Snapshot::from_state_json(&doc)
         };
-        // A cast would read these as 0, 2 and 1.
-        for v in [-5.0, 2.5] {
+        // A cast would read these as 0, 2 and 1, and 1e300 as
+        // `u64::MAX`, which the next `add_counter` overflows: a count is
+        // at most 2^53, the largest integer a JSON number carries exactly.
+        for v in [-5.0, 2.5, 1e300, 2f64.powi(54)] {
             let e = with("counters", "c", v).unwrap_err();
             assert!(
                 e.0.contains("counter `c` is not a non-negative integer"),
                 "{e}"
             );
         }
-        let e = with("gauges", "g", 1.75).unwrap_err();
-        assert!(e.0.contains("gauge `g` is not an integer"), "{e}");
+        for v in [1.75, -1e300] {
+            let e = with("gauges", "g", v).unwrap_err();
+            assert!(e.0.contains("gauge `g` is not an integer"), "{e}");
+        }
+        let exact = 2f64.powi(53);
+        assert_eq!(
+            with("counters", "c", exact).unwrap().counter("c"),
+            Some(1 << 53)
+        );
         // A negative gauge is a level, not an error.
         assert_eq!(with("gauges", "g", -7.0).unwrap().gauge("g"), Some(-7));
     }
@@ -995,11 +808,12 @@ mod tests {
         assert_eq!(snap.counter("zeta"), Some(5));
         assert_eq!(snap.gauge("g"), Some(-3));
         assert_eq!(snap.histogram("h").unwrap().buckets, [2, 0, 1]);
-        // The same values through a registry read back identically.
-        let r = Registry::new();
-        r.merge_snapshot(&snap);
+        // The same values merged into an empty snapshot read back
+        // identically.
+        let mut merged = Snapshot::default();
+        merged.merge(&snap);
         assert_eq!(
-            r.snapshot().state_json().to_string(),
+            merged.state_json().to_string(),
             snap.state_json().to_string()
         );
     }
@@ -1011,34 +825,27 @@ mod tests {
         // makes the sum exact.
         let shards: Vec<Snapshot> = (0..3)
             .map(|i| {
-                let r = Registry::new();
-                let h = r.histogram("h", &[1.0, 10.0]);
-                h.observe(0.1 + 0.7 * i as f64);
-                h.observe(5.3 * (i + 1) as f64);
-                r.snapshot()
+                let mut s = Snapshot::default();
+                observe(&mut s, "h", &[1.0, 10.0], 0.1 + 0.7 * i as f64);
+                observe(&mut s, "h", &[1.0, 10.0], 5.3 * (i + 1) as f64);
+                s
             })
             .collect();
-        let left = Registry::new();
-        left.merge_snapshot(&shards[0]);
-        left.merge_snapshot(&shards[1]);
-        let left_ab = left.snapshot();
-        let right_bc = {
-            let r = Registry::new();
-            r.merge_snapshot(&shards[1]);
-            r.merge_snapshot(&shards[2]);
-            r.snapshot()
+        let merged = |parts: &[&Snapshot]| {
+            let mut s = Snapshot::default();
+            for p in parts {
+                s.merge(p);
+            }
+            s
         };
-        let grouped_left = Registry::new();
-        grouped_left.merge_snapshot(&left_ab);
-        grouped_left.merge_snapshot(&shards[2]);
-        let grouped_right = Registry::new();
-        grouped_right.merge_snapshot(&shards[0]);
-        grouped_right.merge_snapshot(&right_bc);
+        let left_ab = merged(&[&shards[0], &shards[1]]);
+        let right_bc = merged(&[&shards[1], &shards[2]]);
+        let a = merged(&[&left_ab, &shards[2]]);
+        let b = merged(&[&shards[0], &right_bc]);
         assert_eq!(
-            grouped_left.snapshot().to_json().to_string_pretty(),
-            grouped_right.snapshot().to_json().to_string_pretty()
+            a.to_json().to_string_pretty(),
+            b.to_json().to_string_pretty()
         );
-        let (a, b) = (grouped_left.snapshot(), grouped_right.snapshot());
         assert_eq!(
             a.histogram("h").unwrap().sketch.sum_ns(),
             b.histogram("h").unwrap().sketch.sum_ns()

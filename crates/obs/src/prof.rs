@@ -195,6 +195,8 @@ struct ThreadState {
     stack: Vec<Frame>,
     timeline: Vec<TimelineEv>,
     timeline_dropped: u64,
+    /// Nanoseconds cut from recorded aggregates to fit their open phase.
+    capped_ns: u64,
     next_span: u64,
     first_ns: Option<u64>,
     last_ns: u64,
@@ -210,6 +212,7 @@ impl ThreadState {
             // after warm-up performs zero heap allocations.
             timeline: Vec::with_capacity(TIMELINE_CAP),
             timeline_dropped: 0,
+            capped_ns: 0,
             next_span: 0,
             first_ns: None,
             last_ns: 0,
@@ -417,7 +420,12 @@ impl Profiler {
     /// path accumulate like repeated guards. Aggregates have no start
     /// or end, so they add nothing to the timeline. No-op when
     /// disabled.
-    pub fn record<I>(&self, name: &'static str, cost: PhaseCost, children: I)
+    ///
+    /// A sampled estimate one preempted sample inflated could outweigh
+    /// its parent, so `cost` is capped at the open phase's elapsed time
+    /// minus what its children already claimed, the children's times
+    /// scale with it, and the cut adds up in [`ThreadProf::capped_ns`].
+    pub fn record<I>(&self, name: &'static str, mut cost: PhaseCost, children: I)
     where
         I: IntoIterator<Item = (&'static str, PhaseCost)>,
     {
@@ -428,10 +436,26 @@ impl Profiler {
             return;
         };
         let mut st = slot.state.lock().unwrap();
+        // `kept / estimated`, the factor every child's time is scaled by.
+        let mut scale = None;
+        if let Some(open) = st.stack.last() {
+            let left = shared
+                .now_ns()
+                .saturating_sub(open.start_ns)
+                .saturating_sub(open.child_ns);
+            if cost.ns > left {
+                st.capped_ns += cost.ns - left;
+                scale = Some((u128::from(left), u128::from(cost.ns)));
+                cost.ns = left;
+            }
+        }
         let parent = st.stack.last().map(|f| f.node).unwrap_or(ROOT);
         let node = st.intern(parent, name);
         st.nodes[node as usize].add(cost);
-        for (child_name, child) in children {
+        for (child_name, mut child) in children {
+            if let Some((kept, estimated)) = scale {
+                child.ns = (u128::from(child.ns) * kept / estimated) as u64;
+            }
             let id = st.intern(node, child_name);
             st.nodes[id as usize].add(child);
             let n = &mut st.nodes[node as usize];
@@ -536,6 +560,7 @@ impl Profiler {
                 nodes,
                 timeline,
                 timeline_dropped: st.timeline_dropped,
+                capped_ns: st.capped_ns,
             });
         }
         ProfSnapshot { threads }
@@ -628,6 +653,9 @@ pub struct ThreadProf {
     /// Spans that did not fit the timeline (tree totals still include
     /// them).
     pub timeline_dropped: u64,
+    /// Nanoseconds [`Profiler::record`] cut from aggregates so that
+    /// each fits the time its open phase had left.
+    pub capped_ns: u64,
 }
 
 /// A point-in-time view of every profiled thread.
@@ -685,6 +713,12 @@ impl ProfSnapshot {
             .filter(|n| n.parent.is_none())
             .map(|n| n.total_ns)
             .sum()
+    }
+
+    /// Nanoseconds cut from recorded aggregates across all threads
+    /// ([`ThreadProf::capped_ns`]).
+    pub fn capped_ns(&self) -> u64 {
+        self.threads.iter().map(|t| t.capped_ns).sum()
     }
 
     /// Self-nanoseconds per phase *name*, summed over every node with
@@ -1025,6 +1059,7 @@ mod tests {
                     ],
                     timeline: Vec::new(),
                     timeline_dropped: 0,
+                    capped_ns: 0,
                 },
                 ThreadProf {
                     label: "worker-1".to_string(),
@@ -1036,6 +1071,7 @@ mod tests {
                     ],
                     timeline: Vec::new(),
                     timeline_dropped: 0,
+                    capped_ns: 0,
                 },
             ],
         };
@@ -1115,6 +1151,45 @@ mod tests {
         let off = Profiler::disabled();
         off.record("loose", cost(1, 5, 0), []);
         assert_eq!(off.snapshot(), ProfSnapshot::default());
+    }
+
+    /// A layer estimate one preempted sample inflated cannot outweigh
+    /// its parent: a 10 ms aggregate recorded under a phase open for
+    /// 2 ms keeps only the time the phase has left, its children shrink
+    /// by the same factor, and the cut is reported.
+    #[test]
+    fn recorded_aggregate_is_capped_at_its_open_phase() {
+        let ms = |n: u64| n * 1_000_000;
+        let cost = |ns| PhaseCost {
+            calls: 64,
+            ns,
+            ..PhaseCost::default()
+        };
+        let p = Profiler::new();
+        {
+            let _des = p.phase("des");
+            spin(Duration::from_millis(2));
+            let layers = [("phy.sta", cost(ms(6))), ("phone", cost(ms(4)))];
+            p.record("dispatch", cost(ms(10)), layers);
+        }
+        let snap = p.snapshot();
+        let total = |path: &[&str]| node(&snap.threads[0], path).total_ns;
+        let dispatch = total(&["des", "dispatch"]);
+        assert!(
+            ms(2) <= dispatch && dispatch <= total(&["des"]),
+            "{dispatch}"
+        );
+        assert_eq!(snap.capped_ns() + dispatch, ms(10));
+        // The layers keep their 6:4 split inside what is left (each
+        // rounded down).
+        let sta = total(&["des", "dispatch", "phy.sta"]);
+        let layers = sta + total(&["des", "dispatch", "phone"]);
+        assert!(layers <= dispatch && dispatch - layers <= 1, "{layers}");
+        assert!(sta.abs_diff(dispatch * 6 / 10) <= 1, "{sta} of {dispatch}");
+        // A root aggregate has no phase to fit, and nothing is cut.
+        let root = Profiler::new();
+        root.record("loose", cost(ms(10)), []);
+        assert_eq!(root.snapshot().capped_ns(), 0);
     }
 
     #[test]

@@ -317,6 +317,10 @@ impl QuantileSketch {
     /// Reconstruct a sketch from [`QuantileSketch::state_json`] output.
     /// The round trip is exact: the result compares equal (`==`) to the
     /// original and merges identically.
+    /// A state no sketch reaches is refused, so every query on the
+    /// result is safe: a count not an integer in 0..=2^53, an empty
+    /// bucket, a `count` other than `zero` plus the buckets', and once
+    /// something was observed, a `min` above `max` or either not ≥ 0.
     pub fn from_state_json(state: &Json) -> Result<QuantileSketch, SketchStateError> {
         let err = |msg: &str| SketchStateError(msg.to_string());
         let version = state
@@ -335,16 +339,20 @@ impl QuantileSketch {
         if !(gamma.is_finite() && gamma > 1.0) {
             return Err(err("gamma must be finite and > 1"));
         }
-        let u64_field = |name: &str| {
-            state
-                .get(name)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| SketchStateError(format!("missing {name}")))
+        // Every count is an integer a JSON number carries exactly: a cast
+        // would read -4 as 0, 2.5 as 2 and 1e300 as `u64::MAX`.
+        let count_of = |v: Option<&Json>, what: &str| {
+            v.and_then(Json::as_exact_int)
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| {
+                    SketchStateError(format!(
+                        "{what} is not a non-negative integer (at most 2^53)"
+                    ))
+                })
         };
-        let count = u64_field("count")?;
-        let zero = u64_field("zero")?;
-        let censored = u64_field("censored")?;
+        let count = count_of(state.get("count"), "count")?;
+        let zero = count_of(state.get("zero"), "zero")?;
+        let censored = count_of(state.get("censored"), "censored")?;
         let sum_ns = state
             .get("sum_ns")
             .and_then(Json::as_str)
@@ -352,6 +360,8 @@ impl QuantileSketch {
             .parse::<i128>()
             .map_err(|e| SketchStateError(format!("bad sum_ns: {e}")))?;
         let mut buckets = Vec::new();
+        // Every observation lands in the zero bucket or one other.
+        let mut held = zero;
         for pair in state
             .get("buckets")
             .and_then(Json::as_arr)
@@ -361,31 +371,40 @@ impl QuantileSketch {
             let (idx, n) = match pair {
                 [i, n] => (
                     i.as_f64().ok_or_else(|| err("bucket index not a number"))? as i32,
-                    n.as_f64().ok_or_else(|| err("bucket count not a number"))? as u64,
+                    count_of(Some(n), "bucket count")?,
                 ),
                 _ => return Err(err("bucket pair must have two entries")),
             };
+            if n == 0 {
+                return Err(err("bucket count is 0 (empty buckets are not kept)"));
+            }
             if let Some(&(last, _)) = buckets.last() {
                 if idx <= last {
                     return Err(err("bucket indices must be strictly ascending"));
                 }
             }
+            held = held.saturating_add(n);
             buckets.push((idx, n));
         }
-        let float_field = |name: &str| -> Result<Option<f64>, SketchStateError> {
-            match state.get(name) {
-                Some(Json::Null) | None => Ok(None),
-                Some(v) => v
-                    .as_f64()
-                    .map(Some)
-                    .ok_or_else(|| SketchStateError(format!("bad {name}"))),
+        if held != count {
+            return Err(SketchStateError(format!(
+                "count {count} is not zero plus the bucket counts ({held})"
+            )));
+        }
+        let float_field = |name: &str| -> Result<f64, SketchStateError> {
+            match state.get(name).and_then(Json::as_f64) {
+                Some(v) if v.is_finite() && v >= 0.0 => Ok(v),
+                _ => Err(SketchStateError(format!(
+                    "{name} is not a finite value >= 0"
+                ))),
             }
         };
         let (min, max) = if count > 0 {
-            (
-                float_field("min")?.ok_or_else(|| err("missing min"))?,
-                float_field("max")?.ok_or_else(|| err("missing max"))?,
-            )
+            let (min, max) = (float_field("min")?, float_field("max")?);
+            if min > max {
+                return Err(SketchStateError(format!("min {min} exceeds max {max}")));
+            }
+            (min, max)
         } else {
             (f64::INFINITY, f64::NEG_INFINITY)
         };
@@ -612,6 +631,53 @@ mod tests {
         let mut bad = s.state_json();
         bad.set("sum_ns", "not-a-number");
         assert!(QuantileSketch::from_state_json(&bad).is_err());
+    }
+
+    /// States no sketch reaches are refused at the reader, before a
+    /// query can act on them: swapped `min`/`max` made every quantile
+    /// panic in `f64::clamp`, casts read `-4` as 0, `2.5` as 2 and
+    /// `1e300` as `u64::MAX` (whose `len()` overflows), and a `count`
+    /// with no mass behind it read its median as `max`.
+    #[test]
+    fn state_rejects_what_no_sketch_reaches() {
+        let good = sketch_of(&[0.00005, 1.0, 500.0], 2).state_json();
+        // `good` with the fields of the JSON object `edits` replaced.
+        let read = |edits: &str| {
+            let mut doc = good.clone();
+            if let Ok(Json::Obj(fields)) = Json::parse(edits) {
+                fields.into_iter().for_each(|(k, v)| doc.set(&k, v));
+            }
+            QuantileSketch::from_state_json(&doc)
+        };
+        for (edits, why) in [
+            (r#"{"min":500,"max":0.00005}"#, "min 500 exceeds max"),
+            (r#"{"zero":-4}"#, "zero is not a non-negative integer"),
+            (r#"{"count":2.5}"#, "count is not a non-negative integer"),
+            (r#"{"censored":1e300}"#, "censored is not a non-negative"),
+            (
+                r#"{"count":4}"#,
+                "count 4 is not zero plus the bucket counts (3)",
+            ),
+            (r#"{"min":-1}"#, "min is not a finite value >= 0"),
+            (r#"{"max":null}"#, "max is not a finite value >= 0"),
+            (r#"{"zero":0,"buckets":[]}"#, "count 3 is not zero plus"),
+            (
+                r#"{"count":1,"zero":1,"buckets":[[700,0]]}"#,
+                "bucket count is 0",
+            ),
+            (
+                r#"{"count":1,"zero":0,"buckets":[[700,1e300]]}"#,
+                "bucket count is not",
+            ),
+        ] {
+            let e = read(edits).unwrap_err().0;
+            assert!(e.contains(why), "{edits}: {e}");
+        }
+        // The largest count a JSON number carries exactly still loads,
+        // and with nothing observed `min` and `max` are not read.
+        let most = read(r#"{"censored":9007199254740992}"#).unwrap();
+        assert_eq!(most.len(), (1 << 53) + 3);
+        assert!(read(r#"{"count":0,"zero":0,"buckets":[],"min":-1}"#).is_ok());
     }
 
     #[test]

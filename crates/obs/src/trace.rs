@@ -13,8 +13,8 @@
 //! simulator (`SimTime::as_nanos()`) and live wall-clock runs (elapsed
 //! ns since session start).
 //!
-//! Like [`crate::Registry`], a `Tracer` is a cheap clonable handle over
-//! shared state and the default handle is *disabled*: every operation on
+//! A `Tracer` is a cheap clonable handle over shared state and the
+//! default handle is *disabled*: every operation on
 //! a disabled tracer is a strict no-op that performs no allocation, so
 //! instrumentation can stay unconditionally in the hot path.
 

@@ -1,6 +1,6 @@
-//! Disabled-handle guard: a disabled [`obs::Tracer`] (and disabled
-//! metric handles) must cost zero heap allocations on the probe hot
-//! path, so instrumentation can stay unconditionally compiled in.
+//! Disabled-handle guard: a disabled [`obs::Tracer`] must cost zero heap
+//! allocations on the probe hot path, so instrumentation can stay
+//! unconditionally compiled in.
 //!
 //! A counting global allocator makes the check direct: run the hot-path
 //! operations and assert the allocation counter did not move. The
@@ -75,24 +75,5 @@ fn enabled_probe_allocation_cost_is_bounded() {
     assert!(
         per_probe <= 16,
         "enabled tracer allocation cost grew: {per_probe} allocations per 3-span probe"
-    );
-}
-
-#[test]
-fn disabled_metric_handles_allocate_nothing() {
-    let reg = obs::Registry::disabled();
-    let counter = reg.counter("x");
-    let gauge = reg.gauge("y");
-    let hist = reg.histogram_ms("z");
-    let before = alloc_count();
-    for i in 0..1000 {
-        counter.inc();
-        gauge.set(i);
-        hist.observe(i as f64);
-    }
-    assert_eq!(
-        alloc_count() - before,
-        0,
-        "disabled metric handles must not allocate"
     );
 }

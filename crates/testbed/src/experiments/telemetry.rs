@@ -1,5 +1,5 @@
 //! An instrumented AcuteMon-vs-ping session: the standard Fig. 2 testbed,
-//! with every layer's counts exported into a telemetry [`Registry`].
+//! with every layer's counts exported into one telemetry [`Snapshot`].
 //!
 //! This is the observability counterpart of the Table 3 / Fig. 3
 //! experiments: the same per-probe breakdowns (`∆dk−v`, `∆dv−n`), but
@@ -9,7 +9,7 @@
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use measure::{Baseline, BaselineApp};
-use obs::{Registry, Snapshot};
+use obs::Snapshot;
 use phone::{App, PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 
@@ -55,13 +55,13 @@ impl TelemetryRun {
 }
 
 /// Run `k` probes of `tool` on a Nexus-5 testbed over a `rtt_ms` path,
-/// then merge what every layer counted into `reg`.
+/// and read what every layer counted.
 ///
 /// A path longer than the Nexus 5's `Tip` (≈ 205 ms, Table 4) dozes the
 /// STA mid-RTT, so slow probing exercises both inflation sources: SDIO
 /// bus promotion on every crossing (Broadcom, ≈ 11 ms, Table 3) and
 /// beacon buffering of the response at the AP.
-pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) -> TelemetryRun {
+pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64) -> TelemetryRun {
     let horizon = match tool {
         TelemetryTool::AcuteMon => SimTime::from_secs(u64::from(k) / 10 + 10),
         TelemetryTool::SlowPing => SimTime::from_secs(u64::from(k) + 10),
@@ -95,11 +95,9 @@ pub fn run(tool: TelemetryTool, k: u32, seed: u64, rtt_ms: u64, reg: &Registry) 
             &app.records
         }
     };
-    let bds = breakdowns(records, phone_node.ledger(), index);
-    reg.merge_snapshot(&counts);
     TelemetryRun {
-        breakdowns: bds,
-        snapshot: reg.snapshot(),
+        breakdowns: breakdowns(records, phone_node.ledger(), index),
+        snapshot: counts,
     }
 }
 
@@ -112,9 +110,8 @@ mod tests {
     /// histograms must agree with the classic per-probe breakdowns.
     #[test]
     fn histogram_counts_match_breakdown_overheads() {
-        let reg = Registry::new();
         let k = 20;
-        let r = run(TelemetryTool::SlowPing, k, 11, 300, &reg);
+        let r = run(TelemetryTool::SlowPing, k, 11, 300);
         let snap = &r.snapshot;
         assert_eq!(r.breakdowns.len(), k as usize);
 
@@ -158,8 +155,7 @@ mod tests {
     /// keep-awake traffic prevents the dozes entirely.
     #[test]
     fn acutemon_keeps_layers_awake() {
-        let reg = Registry::new();
-        let r = run(TelemetryTool::AcuteMon, 50, 12, 300, &reg);
+        let r = run(TelemetryTool::AcuteMon, 50, 12, 300);
         let snap = &r.snapshot;
         assert!(snap.counter("acutemon.background_sent").unwrap() > 0);
         assert!(snap.counter("acutemon.warmup_sent").unwrap() > 0);
@@ -180,16 +176,15 @@ mod tests {
         );
     }
 
-    /// Same seed, same snapshot — the registry's snapshot is name-sorted
-    /// and everything upstream of it is deterministic under the sim clock.
+    /// Same seed, same snapshot — the snapshot is name-sorted and
+    /// everything upstream of it is deterministic under the sim clock.
     #[test]
     fn snapshot_deterministic_across_runs() {
         let go = || {
-            let reg = Registry::new();
-            run(TelemetryTool::SlowPing, 10, 7, 120, &reg);
+            let r = run(TelemetryTool::SlowPing, 10, 7, 120);
             // sim.wall_ns measures host wall-clock time and is the one
             // metric that is allowed to differ run to run.
-            obs::export::json_lines(&reg.snapshot())
+            obs::export::json_lines(&r.snapshot)
                 .lines()
                 .filter(|l| !l.contains("sim.wall_ns"))
                 .collect::<Vec<_>>()

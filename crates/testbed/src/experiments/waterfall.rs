@@ -10,7 +10,7 @@
 //! span totals equal the PR-1 histogram sums for the same run.
 
 use measure::{Baseline, BaselineApp};
-use obs::{build_trace_tree, AttrValue, Registry, Snapshot, SpanNode, SpanRecord, Tracer};
+use obs::{build_trace_tree, AttrValue, Snapshot, SpanNode, SpanRecord, Tracer};
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 
@@ -74,13 +74,12 @@ impl WaterfallRun {
 }
 
 /// Run `k` slow pings (1 s interval) on a Nexus-5 testbed over a
-/// `rtt_ms` path with tracing attached, then merge what every layer
-/// counted into `reg`. The slow
-/// cadence over a long path triggers every inflation source the paper
-/// names — SDIO promotion on both crossings and PSM beacon buffering of
-/// each response — so every waterfall shows the full anatomy of
-/// `du − dn`.
-pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> WaterfallRun {
+/// `rtt_ms` path with tracing attached, and read what every layer
+/// counted. The slow cadence over a long path triggers every inflation
+/// source the paper names — SDIO promotion on both crossings and PSM
+/// beacon buffering of each response — so every waterfall shows the
+/// full anatomy of `du − dn`.
+pub fn run(k: u32, seed: u64, rtt_ms: u64, tracer: &Tracer) -> WaterfallRun {
     let horizon = SimTime::from_secs(u64::from(k) + 10);
     let mut tb = Testbed::build(TestbedConfig::new(seed, phone::nexus5(), rtt_ms));
     tb.attach_tracer(tracer);
@@ -97,7 +96,6 @@ pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> W
     let mut counts = Snapshot::default();
     tb.sim.export(&mut counts);
     tb.export(&mut counts);
-    reg.merge_snapshot(&counts);
     let index = tb.capture_index();
     let phone_node = tb.sim.node::<PhoneNode>(tb.phone);
     let records = &phone_node.app::<BaselineApp>(idx).records;
@@ -130,7 +128,7 @@ pub fn run(k: u32, seed: u64, rtt_ms: u64, reg: &Registry, tracer: &Tracer) -> W
     WaterfallRun {
         waterfalls,
         spans,
-        snapshot: reg.snapshot(),
+        snapshot: counts,
     }
 }
 
@@ -145,10 +143,9 @@ mod tests {
     /// totals equal the corresponding histogram sums.
     #[test]
     fn leaves_partition_du_and_span_totals_match_histograms() {
-        let reg = Registry::new();
         let tracer = Tracer::new();
         let k = 20u32;
-        let r = run(k, 11, 300, &reg, &tracer);
+        let r = run(k, 11, 300, &tracer);
         assert_eq!(r.waterfalls.len(), k as usize);
 
         for w in &r.waterfalls {
@@ -210,9 +207,8 @@ mod tests {
     #[test]
     fn render_is_deterministic_and_complete() {
         let go = || {
-            let reg = Registry::new();
             let tracer = Tracer::new();
-            run(5, 11, 300, &reg, &tracer).render(40)
+            run(5, 11, 300, &tracer).render(40)
         };
         let report = go();
         assert_eq!(report, go());

@@ -6,7 +6,6 @@
 //! (`sim.events_processed` and the `sim.queue_depth` gauges) beside
 //! every layer's, without building `repro`.
 
-use obs::Registry;
 use testbed::experiments::telemetry::{self, TelemetryTool};
 
 /// The lines of a JSON-lines export, without the one that measures the
@@ -27,9 +26,8 @@ fn assert_reproduces(tool: TelemetryTool, committed: &str) {
         let line = format!(r#""name":"{name}","value""#);
         assert!(committed.contains(&line), "committed file lacks {name}");
     }
-    let reg = Registry::new();
-    telemetry::run(tool, 30, 2016, 300, &reg);
-    let fresh = obs::export::json_lines(&reg.snapshot());
+    let run = telemetry::run(tool, 30, 2016, 300);
+    let fresh = obs::export::json_lines(&run.snapshot);
     assert_eq!(simulated(&fresh), simulated(committed));
 }
 
