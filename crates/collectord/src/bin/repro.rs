@@ -62,9 +62,9 @@
 //! `127.0.0.1:9311`) serving `/` (dashboard), `/snapshot`, `/status`,
 //! `/metrics`, and `/healthz`. With `--state-dir DIR` the daemon is
 //! crash-safe: every accepted push is journaled to `DIR` *before* it
-//! is acked, SIGTERM/SIGINT flush a final `snapshot.json`, and a
-//! restarted daemon recovers the full ingest state — `/snapshot` after
-//! recovery is byte-identical to a never-killed run. `repro chaos`
+//! changes anything or is acked, SIGTERM/SIGINT write a final
+//! `snapshot.json`, and a restarted daemon replays the journal —
+//! `/snapshot` after recovery is byte-identical to a never-killed run. `repro chaos`
 //! soak-tests exactly that: a 2-partition campaign pushes through
 //! seeded wire faults ([`wire::chaos`]) into a `--state-dir` daemon
 //! that is SIGKILLed and restarted `--chaos-kills` times mid-campaign,
@@ -344,8 +344,8 @@ fn parse_args() -> Options {
                      --listen ADDR       collectord push listener (127.0.0.1:9310)\n\
                      --http ADDR         collectord HTTP server (127.0.0.1:9311)\n\
                      --state-dir DIR     collectord: journal accepted pushes to DIR\n\
-                     \u{20}                    (persist-before-ack) and recover the full\n\
-                     \u{20}                    ingest state from it on restart\n\
+                     \u{20}                    (before they are applied or acked) and\n\
+                     \u{20}                    replay them on restart\n\
                      --chaos-seed S      chaos: fault-injection schedule seed (7)\n\
                      --chaos-kills N     chaos: daemon kill/restart cycles (2)\n\
                      \n\
@@ -358,8 +358,8 @@ fn parse_args() -> Options {
                      with --push-to, and /snapshot serves the live campaign\n\
                      JSON (byte-identical to fleet.json once complete). With\n\
                      --state-dir the daemon is crash-safe: acked pushes are\n\
-                     journaled first, SIGTERM/SIGINT flush a final snapshot,\n\
-                     and a restart recovers everything.\n\
+                     journaled first, SIGTERM/SIGINT write a final snapshot,\n\
+                     and a restart replays the journal.\n\
                      \n\
                      chaos runs the crash-safety soak: a 2-partition campaign\n\
                      pushes (with seeded wire faults severing connections)\n\
@@ -454,9 +454,9 @@ fn write_raw(dir: &Path, file: &str, contents: String) {
 }
 
 /// Run the collector daemon forever: push listener + HTTP server.
-/// With `--state-dir` the daemon journals accepted pushes
-/// (persist-before-ack), recovers from the journal on startup, and
-/// flushes a final snapshot on SIGTERM/SIGINT.
+/// With `--state-dir` the daemon journals each accepted push before it
+/// is applied or acked, replays the journal on startup, and writes a
+/// final snapshot on SIGTERM/SIGINT.
 fn run_collectord(opts: &Options) -> ! {
     let spec = fleet::CampaignSpec::heterogeneous(opts.seed, opts.fleet_devices);
     info!(
@@ -482,13 +482,14 @@ fn run_collectord(opts: &Options) -> ! {
         }
         None => collectord::Daemon::new(spec),
     };
-    // SIGTERM/SIGINT: flush the journal (plus a rendered snapshot.json)
-    // and exit cleanly instead of dying mid-write.
+    // SIGTERM/SIGINT: write a rendered snapshot.json beside the journal
+    // (every acked push is already on disk) and exit cleanly instead of
+    // dying mid-write.
     collectord::signals::install();
     let flusher = daemon.clone();
     std::thread::spawn(move || loop {
         if collectord::signals::terminated() {
-            info!("collectord: termination signal — flushing journal ...");
+            info!("collectord: termination signal — writing snapshot.json ...");
             match flusher.flush() {
                 Ok(()) => std::process::exit(0),
                 Err(e) => {
@@ -837,9 +838,11 @@ fn run_chaos(opts: &Options) -> ! {
             s.delivered, s.dropped, s.reconnects
         );
     }
+    // The mid-run kills that fired (a campaign can finish pushing before
+    // a threshold is crossed) plus the final one.
     println!(
-        "chaos: {} kill/restart cycles; final recovery restored {recovered} merged devices",
-        kills + 1
+        "chaos: {next_kill} kill/restart cycles; final recovery restored {recovered} merged \
+         devices"
     );
     if !complete {
         error!("chaos: recovered daemon does not report a complete campaign");

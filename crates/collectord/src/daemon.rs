@@ -44,9 +44,10 @@ impl Daemon {
         Daemon::from_ingest(Ingest::new(spec))
     }
 
-    /// A daemon journaling to (and recovered from) `store`: whatever
-    /// state the journal holds for `spec` is restored before the first
-    /// push, and every accepted push is persisted before it is acked.
+    /// A daemon journaling to (and recovered from) `store`: the journal's
+    /// pushes for `spec` are replayed before the first push, and every
+    /// accepted push is journaled before it changes anything or is
+    /// acked.
     pub fn with_store(spec: CampaignSpec, store: Store) -> Result<Daemon, StoreError> {
         Ok(Daemon::from_ingest(Ingest::with_store(spec, store)?))
     }
@@ -79,9 +80,9 @@ impl Daemon {
         self
     }
 
-    /// Flush the full ingest state (merged collector, pending slices, a
-    /// rendered `snapshot.json`) to the journal — the SIGTERM/SIGINT
-    /// shutdown path. A no-op without a store.
+    /// Write a rendered `snapshot.json` beside the journal — the
+    /// SIGTERM/SIGINT shutdown path ([`Ingest::flush_to_store`]). A
+    /// no-op without a store.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.inner.ingest.lock().unwrap().flush_to_store()
     }
@@ -228,9 +229,8 @@ impl Daemon {
                     let ingest = self.inner.ingest.lock().unwrap();
                     match ingest.recovery() {
                         Some(rec) if rec.recovered_anything() => format!(
-                            "ok\nrecovered merged_devices={} slices_loaded={} \
-                             slices_discarded={}\n",
-                            rec.merged_devices, rec.slices_loaded, rec.slices_discarded
+                            "ok\nrecovered merged_devices={} slices_loaded={}\n",
+                            rec.merged_devices, rec.slices_loaded
                         ),
                         Some(_) => "ok\nrecovered nothing (journal was empty)\n".to_string(),
                         None => "ok\n".to_string(),

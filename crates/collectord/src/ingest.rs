@@ -20,10 +20,16 @@
 //! that `repro fleet-merge` uses. Every merge is exact, so once every
 //! partition has landed [`Ingest::snapshot_pretty`] is byte-identical to
 //! the one-shot merge and to an uninterrupted single-process run.
-//! Non-final slices wait in a pending map only so that a newer push for
-//! the same slice can replace them; the live *view* folds them onto the
-//! merged collector so `/snapshot` and the dashboard always show
-//! current totals.
+//! Non-final slices are held only so that a newer push for the same
+//! slice can replace them; the live *view* folds them onto the merged
+//! collector so `/snapshot` and the dashboard always show current
+//! totals.
+//!
+//! The ingest holds one entry per slice start, the latest accepted push
+//! for it — exactly what the journal ([`crate::store`]) holds, one file
+//! each. A push is classified without changing anything, journaled
+//! (when it is new), and only then applied; recovery replays the
+//! journal's files through the same classification and apply.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -85,24 +91,42 @@ pub struct Ingest {
     spec: CampaignSpec,
     /// Every final slice folded so far, in arrival order.
     merged: Collector,
-    /// `(range_start, devices)` of every folded final slice, sorted by
-    /// start: the ledger behind duplicate, stale and overlap answers.
-    absorbed: Vec<(u64, u64)>,
-    /// Non-final cumulative slices keyed by `range_start`.
-    pending: BTreeMap<u64, Collector>,
+    /// The latest accepted push per slice start: the entries behind
+    /// duplicate, stale and overlap answers, one journal file each.
+    slices: BTreeMap<u64, Slice>,
     /// Per-shard-label bookkeeping.
     shards: BTreeMap<String, ShardInfo>,
-    /// Optional on-disk journal: accepted pushes persist here *before*
-    /// they are acked, so an acked push survives a daemon kill.
+    /// Optional on-disk journal: accepted pushes are written here
+    /// before they change anything, so an acked push survives a daemon
+    /// kill.
     store: Option<Store>,
-    /// What recovery restored, when this ingest came from a journal.
+    /// What recovery replayed, when this ingest came from a journal.
     recovery: Option<RecoveryInfo>,
-    /// Set when a journal write failed after in-memory state already
-    /// changed. While set, *every* push (even an idempotent duplicate)
-    /// must first re-sync the full journal before it may be acked —
-    /// otherwise a duplicate's ack would claim durability the disk
-    /// never delivered.
-    dirty: bool,
+}
+
+/// The latest accepted push for one slice.
+enum Slice {
+    /// A final, folded into the merged collector: its device count.
+    Final(u64),
+    /// A non-final cumulative push, held until a newer push for the
+    /// slice replaces it.
+    Pending(Box<Collector>),
+}
+
+impl Slice {
+    fn devices(&self) -> u64 {
+        match self {
+            Slice::Final(devices) => *devices,
+            Slice::Pending(c) => c.devices_seen(),
+        }
+    }
+
+    fn pending(&self) -> Option<&Collector> {
+        match self {
+            Slice::Final(_) => None,
+            Slice::Pending(c) => Some(c),
+        }
+    }
 }
 
 impl Ingest {
@@ -112,31 +136,66 @@ impl Ingest {
         Ingest {
             spec,
             merged,
-            absorbed: Vec::new(),
-            pending: BTreeMap::new(),
+            slices: BTreeMap::new(),
             shards: BTreeMap::new(),
             store: None,
             recovery: None,
-            dirty: false,
         }
     }
 
-    /// An ingest journaling to (and recovered from) `store`. Whatever
-    /// the journal holds for `spec` — the merged collector, its ledger
-    /// of folded slices, the pending slices — is restored first. Every
-    /// subsequent accepted push is persisted before it is acked.
+    /// An ingest journaling to (and recovered from) `store`. Each
+    /// journal file is replayed, in start order, through the checks and
+    /// classification of a live push (without shard bookkeeping), and
+    /// must land as a new slice: a file that does not parse, holds
+    /// another slice than its name gives, or overlaps another file is
+    /// [`StoreError::Corrupt`]; another campaign's file is
+    /// [`StoreError::SpecMismatch`]. Every subsequent accepted push is
+    /// journaled before it is applied or acked.
     pub fn with_store(spec: CampaignSpec, store: Store) -> Result<Ingest, StoreError> {
-        let recovered = store.recover(&spec)?;
-        Ok(Ingest {
-            merged: recovered.merged.unwrap_or_else(|| Collector::new(&spec)),
-            spec,
-            absorbed: recovered.absorbed,
-            pending: recovered.slices,
-            shards: BTreeMap::new(),
-            store: Some(store),
-            recovery: Some(recovered.info),
-            dirty: false,
-        })
+        let mut ingest = Ingest::new(spec);
+        for entry in store.recover()? {
+            let corrupt = |message: String| StoreError::Corrupt {
+                path: entry.path.clone(),
+                message,
+            };
+            let (c, outcome) = ingest
+                .classify(&entry.state, entry.done)
+                .map_err(|e| match e {
+                    IngestError::SpecMismatch(m) => {
+                        StoreError::SpecMismatch(format!("{}: {m}", entry.path.display()))
+                    }
+                    e => corrupt(e.to_string()),
+                })?;
+            if c.range_start() != entry.start {
+                return Err(corrupt(format!(
+                    "holds the slice starting at device {}, not {}",
+                    c.range_start(),
+                    entry.start
+                )));
+            }
+            if ingest.slices.contains_key(&entry.start) {
+                return Err(corrupt(format!(
+                    "a second file for the slice starting at device {}",
+                    entry.start
+                )));
+            }
+            if !matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
+                return Err(corrupt(format!(
+                    "replays as `{}`, not as a new slice",
+                    outcome.status()
+                )));
+            }
+            ingest.apply(c, entry.done);
+        }
+        let finals = ingest.slices.values().filter(|s| s.pending().is_none());
+        let absorbed_slices = finals.count() as u64;
+        ingest.recovery = Some(RecoveryInfo {
+            merged_devices: ingest.devices_absorbed(),
+            absorbed_slices,
+            slices_loaded: ingest.slices.len() as u64 - absorbed_slices,
+        });
+        ingest.store = Some(store);
+        Ok(ingest)
     }
 
     /// Recovery provenance, when this ingest was restored from a
@@ -145,51 +204,14 @@ impl Ingest {
         self.recovery.as_ref()
     }
 
-    /// Persist the journal side of one accepted push for the slice at
-    /// `start`: a pending slice rewrites its slice file; a folded final
-    /// rewrites `merged.json` (state and ledger), then drops the slice
-    /// file its non-final predecessor may have left.
-    fn persist(&self, start: u64) -> Result<(), StoreError> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        match self.pending.get(&start) {
-            Some(slice) => store.write_slice(slice),
-            None => {
-                store.write_merged(&self.merged, &self.absorbed)?;
-                store.remove_slice(start)
-            }
-        }
-    }
-
-    /// Rewrite the whole journal from in-memory state — the recovery
-    /// path for a previously failed incremental write. Slice files for
-    /// slices that folded since are left behind; restart-recovery
-    /// discards every slice file whose start is in the ledger anyway.
-    fn resync_store(&mut self) -> Result<(), StoreError> {
-        if let Some(store) = &self.store {
-            store.write_merged(&self.merged, &self.absorbed)?;
-            for slice in self.pending.values() {
-                store.write_slice(slice)?;
-            }
-        }
-        self.dirty = false;
-        Ok(())
-    }
-
-    /// Flush everything to the journal (merged collector, every pending
-    /// slice, and a rendered `snapshot.json`) — the SIGTERM/SIGINT
-    /// shutdown path. A no-op without a store.
+    /// Write the rendered `snapshot.json` beside the journal — the
+    /// SIGTERM/SIGINT shutdown path. Every accepted push is already on
+    /// disk. A no-op without a store.
     pub fn flush_to_store(&self) -> Result<(), StoreError> {
-        let Some(store) = &self.store else {
-            return Ok(());
-        };
-        store.write_merged(&self.merged, &self.absorbed)?;
-        for slice in self.pending.values() {
-            store.write_slice(slice)?;
+        match &self.store {
+            Some(store) => store.write_raw("snapshot.json", &self.snapshot_pretty()),
+            None => Ok(()),
         }
-        store.write_raw("snapshot.json", &self.snapshot_pretty())?;
-        Ok(())
     }
 
     /// The campaign this ingest expects.
@@ -204,12 +226,7 @@ impl Ingest {
 
     /// Devices in the live view: folded finals plus pending slices.
     pub fn devices_view(&self) -> u64 {
-        self.merged.devices_seen()
-            + self
-                .pending
-                .values()
-                .map(Collector::devices_seen)
-                .sum::<u64>()
+        self.slices.values().map(Slice::devices).sum()
     }
 
     /// Whether final slices covering the whole population have folded.
@@ -222,9 +239,11 @@ impl Ingest {
         &self.shards
     }
 
-    /// Ingest one push: validate, fold or hold, and answer. `bytes` is
-    /// the frame payload size (bookkeeping only). Rejected pushes leave
-    /// every piece of campaign state, and the journal, untouched.
+    /// Ingest one push: validate and classify it, journal it if it is
+    /// new, fold or hold it, and answer. `bytes` is the frame payload
+    /// size (bookkeeping only). A rejected push, and one the journal
+    /// could not hold, leaves every piece of campaign state and the
+    /// journal untouched.
     pub fn push(
         &mut self,
         shard: &str,
@@ -232,20 +251,39 @@ impl Ingest {
         done: bool,
         bytes: u64,
     ) -> Result<Ack, IngestError> {
-        // A previous journal write failed *after* in-memory state had
-        // already changed. Until the journal is whole again no push may
-        // be acked — not even an idempotent Duplicate, whose ack would
-        // otherwise claim a durability the disk never delivered.
-        if self.dirty {
-            self.resync_store()
-                .map_err(|e| IngestError::Storage(e.to_string()))?;
+        let (c, outcome) = self.classify(state, done)?;
+        let (start, count) = (c.range_start(), c.devices_seen());
+        if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
+            // Durability before anything changes: if the journal cannot
+            // hold the push, the shard gets a retryable `storage` error
+            // and re-sends its cumulative state later.
+            if let Some(store) = &self.store {
+                store
+                    .write_slice(start, done, state)
+                    .map_err(|e| IngestError::Storage(e.to_string()))?;
+            }
+            self.apply(c, done);
         }
+        self.note_shard(shard, start, count, done, bytes);
+        Ok(Ack {
+            outcome,
+            devices_absorbed: self.devices_absorbed(),
+            devices_view: self.devices_view(),
+            complete: self.complete(),
+        })
+    }
+
+    /// Validate a pushed state and decide, without changing anything,
+    /// what it is: a new final to fold, a newer non-final to hold, or an
+    /// idempotent duplicate or stale push.
+    fn classify(&self, state: &Json, done: bool) -> Result<(Collector, PushOutcome), IngestError> {
         let c = Collector::from_state_json(state).map_err(|e| IngestError::BadState(e.0))?;
         c.verify_spec(&self.spec)
             .map_err(|e| IngestError::SpecMismatch(e.0))?;
         // Everything the view folds together must merge: check against
         // each held collector now, so no later fold can fail.
-        for held in std::iter::once(&self.merged).chain(self.pending.values()) {
+        let pending = self.slices.values().filter_map(Slice::pending);
+        for held in std::iter::once(&self.merged).chain(pending) {
             held.check_mergeable(&c)
                 .map_err(|e| IngestError::BadState(e.0))?;
         }
@@ -258,88 +296,56 @@ impl Ingest {
                 devices: self.spec.devices,
             });
         }
-
-        let outcome = self.classify_and_store(start, count, c, done)?;
-        if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
-            // Durability before acknowledgement: if the journal cannot
-            // hold the push, the shard gets a retryable `storage` error
-            // and re-sends its cumulative state later.
-            if let Err(e) = self.persist(start) {
-                self.dirty = true;
-                return Err(IngestError::Storage(e.to_string()));
-            }
-        }
-        self.note_shard(shard, start, count, done, bytes);
-        Ok(Ack {
-            outcome,
-            devices_absorbed: self.devices_absorbed(),
-            devices_view: self.devices_view(),
-            complete: self.complete(),
-        })
-    }
-
-    /// Decide what to do with a validated slice: fold a new final, hold
-    /// a newer non-final, or answer with an idempotent outcome.
-    fn classify_and_store(
-        &mut self,
-        start: u64,
-        count: u64,
-        c: Collector,
-        done: bool,
-    ) -> Result<PushOutcome, IngestError> {
         let overlap = Err(IngestError::Overlap {
             start,
             devices: count,
         });
-        // Against the folded finals: a re-send of one is idempotent,
-        // anything else that touches one collides.
-        let at = self.absorbed.partition_point(|&(s, _)| s < start);
-        if let Some(&(s, folded)) = self.absorbed.get(at) {
-            if s == start {
-                return match count.cmp(&folded) {
-                    std::cmp::Ordering::Equal if done => Ok(PushOutcome::Duplicate),
-                    std::cmp::Ordering::Greater => overlap,
-                    _ => Ok(PushOutcome::Stale),
-                };
-            }
-            if start + count > s {
+        let held = self.slices.get(&start);
+        // A re-send of a folded final is idempotent; anything larger
+        // collides with it.
+        if let Some(&Slice::Final(folded)) = held {
+            return match count.cmp(&folded) {
+                std::cmp::Ordering::Equal if done => Ok((c, PushOutcome::Duplicate)),
+                std::cmp::Ordering::Greater => overlap,
+                _ => Ok((c, PushOutcome::Stale)),
+            };
+        }
+        // Against the neighbours on both sides (a same-start push
+        // supersedes rather than collides).
+        if let Some((&s, prev)) = self.slices.range(..start).next_back() {
+            if s + prev.devices() > start {
                 return overlap;
             }
         }
-        if at > 0 {
-            let (s, n) = self.absorbed[at - 1];
-            if s + n > start {
+        if let Some((&s, _)) = self.slices.range(start + 1..).next() {
+            if end > s {
                 return overlap;
             }
         }
-        // Against the pending neighbours on both sides (a same-start
-        // push supersedes rather than collides).
-        if let Some((&ps, prev)) = self.pending.range(..start).next_back() {
-            if ps + prev.devices_seen() > start {
-                return overlap;
-            }
-        }
-        if let Some((&ns, _)) = self.pending.range(start + 1..).next() {
-            if start + count > ns {
-                return overlap;
-            }
-        }
+        let held = held.map_or(0, Slice::devices);
+        let outcome = if count < held || (count == held && !done) {
+            PushOutcome::Stale
+        } else if done {
+            PushOutcome::Absorbed
+        } else {
+            PushOutcome::Buffered
+        };
+        Ok((c, outcome))
+    }
 
-        let held = self.pending.get(&start).map_or(0, Collector::devices_seen);
-        if count < held || (count == held && !done) {
-            return Ok(PushOutcome::Stale);
-        }
-        if done {
+    /// Take a push [`Ingest::classify`] found new: fold a final into the
+    /// merged collector, or hold a non-final.
+    fn apply(&mut self, c: Collector, done: bool) {
+        let start = c.range_start();
+        let slice = if done {
             self.merged
                 .absorb_state(&c)
-                .map_err(|e| IngestError::BadState(e.0))?;
-            self.absorbed.insert(at, (start, count));
-            self.pending.remove(&start);
-            Ok(PushOutcome::Absorbed)
+                .expect("classify checked the slice mergeable");
+            Slice::Final(c.devices_seen())
         } else {
-            self.pending.insert(start, c);
-            Ok(PushOutcome::Buffered)
-        }
+            Slice::Pending(Box::new(c))
+        };
+        self.slices.insert(start, slice);
     }
 
     fn note_shard(&mut self, shard: &str, start: u64, count: u64, done: bool, bytes: u64) {
@@ -415,7 +421,8 @@ impl Ingest {
     /// merged collector.
     pub fn view(&self) -> Collector {
         let mut v = Collector::new(&self.spec);
-        for held in std::iter::once(&self.merged).chain(self.pending.values()) {
+        let pending = self.slices.values().filter_map(Slice::pending);
+        for held in std::iter::once(&self.merged).chain(pending) {
             v.absorb_state(held)
                 .expect("held slices were checked mergeable when pushed");
         }

@@ -21,8 +21,9 @@
 //! tree on the wire, `TcpListener` + thread-per-connection serving.
 //!
 //! The control plane is **crash-safe**: with `--state-dir` the daemon
-//! journals every accepted push to disk *before* acking it ([`store`])
-//! and recovers the full ingest state machine on restart; push clients
+//! journals every accepted push to disk, one file per slice, *before*
+//! it changes anything or is acked ([`store`]), and on restart replays
+//! those files through the checks a live push goes through; push clients
 //! wrap the wire protocol in seeded reconnect/backoff loops
 //! ([`resilient`]); and [`wire::chaos`] + `repro chaos` exercise the
 //! whole loop under injected faults and daemon kills.

@@ -3,8 +3,8 @@
 //! atomic flag, polled by a watcher thread.
 //!
 //! Only async-signal-safe work happens in the handler (one relaxed
-//! atomic store); everything interesting — flushing the ingest journal,
-//! writing the final `snapshot.json`, exiting — runs on the polling
+//! atomic store); everything interesting — writing the final
+//! `snapshot.json` beside the journal, exiting — runs on the polling
 //! thread. On non-Unix targets [`install`] is a no-op and the flag
 //! simply never fires, so callers need no platform gates.
 

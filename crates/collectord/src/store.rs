@@ -1,50 +1,33 @@
-//! The on-disk ingest journal: durable campaign state across daemon
-//! restarts.
+//! The on-disk ingest journal: the accepted pushes, one file per slice.
 //!
-//! The store keeps one directory (`--state-dir`) holding:
-//!
-//! * `merged.json` — every folded final slice, wrapped in a versioned
-//!   header that also records the ledger: the `(range_start, devices)`
-//!   of every folded slice, sorted by start (so a re-sent final is
-//!   still classified as a duplicate, not an overlap, after a
-//!   restart). The embedded `state` document is the
-//!   `acutemon-fleet-campaign-state` format.
-//! * `slice-<start>.json` — one file per pending (non-final)
-//!   cumulative slice, wrapped with the same header. A newer cumulative
-//!   push for the same `range_start` atomically replaces the file; the
-//!   slice's final push *compacts* it (writes `merged.json`, then
-//!   deletes the slice file).
+//! The store keeps one directory (`--state-dir`) holding one
+//! `slice-<start>.json` per device slice the daemon has accepted a push
+//! for: `{"final": …, "state": {…}}`, the latest accepted push's
+//! `final` flag and its campaign-state document (the
+//! `acutemon-fleet-campaign-state` format, which carries its own
+//! format, version, seed and spec fingerprint). A newer push for the
+//! same slice, its final included, atomically replaces the file;
+//! nothing is ever deleted or compacted. The shutdown flush adds a
+//! rendered `snapshot.json`, which recovery never reads.
 //!
 //! Every write goes through [`fleet::atomic_write`] — write `.tmp`,
-//! fsync, rename, fsync the directory — and the daemon persists
-//! **before acking**, so an acked push is a durable push. Crash
-//! ordering is safe at every point: a kill between writing
-//! `merged.json` and deleting a folded slice's file leaves a slice file
-//! whose `range_start` is in the ledger, which recovery recognizes as a
-//! finished compaction and discards.
+//! fsync, rename, fsync the directory — and the ingest writes a push's
+//! file *before* it changes anything in memory, so an acked push is a
+//! durable push and a push whose write failed changed nothing.
+//! Recovery ([`crate::Ingest::with_store`]) replays the files in start
+//! order through the checks a live push goes through.
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use fleet::{CampaignSpec, Collector};
 use obs::Json;
-
-/// `format` tag of the `merged.json` wrapper document.
-pub const INGEST_STATE_FORMAT: &str = "collectord-ingest-state";
-
-/// `format` tag of the `slice-<start>.json` wrapper documents.
-pub const INGEST_SLICE_FORMAT: &str = "collectord-ingest-slice";
-
-/// Version of the journal wrapper schema; recovery rejects anything
-/// newer.
-pub const INGEST_STATE_VERSION: u64 = 1;
 
 /// A failure to persist or recover journal state.
 #[derive(Debug)]
 pub enum StoreError {
     /// The filesystem failed underneath the journal.
     Io(std::io::Error),
-    /// A journal file exists but does not parse or fails validation.
+    /// A journal file exists but does not parse, or does not replay as
+    /// a new slice of the campaign.
     Corrupt {
         /// The offending file.
         path: PathBuf,
@@ -77,26 +60,23 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// What recovery found in the state directory — surfaced on `/status`
-/// and `/healthz` so an operator can tell a recovered daemon from a
-/// fresh one.
+/// What recovery replayed from the state directory — surfaced on
+/// `/status` and `/healthz` so an operator can tell a recovered daemon
+/// from a fresh one.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryInfo {
-    /// Devices restored into the merged collector.
+    /// Devices in the replayed final slices.
     pub merged_devices: u64,
-    /// Final slices that had already been folded before the restart.
+    /// Final slices replayed (folded into the merged collector).
     pub absorbed_slices: u64,
-    /// Pending slices restored from `slice-*.json` files.
+    /// Non-final slices replayed (held pending).
     pub slices_loaded: u64,
-    /// Stale slice files discarded (already compacted into the merged
-    /// collector before the crash; the delete never happened).
-    pub slices_discarded: u64,
 }
 
 impl RecoveryInfo {
     /// Whether recovery restored any state at all.
     pub fn recovered_anything(&self) -> bool {
-        self.merged_devices > 0 || self.slices_loaded > 0 || self.slices_discarded > 0
+        self.absorbed_slices > 0 || self.slices_loaded > 0
     }
 
     /// The provenance object embedded in `/status`.
@@ -105,27 +85,25 @@ impl RecoveryInfo {
         doc.set("merged_devices", self.merged_devices);
         doc.set("absorbed_slices", self.absorbed_slices);
         doc.set("slices_loaded", self.slices_loaded);
-        doc.set("slices_discarded", self.slices_discarded);
         doc
     }
 }
 
-/// Everything recovery found, for the ingest state machine to resume
-/// from.
-#[derive(Default)]
-pub struct Recovered {
-    /// The merged collector, when `merged.json` existed.
-    pub merged: Option<Collector>,
-    /// `(range_start, devices)` of every final slice already folded,
-    /// sorted by start.
-    pub absorbed: Vec<(u64, u64)>,
-    /// Pending (non-final) slices keyed by `range_start`.
-    pub slices: BTreeMap<u64, Collector>,
-    /// Provenance counters for `/status`.
-    pub info: RecoveryInfo,
+/// One journal file: the latest accepted push for the slice its name
+/// gives.
+pub(crate) struct Entry {
+    /// The file, for error messages.
+    pub(crate) path: PathBuf,
+    /// The slice start its name gives.
+    pub(crate) start: u64,
+    /// Whether the push was its slice's final.
+    pub(crate) done: bool,
+    /// The pushed campaign-state document.
+    pub(crate) state: Json,
 }
 
-/// A handle on one ingest state directory.
+/// A handle on one ingest state directory: one `slice-<start>.json`
+/// per accepted slice, each the latest accepted push for that slice.
 #[derive(Debug, Clone)]
 pub struct Store {
     dir: PathBuf,
@@ -144,53 +122,14 @@ impl Store {
         &self.dir
     }
 
-    fn merged_path(&self) -> PathBuf {
-        self.dir.join("merged.json")
-    }
-
-    fn slice_path(&self, start: u64) -> PathBuf {
-        self.dir.join(format!("slice-{start}.json"))
-    }
-
-    fn header(&self, format: &str, fingerprint: u64) -> Json {
+    /// Atomically record an accepted push as the latest for the slice
+    /// at `start`, replacing the slice's previous file.
+    pub fn write_slice(&self, start: u64, done: bool, state: &Json) -> Result<(), StoreError> {
         let mut doc = Json::object();
-        doc.set("format", format);
-        doc.set("version", INGEST_STATE_VERSION);
-        doc.set("spec_fingerprint", format!("{fingerprint:016x}"));
-        doc
-    }
-
-    /// Atomically persist the merged collector and its ledger of folded
-    /// slices.
-    pub fn write_merged(
-        &self,
-        merged: &Collector,
-        absorbed: &[(u64, u64)],
-    ) -> Result<(), StoreError> {
-        let mut doc = self.header(INGEST_STATE_FORMAT, merged.fingerprint());
-        let mut ledger = Json::array();
-        for &(s, c) in absorbed {
-            let mut row = Json::array();
-            row.push(s);
-            row.push(c);
-            ledger.push(row);
-        }
-        doc.set("absorbed", ledger);
-        doc.set("state", merged.state_json());
-        fleet::atomic_write(&self.merged_path(), doc.to_string_pretty().as_bytes())?;
-        Ok(())
-    }
-
-    /// Atomically persist one pending cumulative slice (replacing any
-    /// previous push for the same `range_start`).
-    pub fn write_slice(&self, slice: &Collector) -> Result<(), StoreError> {
-        let mut doc = self.header(INGEST_SLICE_FORMAT, slice.fingerprint());
-        doc.set("range_start", slice.range_start());
-        doc.set("state", slice.state_json());
-        fleet::atomic_write(
-            &self.slice_path(slice.range_start()),
-            doc.to_string_pretty().as_bytes(),
-        )?;
+        doc.set("final", done);
+        doc.set("state", state.clone());
+        let path = self.dir.join(format!("slice-{start}.json"));
+        fleet::atomic_write(&path, doc.to_string_pretty().as_bytes())?;
         Ok(())
     }
 
@@ -203,163 +142,55 @@ impl Store {
         Ok(())
     }
 
-    /// Remove a compacted slice file (folded into `merged.json`). A
-    /// missing file is fine — compaction is idempotent.
-    pub fn remove_slice(&self, start: u64) -> Result<(), StoreError> {
-        match std::fs::remove_file(self.slice_path(start)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(StoreError::Io(e)),
+    /// Every journal file, read and sorted by the start its name gives.
+    /// Only the file's shape is checked here; what it holds is the
+    /// ingest's to check, as for a live push. A `merged.json` (the
+    /// retired layout, whose ledger could disagree with its state) is
+    /// refused rather than read.
+    pub(crate) fn recover(&self) -> Result<Vec<Entry>, StoreError> {
+        let retired = self.dir.join("merged.json");
+        if retired.exists() {
+            return Err(StoreError::Corrupt {
+                path: retired,
+                message: "a journal in the retired merged.json layout; recovery reads only \
+                          slice-<start>.json files, so move this directory aside"
+                    .to_string(),
+            });
         }
-    }
-
-    /// Load everything the journal holds for `spec`, validating every
-    /// file's format, version, and campaign fingerprint. Slice files
-    /// whose start is in the ledger (compacted before a crash deleted
-    /// them) are discarded and counted; anything unparseable is a hard
-    /// [`StoreError::Corrupt`] — recovery never silently drops campaign
-    /// data.
-    pub fn recover(&self, spec: &CampaignSpec) -> Result<Recovered, StoreError> {
-        let mut out = Recovered::default();
-        let merged_path = self.merged_path();
-        if merged_path.exists() {
-            let doc = self.read_doc(&merged_path)?;
-            self.check_header(&merged_path, &doc, INGEST_STATE_FORMAT, spec)?;
-            let state = doc.get("state").ok_or_else(|| StoreError::Corrupt {
-                path: merged_path.clone(),
-                message: "missing `state` field".to_string(),
-            })?;
-            let merged = Collector::from_state_json(state).map_err(|e| StoreError::Corrupt {
-                path: merged_path.clone(),
-                message: e.0,
-            })?;
-            merged
-                .verify_spec(spec)
-                .map_err(|e| StoreError::SpecMismatch(e.0))?;
-            let ledger =
-                doc.get("absorbed")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| StoreError::Corrupt {
-                        path: merged_path.clone(),
-                        message: "missing or non-array `absorbed` ledger".to_string(),
-                    })?;
-            for row in ledger {
-                let pair =
-                    row.as_arr()
-                        .filter(|r| r.len() == 2)
-                        .ok_or_else(|| StoreError::Corrupt {
-                            path: merged_path.clone(),
-                            message: "absorbed ledger rows must be [start, devices] pairs"
-                                .to_string(),
-                        })?;
-                let num = |j: &Json| j.as_f64().map(|v| v as u64);
-                match (num(&pair[0]), num(&pair[1])) {
-                    (Some(s), Some(c)) => out.absorbed.push((s, c)),
-                    _ => {
-                        return Err(StoreError::Corrupt {
-                            path: merged_path,
-                            message: "absorbed ledger rows must be numeric".to_string(),
-                        })
-                    }
-                }
-            }
-            out.absorbed.sort_unstable();
-            out.info.merged_devices = merged.devices_seen();
-            out.info.absorbed_slices = out.absorbed.len() as u64;
-            out.merged = Some(merged);
-        }
-
-        let mut slice_paths: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("slice-") && n.ends_with(".json"))
-            })
-            .collect();
-        slice_paths.sort();
-        for path in slice_paths {
-            let doc = self.read_doc(&path)?;
-            self.check_header(&path, &doc, INGEST_SLICE_FORMAT, spec)?;
-            let state = doc.get("state").ok_or_else(|| StoreError::Corrupt {
-                path: path.clone(),
-                message: "missing `state` field".to_string(),
-            })?;
-            let collector = Collector::from_state_json(state).map_err(|e| StoreError::Corrupt {
-                path: path.clone(),
-                message: e.0,
-            })?;
-            collector
-                .verify_spec(spec)
-                .map_err(|e| StoreError::SpecMismatch(e.0))?;
-            let start = collector.range_start();
-            if out
-                .absorbed
-                .binary_search_by_key(&start, |&(s, _)| s)
-                .is_ok()
-            {
-                // Compacted into merged.json before the crash; only the
-                // delete was lost. Finish the compaction now.
-                self.remove_slice(start)?;
-                out.info.slices_discarded += 1;
+        let mut entries = Vec::new();
+        for dir_entry in std::fs::read_dir(&self.dir)? {
+            let path = dir_entry?.path();
+            let Some(start) = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .and_then(|n| n.strip_prefix("slice-")?.strip_suffix(".json"))
+            else {
                 continue;
-            }
-            out.info.slices_loaded += 1;
-            out.slices.insert(start, collector);
+            };
+            let corrupt = |message: String| StoreError::Corrupt {
+                path: path.clone(),
+                message,
+            };
+            let start = start
+                .parse()
+                .map_err(|_| corrupt("the name gives no slice start".to_string()))?;
+            let doc = Json::parse(&std::fs::read_to_string(&path)?)
+                .map_err(|e| corrupt(format!("not JSON: {e}")))?;
+            let Some(Json::Bool(done)) = doc.get("final") else {
+                return Err(corrupt("missing boolean `final`".to_string()));
+            };
+            let state = doc
+                .get("state")
+                .ok_or_else(|| corrupt("missing `state`".to_string()))?;
+            entries.push(Entry {
+                done: *done,
+                state: state.clone(),
+                path,
+                start,
+            });
         }
-        Ok(out)
-    }
-
-    fn read_doc(&self, path: &Path) -> Result<Json, StoreError> {
-        let body = std::fs::read_to_string(path)?;
-        Json::parse(&body).map_err(|e| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            message: format!("not JSON: {e}"),
-        })
-    }
-
-    fn check_header(
-        &self,
-        path: &Path,
-        doc: &Json,
-        format: &str,
-        spec: &CampaignSpec,
-    ) -> Result<(), StoreError> {
-        let corrupt = |message: String| StoreError::Corrupt {
-            path: path.to_path_buf(),
-            message,
-        };
-        match doc.get("format").and_then(Json::as_str) {
-            Some(f) if f == format => {}
-            other => {
-                return Err(corrupt(format!(
-                    "expected format `{format}`, got {other:?}"
-                )))
-            }
-        }
-        let version = doc
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| corrupt("missing `version`".to_string()))? as u64;
-        if version > INGEST_STATE_VERSION {
-            return Err(corrupt(format!(
-                "journal version {version} is newer than supported {INGEST_STATE_VERSION}"
-            )));
-        }
-        let fp = doc
-            .get("spec_fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| corrupt("missing or non-hex `spec_fingerprint`".to_string()))?;
-        if fp != spec.fingerprint() {
-            return Err(StoreError::SpecMismatch(format!(
-                "journal {} was written for campaign fingerprint {fp:016x}, daemon expects \
-                 {:016x}",
-                path.display(),
-                spec.fingerprint()
-            )));
-        }
-        Ok(())
+        entries.sort_by_key(|e| e.start);
+        Ok(entries)
     }
 }
 
@@ -374,65 +205,39 @@ mod tests {
     }
 
     #[test]
-    fn merged_state_round_trips_with_ledger() {
-        let spec = CampaignSpec::heterogeneous(5, 12).with_probes(1);
-        let dir = tmpdir("merged");
-        let store = Store::open(&dir).unwrap();
-        let (c, _) = fleet::run_partition(&spec, 1, 0, 2);
-        store.write_merged(&c, &[(0, c.devices_seen())]).unwrap();
-        let rec = store.recover(&spec).unwrap();
-        let merged = rec.merged.expect("merged restored");
-        assert_eq!(merged.devices_seen(), c.devices_seen());
-        assert_eq!(rec.absorbed, vec![(0, c.devices_seen())]);
-        assert_eq!(rec.info.merged_devices, c.devices_seen());
-        assert_eq!(
-            merged.state_json().to_string_pretty(),
-            c.state_json().to_string_pretty(),
-            "journal round-trip must be byte-exact"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_slice_behind_the_frontier_is_discarded() {
-        // The folded slice is the *second* partition, not at device 0:
-        // its leftover slice file is recognized by the ledger entry for
-        // its start.
-        let spec = CampaignSpec::heterogeneous(5, 12).with_probes(1);
-        let dir = tmpdir("stale");
+    fn journal_round_trips_each_slice_push() {
+        let spec = fleet::CampaignSpec::heterogeneous(5, 12).with_probes(1);
+        let dir = tmpdir("round-trip");
         let store = Store::open(&dir).unwrap();
         let (c1, _) = fleet::run_partition(&spec, 1, 1, 2);
-        let mut merged = fleet::Collector::new(&spec);
-        merged.absorb_state(&c1).unwrap();
-        store.write_merged(&merged, &[(6, 6)]).unwrap();
-        // Its last non-final push is still on disk — as if the crash
-        // landed between compaction's write and its delete — beside a
-        // genuinely pending slice of partition 0.
-        let mut half = fleet::Collector::new_range(&spec, 6);
-        half.absorb(&fleet::run_device(&spec, 6));
-        store.write_slice(&half).unwrap();
-        let mut pending = fleet::Collector::new_range(&spec, 0);
-        pending.absorb(&fleet::run_device(&spec, 0));
-        store.write_slice(&pending).unwrap();
-        let rec = store.recover(&spec).unwrap();
-        assert_eq!(rec.info.slices_discarded, 1);
-        assert_eq!(rec.info.slices_loaded, 1);
-        assert_eq!(rec.slices.keys().copied().collect::<Vec<_>>(), vec![0]);
-        assert!(!dir.join("slice-6.json").exists(), "finished the delete");
-        assert!(dir.join("slice-0.json").exists(), "pending slice kept");
+        let mut c0 = fleet::Collector::new_range(&spec, 0);
+        c0.absorb(&fleet::run_device(&spec, 0));
+        store.write_slice(6, true, &c1.state_json()).unwrap();
+        store.write_slice(0, false, &c0.state_json()).unwrap();
+        let entries = store.recover().unwrap();
+        let read: Vec<_> = entries.iter().map(|e| (e.start, e.done)).collect();
+        assert_eq!(read, vec![(0, false), (6, true)], "start order");
+        for (entry, c) in entries.iter().zip([&c0, &c1]) {
+            assert_eq!(entry.path, dir.join(format!("slice-{}.json", entry.start)));
+            assert_eq!(
+                entry.state.to_string_pretty(),
+                c.state_json().to_string_pretty(),
+                "journal round-trip must be byte-exact"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn wrong_campaign_journal_is_a_spec_mismatch() {
-        let spec = CampaignSpec::heterogeneous(5, 12).with_probes(1);
-        let other = CampaignSpec::heterogeneous(6, 12).with_probes(1);
+        let spec = fleet::CampaignSpec::heterogeneous(5, 12).with_probes(1);
+        let other = fleet::CampaignSpec::heterogeneous(6, 12).with_probes(1);
         let dir = tmpdir("mismatch");
         let store = Store::open(&dir).unwrap();
         let (c, _) = fleet::run_partition(&spec, 1, 0, 2);
-        store.write_slice(&c).unwrap();
+        store.write_slice(0, false, &c.state_json()).unwrap();
         assert!(matches!(
-            store.recover(&other),
+            crate::Ingest::with_store(other, store),
             Err(StoreError::SpecMismatch(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -440,14 +245,25 @@ mod tests {
 
     #[test]
     fn corrupt_journal_is_a_typed_error_not_a_panic() {
-        let spec = CampaignSpec::heterogeneous(5, 12).with_probes(1);
         let dir = tmpdir("corrupt");
         let store = Store::open(&dir).unwrap();
-        std::fs::write(dir.join("slice-0.json"), b"{not json").unwrap();
-        assert!(matches!(
-            store.recover(&spec),
-            Err(StoreError::Corrupt { .. })
-        ));
+        std::fs::write(dir.join("snapshot.json"), b"{not json").unwrap();
+        std::fs::write(dir.join("slice-0.json.tmp"), b"{not json").unwrap();
+        assert!(store.recover().unwrap().is_empty(), "neither is a slice");
+        for (name, body) in [
+            ("slice-0.json", "{not json"),
+            ("slice-0.json", r#"{"state": {}}"#),
+            ("slice-0.json", r#"{"final": true}"#),
+            ("slice-x.json", r#"{"final": true, "state": {}}"#),
+        ] {
+            std::fs::write(dir.join(name), body).unwrap();
+            assert!(
+                matches!(store.recover(), Err(StoreError::Corrupt { ref path, .. })
+                    if path == &dir.join(name)),
+                "{name}: {body}"
+            );
+            std::fs::remove_file(dir.join(name)).unwrap();
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -258,7 +258,19 @@ fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
         .unwrap();
     let view = ingest.devices_view();
     let snapshot = ingest.snapshot_pretty();
-    let journal = std::fs::read_to_string(dir.join("merged.json")).unwrap();
+    // Every journal file, by name, with its bytes.
+    let journal = || {
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                (path.clone(), std::fs::read(path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let journaled = journal();
 
     // Each edit hits the first match: stratum 0's name and its `du`
     // sketch (strata precede everything else), and every histogram's
@@ -313,10 +325,7 @@ fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
         }
     }
     assert!(!dir.join("slice-20.json").exists(), "nothing journaled");
-    assert_eq!(
-        std::fs::read_to_string(dir.join("merged.json")).unwrap(),
-        journal
-    );
+    assert_eq!(journal(), journaled);
 
     // The untampered slice still lands, and the campaign converges.
     ingest

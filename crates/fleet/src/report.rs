@@ -317,17 +317,19 @@ impl Collector {
                 .map(|s| s.to_string())
                 .ok_or_else(|| CampaignStateError(format!("missing or non-string field `{k}`")))
         };
+        // Every count and index is an integer a JSON number carries
+        // exactly: a cast would read 1e300 as `u64::MAX`, and the next
+        // merge would overflow.
         let obj_u64 = |j: &Json, k: &str| -> Result<u64, CampaignStateError> {
-            let v = j
-                .get(k)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| CampaignStateError(format!("missing or non-numeric field `{k}`")))?;
-            if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0) {
-                return Err(CampaignStateError(format!(
-                    "field `{k}` is not a non-negative integer"
-                )));
-            }
-            Ok(v as u64)
+            j.get(k)
+                .ok_or_else(|| CampaignStateError(format!("missing field `{k}`")))?
+                .as_exact_int()
+                .and_then(|v| u64::try_from(v).ok())
+                .ok_or_else(|| {
+                    CampaignStateError(format!(
+                        "field `{k}` is not a non-negative integer (at most 2^53)"
+                    ))
+                })
         };
 
         if obj_str(state, "format")? != CAMPAIGN_STATE_FORMAT {

@@ -351,6 +351,42 @@ fn merge_rejects_wrong_spec_gaps_and_overlaps() {
 }
 
 #[test]
+fn counts_a_json_number_cannot_carry_exactly_are_refused() {
+    let spec = CampaignSpec::heterogeneous(9, 22).with_probes(2);
+    let parts: Vec<Json> = (0..2)
+        .map(|i| run_partition(&spec, 1, i, 2).0.state_json())
+        .collect();
+    let with_probes_sent = |v: &str| {
+        let mut doc = parts[0].clone();
+        let mut strata = doc.get("strata").unwrap().as_arr().unwrap().to_vec();
+        strata[0].set("probes_sent", Json::parse(v).unwrap());
+        doc.set("strata", Json::Arr(strata));
+        doc
+    };
+    // 1e300 read as `u64::MAX` once, and the merge's add overflowed.
+    for bad in ["1e300", "9007199254740994", "-4", "2.5"] {
+        let doc = with_probes_sent(bad);
+        let e = fleet::Collector::from_state_json(&doc).err().unwrap();
+        assert!(
+            e.0.contains("stratum 0: field `probes_sent` is not a non-negative integer"),
+            "{bad}: {e}"
+        );
+        let e = merge_partials(&spec, &[doc, parts[1].clone()]).unwrap_err();
+        assert!(
+            e.0.contains("partial 0") && e.0.contains("probes_sent"),
+            "{bad}: {e}"
+        );
+    }
+    let mut doc = parts[1].clone();
+    doc.set("range_start", Json::Num(1e300));
+    let e = fleet::Collector::from_state_json(&doc).err().unwrap();
+    assert!(e.0.contains("field `range_start`"), "{e}");
+    // The largest count a JSON number carries exactly still reads.
+    let most = with_probes_sent("9007199254740992");
+    assert!(merge_partials(&spec, &[most, parts[1].clone()]).is_ok());
+}
+
+#[test]
 fn state_whose_device_count_disagrees_with_its_strata_is_refused() {
     // Partition 0 of 2 covers devices 0..4. Claiming 8 would make it
     // tile the whole campaign on its own.

@@ -100,8 +100,10 @@ impl Json {
     }
 
     /// The value, if `self` is an integer of magnitude at most 2^53,
-    /// the largest a JSON number carries exactly.
-    pub(crate) fn as_exact_int(&self) -> Option<i64> {
+    /// the largest a JSON number carries exactly. Readers of counts and
+    /// indices use it instead of a cast, which would read -4 as 0, 2.5
+    /// as 2 and 1e300 as the type's maximum.
+    pub fn as_exact_int(&self) -> Option<i64> {
         let n = self
             .as_f64()
             .filter(|n| n.fract() == 0.0 && n.abs() <= 2f64.powi(53))?;

@@ -318,15 +318,25 @@ impl QuantileSketch {
     /// The round trip is exact: the result compares equal (`==`) to the
     /// original and merges identically.
     /// A state no sketch reaches is refused, so every query on the
-    /// result is safe: a count not an integer in 0..=2^53, an empty
-    /// bucket, a `count` other than `zero` plus the buckets', and once
-    /// something was observed, a `min` above `max` or either not ≥ 0.
+    /// result is safe: a count or version not an integer in 0..=2^53, a
+    /// bucket index not an integer that fits `i32`, an empty bucket, a
+    /// `count` other than `zero` plus the buckets', and once something
+    /// was observed, a `min` above `max` or either not ≥ 0.
     pub fn from_state_json(state: &Json) -> Result<QuantileSketch, SketchStateError> {
         let err = |msg: &str| SketchStateError(msg.to_string());
-        let version = state
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| err("missing version"))? as u64;
+        // Every count, and the version, is an integer a JSON number
+        // carries exactly: a cast would read -4 as 0, 2.5 as 2 and 1e300
+        // as `u64::MAX`.
+        let count_of = |v: Option<&Json>, what: &str| {
+            v.and_then(Json::as_exact_int)
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| {
+                    SketchStateError(format!(
+                        "{what} is not a non-negative integer (at most 2^53)"
+                    ))
+                })
+        };
+        let version = count_of(state.get("version"), "version")?;
         if version > SKETCH_STATE_VERSION {
             return Err(SketchStateError(format!(
                 "sketch state version {version} is newer than supported {SKETCH_STATE_VERSION}"
@@ -339,17 +349,6 @@ impl QuantileSketch {
         if !(gamma.is_finite() && gamma > 1.0) {
             return Err(err("gamma must be finite and > 1"));
         }
-        // Every count is an integer a JSON number carries exactly: a cast
-        // would read -4 as 0, 2.5 as 2 and 1e300 as `u64::MAX`.
-        let count_of = |v: Option<&Json>, what: &str| {
-            v.and_then(Json::as_exact_int)
-                .and_then(|n| u64::try_from(n).ok())
-                .ok_or_else(|| {
-                    SketchStateError(format!(
-                        "{what} is not a non-negative integer (at most 2^53)"
-                    ))
-                })
-        };
         let count = count_of(state.get("count"), "count")?;
         let zero = count_of(state.get("zero"), "zero")?;
         let censored = count_of(state.get("censored"), "censored")?;
@@ -370,7 +369,9 @@ impl QuantileSketch {
             let pair = pair.as_arr().ok_or_else(|| err("bucket not a pair"))?;
             let (idx, n) = match pair {
                 [i, n] => (
-                    i.as_f64().ok_or_else(|| err("bucket index not a number"))? as i32,
+                    i.as_exact_int()
+                        .and_then(|i| i32::try_from(i).ok())
+                        .ok_or_else(|| err("bucket index is not an integer that fits i32"))?,
                     count_of(Some(n), "bucket count")?,
                 ),
                 _ => return Err(err("bucket pair must have two entries")),
@@ -678,6 +679,27 @@ mod tests {
         let most = read(r#"{"censored":9007199254740992}"#).unwrap();
         assert_eq!(most.len(), (1 << 53) + 3);
         assert!(read(r#"{"count":0,"zero":0,"buckets":[],"min":-1}"#).is_ok());
+    }
+
+    #[test]
+    fn state_refuses_inexact_bucket_indices_and_versions() {
+        let one = sketch_of(&[500.0], 0);
+        let (mut doc, idx) = (one.state_json(), one.buckets[0].0);
+        for bad in ["1842.5", "1e300", "-1e300", "2147483648", "-2147483649"] {
+            doc.set("buckets", Json::parse(&format!("[[{bad},1]]")).unwrap());
+            let e = QuantileSketch::from_state_json(&doc).unwrap_err().0;
+            assert!(e.contains("bucket index is not an integer"), "{bad}: {e}");
+        }
+        doc.set("buckets", Json::parse(&format!("[[{idx},1]]")).unwrap());
+        assert!(QuantileSketch::from_state_json(&doc).is_ok());
+        for bad in ["-4", "2.5", "1e300"] {
+            doc.set("version", Json::parse(bad).unwrap());
+            let e = QuantileSketch::from_state_json(&doc).unwrap_err().0;
+            assert!(
+                e.contains("version is not a non-negative integer"),
+                "{bad}: {e}"
+            );
+        }
     }
 
     #[test]
