@@ -67,7 +67,8 @@
 //! `/snapshot` after recovery is byte-identical to a never-killed run. `repro chaos`
 //! soak-tests exactly that: a 2-partition campaign pushes through
 //! seeded wire faults ([`wire::chaos`]) into a `--state-dir` daemon
-//! that is SIGKILLed and restarted `--chaos-kills` times mid-campaign,
+//! that is SIGKILLed and restarted `--chaos-kills` times mid-campaign
+//! (driven by shard 0's pushes, so every kill lands before its final),
 //! and the run fails unless the recovered `/snapshot` matches the
 //! single-process `fleet.json` byte for byte.
 
@@ -653,9 +654,12 @@ fn http_get(addr: &str, path: &str) -> Option<String> {
 /// The wire-level crash-safety soak: run a 2-partition campaign whose
 /// shards push through seeded fault-injecting connections
 /// ([`wire::chaos`]) into a `--state-dir` collectord child that is
-/// SIGKILLed and restarted `--chaos-kills` times mid-campaign (at
-/// deterministic progress thresholds) plus once more after completion,
-/// so the final `/snapshot` comes purely from journal recovery. Exits
+/// SIGKILLed and restarted `--chaos-kills` times mid-campaign plus once
+/// more after completion, so the final `/snapshot` comes purely from
+/// journal recovery. Shard 0's pushes drive the mid-campaign kills: at
+/// each threshold its push waits until the daemon is back, so every kill
+/// lands before shard 0's final whatever the host's speed, while shard 1
+/// keeps pushing into the outage. Exits
 /// non-zero unless that snapshot is byte-identical to the
 /// single-process `fleet.json`.
 fn run_chaos(opts: &Options) -> ! {
@@ -717,9 +721,16 @@ fn run_chaos(opts: &Options) -> ! {
     // cumulative state through a resilient client whose connections are
     // severed by seeded write-side resets — every connection dies after
     // a few KB, so reconnect/resend is exercised constantly, on top of
-    // the daemon kills.
+    // the daemon kills. Shard 0 asks for kill `j` once its pushed
+    // devices cross slice·j/(kills+1), sending its push size and a
+    // channel that answers once the restarted daemon is healthy.
+    let kills = opts.chaos_kills as u64;
+    let (kill_tx, kill_rx) = std::sync::mpsc::channel::<(u64, std::sync::mpsc::Sender<()>)>();
     let shards: Vec<_> = (0..2u64)
         .map(|i| {
+            let kill_tx = (i == 0).then(|| kill_tx.clone());
+            let (start, end) = fleet::partition_range(spec.devices, i, 2);
+            let next_kill = std::sync::atomic::AtomicU64::new(1);
             let spec = spec.clone();
             let addr = opts.listen.clone();
             let push_every = opts.push_every;
@@ -757,6 +768,17 @@ fn run_chaos(opts: &Options) -> ! {
                             if let Err(e) = cb.lock().unwrap().push(collector, false) {
                                 panic!("chaos shard: non-retryable rejection: {e}");
                             }
+                            let Some(kill) = &kill_tx else { return };
+                            let at = collector.devices_seen();
+                            let crossed =
+                                |j: u64| j <= kills && at >= (end - start) * j / (kills + 1);
+                            while crossed(next_kill.load(std::sync::atomic::Ordering::Relaxed)) {
+                                next_kill.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                let (restarted, healthy) = std::sync::mpsc::channel();
+                                kill.send((at, restarted))
+                                    .expect("the kill loop runs until shard 0 ends");
+                                let _ = healthy.recv();
+                            }
                         }),
                     }),
                     ..fleet::RunOptions::default()
@@ -775,32 +797,20 @@ fn run_chaos(opts: &Options) -> ! {
         })
         .collect();
 
-    // Kill schedule: SIGKILL + restart each time the daemon's live view
-    // crosses devices·j/(kills+1) — progress-based, so the schedule is
-    // the same shape regardless of machine speed.
-    let devices = spec.devices;
-    let kills = opts.chaos_kills as u64;
-    let mut next_kill = 1u64;
-    while !shards.iter().all(|h| h.is_finished()) {
-        if next_kill <= kills {
-            let threshold = devices * next_kill / (kills + 1);
-            let view = http_get(&opts.http, "/status")
-                .and_then(|b| obs::Json::parse(&b).ok())
-                .and_then(|j| j.get("devices_view").and_then(|v| v.as_f64()))
-                .map(|v| v as u64);
-            if let Some(v) = view.filter(|&v| v >= threshold) {
-                info!(
-                    "chaos: kill #{next_kill}/{kills} at view {v} (threshold {threshold}) \
-                     — SIGKILL + restart"
-                );
-                let _ = child.kill();
-                let _ = child.wait();
-                child = spawn_daemon();
-                wait_healthy();
-                next_kill += 1;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
+    // Kill schedule: SIGKILL + restart whenever shard 0 asks, until its
+    // thread (the last sender) ends.
+    drop(kill_tx);
+    let mut cycles = 0u64;
+    for (at, restarted) in kill_rx {
+        cycles += 1;
+        info!(
+            "chaos: kill #{cycles}/{kills} after shard 0 pushed {at} devices — SIGKILL + restart"
+        );
+        let _ = child.kill();
+        let _ = child.wait();
+        child = spawn_daemon();
+        wait_healthy();
+        let _ = restarted.send(());
     }
     let mut stats = Vec::new();
     for h in shards {
@@ -838,11 +848,11 @@ fn run_chaos(opts: &Options) -> ! {
             s.delivered, s.dropped, s.reconnects
         );
     }
-    // The mid-run kills that fired (a campaign can finish pushing before
-    // a threshold is crossed) plus the final one.
+    // The mid-run kills that fired (none when shard 0 pushes nothing
+    // before its final) plus the final one.
     println!(
-        "chaos: {next_kill} kill/restart cycles; final recovery restored {recovered} merged \
-         devices"
+        "chaos: {} kill/restart cycles; final recovery restored {recovered} merged devices",
+        cycles + 1
     );
     if !complete {
         error!("chaos: recovered daemon does not report a complete campaign");

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fleet::CampaignSpec;
-use obs::{info, warn, Hist, Json, Snapshot};
+use obs::{info, warn, Json, Snapshot};
 use wire::framing::{read_frame, write_frame, FrameError};
 
 use crate::dashboard;
@@ -193,10 +193,10 @@ impl Daemon {
         })();
         match result {
             Ok(ack) => {
-                let mut batch = Hist::default();
-                batch.observe(started.elapsed().as_secs_f64() * 1e3);
                 let mut counts = self.counts();
-                counts.add_histogram("collectord.ingest.batch_ms", batch);
+                counts
+                    .histogram_mut("collectord.ingest.batch_ms")
+                    .observe(started.elapsed().as_secs_f64() * 1e3);
                 if matches!(ack.outcome, PushOutcome::Duplicate | PushOutcome::Stale) {
                     counts.add_counter("collectord.ingest.duplicates", 1);
                 }

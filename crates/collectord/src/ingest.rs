@@ -5,7 +5,8 @@
 //! `range_start` supersedes the previous one — so the protocol is
 //! naturally idempotent under loss, duplication, and reordering:
 //!
-//! * a re-sent push is a [`PushOutcome::Duplicate`] no-op,
+//! * a re-sent final is a [`PushOutcome::Duplicate`] that changes no
+//!   state (it rewrites its journal file, so its ack is durable),
 //! * a reordered older cumulative push is [`PushOutcome::Stale`] and
 //!   dropped,
 //! * a push for a slice that collides with a different shard's slice is
@@ -28,8 +29,9 @@
 //! The ingest holds one entry per slice start, the latest accepted push
 //! for it — exactly what the journal ([`crate::store`]) holds, one file
 //! each. A push is classified without changing anything, journaled
-//! (when it is new), and only then applied; recovery replays the
-//! journal's files through the same classification and apply.
+//! (when it is new, or a re-sent final), and only then applied;
+//! recovery replays the journal's files through the same
+//! classification and apply.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -253,15 +255,20 @@ impl Ingest {
     ) -> Result<Ack, IngestError> {
         let (c, outcome) = self.classify(state, done)?;
         let (start, count) = (c.range_start(), c.devices_seen());
-        if matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered) {
-            // Durability before anything changes: if the journal cannot
-            // hold the push, the shard gets a retryable `storage` error
-            // and re-sends its cumulative state later.
+        let new = matches!(outcome, PushOutcome::Absorbed | PushOutcome::Buffered);
+        // Durability before the ack: if the journal cannot hold the
+        // push, the shard gets a retryable `storage` error and re-sends
+        // its cumulative state later. A new push is written before
+        // anything changes; a re-sent final rewrites its slice's file,
+        // so its ack holds even if that file was removed under us.
+        if new || matches!(outcome, PushOutcome::Duplicate) {
             if let Some(store) = &self.store {
                 store
                     .write_slice(start, done, state)
                     .map_err(|e| IngestError::Storage(e.to_string()))?;
             }
+        }
+        if new {
             self.apply(c, done);
         }
         self.note_shard(shard, start, count, done, bytes);

@@ -216,7 +216,8 @@ fn compaction_and_flush_file_lifecycle() {
     assert_eq!(files(), ["slice-20.json"]);
     assert!(final_flag(20));
 
-    // A duplicate or stale push writes nothing.
+    // A duplicate final rewrites the same bytes; a stale push writes
+    // nothing.
     let before = std::fs::read(dir.join("slice-20.json")).unwrap();
     ingest.push("1/2", &c1.state_json(), true, 0).unwrap();
     ingest.push("1/2", &c1_half.state_json(), false, 0).unwrap();
@@ -281,6 +282,48 @@ fn failed_journal_write_acks_nothing() {
     assert!(recovered.complete());
     assert_eq!(recovered.snapshot_pretty(), never_failed.snapshot_pretty());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A re-sent final acks only what the disk holds: with its slice's
+/// file gone from under the running ingest (the state directory
+/// recreated after partition 0's final was acked), the duplicate
+/// rewrites that file, and a fresh ingest over the directory recovers
+/// the whole campaign.
+#[test]
+fn duplicate_final_rewrites_a_removed_slice_file() {
+    let spec = spec();
+    let dir = tmpdir("duplicate-rewrite");
+    let mut ingest = Ingest::with_store(spec.clone(), Store::open(&dir).unwrap()).unwrap();
+    let (c0, _) = run_partition(&spec, 2, 0, 2);
+    let (c1, _) = run_partition(&spec, 2, 1, 2);
+    ingest.push("0/2", &c0.state_json(), true, 0).unwrap();
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(&dir).unwrap();
+    let ack = ingest.push("0/2", &c0.state_json(), true, 0).unwrap();
+    assert_eq!(ack.outcome, PushOutcome::Duplicate);
+    assert!(
+        dir.join("slice-0.json").exists(),
+        "the duplicate wrote nothing"
+    );
+    assert!(
+        ingest
+            .push("1/2", &c1.state_json(), true, 0)
+            .unwrap()
+            .complete
+    );
+
+    let recovered = Ingest::with_store(spec.clone(), Store::open(&dir).unwrap()).unwrap();
+    assert_eq!(recovered.devices_absorbed(), spec.devices);
+    assert!(recovered.complete());
+    assert_eq!(recovered.snapshot_pretty(), ingest.snapshot_pretty());
+
+    // With the directory gone, the duplicate's rewrite fails and it
+    // acks nothing: a retryable `storage` error, as for a new push.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let err = ingest.push("0/2", &c0.state_json(), true, 0).unwrap_err();
+    assert_eq!(err.code(), "storage", "{err}");
+    assert!(err.is_retryable());
 }
 
 /// Every fault a journal directory can hold is a typed startup error —

@@ -17,7 +17,7 @@
 //!   budget lasts, behind a fresh re-warm and at least its lead later.
 
 use measure::{ProbeError, RttRecord};
-use obs::{Hist, Snapshot};
+use obs::Snapshot;
 use simcore::{SimDuration, SimTime};
 
 /// Consecutive failed keep-awake sends after which the BT is degraded.
@@ -178,21 +178,21 @@ impl Machine {
     /// either retried or the error that ended its probe), retries,
     /// re-warms, warm-ups, background sends and degradations.
     pub fn export(&self, names: &MetricNames, out: &mut Snapshot) {
-        let mut rtt_ms = Hist::default();
-        let (mut sent, mut errors) = (0, 0);
+        let rtt_ms = out.histogram_mut(names.rtt_ms);
+        let (mut sent, mut errors, mut received) = (0, 0, 0);
         for r in &self.records {
             sent += u64::from(r.attempts);
             errors += u64::from(r.error.is_some());
             if let Some(ms) = r.reported_ms {
                 rtt_ms.observe(ms);
+                received += 1;
             }
         }
         out.add_counter(names.sent, sent);
-        out.add_counter(names.received, rtt_ms.count());
+        out.add_counter(names.received, received);
         out.add_counter(names.failed, self.retries + errors);
         out.add_counter(names.retries, self.retries);
         out.add_counter(names.rewarms, self.bt.rewarms_sent);
-        out.add_histogram(names.rtt_ms, rtt_ms);
         out.add_counter(names.warmup_sent, self.bt.warmup_sent);
         out.add_counter(names.background_sent, self.bt.background_sent);
         if let Some(name) = names.degraded {

@@ -45,7 +45,7 @@ use obs::{Json, ToJson};
 
 use crate::profile::{CampaignProfile, StratumCost};
 use crate::report::{CampaignReport, CampaignStateError, Collector};
-use crate::shard::run_device_prof;
+use crate::shard::fold_device;
 use crate::spec::CampaignSpec;
 
 /// Wall-clock throughput of one engine run. Kept out of the campaign
@@ -339,25 +339,23 @@ fn run_range(
                             std::thread::yield_now();
                         }
                     }
+                    // The device runs straight into this segment's state.
+                    let state = &mut held.get_or_insert_with(|| (seg, template.empty_like())).1;
                     let t0 = if prof.is_enabled() {
                         Some(Instant::now())
                     } else {
                         None
                     };
-                    let partial = {
+                    let class = {
                         let _rd = prof.phase("run_device");
-                        run_device_prof(spec, i, &prof)
+                        fold_device(spec, i, &prof, state)
                     };
                     if let Some(t0) = t0 {
-                        stratum_ns[partial.class]
+                        stratum_ns[class]
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        stratum_devices[partial.class].fetch_add(1, Ordering::Relaxed);
+                        stratum_devices[class].fetch_add(1, Ordering::Relaxed);
                     }
                     per_worker[w].fetch_add(1, Ordering::Relaxed);
-                    let _ab = prof.phase("absorb");
-                    held.get_or_insert_with(|| (seg, template.empty_like()))
-                        .1
-                        .absorb(&partial);
                 }
                 hand_off(&mut held);
             });

@@ -10,14 +10,16 @@
 //! A [`CampaignSpec`] declares the population (weighted
 //! [`DeviceClass`] strata). The [`engine`] fans device
 //! indices across a fixed pool of OS worker threads; each runs a
-//! deterministically-seeded simulation shard ([`run_device`]) and
-//! streams a [`DevicePartial`] — mergeable sketches and an [`obs`]
-//! snapshot, never raw samples — over a bounded channel into a
-//! [`Collector`]. Device seeds derive from
-//! `(campaign_seed, device_index)`, and every piece of collector state
-//! merges exactly (integer sketch internals), so the merged
-//! [`CampaignReport`] JSON is byte-identical regardless of worker count
-//! or completion order.
+//! deterministically-seeded simulation shard per device and folds it
+//! straight into a [`Collector`] of its own — mergeable sketches and an
+//! [`obs`] snapshot, never raw samples — which it hands over a bounded
+//! channel to the collector thread once per segment (see [`engine`]).
+//! [`run_device`] folds one device into a [`DevicePartial`] instead,
+//! which [`Collector::absorb`] merges into the same state. Device seeds
+//! derive from `(campaign_seed, device_index)`, and every piece of
+//! collector state merges exactly (integer sketch internals), so the
+//! merged [`CampaignReport`] JSON is byte-identical regardless of worker
+//! count or completion order.
 //!
 //! The same determinism extends across *processes*: the collector's
 //! full state round-trips through the versioned campaign-state JSON

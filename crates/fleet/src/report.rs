@@ -1,9 +1,11 @@
 //! Campaign reports and the versioned campaign-state format behind
 //! resume checkpoints and cross-process partial reports.
 //!
-//! A [`Collector`] folds [`DevicePartial`]s in any order. Its full
-//! state — per-stratum sketches, population sketches, the merged
-//! telemetry snapshot, and the device range it covers — serializes to
+//! A [`Collector`] folds devices in any order: an engine worker runs
+//! each device straight into its own collector, and
+//! [`Collector::absorb`] folds a [`DevicePartial`]. Its full state —
+//! per-stratum sketches, population sketches, the merged telemetry
+//! snapshot, and the device range it covers — serializes to
 //! the versioned `acutemon-fleet-campaign-state` JSON document
 //! ([`Collector::state_json`]). That one format serves both halves of
 //! the cross-process story:
@@ -26,7 +28,7 @@
 use am_stats::QuantileSketch;
 use obs::{Json, Snapshot, ToJson};
 
-use crate::shard::DevicePartial;
+use crate::shard::{DevicePartial, FoldTarget};
 use crate::spec::CampaignSpec;
 
 /// `format` tag of the campaign-state JSON document (checkpoints and
@@ -123,7 +125,7 @@ pub struct CampaignReport {
     pub obs: obs::Snapshot,
 }
 
-/// Streaming collector: absorbs [`DevicePartial`]s and maintains only
+/// Streaming collector: folds devices and maintains only
 /// mergeable state (sketches, counters, one telemetry [`Snapshot`]
 /// every device's counts merge into) — memory is O(strata + metric
 /// names), independent of device and probe counts.
@@ -189,12 +191,13 @@ impl Collector {
         }
     }
 
-    /// Absorb one device partial. Every merge is exact integer
-    /// addition, so absorption order does not change a byte of the
-    /// state, and each engine worker folds the devices it runs as they
-    /// finish. [`Collector::next_index`] assumes a contiguous prefix, so
-    /// the engine reads it (and checkpoints or pushes the state) only at
-    /// a segment end, once every device before it has been absorbed.
+    /// Absorb one device partial ([`crate::run_device`]): the same state
+    /// as the engine's fold of that device straight into a collector.
+    /// Every merge is exact integer addition, so absorption order does
+    /// not change a byte of the state. [`Collector::next_index`] assumes
+    /// a contiguous prefix, so the engine reads it (and checkpoints or
+    /// pushes the state) only at a segment end, once every device before
+    /// it has been folded.
     pub fn absorb(&mut self, p: &DevicePartial) {
         let s = &mut self.strata[p.class];
         s.devices += 1;
@@ -508,6 +511,41 @@ impl Collector {
             overhead_all: self.overhead_all,
             obs: self.obs,
         }
+    }
+}
+
+/// A device folds straight into a collector: its stratum's counts and
+/// sketches and the population sketches take each value as it is
+/// harvested, and its layers export into the collector's snapshot. Each
+/// observation lands where [`Collector::absorb`] would have merged it,
+/// so the state is the same to the byte.
+impl FoldTarget for Collector {
+    fn obs(&mut self) -> &mut Snapshot {
+        &mut self.obs
+    }
+
+    fn device(&mut self, class: usize, probes_sent: u64, retries: u64) {
+        let s = &mut self.strata[class];
+        s.devices += 1;
+        s.probes_sent += probes_sent;
+        s.retries += retries;
+        self.devices_seen += 1;
+    }
+
+    fn du(&mut self, class: usize, du: Option<f64>) {
+        let s = &mut self.strata[class];
+        s.probes_completed += u64::from(du.is_some());
+        s.du.push(du);
+        self.du_all.push(du);
+    }
+
+    fn dn(&mut self, class: usize, dn: Option<f64>) {
+        self.strata[class].dn.push(dn);
+    }
+
+    fn overhead(&mut self, class: usize, overhead: Option<f64>) {
+        self.strata[class].overhead.push(overhead);
+        self.overhead_all.push(overhead);
     }
 }
 

@@ -1,12 +1,13 @@
 //! Per-device simulation shards.
 //!
-//! [`run_device`] builds the full testbed for one device of a
-//! [`CampaignSpec`], runs it until its measurement tool finishes (at
-//! most [`CampaignSpec::horizon`]), and boils the result down to a
-//! [`DevicePartial`]: three mergeable [`QuantileSketch`]es
-//! (`du`, `dn`, overhead) plus an [`obs`] snapshot. No raw sample
-//! vectors leave the shard — campaign memory is independent of the
-//! probe count.
+//! One function, `fold_device`, builds the full testbed for one device
+//! of a [`CampaignSpec`], runs it until its measurement tool finishes
+//! (at most [`CampaignSpec::horizon`]), and folds what it measured into
+//! a target: an engine worker's [`Collector`](crate::Collector)
+//! directly, or, through [`run_device`], a fresh [`DevicePartial`] of
+//! three mergeable [`QuantileSketch`]es (`du`, `dn`, overhead) and an
+//! [`obs`] snapshot. No raw sample vectors leave the shard — campaign
+//! memory is independent of the probe count.
 
 use acutemon::{AcuteMonApp, AcuteMonConfig};
 use am_stats::QuantileSketch;
@@ -18,8 +19,8 @@ use testbed::{addr, breakdowns, CellTestbed, CellTestbedConfig, Testbed, Testbed
 
 use crate::spec::{CampaignSpec, Radio, Tool};
 
-/// The streamed result of one device (or a merge of many): counts and
-/// sketches only, never raw samples.
+/// The result of one device: counts and sketches only, never raw
+/// samples. [`Collector::absorb`](crate::Collector::absorb) folds it.
 #[derive(Debug, Clone)]
 pub struct DevicePartial {
     /// Device index within the campaign.
@@ -43,50 +44,69 @@ pub struct DevicePartial {
     pub obs: obs::Snapshot,
 }
 
-fn harvest(
-    partial: &mut DevicePartial,
-    records: &[RttRecord],
-    breakdown: Option<&[testbed::ProbeBreakdown]>,
-) {
-    partial.probes_sent += records.len() as u64;
-    partial.retries += records.total_retries();
-    for r in records {
-        match r.du_ms() {
-            Some(du) => {
-                partial.probes_completed += 1;
-                partial.du.observe(du);
-            }
-            None => partial.du.observe_censored(),
-        }
+/// Where [`fold_device`] writes one device's results. Each probe value
+/// is `Some` when measured and `None` when censored (lost, or missed by
+/// the sniffer).
+pub(crate) trait FoldTarget {
+    /// The snapshot the device's layers and tool export into.
+    fn obs(&mut self) -> &mut Snapshot;
+    /// One device of stratum `class`: the probes it sent and the
+    /// retries it spent.
+    fn device(&mut self, class: usize, probes_sent: u64, retries: u64);
+    /// One probe's user-level RTT.
+    fn du(&mut self, class: usize, du: Option<f64>);
+    /// One probe's network-level RTT.
+    fn dn(&mut self, class: usize, dn: Option<f64>);
+    /// One probe's overhead `du − dn`.
+    fn overhead(&mut self, class: usize, overhead: Option<f64>);
+}
+
+impl FoldTarget for DevicePartial {
+    fn obs(&mut self) -> &mut Snapshot {
+        &mut self.obs
     }
-    if let Some(bds) = breakdown {
-        for b in bds {
-            if let Some(dn) = b.dn {
-                partial.dn.observe(dn);
-                if let Some(du) = b.du {
-                    partial.overhead.observe(du - dn);
-                }
-            } else if b.du.is_some() {
-                // The sniffer missed this probe: the overhead is
-                // unidentifiable, not zero.
-                partial.dn.observe_censored();
-                partial.overhead.observe_censored();
-            }
-        }
+
+    fn device(&mut self, _class: usize, probes_sent: u64, retries: u64) {
+        self.probes_sent += probes_sent;
+        self.retries += retries;
+    }
+
+    fn du(&mut self, _class: usize, du: Option<f64>) {
+        self.probes_completed += u64::from(du.is_some());
+        self.du.push(du);
+    }
+
+    fn dn(&mut self, _class: usize, dn: Option<f64>) {
+        self.dn.push(dn);
+    }
+
+    fn overhead(&mut self, _class: usize, overhead: Option<f64>) {
+        self.overhead.push(overhead);
     }
 }
 
-fn empty_partial(index: u64, class: usize) -> DevicePartial {
-    DevicePartial {
-        index,
-        class,
-        probes_sent: 0,
-        probes_completed: 0,
-        retries: 0,
-        du: QuantileSketch::new(),
-        dn: QuantileSketch::new(),
-        overhead: QuantileSketch::new(),
-        obs: obs::Snapshot::default(),
+fn harvest(
+    into: &mut impl FoldTarget,
+    class: usize,
+    records: &[RttRecord],
+    breakdown: Option<&[testbed::ProbeBreakdown]>,
+) {
+    into.device(class, records.len() as u64, records.total_retries());
+    for r in records {
+        into.du(class, r.du_ms());
+    }
+    for b in breakdown.unwrap_or_default() {
+        if let Some(dn) = b.dn {
+            into.dn(class, Some(dn));
+            if let Some(du) = b.du {
+                into.overhead(class, Some(du - dn));
+            }
+        } else if b.du.is_some() {
+            // The sniffer missed this probe: the overhead is
+            // unidentifiable, not zero.
+            into.dn(class, None);
+            into.overhead(class, None);
+        }
     }
 }
 
@@ -101,18 +121,43 @@ pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
 /// [`run_device`] with self-profiling: wall-clock cost splits into
 /// `setup` (testbed + app construction), `des` (the discrete-event run,
 /// under which simcore records its per-layer `sim.dispatch` totals),
-/// and `fold` (record
-/// harvest + sketch/snapshot fold). The partial returned is
-/// byte-identical whether `prof` is enabled or disabled — profiling
+/// and `fold` (exports, record harvest, teardown). The partial returned
+/// is byte-identical whether `prof` is enabled or disabled — profiling
 /// observes the host, never the simulation.
 ///
 /// The exported counts cover the model layers and the tool, never the
 /// engine's `sim.*` metrics: everything in the snapshot is a pure
 /// function of the device seed and the modelled behaviour.
 pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) -> DevicePartial {
+    let class = spec.class_of(index);
+    let mut partial = DevicePartial {
+        index,
+        class,
+        probes_sent: 0,
+        probes_completed: 0,
+        retries: 0,
+        du: QuantileSketch::new(),
+        dn: QuantileSketch::new(),
+        overhead: QuantileSketch::new(),
+        obs: obs::Snapshot::default(),
+    };
+    fold_device(spec, index, prof, &mut partial);
+    partial
+}
+
+/// Run device `index` of `spec` and fold its results into `into`: the
+/// layers' and the tool's counts into its snapshot, and each probe into
+/// its stratum's sketches. Returns the device's stratum. The one
+/// device path: [`run_device_prof`] folds into a fresh partial, an
+/// engine worker into its segment's collector.
+pub(crate) fn fold_device(
+    spec: &CampaignSpec,
+    index: u64,
+    prof: &obs::Profiler,
+    into: &mut impl FoldTarget,
+) -> usize {
     let class_idx = spec.class_of(index);
     let class = &spec.classes[class_idx];
-    let mut partial = empty_partial(index, class_idx);
     let seed = spec.device_seed(index);
     let k = spec.probes_per_device;
     let horizon = SimTime::ZERO + spec.horizon;
@@ -184,16 +229,17 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             {
                 let _des = prof.phase("des");
                 let phone = tb.phone;
-                tb.sim.run_until_or(horizon, |sim| {
+                tb.sim.run_until_or(horizon, phone, |sim| {
                     sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
             fold = prof.phase("fold");
-            tb.export(&mut partial.obs);
-            export_tool(tb.phone_node(), class.tool, app, &mut partial.obs);
-            let records = tool_records(tb.phone_node(), class.tool, app);
-            let bds = breakdowns(&records, tb.phone_node().ledger(), tb.capture_index());
-            harvest(&mut partial, &records, Some(&bds));
+            tb.export(into.obs());
+            let phone = tb.phone_node();
+            export_tool(phone, class.tool, app, into.obs());
+            let records = tool_records(phone, class.tool, app);
+            let bds = breakdowns(records, phone.ledger(), tb.capture_index());
+            harvest(into, class_idx, records, Some(&bds));
         }
         Radio::Lte | Radio::Umts => {
             let mut cfg = match class.radio {
@@ -213,20 +259,19 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
             {
                 let _des = prof.phase("des");
                 let phone = tb.phone;
-                tb.sim.run_until_or(horizon, |sim| {
+                tb.sim.run_until_or(horizon, phone, |sim| {
                     sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
             fold = prof.phase("fold");
             let phone = tb.sim.node::<PhoneNode>(tb.phone);
-            export_tool(phone, class.tool, app, &mut partial.obs);
-            let records = tool_records(phone, class.tool, app);
+            export_tool(phone, class.tool, app, into.obs());
             // No sniffers on the bearer: dn/overhead stay empty.
-            harvest(&mut partial, &records, None);
+            harvest(into, class_idx, tool_records(phone, class.tool, app), None);
         }
     }
     drop(fold);
-    partial
+    class_idx
 }
 
 /// Install the stratum's measurement tool on `phone`; returns the app
@@ -252,10 +297,10 @@ fn export_tool(phone: &PhoneNode, tool: Tool, app: usize, out: &mut Snapshot) {
 }
 
 /// The probe records the tool at `app` collected.
-fn tool_records(phone: &PhoneNode, tool: Tool, app: usize) -> Vec<RttRecord> {
+fn tool_records(phone: &PhoneNode, tool: Tool, app: usize) -> &[RttRecord] {
     match tool {
-        Tool::AcuteMon => phone.app::<AcuteMonApp>(app).records.clone(),
-        Tool::SparsePing => phone.app::<BaselineApp>(app).records.clone(),
+        Tool::AcuteMon => &phone.app::<AcuteMonApp>(app).records,
+        Tool::SparsePing => &phone.app::<BaselineApp>(app).records,
     }
 }
 

@@ -382,7 +382,7 @@ pub fn run_traced(cfg: LiveConfig, tracer: &Tracer) -> io::Result<LiveReport> {
         live.end_trace(finished);
         let mut counts = Snapshot::default();
         machine.export(&METRICS, &mut counts);
-        counts.add_histogram("live.send_lateness_ms", std::mem::take(&mut live.lateness));
+        counts.merge_histogram("live.send_lateness_ms", &live.lateness);
         Ok(LiveReport {
             samples: machine
                 .records

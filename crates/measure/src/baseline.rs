@@ -8,7 +8,7 @@
 //! and PSM timeouts on every probe, while a 10 ms interval keeps the
 //! phone awake.
 
-use obs::{Hist, Snapshot};
+use obs::Snapshot;
 use phone::{App, AppCtx, RuntimeKind};
 use simcore::{SimDuration, SimTime};
 use wire::{Ip, Packet, PacketTag, TcpFlags, L4};
@@ -33,12 +33,35 @@ pub enum Baseline {
     MobiperfHttp,
 }
 
+/// The `measure.<tool>.*` names a baseline's counts are exported under,
+/// fixed at compile time so an export builds no string.
+#[derive(Debug, Clone, Copy)]
+struct MetricNames {
+    sent: &'static str,
+    received: &'static str,
+    timeouts: &'static str,
+    rtt_ms: &'static str,
+}
+
+/// The [`MetricNames`] of one tool.
+macro_rules! metric_names {
+    ($tool:literal) => {
+        MetricNames {
+            sent: concat!("measure.", $tool, ".sent"),
+            received: concat!("measure.", $tool, ".received"),
+            timeouts: concat!("measure.", $tool, ".timeouts"),
+            rtt_ms: concat!("measure.", $tool, ".rtt_ms"),
+        }
+    };
+}
+
 /// What sets one baseline apart from the others.
 #[derive(Debug, Clone, Copy)]
 struct Preset {
-    /// Metric prefix (`measure.<name>.*`) and the probes' `tool` span
-    /// attribute.
+    /// The probes' `tool` span attribute.
     name: &'static str,
+    /// Its metric names, `measure.<name>.*`.
+    metrics: MetricNames,
     wire: ProbeWire,
     /// Whether a RST completes a TCP probe (a SYN/ACK always does).
     rst_answers: bool,
@@ -59,6 +82,7 @@ impl Baseline {
         match self {
             Baseline::Ping => Preset {
                 name: "ping",
+                metrics: metric_names!("ping"),
                 wire: ProbeWire {
                     kind: ProbeKind::Icmp,
                     port: 0,
@@ -71,6 +95,7 @@ impl Baseline {
             },
             Baseline::Httping => Preset {
                 name: "httping",
+                metrics: metric_names!("httping"),
                 wire: syn(HTTP_PORT, 42_000),
                 rst_answers: false,
                 rounds: false,
@@ -79,6 +104,7 @@ impl Baseline {
             },
             Baseline::JavaPing => Preset {
                 name: "javaping",
+                metrics: metric_names!("javaping"),
                 wire: syn(ECHO_PORT, 51_000),
                 rst_answers: true,
                 rounds: false,
@@ -87,6 +113,7 @@ impl Baseline {
             },
             Baseline::MobiperfHttp => Preset {
                 name: "mobiperf_http",
+                metrics: metric_names!("mobiperf_http"),
                 wire: syn(HTTP_PORT, 55_000),
                 rst_answers: false,
                 rounds: false,
@@ -149,20 +176,20 @@ impl BaselineApp {
     /// `rtt_ms` (the true `du`), and the `timeouts`, probes still
     /// unanswered when the session's deadline ended it.
     pub fn export(&self, out: &mut Snapshot) {
-        let tool = self.preset.name;
-        let mut rtt_ms = Hist::default();
+        let names = &self.preset.metrics;
+        let rtt_ms = out.histogram_mut(names.rtt_ms);
+        let mut received = 0;
         for du in self.records.iter().filter_map(RttRecord::du_ms) {
             rtt_ms.observe(du);
+            received += 1;
         }
-        let received = rtt_ms.count();
         let timeouts = match self.finished_at {
             Some(_) => self.records.len() as u64 - received,
             None => 0,
         };
-        out.add_counter(format!("measure.{tool}.sent"), self.records.len() as u64);
-        out.add_counter(format!("measure.{tool}.received"), received);
-        out.add_counter(format!("measure.{tool}.timeouts"), timeouts);
-        out.add_histogram(format!("measure.{tool}.rtt_ms"), rtt_ms);
+        out.add_counter(names.sent, self.records.len() as u64);
+        out.add_counter(names.received, received);
+        out.add_counter(names.timeouts, timeouts);
     }
 
     fn sent(&self) -> u32 {

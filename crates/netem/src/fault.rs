@@ -256,6 +256,39 @@ impl FaultPlan {
     }
 }
 
+/// The `fault.<label>.*` names of a [`FaultStats`]' counts, fixed at
+/// compile time so an export builds no string.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultNames {
+    /// Packets dropped by the loss process.
+    pub dropped_loss: &'static str,
+    /// Packets dropped inside a flap window.
+    pub dropped_flap: &'static str,
+    /// Packets delivered twice.
+    pub duplicated: &'static str,
+    /// Packets held back by the reordering process.
+    pub reordered: &'static str,
+}
+
+/// The [`FaultNames`] of one label.
+macro_rules! fault_names {
+    ($label:literal) => {
+        FaultNames {
+            dropped_loss: concat!("fault.", $label, ".dropped_loss"),
+            dropped_flap: concat!("fault.", $label, ".dropped_flap"),
+            duplicated: concat!("fault.", $label, ".duplicated"),
+            reordered: concat!("fault.", $label, ".reordered"),
+        }
+    };
+}
+
+impl FaultNames {
+    /// The WiFi medium's faults, `fault.wifi.*`.
+    pub const WIFI: FaultNames = fault_names!("wifi");
+    /// The server link's faults, `fault.server_link.*`.
+    pub const SERVER_LINK: FaultNames = fault_names!("server_link");
+}
+
 /// Counters a [`FaultState`] accumulates ([`FaultStats::export`] writes
 /// them as `fault.<label>.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -278,13 +311,13 @@ impl FaultStats {
         self.dropped_loss + self.dropped_flap
     }
 
-    /// Write the drop, duplicate and reorder counts into `out` as
-    /// `fault.<label>.*`.
-    pub fn export(&self, label: &str, out: &mut Snapshot) {
-        out.add_counter(format!("fault.{label}.dropped_loss"), self.dropped_loss);
-        out.add_counter(format!("fault.{label}.dropped_flap"), self.dropped_flap);
-        out.add_counter(format!("fault.{label}.duplicated"), self.duplicated);
-        out.add_counter(format!("fault.{label}.reordered"), self.reordered);
+    /// Write the drop, duplicate and reorder counts into `out` under
+    /// `names` (`fault.<label>.*`).
+    pub fn export(&self, names: &FaultNames, out: &mut Snapshot) {
+        out.add_counter(names.dropped_loss, self.dropped_loss);
+        out.add_counter(names.dropped_flap, self.dropped_flap);
+        out.add_counter(names.duplicated, self.duplicated);
+        out.add_counter(names.reordered, self.reordered);
     }
 }
 
@@ -574,7 +607,7 @@ mod tests {
         let mut st = FaultState::new(&plan);
         st.decide(0, SimTime::ZERO);
         let mut snap = Snapshot::default();
-        st.stats.export("server", &mut snap);
+        st.stats.export(&fault_names!("server"), &mut snap);
         assert_eq!(snap.counter("fault.server.dropped_loss"), Some(1));
     }
 }

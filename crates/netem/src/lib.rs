@@ -48,9 +48,10 @@ mod server;
 mod switch;
 
 pub use fault::{
-    trace_drop, DropReason, FaultPlan, FaultState, FaultStats, FaultVerdict, LossModel, FAULT_DIRS,
+    trace_drop, DropReason, FaultNames, FaultPlan, FaultState, FaultStats, FaultVerdict, LossModel,
+    FAULT_DIRS,
 };
-pub use link::{LinkNode, LinkParams, LinkStats};
+pub use link::{LinkNames, LinkNode, LinkParams, LinkStats};
 pub use load::{LoadConfig, UdpBlasterNode};
 pub use server::{ServerConfig, ServerNode, ServerStats};
 pub use switch::SwitchNode;

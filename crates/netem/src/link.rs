@@ -8,6 +8,27 @@ use obs::Snapshot;
 use simcore::{Ctx, LatencyDist, Node, NodeId, SimDuration};
 use wire::Msg;
 
+/// The `netem.link.<label>.*` names of a link's counts, fixed at compile
+/// time so an export builds no string.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkNames {
+    /// Packets forwarded.
+    pub forwarded: &'static str,
+    /// Packets lost.
+    pub lost: &'static str,
+    /// Wire occupancy, µs.
+    pub occupancy_us: &'static str,
+}
+
+impl LinkNames {
+    /// The server link's counts, `netem.link.server.*`.
+    pub const SERVER: LinkNames = LinkNames {
+        forwarded: "netem.link.server.forwarded",
+        lost: "netem.link.server.lost",
+        occupancy_us: "netem.link.server.occupancy_us",
+    };
+}
+
 /// Link parameters.
 #[derive(Debug, Clone)]
 pub struct LinkParams {
@@ -82,13 +103,14 @@ impl LinkNode {
         }
     }
 
-    /// Write this link's counts into `out` as `netem.link.<label>.*`.
-    /// The fault layer's counts are [`LinkNode::fault_stats`].
-    pub fn export(&self, label: &str, out: &mut Snapshot) {
+    /// Write this link's counts into `out` under `names`
+    /// (`netem.link.<label>.*`). The fault layer's counts are
+    /// [`LinkNode::fault_stats`].
+    pub fn export(&self, names: &LinkNames, out: &mut Snapshot) {
         let s = &self.stats;
-        out.add_counter(format!("netem.link.{label}.forwarded"), s.forwarded);
-        out.add_counter(format!("netem.link.{label}.lost"), s.lost);
-        out.add_gauge(format!("netem.link.{label}.occupancy_us"), s.occupancy_us);
+        out.add_counter(names.forwarded, s.forwarded);
+        out.add_counter(names.lost, s.lost);
+        out.add_gauge(names.occupancy_us, s.occupancy_us);
     }
 
     /// Install a fault plan (replacing any previous one). The plan's own

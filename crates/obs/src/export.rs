@@ -203,7 +203,7 @@ mod tests {
         h.observe(0.5);
         h.observe(12.0);
         h.observe(12.0);
-        s.add_histogram("phone.sdio.wake_latency_ms", h);
+        s.merge_histogram("phone.sdio.wake_latency_ms", &h);
         s
     }
 
@@ -283,7 +283,7 @@ mod tests {
         h.observe(100.0);
         h.observe(200.0);
         let mut s = Snapshot::default();
-        s.add_histogram("weird.bounds", h);
+        s.merge_histogram("weird.bounds", &h);
         let text = prometheus(&s);
         assert!(!text.contains("le=\"inf\""), "{text}");
         assert!(!text.contains("le=\"NaN\""), "{text}");

@@ -6,7 +6,10 @@
 //! runs (a campaign collector, a daemon's own request counts) owns a
 //! snapshot and [`merge`](Snapshot::merge)s the others into it. Names
 //! are kept sorted, so every snapshot is deterministically ordered and
-//! a name is looked up by binary search.
+//! a name is looked up by binary search; a `&'static str` name the
+//! snapshot already holds is found by its address instead (see
+//! [`Snapshot`]), so a layer that exports into a held snapshot compares
+//! no strings.
 //!
 //! A [`Hist`] keeps fixed buckets (for the Prometheus exposition) and
 //! a [`QuantileSketch`] of every observation (for the count, exact sum,
@@ -71,14 +74,20 @@ impl Hist {
     ///
     /// If the bounds differ.
     pub fn merge(&mut self, other: &Hist) {
-        assert_eq!(
-            self.bounds, other.bounds,
+        assert!(
+            self.same_bounds(&other.bounds),
             "merging histograms with mismatched bounds"
         );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.sketch.merge(&other.sketch);
+    }
+
+    /// Whether this histogram's bucket bounds are `bounds` (the same
+    /// slice is the same bounds without comparing them).
+    fn same_bounds(&self, bounds: &[f64]) -> bool {
+        std::ptr::eq(&*self.bounds, bounds) || *self.bounds == *bounds
     }
 
     /// Total observations.
@@ -166,6 +175,19 @@ pub type MetricName = Cow<'static, str>;
 /// Deterministic (name-sorted) plain values of a set of metrics: what a
 /// run's layers export, what a campaign collector merges them into,
 /// what campaign state carries.
+///
+/// A snapshot also remembers where each `&'static str` name it was
+/// asked for last sat in its list, keyed by the name's address. The
+/// next [`add_counter`](Snapshot::add_counter),
+/// [`add_gauge`](Snapshot::add_gauge),
+/// [`merge_histogram`](Snapshot::merge_histogram) or
+/// [`histogram_mut`](Snapshot::histogram_mut) with that name trusts the
+/// remembered index only when the entry there holds a name at the same
+/// address and of the same length, which is the same name, since names
+/// are unique in a sorted list. Anything else — an owned name, an entry
+/// that moved, two names that share a table slot, a list changed
+/// directly — takes the binary search and refreshes the table, so the
+/// table can cost time but never misfile a count.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// `(name, value)` per counter, name-sorted.
@@ -174,6 +196,8 @@ pub struct Snapshot {
     pub gauges: Vec<(MetricName, i64)>,
     /// `(name, histogram)` per histogram, name-sorted.
     pub histograms: Vec<(MetricName, Hist)>,
+    /// Where each static name was last found.
+    names: NameTable,
 }
 
 /// Where `name` sits in the name-sorted `list`: `Ok` at its entry, `Err`
@@ -182,13 +206,86 @@ fn find<T>(list: &[(MetricName, T)], name: &str) -> Result<usize, usize> {
     list.binary_search_by(|(n, _)| (**n).cmp(name))
 }
 
+/// Slots of a [`NameTable`], a power of two. With the ~40 names a fleet
+/// device exports, 64 slots left a quarter of them sharing a slot with
+/// another name (each share costs both names a search per lookup).
+const NAME_SLOTS: usize = 256;
+
+/// The last index each `&'static str` name was found at in one of a
+/// [`Snapshot`]'s lists, one slot per name address (a Fibonacci hash of
+/// it). Counters, gauges and histograms share the table: an index is
+/// only trusted after the entry it points at is checked.
+#[derive(Clone)]
+struct NameTable([u16; NAME_SLOTS]);
+
+impl Default for NameTable {
+    fn default() -> NameTable {
+        NameTable([0; NAME_SLOTS])
+    }
+}
+
+impl std::fmt::Debug for NameTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("NameTable")
+    }
+}
+
+impl NameTable {
+    /// The index of `name` in the name-sorted `list`, and whether it was
+    /// held already: a missing name is inserted where it sorts, with
+    /// `new()`'s value. A static name the table remembers at a matching
+    /// entry is found without comparing a string; one found by search
+    /// takes that entry's place in the table, and an owned held name is
+    /// swapped for the static one (the same string), so the next lookup
+    /// hits even where the list was restored from state.
+    fn entry<T>(
+        &mut self,
+        list: &mut Vec<(MetricName, T)>,
+        name: MetricName,
+        new: impl FnOnce() -> T,
+    ) -> (usize, bool) {
+        let slot = match name {
+            Cow::Borrowed(name) => {
+                let hash = (name.as_ptr() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let slot = (hash >> (64 - NAME_SLOTS.trailing_zeros())) as usize;
+                let hint = usize::from(self.0[slot]);
+                if list
+                    .get(hint)
+                    .is_some_and(|(held, _)| std::ptr::eq(&**held, name))
+                {
+                    return (hint, true);
+                }
+                Some(slot)
+            }
+            Cow::Owned(_) => None,
+        };
+        let (i, held) = match find(list, &name) {
+            Ok(i) => {
+                if slot.is_some() && matches!(list[i].0, Cow::Owned(_)) {
+                    list[i].0 = name;
+                }
+                (i, true)
+            }
+            Err(i) => {
+                list.insert(i, (name, new()));
+                (i, false)
+            }
+        };
+        if let (Some(slot), Ok(i)) = (slot, u16::try_from(i)) {
+            self.0[slot] = i;
+        }
+        (i, held)
+    }
+}
+
 /// The value of `name` in the name-sorted `list`, inserted as 0 where it
 /// is missing.
-fn slot<T: Default>(list: &mut Vec<(MetricName, T)>, name: MetricName) -> &mut T {
-    let i = find(list, &name).unwrap_or_else(|i| {
-        list.insert(i, (name, T::default()));
-        i
-    });
+fn slot<'a, T: Default>(
+    table: &mut NameTable,
+    list: &'a mut Vec<(MetricName, T)>,
+    name: MetricName,
+) -> &'a mut T {
+    let (i, _) = table.entry(list, name, T::default);
     &mut list[i].1
 }
 
@@ -239,25 +336,46 @@ impl Snapshot {
 
     /// Add `v` to counter `name`, creating it in name order.
     pub fn add_counter(&mut self, name: impl Into<MetricName>, v: u64) {
-        *slot(&mut self.counters, name.into()) += v;
+        *slot(&mut self.names, &mut self.counters, name.into()) += v;
     }
 
     /// Add `v` to gauge `name`, creating it in name order.
     pub fn add_gauge(&mut self, name: impl Into<MetricName>, v: i64) {
-        *slot(&mut self.gauges, name.into()) += v;
+        *slot(&mut self.names, &mut self.gauges, name.into()) += v;
     }
 
-    /// Merge `h` into histogram `name`, which it becomes when absent.
+    /// Merge `h` into histogram `name`; only a name this snapshot lacks
+    /// clones `h`. A layer exports the histogram it keeps this way.
     ///
     /// # Panics
     ///
     /// If histogram `name` is held with other bounds.
-    pub fn add_histogram(&mut self, name: impl Into<MetricName>, h: Hist) {
-        let name = name.into();
-        match find(&self.histograms, &name) {
-            Ok(i) => self.histograms[i].1.merge(&h),
-            Err(i) => self.histograms.insert(i, (name, h)),
+    pub fn merge_histogram(&mut self, name: impl Into<MetricName>, h: &Hist) {
+        let (i, held) = self
+            .names
+            .entry(&mut self.histograms, name.into(), || h.clone());
+        if held {
+            self.histograms[i].1.merge(h);
         }
+    }
+
+    /// Histogram `name`, inserted empty with [`DEFAULT_MS_BUCKETS`] when
+    /// absent, to observe into directly: an export that builds its
+    /// histogram from records writes into the held one, not a copy.
+    ///
+    /// # Panics
+    ///
+    /// If histogram `name` is held with other bounds.
+    pub fn histogram_mut(&mut self, name: impl Into<MetricName>) -> &mut Hist {
+        let (i, _) = self
+            .names
+            .entry(&mut self.histograms, name.into(), Hist::default);
+        let h = &mut self.histograms[i].1;
+        assert!(
+            h.same_bounds(&DEFAULT_MS_BUCKETS),
+            "histogram held with other bounds than the default"
+        );
+        h
     }
 
     /// Merge `other` (a run's export, or another aggregate) into this
@@ -504,7 +622,7 @@ mod tests {
     fn observe(snap: &mut Snapshot, name: &str, bounds: &[f64], v: f64) {
         let mut h = Hist::new(bounds);
         h.observe(v);
-        snap.add_histogram(name.to_string(), h);
+        snap.merge_histogram(name.to_string(), &h);
     }
 
     #[test]
@@ -552,7 +670,7 @@ mod tests {
             h.observe(v as f64);
         }
         let mut snap = Snapshot::default();
-        snap.add_histogram("q", h);
+        snap.merge_histogram("q", &h);
         let hs = snap.histogram("q").unwrap();
         for (got, rank) in [(hs.p50(), 5_000.0), (hs.p99(), 9_900.0)] {
             // Nearest rank, within the sketch's relative accuracy plus
@@ -569,7 +687,7 @@ mod tests {
         assert_eq!(hs.count(), 10_000);
         assert_eq!(hs.sum(), 50_005_000.0);
         // An empty histogram still reports zeros.
-        snap.add_histogram("empty", Hist::new(&[1.0]));
+        snap.merge_histogram("empty", &Hist::new(&[1.0]));
         let e = snap.histogram("empty").unwrap();
         assert_eq!((e.p50(), e.p99(), e.min(), e.max()), (0.0, 0.0, 0.0, 0.0));
     }
@@ -800,9 +918,9 @@ mod tests {
         snap.add_gauge("g", -3);
         let mut h = Hist::new(&[1.0, 10.0]);
         h.observe(0.5);
-        snap.add_histogram("h", h.clone());
+        snap.merge_histogram("h", &h);
         h.observe(20.0);
-        snap.add_histogram("h", h);
+        snap.merge_histogram("h", &h);
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| &**n).collect();
         assert_eq!(names, ["alpha", "zeta"]);
         assert_eq!(snap.counter("zeta"), Some(5));
@@ -849,6 +967,146 @@ mod tests {
         assert_eq!(
             a.histogram("h").unwrap().sketch.sum_ns(),
             b.histogram("h").unwrap().sketch.sum_ns()
+        );
+    }
+
+    /// The name table can cost time but never misfile a count: random
+    /// counter, gauge and histogram writes under static and owned
+    /// names (more static names than table slots, and names that are
+    /// prefixes of others at the same address), mixed with clones,
+    /// merges, state round trips and direct edits of the `pub` lists,
+    /// leave every list equal to a plain sorted model after each step.
+    #[test]
+    fn name_table_matches_a_sorted_model() {
+        use std::collections::BTreeMap;
+        let mut rng = 0x5EED_u64;
+        let mut next = move |n: usize| {
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut pool: Vec<&'static str> = (0..2 * NAME_SLOTS)
+            .map(|i| &*Box::leak(format!("m.{:04}", (i * 7919) % 10_000).into_boxed_str()))
+            .collect();
+        // A name that is another's prefix shares its address.
+        let long: &'static str = Box::leak("m.shared.tail".to_string().into_boxed_str());
+        pool.extend([long, &long[..8], &long[..5]]);
+        let hot = pool.len() - 40;
+        let pick = |next: &mut dyn FnMut(usize) -> usize| -> MetricName {
+            let name = if next(5) > 0 {
+                pool[hot + next(40)]
+            } else {
+                pool[next(pool.len())]
+            };
+            match next(4) {
+                0 => MetricName::Owned(name.to_string()),
+                _ => MetricName::Borrowed(name),
+            }
+        };
+        let hist = |values: &[f64]| {
+            let mut h = Hist::default();
+            values.iter().for_each(|&v| h.observe(v));
+            h
+        };
+
+        let mut snap = Snapshot::default();
+        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+        let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
+        let mut hists: BTreeMap<String, Hist> = BTreeMap::new();
+        for step in 0..6_000 {
+            let op = next(9);
+            match op {
+                0 => {
+                    let name = pick(&mut next);
+                    let v = next(100) as u64;
+                    *counters.entry(name.to_string()).or_default() += v;
+                    snap.add_counter(name, v);
+                }
+                1 => {
+                    let name = pick(&mut next);
+                    let v = next(100) as i64 - 50;
+                    *gauges.entry(name.to_string()).or_default() += v;
+                    snap.add_gauge(name, v);
+                }
+                2 => {
+                    let name = pick(&mut next);
+                    let h = hist(&[next(3000) as f64 / 7.0]);
+                    match hists.get_mut(&*name) {
+                        Some(held) => held.merge(&h),
+                        None => drop(hists.insert(name.to_string(), h.clone())),
+                    }
+                    snap.merge_histogram(name, &h);
+                }
+                3 => {
+                    let name = pick(&mut next);
+                    let v = next(3000) as f64 / 3.0;
+                    hists.entry(name.to_string()).or_default().observe(v);
+                    snap.histogram_mut(name).observe(v);
+                }
+                4 => snap = snap.clone(),
+                5 => {
+                    let mut other = Snapshot::default();
+                    for _ in 0..next(4) {
+                        let (name, v) = (pick(&mut next), next(10) as u64);
+                        *counters.entry(name.to_string()).or_default() += v;
+                        other.add_counter(name, v);
+                    }
+                    let name = pick(&mut next);
+                    let h = hist(&[2.5]);
+                    match hists.get_mut(&*name) {
+                        Some(held) => held.merge(&h),
+                        None => drop(hists.insert(name.to_string(), h.clone())),
+                    }
+                    other.merge_histogram(name, &h);
+                    snap.merge(&other);
+                }
+                6 => {
+                    // A restored snapshot's names are owned; swapping in
+                    // only its lists keeps this one's (now stale) table.
+                    let restored = Snapshot::from_state_json(&snap.state_json()).unwrap();
+                    if next(2) == 0 {
+                        snap = restored;
+                    } else {
+                        snap.counters = restored.counters;
+                        snap.gauges = restored.gauges;
+                        snap.histograms = restored.histograms;
+                    }
+                }
+                7 => {
+                    // A direct insert where the name sorts moves every
+                    // entry after it.
+                    let name = pick(&mut next);
+                    if let Err(i) = find(&snap.counters, &name) {
+                        counters.insert(name.to_string(), 1);
+                        snap.counters.insert(i, (name, 1));
+                    }
+                }
+                _ => {
+                    if !snap.gauges.is_empty() {
+                        let (name, _) = snap.gauges.remove(next(snap.gauges.len()));
+                        gauges.remove(&*name);
+                    }
+                }
+            }
+            fn same<T: PartialEq + std::fmt::Debug>(
+                list: &[(MetricName, T)],
+                model: &BTreeMap<String, T>,
+            ) -> bool {
+                list.len() == model.len()
+                    && list
+                        .iter()
+                        .zip(model)
+                        .all(|((n, v), (m, w))| **n == **m && v == w)
+            }
+            assert!(same(&snap.counters, &counters), "step {step}, op {op}");
+            assert!(same(&snap.gauges, &gauges), "step {step}, op {op}");
+            assert!(same(&snap.histograms, &hists), "step {step}, op {op}");
+        }
+        assert!(
+            counters.len() > NAME_SLOTS,
+            "the pool must outgrow the table"
         );
     }
 }

@@ -30,13 +30,13 @@ fn record(s: &mut Snapshot, extra: bool) {
     s.add_counter(owned("phy.medium.frames"), 120);
     s.add_gauge(owned("phy.ap.dozing"), -2);
     let wake = hist(ms, &[0.3, 4.0, 11.0, 11.5, 260.0]);
-    s.add_histogram(owned("phone.sdio.wake_latency_ms"), wake);
+    s.merge_histogram(owned("phone.sdio.wake_latency_ms"), &wake);
     let occupancy = hist(&[10.0, 100.0, 1000.0], &[42.0]);
-    s.add_histogram(owned("netem.link.occupancy_us"), occupancy);
+    s.merge_histogram(owned("netem.link.occupancy_us"), &occupancy);
     if extra {
         s.add_counter(owned("measure.ping.timeouts"), 1);
         s.add_gauge(owned("phy.sta.queue"), 3);
-        s.add_histogram(owned("phone.kernel.tx_ms"), hist(ms, &[0.7]));
+        s.merge_histogram(owned("phone.kernel.tx_ms"), &hist(ms, &[0.7]));
     }
 }
 

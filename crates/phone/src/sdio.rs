@@ -68,7 +68,7 @@ impl SdioBus {
         out.add_counter("phone.sdio.demotions", s.demotions);
         out.add_counter("phone.sdio.ops_awake", s.ops_awake);
         out.add_counter("phone.sdio.ops_asleep", s.ops_asleep);
-        out.add_histogram("phone.sdio.wake_latency_ms", s.wake_latency_ms.clone());
+        out.merge_histogram("phone.sdio.wake_latency_ms", &s.wake_latency_ms);
     }
 
     /// The demotion timeout.

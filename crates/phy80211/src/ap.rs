@@ -140,7 +140,7 @@ impl ApNode {
         out.add_counter("phy.ap.forwarded_down", s.forwarded_down);
         out.add_counter("phy.ap.ps_buffered", s.ps_buffered);
         out.add_counter("phy.ap.dropped", s.dropped());
-        out.add_histogram("phy.ap.ps_buffer_wait_ms", s.ps_buffer_wait_ms.clone());
+        out.merge_histogram("phy.ap.ps_buffer_wait_ms", &s.ps_buffer_wait_ms);
     }
 
     /// Associate a station: its MAC joins the BSS and `ip` routes to it.

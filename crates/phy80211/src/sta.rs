@@ -117,7 +117,7 @@ impl StaMacNode {
         out.add_counter("phy.sta.beacons_missed", s.beacons_missed);
         out.add_counter("phy.sta.wakeups", s.wakeups);
         out.add_counter("phy.sta.dozes", s.cam_interval_ms.count());
-        out.add_histogram("phy.sta.cam_interval_ms", s.cam_interval_ms.clone());
+        out.merge_histogram("phy.sta.cam_interval_ms", &s.cam_interval_ms);
     }
 
     /// Current power state.

@@ -486,19 +486,24 @@ impl<M: 'static> Sim<M> {
     /// Dispatch the next event, if any. Returns `false` when the event list
     /// is empty or a node requested a stop.
     pub fn step(&mut self) -> bool {
+        self.step_to().is_some() && !self.inner.stop
+    }
+
+    /// Dispatch the next event, if any, and return the node it went to:
+    /// `None` when the event list is empty or a node requested a stop.
+    fn step_to(&mut self) -> Option<NodeId> {
         self.start_if_needed();
         if self.inner.stop {
-            return false;
+            return None;
         }
         // The queue reaps cancelled (tombstoned) events internally, so
         // a successful pop is always a live event.
-        let Some((at, entry)) = self.inner.queue.pop() else {
-            return false;
-        };
+        let (at, entry) = self.inner.queue.pop()?;
         debug_assert!(at >= self.inner.now, "event from the past");
         self.advance_to(at);
+        let to = entry.target();
         self.dispatch(entry);
-        !self.inner.stop
+        Some(to)
     }
 
     /// Advance the clock to an event's timestamp and account for it.
@@ -550,31 +555,47 @@ impl<M: 'static> Sim<M> {
     /// Process every event with timestamp `<= deadline`, then advance the
     /// clock to exactly `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_until_or(deadline, |_| false);
+        self.run_watching(deadline, None, |_| false);
     }
 
-    /// [`Sim::run_until`] that also stops as soon as `done` holds: it is
-    /// checked before the first event and after each one. Returns whether
+    /// [`Sim::run_until`] that also stops as soon as `done` holds. Only
+    /// node `watch` can make it hold (a node's state changes only while
+    /// it handles an event), so `done` is checked before the first
+    /// event and after each event dispatched to `watch`. Returns whether
     /// `done` stopped the run; the clock then stays at the event that
     /// made it hold instead of advancing to `deadline`.
-    pub fn run_until_or(&mut self, deadline: SimTime, mut done: impl FnMut(&Self) -> bool) -> bool {
+    pub fn run_until_or(
+        &mut self,
+        deadline: SimTime,
+        watch: NodeId,
+        done: impl FnMut(&Self) -> bool,
+    ) -> bool {
+        self.run_watching(deadline, Some(watch), done)
+    }
+
+    fn run_watching(
+        &mut self,
+        deadline: SimTime,
+        watch: Option<NodeId>,
+        mut done: impl FnMut(&Self) -> bool,
+    ) -> bool {
         self.start_if_needed();
         let wall = std::time::Instant::now();
         let mut stopped = false;
+        let mut check = true;
         loop {
             if self.inner.stop {
                 break;
             }
-            if done(self) {
+            if check && done(self) {
                 stopped = true;
                 break;
             }
             match self.peek_time() {
-                Some(t) if t <= deadline => {
-                    if !self.step() {
-                        break;
-                    }
-                }
+                Some(t) if t <= deadline => match self.step_to() {
+                    Some(to) => check = Some(to) == watch,
+                    None => break,
+                },
                 _ => break,
             }
         }
@@ -775,7 +796,7 @@ mod tests {
         let two_seen = |sim: &Sim<u32>| sim.node::<Recorder>(rec).got.len() >= 2;
         {
             let _des = prof.phase("des");
-            assert!(sim.run_until_or(SimTime::from_millis(100), two_seen));
+            assert!(sim.run_until_or(SimTime::from_millis(100), rec, two_seen));
         }
         // The clock stays at the second event, not the deadline, and
         // the ledger flushed the two dispatches.
@@ -790,9 +811,9 @@ mod tests {
         assert_eq!(calls, 2);
         // Already met: nothing more runs. A condition that never holds
         // runs to the deadline like `run_until`.
-        assert!(sim.run_until_or(SimTime::from_millis(100), two_seen));
+        assert!(sim.run_until_or(SimTime::from_millis(100), rec, two_seen));
         assert_eq!(sim.events_processed(), 2);
-        assert!(!sim.run_until_or(SimTime::from_millis(100), |_| false));
+        assert!(!sim.run_until_or(SimTime::from_millis(100), rec, |_| false));
         assert_eq!(sim.events_processed(), 5);
         assert_eq!(sim.now(), SimTime::from_millis(100));
     }

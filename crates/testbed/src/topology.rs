@@ -12,8 +12,8 @@
 //! paper's three sniffers are one monitor holding three vantage points.
 
 use netem::{
-    FaultPlan, LinkNode, LinkParams, LoadConfig, ServerConfig, ServerNode, SwitchNode,
-    UdpBlasterNode,
+    FaultNames, FaultPlan, LinkNames, LinkNode, LinkParams, LoadConfig, ServerConfig, ServerNode,
+    SwitchNode, UdpBlasterNode,
 };
 use phone::{App, PhoneNode, PhoneProfile, RuntimeKind};
 use phy80211::{ApConfig, ApNode, MediumConfig, MediumNode, PsmPolicy, StaConfig, StaMacNode};
@@ -376,13 +376,13 @@ impl Testbed {
         self.sim.node::<StaMacNode>(self.sta).export(out);
         self.sim.node::<ApNode>(self.ap).export(out);
         let link = self.sim.node::<LinkNode>(self.server_link);
-        link.export("server", out);
+        link.export(&LinkNames::SERVER, out);
         self.sim.node::<ServerNode>(self.server).export(out);
         if let Some(faults) = link.fault_stats() {
-            faults.export("server_link", out);
+            faults.export(&FaultNames::SERVER_LINK, out);
         }
         if let Some(faults) = self.sim.node::<MediumNode>(self.medium).fault_stats() {
-            faults.export("wifi", out);
+            faults.export(&FaultNames::WIFI, out);
         }
     }
 

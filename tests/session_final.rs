@@ -68,7 +68,7 @@ fn assert_final_at_finish(
     tool: Tool,
     app: usize,
 ) -> Vec<RttRecord> {
-    let stopped = sim.run_until_or(HORIZON, |sim| {
+    let stopped = sim.run_until_or(HORIZON, phone, |sim| {
         sim.node::<PhoneNode>(phone).finished_at(app).is_some()
     });
     assert!(stopped, "{tool:?} did not finish by the horizon");
