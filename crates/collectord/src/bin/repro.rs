@@ -376,8 +376,8 @@ fn parse_args() -> Options {
                      writes profile.json, profile.folded (flamegraph folded\n\
                      stacks) and profile_trace.json (chrome://tracing), and\n\
                      fails if less than 95% of the thread-time budget is\n\
-                     attributed to named phases. It runs the campaign 3\n\
-                     times profiled and 3 times not, alternating, and also\n\
+                     attributed to named phases. It runs the campaign 7\n\
+                     times profiled and 7 times not, alternating, and also\n\
                      fails if the median profiled/unprofiled wall ratio of\n\
                      the pairs is above 1.3.\n\
                      \n\
@@ -507,18 +507,6 @@ fn run_collectord(opts: &Options) -> ! {
     unreachable!("serve_http loops forever");
 }
 
-/// Live engine telemetry for a push, from the engine's progress
-/// callback metadata.
-fn shard_telemetry(progress: &fleet::Progress) -> wire::telemetry::ShardTelemetry {
-    wire::telemetry::ShardTelemetry {
-        devices_per_sec: progress.devices_per_sec(),
-        workers: progress.workers as u64,
-        per_worker_devices: progress.per_worker_devices.clone(),
-        queue_depth: progress.queue_depth as u64,
-        phase_self_ns: progress.phase_self_ns.clone(),
-    }
-}
-
 /// Run the fleet partition slice `i/k`, optionally streaming cumulative
 /// state to a collectord daemon, and write the mergeable partial.
 fn run_fleet_partition(opts: &Options, spec: &fleet::CampaignSpec, workers: usize) {
@@ -551,19 +539,14 @@ fn run_fleet_partition(opts: &Options, spec: &fleet::CampaignSpec, workers: usiz
             let client = client.clone();
             fleet::ProgressSink {
                 every: opts.push_every,
-                f: std::sync::Arc::new(move |collector, progress, done| {
+                f: std::sync::Arc::new(move |collector, done| {
                     // The final push happens explicitly below, off the
                     // returned collector, so failures can be fatal there.
                     if done {
                         return;
                     }
                     if let Some(c) = client.as_ref() {
-                        let telemetry = shard_telemetry(progress);
-                        match c.lock().unwrap().push_with_telemetry(
-                            collector,
-                            false,
-                            Some(&telemetry),
-                        ) {
+                        match c.lock().unwrap().push(collector, false) {
                             Ok(collectord::Delivery::Delivered(_)) => {}
                             Ok(collectord::Delivery::Dropped { attempts }) => warn!(
                                 "fleet: mid-run push dropped after {attempts} attempts \
@@ -759,7 +742,7 @@ fn run_chaos(opts: &Options) -> ! {
                 let run_opts = fleet::RunOptions {
                     progress: Some(fleet::ProgressSink {
                         every: push_every,
-                        f: std::sync::Arc::new(move |collector, _progress, done| {
+                        f: std::sync::Arc::new(move |collector, done| {
                             if done {
                                 return;
                             }
@@ -872,7 +855,7 @@ fn run_chaos(opts: &Options) -> ! {
 
 /// Profiled/unprofiled campaign pairs behind `repro profile`'s
 /// overhead ratio.
-const OVERHEAD_PAIRS: usize = 3;
+const OVERHEAD_PAIRS: usize = 7;
 /// The most a profiled campaign may cost, as a multiple of the same
 /// campaign unprofiled.
 const MAX_PROFILER_OVERHEAD: f64 = 1.3;
@@ -1310,12 +1293,11 @@ fn main() {
             println!("\n{}", report.render());
             println!(
                 "throughput: {:.1} devices/s, {:.1} probes/s on {} workers \
-                 ({:.2} s wall, reorder peak {})",
+                 ({:.2} s wall)",
                 stats.devices_per_sec(),
                 stats.probes_per_sec(),
                 stats.workers,
                 stats.wall.as_secs_f64(),
-                stats.reorder_peak
             );
             write_json(&opts.out, "fleet", &report);
             // Worker scaling on a sub-campaign: same population law,

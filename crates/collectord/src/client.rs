@@ -9,9 +9,8 @@ use std::net::TcpStream;
 use fleet::Collector;
 use obs::Json;
 use wire::framing::{read_frame, write_frame, FrameError};
-use wire::telemetry::ShardTelemetry;
 
-use crate::protocol::{push_doc_with_telemetry, Ack, PushOutcome};
+use crate::protocol::{push_doc, Ack, PushOutcome};
 
 /// A failed push, as seen by the client.
 #[derive(Debug)]
@@ -111,20 +110,7 @@ impl<S: Read + Write> PushClient<S> {
     /// Push one cumulative campaign-state partial. `done` marks the
     /// shard's slice complete; the last push of a shard must set it.
     pub fn push(&mut self, collector: &Collector, done: bool) -> Result<Ack, PushError> {
-        self.push_with_telemetry(collector, done, None)
-    }
-
-    /// Like [`PushClient::push`], attaching live engine telemetry
-    /// (worker rates, queue depth, phase split) for the daemon's
-    /// `/metrics` and dashboard. Daemons that predate telemetry ignore
-    /// the extra field.
-    pub fn push_with_telemetry(
-        &mut self,
-        collector: &Collector,
-        done: bool,
-        telemetry: Option<&ShardTelemetry>,
-    ) -> Result<Ack, PushError> {
-        let doc = push_doc_with_telemetry(&self.shard, done, &collector.state_json(), telemetry);
+        let doc = push_doc(&self.shard, done, &collector.state_json());
         write_frame(&mut self.stream, doc.to_string().as_bytes())?;
         let reply = read_frame(&mut self.stream)?;
         parse_reply(&reply)

@@ -182,15 +182,14 @@ impl Daemon {
     pub fn ingest_frame(&self, payload: &[u8]) -> Json {
         self.counts().add_counter("collectord.ingest.pushes", 1);
         let started = Instant::now();
-        let result: Result<_, IngestError> = (|| {
-            let push = parse_push(payload)?;
-            let mut ingest = self.inner.ingest.lock().unwrap();
-            let ack = ingest.push(&push.shard, &push.state, push.done, payload.len() as u64)?;
-            if let Some(t) = push.telemetry {
-                ingest.note_telemetry(&push.shard, t);
-            }
-            Ok(ack)
-        })();
+        let result = parse_push(payload).and_then(|push| {
+            self.inner.ingest.lock().unwrap().push(
+                &push.shard,
+                &push.state,
+                push.done,
+                payload.len() as u64,
+            )
+        });
         match result {
             Ok(ack) => {
                 let mut counts = self.counts();
@@ -294,12 +293,8 @@ impl Daemon {
             s.set("bytes", info.bytes);
             s.set("final", info.done);
             s.set("heartbeat_age_ms", (age * 1e3).round());
-            if let Some(rate) = info.best_rate_dps() {
+            if let Some(rate) = info.rate_dps {
                 s.set("devices_per_sec", rate);
-            }
-            if let Some(t) = &info.telemetry {
-                s.set("workers", t.workers);
-                s.set("queue_depth", t.queue_depth);
             }
             shards.push(s);
         }
@@ -416,18 +411,17 @@ impl Daemon {
                 );
             }
         }
-        // Sparse series: only shards with a usable rate / telemetry
-        // emit samples, so a fresh or telemetry-less shard contributes
-        // nothing rather than a fake zero.
+        // A sparse series: only shards with a usable rate emit samples,
+        // so a fresh shard contributes nothing rather than a fake zero.
         let rated: Vec<_> = shards
             .iter()
-            .filter_map(|(l, i, _)| i.best_rate_dps().map(|r| (l, r)))
+            .filter_map(|(l, i, _)| i.rate_dps.map(|r| (l, r)))
             .collect();
         if !rated.is_empty() {
             let _ = writeln!(
                 out,
                 "# HELP collectord_shard_devices_per_sec devices/sec per shard \
-                 (push-delta derived, falling back to self-reported)"
+                 (push-delta derived)"
             );
             let _ = writeln!(out, "# TYPE collectord_shard_devices_per_sec gauge");
             for (label, rate) in rated {
@@ -436,42 +430,6 @@ impl Daemon {
                     "collectord_shard_devices_per_sec{{shard=\"{}\"}} {rate:.3}",
                     escape_label_value(label)
                 );
-            }
-        }
-        let telemetered: Vec<_> = shards
-            .iter()
-            .filter_map(|(l, i, _)| i.telemetry.as_ref().map(|t| (l, t)))
-            .collect();
-        if !telemetered.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP collectord_shard_queue_depth devices held past the head segment, self-reported by the shard"
-            );
-            let _ = writeln!(out, "# TYPE collectord_shard_queue_depth gauge");
-            for (label, t) in &telemetered {
-                let _ = writeln!(
-                    out,
-                    "collectord_shard_queue_depth{{shard=\"{}\"}} {}",
-                    escape_label_value(label),
-                    t.queue_depth
-                );
-            }
-            if telemetered.iter().any(|(_, t)| !t.phase_self_ns.is_empty()) {
-                let _ = writeln!(
-                    out,
-                    "# HELP collectord_shard_phase_self_ns self time per engine phase, nanoseconds"
-                );
-                let _ = writeln!(out, "# TYPE collectord_shard_phase_self_ns gauge");
-                for (label, t) in &telemetered {
-                    for (phase, ns) in &t.phase_self_ns {
-                        let _ = writeln!(
-                            out,
-                            "collectord_shard_phase_self_ns{{shard=\"{}\",phase=\"{}\"}} {ns}",
-                            escape_label_value(label),
-                            escape_label_value(phase)
-                        );
-                    }
-                }
             }
         }
         out

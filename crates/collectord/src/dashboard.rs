@@ -69,23 +69,18 @@ pub fn render(
     let mut shard_rows = String::new();
     for (label, info, age) in shards {
         let end = info.range_start + info.devices_pushed;
-        let rate = match info.best_rate_dps() {
+        let rate = match info.rate_dps {
             Some(r) => format!("{r:.0}"),
-            None => "—".to_string(),
-        };
-        let queue = match &info.telemetry {
-            Some(t) => t.queue_depth.to_string(),
             None => "—".to_string(),
         };
         shard_rows.push_str(&format!(
             "<tr><td><code>{}</code></td><td>{}..{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{:.1}&nbsp;s</td><td>{}</td></tr>\n",
+             <td>{}</td><td>{}</td><td>{:.1}&nbsp;s</td><td>{}</td></tr>\n",
             esc(label),
             info.range_start,
             end,
             info.devices_pushed,
             rate,
-            queue,
             info.pushes,
             if info.done { "final" } else { "running" },
             age,
@@ -93,7 +88,7 @@ pub fn render(
         ));
     }
     if shard_rows.is_empty() {
-        shard_rows.push_str("<tr><td colspan=\"9\"><em>no shards have pushed yet</em></td></tr>\n");
+        shard_rows.push_str("<tr><td colspan=\"8\"><em>no shards have pushed yet</em></td></tr>\n");
     }
 
     let mut stratum_rows = String::new();
@@ -143,7 +138,7 @@ state: <strong>{state}</strong> · auto-refreshes every 2&nbsp;s</p>
 <div class="bar"><div style="width:{vpct:.2}%"></div></div>
 <h2>Shards</h2>
 <table>
-<tr><th>shard</th><th>range</th><th>devices</th><th>dev/s</th><th>queue</th>
+<tr><th>shard</th><th>range</th><th>devices</th><th>dev/s</th>
 <th>pushes</th><th>state</th><th>heartbeat age</th><th>bytes</th></tr>
 {shard_rows}</table>
 <h2>Per-stratum quantiles (live view, ms)</h2>

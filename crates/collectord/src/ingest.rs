@@ -38,7 +38,6 @@ use std::time::Instant;
 
 use fleet::{CampaignSpec, Collector};
 use obs::Json;
-use wire::telemetry::ShardTelemetry;
 
 use crate::protocol::{Ack, IngestError, PushOutcome};
 use crate::store::{RecoveryInfo, Store, StoreError};
@@ -68,22 +67,6 @@ pub struct ShardInfo {
     /// two device-advancing pushes arrive far enough apart to divide
     /// safely).
     pub rate_dps: Option<f64>,
-    /// The shard's self-reported live telemetry, when its engine sent
-    /// any (worker rates, queue depth, profiling phase split).
-    pub telemetry: Option<ShardTelemetry>,
-}
-
-impl ShardInfo {
-    /// Best devices/sec estimate: the daemon-derived push-delta rate,
-    /// falling back to the shard's self-reported figure.
-    pub fn best_rate_dps(&self) -> Option<f64> {
-        self.rate_dps.or_else(|| {
-            self.telemetry
-                .as_ref()
-                .map(|t| t.devices_per_sec)
-                .filter(|r| *r > 0.0)
-        })
-    }
 }
 
 /// The daemon's campaign state. One `Ingest` per expected campaign;
@@ -365,7 +348,6 @@ impl Ingest {
             done: false,
             last_push: now,
             rate_dps: None,
-            telemetry: None,
         });
         // Devices/sec from consecutive push deltas. Guard the division:
         // a burst of pushes in the same instant (dt ≈ 0) or a push that
@@ -385,24 +367,15 @@ impl Ingest {
         info.last_push = now;
     }
 
-    /// Attach a shard's self-reported telemetry (the optional
-    /// `telemetry` field of a push). Bookkeeping only — never touches
-    /// campaign state.
-    pub fn note_telemetry(&mut self, shard: &str, telemetry: ShardTelemetry) {
-        if let Some(info) = self.shards.get_mut(shard) {
-            info.telemetry = Some(telemetry);
-        }
-    }
-
     /// Campaign-wide devices/sec: the sum of every live (not done, not
-    /// stale) shard's best rate estimate.
+    /// stale) shard's push-delta rate.
     pub fn throughput_dps(&self) -> f64 {
         // fold, not sum: f64's Sum identity is -0.0, which would print
         // as "-0.000" on /metrics when no shard is live.
         self.shards
             .values()
             .filter(|i| !i.done && i.last_push.elapsed().as_secs_f64() < STALE_AFTER_SECS)
-            .filter_map(ShardInfo::best_rate_dps)
+            .filter_map(|i| i.rate_dps)
             .fold(0.0, |acc, r| acc + r)
     }
 

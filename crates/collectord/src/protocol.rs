@@ -21,7 +21,6 @@
 //! [`IngestError`] variant whose `code` travels back on the wire.
 
 use obs::Json;
-use wire::telemetry::ShardTelemetry;
 
 /// A typed rejection of one push. The daemon answers with the
 /// [`IngestError::code`] and message; the campaign state it holds is
@@ -163,10 +162,6 @@ pub struct Push {
     pub done: bool,
     /// The embedded campaign-state document.
     pub state: Json,
-    /// Live engine telemetry riding this push, if the shard sent any.
-    /// Optional on the wire: pushes from older clients parse with
-    /// `None` and are handled identically.
-    pub telemetry: Option<ShardTelemetry>,
 }
 
 /// Build the wire document for one push.
@@ -176,20 +171,6 @@ pub fn push_doc(shard: &str, done: bool, state: &Json) -> Json {
     doc.set("shard", shard);
     doc.set("final", done);
     doc.set("state", state.clone());
-    doc
-}
-
-/// Build the wire document for one push carrying live telemetry.
-pub fn push_doc_with_telemetry(
-    shard: &str,
-    done: bool,
-    state: &Json,
-    telemetry: Option<&ShardTelemetry>,
-) -> Json {
-    let mut doc = push_doc(shard, done, state);
-    if let Some(t) = telemetry {
-        doc.set("telemetry", t.to_json());
-    }
     doc
 }
 
@@ -221,15 +202,9 @@ pub fn parse_push(payload: &[u8]) -> Result<Push, IngestError> {
         .get("state")
         .cloned()
         .ok_or_else(|| IngestError::BadFrame("missing `state` field".to_string()))?;
-    // Telemetry is advisory; anything malformed degrades to defaults
-    // rather than rejecting the push (the state is what matters).
-    let telemetry = doc.get("telemetry").map(ShardTelemetry::from_json);
-    Ok(Push {
-        shard,
-        done,
-        state,
-        telemetry,
-    })
+    // Any other field (a `telemetry` document from an older shard, say)
+    // is ignored.
+    Ok(Push { shard, done, state })
 }
 
 /// Build the wire document for an ack.
@@ -268,30 +243,38 @@ mod tests {
             p.state.get("format").and_then(Json::as_str),
             Some("acutemon-fleet-campaign-state")
         );
-        assert!(p.telemetry.is_none(), "no telemetry field → None");
     }
 
+    /// A shard built before the push lost its `telemetry` field still
+    /// sends one, well-formed or not; the daemon ignores it, so such a
+    /// push parses and is answered exactly like the same push without.
     #[test]
     fn telemetry_rides_the_push_optionally() {
-        let state = Json::object();
-        let t = ShardTelemetry {
-            devices_per_sec: 123.5,
-            workers: 2,
-            per_worker_devices: vec![7, 5],
-            queue_depth: 3,
-            phase_self_ns: vec![("des".to_string(), 42)],
+        let spec = fleet::CampaignSpec::heterogeneous(3, 8).with_probes(1);
+        let (part, _) = fleet::run_partition(&spec, 1, 0, 2);
+        let state = part.state_json();
+        let outcome = |doc: &Json| {
+            let p = parse_push(doc.to_string().as_bytes()).unwrap();
+            let ack = crate::Ingest::new(spec.clone())
+                .push(&p.shard, &p.state, p.done, 0)
+                .unwrap();
+            (p.shard, p.done, p.state.to_string(), ack)
         };
-        let doc = push_doc_with_telemetry("0/2", false, &state, Some(&t));
-        let p = parse_push(doc.to_string().as_bytes()).unwrap();
-        assert_eq!(p.telemetry, Some(t));
-
-        // Without telemetry the document is byte-compatible with the
-        // old protocol.
-        let plain = push_doc_with_telemetry("0/2", false, &state, None);
-        assert_eq!(
-            plain.to_string(),
-            push_doc("0/2", false, &state).to_string()
-        );
+        for done in [false, true] {
+            let plain = push_doc("0/2", done, &state);
+            let expected = outcome(&plain);
+            assert_eq!(expected.3.devices_view, 4);
+            for telemetry in [
+                r#"{"devices_per_sec":123.5,"workers":2,"per_worker_devices":[7,5],
+                    "queue_depth":3,"phases":[{"phase":"des","self_ns":42}]}"#,
+                r#"{"devices_per_sec":"oops","phases":[{"phase":"des"}]}"#,
+                "null",
+            ] {
+                let mut legacy = plain.clone();
+                legacy.set("telemetry", Json::parse(telemetry).unwrap());
+                assert_eq!(outcome(&legacy), expected, "telemetry {telemetry}");
+            }
+        }
     }
 
     #[test]

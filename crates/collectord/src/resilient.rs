@@ -33,7 +33,6 @@ use std::time::Duration;
 
 use fleet::Collector;
 use wire::chaos::{ChaosPlan, ChaosStream};
-use wire::telemetry::ShardTelemetry;
 
 use crate::client::{PushClient, PushError};
 use crate::protocol::Ack;
@@ -164,12 +163,6 @@ impl ResilientPushClient {
         self.stats
     }
 
-    /// Push one cumulative partial; see
-    /// [`ResilientPushClient::push_with_telemetry`].
-    pub fn push(&mut self, collector: &Collector, done: bool) -> Result<Delivery, PushError> {
-        self.push_with_telemetry(collector, done, None)
-    }
-
     /// Push one cumulative campaign-state partial, retrying through
     /// reconnects. Returns:
     ///
@@ -178,12 +171,7 @@ impl ResilientPushClient {
     ///   mode, campaign continues;
     /// * `Err` — a non-retryable typed rejection, or a **final** push
     ///   that exhausted [`RetryPolicy::max_final_attempts`].
-    pub fn push_with_telemetry(
-        &mut self,
-        collector: &Collector,
-        done: bool,
-        telemetry: Option<&ShardTelemetry>,
-    ) -> Result<Delivery, PushError> {
+    pub fn push(&mut self, collector: &Collector, done: bool) -> Result<Delivery, PushError> {
         let budget = if done {
             self.policy.max_final_attempts
         } else {
@@ -192,9 +180,7 @@ impl ResilientPushClient {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let r = self
-                .ensure_conn()
-                .and_then(|c| c.push_with_telemetry(collector, done, telemetry));
+            let r = self.ensure_conn().and_then(|c| c.push(collector, done));
             match r {
                 Ok(ack) => {
                     self.stats.delivered += 1;

@@ -142,21 +142,13 @@ fn wrong_campaign_push_is_rejected_over_the_wire() {
     assert_eq!(ack.outcome, PushOutcome::Absorbed);
 }
 
-/// Telemetry rides the push: the daemon surfaces per-shard devices/sec,
-/// queue depth, and phase split on /metrics, /status, and the
-/// dashboard, and derives the campaign ETA.
+/// The daemon derives each shard's devices/sec from its push deltas
+/// and surfaces it, with the campaign ETA, on /metrics, /status and the
+/// dashboard.
 #[test]
-fn telemetry_surfaces_on_metrics_status_and_dashboard() {
+fn push_rate_and_eta_surface_on_metrics_status_and_dashboard() {
     let spec = spec();
     let (_daemon, push_addr, http_addr) = start_daemon(spec.clone());
-
-    let telemetry = wire::telemetry::ShardTelemetry {
-        devices_per_sec: 321.5,
-        workers: 2,
-        per_worker_devices: vec![6, 4],
-        queue_depth: 3,
-        phase_self_ns: vec![("des".to_string(), 1_234_567), ("fold".to_string(), 89_012)],
-    };
 
     // A mid-run push for the first half of the 0/1 slice...
     let mut c = fleet::Collector::new_range(&spec, 0);
@@ -164,28 +156,28 @@ fn telemetry_surfaces_on_metrics_status_and_dashboard() {
         c.absorb(&fleet::run_device(&spec, i));
     }
     let mut client = PushClient::connect(&push_addr, "0/1").unwrap();
-    client
-        .push_with_telemetry(&c, false, Some(&telemetry))
-        .unwrap();
+    client.push(&c, false).unwrap();
     // ...then an advancing one after measurable time, so the daemon can
     // delta a rate.
     std::thread::sleep(std::time::Duration::from_millis(25));
     for i in spec.devices / 2..spec.devices - 5 {
         c.absorb(&fleet::run_device(&spec, i));
     }
-    client
-        .push_with_telemetry(&c, false, Some(&telemetry))
-        .unwrap();
+    client.push(&c, false).unwrap();
 
     let (_, metrics) = get(&http_addr, "/metrics");
     assert!(
         metrics.contains("collectord_shard_devices_per_sec{shard=\"0/1\"}"),
         "{metrics}"
     );
-    assert!(metrics.contains("collectord_shard_queue_depth{shard=\"0/1\"} 3"));
-    assert!(metrics.contains("collectord_shard_phase_self_ns{shard=\"0/1\",phase=\"des\"} 1234567"));
     assert!(metrics.contains("collectord_campaign_devices_per_sec"));
     assert!(metrics.contains("collectord_campaign_eta_seconds"));
+    for gone in [
+        "collectord_shard_queue_depth",
+        "collectord_shard_phase_self_ns",
+    ] {
+        assert!(!metrics.contains(gone), "{metrics}");
+    }
 
     let (_, status_body) = get(&http_addr, "/status");
     let doc = obs::Json::parse(&status_body).unwrap();
@@ -200,12 +192,22 @@ fn telemetry_surfaces_on_metrics_status_and_dashboard() {
         doc.get("eta_secs").and_then(obs::Json::as_f64).unwrap() > 0.0,
         "{status_body}"
     );
+    let shard = &doc.get("shards").and_then(obs::Json::as_arr).unwrap()[0];
+    assert!(
+        shard
+            .get("devices_per_sec")
+            .and_then(obs::Json::as_f64)
+            .unwrap()
+            > 0.0,
+        "{status_body}"
+    );
+    assert!(shard.get("queue_depth").is_none(), "{status_body}");
+    assert!(shard.get("workers").is_none(), "{status_body}");
 
     let (_, html) = get(&http_addr, "/");
     assert!(html.contains("dev/s"), "shard table gained the rate column");
     assert!(html.contains("ETA"), "{html}");
-    // Queue depth from self-reported telemetry.
-    assert!(html.contains("<th>queue</th>"), "{html}");
+    assert!(!html.contains("<th>queue</th>"), "{html}");
 }
 
 /// A client that connects and then goes silent mid-frame must not pin

@@ -374,23 +374,6 @@ fn push_delta_rate_drives_eta_and_guards_division_by_zero() {
     let eta = ingest.eta_secs().expect("live shard with a rate");
     assert!(eta.is_finite() && eta > 0.0, "{eta}");
 
-    // Self-reported telemetry attaches to the shard and acts as the
-    // rate fallback for shards the daemon has not yet delta'd.
-    let t = wire::telemetry::ShardTelemetry {
-        devices_per_sec: 500.0,
-        queue_depth: 2,
-        ..Default::default()
-    };
-    ingest.note_telemetry("0/1", t);
-    assert_eq!(
-        ingest.shards()["0/1"]
-            .telemetry
-            .as_ref()
-            .unwrap()
-            .queue_depth,
-        2
-    );
-
     // Completion: done shards leave the throughput sum and the ETA
     // pins to zero.
     ingest

@@ -1,32 +1,27 @@
-//! The campaign engine: a fixed pool of OS worker threads pulling
-//! device indices off a shared atomic counter, each folding the devices
-//! it runs into a [`Collector`] of its own, and handing those states
-//! over a *bounded* channel to one collector thread.
+//! The campaign engine: a fixed pool of OS worker threads, spawned once
+//! per run, that fold the run's devices into [`Collector`] states one
+//! *segment* at a time.
 //!
 //! Every merge commutes, so device order matters only where something
 //! reads the collector: a checkpoint, a progress push, or the halt hook.
-//! The engine splits its range into *segments* at those points
-//! (multiples of [`CheckpointPolicy::every`] and [`ProgressSink::every`]
-//! counted from the range start, the halt point, and the range end). A
-//! worker folds its devices into a state tagged with the end of their
-//! segment, and hands it over when it claims a device of a later segment
-//! (before any wait) or leaves its loop. The collector absorbs the head
-//! (oldest open) segment's states on arrival and merges a later
-//! segment's into one held state until that segment becomes the head.
-//! When the head segment's device count is complete, its checkpoint,
-//! progress call or halt fires, so every reader sees exactly the
-//! contiguous prefix `[start, boundary)`. A run with no reader is one
-//! segment: each worker hands over once, and no worker waits.
+//! The engine splits its range into segments at those points (multiples
+//! of [`CheckpointPolicy::every`] and [`ProgressSink::every`] counted from
+//! the range start, the halt point, and the range end) and runs them in
+//! order. For each segment the calling thread resets a shared atomic
+//! counter to the segment's start and sends every worker the segment's
+//! end; each worker draws devices off the counter, folds them into a
+//! fresh state of its own and sends back exactly one state, which the
+//! calling thread absorbs. Once all W states are in, the collector holds
+//! exactly the contiguous prefix `[start, boundary)`, and the reader due
+//! there runs on the calling thread while the workers run the next
+//! segment. A run with no reader is one segment: each worker hands over
+//! once.
 //!
-//! Memory is bounded by an explicit backpressure window: a worker may
-//! not *start* device `i` until `i` is within `window = 2·workers + 4`
-//! devices of the head segment's end, so the held states cover at most
-//! `window` devices even when per-device runtimes are wildly
-//! heterogeneous (lognormal path RTTs, cross-traffic strata). The
-//! channel bound additionally keeps finished-but-unmerged states from
-//! piling up when the collector itself lags.
+//! Nothing is held across segments, so memory is W worker states plus
+//! the collector. A device that panics fails the run: its worker sends
+//! the panic in place of its state, and the calling thread resumes it.
 //!
-//! The same inner loop powers three entry points that all produce
+//! The same loop powers three entry points that all produce
 //! byte-identical JSON:
 //!
 //! * [`run_campaign`] / [`run_campaign_opts`] — a whole campaign in one
@@ -36,8 +31,8 @@
 //! * [`run_partition`] — run one contiguous `i/k` device slice; slices
 //!   merge back together with [`crate::report::merge_partials`].
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -61,10 +56,8 @@ pub struct RunStats {
     pub devices: u64,
     /// Probes sent by the devices this run simulated.
     pub probes: u64,
-    /// High-water mark of the devices held past the head segment: run
-    /// and handed over, but not yet absorbed because an earlier segment
-    /// is still open. Always 0 for a run with no checkpoint, progress
-    /// sink or halt hook.
+    /// Always 0: the engine absorbs each segment whole before it starts
+    /// the next, so no device is ever held out of order.
     pub reorder_peak: usize,
     /// The run's self-profile, present when
     /// [`RunOptions::profiler`] was enabled.
@@ -95,7 +88,8 @@ impl RunStats {
 pub struct CheckpointPolicy {
     /// Destination file (conventionally `campaign.resume.json`).
     pub path: std::path::PathBuf,
-    /// Devices between checkpoint writes (must be ≥ 1).
+    /// Devices between checkpoint writes (at least 1; a run given 0
+    /// panics).
     pub every: u64,
 }
 
@@ -107,55 +101,24 @@ pub struct CheckpointPolicy {
 /// This is how a `--push-to` shard feeds the collector daemon while it
 /// runs: each call serializes [`Collector::state_json`] and ships it as
 /// a cumulative partial, the final call marked `done` so the daemon
-/// knows the shard's slice is complete. The hook runs on the collector
+/// knows the shard's slice is complete. The hook runs on the calling
 /// thread once every worker's state for the devices before its point
 /// has been absorbed — it sees a consistent, contiguous prefix of the
-/// shard's range every time. Each point ends a segment, so a finer
-/// `every` costs the workers one more hand-off each per call.
+/// shard's range every time — while the workers run the next segment.
+/// Each point ends a segment, so a finer `every` costs each worker one
+/// more hand-off per call.
 #[derive(Clone)]
 pub struct ProgressSink {
-    /// Devices between progress calls (must be ≥ 1).
+    /// Devices between progress calls (at least 1; a run given 0
+    /// panics).
     pub every: u64,
-    /// The hook: `(collector-so-far, live-telemetry, done)`.
+    /// The hook: `(collector-so-far, done)`.
     pub f: ProgressFn,
 }
 
-/// The [`ProgressSink`] callback: `(collector-so-far, live-telemetry,
-/// done)`, shared across the collector thread and whoever registered
-/// it.
-pub type ProgressFn = std::sync::Arc<dyn Fn(&Collector, &Progress, bool) + Send + Sync>;
-
-/// Live engine telemetry handed to every [`ProgressSink`] call —
-/// throughput, per-worker progress, the devices held past the head
-/// segment, and the self-profiler's phase split. Unlike the collector
-/// state, none of this is deterministic; it rides *next to* the
-/// campaign data, never inside it.
-#[derive(Debug, Clone, Default)]
-pub struct Progress {
-    /// Devices absorbed by this run so far.
-    pub devices_done: u64,
-    /// Devices this run will absorb in total.
-    pub devices_total: u64,
-    /// Wall-clock time since the run started.
-    pub elapsed: std::time::Duration,
-    /// Worker threads driving the run.
-    pub workers: usize,
-    /// Devices held past the head segment at the time of the call:
-    /// run and handed over, waiting for an earlier segment to complete.
-    pub queue_depth: usize,
-    /// Devices completed per worker thread, spawn order.
-    pub per_worker_devices: Vec<u64>,
-    /// Self-nanoseconds per engine phase (cross-thread, descending),
-    /// empty when the run is unprofiled.
-    pub phase_self_ns: Vec<(String, u64)>,
-}
-
-impl Progress {
-    /// Devices per wall-clock second over the run so far.
-    pub fn devices_per_sec(&self) -> f64 {
-        self.devices_done as f64 / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
+/// The [`ProgressSink`] callback: `(collector-so-far, done)`, shared
+/// between the engine and whoever registered it.
+pub type ProgressFn = std::sync::Arc<dyn Fn(&Collector, bool) + Send + Sync>;
 
 impl std::fmt::Debug for ProgressSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -231,230 +194,157 @@ fn run_range(
     let workers = workers.max(1);
     let start_index = collector.next_index();
     let probes_before = collector.probes_sent();
-    let window = (workers as u64) * 2 + 4;
     let cp_every = opts.checkpoint.as_ref().map(|cp| cp.every);
     let ps_every = opts.progress.as_ref().map(|ps| ps.every);
+    assert!(
+        cp_every != Some(0),
+        "CheckpointPolicy::every must be at least 1"
+    );
+    assert!(
+        ps_every != Some(0),
+        "ProgressSink::every must be at least 1"
+    );
     // A halt hook of 0 still absorbs one device, as it always has.
     let halt_at = opts.halt_after_devices.map(|h| start_index + h.max(1));
     // The first point after `at` where something reads the collector:
     // the end of the segment that holds device `at`.
-    let segment_end = move |at: u64| -> u64 {
+    let segment_end = |at: u64| -> u64 {
         let done = at - start_index;
         let grid = [cp_every, ps_every]
             .into_iter()
             .flatten()
-            .filter(|&every| every > 0)
             .map(|every| start_index + (done / every + 1) * every);
         grid.chain(halt_at.filter(|&h| h > at)).fold(end, u64::min)
     };
+    let prof = &opts.profiler;
+    // The readers due once the collector holds `[start_index, at)`: the
+    // checkpoint, then the progress call (the range end gets its `done`
+    // call after the run instead).
+    let read_at = |collector: &Collector, at: u64| {
+        let done = at - start_index;
+        if let Some(cp) = opts.checkpoint.as_ref() {
+            if done.is_multiple_of(cp.every) {
+                let _cp = prof.phase("checkpoint");
+                write_checkpoint(cp, &collector.state_json());
+            }
+        }
+        if let Some(ps) = opts.progress.as_ref() {
+            if done.is_multiple_of(ps.every) && at < end {
+                let _pg = prof.phase("progress");
+                (ps.f)(collector, false);
+            }
+        }
+    };
     let next = AtomicU64::new(start_index);
-    let head_end = AtomicU64::new(segment_end(start_index));
-    let stop = AtomicBool::new(false);
     // Each worker's states start from this one, so none re-hashes the
     // spec.
     let template = collector.empty_like();
-    // Small bound: enough to decouple workers from the collector's
-    // merge cost, small enough that memory stays O(workers).
-    let (tx, rx) = mpsc::sync_channel::<(u64, Collector)>(workers * 2);
     let start = Instant::now();
-    let mut reorder_peak = 0usize;
     let mut halted = false;
-    let prof = &opts.profiler;
-    // Live progress accounting (one relaxed increment per device) and,
-    // when profiling, per-stratum wall-cost accumulators.
-    let per_worker: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+    // When profiling, per-stratum wall-cost accumulators.
     let stratum_ns: Vec<AtomicU64> = spec.classes.iter().map(|_| AtomicU64::new(0)).collect();
     let stratum_devices: Vec<AtomicU64> = spec.classes.iter().map(|_| AtomicU64::new(0)).collect();
-    let progress_meta = |queue_depth: usize, next_expected: u64| Progress {
-        devices_done: next_expected - start_index,
-        devices_total: end - start_index,
-        elapsed: start.elapsed(),
-        workers,
-        queue_depth,
-        per_worker_devices: per_worker
-            .iter()
-            .map(|a| a.load(Ordering::Relaxed))
-            .collect(),
-        phase_self_ns: if prof.is_enabled() {
-            prof.snapshot()
-                .flat_self_ns()
-                .into_iter()
-                .map(|(name, ns)| (name.to_string(), ns))
-                .collect()
-        } else {
-            Vec::new()
-        },
-    };
 
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let head_end = &head_end;
-            let stop = &stop;
-            let template = &template;
-            let prof = prof.clone();
-            let per_worker = &per_worker;
-            let stratum_ns = &stratum_ns;
-            let stratum_devices = &stratum_devices;
-            scope.spawn(move || {
-                prof.set_thread_label(&format!("worker-{w}"));
-                let _root = prof.phase("worker");
-                // The devices this worker ran in one segment, folded,
-                // tagged with that segment's end.
-                let mut held: Option<(u64, Collector)> = None;
-                let hand_off = |held: &mut Option<(u64, Collector)>| -> bool {
-                    let Some(state) = held.take() else {
-                        return true;
-                    };
-                    let _tx = prof.phase("send");
-                    tx.send(state).is_ok()
-                };
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= end {
-                        break;
-                    }
-                    let seg = segment_end(i);
-                    // A device of a later segment: hand the earlier one
-                    // over before any wait below, so a segment never
-                    // waits on a worker that is itself waiting.
-                    if held.as_ref().is_some_and(|(tag, _)| *tag != seg) && !hand_off(&mut held) {
-                        break;
-                    }
-                    // Backpressure window: stay within `window` devices of
-                    // the head segment's end so the held states stay
-                    // bounded even when a slow device holds that segment
-                    // open. A run with no reader is one segment ending
-                    // at `end`, so this never waits.
-                    if i >= head_end.load(Ordering::Acquire) + window {
-                        let _bp = prof.phase("backpressure");
-                        while i >= head_end.load(Ordering::Acquire) + window {
-                            if stop.load(Ordering::Relaxed) {
-                                return;
+        // One state per worker per segment, or the panic that cut its
+        // segment short.
+        let (state_tx, state_rx) = mpsc::channel::<std::thread::Result<Collector>>();
+        // One segment end per worker per segment. Dropping these, as
+        // the scope ends or unwinds, ends the workers' loops.
+        let starts: Vec<mpsc::Sender<u64>> = (0..workers)
+            .map(|w| {
+                let (start_tx, start_rx) = mpsc::channel::<u64>();
+                let state_tx = state_tx.clone();
+                let (next, template) = (&next, &template);
+                let (stratum_ns, stratum_devices) = (&stratum_ns, &stratum_devices);
+                let prof = prof.clone();
+                scope.spawn(move || {
+                    prof.set_thread_label(&format!("worker-{w}"));
+                    let _root = prof.phase("worker");
+                    loop {
+                        let received = {
+                            let _idle = prof.phase("idle");
+                            start_rx.recv()
+                        };
+                        let Ok(seg_end) = received else { break };
+                        let folded = panic::catch_unwind(AssertUnwindSafe(|| {
+                            let mut state = template.empty_like();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= seg_end {
+                                    return state;
+                                }
+                                let t0 = prof.is_enabled().then(Instant::now);
+                                let class = {
+                                    let _rd = prof.phase("run_device");
+                                    fold_device(spec, i, &prof, &mut state)
+                                };
+                                if let Some(t0) = t0 {
+                                    stratum_ns[class].fetch_add(
+                                        t0.elapsed().as_nanos() as u64,
+                                        Ordering::Relaxed,
+                                    );
+                                    stratum_devices[class].fetch_add(1, Ordering::Relaxed);
+                                }
                             }
-                            std::thread::yield_now();
+                        }));
+                        // After a panic the worker waits like the others:
+                        // the calling thread's unwind ends every loop.
+                        if state_tx.send(folded).is_err() {
+                            break;
                         }
                     }
-                    // The device runs straight into this segment's state.
-                    let state = &mut held.get_or_insert_with(|| (seg, template.empty_like())).1;
-                    let t0 = if prof.is_enabled() {
-                        Some(Instant::now())
-                    } else {
-                        None
-                    };
-                    let class = {
-                        let _rd = prof.phase("run_device");
-                        fold_device(spec, i, &prof, state)
-                    };
-                    if let Some(t0) = t0 {
-                        stratum_ns[class]
-                            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        stratum_devices[class].fetch_add(1, Ordering::Relaxed);
-                    }
-                    per_worker[w].fetch_add(1, Ordering::Relaxed);
-                }
-                hand_off(&mut held);
-            });
-        }
-        // The workers hold the only remaining senders: `recv` below
-        // errors out when the last one exits.
-        drop(tx);
+                });
+                start_tx
+            })
+            .collect();
+        drop(state_tx);
 
         prof.set_thread_label("collector");
-        let collect_root = prof.phase("collect");
-        // States of the head segment `[.., seg_end)` fold on arrival; a
-        // later segment's merge into one state in `pending` until that
-        // segment becomes the head. A segment is complete when
-        // `seg_left` reaches 0, and only then does the collector hold
-        // exactly `[start_index, seg_end)` for the checkpoint, progress
-        // call or halt due there.
-        let mut pending: BTreeMap<u64, Collector> = BTreeMap::new();
-        let mut pending_devices = 0usize;
-        let mut seg_end = head_end.load(Ordering::Relaxed);
-        let mut seg_left = seg_end - start_index;
-        let merge = |into: &mut Collector, state: &Collector| {
-            into.absorb_state(state)
-                .expect("a worker's state belongs to the run's campaign");
-        };
-        loop {
-            let received = {
-                let _rw = prof.phase("recv_wait");
-                rx.recv()
-            };
-            let Ok((tag, state)) = received else { break };
-            let _ab = prof.phase("absorb");
-            if tag != seg_end {
-                pending_devices += state.devices_seen() as usize;
-                reorder_peak = reorder_peak.max(pending_devices);
-                if let Some(later) = pending.get_mut(&tag) {
-                    merge(later, &state);
-                } else {
-                    pending.insert(tag, state);
-                }
-                continue;
+        let _root = prof.phase("collect");
+        // The point whose readers run while the workers fill the
+        // segment after it.
+        let mut due = None;
+        let mut seg_start = start_index;
+        while seg_start < end {
+            let seg_end = segment_end(seg_start);
+            // Each worker's last draw overshot the previous segment.
+            next.store(seg_start, Ordering::Relaxed);
+            for tx in &starts {
+                tx.send(seg_end)
+                    .expect("a worker waits for the next segment");
             }
-            merge(&mut collector, &state);
-            seg_left -= state.devices_seen();
-            while seg_left == 0 {
-                let done = seg_end - start_index;
-                if let Some(cp) = &opts.checkpoint {
-                    if cp.every > 0 && done.is_multiple_of(cp.every) {
-                        let _cp = prof.phase("checkpoint");
-                        write_checkpoint(cp, &collector.state_json());
-                    }
-                }
-                if let Some(ps) = &opts.progress {
-                    if ps.every > 0 && done.is_multiple_of(ps.every) && seg_end < end {
-                        let _pg = prof.phase("progress");
-                        (ps.f)(&collector, &progress_meta(pending_devices, seg_end), false);
-                    }
-                }
-                halted = halt_at == Some(seg_end);
-                if halted || seg_end == end {
-                    break;
-                }
-                let next_end = segment_end(seg_end);
-                seg_left = next_end - seg_end;
-                seg_end = next_end;
-                head_end.store(seg_end, Ordering::Release);
-                if let Some(state) = pending.remove(&seg_end) {
-                    pending_devices -= state.devices_seen() as usize;
-                    merge(&mut collector, &state);
-                    seg_left -= state.devices_seen();
-                }
+            if let Some(at) = due.take() {
+                read_at(&collector, at);
             }
-            if halted {
-                stop.store(true, Ordering::Relaxed);
+            for _ in 0..workers {
+                let folded = {
+                    let _wait = prof.phase("wait");
+                    state_rx
+                        .recv()
+                        .expect("each worker sends one state per segment")
+                };
+                let state = folded.unwrap_or_else(|panic| panic::resume_unwind(panic));
+                let _ab = prof.phase("absorb");
+                collector
+                    .absorb_state(&state)
+                    .expect("a worker's state belongs to the run's campaign");
+            }
+            // Devices past a halt are never run: the resumed run
+            // recomputes them, exactly like after a real kill.
+            halted = halt_at == Some(seg_end);
+            if halted || seg_end == end {
+                read_at(&collector, seg_end);
                 break;
             }
-        }
-        drop(collect_root);
-        // Dropping the receiver unblocks any worker parked in `send`;
-        // discarded devices past the halt point are recomputed by the
-        // resumed run, exactly like after a real kill.
-        drop(rx);
-        if !halted {
-            assert!(
-                pending.is_empty(),
-                "lost segment states: {:?}",
-                pending.keys().collect::<Vec<_>>()
-            );
-            assert_eq!(
-                collector.next_index(),
-                end,
-                "absorption stopped early at device {}",
-                collector.next_index()
-            );
+            due = Some(seg_end);
+            seg_start = seg_end;
         }
     });
 
     if !halted {
         if let Some(ps) = &opts.progress {
-            (ps.f)(&collector, &progress_meta(0, collector.next_index()), true);
+            (ps.f)(&collector, true);
         }
     }
 
@@ -483,7 +373,7 @@ fn run_range(
         wall,
         devices: collector.next_index() - start_index,
         probes: collector.probes_sent() - probes_before,
-        reorder_peak,
+        reorder_peak: 0,
         profile,
     };
     (collector, stats, halted)
@@ -772,17 +662,43 @@ mod tests {
         assert!(stats.profile.is_none());
     }
 
-    /// Calls of phase `name` across the worker threads of a profile.
-    fn worker_calls(profile: &CampaignProfile, name: &str) -> u64 {
+    /// Calls of phase `name` on the threads whose label starts with
+    /// `label`.
+    fn calls(profile: &CampaignProfile, label: &str, name: &str) -> u64 {
         profile
             .snapshot
             .threads
             .iter()
-            .filter(|t| t.label.starts_with("worker"))
+            .filter(|t| t.label.starts_with(label))
             .flat_map(|t| &t.nodes)
             .filter(|n| n.name == name)
             .map(|n| n.calls)
             .sum()
+    }
+
+    /// `(root, child)` phase pairs on the threads whose label starts
+    /// with `label`.
+    fn tree(
+        profile: &CampaignProfile,
+        label: &str,
+    ) -> std::collections::BTreeSet<(&'static str, &'static str)> {
+        let mut pairs = std::collections::BTreeSet::new();
+        for t in profile
+            .snapshot
+            .threads
+            .iter()
+            .filter(|t| t.label.starts_with(label))
+        {
+            for n in &t.nodes {
+                let Some(root) = n.parent.map(|p| &t.nodes[p]) else {
+                    continue;
+                };
+                if root.parent.is_none() {
+                    pairs.insert((root.name, n.name));
+                }
+            }
+        }
+        pairs
     }
 
     #[test]
@@ -790,7 +706,7 @@ mod tests {
         let spec = CampaignSpec::heterogeneous(17, 24).with_probes(1);
         let observed = ProgressSink {
             every: 6,
-            f: std::sync::Arc::new(|_, _, _| {}),
+            f: std::sync::Arc::new(|_, _| {}),
         };
         // Unobserved, the range is one segment; a progress call every 6
         // devices cuts it into four.
@@ -803,48 +719,91 @@ mod tests {
                 };
                 let (report, stats) = run_campaign_opts(&spec, workers, &opts);
                 assert_eq!(report.expect("completes").devices, 24);
-                let sends = worker_calls(&stats.profile.expect("profiled"), "send");
-                let most = (workers * segments) as u64;
-                assert!(
-                    (1..=most).contains(&sends),
-                    "{workers} workers, {segments} segments: {sends} hand-offs"
+                let profile = stats.profile.expect("profiled");
+                let case = format!("{workers} workers, {segments} segments");
+                let absorbs = calls(&profile, "collector", "absorb");
+                assert_eq!(absorbs, (workers * segments) as u64, "{case}");
+                // Each worker waits once per segment, and once more to
+                // learn the run is over.
+                let idles = calls(&profile, "worker", "idle");
+                assert_eq!(idles, (workers * (segments + 1)) as u64, "{case}");
+                assert_eq!(calls(&profile, "collector", "wait"), absorbs, "{case}");
+                // The phase tree: nothing else under either root.
+                assert_eq!(
+                    tree(&profile, "worker"),
+                    [("worker", "idle"), ("worker", "run_device")].into(),
+                    "{case}"
                 );
-                if workers == 1 {
-                    assert_eq!(sends, segments as u64);
+                let mut collect = vec![("collect", "absorb"), ("collect", "wait")];
+                if segments > 1 {
+                    collect.push(("collect", "progress"));
                 }
+                assert_eq!(
+                    tree(&profile, "collector"),
+                    collect.into_iter().collect(),
+                    "{case}"
+                );
             }
         }
     }
 
     #[test]
-    fn progress_meta_reports_throughput_and_phase_split() {
-        use std::sync::Mutex;
-        let spec = CampaignSpec::heterogeneous(3, 10).with_probes(1);
-        let seen: std::sync::Arc<Mutex<Vec<Progress>>> =
-            std::sync::Arc::new(Mutex::new(Vec::new()));
-        let sink_seen = seen.clone();
+    fn a_panicking_device_fails_the_run_instead_of_hanging() {
+        // 70,000 probes overflow the port encoding: every device panics.
+        let spec = CampaignSpec::heterogeneous(1, 8).with_probes(70_000);
+        let every_device = ProgressSink {
+            every: 1,
+            f: std::sync::Arc::new(|_, _| {}),
+        };
+        for progress in [None, Some(every_device)] {
+            for workers in [1, 2, 4] {
+                let opts = RunOptions {
+                    progress: progress.clone(),
+                    ..RunOptions::default()
+                };
+                let spec = spec.clone();
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        run_campaign_opts(&spec, workers, &opts)
+                    }));
+                    let _ = tx.send(run.is_err());
+                });
+                let observed = progress.is_some();
+                let panicked = rx
+                    .recv_timeout(std::time::Duration::from_secs(60))
+                    .unwrap_or_else(|_| {
+                        panic!("{workers} workers, observed {observed}: the run hangs")
+                    });
+                assert!(panicked, "{workers} workers, observed {observed}: no panic");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "CheckpointPolicy::every must be at least 1")]
+    fn a_checkpoint_every_of_zero_is_refused() {
         let opts = RunOptions {
-            profiler: obs::Profiler::new(),
-            progress: Some(ProgressSink {
-                every: 4,
-                f: std::sync::Arc::new(move |_c, meta, _done| {
-                    sink_seen.lock().unwrap().push(meta.clone());
-                }),
+            checkpoint: Some(CheckpointPolicy {
+                path: std::env::temp_dir().join("fleet-every-zero-never-written.json"),
+                every: 0,
             }),
             ..RunOptions::default()
         };
-        let (report, _) = run_campaign_opts(&spec, 2, &opts);
-        assert!(report.is_some());
-        let seen = seen.lock().unwrap();
-        assert!(!seen.is_empty());
-        let last = seen.last().unwrap();
-        assert_eq!(last.devices_done, 10);
-        assert_eq!(last.devices_total, 10);
-        assert_eq!(last.per_worker_devices.len(), 2);
-        assert_eq!(last.per_worker_devices.iter().sum::<u64>(), 10);
-        assert!(last.devices_per_sec() > 0.0);
-        let phases: Vec<&str> = last.phase_self_ns.iter().map(|(n, _)| n.as_str()).collect();
-        assert!(phases.contains(&"des"), "{phases:?}");
+        run_campaign_opts(&CampaignSpec::heterogeneous(3, 4).with_probes(1), 2, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "ProgressSink::every must be at least 1")]
+    fn a_progress_every_of_zero_is_refused() {
+        let opts = RunOptions {
+            progress: Some(ProgressSink {
+                every: 0,
+                f: std::sync::Arc::new(|_, _| {}),
+            }),
+            ..RunOptions::default()
+        };
+        run_campaign_opts(&CampaignSpec::heterogeneous(3, 4).with_probes(1), 2, &opts);
     }
 
     #[test]

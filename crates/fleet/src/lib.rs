@@ -12,8 +12,8 @@
 //! indices across a fixed pool of OS worker threads; each runs a
 //! deterministically-seeded simulation shard per device and folds it
 //! straight into a [`Collector`] of its own — mergeable sketches and an
-//! [`obs`] snapshot, never raw samples — which it hands over a bounded
-//! channel to the collector thread once per segment (see [`engine`]).
+//! [`obs`] snapshot, never raw samples — which it hands back to the
+//! calling thread once per segment (see [`engine`]).
 //! [`run_device`] folds one device into a [`DevicePartial`] instead,
 //! which [`Collector::absorb`] merges into the same state. Device seeds
 //! derive from `(campaign_seed, device_index)`, and every piece of
@@ -50,7 +50,7 @@ pub mod spec;
 pub use engine::{
     atomic_write, available_parallelism, partition_range, render_scaling, resume_campaign,
     run_campaign, run_campaign_opts, run_partition, run_partition_opts, scaling_table,
-    CheckpointPolicy, Progress, ProgressFn, ProgressSink, RunOptions, RunStats, ScalingRow,
+    CheckpointPolicy, ProgressFn, ProgressSink, RunOptions, RunStats, ScalingRow,
 };
 pub use profile::{CampaignProfile, StratumCost};
 pub use report::{

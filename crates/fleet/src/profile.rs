@@ -2,14 +2,12 @@
 //! allocations went, per phase and per stratum.
 //!
 //! When [`crate::RunOptions::profiler`] is enabled, the engine labels
-//! every worker thread, wraps its whole loop in a `worker` root phase
-//! (with `run_device` → `setup`/`des`/`fold` children, `absorb` for
-//! folding each device into the worker's own state, `send` for each
-//! hand-off of that state, and `backpressure` for window stalls, which
-//! appear only in runs with a checkpoint, progress sink or halt hook)
-//! and the collector loop in a `collect` root (`recv_wait`/`absorb`/
-//! `checkpoint`/`progress` children, one `recv_wait` and `absorb` per
-//! hand-off). Under `des`, each device's simulator records
+//! every worker thread and wraps its whole loop in a `worker` root phase
+//! (with `run_device` → `setup`/`des`/`fold` children for each device it
+//! runs, and `idle` for each wait for a segment to start), and labels
+//! the calling thread `collector`, whose `collect` root has `wait` (for
+//! a worker's state), `absorb` (one per worker per segment), `checkpoint`
+//! and `progress` children. Under `des`, each device's simulator records
 //! one `sim.dispatch` aggregate whose calls are its events, split into
 //! one child per Fig.-1 layer (`simcore::Sim::set_profiler`). The run
 //! then returns a [`CampaignProfile`]: the cross-thread phase tree, an

@@ -404,6 +404,16 @@ impl Collector {
                 in_strata.map_or_else(|| "more than 2^64".to_string(), |n| n.to_string())
             )));
         }
+        // `next_index` is where a resume restarts, so it must be the
+        // device after the range's prefix (each term is at most 2^53, so
+        // the sum cannot overflow).
+        let next_index = obj_u64(state, "next_index")?;
+        if next_index != range_start + devices_seen {
+            return Err(CampaignStateError(format!(
+                "field `next_index` is {next_index} but the range starts at device \
+                 {range_start} and holds {devices_seen} devices"
+            )));
+        }
 
         let top_sketch = |k: &str| -> Result<QuantileSketch, CampaignStateError> {
             let s = state

@@ -36,8 +36,8 @@ fn prefix_states(spec: &CampaignSpec, start: u64, end: u64) -> Vec<String> {
     states
 }
 
-/// Progress calls recorded as `(devices_done, state, done, checkpoint
-/// file as the call saw it)`.
+/// Progress calls recorded as `(devices the state holds, state, done,
+/// checkpoint file as the call saw it)`.
 type Calls = Arc<Mutex<Vec<(u64, String, bool, Option<String>)>>>;
 
 /// A progress sink every `every` devices that records each call,
@@ -47,9 +47,9 @@ fn recording_sink(every: u64, checkpoint: Option<PathBuf>) -> (ProgressSink, Cal
     let sink_calls = calls.clone();
     let sink = ProgressSink {
         every,
-        f: Arc::new(move |c, meta, done| {
+        f: Arc::new(move |c, done| {
             sink_calls.lock().unwrap().push((
-                meta.devices_done,
+                c.devices_seen(),
                 c.state_json().to_string_pretty(),
                 done,
                 checkpoint
@@ -219,24 +219,24 @@ fn observed_resume_counts_its_grids_from_the_resume_point() {
         let (report, stats) = resume_campaign(&spec, workers, &state, &opts).unwrap();
         assert_eq!(pretty(&report.unwrap()), pretty(&full), "{workers} workers");
         // 11 devices from device 7: progress after 2, 4, .., 10 of them
-        // and a final call after 11; the last checkpoint after 9.
+        // (the state then holds 9, 11, .., 17 devices) and a final call
+        // after 11; the last checkpoint after 9.
         assert_eq!(stats.devices, 11);
         let calls = calls.lock().unwrap();
         let points: Vec<(u64, bool)> = calls.iter().map(|c| (c.0, c.2)).collect();
         let expected = [
-            (2, false),
-            (4, false),
-            (6, false),
-            (8, false),
-            (10, false),
-            (11, true),
+            (9, false),
+            (11, false),
+            (13, false),
+            (15, false),
+            (17, false),
+            (18, true),
         ];
         assert_eq!(points, expected, "{workers} workers");
-        for (done, state, ..) in calls.iter() {
+        for (seen, state, ..) in calls.iter() {
             assert_eq!(
-                *state,
-                prefix[resume_at + *done as usize],
-                "{workers} workers at {done}"
+                *state, prefix[*seen as usize],
+                "{workers} workers at {seen}"
             );
         }
         assert_eq!(std::fs::read_to_string(&cp).unwrap(), prefix[resume_at + 9]);
@@ -409,6 +409,44 @@ fn state_whose_device_count_disagrees_with_its_strata_is_refused() {
         "{e}"
     );
     assert!(fleet::Collector::from_state_json(&head.state_json()).is_ok());
+}
+
+#[test]
+fn state_whose_next_index_disagrees_with_its_range_is_refused() {
+    // Partition 1 of 2 covers devices 4..8, so a resume would restart
+    // at 8; a document that says otherwise is refused, whichever way it
+    // is off.
+    let spec = CampaignSpec::heterogeneous(3, 8);
+    let (head, _) = run_partition(&spec, 1, 0, 2);
+    let (tail, _) = run_partition(&spec, 1, 1, 2);
+    assert_eq!(
+        tail.state_json().get("next_index").and_then(Json::as_f64),
+        Some(8.0)
+    );
+    for wrong in [0.0, 4.0, 7.0, 9.0] {
+        let mut state = tail.state_json();
+        state.set("next_index", Json::Num(wrong));
+        let e = match fleet::Collector::from_state_json(&state) {
+            Err(e) => e,
+            Ok(_) => panic!("accepted `next_index` {wrong} for devices 4..8"),
+        };
+        assert!(
+            e.0.contains(&format!(
+                "`next_index` is {wrong} but the range starts at device 4 and holds 4 devices"
+            )),
+            "{e}"
+        );
+        let e = merge_partials(&spec, &[head.state_json(), state]).unwrap_err();
+        assert!(
+            e.0.contains("partial 1") && e.0.contains("next_index"),
+            "{e}"
+        );
+    }
+    let mut state = tail.state_json();
+    state.set("next_index", Json::Str("8".to_string()));
+    let e = fleet::Collector::from_state_json(&state).err().unwrap();
+    assert!(e.0.contains("field `next_index`"), "{e}");
+    assert!(merge_partials(&spec, &[head.state_json(), tail.state_json()]).is_ok());
 }
 
 #[test]

@@ -17,10 +17,7 @@
 //!   daemon's push protocol;
 //! * [`chaos`]: a deterministic fault-injecting stream wrapper (torn
 //!   frames, partial I/O, stalls, resets at byte offsets) for
-//!   crash-safety testing on both ends of the push protocol;
-//! * [`telemetry`]: the optional live shard-telemetry document
-//!   (throughput, per-worker rates, profiling phase split) that rides
-//!   collector pushes.
+//!   crash-safety testing on both ends of the push protocol.
 
 #![warn(missing_docs)]
 
@@ -32,7 +29,6 @@ pub mod framing;
 mod msg;
 mod packet;
 pub mod pcap;
-pub mod telemetry;
 
 pub use addr::{Ip, Mac, ParseIpError};
 pub use frame::{Frame, FrameKind, Tim, TIM_CAPACITY};
