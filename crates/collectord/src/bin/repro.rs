@@ -971,10 +971,11 @@ fn read_bench(path: &Path) -> Vec<(String, f64)> {
 /// too much across machines to gate on.
 ///
 /// Rows whose name ends in `_allocs` are not timings but absolute
-/// steady-state allocation counts (see bench-snapshot); they gate
-/// without the factor: any candidate above its baseline fails. With a
-/// committed baseline of zero, a single steady-state allocation on the
-/// dispatch or batched cross-traffic hot path is a gate failure.
+/// allocation counts (see bench-snapshot); every one gates, without
+/// the factor: any candidate above its baseline fails. With a committed
+/// baseline of zero, a single steady-state allocation on the dispatch
+/// or batched cross-traffic hot path, or in a rerun on a reset sim, is
+/// a gate failure.
 fn run_bench_gate(opts: &Options) {
     let candidate_path = opts.bench_candidate.clone().unwrap_or_else(|| {
         die("bench-gate needs --bench-candidate FILE (from a bench-snapshot run)")
@@ -1008,7 +1009,8 @@ fn run_bench_gate(opts: &Options) {
             || name.starts_with("obs_prof_")
             || name == "simcore_queue_push_pop"
             || name.starts_with("simcore_dispatch_")
-            || name.starts_with("netem_crosstraffic_");
+            || name.starts_with("netem_crosstraffic_")
+            || name.ends_with("_allocs");
         // `_allocs` rows are absolute counters, not timings: no factor.
         let fails = if name.ends_with("_allocs") {
             gated && cand_p50 > base_p50
@@ -1419,7 +1421,10 @@ fn main() {
         // the ns fields of a pseudo-result. Those rows gate absolutely —
         // any increase over the committed baseline (zero) fails the
         // bench gate, which is what keeps the arena discipline honest
-        // between the zero-alloc test and production binaries.
+        // between the zero-alloc test and production binaries. The
+        // `simcore_reset_rerun_allocs` row counts, the same way, a
+        // whole second run of the warm-up on the reset sim (nodes
+        // boxed beforehand): a reset keeps what the first run grew.
         let mut alloc_rows: Vec<am_stats::bench::BenchResult> = Vec::new();
         {
             #[derive(Default)]
@@ -1448,19 +1453,33 @@ fn main() {
                     }
                 }
             }
-            let mut sim: simcore::Sim<u64> = simcore::Sim::new(BENCH_SEED);
-            let a = sim.add_node(Box::<Pinger>::default());
-            let b = sim.add_node(Box::<Pinger>::default());
-            for i in 0..16 {
-                sim.inject(a, b, simcore::SimTime::from_micros(i), 0);
-            }
             // Warm up as the zero-alloc test does, so the heap, the
             // arena and the node state have reached their high-water
-            // marks. The alloc window runs *before* the timed bench: the
+            // marks. The alloc windows run *before* the timed bench: the
             // bench's iteration count is wall-time-budgeted and so varies
             // per machine, while the alloc count over a fixed window of
             // a deterministic sim is exactly reproducible.
-            sim.run_until(simcore::SimTime::from_millis(1_120));
+            let warm_up = |sim: &mut simcore::Sim<u64>, nodes: [Box<Pinger>; 2]| {
+                let [a, b] = nodes.map(|node| sim.add_node(node));
+                for i in 0..16 {
+                    sim.inject(a, b, simcore::SimTime::from_micros(i), 0);
+                }
+                sim.run_until(simcore::SimTime::from_millis(1_120));
+            };
+            let mut sim: simcore::Sim<u64> = simcore::Sim::new(BENCH_SEED);
+            warm_up(&mut sim, Default::default());
+            sim.reset(BENCH_SEED);
+            let nodes = Default::default();
+            let (a0, _) = obs::prof::thread_alloc_counts();
+            warm_up(&mut sim, nodes);
+            let (a1, _) = obs::prof::thread_alloc_counts();
+            alloc_rows.push(am_stats::bench::BenchResult {
+                name: "simcore_reset_rerun_allocs".to_string(),
+                iters: sim.events_processed(),
+                min_ns: (a1 - a0) as f64,
+                p50_ns: (a1 - a0) as f64,
+                mean_ns: (a1 - a0) as f64,
+            });
             let (a0, _) = obs::prof::thread_alloc_counts();
             for _ in 0..10_000 {
                 sim.step();

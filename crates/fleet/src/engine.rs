@@ -17,9 +17,12 @@
 //! segment. A run with no reader is one segment: each worker hands over
 //! once.
 //!
-//! Nothing is held across segments, so memory is W worker states plus
-//! the collector. A device that panics fails the run: its worker sends
-//! the panic in place of its state, and the calling thread resumes it.
+//! No device result is held across segments, so memory is W worker
+//! states, W device storages (each worker's emptied simulator
+//! containers, sized by its largest device so far; see
+//! `testbed::DeviceStorage`) and the collector. A device that panics
+//! fails the run: its worker sends the panic in place of its state, and
+//! the calling thread resumes it.
 //!
 //! The same loop powers three entry points that all produce
 //! byte-identical JSON:
@@ -37,6 +40,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use obs::{Json, ToJson};
+use testbed::DeviceStorage;
 
 use crate::profile::{CampaignProfile, StratumCost};
 use crate::report::{CampaignReport, CampaignStateError, Collector};
@@ -261,6 +265,9 @@ fn run_range(
                 scope.spawn(move || {
                     prof.set_thread_label(&format!("worker-{w}"));
                     let _root = prof.phase("worker");
+                    // Each device builds on the containers the
+                    // worker's earlier devices grew.
+                    let mut storage = DeviceStorage::default();
                     loop {
                         let received = {
                             let _idle = prof.phase("idle");
@@ -277,7 +284,7 @@ fn run_range(
                                 let t0 = prof.is_enabled().then(Instant::now);
                                 let class = {
                                     let _rd = prof.phase("run_device");
-                                    fold_device(spec, i, &prof, &mut state)
+                                    fold_device(spec, i, &prof, &mut state, &mut storage)
                                 };
                                 if let Some(t0) = t0 {
                                     stratum_ns[class].fetch_add(

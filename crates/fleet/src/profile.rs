@@ -3,8 +3,9 @@
 //!
 //! When [`crate::RunOptions::profiler`] is enabled, the engine labels
 //! every worker thread and wraps its whole loop in a `worker` root phase
-//! (with `run_device` → `setup`/`des`/`fold` children for each device it
-//! runs, and `idle` for each wait for a segment to start), and labels
+//! (with `run_device` → `setup`/`des`/`fold`/`teardown` children for
+//! each device it runs, and `idle` for each wait for a segment to
+//! start), and labels
 //! the calling thread `collector`, whose `collect` root has `wait` (for
 //! a worker's state), `absorb` (one per worker per segment), `checkpoint`
 //! and `progress` children. Under `des`, each device's simulator records

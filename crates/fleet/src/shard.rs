@@ -15,7 +15,9 @@ use measure::{Baseline, BaselineApp, RecordSet, RttRecord};
 use obs::Snapshot;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{LatencyDist, SimDuration, SimTime};
-use testbed::{addr, breakdowns, CellTestbed, CellTestbedConfig, Testbed, TestbedConfig};
+use testbed::{
+    addr, breakdowns, CellTestbed, CellTestbedConfig, DeviceStorage, Testbed, TestbedConfig,
+};
 
 use crate::spec::{CampaignSpec, Radio, Tool};
 
@@ -121,8 +123,9 @@ pub fn run_device(spec: &CampaignSpec, index: u64) -> DevicePartial {
 /// [`run_device`] with self-profiling: wall-clock cost splits into
 /// `setup` (testbed + app construction), `des` (the discrete-event run,
 /// under which simcore records its per-layer `sim.dispatch` totals),
-/// and `fold` (exports, record harvest, teardown). The partial returned
-/// is byte-identical whether `prof` is enabled or disabled — profiling
+/// `fold` (exports, record harvest) and `teardown` (the testbed's nodes
+/// dropped and its containers emptied). The partial returned is
+/// byte-identical whether `prof` is enabled or disabled — profiling
 /// observes the host, never the simulation.
 ///
 /// The exported counts cover the model layers and the tool, never the
@@ -141,20 +144,30 @@ pub fn run_device_prof(spec: &CampaignSpec, index: u64, prof: &obs::Profiler) ->
         overhead: QuantileSketch::new(),
         obs: obs::Snapshot::default(),
     };
-    fold_device(spec, index, prof, &mut partial);
+    fold_device(
+        spec,
+        index,
+        prof,
+        &mut partial,
+        &mut DeviceStorage::default(),
+    );
     partial
 }
 
-/// Run device `index` of `spec` and fold its results into `into`: the
-/// layers' and the tool's counts into its snapshot, and each probe into
-/// its stratum's sketches. Returns the device's stratum. The one
-/// device path: [`run_device_prof`] folds into a fresh partial, an
-/// engine worker into its segment's collector.
+/// Run device `index` of `spec` on `storage` and fold its results into
+/// `into`: the layers' and the tool's counts into its snapshot, and
+/// each probe into its stratum's sketches. Returns the device's
+/// stratum. The one device path: [`run_device_prof`] folds into a fresh
+/// partial on a fresh storage, an engine worker into its segment's
+/// collector on the storage its earlier devices left. The testbed is
+/// torn down, and its containers handed back to `storage` emptied,
+/// before this returns.
 pub(crate) fn fold_device(
     spec: &CampaignSpec,
     index: u64,
     prof: &obs::Profiler,
     into: &mut impl FoldTarget,
+    storage: &mut DeviceStorage,
 ) -> usize {
     let class_idx = spec.class_of(index);
     let class = &spec.classes[class_idx];
@@ -183,10 +196,6 @@ pub(crate) fn fold_device(
             am.db = SimDuration::from_ms_f64(db_ms);
         }
     };
-    // Assigned after the run in each arm; it outlives the arm so the
-    // testbed's teardown counts as `fold` too.
-    let fold;
-
     match class.radio {
         Radio::Wifi => {
             let mut cfg = TestbedConfig::new(seed, profile, path_rtt_ms);
@@ -211,7 +220,7 @@ pub(crate) fn fold_device(
                 // devices contend, not an in-session on/off pattern.
                 cfg.cross_stop = horizon;
             }
-            let mut tb = Testbed::build(cfg);
+            let mut tb = Testbed::build_on(cfg, storage);
             tb.sim.set_profiler(prof);
             let mut am = AcuteMonConfig::new(addr::SERVER, k);
             calibrate(&mut am);
@@ -233,13 +242,17 @@ pub(crate) fn fold_device(
                     sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
-            fold = prof.phase("fold");
-            tb.export(into.obs());
-            let phone = tb.phone_node();
-            export_tool(phone, class.tool, app, into.obs());
-            let records = tool_records(phone, class.tool, app);
-            let bds = breakdowns(records, phone.ledger(), tb.capture_index());
-            harvest(into, class_idx, records, Some(&bds));
+            {
+                let _fold = prof.phase("fold");
+                tb.export(into.obs());
+                let phone = tb.phone_node();
+                export_tool(phone, class.tool, app, into.obs());
+                let records = tool_records(phone, class.tool, app);
+                let bds = breakdowns(records, phone.ledger(), tb.capture_index());
+                harvest(into, class_idx, records, Some(&bds));
+            }
+            let _teardown = prof.phase("teardown");
+            tb.recycle(storage);
         }
         Radio::Lte | Radio::Umts => {
             let mut cfg = match class.radio {
@@ -251,7 +264,7 @@ pub(crate) fn fold_device(
             }
             let mut am = cfg.acutemon_profile(k);
             calibrate(&mut am);
-            let mut tb = CellTestbed::build(cfg);
+            let mut tb = CellTestbed::build_on(cfg, storage);
             tb.sim.set_profiler(prof);
             let phone = tb.sim.node_mut::<PhoneNode>(tb.phone);
             let app = install_tool(phone, class.tool, am);
@@ -263,14 +276,17 @@ pub(crate) fn fold_device(
                     sim.node::<PhoneNode>(phone).finished_at(app).is_some()
                 });
             }
-            fold = prof.phase("fold");
-            let phone = tb.sim.node::<PhoneNode>(tb.phone);
-            export_tool(phone, class.tool, app, into.obs());
-            // No sniffers on the bearer: dn/overhead stay empty.
-            harvest(into, class_idx, tool_records(phone, class.tool, app), None);
+            {
+                let _fold = prof.phase("fold");
+                let phone = tb.sim.node::<PhoneNode>(tb.phone);
+                export_tool(phone, class.tool, app, into.obs());
+                // No sniffers on the bearer: dn/overhead stay empty.
+                harvest(into, class_idx, tool_records(phone, class.tool, app), None);
+            }
+            let _teardown = prof.phase("teardown");
+            tb.recycle(storage);
         }
     }
-    drop(fold);
     class_idx
 }
 

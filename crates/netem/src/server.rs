@@ -23,10 +23,10 @@ pub struct ServerConfig {
     /// The server's IP address.
     pub ip: Ip,
     /// TCP ports answered with SYN/ACK (and PSH/ACK for data probes).
-    /// A few ports, so a scanned `Vec`.
-    pub tcp_listen: Vec<u16>,
+    /// A few ports, so a scanned slice.
+    pub tcp_listen: &'static [u16],
     /// UDP ports echoed back; other UDP is silently discarded.
-    pub udp_echo: Vec<u16>,
+    pub udp_echo: &'static [u16],
     /// Server processing time, ms.
     pub processing: LatencyDist,
     /// Payload size of the HTTP-style response to a data probe.
@@ -38,8 +38,8 @@ impl ServerConfig {
     pub fn standard(ip: Ip) -> ServerConfig {
         ServerConfig {
             ip,
-            tcp_listen: vec![80, 8080],
-            udp_echo: vec![7],
+            tcp_listen: &[80, 8080],
+            udp_echo: &[7],
             processing: LatencyDist::normal(0.08, 0.03, 0.02, 0.25),
             http_response_len: 220,
         }

@@ -40,8 +40,7 @@ pub struct PhoneCore {
     /// Multi-layer timestamp ledger.
     pub ledger: Ledger,
     pub(crate) ids: PacketIdGen,
-    pub(crate) next_token: u64,
-    pub(crate) pending: simcore::IdMap<crate::node::Pending>,
+    pub(crate) pending: crate::node::PendingStages,
     /// Whether the kernel answers ICMP echo requests itself (real Android
     /// kernels do; the ping2 baseline of Sui et al. depends on it).
     pub kernel_icmp_echo: bool,
@@ -49,7 +48,8 @@ pub struct PhoneCore {
     pub stats: PhoneStats,
 }
 
-/// Base for app timer tags (bit 62); pipeline tokens stay below it.
+/// Base for app timer tags (bit 62); pipeline stages' tags, their
+/// slots in [`PhoneCore::pending`], stay far below it.
 pub(crate) const APP_TIMER_BASE: u64 = 1 << 62;
 
 /// What the phone hands an app while running one of its callbacks.
@@ -126,10 +126,11 @@ impl<'a, 'b> AppCtx<'a, 'b> {
                 );
             }
         }
-        let token = self.core.alloc_token();
-        self.core
-            .pending_insert(token, crate::node::Pending::KernelTx(packet));
-        self.sim.set_timer(xing, token);
+        let tag = self
+            .core
+            .pending
+            .insert(crate::node::Pending::KernelTx(packet));
+        self.sim.set_timer(xing, tag);
         id
     }
 

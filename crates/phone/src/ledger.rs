@@ -79,6 +79,11 @@ impl Ledger {
     setter!(set_tik, tik);
     setter!(set_tiu, tiu);
 
+    /// Forget every packet, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+
     /// Stamps for a packet, if any were recorded.
     pub fn get(&self, id: u64) -> Option<&PacketStamps> {
         self.map.get(&id)

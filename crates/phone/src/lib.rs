@@ -41,7 +41,7 @@ mod sdio;
 
 pub use app::{App, AppCtx, PhoneCore, PhoneStats};
 pub use ledger::{Ledger, PacketStamps};
-pub use node::{wired_ip, wlan_ip, PhoneNode};
+pub use node::{wired_ip, wlan_ip, PhoneNode, PhoneTables};
 pub use profiles::{
     all_phones, htc_one, nexus4, nexus5, samsung_grand, xperia_j, BusParams, ChipVendor,
     PhoneProfile, RuntimeKind,

@@ -14,7 +14,7 @@
 
 #[cfg(test)]
 use simcore::SimTime;
-use simcore::{Ctx, IdMap, Node, NodeId, SimDuration};
+use simcore::{Ctx, Node, NodeId, SimDuration};
 use wire::{Ip, Msg, Packet, PacketIdGen};
 
 use crate::app::{App, AppCtx, PhoneCore, PhoneStats, APP_TIMER_BASE};
@@ -62,17 +62,61 @@ fn trace_stage(
     ))
 }
 
-impl PhoneCore {
-    pub(crate) fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        debug_assert!(t < APP_TIMER_BASE, "token space exhausted");
-        t
+/// The pipeline stages waiting on their timers, in a slab: a stage's
+/// slot index is its timer's tag. No pipeline timer is ever cancelled,
+/// so every slot is freed by its own timer firing, and only then
+/// reused.
+#[derive(Debug, Default)]
+pub(crate) struct PendingStages {
+    slots: Vec<Option<Pending>>,
+    free: Vec<u32>,
+}
+
+impl PendingStages {
+    /// Hold `stage` until its timer fires; returns the timer's tag, a
+    /// 32-bit slot index and so far below [`APP_TIMER_BASE`].
+    pub(crate) fn insert(&mut self, stage: Pending) -> u64 {
+        let slot = match self.free.pop() {
+            Some(slot) => slot as usize,
+            None => {
+                self.slots.push(None);
+                self.slots.len() - 1
+            }
+        };
+        debug_assert!(self.slots[slot].is_none(), "slot {slot} reused while held");
+        self.slots[slot] = Some(stage);
+        slot as u64
     }
 
-    pub(crate) fn pending_insert(&mut self, token: u64, p: Pending) {
-        self.pending.insert(token, p);
+    /// The stage whose timer carries `tag`, freeing its slot.
+    fn take(&mut self, tag: u64) -> Option<Pending> {
+        let stage = self.slots.get_mut(tag as usize)?.take()?;
+        self.free.push(tag as u32);
+        Some(stage)
     }
+
+    /// Whether no stage is held.
+    fn is_empty(&self) -> bool {
+        self.free.len() == self.slots.len()
+    }
+
+    /// Drop every held stage, keeping the capacity.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+    }
+}
+
+/// A phone's per-packet tables: its timestamp ledger and the slab of
+/// pipeline stages waiting on their timers. A testbed that runs device
+/// after device hands them from each phone to the next
+/// ([`PhoneNode::take_tables`], [`PhoneNode::set_tables`]), emptied but
+/// with their capacity, so a phone grows them only past the largest
+/// earlier one's size.
+#[derive(Debug, Default)]
+pub struct PhoneTables {
+    ledger: Ledger,
+    pending: PendingStages,
 }
 
 struct AppSlot {
@@ -99,13 +143,33 @@ impl PhoneNode {
                 bus,
                 ledger: Ledger::new(),
                 ids: PacketIdGen::new(source),
-                next_token: 1,
-                pending: IdMap::default(),
+                pending: PendingStages::default(),
                 kernel_icmp_echo: true,
                 stats: PhoneStats::default(),
             },
             apps: Vec::new(),
         }
+    }
+
+    /// Give the phone the tables an earlier phone left
+    /// ([`PhoneNode::take_tables`]), before it runs.
+    pub fn set_tables(&mut self, tables: PhoneTables) {
+        debug_assert!(tables.ledger.is_empty() && tables.pending.is_empty());
+        self.core.ledger = tables.ledger;
+        self.core.pending = tables.pending;
+    }
+
+    /// Take the phone's tables out, emptied but with their capacity, for
+    /// the next phone ([`PhoneNode::set_tables`]). The phone is left
+    /// with empty tables.
+    pub fn take_tables(&mut self) -> PhoneTables {
+        let mut tables = PhoneTables {
+            ledger: std::mem::take(&mut self.core.ledger),
+            pending: std::mem::take(&mut self.core.pending),
+        };
+        tables.ledger.clear();
+        tables.pending.clear();
+        tables
     }
 
     /// Install an app with the given runtime kind; returns its index.
@@ -179,14 +243,9 @@ impl PhoneNode {
         r
     }
 
-    fn take_pending(&mut self, token: u64) -> Option<Pending> {
-        self.core.pending.remove(&token)
-    }
-
     fn schedule(&mut self, ctx: &mut Ctx<'_, Msg>, delay: SimDuration, p: Pending) {
-        let token = self.core.alloc_token();
-        self.core.pending_insert(token, p);
-        ctx.set_timer(delay, token);
+        let tag = self.core.pending.insert(p);
+        ctx.set_timer(delay, tag);
     }
 
     /// TX stage 2: the kernel saw the packet.
@@ -363,7 +422,7 @@ impl Node<Msg> for PhoneNode {
             self.with_app(ctx, idx, |app, actx| app.on_timer(actx, user));
             return;
         }
-        match self.take_pending(tag) {
+        match self.core.pending.take(tag) {
             Some(Pending::KernelTx(p)) => self.kernel_tx(ctx, p),
             Some(Pending::DriverTx(p)) => self.driver_tx(ctx, p),
             Some(Pending::BusTx(p)) => self.bus_tx(ctx, p),
@@ -651,6 +710,103 @@ mod tests {
                 (SimTime::from_millis(10), 43)
             ]
         );
+    }
+
+    #[test]
+    fn many_stages_in_flight_each_fire_once_in_order() {
+        /// Sends echo request `seq` from app timer `seq`, every 250 µs,
+        /// and counts each reply it receives.
+        struct Burst {
+            sent: Vec<u64>,
+            got: Vec<(u16, u64)>,
+        }
+        const PROBES: u16 = 40;
+        impl App for Burst {
+            fn on_start(&mut self, ctx: &mut AppCtx<'_, '_>) {
+                for seq in 0..PROBES {
+                    ctx.set_timer(SimDuration::from_micros(250) * u64::from(seq), seq.into());
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut AppCtx<'_, '_>, seq: u32) {
+                let l4 = L4::Icmp {
+                    kind: IcmpKind::EchoRequest,
+                    ident: 9,
+                    seq: seq as u16,
+                };
+                let id = ctx.send(wired_ip(1), 64, l4, 56, PacketTag::Probe(seq));
+                self.sent.push(id);
+            }
+            fn wants(&self, packet: &Packet) -> bool {
+                matches!(
+                    packet.l4,
+                    L4::Icmp {
+                        kind: IcmpKind::EchoReply,
+                        ident: 9,
+                        ..
+                    }
+                )
+            }
+            fn on_packet(&mut self, _ctx: &mut AppCtx<'_, '_>, packet: Packet) {
+                let L4::Icmp { seq, .. } = packet.l4 else {
+                    unreachable!("wants only echo replies")
+                };
+                self.got.push((seq, packet.id));
+            }
+        }
+        let mut sim = Sim::new(3);
+        let nic = sim.add_node(Box::new(EchoNic {
+            delay: SimDuration::from_millis(4),
+            next_id: 0,
+            seen_tx: vec![],
+        }));
+        let mut phone = PhoneNode::new(1, nexus5(), wlan_ip(100), nic);
+        let burst = Burst {
+            sent: vec![],
+            got: vec![],
+        };
+        let app = phone.install_app(Box::new(burst), RuntimeKind::Native);
+        let phone_id = sim.add_node(Box::new(phone));
+        sim.run_until_idle(100_000);
+
+        let phone = sim.node::<PhoneNode>(phone_id);
+        let burst = phone.app::<Burst>(app);
+        let n = usize::from(PROBES);
+        // Each request reached the NIC once, and each reply the app once.
+        let mut on_air: Vec<u64> = sim
+            .node::<EchoNic>(nic)
+            .seen_tx
+            .iter()
+            .map(|t| t.1.id)
+            .collect();
+        on_air.sort_unstable();
+        let mut sent = burst.sent.clone();
+        sent.sort_unstable();
+        assert_eq!(on_air, sent);
+        let mut seqs: Vec<u16> = burst.got.iter().map(|g| g.0).collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..PROBES).collect::<Vec<_>>());
+        // Every stage stamped its layer, in pipeline order.
+        let ledger = phone.ledger();
+        for id in &burst.sent {
+            let s = ledger.get(*id).unwrap();
+            let tx = [s.tou, s.tok, s.tov, s.tbus].map(|t| t.expect("TX stage stamped"));
+            assert!(tx.is_sorted() && tx[0] < tx[3], "TX stages of {id}: {tx:?}");
+        }
+        for (_, id) in &burst.got {
+            let r = ledger.get(*id).unwrap();
+            let rx = [r.tiv, r.trxf, r.tik, r.tiu].map(|t| t.expect("RX stage stamped"));
+            assert!(rx.is_sorted() && rx[0] < rx[3], "RX stages of {id}: {rx:?}");
+        }
+        // One timer per app send plus six pipeline stages per round
+        // trip, none more: no stage fired twice.
+        let mut snap = obs::Snapshot::default();
+        sim.export(&mut snap);
+        assert_eq!(snap.counter("sim.timers_set"), Some(7 * n as u64));
+        // Stages overlapped, and the slab reused freed slots while
+        // others were held; all are free at the end.
+        let slots = phone.core().pending.slots.len();
+        assert!((8..6 * n).contains(&slots), "slab of {slots} slots");
+        assert!(phone.core().pending.is_empty());
     }
 
     #[test]

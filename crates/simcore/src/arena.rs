@@ -125,6 +125,25 @@ impl<T> EventArena<T> {
         }
     }
 
+    /// Empty the arena for a new run, keeping its slots: every occupied
+    /// slot drops its payload and bumps its generation, as
+    /// [`EventArena::take`] does, so no handle issued before the clear
+    /// names anything after it. The free list then holds every slot,
+    /// lowest on top, so inserts fill slots in index order as in a
+    /// fresh arena, and growing it again past its old high-water mark is
+    /// the only thing that allocates.
+    pub fn clear(&mut self) {
+        for (generation, slot) in &mut self.slots {
+            if !matches!(slot, Slot::Vacant) {
+                *slot = Slot::Vacant;
+                *generation = generation.wrapping_add(1);
+            }
+        }
+        self.free.clear();
+        self.free.extend((0..self.slots.len() as u32).rev());
+        self.live = 0;
+    }
+
     /// Remove and return the payload if the handle is current and the
     /// slot is live; frees the slot either way when the handle is
     /// current (a tombstoned slot is reaped to vacant). Stale handles
@@ -270,6 +289,31 @@ mod tests {
             assert_eq!(arena.take(h), Some(i));
             retired.push(h);
         }
+    }
+
+    #[test]
+    fn clear_keeps_slots_and_stales_every_handle() {
+        let mut arena: EventArena<u32> = EventArena::new();
+        let handles: Vec<EventHandle> = (0..4).map(|i| arena.insert(i)).collect();
+        assert!(arena.cancel(handles[1]));
+        assert_eq!(arena.take(handles[2]), Some(2));
+        arena.clear();
+        assert_eq!((arena.live(), arena.capacity()), (0, 4));
+        for h in &handles {
+            assert!(!arena.is_live(*h));
+            assert!(!arena.cancel(*h));
+            assert_eq!(arena.take(*h), None);
+        }
+        // Inserts refill the kept slots in index order, each under a
+        // generation no old handle carries.
+        let refilled: Vec<EventHandle> = (10..14).map(|i| arena.insert(i)).collect();
+        assert_eq!(arena.capacity(), 4, "the kept slots were reused");
+        for (old, new) in handles.iter().zip(&refilled) {
+            assert_eq!(new.slot, old.slot);
+            assert_ne!(new.generation, old.generation);
+            assert_eq!(arena.take(*old), None);
+        }
+        assert_eq!(arena.take(refilled[3]), Some(13));
     }
 
     #[test]

@@ -347,13 +347,37 @@ pub struct Sim<M> {
 }
 
 impl<M: 'static> Sim<M> {
-    /// Create an empty simulation with the given RNG seed.
+    /// Create an empty simulation with the given RNG seed. It allocates
+    /// nothing until a node or an event is added.
     pub fn new(seed: u64) -> Self {
+        Sim::init(Vec::new(), HeapQueue::new(), seed)
+    }
+
+    /// Empty the simulation for a new run with RNG seed `seed`, keeping
+    /// the capacity of its node list and event queue: every node is
+    /// dropped, every pending event discarded, and the result equals
+    /// `Sim::new(seed)` in everything but capacity — the clock, the RNG
+    /// and the counters restart, the tracer is disabled and no profiler
+    /// is installed. A [`TimerId`] taken before the reset cancels
+    /// nothing after it. A run no larger than an earlier one on the
+    /// same `Sim` then grows nothing.
+    pub fn reset(&mut self, seed: u64) {
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
+        let mut queue = std::mem::take(&mut self.inner.queue);
+        queue.clear();
+        *self = Sim::init(nodes, queue, seed);
+    }
+
+    /// The one initializer behind [`Sim::new`] and [`Sim::reset`]: a
+    /// fresh simulation seeded `seed` on an empty node list and queue.
+    fn init(nodes: Vec<Option<Box<dyn Node<M>>>>, queue: HeapQueue<Entry<M>>, seed: u64) -> Self {
+        debug_assert!(nodes.is_empty() && queue.is_empty());
         Sim {
-            nodes: Vec::new(),
+            nodes,
             inner: Inner {
                 now: SimTime::ZERO,
-                queue: HeapQueue::new(),
+                queue,
                 rng: DetRng::new(seed),
                 tracer: obs::Tracer::disabled(),
                 stop: false,
@@ -486,13 +510,14 @@ impl<M: 'static> Sim<M> {
     /// Dispatch the next event, if any. Returns `false` when the event list
     /// is empty or a node requested a stop.
     pub fn step(&mut self) -> bool {
+        self.start_if_needed();
         self.step_to().is_some() && !self.inner.stop
     }
 
     /// Dispatch the next event, if any, and return the node it went to:
     /// `None` when the event list is empty or a node requested a stop.
+    /// The run loops start the nodes once before their first call.
     fn step_to(&mut self) -> Option<NodeId> {
-        self.start_if_needed();
         if self.inner.stop {
             return None;
         }
@@ -543,7 +568,7 @@ impl<M: 'static> Sim<M> {
         let wall = std::time::Instant::now();
         let start = self.inner.events_processed;
         while self.inner.events_processed - start < max_events {
-            if !self.step() {
+            if self.step_to().is_none() || self.inner.stop {
                 break;
             }
         }
@@ -927,6 +952,147 @@ mod tests {
         assert_eq!(snap.gauge("sim.queue_depth"), Some(0));
         // All 5 injections were queued before the run drained them.
         assert_eq!(snap.gauge("sim.queue_depth_peak"), Some(5));
+    }
+
+    /// Every dispatch of the reset script: when, to which node, and the
+    /// message (below 1 000) or the timer tag (1 000 and up).
+    type Log = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, NodeId, u64)>>>;
+
+    /// Arms `timers` timers at random delays on start and cancels every
+    /// third, then plays echo with `peer`, each hop after a random delay,
+    /// until its budget runs out; logs every dispatch.
+    struct Scripted {
+        log: Log,
+        peer: NodeId,
+        timers: u64,
+        budget: u32,
+    }
+
+    impl Node<u32> for Scripted {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for tag in 0..self.timers {
+                let delay = SimDuration::from_micros(ctx.rng().uniform_u64(0, 900));
+                let timer = ctx.set_timer(delay, 1_000 + tag);
+                if tag % 3 == 0 {
+                    ctx.cancel_timer(timer);
+                }
+            }
+            ctx.send(self.peer, SimDuration::ZERO, 0);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32) {
+            self.log
+                .borrow_mut()
+                .push((ctx.now(), ctx.me(), u64::from(msg)));
+            if self.budget > 0 {
+                self.budget -= 1;
+                let delay = SimDuration::from_micros(ctx.rng().uniform_u64(0, 40));
+                ctx.send(from, delay, msg + 1);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, tag: u64) {
+            self.log.borrow_mut().push((ctx.now(), ctx.me(), tag));
+        }
+    }
+
+    /// What the reset script shows of a run: its dispatches, the clock,
+    /// and every exported count but the host's wall time.
+    type ScriptRun = (Vec<(SimTime, NodeId, u64)>, SimTime, Vec<Option<i64>>);
+
+    /// Two scripted nodes echoing each other, run to `deadline_us`.
+    fn run_script(sim: &mut Sim<u32>, timers: u64, budget: u32, deadline_us: u64) -> ScriptRun {
+        let log = Log::default();
+        for peer in [1, 0] {
+            sim.add_node(Box::new(Scripted {
+                log: log.clone(),
+                peer: NodeId(peer),
+                timers,
+                budget,
+            }));
+        }
+        sim.run_until(SimTime::from_micros(deadline_us));
+        let mut snap = Snapshot::default();
+        sim.export(&mut snap);
+        let counts = [
+            "sim.advance_ns",
+            "sim.events_processed",
+            "sim.timers_set",
+            "sim.timers_cancelled",
+        ];
+        let mut seen: Vec<Option<i64>> = counts
+            .iter()
+            .map(|c| snap.counter(c).map(|v| v as i64))
+            .collect();
+        seen.extend(["sim.queue_depth", "sim.queue_depth_peak"].map(|g| snap.gauge(g)));
+        let dispatched = log.borrow().clone();
+        (dispatched, sim.now(), seen)
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_sim_but_for_capacity() {
+        let fresh = run_script(&mut Sim::new(11), 12, 30, 600);
+        assert!(fresh.0.len() > 40, "script too small: {}", fresh.0.len());
+        // A different seed, a deeper queue (hundreds of timers, a third
+        // of them tombstoned), a tracer and a profiler, and a run cut
+        // off with events still pending.
+        let prof = obs::Profiler::new();
+        let mut sim = Sim::new(5);
+        sim.set_tracer(&obs::Tracer::new());
+        sim.set_profiler(&prof);
+        let deep = {
+            let _des = prof.phase("des");
+            run_script(&mut sim, 300, 500, 450)
+        };
+        assert!(deep.2[5] > fresh.2[5], "the first run must be deeper");
+        assert_ne!(deep.2[4], Some(0), "events left pending at the reset");
+        let profiled = prof.snapshot();
+        sim.reset(11);
+        assert!(!sim.tracer().is_enabled());
+        assert_eq!(run_script(&mut sim, 12, 30, 600), fresh);
+        assert_eq!(prof.snapshot(), profiled, "no profiler survives a reset");
+    }
+
+    #[test]
+    fn timer_ids_taken_before_a_reset_cancel_nothing_after_it() {
+        /// Arms three timers on start, then cancels handles it was
+        /// given from before the reset.
+        struct Rearm {
+            stale: Vec<TimerId>,
+            fired: Vec<u64>,
+        }
+        impl Node<u32> for Rearm {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                for tag in 1..=3 {
+                    ctx.set_timer(SimDuration::from_millis(tag), tag);
+                }
+                for &t in &self.stale {
+                    ctx.cancel_timer(t);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, u32>, tag: u64) {
+                self.fired.push(tag);
+            }
+        }
+        let mut sim = Sim::new(0);
+        let n = sim.add_node(Box::new(TimerNode {
+            fired: vec![],
+            cancel_second: false,
+            pending: vec![],
+        }));
+        // The three timers are armed and none has fired.
+        sim.run_until(SimTime::from_micros(500));
+        let stale = sim.node::<TimerNode>(n).pending.clone();
+        sim.reset(0);
+        // The new timers take the same slots, one generation on.
+        let n = sim.add_node(Box::new(Rearm {
+            stale,
+            fired: vec![],
+        }));
+        sim.run_until_idle(100);
+        assert_eq!(sim.node::<Rearm>(n).fired, vec![1, 2, 3]);
+        let mut snap = Snapshot::default();
+        sim.export(&mut snap);
+        assert_eq!(snap.counter("sim.timers_cancelled"), Some(0));
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Maps keyed by ids the simulation allocates itself.
 //!
-//! The phone's timestamp ledger and pending-stage table and the
-//! capture's air-time index look a packet id or a pipeline token up at
-//! every stage of every packet. Those keys come from counters inside
-//! the simulation, never from an adversary, so SipHash's resistance to
-//! chosen keys buys nothing there, and its cost per lookup is several
-//! times that of one multiply.
+//! The phone's timestamp ledger and the capture's air-time index look
+//! a packet id up at every stage of every packet. Those keys come from
+//! counters inside the simulation, never from an adversary, so
+//! SipHash's resistance to chosen keys buys nothing there, and its cost
+//! per lookup is several times that of one multiply.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` keyed by a simulator-allocated `u64` (a packet id or a
-/// pipeline token), hashed with one multiply and a rotate. Nothing may
-/// depend on its iteration order.
+/// A `HashMap` keyed by a simulator-allocated `u64` (a packet id),
+/// hashed with one multiply and a rotate. Nothing may depend on its
+/// iteration order.
 pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// Multiply-rotate hasher of the Fx family: one multiply per word

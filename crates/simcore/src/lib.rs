@@ -19,6 +19,9 @@
 //! * **Arena-resident payloads** ([`arena`]): event payloads live inline
 //!   in generational slots; the dispatch hot path moves `Copy` records
 //!   and handles, never boxes, and allocates nothing at steady state.
+//! * **Reset, not rebuilt** ([`Sim::reset`]): a run after a reset starts
+//!   as `Sim::new` would but on the node list and queue earlier runs
+//!   grew, so run after run on one `Sim` allocates nothing for them.
 //! * **Cancellable timers** ([`TimerId`]): the SDIO demotion and PSM timeout
 //!   state machines constantly reset their timers on activity; cancellation
 //!   tombstones the event's arena slot and the queue reaps it lazily, so

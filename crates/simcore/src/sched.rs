@@ -108,6 +108,20 @@ impl<T> HeapQueue<T> {
         }
     }
 
+    /// Empty the queue for a new run, keeping the capacity of its heap,
+    /// lane and arena: afterwards it pops exactly what a
+    /// [`HeapQueue::new`] queue would, `seq` and the latest pop's time
+    /// restart at zero, and every handle issued before the clear is
+    /// stale ([`EventArena::clear`]).
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.front = None;
+        self.lane.clear();
+        self.cur = SimTime::ZERO;
+        self.arena.clear();
+        self.seq = 0;
+    }
+
     /// Schedule `payload` at `at`; later pushes at the same `at` pop
     /// later. Returns a handle usable with [`HeapQueue::cancel`].
     pub fn push(&mut self, at: SimTime, payload: T) -> EventHandle {

@@ -12,6 +12,10 @@
 //! handle (the per-event cost the arena removed) must allocate once per
 //! event — the contrast proves the counter sees this thread's
 //! allocations, so the zero above is not vacuous.
+//!
+//! A reset keeps that high-water mark: a second identical run on a
+//! reset `Sim` (`Sim::reset`), nodes boxed beforehand, allocates
+//! nothing at all, from its first event on.
 
 use obs::prof::{thread_alloc_counts, CountingAlloc};
 use simcore::{Ctx, Node, NodeId, Sim, SimDuration, SimTime};
@@ -59,23 +63,31 @@ impl Node<u64> for Pinger {
     }
 }
 
-/// Run the ping-pong workload; returns the allocation count delta over
-/// the steady-state window (after warm-up).
-fn steady_state_allocs(boxing: bool) -> u64 {
-    let mut sim: Sim<u64> = Sim::new(7);
-    let pinger = || {
+/// Add the two pingers to `sim` and start 16 ping-pong chains between
+/// them, so the queue holds more than one in-flight event and the arena
+/// cycles through multiple slots.
+fn start_pingers(sim: &mut Sim<u64>, nodes: [Box<Pinger>; 2]) -> (NodeId, NodeId) {
+    let [a, b] = nodes.map(|node| sim.add_node(node));
+    for i in 0..16 {
+        sim.inject(a, b, SimTime::from_micros(i), 0);
+    }
+    (a, b)
+}
+
+fn pingers(boxing: bool) -> [Box<Pinger>; 2] {
+    [(); 2].map(|_| {
         Box::new(Pinger {
             boxing,
             ..Pinger::default()
         })
-    };
-    let a = sim.add_node(pinger());
-    let b = sim.add_node(pinger());
-    // Several concurrent ping-pong chains so the queue holds more than
-    // one in-flight event and the arena cycles through multiple slots.
-    for i in 0..16 {
-        sim.inject(a, b, SimTime::from_micros(i), 0);
-    }
+    })
+}
+
+/// Run the ping-pong workload; returns the allocation count delta over
+/// the steady-state window (after warm-up).
+fn steady_state_allocs(boxing: bool) -> u64 {
+    let mut sim: Sim<u64> = Sim::new(7);
+    let (a, b) = start_pingers(&mut sim, pingers(boxing));
 
     // Warm-up: grow the heap, the arena and the node state to the
     // workload's high-water mark; after that the in-flight population
@@ -106,4 +118,23 @@ fn boxing_each_message_allocates_per_event() {
         delta > 10_000,
         "boxing nodes should allocate per event, saw only {delta}"
     );
+}
+
+#[test]
+fn rerun_after_reset_allocates_nothing() {
+    let mut sim: Sim<u64> = Sim::new(7);
+    start_pingers(&mut sim, pingers(false));
+    sim.run_until(SimTime::from_millis(1_120));
+    sim.reset(7);
+    let nodes = pingers(false);
+
+    let (allocs_before, _) = thread_alloc_counts();
+    let (a, b) = start_pingers(&mut sim, nodes);
+    sim.run_until(SimTime::from_millis(1_120));
+    let (allocs_after, _) = thread_alloc_counts();
+
+    let hops = sim.node::<Pinger>(a).hops + sim.node::<Pinger>(b).hops;
+    assert!(hops > 10_000, "workload too small to be meaningful: {hops}");
+    let delta = allocs_after - allocs_before;
+    assert_eq!(delta, 0, "the rerun on a reset sim allocated {delta} times");
 }

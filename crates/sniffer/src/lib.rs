@@ -70,6 +70,24 @@ impl CaptureNode {
     pub fn index(&self) -> &CaptureIndex {
         &self.index
     }
+
+    /// Give the capture the index an earlier capture left
+    /// ([`CaptureNode::take_index`]), before it runs.
+    pub fn set_index(&mut self, index: CaptureIndex) {
+        debug_assert!(index.captures.is_empty() && index.air_time.is_empty());
+        self.index = index;
+    }
+
+    /// Take the index out, emptied but with its capacity, for the next
+    /// capture ([`CaptureNode::set_index`]). A testbed that runs device
+    /// after device hands it on this way, so a capture grows it only
+    /// past the largest earlier one's size.
+    pub fn take_index(&mut self) -> CaptureIndex {
+        let mut index = std::mem::take(&mut self.index);
+        index.captures.clear();
+        index.air_time.clear();
+        index
+    }
 }
 
 impl Node<Msg> for CaptureNode {

@@ -10,6 +10,8 @@ use phone::{App, PhoneNode, PhoneProfile, RuntimeKind};
 use simcore::{NodeId, Sim, SimTime};
 use wire::{Ip, Msg};
 
+use crate::DeviceStorage;
+
 /// Addresses for the cellular testbed.
 pub mod cell_addr {
     use wire::Ip;
@@ -95,7 +97,14 @@ pub struct CellTestbed {
 impl CellTestbed {
     /// Build the testbed.
     pub fn build(cfg: CellTestbedConfig) -> CellTestbed {
-        let mut sim = Sim::new(cfg.seed);
+        CellTestbed::build_on(cfg, &mut DeviceStorage::default())
+    }
+
+    /// [`CellTestbed::build`] on the containers an earlier testbed left
+    /// in `storage` ([`CellTestbed::recycle`]); it has no capture, so
+    /// the storage keeps its capture index.
+    pub fn build_on(cfg: CellTestbedConfig, storage: &mut DeviceStorage) -> CellTestbed {
+        let mut sim = storage.take_sim(cfg.seed);
         let server = sim.add_node(Box::new(ServerNode::new(
             100,
             ServerConfig::standard(cell_addr::SERVER),
@@ -114,6 +123,7 @@ impl CellTestbed {
         let cell = sim.add_node(Box::new(cell_node));
         sim.node_mut::<LinkNode>(link).connect(cell, server);
         let mut phone_node = PhoneNode::new(1, cfg.profile, cell_addr::PHONE, cell);
+        phone_node.set_tables(std::mem::take(&mut storage.phone));
         // The WNIC/SDIO model is a WiFi artifact; the modem's power
         // behaviour is the RRC machine.
         phone_node.core_mut().bus.set_sleep_enabled(false);
@@ -125,6 +135,13 @@ impl CellTestbed {
             cell,
             server,
         }
+    }
+
+    /// Drop the testbed's nodes and hand its containers back to
+    /// `storage`, emptied, for the next build on it.
+    pub fn recycle(mut self, storage: &mut DeviceStorage) {
+        storage.phone = self.sim.node_mut::<PhoneNode>(self.phone).take_tables();
+        storage.put_sim(self.sim);
     }
 
     /// Install an app on the phone.

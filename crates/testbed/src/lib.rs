@@ -30,6 +30,7 @@
 mod cell_topology;
 pub mod experiments;
 pub mod metrics;
+mod storage;
 mod topology;
 
 pub use cell_topology::{cell_addr, CellTestbed, CellTestbedConfig};
@@ -37,4 +38,5 @@ pub use cell_topology::{cell_addr, CellTestbed, CellTestbedConfig};
 /// experiment accepts.
 pub use measure::MAX_PROBES;
 pub use metrics::{breakdowns, series, ProbeBreakdown};
+pub use storage::DeviceStorage;
 pub use topology::{addr, Testbed, TestbedConfig};

@@ -21,6 +21,8 @@ use simcore::{NodeId, Sim, SimDuration, SimTime};
 use sniffer::{CaptureIndex, CaptureNode};
 use wire::{Mac, Msg};
 
+use crate::DeviceStorage;
+
 /// Addresses used by the standard testbed.
 pub mod addr {
     use wire::Ip;
@@ -205,7 +207,14 @@ impl Testbed {
     /// Build the testbed. Install apps with [`Testbed::install_app`]
     /// before running.
     pub fn build(cfg: TestbedConfig) -> Testbed {
-        let mut sim = Sim::new(cfg.seed);
+        Testbed::build_on(cfg, &mut DeviceStorage::default())
+    }
+
+    /// [`Testbed::build`] on the containers an earlier testbed left in
+    /// `storage` ([`Testbed::recycle`]); the testbed holds them until
+    /// it is recycled. What it runs is the same either way.
+    pub fn build_on(cfg: TestbedConfig, storage: &mut DeviceStorage) -> Testbed {
+        let mut sim = storage.take_sim(cfg.seed);
 
         // Beacon phase: uniform over the beacon cycle, from the seed.
         let beacon_interval = cfg
@@ -267,7 +276,9 @@ impl Testbed {
             .attach_station(ap, AP_MAC, true);
 
         // The sniffers: one monitor, one delivery per frame.
-        let capture = sim.add_node(Box::new(CaptureNode::new(cfg.sniffers, cfg.sniffer_loss)));
+        let mut capture_node = CaptureNode::new(cfg.sniffers, cfg.sniffer_loss);
+        capture_node.set_index(std::mem::take(&mut storage.capture));
+        let capture = sim.add_node(Box::new(capture_node));
         if cfg.sniffers > 0 {
             sim.node_mut::<MediumNode>(medium)
                 .attach_monitor(capture, cfg.sniffer_capture_cross);
@@ -295,6 +306,7 @@ impl Testbed {
         sim.node_mut::<MediumNode>(medium)
             .attach_station(sta, PHONE_MAC, false);
         let mut phone_node = PhoneNode::new(1, cfg.profile.clone(), addr::PHONE, sta);
+        phone_node.set_tables(std::mem::take(&mut storage.phone));
         phone_node.core_mut().bus.set_sleep_enabled(cfg.bus_sleep);
         let phone = sim.add_node(Box::new(phone_node));
         sim.node_mut::<StaMacNode>(sta).set_host(phone);
@@ -354,6 +366,14 @@ impl Testbed {
             blaster,
             beacon_offset,
         }
+    }
+
+    /// Drop the testbed's nodes and hand its containers back to
+    /// `storage`, emptied, for the next [`Testbed::build_on`].
+    pub fn recycle(mut self, storage: &mut DeviceStorage) {
+        storage.phone = self.sim.node_mut::<PhoneNode>(self.phone).take_tables();
+        storage.capture = self.sim.node_mut::<CaptureNode>(self.capture).take_index();
+        storage.put_sim(self.sim);
     }
 
     /// Install a measurement app on the phone (before running).
