@@ -25,10 +25,11 @@
 //! experiment runs instrumented sessions and emits the workspace metrics
 //! snapshot (SDIO wake-latency, PSM beacon-buffering, per-layer
 //! counters); `--metrics-json` / `--metrics-text` choose the format
-//! (default: Prometheus-style text). The `waterfall` experiment runs a
-//! traced session and renders per-probe span waterfalls; `--trace-out`
-//! additionally writes the spans as Chrome `trace_event` JSON (loadable
-//! in `chrome://tracing` / Perfetto) and `--trace-spans` as JSON-lines.
+//! (default: Prometheus-style text; the last one given wins). The
+//! `waterfall` experiment runs a traced session and renders per-probe
+//! span waterfalls; `--trace-out` additionally writes the spans as
+//! Chrome `trace_event` JSON (loadable in `chrome://tracing` /
+//! Perfetto) and `--trace-spans` as JSON-lines.
 //! `bench-snapshot` (not part of `all`) runs the `am_stats::bench` harness at a
 //! reduced budget and writes `BENCH_2.json` with median ns per scenario;
 //! `bench-gate` compares a fresh snapshot against the committed baseline
@@ -92,7 +93,6 @@ struct Options {
     seed: u64,
     out: PathBuf,
     metrics_json: bool,
-    metrics_text: bool,
     trace_out: Option<PathBuf>,
     trace_spans: Option<PathBuf>,
     fleet_devices: u64,
@@ -132,7 +132,6 @@ fn parse_args() -> Options {
         seed: 2016,
         out: PathBuf::from("results"),
         metrics_json: false,
-        metrics_text: false,
         trace_out: None,
         trace_spans: None,
         fleet_devices: 10_000,
@@ -292,7 +291,7 @@ fn parse_args() -> Options {
                     .unwrap_or_else(|| die("--bench-factor needs a factor > 1"))
             }
             "--metrics-json" => opts.metrics_json = true,
-            "--metrics-text" => opts.metrics_text = true,
+            "--metrics-text" => opts.metrics_json = false,
             "--trace-out" => {
                 opts.trace_out = Some(
                     args.next()

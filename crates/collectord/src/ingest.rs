@@ -11,9 +11,10 @@
 //!   dropped,
 //! * a push for a slice that collides with a different shard's slice is
 //!   a typed [`IngestError::Overlap`] rejection,
-//! * a push whose state cannot merge with what is held (a renamed
-//!   stratum, a histogram with other bounds, a sketch of another
-//!   accuracy) is a typed [`IngestError::BadState`] rejection.
+//! * a push whose state the reader refuses (a histogram with other
+//!   bounds, a sketch of another accuracy) or that cannot merge with
+//!   what is held (a renamed stratum) is a typed
+//!   [`IngestError::BadState`] rejection.
 //!
 //! A **final** slice (`final: true`, the shard's range complete) folds
 //! into the merged collector the moment it arrives, in whatever order

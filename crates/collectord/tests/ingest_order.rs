@@ -8,7 +8,7 @@
 
 use collectord::{Ingest, IngestError, PushOutcome, Store};
 use fleet::{run_campaign, run_device, CampaignSpec, Collector};
-use obs::{Json, QuantileSketch, ToJson};
+use obs::{Json, ToJson};
 
 fn spec() -> CampaignSpec {
     CampaignSpec::heterogeneous(42, 60).with_probes(2)
@@ -276,13 +276,7 @@ fn unmergeable_pushes_are_rejected_before_anything_is_stored() {
     // sketch (strata precede everything else), and every histogram's
     // first bound.
     let good = slice_state(&spec, 20, 40).to_string();
-    let gamma = |alpha| {
-        QuantileSketch::with_alpha(alpha)
-            .state_json()
-            .get("gamma")
-            .unwrap()
-            .to_string()
-    };
+    let gamma = |alpha: f64| Json::Num((1.0 + alpha) / (1.0 - alpha)).to_string();
     let tampered = [
         (
             "stratum name mismatch",

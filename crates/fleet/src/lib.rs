@@ -58,6 +58,7 @@ pub use report::{
     CAMPAIGN_STATE_FORMAT, CAMPAIGN_STATE_VERSION,
 };
 pub use shard::{run_device, run_device_prof, DevicePartial};
+pub use simcore::splitmix64;
 pub use spec::{
-    splitmix64, CalibrationSweep, CampaignSpec, DeviceClass, DiurnalSchedule, Radio, RttDist, Tool,
+    CalibrationSweep, CampaignSpec, DeviceClass, DiurnalSchedule, Radio, RttDist, Tool,
 };

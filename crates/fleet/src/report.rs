@@ -23,7 +23,10 @@
 //! Both rely on every piece of folded state being *exactly* mergeable:
 //! sketches with integer internals and integer-nanosecond sums, in the
 //! strata and in every telemetry histogram. Absorption order therefore
-//! never changes a byte.
+//! never changes a byte. Every sketch has the one accuracy and every
+//! histogram the one set of bounds, and the document's readers refuse
+//! any other, so two states of one campaign always merge: a foreign
+//! value fails in [`Collector::from_state_json`], never in a merge.
 
 use am_stats::QuantileSketch;
 use obs::{Json, Snapshot, ToJson};
@@ -54,12 +57,6 @@ impl std::fmt::Display for CampaignStateError {
 }
 
 impl std::error::Error for CampaignStateError {}
-
-impl From<am_stats::SketchStateError> for CampaignStateError {
-    fn from(e: am_stats::SketchStateError) -> CampaignStateError {
-        CampaignStateError(e.0)
-    }
-}
 
 impl From<obs::SnapshotStateError> for CampaignStateError {
     fn from(e: obs::SnapshotStateError) -> CampaignStateError {
@@ -370,7 +367,7 @@ impl Collector {
                 let s = j.get(k).ok_or_else(|| {
                     CampaignStateError(format!("stratum {i}: missing sketch `{k}`"))
                 })?;
-                campaign_sketch(s)
+                QuantileSketch::from_state_json(s)
                     .map_err(|e| CampaignStateError(format!("stratum {i} sketch `{k}`: {}", e.0)))
             };
             let weight = field("weight")?;
@@ -419,7 +416,8 @@ impl Collector {
             let s = state
                 .get(k)
                 .ok_or_else(|| CampaignStateError(format!("missing sketch `{k}`")))?;
-            campaign_sketch(s).map_err(|e| CampaignStateError(format!("sketch `{k}`: {}", e.0)))
+            QuantileSketch::from_state_json(s)
+                .map_err(|e| CampaignStateError(format!("sketch `{k}`: {}", e.0)))
         };
         let du_all = top_sketch("du_all")?;
         let overhead_all = top_sketch("overhead_all")?;
@@ -441,10 +439,10 @@ impl Collector {
     }
 
     /// Check that [`Collector::absorb_state`] would accept `other`
-    /// without changing anything: same campaign (seed and fingerprint),
-    /// the same strata by name, and telemetry histograms whose bounds
-    /// agree by name. Device ranges are the caller's business — only it
-    /// knows whether the inputs must tile a population.
+    /// without changing anything: same campaign (seed and fingerprint)
+    /// and the same strata by name. Device ranges are the caller's
+    /// business — only it knows whether the inputs must tile a
+    /// population.
     pub fn check_mergeable(&self, other: &Collector) -> Result<(), CampaignStateError> {
         if other.fingerprint != self.fingerprint || other.seed != self.seed {
             return Err(CampaignStateError(
@@ -467,7 +465,6 @@ impl Collector {
                 s.name, o.name
             )));
         }
-        self.obs.check_merge(&other.obs)?;
         Ok(())
     }
 
@@ -624,19 +621,6 @@ pub fn merge_partials(
         merged.absorb_state(c)?;
     }
     Ok(merged.finish())
-}
-
-/// A sketch from a campaign-state document. Every campaign sketch is
-/// built with the default accuracy, so any other accuracy is rejected
-/// here, before a merge could trip over it.
-fn campaign_sketch(state: &Json) -> Result<QuantileSketch, CampaignStateError> {
-    let s = QuantileSketch::from_state_json(state)?;
-    if !s.mergeable_with(&QuantileSketch::new()) {
-        return Err(CampaignStateError(
-            "sketch accuracy is not the campaign default".to_string(),
-        ));
-    }
-    Ok(s)
 }
 
 fn fmt_q(s: &QuantileSketch, p: f64) -> String {

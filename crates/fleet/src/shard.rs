@@ -16,7 +16,7 @@ use obs::Snapshot;
 use phone::{PhoneNode, RuntimeKind};
 use simcore::{LatencyDist, SimDuration, SimTime};
 use testbed::{
-    addr, breakdowns, CellTestbed, CellTestbedConfig, DeviceStorage, Testbed, TestbedConfig,
+    addr, breakdown, CellTestbed, CellTestbedConfig, DeviceStorage, Testbed, TestbedConfig,
 };
 
 use crate::spec::{CampaignSpec, Radio, Tool};
@@ -87,17 +87,18 @@ impl FoldTarget for DevicePartial {
     }
 }
 
-fn harvest(
-    into: &mut impl FoldTarget,
-    class: usize,
-    records: &[RttRecord],
-    breakdown: Option<&[testbed::ProbeBreakdown]>,
-) {
+/// Fold one device's probes into `into`: each record's `du`, and on a
+/// WiFi testbed `tb` its `dn` and overhead too, each probe joined with
+/// the phone's ledger and the sniffers' captures as it is reached.
+fn harvest(into: &mut impl FoldTarget, class: usize, records: &[RttRecord], tb: Option<&Testbed>) {
     into.device(class, records.len() as u64, records.total_retries());
+    let vantage = tb.map(|tb| (tb.phone_node().ledger(), tb.capture_index()));
     for r in records {
         into.du(class, r.du_ms());
-    }
-    for b in breakdown.unwrap_or_default() {
+        let Some((ledger, capture)) = vantage else {
+            continue;
+        };
+        let b = breakdown(r, ledger, capture);
         if let Some(dn) = b.dn {
             into.dn(class, Some(dn));
             if let Some(du) = b.du {
@@ -248,8 +249,7 @@ pub(crate) fn fold_device(
                 let phone = tb.phone_node();
                 export_tool(phone, class.tool, app, into.obs());
                 let records = tool_records(phone, class.tool, app);
-                let bds = breakdowns(records, phone.ledger(), tb.capture_index());
-                harvest(into, class_idx, records, Some(&bds));
+                harvest(into, class_idx, records, Some(&tb));
             }
             let _teardown = prof.phase("teardown");
             tb.recycle(storage);

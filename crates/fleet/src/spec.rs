@@ -8,7 +8,7 @@
 
 use netem::FaultPlan;
 use phone::PhoneProfile;
-use simcore::SimDuration;
+use simcore::{splitmix64, SimDuration};
 
 /// Radio access technology of a device class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,14 +295,6 @@ pub struct CampaignSpec {
     pub horizon: SimDuration,
     /// The strata (must be non-empty, total weight > 0).
     pub classes: Vec<DeviceClass>,
-}
-
-/// SplitMix64 — the seed/stratum derivation mixer.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl CampaignSpec {

@@ -498,3 +498,50 @@ fn campaign_state_of_another_version_is_refused() {
         assert!(err.0.contains(&format!("version {version}")), "{err}");
     }
 }
+
+/// Every histogram has the one set of bounds and every sketch the one
+/// accuracy, so state with another of either is refused where it is
+/// read, with an error that names the histogram or sketch, before any
+/// merge could meet it. (A resume used to read an edited bound and then
+/// panic when the engine folded its workers' states into it.)
+#[test]
+fn foreign_bounds_and_accuracy_are_refused_where_they_are_read() {
+    let spec = spec();
+    let parts: Vec<String> = (0..2)
+        .map(|i| run_partition(&spec, 1, i, 2).0.state_json().to_string())
+        .collect();
+    let head = Json::parse(&parts[0]).unwrap();
+    let hists = head.get("obs").and_then(|o| o.get("histograms"));
+    let first = hists.and_then(Json::as_arr).unwrap()[0].get("name");
+    let first = first.and_then(Json::as_str).unwrap();
+    let gamma = |alpha: f64| format!("\"gamma\":{}", Json::Num((1.0 + alpha) / (1.0 - alpha)));
+    // Each edit hits the first match: the first histogram's first bound,
+    // and stratum 0's `du` sketch (strata precede everything else).
+    let edits = [
+        (
+            parts[0].replacen("\"bounds\":[0.25,", "\"bounds\":[0.125,", 1),
+            format!("histogram `{first}`"),
+            "different bounds",
+        ),
+        (
+            parts[0].replacen(&gamma(0.005), &gamma(0.02), 1),
+            "stratum 0 sketch `du`".to_string(),
+            "accuracy",
+        ),
+    ];
+    for (edited, names, why) in &edits {
+        assert_ne!(edited, &parts[0], "{why}: the edit must apply");
+        let edited = Json::parse(edited).unwrap();
+        let err = resume_campaign(&spec, 2, &edited, &RunOptions::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.0.contains(names) && err.0.contains(why), "{err}");
+        let tail = Json::parse(&parts[1]).unwrap();
+        let err = merge_partials(&spec, &[edited, tail]).unwrap_err();
+        assert!(
+            err.0.contains("partial 0") && err.0.contains(names) && err.0.contains(why),
+            "{err}"
+        );
+    }
+    assert!(resume_campaign(&spec, 2, &head, &RunOptions::default()).is_ok());
+}

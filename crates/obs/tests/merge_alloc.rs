@@ -16,27 +16,25 @@ fn alloc_count() -> u64 {
 }
 
 /// Add one device's worth of telemetry to `s`: counters, a gauge and
-/// histograms with their own bounds. `extra` adds names the plain
-/// device lacks.
+/// histograms. `extra` adds names the plain device lacks.
 fn record(s: &mut Snapshot, extra: bool) {
     let owned = |name: &str| MetricName::Owned(name.to_string());
-    let hist = |bounds: &[f64], values: &[f64]| {
-        let mut h = Hist::new(bounds);
+    let hist = |values: &[f64]| {
+        let mut h = Hist::default();
         values.iter().for_each(|&v| h.observe(v));
         h
     };
-    let ms = &obs::metrics::DEFAULT_MS_BUCKETS;
     s.add_counter(owned("phone.sdio.wakeups"), 7);
     s.add_counter(owned("phy.medium.frames"), 120);
     s.add_gauge(owned("phy.ap.dozing"), -2);
-    let wake = hist(ms, &[0.3, 4.0, 11.0, 11.5, 260.0]);
+    let wake = hist(&[0.3, 4.0, 11.0, 11.5, 260.0]);
     s.merge_histogram(owned("phone.sdio.wake_latency_ms"), &wake);
-    let occupancy = hist(&[10.0, 100.0, 1000.0], &[42.0]);
+    let occupancy = hist(&[42.0]);
     s.merge_histogram(owned("netem.link.occupancy_us"), &occupancy);
     if extra {
         s.add_counter(owned("measure.ping.timeouts"), 1);
         s.add_gauge(owned("phy.sta.queue"), 3);
-        s.merge_histogram(owned("phone.kernel.tx_ms"), &hist(ms, &[0.7]));
+        s.merge_histogram(owned("phone.kernel.tx_ms"), &hist(&[0.7]));
     }
 }
 
@@ -49,7 +47,7 @@ fn device(extra: bool) -> Snapshot {
 #[test]
 fn merging_held_names_allocates_nothing() {
     // The second device brings names the first lacks: they start from
-    // its state, bounds and sketch included.
+    // its state, buckets and sketch included.
     let mut campaign = Snapshot::default();
     let mut direct = Snapshot::default();
     for extra in [false, true] {

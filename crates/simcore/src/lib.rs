@@ -65,5 +65,5 @@ mod time;
 pub use arena::{EventArena, EventHandle};
 pub use engine::{AsAny, Ctx, Node, NodeId, Sim, TimerId};
 pub use idmap::IdMap;
-pub use rng::{DetRng, LatencyDist};
+pub use rng::{splitmix64, DetRng, LatencyDist};
 pub use time::{SimDuration, SimTime};

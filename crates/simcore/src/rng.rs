@@ -10,11 +10,15 @@
 
 use crate::time::SimDuration;
 
-/// SplitMix64 step — used to expand a 64-bit seed into xoshiro state and
-/// to mix fork salts.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+/// SplitMix64's increment, by which its state advances each step.
+const SPLITMIX_INCREMENT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64: `x` advanced one step, then mixed. The workspace's one
+/// seed mixer: it expands a [`DetRng`] seed into xoshiro state, and
+/// derives every fleet device's seed and draws and every wire chaos
+/// plan.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(SPLITMIX_INCREMENT);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -29,13 +33,10 @@ pub struct DetRng {
 impl DetRng {
     /// Create a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        let mut sm = seed;
-        let s = [
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-            splitmix64(&mut sm),
-        ];
+        // SplitMix64's first four outputs from `seed`.
+        let s = std::array::from_fn(|k| {
+            splitmix64(seed.wrapping_add(SPLITMIX_INCREMENT.wrapping_mul(k as u64)))
+        });
         DetRng { s }
     }
 

@@ -37,6 +37,6 @@ pub use cell_topology::{cell_addr, CellTestbed, CellTestbedConfig};
 /// The most probes one session can tell apart, so the largest `k` an
 /// experiment accepts.
 pub use measure::MAX_PROBES;
-pub use metrics::{breakdowns, series, ProbeBreakdown};
+pub use metrics::{breakdown, breakdowns, series, ProbeBreakdown};
 pub use storage::DeviceStorage;
 pub use topology::{addr, Testbed, TestbedConfig};

@@ -55,6 +55,26 @@ impl ProbeBreakdown {
     }
 }
 
+/// Join one probe's record with the ledger and the captures.
+pub fn breakdown(r: &RttRecord, ledger: &Ledger, index: &CaptureIndex) -> ProbeBreakdown {
+    let (dk, dv, dn) = match r.resp_id {
+        Some(resp) => (
+            ledger.dk_ms(r.req_id, resp),
+            ledger.dv_ms(r.req_id, resp),
+            index.dn_ms(r.req_id, resp),
+        ),
+        None => (None, None, None),
+    };
+    ProbeBreakdown {
+        probe: r.probe,
+        du: r.du_ms(),
+        reported: r.reported_ms,
+        dk,
+        dv,
+        dn,
+    }
+}
+
 /// Join records, ledger, and captures into breakdowns.
 pub fn breakdowns(
     records: &[RttRecord],
@@ -63,24 +83,7 @@ pub fn breakdowns(
 ) -> Vec<ProbeBreakdown> {
     records
         .iter()
-        .map(|r| {
-            let (dk, dv, dn) = match r.resp_id {
-                Some(resp) => (
-                    ledger.dk_ms(r.req_id, resp),
-                    ledger.dv_ms(r.req_id, resp),
-                    index.dn_ms(r.req_id, resp),
-                ),
-                None => (None, None, None),
-            };
-            ProbeBreakdown {
-                probe: r.probe,
-                du: r.du_ms(),
-                reported: r.reported_ms,
-                dk,
-                dv,
-                dn,
-            }
-        })
+        .map(|r| breakdown(r, ledger, index))
         .collect()
 }
 

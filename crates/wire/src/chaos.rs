@@ -22,15 +22,7 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
-/// The same splitmix64 the fleet seeding contract uses
-/// (`fleet::splitmix64`); duplicated here because `wire` sits below
-/// `fleet` in the crate DAG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use simcore::splitmix64;
 
 /// A deterministic fault schedule for one [`ChaosStream`].
 ///

@@ -5,17 +5,9 @@
 //! rejects) — never a panic, never an unbounded allocation. Seeded
 //! loops instead of a proptest dependency, per house style.
 
+use simcore::splitmix64;
 use wire::chaos::{ChaosPlan, ChaosStream};
 use wire::framing::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
-
-/// splitmix64, the workspace's seeding primitive (private copy: `wire`
-/// sits below `fleet` in the crate DAG).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 fn frame_for(payload: &[u8]) -> Vec<u8> {
     let mut buf = Vec::new();
